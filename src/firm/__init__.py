@@ -17,17 +17,17 @@ from .empirical import (ConditionalScoreCurve, conditional_curve, default_bins,
 from .errors import (BudgetExceededError, DataFormatError,
                      DegenerateFeatureError, FirmError)
 from .features import (BinaryValues, PositionalOligomer, Projection,
-                       SignedConjunction, Threshold, Xor, evaluate,
-                       evaluate_rows, is_binary, parse_feature)
+                       SignedConjunction, Threshold, Xor, is_binary,
+                       parse_feature)
 from .gaussian import (GaussianModel, conditional_mean,
                        firm_gaussian_general, firm_gaussian_linear,
                        firm_regression_closed_form, sensitivity_index)
 from .results import BinaryStats, FirmResult
 from .scoring import (KernelExpansionScorer, KernelSpec, LabelOracleScorer,
                       LinearScorer, PositionalKmerScorer, gradient_at,
-                      gradient_at_zero, score, score_many, scorer_from_json,
-                      scorer_to_json, standardize, train_kernel_ridge,
-                      train_least_squares, train_positional_kmer, train_ridge)
+                      score_many, scorer_from_json, scorer_to_json,
+                      standardize, train_kernel_ridge, train_least_squares,
+                      train_positional_kmer, train_ridge)
 from .sequence import (MarkovBackground, PoimTable, conditional_expected_score,
                        expected_score, hamming_ball, poim, ranked_oligomers)
 

@@ -61,19 +61,21 @@ def curve_tsv(curve) -> str:
     return tsv(["bin_lo", "bin_hi", "prob", "q_hat", "count"], rows)
 
 
-def firm_results_tsv(results) -> str:
-    rows = [[r.feature, r.q_signed, r.q_abs, r.method] for r in results]
+def firm_results_tsv(results, score_sd=None) -> str:
+    """The importance table; with score_sd, importances are divided by it."""
+    scale = 1.0 if score_sd is None else score_sd
+    rows = [[r.feature, r.q_signed / scale, r.q_abs / scale, r.method] for r in results]
     return tsv(["feature", "q_signed", "q_abs", "method"], rows)
 
 
 def firm_results_json(results, score_sd=None) -> str:
+    """Raw importances and extras; with score_sd, also q_tilde_* = q / score_sd."""
     records = []
     for r in results:
         rec = {"feature": r.feature, "q_signed": r.q_signed, "q_abs": r.q_abs,
                "method": r.method}
         if r.extras is not None:
-            rec["extras"] = {"q_a": r.extras.q_a, "q_b": r.extras.q_b,
-                             "p_a": r.extras.p_a, "p_b": r.extras.p_b}
+            rec["extras"] = r.extras._asdict()
         if score_sd is not None:
             rec["q_tilde_signed"] = r.q_signed / score_sd
             rec["q_tilde_abs"] = r.q_abs / score_sd
@@ -82,6 +84,17 @@ def firm_results_json(results, score_sd=None) -> str:
     if score_sd is not None:
         doc["score_sd"] = score_sd
     return json_doc(doc)
+
+
+def poim_summary_tsv(table) -> str:
+    absq = np.abs(table.firm_values)
+    return tsv(["position", "max_abs_q", "mean_abs_q"],
+               [[j, absq[:, j].max(), absq[:, j].mean()] for j in range(table.positions)])
+
+
+def poim_top_tsv(ranked) -> str:
+    return tsv(["rank", "oligomer", "position", "q"],
+               [[r + 1, z, j, q] for r, (z, j, q) in enumerate(ranked)])
 
 
 def write_artifacts(outdir: str, artifacts: dict) -> None:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .dataset import SequenceDataset, TabularDataset
 from .errors import DegenerateFeatureError, FirmError
-from .features import FeatureFunction, Projection, SignedConjunction, evaluate_rows
+from .features import FeatureFunction, SignedConjunction, feature_columns
 from .results import BinaryStats, FirmResult
 from .scoring import Scorer, score_many
 
@@ -52,40 +52,50 @@ class PointDistribution:
         return cls.uniform(pts)
 
 
-def firm_binary_values(scores, fvals, probs=None, feature: str = "f",
-                       method: str = "binary_exact") -> FirmResult:
-    """Exact signed importance from aligned score and feature-value vectors."""
-    scores = np.asarray(scores, dtype=np.float64).ravel()
-    fvals = np.asarray(fvals, dtype=np.float64).ravel()
+def firm_binary_values(scores, F, probs=None, names=None,
+                       method: str = "binary_exact") -> list[FirmResult]:
+    """Exact signed importance of every two-valued column of F.
+
+    F is n-by-d (1-D for one column) and row-aligned with the scores; row i
+    has probability probs[i], uniform by default. Columns are named by
+    `names`, or x1 .. xd.
+    """
+    scores, F, names = feature_columns(scores, F, names)
     if probs is None:
         probs = np.full(scores.size, 1.0 / scores.size)
-    uniq = np.unique(fvals)
-    if len(uniq) == 1:
+    lo, hi = F.min(axis=0), F.max(axis=0)
+    is_hi = F == hi
+    bad = np.nonzero(lo == hi)[0]
+    if bad.size:
         raise DegenerateFeatureError(
-            f"feature {feature} takes a single value on this support")
-    if len(uniq) > 2:
-        raise FirmError(f"feature {feature} takes {len(uniq)} values; "
+            f"feature {names[bad[0]]} takes a single value on this support")
+    bad = np.nonzero(~(is_hi | (F == lo)).all(axis=0))[0]
+    if bad.size:
+        j = bad[0]
+        raise FirmError(f"feature {names[j]} takes {np.unique(F[:, j]).size} values; "
                         "binary importance needs exactly 2")
-    hi = float(uniq[1])
-    mask_hi = fvals == hi
-    p_hi = float(probs[mask_hi].sum())
+    weighted = probs * scores
+    p_hi, sum_hi = np.stack([probs, weighted]) @ is_hi
     p_lo = 1.0 - p_hi
-    if p_hi <= 0.0 or p_lo <= 0.0:
+    bad = np.nonzero((p_hi <= 0.0) | (p_lo <= 0.0))[0]
+    if bad.size:
         raise DegenerateFeatureError(
-            f"feature {feature}: a value has zero probability")
-    q_hi = float(probs[mask_hi] @ scores[mask_hi]) / p_hi
-    q_lo = float(probs[~mask_hi] @ scores[~mask_hi]) / p_lo
-    q = (q_hi - q_lo) * math.sqrt(p_hi * p_lo)
-    return FirmResult(feature=feature, q_signed=q, q_abs=abs(q), method=method,
-                      extras=BinaryStats(q_a=q_hi, q_b=q_lo, p_a=p_hi, p_b=p_lo))
+            f"feature {names[bad[0]]}: a value has zero probability")
+    q_hi = sum_hi / p_hi
+    q_lo = (weighted @ ~is_hi) / p_lo
+    q = (q_hi - q_lo) * np.sqrt(p_hi * p_lo)
+    return [FirmResult(feature=names[j], q_signed=float(q[j]), method=method,
+                       extras=BinaryStats(q_a=float(q_hi[j]), q_b=float(q_lo[j]),
+                                          p_a=float(p_hi[j]), p_b=float(p_lo[j])))
+            for j in range(q.size)]
 
 
 def firm_binary_exact(scorer: Scorer, f: FeatureFunction,
                       dist: PointDistribution) -> FirmResult:
     """Exact signed importance of a binary feature under an explicit distribution."""
     return firm_binary_values(score_many(scorer, dist.points),
-                              evaluate_rows(f, dist.points),
-                              probs=dist.probs, feature=f.describe())
+                              f.evaluate_rows(dist.points),
+                              probs=dist.probs, names=[f.describe()])[0]
 
 
 def empirical_matrix_diagonals(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -115,37 +125,19 @@ def empirical_matrix_diagonals(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def firm_binary_empirical_matrix(X: np.ndarray, w: np.ndarray,
                                  b: float = 0.0) -> list[FirmResult]:
-    """Per-column importances of a linear scorer on ±1 data, in matrix form.
+    """Per-column importances of a linear scorer on ±1 data.
 
-    Computes Q = M'(Xw + b) with M = 1*d0 + X*d1; equal to the exact
-    binary importance of every column projection under the empirical
-    distribution.
+    Equal to Q = M'(Xw + b) with M = 1*d0 + X*d1 (see
+    empirical_matrix_diagonals): the exact binary importance of every
+    column projection under the empirical distribution.
     """
     X = np.asarray(X, dtype=np.float64)
     if not np.isin(X, (-1.0, 1.0)).all():
         raise FirmError("matrix form requires ±1 entries")
     w = np.asarray(w, dtype=np.float64).ravel()
-    n, d = X.shape
-    if w.size != d:
-        raise FirmError(f"weight vector has size {w.size}, data has {d} columns")
-    d0, d1 = empirical_matrix_diagonals(X)
-    scores = X @ w + b
-    M = d0[None, :] + X * d1[None, :]
-    q = M.T @ scores
-    # conditional means for the extras
-    plus = X == 1.0
-    n_plus = plus.sum(axis=0)
-    q_hi = (scores @ plus) / n_plus
-    q_lo = (scores @ ~plus) / (n - n_plus)
-    p_hi = n_plus / n
-    out = []
-    for j in range(d):
-        out.append(FirmResult(
-            feature=Projection(j).describe(), q_signed=float(q[j]),
-            q_abs=abs(float(q[j])), method="binary_matrix",
-            extras=BinaryStats(q_a=float(q_hi[j]), q_b=float(q_lo[j]),
-                               p_a=float(p_hi[j]), p_b=float(1 - p_hi[j]))))
-    return out
+    if w.size != X.shape[1]:
+        raise FirmError(f"weight vector has size {w.size}, data has {X.shape[1]} columns")
+    return firm_binary_values(X @ w + b, X, method="binary_matrix")
 
 
 def firm_uniform_conjunction(w: np.ndarray, b: float,
@@ -167,8 +159,7 @@ def firm_uniform_conjunction(w: np.ndarray, b: float,
     q = signed_sum * math.sqrt(p / (1.0 - p))
     q_a = signed_sum + b
     q_b = -signed_sum * p / (1.0 - p) + b
-    return FirmResult(feature=f.describe(), q_signed=q, q_abs=abs(q),
-                      method="uniform_conjunction",
+    return FirmResult(feature=f.describe(), q_signed=q, method="uniform_conjunction",
                       extras=BinaryStats(q_a=q_a, q_b=q_b, p_a=p, p_b=1.0 - p))
 
 

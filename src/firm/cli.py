@@ -111,46 +111,34 @@ def validate_analyze_config(args) -> None:
 
 def analyze_tabular(args) -> dict:
     data = load_tabular(args.input, has_labels=True)
+    scorer = None if args.scorer == "labels" else build_tabular_scorer(args, data)
+    # the label scorer's scores are the raw labels, duplicates kept as-is
+    scores = data.labels() if scorer is None else score_many(scorer, data.X)
     artifacts = {}
     if args.method == "gaussian":
-        scorer = build_tabular_scorer(args, data)
         cov = choose_covariance(args.covariance, data)
         model = GaussianModel(sigma=cov, mean=data.column_means)
         results = firm_gaussian_general(scorer, model, names=data.names)
-        scores = score_many(scorer, data.X)
     elif args.method == "sensitivity":
-        scorer = build_tabular_scorer(args, data)
-        idx = sensitivity_index(scorer, data)
-        results = [FirmResult(feature=data.names[j], q_signed=v, q_abs=v,
-                              method="sensitivity") for j, v in enumerate(idx)]
-        scores = score_many(scorer, data.X)
-    else:  # binary | empirical | slope work from a row-aligned score vector
-        if args.scorer == "labels":
-            scores = data.labels()  # raw labels, duplicates kept as-is
-        else:
-            scores = score_many(build_tabular_scorer(args, data), data.X)
+        results = [FirmResult(feature=name, q_signed=v, method="sensitivity")
+                   for name, v in zip(data.names, sensitivity_index(scorer, data))]
+    elif args.method == "binary":
+        results = firm_binary_values(scores, data.X, names=data.names)
+    elif args.method == "slope":
+        results = firm_slope(scores, data.X, names=data.names)
+    else:
         bins = args.bins if args.bins is not None else default_bins(data.n)
         results = []
         for j in range(data.d):
-            if args.method == "binary":
-                results.append(firm_binary_values(scores, data.X[:, j],
-                                                  feature=data.names[j]))
-            elif args.method == "slope":
-                results.append(firm_slope(scores, data.X[:, j],
-                                          feature=data.names[j]))
-            else:
-                curve = conditional_curve(scores, data.X[:, j], bins)
-                artifacts[f"curves/{data.names[j]}.tsv"] = _emit.curve_tsv(curve)
-                results.append(firm_from_curve(curve, feature=data.names[j]))
+            curve = conditional_curve(scores, data.X[:, j], bins)
+            artifacts[f"curves/{data.names[j]}.tsv"] = _emit.curve_tsv(curve)
+            results.append(firm_from_curve(curve, feature=data.names[j]))
     score_sd = None
     if args.standardize:
         score_sd = float(np.std(scores))
         if score_sd == 0.0:
             raise FirmError("zero score variance")
-        results = [FirmResult(feature=r.feature, q_signed=r.q_signed / score_sd,
-                              q_abs=r.q_abs / score_sd, method=r.method)
-                   for r in results]
-    artifacts["firm.tsv"] = _emit.firm_results_tsv(results)
+    artifacts["firm.tsv"] = _emit.firm_results_tsv(results, score_sd=score_sd)
     artifacts["firm.json"] = _emit.firm_results_json(results, score_sd=score_sd)
     return artifacts
 
@@ -165,17 +153,10 @@ def analyze_sequence(args) -> dict:
         for zi in range(table.values.shape[0]):
             rows.append([table.k, j, table.oligomer(zi),
                          table.values[zi, j], table.firm_values[zi, j]])
-    absq = np.abs(table.firm_values)
     return {
         "poim.tsv": _emit.tsv(["k", "position", "oligomer", "q_prime", "q"], rows),
-        "poim_summary.tsv": _emit.tsv(
-            ["position", "max_abs_q", "mean_abs_q"],
-            [[j, absq[:, j].max(), absq[:, j].mean()]
-             for j in range(table.positions)]),
-        "poim_top.tsv": _emit.tsv(
-            ["rank", "oligomer", "position", "q"],
-            [[r + 1, z, j, q]
-             for r, (z, j, q) in enumerate(ranked_oligomers(table, top=args.top))]),
+        "poim_summary.tsv": _emit.poim_summary_tsv(table),
+        "poim_top.tsv": _emit.poim_top_tsv(ranked_oligomers(table, top=args.top)),
     }
 
 
@@ -270,7 +251,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="empirical | shrunk | file:PATH (default: empirical, "
                         "or shrunk when n < 2d)")
     p.add_argument("--standardize", action="store_true",
-                   help="divide importances by the score standard deviation")
+                   help="divide the importances in firm.tsv by the score "
+                        "standard deviation; firm.json keeps the raw values "
+                        "and adds q_tilde_* and score_sd")
     common(p)
     p.set_defaults(func=cmd_analyze)
 
@@ -317,9 +300,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return args.func(args)
     except FirmError as exc:
         return _emit.fail(str(exc))
+    except FloatingPointError as exc:
+        return _emit.fail(f"numerical failure: {exc}")
     except OSError as exc:
         return _emit.fail(str(exc))
 

@@ -264,9 +264,7 @@ def shrinkage_covariance(data: TabularDataset) -> CovarianceEstimate:
     n, d = data.n, data.d
     if n < 3:
         raise FirmError("shrinkage estimate requires n >= 3")
-    Xc = data.X - data.column_means
-    S = (Xc.T @ Xc) / n
-    S = (S + S.T) / 2.0
+    S = empirical_covariance(data, centered=True).sigma
     if (np.diag(S) <= 0).any():
         j = int(np.argmin(np.diag(S)))
         raise FirmError(f"zero-variance column '{data.names[j]}'")
@@ -274,7 +272,8 @@ def shrinkage_covariance(data: TabularDataset) -> CovarianceEstimate:
         return CovarianceEstimate(sigma=S, method="shrunk", shrinkage_lambda=0.0)
     # per-entry sampling variance of s_ij from the products w_kij = xc_ki * xc_kj
     # Var^(s_ij) = n/(n-1)^3 * sum_k (w_kij - mean_k w_kij)^2
-    W2 = (Xc ** 2).T @ (Xc ** 2)               # sum_k w_kij^2
+    Xc2 = (data.X - data.column_means) ** 2
+    W2 = Xc2.T @ Xc2                           # sum_k w_kij^2
     var_s = (n / (n - 1) ** 3) * (W2 - n * S ** 2)
     off = ~np.eye(d, dtype=bool)
     denom = float((S[off] ** 2).sum())

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateFeatureError, FirmError
+from .features import feature_columns
 from .results import FirmResult
 
 
@@ -119,43 +120,48 @@ def firm_from_curve(curve: ConditionalScoreCurve, feature: str = "f") -> FirmRes
     q_abs = math.sqrt(max(variance, 0.0))
     if curve.n_bins == 2:
         q_signed = float((q[1] - q[0]) * math.sqrt(p[0] * p[1]))
-        return FirmResult(feature=feature, q_signed=q_signed, q_abs=abs(q_signed),
-                          method="empirical_curve")
-    return FirmResult(feature=feature, q_signed=q_abs, q_abs=q_abs,
-                      method="empirical_curve")
+        return FirmResult(feature=feature, q_signed=q_signed, method="empirical_curve")
+    return FirmResult(feature=feature, q_signed=q_abs, method="empirical_curve")
 
 
-def firm_slope(scores, fvals, feature: str = "f") -> FirmResult:
-    """Least-squares slope of score on feature, times the feature's sd.
+def _slope_moments(scores, F, names=None):
+    """Per-column moments shared by the slope estimators.
+
+    Returns the centered columns (d-by-n, so each reduction runs along a
+    contiguous row), the centered scores, each column's variance and its
+    covariance with the scores, and the column names.
+    """
+    scores, F, names = feature_columns(scores, F, names)
+    Ft = np.ascontiguousarray(F.T)
+    var_f = np.var(Ft, axis=1)
+    bad = np.nonzero(var_f == 0.0)[0]
+    if bad.size:
+        raise DegenerateFeatureError(f"feature {names[bad[0]]} is constant")
+    fc = Ft - Ft.mean(axis=1, keepdims=True)
+    sc = scores - scores.mean()
+    return fc, sc, var_f, np.mean(fc * sc, axis=1), names
+
+
+def firm_slope(scores, F, names=None) -> list[FirmResult]:
+    """Least-squares slope of score on each column of F, times its sd.
 
     A more reliably estimated stand-in for the binned importance when data
     are scarce or the dependence is known to be linear; exactly equal to
-    the binary importance on two-valued features.
+    the binary importance on two-valued features. F is n-by-d (1-D for one
+    column); columns are named by `names`, or x1 .. xd.
     """
-    scores = np.asarray(scores, dtype=np.float64).ravel()
-    fvals = np.asarray(fvals, dtype=np.float64).ravel()
-    if scores.size != fvals.size:
-        raise FirmError("scores and feature values must have equal length")
-    var_f = float(np.var(fvals))
-    if var_f == 0.0:
-        raise DegenerateFeatureError("constant feature")
-    cov = float(np.mean((fvals - fvals.mean()) * (scores - scores.mean())))
-    q = cov / math.sqrt(var_f)
-    return FirmResult(feature=feature, q_signed=q, q_abs=abs(q), method="slope")
+    _, _, var_f, cov, names = _slope_moments(scores, F, names)
+    q = cov / np.sqrt(var_f)
+    return [FirmResult(feature=names[j], q_signed=float(q[j]), method="slope")
+            for j in range(q.size)]
 
 
-def slope_stderr(scores, fvals) -> float:
-    """Standard error of the slope importance from firm_slope.
+def slope_stderr(scores, F) -> np.ndarray:
+    """Standard error of each column's slope importance from firm_slope.
 
     The slope importance is slope * sd(f); its standard error is
     sd(residuals) / sqrt(n).
     """
-    scores = np.asarray(scores, dtype=np.float64).ravel()
-    fvals = np.asarray(fvals, dtype=np.float64).ravel()
-    n = fvals.size
-    var_f = float(np.var(fvals))
-    if var_f == 0.0:
-        raise DegenerateFeatureError("constant feature")
-    slope = float(np.mean((fvals - fvals.mean()) * (scores - scores.mean()))) / var_f
-    resid = (scores - scores.mean()) - slope * (fvals - fvals.mean())
-    return float(np.std(resid) / math.sqrt(n))
+    fc, sc, var_f, cov, _ = _slope_moments(scores, F)
+    resid = sc - (cov / var_f)[:, None] * fc
+    return np.std(resid, axis=1) / math.sqrt(sc.size)

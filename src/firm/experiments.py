@@ -110,13 +110,11 @@ def gaussian_experiment(seed: int = 42, n_per_class: int = 1000,
     scorer = train_least_squares(data)
     scores = score_many(scorer, X)
 
-    results = []
-    stderrs = []
+    results = firm_slope(scores, X, names=data.names)
+    stderrs = slope_stderr(scores, X)
     artifacts = {}
     nbins = bins if bins is not None else default_bins(data.n)
     for j in range(3):
-        results.append(firm_slope(scores, X[:, j], feature=data.names[j]))
-        stderrs.append(slope_stderr(scores, X[:, j]))
         curve = conditional_curve(scores, X[:, j], nbins)
         artifacts[f"curves/{data.names[j]}.tsv"] = _emit.curve_tsv(curve)
 
@@ -226,15 +224,9 @@ def sequence_experiment(seed: int = 42, n_per_class: int = 500, seq_len: int = 5
     artifacts["weight_by_position.tsv"] = _emit.tsv(
         ["position", "max_abs_w"], [[i, v] for i, v in enumerate(max_w)])
 
-    absq = np.abs(table.firm_values)
-    artifacts["poim_summary.tsv"] = _emit.tsv(
-        ["position", "max_abs_q", "mean_abs_q"],
-        [[j, absq[:, j].max(), absq[:, j].mean()] for j in range(npos)])
-
+    artifacts["poim_summary.tsv"] = _emit.poim_summary_tsv(table)
     ranked = ranked_oligomers(table, top=top)
-    artifacts["poim_top.tsv"] = _emit.tsv(
-        ["rank", "oligomer", "position", "q"],
-        [[r + 1, z, j, q] for r, (z, j, q) in enumerate(ranked)])
+    artifacts["poim_top.tsv"] = _emit.poim_top_tsv(ranked)
 
     artifacts["run.json"] = _emit.run_metadata("experiment-sequence", {
         "seed": seed, "n_per_class": n_per_class, "seq_len": seq_len,

@@ -143,14 +143,28 @@ class PositionalOligomer:
 FeatureFunction = Projection | SignedConjunction | Xor | Threshold | PositionalOligomer
 
 
-def evaluate(f: FeatureFunction, x) -> float:
-    """Evaluate a feature on one input point."""
-    return f.evaluate(x)
+def column_names(names, d: int) -> list[str]:
+    """The given names of d feature columns, or x1 .. xd."""
+    if names is None:
+        return [Projection(j).describe() for j in range(d)]
+    if len(names) != d:
+        raise FirmError(f"got {len(names)} names for {d} coordinates")
+    return list(names)
 
 
-def evaluate_rows(f: FeatureFunction, X) -> np.ndarray:
-    """Evaluate a feature on every row/sequence of X."""
-    return f.evaluate_rows(X)
+def feature_columns(scores, F, names=None):
+    """Inputs of the column-wise estimators, checked and in one shape.
+
+    Returns the scores as a vector, F as an n-by-d matrix (a 1-D F is one
+    column) and the column names.
+    """
+    scores = np.asarray(scores, dtype=np.float64).ravel()
+    F = np.asarray(F, dtype=np.float64)
+    if F.ndim == 1:
+        F = F[:, None]
+    if F.ndim != 2 or F.shape[0] != scores.size:
+        raise FirmError("scores and feature values must have equal length")
+    return scores, F, column_names(names, F.shape[1])
 
 
 class BinaryValues(NamedTuple):
@@ -169,7 +183,7 @@ def is_binary(f: FeatureFunction, X) -> BinaryValues | float | None:
     value itself when the feature is constant on the data (degenerate), and
     None when more than two values occur.
     """
-    vals = evaluate_rows(f, X)
+    vals = f.evaluate_rows(X)
     uniq, counts = np.unique(vals, return_counts=True)
     if len(uniq) == 1:
         return float(uniq[0])

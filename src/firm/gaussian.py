@@ -20,7 +20,7 @@ import numpy as np
 
 from .dataset import CovarianceEstimate, TabularDataset
 from .errors import FirmError
-from .features import Projection
+from .features import column_names
 from .results import FirmResult
 from .scoring import LinearScorer, Scorer, gradient_at
 from typing import Sequence
@@ -53,20 +53,17 @@ class GaussianModel:
         return self.sigma.d
 
 
-def _check_variances(sigma: np.ndarray) -> np.ndarray:
+def _normal_model_results(sigma: np.ndarray, g: np.ndarray,
+                          names: Sequence[str] | None, method: str) -> list[FirmResult]:
+    """Q = D^-1 S g for every coordinate, D the diagonal of standard deviations."""
     var = np.diag(sigma)
     if (var <= 0).any():
         j = int(np.argmin(var))
         raise FirmError(f"zero variance at coordinate {j + 1}")
-    return var
-
-
-def _names(names: Sequence[str] | None, d: int) -> list[str]:
-    if names is None:
-        return [Projection(j).describe() for j in range(d)]
-    if len(names) != d:
-        raise FirmError(f"got {len(names)} names for {d} coordinates")
-    return list(names)
+    q = (sigma @ g) / np.sqrt(var)
+    labels = column_names(names, q.size)
+    return [FirmResult(feature=labels[j], q_signed=float(q[j]), method=method)
+            for j in range(q.size)]
 
 
 def conditional_mean(model: GaussianModel, j: int, t: float) -> np.ndarray:
@@ -84,14 +81,8 @@ def firm_gaussian_general(scorer: Scorer, model: GaussianModel,
 
     The score is expanded around the model mean; exact for linear scorers.
     """
-    sigma = model.sigma.sigma
-    var = _check_variances(sigma)
-    g = gradient_at(scorer, model.mean)
-    q = (sigma @ g) / np.sqrt(var)
-    labels = _names(names, model.d)
-    return [FirmResult(feature=labels[j], q_signed=float(q[j]),
-                       q_abs=abs(float(q[j])), method="gaussian")
-            for j in range(model.d)]
+    return _normal_model_results(model.sigma.sigma, gradient_at(scorer, model.mean),
+                                 names, "gaussian")
 
 
 def firm_gaussian_linear(w: np.ndarray, b: float, model: GaussianModel,
@@ -101,15 +92,9 @@ def firm_gaussian_linear(w: np.ndarray, b: float, model: GaussianModel,
     Q = D^-1 S w with D the diagonal matrix of standard deviations.
     """
     w = np.asarray(w, dtype=np.float64).ravel()
-    sigma = model.sigma.sigma
     if w.size != model.d:
         raise FirmError(f"weight vector has size {w.size}, model is {model.d}-dimensional")
-    var = _check_variances(sigma)
-    q = (sigma @ w) / np.sqrt(var)
-    labels = _names(names, model.d)
-    return [FirmResult(feature=labels[j], q_signed=float(q[j]),
-                       q_abs=abs(float(q[j])), method="gaussian_linear")
-            for j in range(model.d)]
+    return _normal_model_results(model.sigma.sigma, w, names, "gaussian_linear")
 
 
 def sensitivity_index(scorer: Scorer, data: TabularDataset) -> list[float]:
@@ -144,13 +129,8 @@ def firm_regression_closed_form(X: np.ndarray, y: np.ndarray, model: GaussianMod
         raise FirmError("label vector length does not match row count")
     if d != model.d:
         raise FirmError("data dimension does not match model")
-    sigma = model.sigma.sigma
-    var = _check_variances(sigma)
     G = X.T @ X
     if np.linalg.matrix_rank(G) < d:
         raise FirmError("singular empirical covariance; cannot invert X'X")
-    q = (sigma @ np.linalg.solve(G, X.T @ y)) / np.sqrt(var)
-    labels = _names(names, d)
-    return [FirmResult(feature=labels[j], q_signed=float(q[j]),
-                       q_abs=abs(float(q[j])), method="regression_closed_form")
-            for j in range(d)]
+    return _normal_model_results(model.sigma.sigma, np.linalg.solve(G, X.T @ y),
+                                 names, "regression_closed_form")

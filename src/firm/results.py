@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
+
+from .errors import FirmError
 
 
 class BinaryStats(NamedTuple):
@@ -26,15 +29,20 @@ class FirmResult:
     q_signed carries the direction of the feature's effect on the score;
     q_abs = |q_signed| is the importance used for ranking. `extras` is
     populated by the binary paths with the conditional means and value
-    probabilities that produced the number.
+    probabilities that produced the number. A non-finite importance (an
+    overflowing or NaN score) is rejected here, for every estimator.
     """
 
     feature: str
     q_signed: float
-    q_abs: float
     method: str
     extras: BinaryStats | None = None
 
     def __post_init__(self):
-        if abs(self.q_abs - abs(self.q_signed)) > 1e-12 * max(1.0, abs(self.q_signed)):
-            raise ValueError("q_abs must equal |q_signed|")
+        if not math.isfinite(self.q_signed):
+            raise FirmError(f"importance of {self.feature} is not finite "
+                            f"({self.q_signed}); check the scores")
+
+    @property
+    def q_abs(self) -> float:
+        return abs(self.q_signed)

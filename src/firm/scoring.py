@@ -217,11 +217,6 @@ class PositionalKmerScorer:
 Scorer = LinearScorer | KernelExpansionScorer | LabelOracleScorer | PositionalKmerScorer
 
 
-def score(scorer: Scorer, x) -> float:
-    """Evaluate a scorer on one input point."""
-    return scorer.score(x)
-
-
 def score_many(scorer: Scorer, X) -> np.ndarray:
     """Evaluate a scorer on every row/sequence of X."""
     return scorer.score_many(X)
@@ -232,15 +227,6 @@ def gradient_at(scorer: Scorer, x0) -> np.ndarray:
     if not hasattr(scorer, "gradient_at"):
         raise FirmError(f"{type(scorer).__name__} has no gradient")
     return scorer.gradient_at(x0)
-
-
-def gradient_at_zero(scorer: Scorer) -> np.ndarray:
-    """Analytic gradient of the score at the origin."""
-    if isinstance(scorer, LinearScorer):
-        return scorer.w.copy()
-    if isinstance(scorer, KernelExpansionScorer):
-        return scorer.gradient_at(np.zeros(scorer.points.shape[1]))
-    raise FirmError(f"{type(scorer).__name__} has no gradient")
 
 
 # ---------------------------------------------------------------------------
@@ -331,19 +317,14 @@ def train_positional_kmer(data: SequenceDataset, K: int, lam: float) -> Position
 # standardization
 # ---------------------------------------------------------------------------
 
-def score_std(scorer: Scorer, data: TabularDataset | SequenceDataset) -> float:
-    """Population standard deviation of the scores over the data."""
-    rows = data.X if isinstance(data, TabularDataset) else data.sequences
-    return float(np.std(score_many(scorer, rows)))
-
-
 def standardize(scorer: Scorer, data: TabularDataset | SequenceDataset) -> Scorer:
     """Rescale a scorer so its scores have unit variance over the data.
 
     Importances computed from the result are comparable across different
     scorers; the ranking for any single scorer is unchanged.
     """
-    sd = score_std(scorer, data)
+    rows = data.X if isinstance(data, TabularDataset) else data.sequences
+    sd = float(np.std(score_many(scorer, rows)))
     if sd == 0.0:
         raise FirmError("zero score variance")
     if isinstance(scorer, LinearScorer):

@@ -26,7 +26,7 @@ from firm import (KernelExpansionScorer, KernelSpec, LinearScorer, MarkovBackgro
                   firm_binary_empirical_matrix, firm_binary_exact, firm_binary_values,
                   firm_gaussian_linear, firm_gaussian_general,
                   firm_regression_closed_form, firm_slope, firm_uniform_conjunction,
-                  poim, score, score_many, sensitivity_index, train_least_squares)
+                  poim, score_many, sensitivity_index, train_least_squares)
 from firm import experiments
 from firm.cli import main
 
@@ -118,7 +118,7 @@ def test_criterion_03_slope_identity_on_binary_features():
         scores = X @ w + b
         for j in range(X.shape[1]):
             want = brute_firm_binary(scores, X[:, j])
-            assert abs(firm_slope(scores, X[:, j]).q_signed - want) < 1e-12
+            assert abs(firm_slope(scores, X[:, j])[0].q_signed - want) < 1e-12
     ok(3, "slope estimator = exact binary importance")
 
 
@@ -206,8 +206,8 @@ def test_criterion_05_invariance_suite():
     sc = LinearScorer(w=np.array([2.0, -1.0, 0.5]), b=1.0)
     scores = score_many(sc, data.X)
     sd = float(np.std(scores))
-    raw = np.array([firm_slope(scores, data.X[:, j]).q_signed for j in range(3)])
-    std = np.array([firm_slope(scores / sd, data.X[:, j]).q_signed for j in range(3)])
+    raw = np.array([firm_slope(scores, data.X[:, j])[0].q_signed for j in range(3)])
+    std = np.array([firm_slope(scores / sd, data.X[:, j])[0].q_signed for j in range(3)])
     np.testing.assert_allclose(std, raw / sd, atol=1e-12)
     assert (np.argsort(-np.abs(std)) == np.argsort(-np.abs(raw))).all()
     ok(5, "bias shift, feature rescale, standardization invariances")
@@ -275,7 +275,7 @@ def test_criterion_08_sequence_enumeration_oracle():
                                           max_degree=min(3, L), weights=weights,
                                           b=float(rng.normal()))
                 got = expected_score(sc, bg)
-                want = enum_expected_score(lambda s: score(sc, s), alphabet, L,
+                want = enum_expected_score(sc.score, alphabet, L,
                                            bg.letter_prob)
                 assert abs(got - want) < 1e-12
                 for _ in range(4):
@@ -283,7 +283,7 @@ def test_criterion_08_sequence_enumeration_oracle():
                     j = int(rng.integers(0, L - klen + 1))
                     z = "".join(rng.choice(alphabet, size=klen))
                     got = conditional_expected_score(sc, bg, z, j)
-                    want = enum_conditional_score(lambda s: score(sc, s), alphabet,
+                    want = enum_conditional_score(sc.score, alphabet,
                                                   L, bg.letter_prob, z, j)
                     assert abs(got - want) < 1e-12
                 # per-position zero mean of the table

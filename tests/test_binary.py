@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from firm import (DegenerateFeatureError, FirmError, LinearScorer, PointDistribution,
                   Projection, SignedConjunction, Xor, firm_binary_empirical_matrix,
-                  firm_binary_exact, firm_uniform_conjunction, poim_firm_conversion,
-                  score_many)
+                  firm_binary_exact, firm_binary_values, firm_uniform_conjunction,
+                  poim_firm_conversion, score_many)
 from firm.binary import empirical_matrix_diagonals
 
 from helpers import all_pm1_rows, brute_firm_binary
@@ -59,6 +59,46 @@ class TestExactOnUniformCube:
         ones = np.ones((4, 2))
         with pytest.raises(DegenerateFeatureError):
             firm_binary_exact(sc, f, PointDistribution.uniform(ones))
+
+
+class TestBinaryKernel:
+    def test_any_two_values_under_nonuniform_probs(self):
+        rng = np.random.default_rng(11)
+        n = 40
+        F = np.column_stack([rng.choice([0.0, 1.0], size=n),
+                             rng.choice([2.0, 5.0], size=n)])
+        F[:2] = [[0.0, 2.0], [1.0, 5.0]]       # both values in each column
+        scores = rng.normal(size=n)
+        probs = rng.random(n)
+        probs /= probs.sum()
+        res = firm_binary_values(scores, F, probs=probs, names=["u", "v"])
+        assert [r.feature for r in res] == ["u", "v"]
+        for j, r in enumerate(res):
+            assert r.q_signed == pytest.approx(brute_firm_binary(scores, F[:, j], probs),
+                                               abs=1e-12)
+            p_hi = probs[F[:, j] == F[:, j].max()].sum()
+            assert r.extras.p_a == pytest.approx(p_hi, abs=1e-12)
+
+    def test_three_valued_column_named(self):
+        F = np.column_stack([[0.0, 1.0, 0.0, 1.0], [0.0, 1.0, 2.0, 1.0]])
+        with pytest.raises(FirmError, match="x2 takes 3 values"):
+            firm_binary_values(np.arange(4.0), F)
+
+    def test_pm1_matrix_identity(self):
+        """Q = M'(Xw + b) with M = 1*d0 + X*d1, the paper's matrix form."""
+        rng = np.random.default_rng(12)
+        X = rng.choice([-1.0, 1.0], size=(50, 4))
+        X[:2] = [[1.0] * 4, [-1.0] * 4]
+        w = rng.normal(size=4)
+        b = rng.normal()
+        d0, d1 = empirical_matrix_diagonals(X)
+        M = d0[None, :] + X * d1[None, :]
+        got = [r.q_signed for r in firm_binary_values(X @ w + b, X)]
+        np.testing.assert_allclose(got, M.T @ (X @ w + b), rtol=0, atol=1e-12)
+
+    def test_non_finite_importance_rejected(self):
+        with np.errstate(all="ignore"), pytest.raises(FirmError, match="not finite"):
+            firm_binary_values([np.inf, 0.0, 1.0, -np.inf], [0.0, 1.0, 0.0, 1.0])
 
 
 class TestEmpiricalMatrixForm:

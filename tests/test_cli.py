@@ -2,10 +2,13 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import firm
 from firm.cli import main
 
 from helpers import all_pm1_rows, brute_firm_binary
@@ -77,6 +80,17 @@ class TestAnalyzeBinary:
         doc = json.loads((std_out / "firm.json").read_text())
         assert doc["score_sd"] == pytest.approx(sd, rel=1e-12)
         assert all("q_tilde_signed" in rec for rec in doc["results"])
+        # firm.json keeps the raw importances and extras; only q_tilde_* and
+        # firm.tsv are divided by the score sd, and only once
+        raw_doc = json.loads((raw_out / "firm.json").read_text())
+        for rec, raw_rec in zip(doc["results"], raw_doc["results"]):
+            assert rec["q_signed"] == pytest.approx(raw_rec["q_signed"], rel=1e-12)
+            assert rec["q_tilde_signed"] == pytest.approx(raw_rec["q_signed"] / sd,
+                                                          rel=1e-12)
+            assert rec["q_tilde_abs"] == pytest.approx(raw_rec["q_abs"] / sd, rel=1e-12)
+            assert rec["extras"].keys() == raw_rec["extras"].keys()
+            for key, value in raw_rec["extras"].items():
+                assert rec["extras"][key] == pytest.approx(value, rel=1e-12)
 
 
 class TestAnalyzeGaussian:
@@ -189,6 +203,24 @@ class TestConfigValidation:
         assert run("analyze", "--input", str(inp), "--method", "binary",
                    "--out", str(out)) != 0
         assert not out.exists()
+
+
+    def test_overflowing_scorer_fails_with_one_line(self, tmp_path):
+        # run in a child process so numpy warnings reach the real stderr
+        rng = np.random.default_rng(9)
+        X = rng.normal(scale=2.5, size=(40, 3))
+        inp = tmp_path / "d.csv"
+        write_csv(inp, X, X[:, 0] + rng.normal(size=40))
+        out = tmp_path / "out"
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(firm.__file__))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "firm.cli", "analyze", "--input", str(inp),
+             "--method", "slope", "--scorer", "train:kernel_ridge",
+             "--kernel", "polynomial", "--degree", "200", "--out", str(out)],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+        assert not (out / "firm.tsv").exists()
 
 
 class TestCovarianceCommand:

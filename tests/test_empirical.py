@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from firm import (ConditionalScoreCurve, DegenerateFeatureError, LinearScorer,
+from firm import (ConditionalScoreCurve, DegenerateFeatureError, FirmError, LinearScorer,
                   PointDistribution, Projection, conditional_curve, default_bins,
-                  firm_binary_exact, firm_from_curve, firm_slope)
+                  firm_binary_exact, firm_from_curve, firm_slope, slope_stderr)
 
 from helpers import brute_firm_binary
 
@@ -72,6 +72,13 @@ class TestConditionalCurve:
 
 
 class TestFirmFromCurve:
+    def test_non_finite_importance_rejected(self):
+        s = np.array([np.inf, 0.0, 1.0, 2.0, 3.0, 4.0])
+        with np.errstate(all="ignore"):
+            curve = conditional_curve(s, np.arange(6.0), bins=3)
+            with pytest.raises(FirmError, match="not finite"):
+                firm_from_curve(curve)
+
     def test_flat_curve_is_zero(self):
         curve = ConditionalScoreCurve(bin_edges=np.array([0.0, 1.0, 2.0, 3.0]),
                                       bin_prob=np.array([0.2, 0.3, 0.5]),
@@ -128,7 +135,7 @@ class TestSlope:
             if len(np.unique(fv)) < 2:
                 continue
             s = rng.normal(size=n)
-            assert firm_slope(s, fv).q_signed == pytest.approx(
+            assert firm_slope(s, fv)[0].q_signed == pytest.approx(
                 brute_firm_binary(s, fv), abs=1e-12)
 
     def test_binary_feature_any_two_values(self):
@@ -139,23 +146,47 @@ class TestSlope:
             if len(np.unique(fv)) < 2:
                 continue
             s = rng.normal(size=60)
-            assert firm_slope(s, fv).q_signed == pytest.approx(
+            assert firm_slope(s, fv)[0].q_signed == pytest.approx(
                 brute_firm_binary(s, fv), abs=1e-12)
 
     def test_orthogonal_scores_give_zero(self):
         fv = np.array([-1.0, 1.0, -1.0, 1.0])
         s = np.array([1.0, 1.0, -1.0, -1.0])
-        assert firm_slope(s, fv).q_signed == pytest.approx(0.0, abs=1e-15)
+        assert firm_slope(s, fv)[0].q_signed == pytest.approx(0.0, abs=1e-15)
 
     def test_exact_linear_relation(self):
         rng = np.random.default_rng(7)
         fv = rng.normal(size=50)
         s = 2.0 * fv + 5.0
-        assert firm_slope(s, fv).q_signed == pytest.approx(2.0 * np.std(fv), rel=1e-12)
+        assert firm_slope(s, fv)[0].q_signed == pytest.approx(2.0 * np.std(fv), rel=1e-12)
 
     def test_constant_feature_rejected(self):
         with pytest.raises(DegenerateFeatureError):
             firm_slope(np.arange(4.0), np.ones(4))
+
+    def test_columns_match_single_column_calls(self):
+        rng = np.random.default_rng(8)
+        F = rng.normal(size=(30, 3))
+        s = F @ [1.0, -2.0, 0.5] + rng.normal(size=30)
+        res = firm_slope(s, F, names=["a", "b", "c"])
+        assert [r.feature for r in res] == ["a", "b", "c"]
+        for j, r in enumerate(res):
+            assert r.q_signed == firm_slope(s, F[:, j])[0].q_signed
+
+    def test_stderr_matches_polyfit_residuals(self):
+        rng = np.random.default_rng(9)
+        n = 200
+        F = rng.normal(size=(n, 3)) * [1.0, 3.0, 0.2]
+        s = np.sin(F[:, 0]) + F[:, 1] ** 2 + rng.normal(size=n)
+        want = []
+        for j in range(3):
+            slope, intercept = np.polyfit(F[:, j], s, 1)
+            want.append(np.std(s - (slope * F[:, j] + intercept)) / math.sqrt(n))
+        np.testing.assert_allclose(slope_stderr(s, F), want, rtol=1e-10)
+
+    def test_non_finite_importance_rejected(self):
+        with np.errstate(all="ignore"), pytest.raises(FirmError, match="not finite"):
+            firm_slope([np.inf, 0.0, 1.0, 2.0], [0.0, 1.0, 0.0, 1.0])
 
 
 class TestConsistency:

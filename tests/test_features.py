@@ -6,38 +6,37 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from firm import (BinaryValues, FirmError, PositionalOligomer, Projection,
-                  SignedConjunction, Threshold, Xor, evaluate, evaluate_rows,
-                  is_binary, parse_feature)
+                  SignedConjunction, Threshold, Xor, is_binary, parse_feature)
 
 from helpers import all_pm1_rows
 
 
 class TestEvaluate:
     def test_projection(self):
-        assert evaluate(Projection(1), [3.0, -2.0]) == -2.0
+        assert Projection(1).evaluate([3.0, -2.0]) == -2.0
 
     def test_signed_conjunction(self):
         f = SignedConjunction(literals=((0, 1), (1, -1)))
-        assert evaluate(f, [1.0, -1.0, 7.0]) == 1.0
-        assert evaluate(f, [1.0, 1.0, 7.0]) == 0.0
+        assert f.evaluate([1.0, -1.0, 7.0]) == 1.0
+        assert f.evaluate([1.0, 1.0, 7.0]) == 0.0
 
     def test_xor(self):
-        assert evaluate(Xor(0, 1), [1.0, 1.0]) == 0.0
-        assert evaluate(Xor(0, 1), [1.0, -1.0]) == 1.0
+        assert Xor(0, 1).evaluate([1.0, 1.0]) == 0.0
+        assert Xor(0, 1).evaluate([1.0, -1.0]) == 1.0
 
     def test_threshold(self):
         f = Threshold(0, 0.5)
-        assert evaluate(f, [0.5]) == 0.0
-        assert evaluate(f, [0.50001]) == 1.0
+        assert f.evaluate([0.5]) == 0.0
+        assert f.evaluate([0.50001]) == 1.0
 
     def test_positional_oligomer(self):
         f = PositionalOligomer(z="GAT", j=2)
-        assert evaluate(f, "AAGATC") == 1.0
-        assert evaluate(f, "AAGTTC") == 0.0
+        assert f.evaluate("AAGATC") == 1.0
+        assert f.evaluate("AAGTTC") == 0.0
 
     def test_oligomer_on_string_rows(self):
         f = PositionalOligomer(z="GAT", j=0)
-        np.testing.assert_array_equal(evaluate_rows(f, ["GATT", "AGAT"]), [1.0, 0.0])
+        np.testing.assert_array_equal(f.evaluate_rows(["GATT", "AGAT"]), [1.0, 0.0])
 
     def test_conjunction_needs_distinct_indices(self):
         with pytest.raises(FirmError):

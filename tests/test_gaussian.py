@@ -88,6 +88,10 @@ class TestGaussianLinear:
         with pytest.raises(FirmError, match="zero variance"):
             firm_gaussian_linear(np.ones(2), 0.0, model_from(np.diag([1.0, 0.0])))
 
+    def test_non_finite_importance_rejected(self):
+        with np.errstate(all="ignore"), pytest.raises(FirmError, match="not finite"):
+            firm_gaussian_linear(np.array([np.inf, 1.0]), 0.0, model_from(np.eye(2)))
+
 
 class TestGaussianGeneral:
     def test_linear_scorer_matches_linear_form_exactly(self):

@@ -7,63 +7,63 @@ import pytest
 
 from firm import (FirmError, KernelExpansionScorer, KernelSpec, LabelOracleScorer,
                   LinearScorer, PositionalKmerScorer, SequenceDataset, TabularDataset,
-                  gradient_at, gradient_at_zero, score, score_many, scorer_from_json,
-                  scorer_to_json, standardize, train_kernel_ridge, train_least_squares,
-                  train_positional_kmer, train_ridge)
+                  gradient_at, score_many, scorer_from_json, scorer_to_json, standardize,
+                  train_kernel_ridge, train_least_squares, train_positional_kmer,
+                  train_ridge)
 
 from helpers import all_pm1_rows, central_difference_gradient
 
 
 class TestScore:
     def test_linear(self):
-        assert score(LinearScorer(w=[1.0, 2.0], b=0.0), [1.0, 1.0]) == 3.0
+        assert LinearScorer(w=[1.0, 2.0], b=0.0).score([1.0, 1.0]) == 3.0
 
     def test_gaussian_kernel_at_own_point(self):
         pt = np.array([[0.3, -0.7]])
         sc = KernelExpansionScorer(points=pt, alpha=[1.0], b=0.0,
                                    kernel=KernelSpec.gaussian(1.0))
-        assert score(sc, pt[0]) == pytest.approx(1.0, abs=1e-15)
+        assert sc.score(pt[0]) == pytest.approx(1.0, abs=1e-15)
 
     def test_positional_kmer_indicator(self):
         sc = PositionalKmerScorer(alphabet=("A", "C", "G", "T"), length=4,
                                   max_degree=3, weights={(0, "GAT"): 1.0}, b=0.0)
-        assert score(sc, "GATT") == 1.0
-        assert score(sc, "AGAT") == 0.0
+        assert sc.score("GATT") == 1.0
+        assert sc.score("AGAT") == 0.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(FirmError):
-            score(LinearScorer(w=[1.0, 2.0]), [1.0])
+            LinearScorer(w=[1.0, 2.0]).score([1.0])
 
     def test_oracle_miss(self):
         sc = LabelOracleScorer(table={(1.0, 2.0): 5.0})
-        assert score(sc, [1.0, 2.0]) == 5.0
+        assert sc.score([1.0, 2.0]) == 5.0
         with pytest.raises(FirmError, match="oracle miss"):
-            score(sc, [1.0, 3.0])
+            sc.score([1.0, 3.0])
 
     def test_score_is_pure(self):
         sc = KernelExpansionScorer(points=np.array([[0.1, 0.2], [0.3, -0.4]]),
                                    alpha=[0.5, -1.5], b=0.2,
                                    kernel=KernelSpec.gaussian(2.0))
         x = [0.05, -0.02]
-        assert score(sc, x) == score(sc, x)
+        assert sc.score(x) == sc.score(x)
 
 
 class TestGradient:
     def test_linear_gradient(self):
-        np.testing.assert_array_equal(gradient_at_zero(LinearScorer(w=[3.0, -1.0])),
+        np.testing.assert_array_equal(gradient_at(LinearScorer(w=[3.0, -1.0]), np.zeros(2)),
                                       [3.0, -1.0])
 
     def test_gaussian_kernel_closed_form(self):
         sc = KernelExpansionScorer(points=np.array([[1.0, 0.0]]), alpha=[1.0], b=0.0,
                                    kernel=KernelSpec.gaussian(1.0))
-        g = gradient_at_zero(sc)
+        g = gradient_at(sc, np.zeros(2))
         np.testing.assert_allclose(g, [2 * np.exp(-1.0), 0.0], rtol=1e-15)
 
     def test_polynomial_zero_offset_degree_two(self):
         sc = KernelExpansionScorer(points=np.array([[1.0, 2.0], [0.5, -1.0]]),
                                    alpha=[1.0, -2.0], b=0.3,
                                    kernel=KernelSpec.polynomial(2, 0.0))
-        np.testing.assert_array_equal(gradient_at_zero(sc), [0.0, 0.0])
+        np.testing.assert_array_equal(gradient_at(sc, np.zeros(2)), [0.0, 0.0])
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(8)
@@ -76,15 +76,16 @@ class TestGradient:
                                        alpha=rng.normal(size=3), b=rng.normal(),
                                        kernel=kernel)
             x0 = rng.normal(size=d) * 0.5
-            num = central_difference_gradient(lambda v: score(sc, v), x0)
+            num = central_difference_gradient(sc.score, x0)
             ana = gradient_at(sc, x0)
             np.testing.assert_allclose(ana, num, rtol=1e-6, atol=1e-8)
-            num0 = central_difference_gradient(lambda v: score(sc, v), np.zeros(d))
-            np.testing.assert_allclose(gradient_at_zero(sc), num0, rtol=1e-6, atol=1e-8)
+            num0 = central_difference_gradient(sc.score, np.zeros(d))
+            np.testing.assert_allclose(gradient_at(sc, np.zeros(d)), num0,
+                                       rtol=1e-6, atol=1e-8)
 
     def test_oracle_has_no_gradient(self):
         with pytest.raises(FirmError):
-            gradient_at_zero(LabelOracleScorer(table={}))
+            gradient_at(LabelOracleScorer(table={}), np.zeros(2))
 
 
 class TestLeastSquares:
@@ -210,7 +211,7 @@ class TestPositionalKmerTrainer:
             manual = sc.b + sum(
                 w for (i, ysub), w in sc.weights.items()
                 if s[i:i + len(ysub)] == ysub)
-            assert score(sc, s) == pytest.approx(manual, rel=1e-12)
+            assert sc.score(s) == pytest.approx(manual, rel=1e-12)
 
 
 class TestStandardize:

@@ -7,7 +7,7 @@ import pytest
 
 from firm import (BudgetExceededError, FirmError, MarkovBackground, PositionalKmerScorer,
                   SequenceDataset, conditional_expected_score, expected_score,
-                  hamming_ball, poim, poim_firm_conversion, ranked_oligomers, score)
+                  hamming_ball, poim, poim_firm_conversion, ranked_oligomers)
 
 from helpers import enum_conditional_score, enum_expected_score
 
@@ -33,7 +33,7 @@ class TestExpectedScore:
                                   weights={(0, "GAT"): 1.0}, b=0.0)
         bg = MarkovBackground.uniform(DNA)
         assert expected_score(sc, bg) == pytest.approx(1.0 / 64.0, abs=1e-15)
-        enum = enum_expected_score(lambda s: score(sc, s), DNA, 4, bg.letter_prob)
+        enum = enum_expected_score(sc.score, DNA, 4, bg.letter_prob)
         assert expected_score(sc, bg) == pytest.approx(enum, abs=1e-12)
 
     def test_zero_weights_give_bias(self):
@@ -68,7 +68,7 @@ class TestConditionalExpectedScore:
         bg = MarkovBackground.uniform(DNA)
         got = conditional_expected_score(sc, bg, "GAT", 1)
         assert got == pytest.approx(0.25, abs=1e-15)
-        enum = enum_conditional_score(lambda s: score(sc, s), DNA, 5,
+        enum = enum_conditional_score(sc.score, DNA, 5,
                                       bg.letter_prob, "GAT", 1)
         assert got == pytest.approx(enum, abs=1e-12)
 
@@ -78,7 +78,7 @@ class TestConditionalExpectedScore:
         bg = MarkovBackground.uniform(DNA)
         z = "GATTC"
         assert conditional_expected_score(sc, bg, z, 0) == pytest.approx(
-            score(sc, z), rel=1e-12)
+            sc.score(z), rel=1e-12)
 
     def test_out_of_range_window(self):
         sc = PositionalKmerScorer(alphabet=DNA, length=4, max_degree=1,
@@ -93,7 +93,7 @@ class TestConditionalExpectedScore:
         for trial in range(3):
             sc = random_sparse_scorer(rng, alphabet, L, min(3, L), 8)
             escore = expected_score(sc, bg)
-            enum = enum_expected_score(lambda s: score(sc, s), alphabet, L,
+            enum = enum_expected_score(sc.score, alphabet, L,
                                        bg.letter_prob)
             assert escore == pytest.approx(enum, abs=1e-12)
             for _ in range(4):
@@ -101,7 +101,7 @@ class TestConditionalExpectedScore:
                 j = int(rng.integers(0, L - k + 1))
                 z = "".join(rng.choice(alphabet, size=k))
                 got = conditional_expected_score(sc, bg, z, j)
-                want = enum_conditional_score(lambda s: score(sc, s), alphabet, L,
+                want = enum_conditional_score(sc.score, alphabet, L,
                                               bg.letter_prob, z, j)
                 assert got == pytest.approx(want, abs=1e-12)
 
@@ -111,10 +111,10 @@ class TestConditionalExpectedScore:
                               letter_prob={"A": 0.4, "C": 0.3, "G": 0.2, "T": 0.1})
         rng = np.random.default_rng(5)
         sc = random_sparse_scorer(rng, alphabet, 4, 2, 6)
-        enum = enum_expected_score(lambda s: score(sc, s), alphabet, 4, bg.letter_prob)
+        enum = enum_expected_score(sc.score, alphabet, 4, bg.letter_prob)
         assert expected_score(sc, bg) == pytest.approx(enum, abs=1e-12)
         got = conditional_expected_score(sc, bg, "CT", 1)
-        want = enum_conditional_score(lambda s: score(sc, s), alphabet, 4,
+        want = enum_conditional_score(sc.score, alphabet, 4,
                                       bg.letter_prob, "CT", 1)
         assert got == pytest.approx(want, abs=1e-12)
 
