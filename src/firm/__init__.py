@@ -16,9 +16,8 @@ from .empirical import (ConditionalScoreCurve, conditional_curve, default_bins,
                         firm_from_curve, firm_slope, slope_stderr)
 from .errors import (BudgetExceededError, DataFormatError,
                      DegenerateFeatureError, FirmError)
-from .features import (BinaryValues, PositionalOligomer, Projection,
-                       SignedConjunction, Threshold, Xor, is_binary,
-                       parse_feature)
+from .features import (PositionalOligomer, Projection, SignedConjunction,
+                       Threshold, Xor, parse_feature)
 from .gaussian import (GaussianModel, conditional_mean,
                        firm_gaussian_general, firm_gaussian_linear,
                        firm_regression_closed_form, sensitivity_index)

@@ -9,6 +9,7 @@ produce byte-identical files.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import sys
@@ -17,24 +18,19 @@ import platform
 import numpy as np
 
 
-def fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return str(value)
+def tsv(header, columns) -> str:
+    """A header line, then one line per row of the equal-length columns.
 
-
-def tsv(header, rows) -> str:
-    lines = ["\t".join(header)]
-    for row in rows:
-        lines.append("\t".join(fmt(v) for v in row))
+    Columns are numpy arrays or lists. Each becomes Python scalars once,
+    written with str: ints in decimal, floats by repr.
+    """
+    cells = [map(str, np.asarray(col).tolist()) for col in columns]
+    lines = ["\t".join(header)] + ["\t".join(row) for row in zip(*cells)]
     return "\n".join(lines) + "\n"
 
 
 def matrix_tsv(names, matrix) -> str:
-    rows = [[name] + list(row) for name, row in zip(names, np.asarray(matrix))]
-    return tsv(["#"] + list(names), rows)
+    return tsv(["#"] + list(names), [names] + list(np.asarray(matrix).T))
 
 
 def json_doc(obj) -> str:
@@ -55,17 +51,17 @@ def run_metadata(command: str, config: dict) -> str:
 
 
 def curve_tsv(curve) -> str:
-    rows = [[curve.bin_edges[i], curve.bin_edges[i + 1], curve.bin_prob[i],
-             curve.q_hat[i], int(curve.counts[i])]
-            for i in range(curve.n_bins)]
-    return tsv(["bin_lo", "bin_hi", "prob", "q_hat", "count"], rows)
+    edges = curve.bin_edges
+    return tsv(["bin_lo", "bin_hi", "prob", "q_hat", "count"],
+               [edges[:-1], edges[1:], curve.bin_prob, curve.q_hat, curve.counts])
 
 
 def firm_results_tsv(results, score_sd=None) -> str:
     """The importance table; with score_sd, importances are divided by it."""
     scale = 1.0 if score_sd is None else score_sd
-    rows = [[r.feature, r.q_signed / scale, r.q_abs / scale, r.method] for r in results]
-    return tsv(["feature", "q_signed", "q_abs", "method"], rows)
+    q = np.array([r.q_signed for r in results]) / scale
+    return tsv(["feature", "q_signed", "q_abs", "method"],
+               [[r.feature for r in results], q, np.abs(q), [r.method for r in results]])
 
 
 def firm_results_json(results, score_sd=None) -> str:
@@ -86,15 +82,27 @@ def firm_results_json(results, score_sd=None) -> str:
     return json_doc(doc)
 
 
+def poim_tsv(table) -> str:
+    """Every cell of a POIM table, position-major, oligomers in index order."""
+    nz, npos = table.values.shape
+    labels = [table.oligomer(zi) for zi in range(nz)]
+    return tsv(["k", "position", "oligomer", "q_prime", "q"],
+               [np.full(nz * npos, table.k), np.repeat(np.arange(npos), nz),
+                labels * npos, table.values.T.ravel(), table.firm_values.T.ravel()])
+
+
 def poim_summary_tsv(table) -> str:
-    absq = np.abs(table.firm_values)
+    # one contiguous row per position: its mean adds the cells in the order a
+    # column slice would, which a reduction over axis 0 does not
+    absq = np.abs(np.ascontiguousarray(table.firm_values.T))
     return tsv(["position", "max_abs_q", "mean_abs_q"],
-               [[j, absq[:, j].max(), absq[:, j].mean()] for j in range(table.positions)])
+               [np.arange(table.positions), absq.max(axis=1), absq.mean(axis=1)])
 
 
 def poim_top_tsv(ranked) -> str:
+    oligomers, positions, q = zip(*ranked) if ranked else ((), (), ())
     return tsv(["rank", "oligomer", "position", "q"],
-               [[r + 1, z, j, q] for r, (z, j, q) in enumerate(ranked)])
+               [np.arange(1, len(ranked) + 1), oligomers, positions, q])
 
 
 def write_artifacts(outdir: str, artifacts: dict) -> None:
@@ -103,9 +111,14 @@ def write_artifacts(outdir: str, artifacts: dict) -> None:
         dest = os.path.join(outdir, relpath)
         os.makedirs(os.path.dirname(dest) or ".", exist_ok=True)
         tmp = f"{dest}.tmp.{os.getpid()}"
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(content)
-        os.replace(tmp, dest)
+        try:
+            with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(content)
+            os.replace(tmp, dest)
+        except BaseException:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
+            raise
 
 
 def fail(message: str) -> int:

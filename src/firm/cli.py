@@ -22,9 +22,8 @@ from .empirical import conditional_curve, default_bins, firm_from_curve, firm_sl
 from .errors import DataFormatError, FirmError
 from .gaussian import GaussianModel, firm_gaussian_general, sensitivity_index
 from .results import FirmResult
-from .scoring import (KernelSpec, LabelOracleScorer, score_many,
-                      train_kernel_ridge, train_least_squares,
-                      train_positional_kmer, train_ridge)
+from .scoring import (KernelSpec, score_many, train_kernel_ridge,
+                      train_least_squares, train_positional_kmer, train_ridge)
 from .sequence import MarkovBackground, poim, ranked_oligomers
 
 TABULAR_METHODS = ("binary", "gaussian", "empirical", "slope", "sensitivity")
@@ -81,8 +80,6 @@ def choose_covariance(choice: str, data: TabularDataset) -> CovarianceEstimate:
 
 
 def build_tabular_scorer(args, data: TabularDataset):
-    if args.scorer == "labels":
-        return LabelOracleScorer.from_dataset(data)
     if args.scorer == "train:least_squares":
         return train_least_squares(data)
     if args.scorer == "train:ridge":
@@ -112,8 +109,10 @@ def validate_analyze_config(args) -> None:
 def analyze_tabular(args) -> dict:
     data = load_tabular(args.input, has_labels=True)
     scorer = None if args.scorer == "labels" else build_tabular_scorer(args, data)
-    # the label scorer's scores are the raw labels, duplicates kept as-is
-    scores = data.labels() if scorer is None else score_many(scorer, data.X)
+    scores = None
+    if args.method in ("binary", "slope", "empirical") or args.standardize:
+        # the label scorer's scores are the raw labels, duplicates kept as-is
+        scores = data.labels() if scorer is None else score_many(scorer, data.X)
     artifacts = {}
     if args.method == "gaussian":
         cov = choose_covariance(args.covariance, data)
@@ -148,13 +147,8 @@ def analyze_sequence(args) -> dict:
     scorer = train_positional_kmer(data, K=args.degree, lam=args.lam)
     bg = MarkovBackground.uniform(data.alphabet)
     table = poim(scorer, bg, k=args.k)
-    rows = []
-    for j in range(table.positions):
-        for zi in range(table.values.shape[0]):
-            rows.append([table.k, j, table.oligomer(zi),
-                         table.values[zi, j], table.firm_values[zi, j]])
     return {
-        "poim.tsv": _emit.tsv(["k", "position", "oligomer", "q_prime", "q"], rows),
+        "poim.tsv": _emit.poim_tsv(table),
         "poim_summary.tsv": _emit.poim_summary_tsv(table),
         "poim_top.tsv": _emit.poim_top_tsv(ranked_oligomers(table, top=args.top)),
     }

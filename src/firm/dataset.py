@@ -159,22 +159,25 @@ def load_tabular(path, has_labels: bool = False) -> TabularDataset:
     With has_labels the last column holds the labels.
     """
     with open(path, encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip() != ""]
-    if not lines:
-        raise DataFormatError(f"{path}: empty file")
-    header = [h.strip() for h in lines[0].split(",")]
-    ncols = len(header)
-    if len(lines) == 1:
+        # blank lines are skipped, but errors name a line by its place in the file
+        lines = ((line_no, ln.rstrip("\n")) for line_no, ln in enumerate(fh, start=1)
+                 if ln.strip() != "")
+        first = next(lines, None)
+        if first is None:
+            raise DataFormatError(f"{path}: empty file")
+        header = [h.strip() for h in first[1].split(",")]
+        ncols = len(header)
+        rows = []
+        for line_no, line in lines:
+            cells = line.split(",")
+            if len(cells) != ncols:
+                raise DataFormatError(
+                    f"{path}: ragged row at line {line_no}: "
+                    f"expected {ncols} cells, got {len(cells)}")
+            rows.append([_parse_cell(c.strip(), line_no, header[i])
+                         for i, c in enumerate(cells)])
+    if not rows:
         raise DataFormatError(f"{path}: no data rows")
-    rows = []
-    for line_no, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        if len(cells) != ncols:
-            raise DataFormatError(
-                f"{path}: ragged row at line {line_no}: "
-                f"expected {ncols} cells, got {len(cells)}")
-        rows.append([_parse_cell(c.strip(), line_no, header[i])
-                     for i, c in enumerate(cells)])
     data = np.array(rows, dtype=np.float64)
     if has_labels:
         if ncols < 2:

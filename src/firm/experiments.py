@@ -64,28 +64,24 @@ def boolean_experiment(lam: float = BOOLEAN_LAMBDA):
                for tag, sc in scorers.items()}
 
     artifacts = {}
-    flat_rows = []
-    for tag in ("labels", "trained"):
-        for r in results[tag]["single"] + results[tag]["pairs"]:
-            flat_rows.append([tag, r.feature, r.q_signed, r.q_abs])
+    tags, flat = zip(*[(tag, r) for tag in ("labels", "trained")
+                       for r in results[tag]["single"] + results[tag]["pairs"]])
     artifacts["firm_boolean.tsv"] = _emit.tsv(
-        ["scorer", "feature", "q_signed", "q_abs"], flat_rows)
+        ["scorer", "feature", "q_signed", "q_abs"],
+        [tags, [r.feature for r in flat], [r.q_signed for r in flat],
+         [r.q_abs for r in flat]])
 
-    # heat-map style grids: polarity rows x variable (or pair) columns
+    # heat-map style grids: polarity rows x variable (or pair) columns; the
+    # feature lists vary the polarities innermost, so each reshaped row is
+    # one grid column
     for tag in ("labels", "trained"):
-        single_q = {r.feature: r.q_signed for r in results[tag]["single"]}
-        rows = [[label] + [single_q[f"and({sign}{j + 1})"] for j in range(3)]
-                for sign, label in (("+", "pos"), ("-", "neg"))]
+        single_q = np.reshape([r.q_signed for r in results[tag]["single"]], (3, 2))
         artifacts[f"grid_single_{tag}.tsv"] = _emit.tsv(
-            ["polarity", "x1", "x2", "x3"], rows)
-        pair_q = {r.feature: r.q_signed for r in results[tag]["pairs"]}
-        cols = [(1, 2), (1, 3), (2, 3)]
-        rows = []
-        for s1, s2 in [("+", "+"), ("+", "-"), ("-", "+"), ("-", "-")]:
-            rows.append([f"{s1}{s2}"] + [pair_q[f"and({s1}{a},{s2}{b})"]
-                                         for a, b in cols])
+            ["polarity", "x1", "x2", "x3"], [["pos", "neg"]] + list(single_q))
+        pair_q = np.reshape([r.q_signed for r in results[tag]["pairs"]], (3, 4))
         artifacts[f"grid_pairs_{tag}.tsv"] = _emit.tsv(
-            ["signs", "x1^x2", "x1^x3", "x2^x3"], rows)
+            ["signs", "x1^x2", "x1^x3", "x2^x3"],
+            [["++", "+-", "-+", "--"]] + list(pair_q))
 
     artifacts["run.json"] = _emit.run_metadata(
         "experiment-boolean", {"lambda": lam, "kernel": "polynomial:2:1"})
@@ -118,9 +114,9 @@ def gaussian_experiment(seed: int = 42, n_per_class: int = 1000,
         curve = conditional_curve(scores, X[:, j], nbins)
         artifacts[f"curves/{data.names[j]}.tsv"] = _emit.curve_tsv(curve)
 
-    rows = [[r.feature, r.q_signed, r.q_abs, se]
-            for r, se in zip(results, stderrs)]
-    artifacts["firm.tsv"] = _emit.tsv(["feature", "q_signed", "q_abs", "stderr"], rows)
+    artifacts["firm.tsv"] = _emit.tsv(
+        ["feature", "q_signed", "q_abs", "stderr"],
+        [data.names, [r.q_signed for r in results], [r.q_abs for r in results], stderrs])
     artifacts["run.json"] = _emit.run_metadata("experiment-gaussian", {
         "seed": seed, "n_per_class": n_per_class, "bins": nbins,
         "class_means": list(means), "class_covariance": "identity",
@@ -212,17 +208,16 @@ def sequence_experiment(seed: int = 42, n_per_class: int = 500, seq_len: int = 5
     artifacts = {}
     for tag in ("poim", "weight"):
         s = series[tag]
-        rows = [[j, s["exact"][j], s["ed1_mean"][j], s["ed2_mean"][j],
-                 s["irrelevant_mean"][j], s["irrelevant_sd"][j]]
-                for j in range(npos)]
         artifacts[f"{tag}_series.tsv"] = _emit.tsv(
             ["position", "exact_motif", "ed1_mean", "ed2_mean",
-             "irrelevant_mean", "irrelevant_sd"], rows)
+             "irrelevant_mean", "irrelevant_sd"],
+            [np.arange(npos), s["exact"], s["ed1_mean"], s["ed2_mean"],
+             s["irrelevant_mean"], s["irrelevant_sd"]])
 
     max_w = [max((abs(w) for (i, _), w in scorer.weights.items() if i == pos),
                  default=0.0) for pos in range(seq_len)]
     artifacts["weight_by_position.tsv"] = _emit.tsv(
-        ["position", "max_abs_w"], [[i, v] for i, v in enumerate(max_w)])
+        ["position", "max_abs_w"], [np.arange(seq_len), max_w])
 
     artifacts["poim_summary.tsv"] = _emit.poim_summary_tsv(table)
     ranked = ranked_oligomers(table, top=top)

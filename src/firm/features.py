@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -165,33 +164,6 @@ def feature_columns(scores, F, names=None):
     if F.ndim != 2 or F.shape[0] != scores.size:
         raise FirmError("scores and feature values must have equal length")
     return scores, F, column_names(names, F.shape[1])
-
-
-class BinaryValues(NamedTuple):
-    """Observed value pair of a binary feature, in ascending order."""
-
-    lo: float
-    hi: float
-    p_lo: float
-    p_hi: float
-
-
-def is_binary(f: FeatureFunction, X) -> BinaryValues | float | None:
-    """Inspect the values a feature takes on the data.
-
-    Returns BinaryValues when exactly two distinct values occur, the single
-    value itself when the feature is constant on the data (degenerate), and
-    None when more than two values occur.
-    """
-    vals = f.evaluate_rows(X)
-    uniq, counts = np.unique(vals, return_counts=True)
-    if len(uniq) == 1:
-        return float(uniq[0])
-    if len(uniq) == 2:
-        n = len(vals)
-        return BinaryValues(lo=float(uniq[0]), hi=float(uniq[1]),
-                            p_lo=counts[0] / n, p_hi=counts[1] / n)
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -220,14 +220,12 @@ def ranked_oligomers(table: PoimTable, top: int) -> list[tuple[str, int, float]]
     Ties break lexicographically by (position, oligomer), so the order is
     deterministic even for all-zero tables.
     """
-    absq = np.abs(table.firm_values)
-    nz, npos = absq.shape
-    z_idx = np.repeat(np.arange(nz), npos)
-    j_idx = np.tile(np.arange(npos), nz)
-    order = np.lexsort((z_idx, j_idx, -absq.ravel()))
+    nz = table.firm_values.shape[0]
+    # position-major flattening: a stable sort leaves ties in (position, oligomer) order
+    order = np.argsort(-np.abs(table.firm_values.T).ravel(), kind="stable")
     out = []
     for flat in order[:max(0, top)]:
-        zi, j = int(z_idx[flat]), int(j_idx[flat])
+        j, zi = divmod(int(flat), nz)
         out.append((table.oligomer(zi), j, float(table.firm_values[zi, j])))
     return out
 

@@ -90,6 +90,24 @@ def all_pm1_rows(d):
     return np.array(list(itertools.product([-1.0, 1.0], repeat=d)))
 
 
+def fmt(value) -> str:
+    """One TSV cell: floats (numpy ones too) by repr, integers in decimal,
+    anything else by str."""
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return str(value)
+
+
+def rows_tsv(header, rows):
+    """A TSV document written row by row and cell by cell with fmt."""
+    lines = ["\t".join(header)]
+    for row in rows:
+        lines.append("\t".join(fmt(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
 def binned_normal_shrinkage(bin_prob):
     """The share rho of a linear conditional mean's sd that binning keeps.
 

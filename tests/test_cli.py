@@ -116,6 +116,21 @@ class TestAnalyzeGaussian:
         for name in g:
             assert abs(g[name]) == pytest.approx(abs(s[name]), abs=1e-9)
 
+    @pytest.mark.parametrize("method", ["gaussian", "sensitivity"])
+    def test_scores_only_when_standardizing(self, tmp_path, monkeypatch, method):
+        def no_scores(scorer, X):
+            raise firm.FirmError("scores requested")
+
+        monkeypatch.setattr("firm.cli.score_many", no_scores)
+        rng = np.random.default_rng(8)
+        X = rng.normal(size=(30, 2))
+        inp = tmp_path / "d.csv"
+        write_csv(inp, X, X[:, 0] - X[:, 1])
+        argv = ["analyze", "--input", str(inp), "--method", method,
+                "--scorer", "train:ridge"]
+        assert run(*argv, "--out", str(tmp_path / "raw")) == 0
+        assert run(*argv, "--standardize", "--out", str(tmp_path / "std")) == 1
+
     def test_empirical_method_writes_curves(self, tmp_path):
         rng = np.random.default_rng(2)
         X = rng.normal(size=(60, 2))
@@ -204,6 +219,17 @@ class TestConfigValidation:
                    "--out", str(out)) != 0
         assert not out.exists()
 
+
+    def test_failed_write_removes_its_temp_file(self, tmp_path, capsys):
+        inp = tmp_path / "d.csv"
+        inp.write_text("a,label\n1,1\n-1,-1\n", encoding="utf-8")
+        out = tmp_path / "out"
+        (out / "firm.tsv").mkdir(parents=True)  # the rename onto it fails
+        assert run("analyze", "--input", str(inp), "--method", "binary",
+                   "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not list(out.rglob("*.tmp.*"))
 
     def test_overflowing_scorer_fails_with_one_line(self, tmp_path):
         # run in a child process so numpy warnings reach the real stderr

@@ -39,6 +39,15 @@ class TestLoadTabular:
         with pytest.raises(DataFormatError, match="ragged row at line 3"):
             load_tabular(p)
 
+    @pytest.mark.parametrize("text,message", [
+        ("a,b,label\n1,2,3\n\n\n1,x,3\n", "row 5, column 'b'"),
+        ("a,b,label\n1,2,3\n\n1,2\n", "ragged row at line 4"),
+    ], ids=["bad-cell", "ragged-row"])
+    def test_errors_name_file_line_after_blank_lines(self, tmp_path, text, message):
+        p = write(tmp_path, "d.csv", text)
+        with pytest.raises(DataFormatError, match=message):
+            load_tabular(p)
+
     def test_unparseable_cell(self, tmp_path):
         p = write(tmp_path, "d.csv", "a,b\n1,x\n")
         with pytest.raises(DataFormatError, match="column 'b'"):

@@ -1,12 +1,12 @@
-"""Feature evaluation, binary detection, and compact-string parsing."""
+"""Feature evaluation and compact-string parsing."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from firm import (BinaryValues, FirmError, PositionalOligomer, Projection,
-                  SignedConjunction, Threshold, Xor, is_binary, parse_feature)
+from firm import (FirmError, PositionalOligomer, Projection, SignedConjunction,
+                  Threshold, Xor, parse_feature)
 
 from helpers import all_pm1_rows
 
@@ -44,25 +44,7 @@ class TestEvaluate:
 
 
 class TestIsBinary:
-    def test_projection_on_truth_table(self):
-        X = all_pm1_rows(3)
-        res = is_binary(Projection(0), X)
-        assert res == BinaryValues(lo=-1.0, hi=1.0, p_lo=0.5, p_hi=0.5)
-
-    def test_two_literal_conjunction_quarter(self):
-        X = all_pm1_rows(3)
-        f = SignedConjunction(literals=((0, 1), (1, 1)))
-        res = is_binary(f, X)
-        assert res == BinaryValues(lo=0.0, hi=1.0, p_lo=0.75, p_hi=0.25)
-
-    def test_constant_feature_degenerate(self):
-        X = np.ones((4, 2))
-        res = is_binary(Threshold(0, 5.0), X)
-        assert res == 0.0  # the single observed value
-
-    def test_many_valued_feature(self):
-        X = np.arange(6.0).reshape(3, 2)
-        assert is_binary(Projection(0), X) is None
+    """A conjunction of m literals is a {0,1} feature that fires with rate 2^-m."""
 
     @given(st.integers(min_value=1, max_value=4), st.integers(min_value=4, max_value=6))
     @settings(max_examples=20, deadline=None)
@@ -73,8 +55,7 @@ class TestIsBinary:
         signs = rng.choice([-1, 1], size=m)
         f = SignedConjunction(literals=tuple((int(j), int(s))
                                              for j, s in zip(idx, signs)))
-        res = is_binary(f, X)
-        assert res.p_hi == 2.0 ** (-m)
+        assert f.evaluate_rows(X).mean() == 2.0 ** (-m)
 
 
 class TestParse:

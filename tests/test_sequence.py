@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from firm import (BudgetExceededError, FirmError, MarkovBackground, PositionalKmerScorer,
-                  SequenceDataset, conditional_expected_score, expected_score,
-                  hamming_ball, poim, poim_firm_conversion, ranked_oligomers)
+from firm import (BudgetExceededError, FirmError, MarkovBackground, PoimTable,
+                  PositionalKmerScorer, SequenceDataset, conditional_expected_score,
+                  expected_score, hamming_ball, poim, poim_firm_conversion,
+                  ranked_oligomers)
 
 from helpers import enum_conditional_score, enum_expected_score
 
@@ -225,6 +226,23 @@ class TestRankedOligomers:
         table = poim(sc, MarkovBackground.uniform(DNA), k=1)
         top = ranked_oligomers(table, top=2)
         assert top[0][1] == 0 and top[1][1] == 2
+
+    @pytest.mark.parametrize("k,length,seed", [(1, 6, 0), (2, 5, 1), (3, 7, 2)])
+    def test_full_ranking_matches_lexsort(self, k, length, seed):
+        # small-integer importances with many exact zeros (some -0.0): mostly ties
+        rng = np.random.default_rng(seed)
+        q = rng.integers(-2, 3, size=(4 ** k, length - k + 1)).astype(float)
+        q[rng.random(q.shape) < 0.4] = 0.0
+        q[rng.random(q.shape) < 0.2] *= -1.0
+        table = PoimTable(k=k, length=length, alphabet=DNA, values=q / 2.0, firm_values=q)
+        nz, npos = q.shape
+        z_idx = np.repeat(np.arange(nz), npos)
+        j_idx = np.tile(np.arange(npos), nz)
+        order = np.lexsort((z_idx, j_idx, -np.abs(q).ravel()))
+        expected = [(table.oligomer(int(z_idx[f])), int(j_idx[f]),
+                     float(q[z_idx[f], j_idx[f]])) for f in order]
+        assert ranked_oligomers(table, top=q.size + 3) == expected
+        assert ranked_oligomers(table, top=7) == expected[:7]
 
 
 class TestBackground:
