@@ -33,15 +33,18 @@ GRADIENT_SCORERS = ("train:least_squares", "train:ridge", "train:kernel_ridge")
 
 def parse_kernel(text: str, degree: int) -> KernelSpec:
     """`gaussian[:gamma]` or `polynomial[:offset]` (degree from --degree)."""
-    parts = text.split(":")
-    if parts[0] == "gaussian":
-        gamma = float(parts[1]) if len(parts) > 1 else 1.0
-        return KernelSpec.gaussian(gamma)
-    if parts[0] == "polynomial":
-        offset = float(parts[1]) if len(parts) > 1 else 1.0
-        return KernelSpec.polynomial(degree, offset)
-    raise FirmError(f"unknown kernel {text!r} (use gaussian[:gamma] "
-                    "or polynomial[:offset])")
+    name, sep, raw = text.partition(":")
+    param = {"gaussian": "gamma", "polynomial": "offset"}.get(name)
+    if param is None:
+        raise FirmError(f"unknown kernel {text!r} (use gaussian[:gamma] "
+                        "or polynomial[:offset])")
+    try:
+        value = float(raw) if sep else 1.0
+    except ValueError:
+        raise FirmError(f"kernel {param} must be a number, got {raw!r}") from None
+    if param == "gamma":
+        return KernelSpec.gaussian(value)
+    return KernelSpec.polynomial(degree, value)
 
 
 def load_covariance_file(path: str) -> CovarianceEstimate:
@@ -298,10 +301,10 @@ def main(argv=None) -> int:
             return args.func(args)
     except FirmError as exc:
         return _emit.fail(str(exc))
-    except FloatingPointError as exc:
+    except (FloatingPointError, np.linalg.LinAlgError) as exc:
         return _emit.fail(f"numerical failure: {exc}")
-    except OSError as exc:
-        return _emit.fail(str(exc))
+    except (OSError, MemoryError) as exc:
+        return _emit.fail(str(exc) or type(exc).__name__)
 
 
 if __name__ == "__main__":

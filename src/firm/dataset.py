@@ -67,6 +67,28 @@ class TabularDataset:
         return self.y
 
 
+def encode_sequences(sequences, alphabet: tuple[str, ...],
+                     length: int | None = None) -> np.ndarray:
+    """Sequences as a read-only n x length uint8 array of alphabet indices.
+
+    length defaults to that of the first sequence. The first sequence with
+    another length or a symbol outside the alphabet raises DataFormatError
+    naming its 1-based line.
+    """
+    seqs = list(sequences)
+    L = len(seqs[0]) if length is None else length
+    drop = dict.fromkeys(map(ord, alphabet))
+    for line, s in enumerate(seqs, start=1):
+        if len(s) != L:
+            raise DataFormatError(f"length mismatch at line {line}: "
+                                  f"expected {L}, got {len(s)}")
+        bad = s.translate(drop)
+        if bad:
+            raise DataFormatError(f"symbol {bad[0]} not in alphabet at line {line}")
+    text = "".join(seqs).translate({ord(a): i for i, a in enumerate(alphabet)})
+    return np.frombuffer(text.encode("latin-1"), dtype=np.uint8).reshape(len(seqs), L)
+
+
 @dataclass(frozen=True)
 class SequenceDataset:
     """Fixed-length sequences over a finite alphabet, with ±1 labels."""
@@ -79,15 +101,7 @@ class SequenceDataset:
         seqs = tuple(self.sequences)
         if not seqs:
             raise FirmError("no sequences")
-        L = len(seqs[0])
-        symbols = set(self.alphabet)
-        for k, s in enumerate(seqs):
-            if len(s) != L:
-                raise DataFormatError(f"length mismatch at line {k + 1}: "
-                                      f"expected {L}, got {len(s)}")
-            for ch in s:
-                if ch not in symbols:
-                    raise DataFormatError(f"symbol {ch} not in alphabet at line {k + 1}")
+        encode_sequences(seqs, tuple(self.alphabet))      # the length and symbol check
         y = _frozen(np.asarray(self.y).ravel())
         if y.shape[0] != len(seqs):
             raise FirmError("label vector length does not match sequence count")

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the cell budget."""
+
+DEFAULT_CELL_BUDGET = 10 ** 7
 
 
 class FirmError(ValueError):
@@ -14,4 +16,4 @@ class DegenerateFeatureError(FirmError):
 
 
 class BudgetExceededError(FirmError):
-    """Requested table is larger than the configured cell budget."""
+    """Requested table or weight vector is larger than the cell budget."""

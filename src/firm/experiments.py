@@ -13,7 +13,7 @@ import numpy as np
 
 from . import _emit
 from .binary import PointDistribution, firm_binary_exact
-from .dataset import DNA_ALPHABET, SequenceDataset, TabularDataset
+from .dataset import DNA_ALPHABET, SequenceDataset, TabularDataset, encode_sequences
 from .errors import FirmError
 from .empirical import conditional_curve, default_bins, firm_slope, slope_stderr
 from .features import SignedConjunction
@@ -134,33 +134,36 @@ def generate_motif_dataset(rng, n_per_class: int = 500, seq_len: int = 50,
     """Random DNA; positives carry the motif planted at a normal-rounded
     position (clamped to fit) with exactly one position mutated to a
     uniformly random letter (so about a quarter of plants stay intact)."""
-    alphabet = DNA_ALPHABET
+    letters = np.array(DNA_ALPHABET)
+    motif_codes = encode_sequences([motif], DNA_ALPHABET)[0]
     seqs = []
-    ys = []
-    sym = {a: i for i, a in enumerate(alphabet)}
     for klass in (1.0, -1.0):
         for _ in range(n_per_class):
-            s = rng.integers(0, len(alphabet), size=seq_len)
+            s = rng.integers(0, len(letters), size=seq_len)
             if klass > 0:
                 pos = int(np.clip(round(rng.normal(center, sd)), 0,
                                   seq_len - len(motif)))
-                planted = [sym[c] for c in motif]
-                planted[rng.integers(0, len(motif))] = rng.integers(0, len(alphabet))
+                planted = motif_codes.copy()
+                planted[rng.integers(0, len(motif))] = rng.integers(0, len(letters))
                 s[pos:pos + len(motif)] = planted
-            seqs.append("".join(alphabet[i] for i in s))
-            ys.append(klass)
-    return SequenceDataset(sequences=tuple(seqs), y=np.array(ys), alphabet=alphabet)
+            seqs.append("".join(letters[s]))
+    return SequenceDataset(sequences=tuple(seqs), y=np.repeat([1.0, -1.0], n_per_class),
+                           alphabet=DNA_ALPHABET)
 
 
-def weight_importance(scorer, z: str, j: int) -> float:
-    """Raw-weight stand-in for the importance of string z at position j:
-    the largest |w| among the scorer's substrings of z at matching spots."""
-    best = 0.0
+def weight_importance(scorer, strings) -> np.ndarray:
+    """Raw-weight stand-in for the importance of each string z (all of one
+    length) at each position j: the largest |w| among the scorer's
+    substrings of z at matching spots. Returns strings x positions."""
+    codes = encode_sequences(strings, scorer.alphabet)
+    npos = scorer.length - codes.shape[1] + 1
+    A = len(scorer.alphabet)
+    best = np.zeros((len(codes), npos))
     for k in range(1, scorer.max_degree + 1):
-        for o in range(len(z) - k + 1):
-            w = scorer.weights.get((j + o, z[o:o + k]), 0.0)
-            if abs(w) > best:
-                best = abs(w)
+        W = np.abs(scorer.block(k)).reshape(scorer.length - k + 1, -1)
+        for o in range(codes.shape[1] - k + 1):
+            sub = np.ravel_multi_index(codes[:, o:o + k].T, (A,) * k)
+            best = np.maximum(best, W[np.arange(o, o + npos)[None, :], sub[:, None]])
     return best
 
 
@@ -190,12 +193,9 @@ def sequence_experiment(seed: int = 42, n_per_class: int = 500, seq_len: int = 5
         idx = [table.oligomer_index(z) for z in strings]
         return table.firm_values[idx, :]
 
-    def weight_series(strings):
-        return np.array([[weight_importance(scorer, z, j) for j in range(npos)]
-                         for z in strings])
-
     series = {}
-    for tag, importance in (("poim", firm_series), ("weight", weight_series)):
+    for tag, importance in (("poim", firm_series),
+                            ("weight", lambda strings: weight_importance(scorer, strings))):
         exact = importance([motif])[0]
         ed1_mean = importance(ed1).mean(axis=0)
         ed2_mean = importance(ed2).mean(axis=0)
@@ -214,8 +214,9 @@ def sequence_experiment(seed: int = 42, n_per_class: int = 500, seq_len: int = 5
             [np.arange(npos), s["exact"], s["ed1_mean"], s["ed2_mean"],
              s["irrelevant_mean"], s["irrelevant_sd"]])
 
-    max_w = [max((abs(w) for (i, _), w in scorer.weights.items() if i == pos),
-                 default=0.0) for pos in range(seq_len)]
+    # block row maxima; no degree-d substring starts in the last d - 1 positions
+    max_w = np.max([np.pad(np.abs(scorer.block(d)).reshape(seq_len - d + 1, -1).max(axis=1),
+                           (0, d - 1)) for d in range(1, degree + 1)], axis=0)
     artifacts["weight_by_position.tsv"] = _emit.tsv(
         ["position", "max_abs_w"], [np.arange(seq_len), max_w])
 

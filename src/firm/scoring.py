@@ -9,12 +9,12 @@ trainers are single-shot pure functions.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataset import SequenceDataset, TabularDataset
-from .errors import FirmError
+from .dataset import SequenceDataset, TabularDataset, encode_sequences
+from .errors import DEFAULT_CELL_BUDGET, BudgetExceededError, FirmError
 
 
 @dataclass(frozen=True)
@@ -32,16 +32,16 @@ class KernelSpec:
 
     @classmethod
     def gaussian(cls, gamma: float) -> "KernelSpec":
-        if gamma <= 0:
-            raise FirmError("gamma must be > 0")
+        if not 0 < gamma < np.inf:
+            raise FirmError("gamma must be finite and > 0")
         return cls(variant="gaussian", gamma=float(gamma))
 
     @classmethod
     def polynomial(cls, degree: int, offset: float = 1.0) -> "KernelSpec":
         if degree < 1:
             raise FirmError("degree must be >= 1")
-        if offset < 0:
-            raise FirmError("offset must be >= 0")
+        if not 0 <= offset < np.inf:
+            raise FirmError("offset must be finite and >= 0")
         return cls(variant="polynomial", degree=int(degree), offset=float(offset))
 
     def gram(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -165,53 +165,78 @@ class LabelOracleScorer:
         return np.array([self.score(x) for x in X])
 
 
+def kmer_offsets(A: int, L: int, K: int) -> np.ndarray:
+    """Start of each degree's block in the flat weights of a positional
+    k-mer model (A letters, length L, degrees 1..K), then the weight count.
+    Raises BudgetExceededError past DEFAULT_CELL_BUDGET weights."""
+    if K < 1:
+        raise FirmError("K must be >= 1")
+    if K > L:
+        raise FirmError("K must not exceed the sequence length")
+    sizes = [(L - k + 1) * A ** k for k in range(1, K + 1)]
+    if sum(sizes) > DEFAULT_CELL_BUDGET:
+        raise BudgetExceededError(f"degree {K} model would need {sum(sizes)} "
+                                  f"weights; budget is {DEFAULT_CELL_BUDGET} cells")
+    return np.cumsum([0] + sizes)
+
+
+def kmer_ids(codes: np.ndarray, A: int, K: int) -> np.ndarray:
+    """Flat weight index of every positional substring of n x L coded
+    sequences (encode_sequences): one column per (degree k <= K, position i),
+    degree-major, holding offset(k) + i * A^k + the substring's code."""
+    L = codes.shape[1]
+    off = kmer_offsets(A, L, K)
+    out = []
+    code = np.zeros(codes.shape, dtype=np.intp)
+    for k in range(1, K + 1):
+        code = code[:, :L - k + 1] * A + codes[:, k - 1:]
+        out.append(code + (off[k - 1] + np.arange(L - k + 1) * A ** k))
+    return np.concatenate(out, axis=1)
+
+
 @dataclass(frozen=True)
 class PositionalKmerScorer:
     """Linear scorer over positional substring indicators.
 
-    weights maps (position i, substring y) with 1 <= len(y) <= max_degree
-    and i + len(y) <= length to a real weight; score(x) adds w for every
-    substring incident in x, plus the bias.
+    weights is one read-only float64 vector with an entry for every degree
+    k <= max_degree, position i <= length - k and length-k substring y:
+    degree-major, then position, then y's base-|alphabet| code with the
+    leftmost letter most significant (PoimTable's oligomer order). score(x)
+    adds the weight of every substring incident in x, plus the bias. Only
+    this module knows the layout: kmer_ids maps sequences to flat indices
+    and block(k) views one degree as (length - k + 1, A, ..., A).
     """
 
     alphabet: tuple[str, ...]
     length: int
     max_degree: int
-    weights: dict
+    weights: np.ndarray
     b: float = 0.0
 
     def __post_init__(self):
-        if self.max_degree < 1:
-            raise FirmError("K must be >= 1")
-        if self.max_degree > self.length:
-            raise FirmError("K must not exceed the sequence length")
-        symbols = set(self.alphabet)
-        w = {}
-        for (i, y), v in self.weights.items():
-            if not 1 <= len(y) <= self.max_degree:
-                raise FirmError(f"substring {y!r} outside degree range")
-            if i < 0 or i + len(y) > self.length:
-                raise FirmError(f"substring {y!r} at {i} exceeds length {self.length}")
-            if not set(y) <= symbols:
-                raise FirmError(f"substring {y!r} uses symbols outside the alphabet")
-            if not np.isfinite(v):
-                raise FirmError("weights must be finite")
-            w[(int(i), str(y))] = float(v)
+        size = kmer_offsets(len(self.alphabet), self.length, self.max_degree)[-1]
+        w = np.array(self.weights, dtype=np.float64)
+        if w.shape != (size,):
+            raise FirmError(f"need {size} weights, got shape {w.shape}")
+        if not np.isfinite(w).all():
+            raise FirmError("weights must be finite")
+        w.setflags(write=False)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "alphabet", tuple(self.alphabet))
         object.__setattr__(self, "b", float(self.b))
 
+    def block(self, k: int) -> np.ndarray:
+        """Degree-k weights as a (length - k + 1, A, ..., A) view."""
+        off = kmer_offsets(len(self.alphabet), self.length, self.max_degree)
+        return self.weights[off[k - 1]:off[k]].reshape((-1,) + (len(self.alphabet),) * k)
+
     def score(self, x: str) -> float:
-        if len(x) != self.length:
-            raise FirmError(f"sequence length {len(x)} != scorer length {self.length}")
-        total = self.b
-        for k in range(1, self.max_degree + 1):
-            for i in range(self.length - k + 1):
-                total += self.weights.get((i, x[i:i + k]), 0.0)
-        return total
+        return float(self.score_many([x])[0])
 
     def score_many(self, X) -> np.ndarray:
-        return np.array([self.score(x) for x in X])
+        codes = encode_sequences(X, self.alphabet, self.length)
+        ids = kmer_ids(codes, len(self.alphabet), self.max_degree)
+        return self.weights[ids].sum(axis=1) + self.b
 
 
 Scorer = LinearScorer | KernelExpansionScorer | LabelOracleScorer | PositionalKmerScorer
@@ -249,8 +274,8 @@ def train_least_squares(data: TabularDataset) -> LinearScorer:
 
 def train_ridge(data: TabularDataset, lam: float) -> LinearScorer:
     """Ridge regression w = (X'X + n*lambda*I)^-1 X'y with unpenalized bias."""
-    if lam <= 0:
-        raise FirmError("lambda must be > 0")
+    if not 0 < lam < np.inf:
+        raise FirmError("lambda must be finite and > 0")
     y = data.labels()
     Xc = data.X - data.column_means
     yc = y - y.mean()
@@ -263,8 +288,8 @@ def train_ridge(data: TabularDataset, lam: float) -> LinearScorer:
 def train_kernel_ridge(data: TabularDataset, kernel: KernelSpec,
                        lam: float) -> KernelExpansionScorer:
     """Kernel ridge: alpha = (K + n*lambda*I)^-1 (y - mean(y)), b = mean(y)."""
-    if lam <= 0:
-        raise FirmError("lambda must be > 0")
+    if not 0 < lam < np.inf:
+        raise FirmError("lambda must be finite and > 0")
     y = data.labels()
     K = kernel.gram(data.X, data.X)
     alpha = np.linalg.solve(K + data.n * lam * np.eye(data.n), y - y.mean())
@@ -272,45 +297,39 @@ def train_kernel_ridge(data: TabularDataset, kernel: KernelSpec,
                                  kernel=kernel)
 
 
-def _kmer_feature_index(data: SequenceDataset, K: int) -> list[tuple[int, str]]:
-    feats = set()
-    for s in data.sequences:
-        for k in range(1, K + 1):
-            for i in range(data.length - k + 1):
-                feats.add((i, s[i:i + k]))
-    return sorted(feats)
-
-
 def train_positional_kmer(data: SequenceDataset, K: int, lam: float) -> PositionalKmerScorer:
-    """Ridge regression on the explicit positional substring feature map.
+    """Ridge regression on the positional substring indicators, in the dual.
 
-    Only (position, substring) pairs observed in the data enter the map, so
-    the stored weights are sparse by construction. Solved in the dual, which
-    is cheap when the number of sequences is below the feature count.
+    The n x n Gram matrix G of shared substrings is summed from the one-hot
+    codes of a few positions at a time (counts below 2^24, exact in float32),
+    so the n x F design never exists. G is centred as H G H, whose null space
+    holds the ones vector, so the dual solution alpha sums to 0 and each
+    weight is its substring's alpha-weighted count (bincount), exactly 0 for
+    a substring that never occurs.
     """
-    if K < 1:
-        raise FirmError("K must be >= 1")
-    if K > data.length:
-        raise FirmError("K must not exceed the sequence length")
-    if lam <= 0:
-        raise FirmError("lambda must be > 0")
-    feats = _kmer_feature_index(data, K)
-    col = {f: c for c, f in enumerate(feats)}
-    Phi = np.zeros((data.n, len(feats)))
-    for r, s in enumerate(data.sequences):
-        for k in range(1, K + 1):
-            for i in range(data.length - k + 1):
-                Phi[r, col[(i, s[i:i + k])]] += 1.0
-    means = Phi.mean(axis=0)
-    Phic = Phi - means
-    yc = data.y - data.y.mean()
-    gram = Phic @ Phic.T
-    alpha = np.linalg.solve(gram + data.n * lam * np.eye(data.n), yc)
-    w = Phic.T @ alpha
-    b = float(data.y.mean() - means @ w)
-    weights = {feats[c]: float(w[c]) for c in range(len(feats))}
-    return PositionalKmerScorer(alphabet=data.alphabet, length=data.length,
-                                max_degree=K, weights=weights, b=b)
+    if not 0 < lam < np.inf:
+        raise FirmError("lambda must be finite and > 0")
+    A, L, n = len(data.alphabet), data.length, data.n
+    off = kmer_offsets(A, L, K)
+    ids = kmer_ids(encode_sequences(data.sequences, data.alphabet), A, K)
+    gram = np.zeros((n, n))
+    col = 0
+    for k in range(1, K + 1):
+        step = max(1, 2048 // A ** k)           # about 2048 one-hot columns at a time
+        for i0 in range(0, L - k + 1, step):
+            cols = ids[:, col + i0:col + min(i0 + step, L - k + 1)]
+            onehot = np.zeros((n, cols.shape[1] * A ** k), dtype=np.float32)
+            np.put_along_axis(onehot, cols - (off[k - 1] + i0 * A ** k), 1.0, axis=1)
+            gram += onehot @ onehot.T
+        col += L - k + 1
+    r = gram.mean(axis=1)
+    gram += r.mean() - r[:, None] - r[None, :]
+    gram[np.diag_indices(n)] += n * lam
+    alpha = np.linalg.solve(gram, data.y - data.y.mean())
+    w = np.bincount(ids.ravel(), np.repeat(alpha, ids.shape[1]), minlength=off[-1])
+    means = np.bincount(ids.ravel(), minlength=off[-1]) / n
+    return PositionalKmerScorer(alphabet=data.alphabet, length=L, max_degree=K,
+                                weights=w, b=float(data.y.mean() - means @ w))
 
 
 # ---------------------------------------------------------------------------
@@ -330,16 +349,11 @@ def standardize(scorer: Scorer, data: TabularDataset | SequenceDataset) -> Score
     if isinstance(scorer, LinearScorer):
         return LinearScorer(w=scorer.w / sd, b=scorer.b / sd)
     if isinstance(scorer, KernelExpansionScorer):
-        return KernelExpansionScorer(points=scorer.points, alpha=scorer.alpha / sd,
-                                     b=scorer.b / sd, kernel=scorer.kernel)
+        return replace(scorer, alpha=scorer.alpha / sd, b=scorer.b / sd)
     if isinstance(scorer, LabelOracleScorer):
         return LabelOracleScorer(table={k: v / sd for k, v in scorer.table.items()})
     if isinstance(scorer, PositionalKmerScorer):
-        return PositionalKmerScorer(
-            alphabet=scorer.alphabet, length=scorer.length,
-            max_degree=scorer.max_degree,
-            weights={k: v / sd for k, v in scorer.weights.items()},
-            b=scorer.b / sd)
+        return replace(scorer, weights=scorer.weights / sd, b=scorer.b / sd)
     raise FirmError(f"cannot standardize {type(scorer).__name__}")
 
 
@@ -365,10 +379,9 @@ def scorer_to_json(scorer: Scorer) -> str:
                          for k, v in scorer.table.items())
         doc = {"type": "label_oracle", "entries": entries}
     elif isinstance(scorer, PositionalKmerScorer):
-        weights = sorted([i, y, v] for (i, y), v in scorer.weights.items())
         doc = {"type": "positional_kmer", "alphabet": list(scorer.alphabet),
                "length": scorer.length, "max_degree": scorer.max_degree,
-               "weights": weights, "b": scorer.b}
+               "weights": scorer.weights.tolist(), "b": scorer.b}
     else:
         raise FirmError(f"cannot serialize {type(scorer).__name__}")
     return json.dumps(doc, sort_keys=True)
@@ -396,5 +409,5 @@ def scorer_from_json(text: str) -> Scorer:
         return PositionalKmerScorer(
             alphabet=tuple(doc["alphabet"]), length=doc["length"],
             max_degree=doc["max_degree"],
-            weights={(i, y): v for i, y, v in doc["weights"]}, b=doc["b"])
+            weights=doc["weights"], b=doc["b"])
     raise FirmError(f"unknown scorer type {t!r}")

@@ -6,7 +6,11 @@ independent) background, the table entry for substring z at position j is
     Q'(z, j) = E[s(X) | X[j..j+k) = z] - E[s(X)],
 
 computed exactly by splitting every scored substring into the part pinned
-by the conditioning window and the part still free. The rescaled values
+by the conditioning window and the part still free. A weight on substring
+y at position i overlaps the window when j - |y| < i < j + k; any other
+weight cancels. The scorer's weights are read per degree as (position,
+letter, ...) blocks, and tables follow the scorer's alphabet order. The
+rescaled values
 Q(z, j) = Q'(z, j) * sqrt((1 - p_z) / p_z) make slices with different
 oligomer probabilities comparable; under a uniform background the factor
 is constant per slice, so it never changes within-slice rankings.
@@ -21,14 +25,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from itertools import combinations, product
 
 import numpy as np
 
-from .dataset import SequenceDataset
-from .errors import BudgetExceededError, FirmError
+from .dataset import SequenceDataset, encode_sequences
+from .errors import DEFAULT_CELL_BUDGET, BudgetExceededError, FirmError
 from .scoring import PositionalKmerScorer
-
-DEFAULT_CELL_BUDGET = 10 ** 7
 
 
 @dataclass(frozen=True)
@@ -58,22 +61,17 @@ class MarkovBackground:
     @classmethod
     def fit(cls, data: SequenceDataset) -> "MarkovBackground":
         """Letter frequencies of the data (every letter must occur)."""
-        counts = {a: 0 for a in data.alphabet}
-        for s in data.sequences:
-            for ch in s:
-                counts[ch] += 1
-        total = sum(counts.values())
-        if any(c == 0 for c in counts.values()):
-            missing = [a for a, c in counts.items() if c == 0][0]
+        codes = encode_sequences(data.sequences, data.alphabet)
+        counts = np.bincount(codes.ravel(), minlength=len(data.alphabet))
+        if not counts.all():
+            missing = data.alphabet[counts.argmin()]
             raise FirmError(f"letter {missing!r} never occurs; cannot fit background")
         return cls(alphabet=data.alphabet,
-                   letter_prob={a: c / total for a, c in counts.items()})
+                   letter_prob=dict(zip(data.alphabet, (counts / counts.sum()).tolist())))
 
     def prob_of(self, s: str) -> float:
-        p = 1.0
-        for ch in s:
-            p *= self.letter_prob[ch]
-        return p
+        p = np.array([self.letter_prob[a] for a in self.alphabet])
+        return float(np.prod(p[encode_sequences([s], self.alphabet)[0]]))
 
 
 @dataclass(frozen=True)
@@ -102,17 +100,12 @@ class PoimTable:
     def oligomer_index(self, z: str) -> int:
         if len(z) != self.k:
             raise FirmError(f"oligomer {z!r} does not have length {self.k}")
-        idx = 0
-        for ch in z:
-            idx = idx * len(self.alphabet) + self.alphabet.index(ch)
-        return idx
+        codes = encode_sequences([z], self.alphabet)[0]
+        return int(np.ravel_multi_index(tuple(codes), (len(self.alphabet),) * self.k))
 
     def oligomer(self, index: int) -> str:
-        out = []
-        for _ in range(self.k):
-            index, r = divmod(index, len(self.alphabet))
-            out.append(self.alphabet[r])
-        return "".join(reversed(out))
+        shape = (len(self.alphabet),) * self.k
+        return "".join(self.alphabet[i] for i in np.unravel_index(index, shape))
 
     def value(self, z: str, j: int) -> float:
         return float(self.values[self.oligomer_index(z), j])
@@ -121,14 +114,54 @@ class PoimTable:
         return float(self.firm_values[self.oligomer_index(z), j])
 
 
-def expected_score(scorer: PositionalKmerScorer, bg: MarkovBackground) -> float:
-    """E[s(X)] under the background: bias plus prob-weighted weights."""
+def _letter_probs(scorer: PositionalKmerScorer, bg: MarkovBackground) -> np.ndarray:
+    """Background letter probabilities in the scorer's alphabet order."""
     if set(scorer.alphabet) != set(bg.alphabet):
         raise FirmError("scorer and background alphabets differ")
-    total = scorer.b
-    for (_, y), w in scorer.weights.items():
-        total += w * bg.prob_of(y)
-    return total
+    return np.array([bg.letter_prob[a] for a in scorer.alphabet])
+
+
+def _string_probs(p: np.ndarray, m: int) -> np.ndarray:
+    """Probability of every length-m string in base-|A| order ([1.0] for m = 0)."""
+    return reduce(np.multiply.outer, [p] * m, np.ones(())).ravel()
+
+
+def _window_shifts(scorer: PositionalKmerScorer, p: np.ndarray, k: int, j0: int, j1: int,
+                   budget: int = DEFAULT_CELL_BUDGET) -> np.ndarray:
+    """Q'(z, j) = E[s | X[j..j+k) = z] - E[s] for windows j0 <= j < j1, as a
+    (j1 - j0, A, ..., A) array with one letter axis per window position.
+
+    Per degree and offset o = i - j of the overlapping weights, letters of y
+    inside the window index its axes and those outside are contracted with
+    p; the window's sum of w p(y) is taken off.
+    """
+    A = len(p)
+    j = np.arange(j0, j1)
+    if j.size * A ** k > budget:
+        raise BudgetExceededError(
+            f"table would need {j.size * A ** k} cells; budget is {budget}")
+    out = np.zeros((j.size,) + (A,) * k)
+    const = np.zeros(j.size)
+    for d in range(1, scorer.max_degree + 1):
+        W = scorer.block(d)
+        for o in range(1 - d, k):
+            sel = (j + o >= 0) & (j + o <= scorer.length - d)
+            lo, hi = max(0, -o), min(d, k - o)      # the letters of y inside the window
+            V = W[j[sel] + o].reshape(-1, A ** lo, A ** (hi - lo), A ** (d - hi))
+            inside = np.einsum("nlmr,l,r->nm", V, _string_probs(p, lo),
+                               _string_probs(p, d - hi))
+            const[sel] += inside @ _string_probs(p, hi - lo)
+            out[sel] += inside.reshape((-1,) + (1,) * (o + lo) + (A,) * (hi - lo)
+                                       + (1,) * (k - o - hi))
+    return out - const.reshape((-1,) + (1,) * k)
+
+
+def expected_score(scorer: PositionalKmerScorer, bg: MarkovBackground) -> float:
+    """E[s(X)] under the background: bias plus prob-weighted weights."""
+    p = _letter_probs(scorer, bg)
+    return scorer.b + sum(float(scorer.block(d).reshape(-1, len(p) ** d).sum(axis=0)
+                                @ _string_probs(p, d))
+                          for d in range(1, scorer.max_degree + 1))
 
 
 def conditional_expected_score(scorer: PositionalKmerScorer, bg: MarkovBackground,
@@ -137,80 +170,36 @@ def conditional_expected_score(scorer: PositionalKmerScorer, bg: MarkovBackgroun
 
     Positions of a scored substring inside the conditioning window must
     agree with z (contributing a factor of 1, or 0 on conflict); positions
-    outside keep their background letter probabilities.
+    outside keep their background letter probabilities. The value is one
+    cell of the window's table, so |alphabet|^|z| is held to the cell budget.
     """
-    if set(scorer.alphabet) != set(bg.alphabet):
-        raise FirmError("scorer and background alphabets differ")
+    p = _letter_probs(scorer, bg)
     if j < 0 or j + len(z) > scorer.length:
         raise FirmError(f"window [{j}, {j + len(z)}) out of range "
                         f"for length {scorer.length}")
     if not set(z) <= set(bg.alphabet):
         raise FirmError(f"oligomer {z!r} uses symbols outside the alphabet")
-    total = scorer.b
-    hi = j + len(z)
-    for (i, y), w in scorer.weights.items():
-        factor = 1.0
-        for m, ch in enumerate(y):
-            pos = i + m
-            if j <= pos < hi:
-                if z[pos - j] != ch:
-                    factor = 0.0
-                    break
-            else:
-                factor *= bg.letter_prob[ch]
-        total += w * factor
-    return total
+    cell = (0,) + tuple(encode_sequences([z], scorer.alphabet)[0])
+    shifts = _window_shifts(scorer, p, len(z), j, j + 1)
+    return expected_score(scorer, bg) + float(shifts[cell])
 
 
 def poim(scorer: PositionalKmerScorer, bg: MarkovBackground, k: int,
          budget: int = DEFAULT_CELL_BUDGET) -> PoimTable:
-    """Exact table of conditional-mean shifts for all length-k oligomers.
-
-    Weights that do not overlap the conditioning window cancel against the
-    unconditional expectation, so each column only sums contributions of
-    overlapping weights; those are written into slices of a
-    (|alphabet|,)*k tensor, one slice per weight.
-    """
-    if set(scorer.alphabet) != set(bg.alphabet):
-        raise FirmError("scorer and background alphabets differ")
+    """Exact table of conditional-mean shifts for all length-k oligomers,
+    indexed in the scorer's alphabet order; more than budget cells raise
+    BudgetExceededError."""
+    p = _letter_probs(scorer, bg)
     L = scorer.length
     if not 1 <= k <= L:
         raise FirmError(f"k must lie in [1, {L}]")
-    A = len(bg.alphabet)
-    cells = A ** k * L
-    if cells > budget:
-        raise BudgetExceededError(
-            f"table would need {cells} cells; budget is {budget}")
-    sym_index = {a: i for i, a in enumerate(bg.alphabet)}
-    pvec = np.array([bg.letter_prob[a] for a in bg.alphabet])
     npos = L - k + 1
-    values = np.empty((A ** k, npos))
-    for j in range(npos):
-        hi = j + k
-        tensor = np.zeros((A,) * k)
-        const = 0.0
-        for (i, y), w in scorer.weights.items():
-            if i >= hi or i + len(y) <= j:
-                continue  # no overlap: cancels exactly
-            const += w * bg.prob_of(y)
-            free = 1.0
-            idx: list = [slice(None)] * k
-            for m, ch in enumerate(y):
-                pos = i + m
-                if j <= pos < hi:
-                    idx[pos - j] = sym_index[ch]
-                else:
-                    free *= bg.letter_prob[ch]
-            tensor[tuple(idx)] += w * free
-        values[:, j] = tensor.ravel() - const
-    # oligomer probabilities for the rescaling, in index order
-    if k == 1:
-        p_z = pvec.copy()
-    else:
-        p_z = reduce(np.multiply.outer, [pvec] * k).ravel()
+    values = _window_shifts(scorer, p, k, 0, npos, budget).reshape(npos, -1)
+    values = np.ascontiguousarray(values.T)
+    p_z = _string_probs(p, k)
     factor = np.sqrt((1.0 - p_z) / p_z)
     firm_values = values * factor[:, None]
-    return PoimTable(k=k, length=L, alphabet=tuple(bg.alphabet),
+    return PoimTable(k=k, length=L, alphabet=scorer.alphabet,
                      values=values, firm_values=firm_values)
 
 
@@ -232,22 +221,9 @@ def ranked_oligomers(table: PoimTable, top: int) -> list[tuple[str, int, float]]
 
 def hamming_ball(z: str, distance: int, alphabet: tuple[str, ...]) -> list[str]:
     """All strings at exactly the given Hamming distance from z."""
-    if distance == 0:
-        return [z]
     out = []
-    k = len(z)
-
-    def rec(prefix: str, pos: int, left: int):
-        if left == 0:
-            out.append(prefix + z[pos:])
-            return
-        if k - pos < left:
-            return
-        # keep z[pos]
-        rec(prefix + z[pos], pos + 1, left)
-        for a in alphabet:
-            if a != z[pos]:
-                rec(prefix + a, pos + 1, left - 1)
-
-    rec("", 0, distance)
+    for spots in combinations(range(len(z)), distance):
+        for letters in product(*[[a for a in alphabet if a != z[i]] for i in spots]):
+            changed = dict(zip(spots, letters))
+            out.append("".join(changed.get(i, c) for i, c in enumerate(z)))
     return sorted(out)

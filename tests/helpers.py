@@ -2,7 +2,10 @@
 
 Everything here recomputes expected values from first principles (brute
 force, enumeration, finite differences, sampling) without touching the
-production code paths under test. The one exception is the Monte Carlo
+production code paths under test. kmer_scorer and kmer_weight only place
+and read positional k-mer weights with the package's layout, so tests can
+state a scorer as a {(position, substring): weight} dict. The one
+exception among the oracles is the Monte Carlo
 oracle, whose point estimate is the package's binned estimator on draws
 from the model; it is an oracle for the normal-model closed forms, which
 share no code with it.
@@ -15,7 +18,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from firm import conditional_curve, firm_from_curve, score_many
+from firm import PositionalKmerScorer, conditional_curve, firm_from_curve, score_many
+from firm.scoring import kmer_offsets
 
 
 def brute_firm_binary(scores, fvals, probs=None):
@@ -83,6 +87,46 @@ def enum_conditional_score(score_fun, alphabet, length, letter_prob, z, j):
         num += p * score_fun(seq)
         den += p
     return num / den
+
+
+def kmer_scorer(alphabet, length, max_degree, weights, b=0.0):
+    """A PositionalKmerScorer from a {(position, substring): weight} dict;
+    each weight goes to the flat slot the package's offsets give it."""
+    A = len(alphabet)
+    off = kmer_offsets(A, length, max_degree)
+    flat = np.zeros(off[-1])
+    for (i, y), v in weights.items():
+        code = 0
+        for ch in y:
+            code = code * A + alphabet.index(ch)
+        flat[off[len(y) - 1] + i * A ** len(y) + code] = v
+    return PositionalKmerScorer(alphabet=tuple(alphabet), length=length,
+                                max_degree=max_degree, weights=flat, b=b)
+
+
+def kmer_weight(scorer, i, y):
+    """The weight of substring y at position i, read through the scorer's block."""
+    cell = tuple(scorer.alphabet.index(ch) for ch in y)
+    return float(scorer.block(len(y))[(i,) + cell])
+
+
+def explicit_kmer_ridge(data, K, lam):
+    """Positional k-mer ridge on the explicit n x F design of the substrings
+    that occur, solved in the dual: ({(position, substring): weight}, b)."""
+    feats = sorted({(i, s[i:i + k]) for s in data.sequences
+                    for k in range(1, K + 1) for i in range(data.length - k + 1)})
+    col = {f: c for c, f in enumerate(feats)}
+    Phi = np.zeros((data.n, len(feats)))
+    for r, s in enumerate(data.sequences):
+        for k in range(1, K + 1):
+            for i in range(data.length - k + 1):
+                Phi[r, col[(i, s[i:i + k])]] += 1.0
+    means = Phi.mean(axis=0)
+    Phic = Phi - means
+    yc = data.y - data.y.mean()
+    alpha = np.linalg.solve(Phic @ Phic.T + data.n * lam * np.eye(data.n), yc)
+    w = Phic.T @ alpha
+    return dict(zip(feats, w.tolist())), float(data.y.mean() - means @ w)
 
 
 def all_pm1_rows(d):

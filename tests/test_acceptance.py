@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from firm import (KernelExpansionScorer, KernelSpec, LinearScorer, MarkovBackground,
-                  PositionalKmerScorer, CovarianceEstimate, GaussianModel,
+                  CovarianceEstimate, GaussianModel,
                   PointDistribution, SignedConjunction, TabularDataset, Xor,
                   conditional_expected_score, expected_score,
                   firm_binary_empirical_matrix, firm_binary_exact, firm_binary_values,
@@ -31,7 +31,7 @@ from firm import experiments
 from firm.cli import main
 
 from helpers import (all_pm1_rows, brute_firm_binary, enum_conditional_score,
-                     enum_expected_score, mc_firm)
+                     enum_expected_score, kmer_scorer, mc_firm)
 
 
 def ok(num, name, extra=""):
@@ -271,9 +271,7 @@ def test_criterion_08_sequence_enumeration_oracle():
                     i = int(rng.integers(0, L - klen + 1))
                     y = "".join(rng.choice(alphabet, size=klen))
                     weights[(i, y)] = float(rng.normal())
-                sc = PositionalKmerScorer(alphabet=alphabet, length=L,
-                                          max_degree=min(3, L), weights=weights,
-                                          b=float(rng.normal()))
+                sc = kmer_scorer(alphabet, L, min(3, L), weights, b=float(rng.normal()))
                 got = expected_score(sc, bg)
                 want = enum_expected_score(sc.score, alphabet, L,
                                            bg.letter_prob)

@@ -183,6 +183,16 @@ class TestAnalyzeSequence:
         _, toprows = read_tsv(out / "poim_top.tsv")
         assert len(toprows) == 5
 
+    def test_weight_budget_fails_with_one_line(self, tmp_path, capsys):
+        inp = tmp_path / "seqs.tsv"
+        self.write_seqs(inp, np.random.default_rng(5), n=3, L=20)
+        out = tmp_path / "out"
+        assert run("analyze", "--input", str(inp), "--method", "poim",
+                   "--scorer", "train:kmer", "--degree", "12", "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and "weights" in err
+        assert not out.exists()
+
     def test_poim_requires_kmer_scorer(self, tmp_path, capsys):
         inp = tmp_path / "seqs.tsv"
         inp.write_text("ACGT\t+1\nTTTT\t-1\n", encoding="utf-8")
@@ -247,6 +257,61 @@ class TestConfigValidation:
         assert proc.returncode == 1
         assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
         assert not (out / "firm.tsv").exists()
+
+
+    @pytest.mark.parametrize("args,param", [
+        (["slope", "train:kernel_ridge", "--kernel", "gaussian:abc"], "gamma"),
+        (["slope", "train:kernel_ridge", "--kernel", "polynomial:xyz"], "offset"),
+        (["slope", "train:kernel_ridge", "--kernel", "gaussian:inf"], "gamma"),
+        (["slope", "train:kernel_ridge", "--lambda", "nan"], "lambda"),
+        (["slope", "train:kernel_ridge", "--lambda", "inf"], "lambda"),
+        (["slope", "train:ridge", "--lambda", "nan"], "lambda"),
+        (["poim", "train:kmer", "--lambda", "inf"], "lambda"),
+    ])
+    def test_malformed_number_fails_with_one_line(self, tmp_path, capsys, args, param):
+        method, scorer, *rest = args
+        if method == "poim":
+            inp = tmp_path / "seqs.tsv"
+            TestAnalyzeSequence.write_seqs(inp, np.random.default_rng(3))
+        else:
+            inp = tmp_path / "d.csv"
+            X = np.random.default_rng(3).normal(size=(20, 2))
+            write_csv(inp, X, X[:, 0])
+        out = tmp_path / "out"
+        assert run("analyze", "--input", str(inp), "--method", method,
+                   "--scorer", scorer, *rest, "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and param in err
+        assert not out.exists()
+
+    def test_singular_solve_fails_with_one_line(self, tmp_path):
+        # duplicated rows make the kernel matrix singular once lambda underflows
+        X = np.random.default_rng(3).normal(size=(10, 2))
+        inp = tmp_path / "d.csv"
+        write_csv(inp, np.vstack([X, X]), np.tile(X[:, 0], 2))
+        out = tmp_path / "out"
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(firm.__file__))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "firm.cli", "analyze", "--input", str(inp),
+             "--method", "slope", "--scorer", "train:kernel_ridge",
+             "--lambda", "1e-300", "--out", str(out)],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 1
+        assert proc.stderr == "error: numerical failure: Singular matrix\n"
+        assert not out.exists()
+
+    def test_memory_error_fails_with_one_line(self, tmp_path, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 5.4 GiB")
+
+        monkeypatch.setattr("firm.cli.train_ridge", exhausted)
+        inp = tmp_path / "d.csv"
+        inp.write_text("a,label\n1,1\n-1,-1\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run("analyze", "--input", str(inp), "--method", "slope",
+                   "--scorer", "train:ridge", "--out", str(out)) == 1
+        assert capsys.readouterr().err == "error: Unable to allocate 5.4 GiB\n"
+        assert not out.exists()
 
 
 class TestCovarianceCommand:

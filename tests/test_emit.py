@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from firm import (FirmResult, MarkovBackground, PoimTable, PositionalKmerScorer,
-                  poim, ranked_oligomers)
+from firm import FirmResult, MarkovBackground, PoimTable, poim, ranked_oligomers
 from firm import _emit
 
-from helpers import rows_tsv
+from helpers import kmer_scorer, rows_tsv
 
 DNA = ("A", "C", "G", "T")
 POIM_HEADER = ["k", "position", "oligomer", "q_prime", "q"]
@@ -60,9 +59,7 @@ class TestPoimTsv:
 
     def test_literal_text_of_small_scorer(self):
         # dyadic weights: q_prime is exact, q is q_prime times sqrt(3)
-        sc = PositionalKmerScorer(alphabet=DNA, length=3, max_degree=2,
-                                  weights={(0, "A"): 1.0, (1, "CG"): 0.5, (2, "T"): -0.25},
-                                  b=0.125)
+        sc = kmer_scorer(DNA, 3, 2, {(0, "A"): 1.0, (1, "CG"): 0.5, (2, "T"): -0.25}, b=0.125)
         table = poim(sc, MarkovBackground.uniform(DNA), k=1)
         assert _emit.poim_tsv(table) == (
             "k\tposition\toligomer\tq_prime\tq\n"

@@ -5,13 +5,15 @@ import itertools
 import numpy as np
 import pytest
 
-from firm import (FirmError, KernelExpansionScorer, KernelSpec, LabelOracleScorer,
-                  LinearScorer, PositionalKmerScorer, SequenceDataset, TabularDataset,
-                  gradient_at, score_many, scorer_from_json, scorer_to_json, standardize,
+from firm import (BudgetExceededError, FirmError, KernelExpansionScorer, KernelSpec,
+                  LabelOracleScorer, LinearScorer, PositionalKmerScorer, SequenceDataset,
+                  TabularDataset, gradient_at, score_many, scorer_from_json, scorer_to_json, standardize,
                   train_kernel_ridge, train_least_squares, train_positional_kmer,
                   train_ridge)
+from firm.scoring import kmer_offsets
 
-from helpers import all_pm1_rows, central_difference_gradient
+from helpers import (all_pm1_rows, central_difference_gradient, explicit_kmer_ridge,
+                     kmer_scorer, kmer_weight)
 
 
 class TestScore:
@@ -25,10 +27,18 @@ class TestScore:
         assert sc.score(pt[0]) == pytest.approx(1.0, abs=1e-15)
 
     def test_positional_kmer_indicator(self):
-        sc = PositionalKmerScorer(alphabet=("A", "C", "G", "T"), length=4,
-                                  max_degree=3, weights={(0, "GAT"): 1.0}, b=0.0)
+        sc = kmer_scorer(("A", "C", "G", "T"), 4, 3, {(0, "GAT"): 1.0}, b=0.0)
         assert sc.score("GATT") == 1.0
         assert sc.score("AGAT") == 0.0
+
+    def test_kmer_scorer_rejects_bad_sequences(self):
+        sc = kmer_scorer(("A", "C", "G", "T"), 4, 2, {(0, "GA"): 1.0}, b=0.0)
+        with pytest.raises(FirmError, match="symbol X not in alphabet at line 2"):
+            sc.score_many(["ACGT", "ACXT"])
+        with pytest.raises(FirmError, match="length mismatch at line 2"):
+            sc.score_many(["ACGT", "ACG"])
+        with pytest.raises(FirmError, match="length mismatch at line 1"):
+            sc.score("ACGTA")
 
     def test_dimension_mismatch(self):
         with pytest.raises(FirmError):
@@ -184,8 +194,9 @@ class TestPositionalKmerTrainer:
     def test_position_zero_letter_dominates(self):
         ds = self._exhaustive_dataset()
         sc = train_positional_kmer(ds, K=1, lam=1e-3)
-        best = max(sc.weights, key=lambda k: abs(sc.weights[k]))
-        assert best == (0, "A")
+        w1 = np.abs(sc.block(1))
+        i, a = np.unravel_index(w1.argmax(), w1.shape)
+        assert (i, sc.alphabet[a]) == (0, "A")
 
     def test_k_zero_rejected(self):
         ds = self._exhaustive_dataset()
@@ -196,8 +207,34 @@ class TestPositionalKmerTrainer:
         seqs = ("ACGT", "TTAG", "CCGA")
         ds = SequenceDataset(sequences=seqs, y=np.ones(3))
         sc = train_positional_kmer(ds, K=2, lam=1e-2)
-        assert max(abs(v) for v in sc.weights.values()) < 1e-12
+        assert np.abs(sc.weights).max() < 1e-12
         assert sc.b == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("K,n,L,seed", [(1, 12, 5, 0), (2, 25, 6, 1), (3, 40, 7, 2),
+                                            (3, 6, 9, 3)])
+    def test_matches_explicit_design(self, K, n, L, seed):
+        rng = np.random.default_rng(seed)
+        seqs = tuple("".join(rng.choice(list("ACGT"), size=L)) for _ in range(n))
+        ds = SequenceDataset(sequences=seqs, y=rng.choice([-1.0, 1.0], size=n))
+        sc = train_positional_kmer(ds, K=K, lam=0.3)
+        want, b = explicit_kmer_ridge(ds, K, 0.3)
+        scale = max(abs(v) for v in want.values())
+        for (i, y), v in want.items():
+            assert abs(kmer_weight(sc, i, y) - v) <= 1e-10 * scale
+        assert abs(sc.b - b) <= 1e-10 * scale
+        # a (position, substring) that never occurs gets exactly 0
+        seen = kmer_scorer(ds.alphabet, L, K, dict.fromkeys(want, 1.0)).weights
+        assert (seen == 0).any()
+        assert (sc.weights[seen == 0] == 0.0).all()
+
+    def test_weight_budget(self):
+        assert kmer_offsets(4, 100, 8)[-1] == 8_155_456
+        with pytest.raises(BudgetExceededError, match="32272704 weights"):
+            kmer_offsets(4, 100, 9)
+        seqs = ("ACGTACGTACGTACGTACGT", "TTGCATTGCAAGGCTTACGA", "GGGCCCAAATTTACGTACGA")
+        ds = SequenceDataset(sequences=seqs, y=np.array([1.0, -1.0, 1.0]))
+        with pytest.raises(BudgetExceededError, match="208783104 weights"):
+            train_positional_kmer(ds, K=12, lam=0.1)
 
     def test_scores_match_feature_map(self):
         rng = np.random.default_rng(9)
@@ -208,9 +245,8 @@ class TestPositionalKmerTrainer:
         # a ridge fit must reproduce its own normal equations: compare score
         # against the explicit sparse sum
         for s in seqs[:5]:
-            manual = sc.b + sum(
-                w for (i, ysub), w in sc.weights.items()
-                if s[i:i + len(ysub)] == ysub)
+            manual = sc.b + sum(kmer_weight(sc, i, s[i:i + k])
+                                for k in (1, 2) for i in range(len(s) - k + 1))
             assert sc.score(s) == pytest.approx(manual, rel=1e-12)
 
 
@@ -239,8 +275,7 @@ class TestStandardize:
     def test_kmer_scorer_standardizes(self):
         seqs = ("ACGT", "TTAG", "CCGA", "GGTA")
         ds = SequenceDataset(sequences=seqs, y=np.array([1.0, -1.0, 1.0, -1.0]))
-        sc = PositionalKmerScorer(alphabet=("A", "C", "G", "T"), length=4,
-                                  max_degree=1, weights={(0, "A"): 2.0}, b=0.5)
+        sc = kmer_scorer(("A", "C", "G", "T"), 4, 1, {(0, "A"): 2.0}, b=0.5)
         out = standardize(sc, ds)
         assert np.var(score_many(out, seqs)) == pytest.approx(1.0, abs=1e-12)
 
@@ -256,10 +291,8 @@ class TestSerialization:
                                       kernel=KernelSpec.polynomial(3, 0.5)),
         lambda: LabelOracleScorer(table={(1.0, -1.0): 2.5, (0.0, 3.0): -1.0}),
         lambda: LabelOracleScorer(table={"ACGT": 1.0, "TTTT": -1.0}),
-        lambda: PositionalKmerScorer(alphabet=("A", "C", "G", "T"), length=5,
-                                     max_degree=2,
-                                     weights={(0, "GA"): 1.25, (3, "T"): -0.5},
-                                     b=0.75),
+        lambda: kmer_scorer(("A", "C", "G", "T"), 5, 2,
+                            {(0, "GA"): 1.25, (3, "T"): -0.5}, b=0.75),
     ])
     def test_roundtrip(self, make):
         sc = make()
@@ -269,7 +302,8 @@ class TestSerialization:
         if isinstance(sc, (LabelOracleScorer,)):
             assert back.table == sc.table
         elif isinstance(sc, PositionalKmerScorer):
-            assert back.weights == sc.weights and back.b == sc.b
+            np.testing.assert_array_equal(back.weights, sc.weights)
+            assert back.b == sc.b
         elif isinstance(sc, LinearScorer):
             np.testing.assert_array_equal(back.w, sc.w)
             assert back.b == sc.b

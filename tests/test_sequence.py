@@ -1,16 +1,19 @@
 """Positional oligomer importance: enumeration oracle, scaling, ranking."""
 
 import math
+from itertools import product
 
 import numpy as np
 import pytest
 
 from firm import (BudgetExceededError, FirmError, MarkovBackground, PoimTable,
-                  PositionalKmerScorer, SequenceDataset, conditional_expected_score,
+                  SequenceDataset, conditional_expected_score,
                   expected_score, hamming_ball, poim, poim_firm_conversion,
                   ranked_oligomers)
+from firm import experiments
 
-from helpers import enum_conditional_score, enum_expected_score
+from helpers import (enum_conditional_score, enum_expected_score, enumerate_sequences,
+                     kmer_scorer, kmer_weight)
 
 
 DNA = ("A", "C", "G", "T")
@@ -23,49 +26,41 @@ def random_sparse_scorer(rng, alphabet, L, K, n_weights, bias=None):
         i = int(rng.integers(0, L - k + 1))
         y = "".join(rng.choice(alphabet, size=k))
         weights[(i, y)] = float(rng.normal())
-    return PositionalKmerScorer(alphabet=tuple(alphabet), length=L, max_degree=K,
-                                weights=weights,
-                                b=float(rng.normal()) if bias is None else bias)
+    return kmer_scorer(tuple(alphabet), L, K, weights,
+                       b=float(rng.normal()) if bias is None else bias)
 
 
 class TestExpectedScore:
     def test_single_trimer_uniform(self):
-        sc = PositionalKmerScorer(alphabet=DNA, length=4, max_degree=3,
-                                  weights={(0, "GAT"): 1.0}, b=0.0)
+        sc = kmer_scorer(DNA, 4, 3, {(0, "GAT"): 1.0}, b=0.0)
         bg = MarkovBackground.uniform(DNA)
         assert expected_score(sc, bg) == pytest.approx(1.0 / 64.0, abs=1e-15)
         enum = enum_expected_score(sc.score, DNA, 4, bg.letter_prob)
         assert expected_score(sc, bg) == pytest.approx(enum, abs=1e-12)
 
     def test_zero_weights_give_bias(self):
-        sc = PositionalKmerScorer(alphabet=DNA, length=3, max_degree=1,
-                                  weights={}, b=2.5)
+        sc = kmer_scorer(DNA, 3, 1, {}, b=2.5)
         assert expected_score(sc, MarkovBackground.uniform(DNA)) == 2.5
 
     def test_disjoint_weights_add(self):
         bg = MarkovBackground.uniform(DNA)
-        w1 = PositionalKmerScorer(alphabet=DNA, length=6, max_degree=2,
-                                  weights={(0, "GA"): 1.0}, b=0.0)
-        w2 = PositionalKmerScorer(alphabet=DNA, length=6, max_degree=2,
-                                  weights={(4, "TC"): -2.0}, b=0.0)
-        both = PositionalKmerScorer(alphabet=DNA, length=6, max_degree=2,
-                                    weights={(0, "GA"): 1.0, (4, "TC"): -2.0}, b=0.7)
+        w1 = kmer_scorer(DNA, 6, 2, {(0, "GA"): 1.0}, b=0.0)
+        w2 = kmer_scorer(DNA, 6, 2, {(4, "TC"): -2.0}, b=0.0)
+        both = kmer_scorer(DNA, 6, 2, {(0, "GA"): 1.0, (4, "TC"): -2.0}, b=0.7)
         assert expected_score(both, bg) == pytest.approx(
             expected_score(w1, bg) + expected_score(w2, bg) + 0.7, abs=1e-15)
 
 
 class TestConditionalExpectedScore:
     def test_full_overlap_exact_match(self):
-        sc = PositionalKmerScorer(alphabet=DNA, length=5, max_degree=3,
-                                  weights={(0, "GAT"): 1.0}, b=0.25)
+        sc = kmer_scorer(DNA, 5, 3, {(0, "GAT"): 1.0}, b=0.25)
         bg = MarkovBackground.uniform(DNA)
         assert conditional_expected_score(sc, bg, "GAT", 0) == pytest.approx(1.25,
                                                                              abs=1e-15)
 
     def test_shifted_window_conflicts(self):
         # weight GAT at 0 vs conditioning GAT at 1: overlap needs "AT" == "GA"
-        sc = PositionalKmerScorer(alphabet=DNA, length=5, max_degree=3,
-                                  weights={(0, "GAT"): 1.0}, b=0.25)
+        sc = kmer_scorer(DNA, 5, 3, {(0, "GAT"): 1.0}, b=0.25)
         bg = MarkovBackground.uniform(DNA)
         got = conditional_expected_score(sc, bg, "GAT", 1)
         assert got == pytest.approx(0.25, abs=1e-15)
@@ -82,8 +77,7 @@ class TestConditionalExpectedScore:
             sc.score(z), rel=1e-12)
 
     def test_out_of_range_window(self):
-        sc = PositionalKmerScorer(alphabet=DNA, length=4, max_degree=1,
-                                  weights={}, b=0.0)
+        sc = kmer_scorer(DNA, 4, 1, {}, b=0.0)
         with pytest.raises(FirmError):
             conditional_expected_score(sc, MarkovBackground.uniform(DNA), "GAT", 2)
 
@@ -127,11 +121,17 @@ class TestPoimTable:
         sc = random_sparse_scorer(rng, DNA, 6, 3, 12)
         table = poim(sc, bg, k=2)
         base = expected_score(sc, bg)
+        seqs = enumerate_sequences(DNA, 6)
+        scores = dict(zip(seqs, sc.score_many(seqs)))
+        enum_base = enum_expected_score(scores.__getitem__, DNA, 6, bg.letter_prob)
         for j in range(table.positions):
             for zi in range(16):
                 z = table.oligomer(zi)
                 want = conditional_expected_score(sc, bg, z, j) - base
                 assert table.value(z, j) == pytest.approx(want, abs=1e-12)
+                enum = enum_conditional_score(scores.__getitem__, DNA, 6,
+                                              bg.letter_prob, z, j) - enum_base
+                assert table.value(z, j) == pytest.approx(enum, abs=1e-12)
 
     def test_degree_one_uniform_identity(self):
         """For a scorer with only single-letter weights, the k=1 entry is
@@ -139,8 +139,7 @@ class TestPoimTable:
         rng = np.random.default_rng(2)
         L = 5
         weights = {(i, a): float(rng.normal()) for i in range(L) for a in DNA}
-        sc = PositionalKmerScorer(alphabet=DNA, length=L, max_degree=1,
-                                  weights=weights, b=0.3)
+        sc = kmer_scorer(DNA, L, 1, weights, b=0.3)
         table = poim(sc, MarkovBackground.uniform(DNA), k=1)
         for j in range(L):
             mean_w = np.mean([weights[(j, a)] for a in DNA])
@@ -149,8 +148,7 @@ class TestPoimTable:
                                                           abs=1e-12)
 
     def test_zero_scorer_gives_zero_table(self):
-        sc = PositionalKmerScorer(alphabet=DNA, length=4, max_degree=2,
-                                  weights={}, b=1.0)
+        sc = kmer_scorer(DNA, 4, 2, {}, b=1.0)
         table = poim(sc, MarkovBackground.uniform(DNA), k=2)
         np.testing.assert_array_equal(table.values, 0.0)
         np.testing.assert_array_equal(table.firm_values, 0.0)
@@ -188,30 +186,68 @@ class TestPoimTable:
             np.testing.assert_array_equal(raw, scaled)
 
     def test_k_may_exceed_scorer_degree(self):
-        sc = PositionalKmerScorer(alphabet=DNA, length=6, max_degree=1,
-                                  weights={(2, "G"): 1.0}, b=0.0)
+        sc = kmer_scorer(DNA, 6, 1, {(2, "G"): 1.0}, b=0.0)
         table = poim(sc, MarkovBackground.uniform(DNA), k=3)
         # conditioning on a trimer covering position 2 pins the weight
         assert table.value("AGA", 1) == pytest.approx(1.0 - 0.25, abs=1e-12)
 
+    def test_table_follows_scorer_alphabet_order(self):
+        rng = np.random.default_rng(6)
+        sc = random_sparse_scorer(rng, DNA, 5, 3, 15)
+        probs = {"A": 0.4, "C": 0.3, "G": 0.2, "T": 0.1}
+        table = poim(sc, MarkovBackground(alphabet=DNA, letter_prob=probs), k=2)
+        permuted = poim(sc, MarkovBackground(alphabet=("T", "G", "A", "C"),
+                                             letter_prob=probs), k=2)
+        assert permuted.alphabet == sc.alphabet
+        for zi in range(16):
+            z = table.oligomer(zi)
+            for j in range(table.positions):
+                assert permuted.value(z, j) == table.value(z, j)
+                assert permuted.firm_value(z, j) == table.firm_value(z, j)
+
     def test_budget_guard(self):
-        sc = PositionalKmerScorer(alphabet=DNA, length=20, max_degree=1,
-                                  weights={(0, "A"): 1.0}, b=0.0)
+        sc = kmer_scorer(DNA, 20, 1, {(0, "A"): 1.0}, b=0.0)
         with pytest.raises(BudgetExceededError, match="cells"):
             poim(sc, MarkovBackground.uniform(DNA), k=12, budget=10 ** 6)
 
 
+class TestWeightImportance:
+    def test_matches_per_cell_lookup(self):
+        rng = np.random.default_rng(7)
+        L, K = 9, 3
+        weights = {}
+        for _ in range(60):
+            k = int(rng.integers(1, K + 1))
+            weights[(int(rng.integers(0, L - k + 1)), "".join(rng.choice(DNA, size=k)))] = \
+                float(rng.normal())
+        sc = kmer_scorer(DNA, L, K, weights)
+        strings = ["".join(rng.choice(DNA, size=4)) for _ in range(25)]
+        want = [[max(abs(weights.get((j + o, z[o:o + k]), 0.0))
+                     for k in range(1, K + 1) for o in range(len(z) - k + 1))
+                 for j in range(L - 4 + 1)] for z in strings]
+        np.testing.assert_array_equal(experiments.weight_importance(sc, strings), want)
+
+
+    def test_weight_by_position_is_largest_weight_starting_there(self):
+        artifacts, result = experiments.sequence_experiment(
+            n_per_class=15, seq_len=12, degree=2, n_irrelevant=5)
+        sc = result["scorer"]
+        want = [max(abs(kmer_weight(sc, i, "".join(y)))
+                    for d in (1, 2) if i + d <= 12 for y in product(DNA, repeat=d))
+                for i in range(12)]
+        rows = artifacts["weight_by_position.tsv"].splitlines()[1:]
+        assert [float(r.split("\t")[1]) for r in rows] == want
+
+
 class TestRankedOligomers:
     def test_single_nonzero_cell_ranks_first(self):
-        sc = PositionalKmerScorer(alphabet=DNA, length=4, max_degree=2,
-                                  weights={(1, "GA"): 2.0}, b=0.0)
+        sc = kmer_scorer(DNA, 4, 2, {(1, "GA"): 2.0}, b=0.0)
         table = poim(sc, MarkovBackground.uniform(DNA), k=2)
         top = ranked_oligomers(table, top=3)
         assert top[0][0] == "GA" and top[0][1] == 1
 
     def test_zero_table_deterministic_order(self):
-        sc = PositionalKmerScorer(alphabet=DNA, length=4, max_degree=2,
-                                  weights={}, b=0.0)
+        sc = kmer_scorer(DNA, 4, 2, {}, b=0.0)
         table = poim(sc, MarkovBackground.uniform(DNA), k=2)
         top1 = ranked_oligomers(table, top=10)
         top2 = ranked_oligomers(table, top=10)
@@ -221,8 +257,7 @@ class TestRankedOligomers:
                                              ("AT", 0), ("CA", 0)]
 
     def test_tie_break_by_position_then_oligomer(self):
-        sc = PositionalKmerScorer(alphabet=DNA, length=4, max_degree=1,
-                                  weights={(0, "C"): 1.0, (2, "C"): 1.0}, b=0.0)
+        sc = kmer_scorer(DNA, 4, 1, {(0, "C"): 1.0, (2, "C"): 1.0}, b=0.0)
         table = poim(sc, MarkovBackground.uniform(DNA), k=1)
         top = ranked_oligomers(table, top=2)
         assert top[0][1] == 0 and top[1][1] == 2
