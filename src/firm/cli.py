@@ -2,9 +2,9 @@
 covariance reports.
 
 Every command computes its complete output first and only then writes
-artifacts (staged and renamed into place), so a failing run leaves no
-partial files. Identical configuration, including the seed, yields
-byte-identical artifacts.
+artifacts. Each file is replaced atomically, but a reused --out keeps the
+files an earlier run wrote. Identical configuration, including the seed,
+yields byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -55,8 +55,10 @@ def load_covariance_file(path: str) -> CovarianceEstimate:
             if not line or line.startswith("#"):
                 continue
             cells = line.replace(",", "\t").split("\t")
+            if "" in cells:
+                raise DataFormatError(f"{path}: line {line_no} has an empty cell")
             try:
-                rows.append([float(c) for c in cells if c != ""])
+                rows.append([float(c) for c in cells])
             except ValueError:
                 raise DataFormatError(
                     f"{path}: line {line_no} is not numeric") from None

@@ -30,7 +30,6 @@ class TabularDataset:
     y: np.ndarray | None
     names: tuple[str, ...]
     column_means: np.ndarray = field(init=False)
-    binary_pm1: bool = field(init=False)
 
     def __post_init__(self):
         X = _frozen(np.atleast_2d(self.X))
@@ -51,7 +50,6 @@ class TabularDataset:
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "names", tuple(self.names))
         object.__setattr__(self, "column_means", _frozen(X.mean(axis=0)))
-        object.__setattr__(self, "binary_pm1", bool(np.isin(X, (-1.0, 1.0)).all()))
 
     @property
     def n(self) -> int:

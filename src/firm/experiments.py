@@ -96,6 +96,8 @@ def gaussian_experiment(seed: int = 42, n_per_class: int = 1000,
                         bins: int | None = None):
     """Linear classifier on two normal classes; dimension 2 is the most
     informative, dimension 3 pure noise."""
+    if n_per_class < 1:
+        raise FirmError(f"n_per_class must be >= 1, got {n_per_class}")
     rng = np.random.default_rng(seed)
     means = np.array(GAUSSIAN_CLASS_MEANS)
     X_pos = rng.normal(size=(n_per_class, 3)) + means
@@ -173,6 +175,9 @@ def sequence_experiment(seed: int = 42, n_per_class: int = 500, seq_len: int = 5
                         center: int = 25, sd: float = 7.0):
     if k != len(MOTIF):
         raise FirmError(f"the motif-graded series need k = {len(MOTIF)}")
+    if n_per_class < 1 or seq_len < len(MOTIF):
+        raise FirmError(f"need n_per_class >= 1 and seq_len >= {len(MOTIF)} (the motif), "
+                        f"got {n_per_class} and {seq_len}")
     rng = np.random.default_rng(seed)
     data = generate_motif_dataset(rng, n_per_class=n_per_class, seq_len=seq_len,
                                   center=center, sd=sd)

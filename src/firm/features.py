@@ -1,13 +1,14 @@
 """Feature functions whose importance gets ranked.
 
 A feature maps an input point (a numeric row or a sequence string) to a
-real value. Projections on ±1 data take values in {-1,+1}; all indicator
-style features (conjunctions, xor, thresholds, positional oligomers) take
-values in {0,1}.
+real value; evaluate_rows(X) gives one value per row or sequence of X.
+Projections on ±1 data take values in {-1,+1}; all indicator-style
+features (conjunctions, xor, thresholds, positional oligomers) take values
+in {0,1}.
 
 Features parse from / render to compact strings with 1-based indices, the
-form used on the command line: ``x3``, ``and(+1,-2)``, ``xor(1,2)``,
-``thr(2,0.5)``, ``kmer(GAT@4)``.
+form that names them in result tables (the feature column): ``x3``,
+``and(+1,-2)``, ``xor(1,2)``, ``thr(2,0.5)``, ``kmer(GAT@4)``.
 """
 
 from __future__ import annotations
@@ -25,9 +26,6 @@ class Projection:
     """f(x) = x_j (0-based column index)."""
 
     j: int
-
-    def evaluate(self, x) -> float:
-        return float(np.asarray(x)[self.j])
 
     def evaluate_rows(self, X: np.ndarray) -> np.ndarray:
         return np.asarray(X)[:, self.j].astype(float)
@@ -57,10 +55,6 @@ class SignedConjunction:
             raise FirmError("polarity must be +1 or -1")
         object.__setattr__(self, "literals", lits)
 
-    def evaluate(self, x) -> float:
-        x = np.asarray(x)
-        return float(all(x[j] == s for j, s in self.literals))
-
     def evaluate_rows(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X)
         ok = np.ones(X.shape[0], dtype=bool)
@@ -84,10 +78,6 @@ class Xor:
         if self.j == self.k:
             raise FirmError("xor needs two distinct indices")
 
-    def evaluate(self, x) -> float:
-        x = np.asarray(x)
-        return float(x[self.j] != x[self.k])
-
     def evaluate_rows(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X)
         return (X[:, self.j] != X[:, self.k]).astype(float)
@@ -102,9 +92,6 @@ class Threshold:
 
     j: int
     tau: float
-
-    def evaluate(self, x) -> float:
-        return float(np.asarray(x)[self.j] > self.tau)
 
     def evaluate_rows(self, X: np.ndarray) -> np.ndarray:
         return (np.asarray(X)[:, self.j] > self.tau).astype(float)
@@ -126,14 +113,13 @@ class PositionalOligomer:
         if self.j < 0:
             raise FirmError("oligomer position must be >= 0")
 
-    def evaluate(self, x) -> float:
-        if self.j + len(self.z) > len(x):
-            raise FirmError(f"oligomer window [{self.j}, {self.j + len(self.z)}) "
-                            f"exceeds sequence length {len(x)}")
-        return float(x[self.j:self.j + len(self.z)] == self.z)
-
     def evaluate_rows(self, X) -> np.ndarray:
-        return np.array([self.evaluate(s) for s in X])
+        end = self.j + len(self.z)
+        shortest = min(map(len, X), default=end)
+        if end > shortest:
+            raise FirmError(f"oligomer window [{self.j}, {end}) "
+                            f"exceeds sequence length {shortest}")
+        return np.array([s[self.j:end] == self.z for s in X], dtype=float)
 
     def describe(self) -> str:
         return f"kmer({self.z}@{self.j + 1})"

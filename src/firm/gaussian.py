@@ -22,7 +22,7 @@ from .dataset import CovarianceEstimate, TabularDataset
 from .errors import FirmError
 from .features import column_names
 from .results import FirmResult
-from .scoring import LinearScorer, Scorer, gradient_at
+from .scoring import Scorer, differentiable, gradient_at
 from typing import Sequence
 
 
@@ -104,13 +104,8 @@ def sensitivity_index(scorer: Scorer, data: TabularDataset) -> list[float]:
     between coordinates: a zero weight gives a zero index no matter how the
     coordinate co-varies with the rest.
     """
-    var = np.var(data.X, axis=0)
-    if isinstance(scorer, LinearScorer):
-        g_sq = scorer.w ** 2  # constant gradient
-    else:
-        grads = np.array([gradient_at(scorer, x) for x in data.X])
-        g_sq = (grads ** 2).mean(axis=0)
-    return [float(v) for v in np.sqrt(g_sq * var)]
+    g_sq = (differentiable(scorer).gradient_many(data.X) ** 2).mean(axis=0)
+    return [float(v) for v in np.sqrt(g_sq * np.var(data.X, axis=0))]
 
 
 def firm_regression_closed_form(X: np.ndarray, y: np.ndarray, model: GaussianModel,

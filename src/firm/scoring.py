@@ -4,6 +4,10 @@ Four scorer families are provided: linear, kernel expansion (Gaussian or
 polynomial kernel), label oracle (scores are looked up, e.g. raw training
 labels), and positional k-mer scorers for sequences. Scorers are immutable;
 trainers are single-shot pure functions.
+
+Scorers evaluate in batches only: every scorer has score_many(X), one score
+per row or sequence of X, and the linear and kernel scorers gradient_many(X),
+one gradient per row, where a constant gradient (linear) is one row.
 """
 
 from __future__ import annotations
@@ -45,14 +49,20 @@ class KernelSpec:
         return cls(variant="polynomial", degree=int(degree), offset=float(offset))
 
     def gram(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        """Kernel matrix k(a_i, b_j) for rows of A and B."""
-        A = np.atleast_2d(A)
-        B = np.atleast_2d(B)
+        """Kernel matrix k(a_i, b_j) for the rows of the matrices A and B."""
         if self.variant == "gaussian":
             sq = (A ** 2).sum(axis=1)[:, None] + (B ** 2).sum(axis=1)[None, :] \
                 - 2.0 * (A @ B.T)
             return np.exp(-np.maximum(sq, 0.0) / self.gamma ** 2)
         return (A @ B.T + self.offset) ** self.degree
+
+
+def _rows(X, d: int) -> np.ndarray:
+    """X as a float64 matrix of d-dimensional rows."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    if X.shape[1] != d:
+        raise FirmError(f"input has dimension {X.shape[1]}, scorer expects {d}")
+    return X
 
 
 @dataclass(frozen=True)
@@ -70,20 +80,12 @@ class LinearScorer:
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "b", float(self.b))
 
-    def score(self, x) -> float:
-        x = np.asarray(x, dtype=np.float64).ravel()
-        if x.shape != self.w.shape:
-            raise FirmError(f"input has dimension {x.size}, scorer expects {self.w.size}")
-        return float(self.w @ x + self.b)
-
     def score_many(self, X) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        if X.shape[1] != self.w.size:
-            raise FirmError(f"input has dimension {X.shape[1]}, scorer expects {self.w.size}")
-        return X @ self.w + self.b
+        return _rows(X, self.w.size) @ self.w + self.b
 
-    def gradient_at(self, x0) -> np.ndarray:
-        return self.w.copy()
+    def gradient_many(self, X) -> np.ndarray:
+        _rows(X, self.w.size)
+        return self.w[None, :]
 
 
 @dataclass(frozen=True)
@@ -108,26 +110,18 @@ class KernelExpansionScorer:
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "b", float(self.b))
 
-    def score(self, x) -> float:
-        return float(self.score_many(np.atleast_2d(x))[0])
-
     def score_many(self, X) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        if X.shape[1] != self.points.shape[1]:
-            raise FirmError(f"input has dimension {X.shape[1]}, "
-                            f"scorer expects {self.points.shape[1]}")
+        X = _rows(X, self.points.shape[1])
         return self.kernel.gram(X, self.points) @ self.alpha + self.b
 
-    def gradient_at(self, x0) -> np.ndarray:
-        x0 = np.asarray(x0, dtype=np.float64).ravel()
-        diff = self.points - x0
+    def gradient_many(self, X) -> np.ndarray:
+        X = _rows(X, self.points.shape[1])
         if self.kernel.variant == "gaussian":
-            g2 = self.kernel.gamma ** 2
-            kv = np.exp(-(diff ** 2).sum(axis=1) / g2)
-            return (2.0 / g2) * ((self.alpha * kv) @ diff)
-        p, c = self.kernel.degree, self.kernel.offset
-        base = self.points @ x0 + c
-        return (self.alpha * p * base ** (p - 1)) @ self.points
+            # (2/gamma^2) ((K o alpha) P - rowsum(K o alpha) X), K = gram(X, P)
+            K = self.kernel.gram(X, self.points) * self.alpha
+            return (2.0 / self.kernel.gamma ** 2) * (K @ self.points - K.sum(axis=1)[:, None] * X)
+        p, c = self.kernel.degree, self.kernel.offset   # ((X P' + c)^(p-1) o p alpha) P
+        return ((X @ self.points.T + c) ** (p - 1) * (p * self.alpha)) @ self.points
 
 
 @dataclass(frozen=True)
@@ -155,14 +149,11 @@ class LabelOracleScorer:
         rows = data.X if isinstance(data, TabularDataset) else data.sequences
         return cls(table={cls.key_for(r): float(v) for r, v in zip(rows, y)})
 
-    def score(self, x) -> float:
-        key = self.key_for(x)
-        if key not in self.table:
-            raise FirmError(f"oracle miss: input {key!r} not in table")
-        return self.table[key]
-
     def score_many(self, X) -> np.ndarray:
-        return np.array([self.score(x) for x in X])
+        try:
+            return np.array([self.table[self.key_for(x)] for x in X])
+        except KeyError as miss:
+            raise FirmError(f"oracle miss: input {miss.args[0]!r} not in table") from None
 
 
 def kmer_offsets(A: int, L: int, K: int) -> np.ndarray:
@@ -201,8 +192,8 @@ class PositionalKmerScorer:
     weights is one read-only float64 vector with an entry for every degree
     k <= max_degree, position i <= length - k and length-k substring y:
     degree-major, then position, then y's base-|alphabet| code with the
-    leftmost letter most significant (PoimTable's oligomer order). score(x)
-    adds the weight of every substring incident in x, plus the bias. Only
+    leftmost letter most significant (PoimTable's oligomer order). A score
+    sums the weight of every substring incident in x, plus the bias. Only
     this module knows the layout: kmer_ids maps sequences to flat indices
     and block(k) views one degree as (length - k + 1, A, ..., A).
     """
@@ -230,9 +221,6 @@ class PositionalKmerScorer:
         off = kmer_offsets(len(self.alphabet), self.length, self.max_degree)
         return self.weights[off[k - 1]:off[k]].reshape((-1,) + (len(self.alphabet),) * k)
 
-    def score(self, x: str) -> float:
-        return float(self.score_many([x])[0])
-
     def score_many(self, X) -> np.ndarray:
         codes = encode_sequences(X, self.alphabet, self.length)
         ids = kmer_ids(codes, len(self.alphabet), self.max_degree)
@@ -247,11 +235,16 @@ def score_many(scorer: Scorer, X) -> np.ndarray:
     return scorer.score_many(X)
 
 
-def gradient_at(scorer: Scorer, x0) -> np.ndarray:
-    """Analytic gradient of the score at x0 (linear and kernel scorers)."""
-    if not hasattr(scorer, "gradient_at"):
+def differentiable(scorer: Scorer) -> LinearScorer | KernelExpansionScorer:
+    """The scorer itself, if it has an analytic gradient; else FirmError."""
+    if not hasattr(scorer, "gradient_many"):
         raise FirmError(f"{type(scorer).__name__} has no gradient")
-    return scorer.gradient_at(x0)
+    return scorer
+
+
+def gradient_at(scorer: Scorer, x0) -> np.ndarray:
+    """Analytic gradient of the score at one point x0."""
+    return differentiable(scorer).gradient_many(np.atleast_2d(x0))[0]
 
 
 # ---------------------------------------------------------------------------

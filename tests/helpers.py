@@ -1,8 +1,9 @@
 """Independent oracles shared by the test modules.
 
 Everything here recomputes expected values from first principles (brute
-force, enumeration, finite differences, sampling) without touching the
-production code paths under test. kmer_scorer and kmer_weight only place
+force, enumeration, finite differences, per-point formulas, sampling)
+without touching the production code paths under test; scores come from
+score_many, the one evaluation method every scorer has. kmer_scorer and kmer_weight only place
 and read positional k-mer weights with the package's layout, so tests can
 state a scorer as a {(position, substring): weight} dict. The one
 exception among the oracles is the Monte Carlo
@@ -45,17 +46,27 @@ def brute_firm_binary(scores, fvals, probs=None):
     return (q_hi - q_lo) * np.sqrt(p_hi * p_lo)
 
 
-def central_difference_gradient(fun, x, step=1e-5):
-    """Central finite differences of a scalar function of a vector."""
+def central_difference_gradient(scorer, x, step=1e-5):
+    """Central finite differences of a scorer at the point x: the 2d
+    stepped points are scored in one batch."""
     x = np.asarray(x, dtype=float)
-    g = np.zeros_like(x)
-    for j in range(x.size):
-        up = x.copy()
-        dn = x.copy()
-        up[j] += step
-        dn[j] -= step
-        g[j] = (fun(up) - fun(dn)) / (2 * step)
-    return g
+    shift = step * np.eye(x.size)
+    s = score_many(scorer, np.vstack([x + shift, x - shift]))
+    return (s[:x.size] - s[x.size:]) / (2 * step)
+
+
+def kernel_gradient_at(scorer, x0):
+    """Gradient of a kernel expansion at one point x0, summed over the
+    expansion points with the differences p_i - x0 formed explicitly."""
+    x0 = np.asarray(x0, dtype=float).ravel()
+    diff = scorer.points - x0
+    if scorer.kernel.variant == "gaussian":
+        g2 = scorer.kernel.gamma ** 2
+        kv = np.exp(-(diff ** 2).sum(axis=1) / g2)
+        return (2.0 / g2) * ((scorer.alpha * kv) @ diff)
+    p, c = scorer.kernel.degree, scorer.kernel.offset
+    base = scorer.points @ x0 + c
+    return (scorer.alpha * p * base ** (p - 1)) @ scorer.points
 
 
 def enumerate_sequences(alphabet, length):
@@ -63,28 +74,29 @@ def enumerate_sequences(alphabet, length):
     return ["".join(t) for t in itertools.product(alphabet, repeat=length)]
 
 
-def enum_expected_score(score_fun, alphabet, length, letter_prob):
+def enum_expected_score(scorer, alphabet, length, letter_prob):
     """E[score] by exhaustive enumeration under independent letters."""
+    seqs = enumerate_sequences(alphabet, length)
     total = 0.0
-    for seq in enumerate_sequences(alphabet, length):
+    for seq, score in zip(seqs, score_many(scorer, seqs)):
         p = 1.0
         for ch in seq:
             p *= letter_prob[ch]
-        total += p * score_fun(seq)
+        total += p * score
     return total
 
 
-def enum_conditional_score(score_fun, alphabet, length, letter_prob, z, j):
+def enum_conditional_score(scorer, alphabet, length, letter_prob, z, j):
     """E[score | substring z at j] by exhaustive enumeration."""
+    seqs = [seq for seq in enumerate_sequences(alphabet, length)
+            if seq[j:j + len(z)] == z]
     num = 0.0
     den = 0.0
-    for seq in enumerate_sequences(alphabet, length):
-        if seq[j:j + len(z)] != z:
-            continue
+    for seq, score in zip(seqs, score_many(scorer, seqs)):
         p = 1.0
         for ch in seq:
             p *= letter_prob[ch]
-        num += p * score_fun(seq)
+        num += p * score
         den += p
     return num / den
 

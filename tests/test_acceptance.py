@@ -273,7 +273,7 @@ def test_criterion_08_sequence_enumeration_oracle():
                     weights[(i, y)] = float(rng.normal())
                 sc = kmer_scorer(alphabet, L, min(3, L), weights, b=float(rng.normal()))
                 got = expected_score(sc, bg)
-                want = enum_expected_score(sc.score, alphabet, L,
+                want = enum_expected_score(sc, alphabet, L,
                                            bg.letter_prob)
                 assert abs(got - want) < 1e-12
                 for _ in range(4):
@@ -281,7 +281,7 @@ def test_criterion_08_sequence_enumeration_oracle():
                     j = int(rng.integers(0, L - klen + 1))
                     z = "".join(rng.choice(alphabet, size=klen))
                     got = conditional_expected_score(sc, bg, z, j)
-                    want = enum_conditional_score(sc.score, alphabet,
+                    want = enum_conditional_score(sc, alphabet,
                                                   L, bg.letter_prob, z, j)
                     assert abs(got - want) < 1e-12
                 # per-position zero mean of the table

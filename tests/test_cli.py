@@ -340,15 +340,20 @@ class TestCovarianceCommand:
         doc = json.loads((out / "covariance.json").read_text())
         assert 0.0 <= doc["shrinkage_lambda"] <= 1.0
 
-    def test_malformed_covariance_file(self, tmp_path, capsys):
+    @pytest.mark.parametrize("text,message", [
+        ("1\t0\nnot_a_number\t1\n", "line 2 is not numeric"),
+        ("1,,0.5\n0.5,2\n", "line 1 has an empty cell"),
+    ], ids=["non-numeric", "empty-cell"])
+    def test_malformed_covariance_file(self, tmp_path, capsys, text, message):
         inp = tmp_path / "d.csv"
         inp.write_text("a,b\n1,2\n3,4\n5,6\n", encoding="utf-8")
         covfile = tmp_path / "cov.tsv"
-        covfile.write_text("1\t0\nnot_a_number\t1\n", encoding="utf-8")
+        covfile.write_text(text, encoding="utf-8")
         out = tmp_path / "out"
         assert run("covariance", "--input", str(inp),
                    "--covariance", f"file:{covfile}", "--out", str(out)) != 0
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err and message in err
         assert not out.exists()
 
 
@@ -388,6 +393,19 @@ class TestExperiments:
             assert (out / rel).exists()
         header, rows = read_tsv(out / "poim_series.tsv")
         assert len(rows) == 20 - 7 + 1
+
+    @pytest.mark.parametrize("argv", [
+        ("experiment-gaussian", "--n-per-class", "-1"),
+        ("experiment-sequence", "--n-per-class", "-1"),
+        ("experiment-sequence", "--seq-len", "6"),
+    ], ids=["gaussian-n", "sequence-n", "sequence-len"])
+    def test_bad_sizes_fail_cleanly(self, tmp_path, capsys, argv):
+        out = tmp_path / "exp"
+        assert run(*argv, "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and len(err.splitlines()) == 1
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_sequence_budget_violation_fails_cleanly(self, tmp_path, capsys):
         out = tmp_path / "seq"

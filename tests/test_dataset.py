@@ -22,7 +22,6 @@ class TestLoadTabular:
         assert ds.n == 3 and ds.d == 2
         assert ds.names == ("a", "b")
         np.testing.assert_array_equal(ds.y, [1, -1, 1])
-        assert not ds.binary_pm1
 
     def test_header_only_is_error(self, tmp_path):
         p = write(tmp_path, "d.csv", "a,b\n")
@@ -52,10 +51,6 @@ class TestLoadTabular:
         p = write(tmp_path, "d.csv", "a,b\n1,x\n")
         with pytest.raises(DataFormatError, match="column 'b'"):
             load_tabular(p)
-
-    def test_binary_flag(self, tmp_path):
-        p = write(tmp_path, "d.csv", "a,b\n1,-1\n-1,1\n")
-        assert load_tabular(p).binary_pm1
 
     def test_roundtrip_bit_identical(self, tmp_path):
         rng = np.random.default_rng(3)

@@ -13,26 +13,28 @@ from helpers import all_pm1_rows
 
 class TestEvaluate:
     def test_projection(self):
-        assert Projection(1).evaluate([3.0, -2.0]) == -2.0
+        assert Projection(1).evaluate_rows([[3.0, -2.0]])[0] == -2.0
 
     def test_signed_conjunction(self):
         f = SignedConjunction(literals=((0, 1), (1, -1)))
-        assert f.evaluate([1.0, -1.0, 7.0]) == 1.0
-        assert f.evaluate([1.0, 1.0, 7.0]) == 0.0
+        np.testing.assert_array_equal(
+            f.evaluate_rows([[1.0, -1.0, 7.0], [1.0, 1.0, 7.0]]), [1.0, 0.0])
 
     def test_xor(self):
-        assert Xor(0, 1).evaluate([1.0, 1.0]) == 0.0
-        assert Xor(0, 1).evaluate([1.0, -1.0]) == 1.0
+        np.testing.assert_array_equal(Xor(0, 1).evaluate_rows([[1.0, 1.0], [1.0, -1.0]]),
+                                      [0.0, 1.0])
 
     def test_threshold(self):
         f = Threshold(0, 0.5)
-        assert f.evaluate([0.5]) == 0.0
-        assert f.evaluate([0.50001]) == 1.0
+        np.testing.assert_array_equal(f.evaluate_rows([[0.5], [0.50001]]), [0.0, 1.0])
 
     def test_positional_oligomer(self):
         f = PositionalOligomer(z="GAT", j=2)
-        assert f.evaluate("AAGATC") == 1.0
-        assert f.evaluate("AAGTTC") == 0.0
+        np.testing.assert_array_equal(f.evaluate_rows(["AAGATC", "AAGTTC"]), [1.0, 0.0])
+
+    def test_oligomer_window_past_end(self):
+        with pytest.raises(FirmError, match=r"window \[2, 5\) exceeds sequence length 4"):
+            PositionalOligomer(z="GAT", j=2).evaluate_rows(["AAGATC", "AAGA"])
 
     def test_oligomer_on_string_rows(self):
         f = PositionalOligomer(z="GAT", j=0)

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from firm import (CovarianceEstimate, FirmError, GaussianModel, KernelExpansionScorer,
-                  KernelSpec, LinearScorer, TabularDataset, conditional_mean,
-                  firm_gaussian_general, firm_gaussian_linear,
+                  KernelSpec, LabelOracleScorer, LinearScorer, TabularDataset,
+                  conditional_mean, firm_gaussian_general, firm_gaussian_linear,
                   firm_regression_closed_form, sensitivity_index, train_least_squares)
 
-from helpers import mc_firm
+from helpers import kernel_gradient_at, mc_firm
 
 
 def model_from(sigma):
@@ -211,9 +211,40 @@ class TestSensitivityIndex:
                                    alpha=rng.normal(size=4), b=0.0,
                                    kernel=KernelSpec.gaussian(2.0))
         idx = sensitivity_index(sc, data)
-        grads = np.array([sc.gradient_at(x) for x in X])
+        grads = np.array([kernel_gradient_at(sc, x) for x in X])
         expect = np.sqrt((grads ** 2).mean(axis=0) * np.var(X, axis=0))
         np.testing.assert_allclose(idx, expect, rtol=1e-12)
+
+
+class TestGradientScorerChecks:
+    """Both gradient consumers reject a scorer without a gradient and a
+    scorer of the wrong dimension instead of broadcasting it."""
+
+    DATA = TabularDataset(X=np.arange(12.0).reshape(4, 3), y=None, names=("a", "b", "c"))
+
+    @staticmethod
+    def consumers(scorer):
+        yield lambda: sensitivity_index(scorer, TestGradientScorerChecks.DATA)
+        yield lambda: firm_gaussian_general(scorer, model_from(np.eye(3)))
+
+    @pytest.mark.parametrize("scorer", [
+        LinearScorer(w=[2.0]),
+        KernelExpansionScorer(points=[[0.5], [-1.0]], alpha=[1.0, 2.0], b=0.0,
+                              kernel=KernelSpec.gaussian(1.0)),
+        KernelExpansionScorer(points=[[0.5], [-1.0]], alpha=[1.0, 2.0], b=0.0,
+                              kernel=KernelSpec.polynomial(2, 1.0)),
+    ], ids=["linear", "gaussian", "polynomial"])
+    def test_wrong_dimension_rejected(self, scorer):
+        for call in self.consumers(scorer):
+            with pytest.raises(FirmError, match="input has dimension 3, scorer expects 1"):
+                call()
+
+    def test_scorer_without_gradient_rejected(self):
+        oracle = LabelOracleScorer.from_dataset(
+            TabularDataset(X=self.DATA.X, y=np.zeros(4), names=self.DATA.names))
+        for call in self.consumers(oracle):
+            with pytest.raises(FirmError, match="has no gradient"):
+                call()
 
 
 class TestRegressionClosedForm:

@@ -13,23 +13,22 @@ from firm import (BudgetExceededError, FirmError, KernelExpansionScorer, KernelS
 from firm.scoring import kmer_offsets
 
 from helpers import (all_pm1_rows, central_difference_gradient, explicit_kmer_ridge,
-                     kmer_scorer, kmer_weight)
+                     kernel_gradient_at, kmer_scorer, kmer_weight)
 
 
 class TestScore:
     def test_linear(self):
-        assert LinearScorer(w=[1.0, 2.0], b=0.0).score([1.0, 1.0]) == 3.0
+        assert LinearScorer(w=[1.0, 2.0], b=0.0).score_many([[1.0, 1.0]])[0] == 3.0
 
     def test_gaussian_kernel_at_own_point(self):
         pt = np.array([[0.3, -0.7]])
         sc = KernelExpansionScorer(points=pt, alpha=[1.0], b=0.0,
                                    kernel=KernelSpec.gaussian(1.0))
-        assert sc.score(pt[0]) == pytest.approx(1.0, abs=1e-15)
+        assert sc.score_many(pt)[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_positional_kmer_indicator(self):
         sc = kmer_scorer(("A", "C", "G", "T"), 4, 3, {(0, "GAT"): 1.0}, b=0.0)
-        assert sc.score("GATT") == 1.0
-        assert sc.score("AGAT") == 0.0
+        np.testing.assert_array_equal(sc.score_many(["GATT", "AGAT"]), [1.0, 0.0])
 
     def test_kmer_scorer_rejects_bad_sequences(self):
         sc = kmer_scorer(("A", "C", "G", "T"), 4, 2, {(0, "GA"): 1.0}, b=0.0)
@@ -38,24 +37,24 @@ class TestScore:
         with pytest.raises(FirmError, match="length mismatch at line 2"):
             sc.score_many(["ACGT", "ACG"])
         with pytest.raises(FirmError, match="length mismatch at line 1"):
-            sc.score("ACGTA")
+            sc.score_many(["ACGTA"])
 
     def test_dimension_mismatch(self):
         with pytest.raises(FirmError):
-            LinearScorer(w=[1.0, 2.0]).score([1.0])
+            LinearScorer(w=[1.0, 2.0]).score_many([[1.0]])
 
     def test_oracle_miss(self):
         sc = LabelOracleScorer(table={(1.0, 2.0): 5.0})
-        assert sc.score([1.0, 2.0]) == 5.0
+        np.testing.assert_array_equal(sc.score_many([[1.0, 2.0]]), [5.0])
         with pytest.raises(FirmError, match="oracle miss"):
-            sc.score([1.0, 3.0])
+            sc.score_many([[1.0, 2.0], [1.0, 3.0]])
 
     def test_score_is_pure(self):
         sc = KernelExpansionScorer(points=np.array([[0.1, 0.2], [0.3, -0.4]]),
                                    alpha=[0.5, -1.5], b=0.2,
                                    kernel=KernelSpec.gaussian(2.0))
-        x = [0.05, -0.02]
-        assert sc.score(x) == sc.score(x)
+        x = [[0.05, -0.02]]
+        assert sc.score_many(x)[0] == sc.score_many(x)[0]
 
 
 class TestGradient:
@@ -86,16 +85,34 @@ class TestGradient:
                                        alpha=rng.normal(size=3), b=rng.normal(),
                                        kernel=kernel)
             x0 = rng.normal(size=d) * 0.5
-            num = central_difference_gradient(sc.score, x0)
+            num = central_difference_gradient(sc, x0)
             ana = gradient_at(sc, x0)
             np.testing.assert_allclose(ana, num, rtol=1e-6, atol=1e-8)
-            num0 = central_difference_gradient(sc.score, np.zeros(d))
+            num0 = central_difference_gradient(sc, np.zeros(d))
             np.testing.assert_allclose(gradient_at(sc, np.zeros(d)), num0,
                                        rtol=1e-6, atol=1e-8)
 
     def test_oracle_has_no_gradient(self):
         with pytest.raises(FirmError):
             gradient_at(LabelOracleScorer(table={}), np.zeros(2))
+
+    def test_linear_gradient_is_one_row(self):
+        g = LinearScorer(w=[3.0, -1.0]).gradient_many(np.ones((5, 2)))
+        np.testing.assert_array_equal(g, [[3.0, -1.0]])
+
+    @pytest.mark.parametrize("kernel", [KernelSpec.gaussian(1.3)] + [
+        KernelSpec.polynomial(p, c) for p in (1, 2, 3) for c in (0.0, 0.5)],
+        ids=lambda k: f"{k.variant}-{k.gamma or k.degree}-{k.offset}")
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_gradient_many_matches_per_point_formula(self, kernel, d):
+        rng = np.random.default_rng(d)
+        sc = KernelExpansionScorer(points=rng.normal(size=(7, d)),
+                                   alpha=rng.normal(size=7), b=0.4, kernel=kernel)
+        X = rng.normal(size=(25, d))
+        grads = sc.gradient_many(X)
+        assert grads.shape == (25, d)
+        for x, g in zip(X, grads):
+            np.testing.assert_allclose(g, kernel_gradient_at(sc, x), rtol=1e-12, atol=0)
 
 
 class TestLeastSquares:
@@ -244,10 +261,10 @@ class TestPositionalKmerTrainer:
         sc = train_positional_kmer(ds, K=2, lam=0.5)
         # a ridge fit must reproduce its own normal equations: compare score
         # against the explicit sparse sum
-        for s in seqs[:5]:
+        for s, got in zip(seqs[:5], sc.score_many(seqs[:5])):
             manual = sc.b + sum(kmer_weight(sc, i, s[i:i + k])
                                 for k in (1, 2) for i in range(len(s) - k + 1))
-            assert sc.score(s) == pytest.approx(manual, rel=1e-12)
+            assert got == pytest.approx(manual, rel=1e-12)
 
 
 class TestStandardize:

@@ -12,7 +12,7 @@ from firm import (BudgetExceededError, FirmError, MarkovBackground, PoimTable,
                   ranked_oligomers)
 from firm import experiments
 
-from helpers import (enum_conditional_score, enum_expected_score, enumerate_sequences,
+from helpers import (enum_conditional_score, enum_expected_score,
                      kmer_scorer, kmer_weight)
 
 
@@ -35,7 +35,7 @@ class TestExpectedScore:
         sc = kmer_scorer(DNA, 4, 3, {(0, "GAT"): 1.0}, b=0.0)
         bg = MarkovBackground.uniform(DNA)
         assert expected_score(sc, bg) == pytest.approx(1.0 / 64.0, abs=1e-15)
-        enum = enum_expected_score(sc.score, DNA, 4, bg.letter_prob)
+        enum = enum_expected_score(sc, DNA, 4, bg.letter_prob)
         assert expected_score(sc, bg) == pytest.approx(enum, abs=1e-12)
 
     def test_zero_weights_give_bias(self):
@@ -64,7 +64,7 @@ class TestConditionalExpectedScore:
         bg = MarkovBackground.uniform(DNA)
         got = conditional_expected_score(sc, bg, "GAT", 1)
         assert got == pytest.approx(0.25, abs=1e-15)
-        enum = enum_conditional_score(sc.score, DNA, 5,
+        enum = enum_conditional_score(sc, DNA, 5,
                                       bg.letter_prob, "GAT", 1)
         assert got == pytest.approx(enum, abs=1e-12)
 
@@ -74,7 +74,7 @@ class TestConditionalExpectedScore:
         bg = MarkovBackground.uniform(DNA)
         z = "GATTC"
         assert conditional_expected_score(sc, bg, z, 0) == pytest.approx(
-            sc.score(z), rel=1e-12)
+            sc.score_many([z])[0], rel=1e-12)
 
     def test_out_of_range_window(self):
         sc = kmer_scorer(DNA, 4, 1, {}, b=0.0)
@@ -88,7 +88,7 @@ class TestConditionalExpectedScore:
         for trial in range(3):
             sc = random_sparse_scorer(rng, alphabet, L, min(3, L), 8)
             escore = expected_score(sc, bg)
-            enum = enum_expected_score(sc.score, alphabet, L,
+            enum = enum_expected_score(sc, alphabet, L,
                                        bg.letter_prob)
             assert escore == pytest.approx(enum, abs=1e-12)
             for _ in range(4):
@@ -96,7 +96,7 @@ class TestConditionalExpectedScore:
                 j = int(rng.integers(0, L - k + 1))
                 z = "".join(rng.choice(alphabet, size=k))
                 got = conditional_expected_score(sc, bg, z, j)
-                want = enum_conditional_score(sc.score, alphabet, L,
+                want = enum_conditional_score(sc, alphabet, L,
                                               bg.letter_prob, z, j)
                 assert got == pytest.approx(want, abs=1e-12)
 
@@ -106,10 +106,10 @@ class TestConditionalExpectedScore:
                               letter_prob={"A": 0.4, "C": 0.3, "G": 0.2, "T": 0.1})
         rng = np.random.default_rng(5)
         sc = random_sparse_scorer(rng, alphabet, 4, 2, 6)
-        enum = enum_expected_score(sc.score, alphabet, 4, bg.letter_prob)
+        enum = enum_expected_score(sc, alphabet, 4, bg.letter_prob)
         assert expected_score(sc, bg) == pytest.approx(enum, abs=1e-12)
         got = conditional_expected_score(sc, bg, "CT", 1)
-        want = enum_conditional_score(sc.score, alphabet, 4,
+        want = enum_conditional_score(sc, alphabet, 4,
                                       bg.letter_prob, "CT", 1)
         assert got == pytest.approx(want, abs=1e-12)
 
@@ -121,15 +121,13 @@ class TestPoimTable:
         sc = random_sparse_scorer(rng, DNA, 6, 3, 12)
         table = poim(sc, bg, k=2)
         base = expected_score(sc, bg)
-        seqs = enumerate_sequences(DNA, 6)
-        scores = dict(zip(seqs, sc.score_many(seqs)))
-        enum_base = enum_expected_score(scores.__getitem__, DNA, 6, bg.letter_prob)
+        enum_base = enum_expected_score(sc, DNA, 6, bg.letter_prob)
         for j in range(table.positions):
             for zi in range(16):
                 z = table.oligomer(zi)
                 want = conditional_expected_score(sc, bg, z, j) - base
                 assert table.value(z, j) == pytest.approx(want, abs=1e-12)
-                enum = enum_conditional_score(scores.__getitem__, DNA, 6,
+                enum = enum_conditional_score(sc, DNA, 6,
                                               bg.letter_prob, z, j) - enum_base
                 assert table.value(z, j) == pytest.approx(enum, abs=1e-12)
 
