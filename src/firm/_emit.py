@@ -2,9 +2,13 @@
 
 Commands compute everything first, then hand a complete set of artifacts
 to `write_artifacts`, which stages each file next to its destination and
-renames it into place. A failure during computation therefore leaves no
-partial output behind. All floats are written with repr, so identical runs
-produce byte-identical files.
+renames it into place. A failure during computation, before the first
+write, therefore writes nothing. Each file is replaced atomically, but the
+set is not: a failure partway through the writes leaves the files already
+renamed, and a reused output directory keeps files of an earlier run that
+this run does not write (such as `curves/*.tsv` for columns it lacks).
+All floats are written with repr, so identical runs produce
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -106,7 +110,7 @@ def poim_top_tsv(ranked) -> str:
 
 
 def write_artifacts(outdir: str, artifacts: dict) -> None:
-    """Atomically place every artifact (str content) under outdir."""
+    """Place every artifact (str content) under outdir, each file atomically."""
     for relpath, content in artifacts.items():
         dest = os.path.join(outdir, relpath)
         os.makedirs(os.path.dirname(dest) or ".", exist_ok=True)

@@ -6,6 +6,7 @@ so shared instances are safe under concurrent use.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -157,31 +158,39 @@ def _parse_cell(raw: str, line_no: int, col_name: str) -> float:
         v = float(raw)
     except ValueError:
         raise DataFormatError(
-            f"cell at row {line_no}, column '{col_name}' does not parse "
+            f"cell at line {line_no}, column '{col_name}' does not parse "
             f"as a number: {raw!r}") from None
     if not math.isfinite(v):
         raise DataFormatError(
-            f"non-finite value at row {line_no}, column '{col_name}': {raw!r}")
+            f"non-finite value at line {line_no}, column '{col_name}': {raw!r}")
     return v
 
 
-def load_tabular(path, has_labels: bool = False) -> TabularDataset:
-    """Read a comma-separated file (header row, '.' decimals, no quoting).
+def _nonblank_lines(fh):
+    """(1-based line in the file, line) for each line of fh that is not blank."""
+    return ((line_no, ln) for line_no, ln in enumerate(fh, start=1) if ln.strip() != "")
 
-    With has_labels the last column holds the labels.
+
+def _split_header(line: str) -> list[str]:
+    return [h.strip() for h in line.rstrip("\n").split(",")]
+
+
+def _parse_rows(path) -> tuple[list[str], np.ndarray]:
+    """Header and n x len(header) data of a tabular file, one Python float per cell.
+
+    The reference parser, and the source of every format error: blank
+    lines are skipped, but errors name a line by its place in the file.
     """
     with open(path, encoding="utf-8") as fh:
-        # blank lines are skipped, but errors name a line by its place in the file
-        lines = ((line_no, ln.rstrip("\n")) for line_no, ln in enumerate(fh, start=1)
-                 if ln.strip() != "")
+        lines = _nonblank_lines(fh)
         first = next(lines, None)
         if first is None:
             raise DataFormatError(f"{path}: empty file")
-        header = [h.strip() for h in first[1].split(",")]
+        header = _split_header(first[1])
         ncols = len(header)
         rows = []
         for line_no, line in lines:
-            cells = line.split(",")
+            cells = line.rstrip("\n").split(",")
             if len(cells) != ncols:
                 raise DataFormatError(
                     f"{path}: ragged row at line {line_no}: "
@@ -190,9 +199,44 @@ def load_tabular(path, has_labels: bool = False) -> TabularDataset:
                          for i, c in enumerate(cells)])
     if not rows:
         raise DataFormatError(f"{path}: no data rows")
-    data = np.array(rows, dtype=np.float64)
+    return header, np.array(rows, dtype=np.float64)
+
+
+def _load_fast(path) -> tuple[list[str], np.ndarray] | None:
+    """Header and data of a well-formed tabular file through np.loadtxt.
+
+    None for a file that it rejects or reads as other than at least one
+    row of len(header) finite values; _parse_rows then decides.
+    """
+    with open(path, encoding="utf-8") as fh:
+        lines = _nonblank_lines(fh)
+        first, second = next(lines, None), next(lines, None)
+        if second is None:  # no data row, where loadtxt would warn
+            return None
+        header = _split_header(first[1])
+        try:
+            data = np.loadtxt(itertools.chain([second[1]], fh), delimiter=",",
+                              comments=None, dtype=np.float64, ndmin=2)
+        except ValueError:
+            return None
+    if data.shape[0] < 1 or data.shape[1] != len(header) or not np.isfinite(data).all():
+        return None
+    return header, data
+
+
+def load_tabular(path, has_labels: bool = False) -> TabularDataset:
+    """Read a comma-separated file (header row, '.' decimals, no quoting).
+
+    With has_labels the last column holds the labels. A well-formed file
+    is read in one vectorised pass by np.loadtxt. Any other file, and any
+    cell loadtxt rejects but Python float accepts (such as '1_0'), is
+    parsed again cell by cell with Python float, which names the line and
+    column of the first bad cell or ragged row. Both paths give the
+    bitwise-same array or the same DataFormatError.
+    """
+    header, data = _load_fast(path) or _parse_rows(path)
     if has_labels:
-        if ncols < 2:
+        if len(header) < 2:
             raise DataFormatError(f"{path}: need at least one feature column plus labels")
         return TabularDataset(X=data[:, :-1], y=data[:, -1], names=tuple(header[:-1]))
     return TabularDataset(X=data, y=None, names=tuple(header))

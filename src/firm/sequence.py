@@ -207,13 +207,21 @@ def ranked_oligomers(table: PoimTable, top: int) -> list[tuple[str, int, float]]
     """Top (oligomer, position, importance) cells by |importance|.
 
     Ties break lexicographically by (position, oligomer), so the order is
-    deterministic even for all-zero tables.
+    deterministic even for all-zero tables. A negative top is an error.
     """
+    if top < 0:
+        raise FirmError(f"top must be >= 0, got {top}")
+    if top == 0:
+        return []
     nz = table.firm_values.shape[0]
     # position-major flattening: a stable sort leaves ties in (position, oligomer) order
-    order = np.argsort(-np.abs(table.firm_values.T).ravel(), kind="stable")
+    mag = np.abs(table.firm_values.T).ravel()
+    # only cells at or above the top-th largest magnitude can rank; sort just those
+    kth = max(mag.size - top, 0)
+    cand = np.flatnonzero(mag >= np.partition(mag, kth)[kth])
+    order = cand[np.argsort(-mag[cand], kind="stable")]
     out = []
-    for flat in order[:max(0, top)]:
+    for flat in order[:top]:
         j, zi = divmod(int(flat), nz)
         out.append((table.oligomer(zi), j, float(table.firm_values[zi, j])))
     return out

@@ -193,6 +193,17 @@ class TestAnalyzeSequence:
         assert err.startswith("error:") and err.count("\n") == 1 and "weights" in err
         assert not out.exists()
 
+    def test_negative_top_fails_with_one_line(self, tmp_path, capsys):
+        inp = tmp_path / "seqs.tsv"
+        self.write_seqs(inp, np.random.default_rng(6), n=4, L=6)
+        out = tmp_path / "out"
+        assert run("analyze", "--input", str(inp), "--method", "poim",
+                   "--scorer", "train:kmer", "--degree", "1", "--k", "2",
+                   "--top", "-1", "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and "top" in err
+        assert not out.exists()
+
     def test_poim_requires_kmer_scorer(self, tmp_path, capsys):
         inp = tmp_path / "seqs.tsv"
         inp.write_text("ACGT\t+1\nTTTT\t-1\n", encoding="utf-8")
@@ -229,6 +240,37 @@ class TestConfigValidation:
                    "--out", str(out)) != 0
         assert not out.exists()
 
+
+    def test_header_only_csv_fails_with_one_line(self, tmp_path):
+        # a child process, so that a warning would reach the real stderr
+        inp = tmp_path / "d.csv"
+        inp.write_text("a,label\n\n", encoding="utf-8")
+        out = tmp_path / "out"
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(firm.__file__))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "firm.cli", "analyze", "--input", str(inp),
+             "--method", "binary", "--out", str(out)],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: {inp}: no data rows\n"
+        assert not out.exists()
+
+    def test_cell_only_python_float_reads_gives_same_bytes(self, tmp_path):
+        # '1_0' sends the file down the per-cell parse; '10' takes the fast one
+        rng = np.random.default_rng(12)
+        X = rng.normal(size=(30, 2))
+        y = X[:, 0] + rng.normal(size=30)
+        write_csv(tmp_path / "d.csv", X, y)
+        lines = (tmp_path / "d.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+        rest = lines[5].split(",", 1)[1]
+        for name, cell in (("plain", "10"), ("underscore", "1_0")):
+            lines[5] = f"{cell},{rest}"
+            inp = tmp_path / f"{name}.csv"
+            inp.write_text("".join(lines), encoding="utf-8")
+            assert run("analyze", "--input", str(inp), "--method", "slope",
+                       "--scorer", "train:ridge", "--out", str(tmp_path / name)) == 0
+        assert ((tmp_path / "plain" / "firm.tsv").read_bytes()
+                == (tmp_path / "underscore" / "firm.tsv").read_bytes())
 
     def test_failed_write_removes_its_temp_file(self, tmp_path, capsys):
         inp = tmp_path / "d.csv"
@@ -398,7 +440,9 @@ class TestExperiments:
         ("experiment-gaussian", "--n-per-class", "-1"),
         ("experiment-sequence", "--n-per-class", "-1"),
         ("experiment-sequence", "--seq-len", "6"),
-    ], ids=["gaussian-n", "sequence-n", "sequence-len"])
+        ("experiment-sequence", "--n-per-class", "10", "--seq-len", "10",
+         "--degree", "1", "--top", "-1"),
+    ], ids=["gaussian-n", "sequence-n", "sequence-len", "sequence-top"])
     def test_bad_sizes_fail_cleanly(self, tmp_path, capsys, argv):
         out = tmp_path / "exp"
         assert run(*argv, "--out", str(out)) == 1

@@ -278,6 +278,32 @@ class TestRankedOligomers:
         assert ranked_oligomers(table, top=7) == expected[:7]
 
 
+    def test_cut_inside_a_run_of_ties(self):
+        # magnitudes 3, then eleven cells of 2 (some negative), then 1 and 0
+        q = np.zeros((4, 5))
+        q[1, 4] = 3.0
+        for z, j in [(0, 0), (3, 0), (2, 1), (0, 2), (1, 2), (3, 2), (2, 3), (0, 4),
+                     (2, 4), (3, 4), (1, 1)]:
+            q[z, j] = 2.0 if (z + j) % 2 else -2.0
+        q[0, 1] = 1.0
+        table = PoimTable(k=1, length=5, alphabet=DNA, values=q / 2.0, firm_values=q)
+        nz, npos = q.shape
+        z_idx = np.repeat(np.arange(nz), npos)
+        j_idx = np.tile(np.arange(npos), nz)
+        order = np.lexsort((z_idx, j_idx, -np.abs(q).ravel()))
+        expected = [(table.oligomer(int(z_idx[f])), int(j_idx[f]),
+                     float(q[z_idx[f], j_idx[f]])) for f in order]
+        assert abs(expected[4][2]) == abs(expected[5][2]) == 2.0   # top=5 cuts the run
+        for top in range(q.size + 2):
+            assert ranked_oligomers(table, top=top) == expected[:top]
+
+    def test_negative_top_rejected(self):
+        table = poim(kmer_scorer(DNA, 4, 1, {(0, "C"): 1.0}, b=0.0),
+                     MarkovBackground.uniform(DNA), k=1)
+        with pytest.raises(FirmError, match="top"):
+            ranked_oligomers(table, top=-1)
+
+
 class TestBackground:
     def test_uniform(self):
         bg = MarkovBackground.uniform(DNA)
