@@ -17,7 +17,7 @@ import numpy as np
 from . import _emit, experiments
 from .binary import firm_binary_values
 from .dataset import (CovarianceEstimate, TabularDataset, empirical_covariance,
-                      load_sequences, load_tabular, shrinkage_covariance)
+                      load_sequences, load_tabular, open_utf8, shrinkage_covariance)
 from .empirical import conditional_curve, default_bins, firm_from_curve, firm_slope
 from .errors import DataFormatError, FirmError
 from .gaussian import GaussianModel, firm_gaussian_general, sensitivity_index
@@ -49,7 +49,7 @@ def parse_kernel(text: str, degree: int) -> KernelSpec:
 
 def load_covariance_file(path: str) -> CovarianceEstimate:
     rows = []
-    with open(path, encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,8 +50,13 @@ class TabularDataset:
                 raise FirmError("labels contain non-finite entries")
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
+        with np.errstate(over="ignore", invalid="ignore"):
+            means = X.mean(axis=0)
+        bad = np.flatnonzero(~np.isfinite(means))
+        if bad.size:
+            raise FirmError(f"mean of column '{self.names[bad[0]]}' overflows")
         object.__setattr__(self, "names", tuple(self.names))
-        object.__setattr__(self, "column_means", _frozen(X.mean(axis=0)))
+        object.__setattr__(self, "column_means", _frozen(means))
 
     @property
     def n(self) -> int:
@@ -153,6 +159,17 @@ class CovarianceEstimate:
 # loading / saving
 # ---------------------------------------------------------------------------
 
+@contextmanager
+def open_utf8(path):
+    """path opened as UTF-8 text; bytes that are not UTF-8 raise
+    DataFormatError naming the file, wherever the block reads them."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def _parse_cell(raw: str, line_no: int, col_name: str) -> float:
     try:
         v = float(raw)
@@ -181,7 +198,7 @@ def _parse_rows(path) -> tuple[list[str], np.ndarray]:
     The reference parser, and the source of every format error: blank
     lines are skipped, but errors name a line by its place in the file.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         lines = _nonblank_lines(fh)
         first = next(lines, None)
         if first is None:
@@ -208,7 +225,7 @@ def _load_fast(path) -> tuple[list[str], np.ndarray] | None:
     None for a file that it rejects or reads as other than at least one
     row of len(header) finite values; _parse_rows then decides.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         lines = _nonblank_lines(fh)
         first, second = next(lines, None), next(lines, None)
         if second is None:  # no data row, where loadtxt would warn
@@ -262,7 +279,7 @@ def load_sequences(path, alphabet: tuple[str, ...] = DNA_ALPHABET) -> SequenceDa
     """Read tab-separated `<sequence>\\t<label>` lines, label in {+1,-1}."""
     seqs: list[str] = []
     labels: list[float] = []
-    with open(path, encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if line == "":

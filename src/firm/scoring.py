@@ -13,7 +13,7 @@ one gradient per row, where a constant gradient (linear) is one row.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -49,12 +49,25 @@ class KernelSpec:
         return cls(variant="polynomial", degree=int(degree), offset=float(offset))
 
     def gram(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        """Kernel matrix k(a_i, b_j) for the rows of the matrices A and B."""
+        """Kernel matrix k(a_i, b_j) for the rows of the matrices A and B.
+
+        One n x m buffer is filled in place; the order of operations is that
+        of exp(-max(|a|^2 + |b|^2 - 2 a'b, 0) / gamma^2) and (a'b + offset)^degree.
+        """
         if self.variant == "gaussian":
-            sq = (A ** 2).sum(axis=1)[:, None] + (B ** 2).sum(axis=1)[None, :] \
-                - 2.0 * (A @ B.T)
-            return np.exp(-np.maximum(sq, 0.0) / self.gamma ** 2)
-        return (A @ B.T + self.offset) ** self.degree
+            S = (A ** 2).sum(axis=1)[:, None] + (B ** 2).sum(axis=1)[None, :]
+            AB = A @ B.T
+            AB *= 2.0
+            S -= AB
+            del AB
+            np.maximum(S, 0.0, out=S)
+            np.negative(S, out=S)
+            S /= self.gamma ** 2
+            return np.exp(S, out=S)
+        G = A @ B.T
+        G += self.offset
+        G **= self.degree
+        return G
 
 
 def _rows(X, d: int) -> np.ndarray:
@@ -90,12 +103,22 @@ class LinearScorer:
 
 @dataclass(frozen=True)
 class KernelExpansionScorer:
-    """s(x) = sum_i alpha_i k(points_i, x) + b (label factors folded into alpha)."""
+    """s(x) = sum_i alpha_i k(points_i, x) + b (label factors folded into alpha).
+
+    A scorer made by train_kernel_ridge keeps the read-only training Gram
+    matrix gram(points, points). score_many(X) and the Gaussian
+    gradient_many(X) use it in place of kernel.gram(X, points) when X has
+    the shape and the bytes of points (so -0.0 and 0.0 differ), and
+    recompute for any other X. The kept matrix is not a constructor
+    argument, is not serialised and takes no part in equality; a scorer
+    built any other way, replace() included, has none.
+    """
 
     points: np.ndarray
     alpha: np.ndarray
     b: float
     kernel: KernelSpec
+    _gram: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=np.float64))
@@ -110,15 +133,22 @@ class KernelExpansionScorer:
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "b", float(self.b))
 
+    def _gram_with(self, X: np.ndarray) -> np.ndarray:
+        """gram(X, points): the kept training matrix when X is points byte for byte."""
+        if (self._gram is not None and X.shape == self.points.shape
+                and X.tobytes() == self.points.tobytes()):
+            return self._gram
+        return self.kernel.gram(X, self.points)
+
     def score_many(self, X) -> np.ndarray:
         X = _rows(X, self.points.shape[1])
-        return self.kernel.gram(X, self.points) @ self.alpha + self.b
+        return self._gram_with(X) @ self.alpha + self.b
 
     def gradient_many(self, X) -> np.ndarray:
         X = _rows(X, self.points.shape[1])
         if self.kernel.variant == "gaussian":
             # (2/gamma^2) ((K o alpha) P - rowsum(K o alpha) X), K = gram(X, P)
-            K = self.kernel.gram(X, self.points) * self.alpha
+            K = self._gram_with(X) * self.alpha
             return (2.0 / self.kernel.gamma ** 2) * (K @ self.points - K.sum(axis=1)[:, None] * X)
         p, c = self.kernel.degree, self.kernel.offset   # ((X P' + c)^(p-1) o p alpha) P
         return ((X @ self.points.T + c) ** (p - 1) * (p * self.alpha)) @ self.points
@@ -280,14 +310,27 @@ def train_ridge(data: TabularDataset, lam: float) -> LinearScorer:
 
 def train_kernel_ridge(data: TabularDataset, kernel: KernelSpec,
                        lam: float) -> KernelExpansionScorer:
-    """Kernel ridge: alpha = (K + n*lambda*I)^-1 (y - mean(y)), b = mean(y)."""
+    """Kernel ridge: alpha = (K + n*lambda*I)^-1 (y - mean(y)), b = mean(y).
+
+    n*lambda is added to the diagonal of the Gram matrix K in place and
+    taken off again after the solve, so K is bitwise kernel.gram(X, X); the
+    scorer keeps it for scores and gradients on the training rows. Peak
+    memory is two n x n matrices: K, plus first the product gram() builds
+    it from and then the copy np.linalg.solve makes.
+    """
     if not 0 < lam < np.inf:
         raise FirmError("lambda must be finite and > 0")
     y = data.labels()
     K = kernel.gram(data.X, data.X)
-    alpha = np.linalg.solve(K + data.n * lam * np.eye(data.n), y - y.mean())
-    return KernelExpansionScorer(points=data.X, alpha=alpha, b=float(y.mean()),
-                                 kernel=kernel)
+    on_diag, diag = np.diag_indices(data.n), K.diagonal().copy()
+    K[on_diag] += data.n * lam
+    alpha = np.linalg.solve(K, y - y.mean())
+    K[on_diag] = diag
+    K.setflags(write=False)
+    scorer = KernelExpansionScorer(points=data.X, alpha=alpha, b=float(y.mean()),
+                                   kernel=kernel)
+    object.__setattr__(scorer, "_gram", K)
+    return scorer
 
 
 def train_positional_kmer(data: SequenceDataset, K: int, lam: float) -> PositionalKmerScorer:

@@ -69,6 +69,15 @@ def kernel_gradient_at(scorer, x0):
     return (scorer.alpha * p * base ** (p - 1)) @ scorer.points
 
 
+def reference_gram(kernel, A, B):
+    """Kernel matrix of the rows of A and B, each variant as one expression."""
+    if kernel.variant == "gaussian":
+        sq = (A ** 2).sum(axis=1)[:, None] + (B ** 2).sum(axis=1)[None, :] \
+            - 2.0 * (A @ B.T)
+        return np.exp(-np.maximum(sq, 0.0) / kernel.gamma ** 2)
+    return (A @ B.T + kernel.offset) ** kernel.degree
+
+
 def enumerate_sequences(alphabet, length):
     """All |alphabet|^length sequences as strings."""
     return ["".join(t) for t in itertools.product(alphabet, repeat=length)]

@@ -356,6 +356,31 @@ class TestConfigValidation:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("name,data,argv", [
+        ("d.csv", b"a\xe9,label\n1,1\n-1,-1\n", ["--method", "binary"]),
+        ("s.tsv", b"\xff\xfeACGT\t+1\nTTGA\t-1\n",
+         ["--method", "poim", "--scorer", "train:kmer", "--degree", "1", "--k", "1"]),
+    ], ids=["csv", "tsv"])
+    def test_not_utf8_fails_with_one_line(self, tmp_path, capsys, name, data, argv):
+        inp = tmp_path / name
+        inp.write_bytes(data)
+        out = tmp_path / "out"
+        assert run("analyze", "--input", str(inp), *argv, "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {inp}: not UTF-8 text (") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_overflowing_column_mean_fails_with_one_line(self, tmp_path, capsys):
+        inp = tmp_path / "d.csv"
+        inp.write_text("a,b,label\n0,1.7976931348623157e308,1\n"
+                       "1,1.7976931348623157e308,-1\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run("analyze", "--input", str(inp), "--method", "binary",
+                   "--out", str(out)) == 1
+        assert capsys.readouterr().err == "error: mean of column 'b' overflows\n"
+        assert not out.exists()
+
+
 class TestCovarianceCommand:
     def test_empirical_near_identity(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -385,12 +410,13 @@ class TestCovarianceCommand:
     @pytest.mark.parametrize("text,message", [
         ("1\t0\nnot_a_number\t1\n", "line 2 is not numeric"),
         ("1,,0.5\n0.5,2\n", "line 1 has an empty cell"),
-    ], ids=["non-numeric", "empty-cell"])
+        ("1\t0\n0\t\udce91\n", "cov.tsv: not UTF-8 text ("),
+    ], ids=["non-numeric", "empty-cell", "not-utf8"])
     def test_malformed_covariance_file(self, tmp_path, capsys, text, message):
         inp = tmp_path / "d.csv"
         inp.write_text("a,b\n1,2\n3,4\n5,6\n", encoding="utf-8")
         covfile = tmp_path / "cov.tsv"
-        covfile.write_text(text, encoding="utf-8")
+        covfile.write_bytes(text.encode("utf-8", "surrogateescape"))
         out = tmp_path / "out"
         assert run("covariance", "--input", str(inp),
                    "--covariance", f"file:{covfile}", "--out", str(out)) != 0

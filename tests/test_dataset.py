@@ -105,18 +105,21 @@ def csv_files(draw):
 
 
 def reference_parse(path, has_labels):
+    """The per-cell loop's arrays, through the TabularDataset checks."""
     header, data = _parse_rows(path)
     if has_labels:
-        return data[:, :-1], data[:, -1], tuple(header[:-1])
-    return data, None, tuple(header)
+        ds = TabularDataset(X=data[:, :-1], y=data[:, -1], names=tuple(header[:-1]))
+    else:
+        ds = TabularDataset(X=data, y=None, names=tuple(header))
+    return ds.X, ds.y, ds.names
 
 
 def outcome(parse):
-    """Bitwise contents of X, y and names, or the DataFormatError message."""
+    """Bitwise contents of X, y and names, or the FirmError type and message."""
     try:
         X, y, names = parse()
-    except DataFormatError as exc:
-        return "error", str(exc)
+    except FirmError as exc:
+        return type(exc).__name__, str(exc)
     return ("ok", X.shape, X.tobytes(), None if y is None else y.tobytes(), names)
 
 
@@ -130,10 +133,7 @@ class TestParserAgreement:
         p.write_bytes(text.encode("utf-8"))
 
         def loaded():
-            # cells near the float max overflow TabularDataset's column means,
-            # which this test does not check
-            with np.errstate(over="ignore"):
-                ds = load_tabular(p, has_labels=has_labels)
+            ds = load_tabular(p, has_labels=has_labels)
             return ds.X, ds.y, ds.names
 
         assert outcome(loaded) == outcome(lambda: reference_parse(p, has_labels))
@@ -163,6 +163,27 @@ class TestParserAgreement:
         a = load_tabular(write(tmp_path, "a.csv", "a,b\n1,1_0\n2,3\n"))
         b = load_tabular(write(tmp_path, "b.csv", "a,b\n1,10\n2,3\n"))
         assert a.X.tobytes() == b.X.tobytes()
+
+
+class TestNotUtf8:
+    @pytest.mark.parametrize("data", [
+        b"a\xe9,label\n1,1\n-1,-1\n",                       # in the header
+        b"a,label\n1,1\n-1,-1\xe9\n",                        # in a data row
+        b"a,label\n" + b"1,1\n" * 5000 + b"\xff,1\n",          # past the first read
+    ], ids=["header", "row", "late-row"])
+    def test_tabular(self, tmp_path, data):
+        p = tmp_path / "d.csv"
+        p.write_bytes(data)
+        with pytest.raises(DataFormatError, match=r"d\.csv: not UTF-8 text \("):
+            load_tabular(p, has_labels=True)
+        with pytest.raises(DataFormatError, match=r"d\.csv: not UTF-8 text \("):
+            _parse_rows(p)
+
+    def test_sequences(self, tmp_path):
+        p = tmp_path / "s.tsv"
+        p.write_bytes(b"\xff\xfeACGT\t+1\n")
+        with pytest.raises(DataFormatError, match=r"s\.tsv: not UTF-8 text \("):
+            load_sequences(p)
 
 
 class TestLoadSequences:
@@ -274,6 +295,17 @@ class TestValidation:
     def test_nonfinite_rejected(self):
         with pytest.raises(FirmError):
             TabularDataset(X=np.array([[np.inf]]), y=None, names=("a",))
+
+    def test_overflowing_column_mean_named(self):
+        big = 1.7976931348623157e308
+        X = np.array([[0.0, big, big], [1.0, big, big]])
+        with pytest.raises(FirmError, match=r"^mean of column 'b' overflows$"):
+            TabularDataset(X=X, y=None, names=("a", "b", "c"))
+
+    def test_column_means_unchanged_for_finite_data(self):
+        X = np.random.default_rng(3).normal(size=(50, 4)) * 1e300
+        ds = TabularDataset(X=X, y=None, names=("a", "b", "c", "d"))
+        assert ds.column_means.tobytes() == X.mean(axis=0).tobytes()
 
     def test_label_length_checked(self):
         with pytest.raises(FirmError):

@@ -4,6 +4,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from firm import (BudgetExceededError, FirmError, KernelExpansionScorer, KernelSpec,
                   LabelOracleScorer, LinearScorer, PositionalKmerScorer, SequenceDataset,
@@ -13,7 +16,7 @@ from firm import (BudgetExceededError, FirmError, KernelExpansionScorer, KernelS
 from firm.scoring import kmer_offsets
 
 from helpers import (all_pm1_rows, central_difference_gradient, explicit_kmer_ridge,
-                     kernel_gradient_at, kmer_scorer, kmer_weight)
+                     kernel_gradient_at, kmer_scorer, kmer_weight, reference_gram)
 
 
 class TestScore:
@@ -199,6 +202,115 @@ class TestKernelRidge:
         ds = TabularDataset(X=X, y=y, names=("x1", "x2", "x3"))
         sc = train_kernel_ridge(ds, KernelSpec.polynomial(2, 1.0), 1e-6)
         np.testing.assert_array_equal(np.sign(score_many(sc, X)), y)
+
+
+kernel_specs = st.one_of(
+    st.floats(0.1, 10.0).map(KernelSpec.gaussian),
+    st.builds(KernelSpec.polynomial, st.integers(1, 5), st.floats(0.0, 2.0)))
+
+
+def row_matrices(rows, d):
+    return hnp.arrays(np.float64, (rows, d), elements=st.floats(-3.0, 3.0))
+
+
+@st.composite
+def gram_cases(draw):
+    """(kernel, A, B); B is sometimes A itself, the training case."""
+    d = draw(st.integers(1, 4))
+    A = draw(row_matrices(draw(st.integers(1, 6)), d))
+    B = A if draw(st.booleans()) else draw(row_matrices(draw(st.integers(1, 6)), d))
+    return draw(kernel_specs), A, B
+
+
+class TestGram:
+    @given(gram_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_one_expression_formula_bitwise(self, case):
+        kernel, A, B = case
+        K = kernel.gram(A, B)
+        assert K.shape == (A.shape[0], B.shape[0])
+        assert K.tobytes() == reference_gram(kernel, A, B).tobytes()
+
+
+class TestKeptGram:
+    """train_kernel_ridge's scorer reuses its training Gram matrix."""
+
+    KERNELS = [KernelSpec.gaussian(1.5), KernelSpec.polynomial(3, 0.5)]
+
+    @staticmethod
+    def trained(kernel):
+        rng = np.random.default_rng(11)
+        X = rng.normal(size=(40, 3))
+        X[5, 1] = 0.0
+        ds = TabularDataset(X=X, y=np.sin(X[:, 0]) + X[:, 1] * X[:, 2],
+                            names=("a", "b", "c"))
+        return ds, train_kernel_ridge(ds, kernel, 0.01)
+
+    @staticmethod
+    def count_gram_calls(monkeypatch):
+        calls = []
+        gram = KernelSpec.gram
+
+        def counted(self, A, B):
+            calls.append(A.shape)
+            return gram(self, A, B)
+
+        monkeypatch.setattr(KernelSpec, "gram", counted)
+        return calls
+
+    @staticmethod
+    def bits(sc, X):
+        return sc.score_many(X).tobytes(), sc.gradient_many(X).tobytes()
+
+    @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.variant)
+    def test_kept_matrix_is_the_read_only_training_gram(self, kernel):
+        ds, sc = self.trained(kernel)
+        assert not sc._gram.flags.writeable
+        assert sc._gram.tobytes() == kernel.gram(ds.X, ds.X).tobytes()
+
+    @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.variant)
+    def test_training_rows_reuse_it_bitwise(self, kernel, monkeypatch):
+        ds, sc = self.trained(kernel)
+        rebuilt = scorer_from_json(scorer_to_json(sc))
+        assert rebuilt._gram is None
+        expected = self.bits(rebuilt, ds.X)
+        calls = self.count_gram_calls(monkeypatch)
+        assert self.bits(sc, ds.X) == expected
+        assert self.bits(sc, ds.X.copy()) == expected
+        assert calls == []
+
+    @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.variant)
+    def test_other_inputs_recompute(self, kernel, monkeypatch):
+        ds, sc = self.trained(kernel)
+        rebuilt = scorer_from_json(scorer_to_json(sc))
+        signed_zero = ds.X.copy()
+        signed_zero[5, 1] = -0.0
+        assert np.array_equal(signed_zero, ds.X)
+        others = [ds.X + 1e-3, signed_zero, ds.X[:10], ds.X[::-1]]
+        calls = self.count_gram_calls(monkeypatch)
+        for X in others:
+            expected = self.bits(rebuilt, X)
+            del calls[:]
+            assert self.bits(sc, X) == expected
+            assert calls == [X.shape] * (2 if kernel.variant == "gaussian" else 1)
+
+    def test_not_an_argument_not_serialised(self):
+        ds, sc = self.trained(self.KERNELS[0])
+        rebuilt = scorer_from_json(scorer_to_json(sc))
+        assert scorer_to_json(rebuilt) == scorer_to_json(sc)
+        assert repr(rebuilt) == repr(sc) and "_gram" not in repr(sc)
+        with pytest.raises(TypeError):
+            KernelExpansionScorer(points=ds.X, alpha=sc.alpha, b=sc.b,
+                                  kernel=sc.kernel, _gram=sc._gram)
+
+    def test_training_leaves_data_unchanged(self):
+        rng = np.random.default_rng(12)
+        X = rng.normal(size=(30, 2))
+        ds = TabularDataset(X=X, y=X[:, 0], names=("a", "b"))
+        before = ds.X.tobytes()
+        train_kernel_ridge(ds, KernelSpec.gaussian(1.0), 0.1)
+        assert ds.X.tobytes() == before == X.tobytes()
+        assert not ds.X.flags.writeable
 
 
 class TestPositionalKmerTrainer:
