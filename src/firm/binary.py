@@ -98,38 +98,14 @@ def firm_binary_exact(scorer: Scorer, f: FeatureFunction,
                               probs=dist.probs, names=[f.describe()])[0]
 
 
-def empirical_matrix_diagonals(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-column diagonals (d0, d1) of the empirical importance matrix.
-
-    With n_plus, n_minus the per-column value counts,
-
-        d1 = 1 / (2 sqrt(n_plus n_minus))
-        d0 = (n_minus - n_plus) / (2 n sqrt(n_plus n_minus))
-
-    so that rows of M = 1*d0 + X*d1 weight each example by the reciprocal
-    of its value count, reproducing the exact binary importance.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    n = X.shape[0]
-    n_plus = (X == 1.0).sum(axis=0)
-    n_minus = (X == -1.0).sum(axis=0)
-    bad = np.nonzero((n_plus == 0) | (n_minus == 0))[0]
-    if bad.size:
-        raise DegenerateFeatureError(
-            f"column x{bad[0] + 1} takes a single value")
-    root = np.sqrt(n_plus * n_minus)
-    d1 = 1.0 / (2.0 * root)
-    d0 = (n_minus - n_plus) / (2.0 * n * root)
-    return d0, d1
-
-
 def firm_binary_empirical_matrix(X: np.ndarray, w: np.ndarray,
                                  b: float = 0.0) -> list[FirmResult]:
     """Per-column importances of a linear scorer on ±1 data.
 
-    Equal to Q = M'(Xw + b) with M = 1*d0 + X*d1 (see
-    empirical_matrix_diagonals): the exact binary importance of every
-    column projection under the empirical distribution.
+    Equal to the paper's matrix form Q = M'(Xw + b), where M = 1*d0 + X*d1
+    weights each example by the reciprocal of its column value's count:
+    the exact binary importance of every column projection under the
+    empirical distribution.
     """
     X = np.asarray(X, dtype=np.float64)
     if not np.isin(X, (-1.0, 1.0)).all():

@@ -13,6 +13,7 @@ one gradient per row, where a constant gradient (linear) is one row.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -110,8 +111,9 @@ class KernelExpansionScorer:
     gradient_many(X) use it in place of kernel.gram(X, points) when X has
     the shape and the bytes of points (so -0.0 and 0.0 differ), and
     recompute for any other X. The kept matrix is not a constructor
-    argument, is not serialised and takes no part in equality; a scorer
-    built any other way, replace() included, has none.
+    argument, is not serialised and takes no part in equality. standardize
+    carries it over; a scorer built any other way, replace() included, has
+    none.
     """
 
     points: np.ndarray
@@ -308,24 +310,90 @@ def train_ridge(data: TabularDataset, lam: float) -> LinearScorer:
     return LinearScorer(w=w, b=b)
 
 
+def _solve_shifted(P: np.ndarray, shift: float, b: np.ndarray) -> np.ndarray:
+    """Solve (P + shift*I) x = b for a symmetric PSD n x n matrix P, shift > 0.
+
+    The shift goes on P's diagonal in place for the solve and comes off
+    again, so P is returned bit for bit. A zero b gives exact zeros.
+
+    Conjugate gradients (Hestenes & Stiefel 1952) run when their worst case
+    is cheaper than LU. P is PSD, so the eigenvalues of M = P + shift*I lie
+    in [shift, ||P||_F + shift], and one np.vdot over P bounds the condition
+    number by kappa = 1 + ||P||_F / shift. CG reaches a relative residual t
+    within log(t / (2 sqrt(kappa))) / log(rho) steps, where
+    rho = (sqrt(kappa) - 1) / (sqrt(kappa) + 1). It runs only when that
+    count, for t = tol / 2, is below n / 32. An LU solve costs 67 to 93
+    matrix-vector products at n = 1000-4000 with one OpenBLAS thread on a
+    2-core Xeon (91, or n / 33, at n = 3000), and CG usually stops well
+    short of the bound.
+
+    The CG answer is kept only if its true residual, one more product,
+    meets ||b - M x|| <= tol * ||b|| with tol = sqrt(n) * eps / 8, which is
+    4.0 eps at n = 1000 and 6.8 eps at n = 3000. That is about LU's own
+    relative residual on the kernel systems measured, 3.6 to 6.7 eps at
+    n = 1000-3000. On breakdown (p'Mp <= 0), when the check fails, or when
+    the bound is too large, x is np.linalg.solve(M, b).
+    """
+    n = b.size
+    if not b.any():
+        return np.zeros(n)
+    tol = math.sqrt(n) * np.finfo(np.float64).eps / 8
+    root = math.sqrt(1.0 + math.sqrt(np.vdot(P, P)) / shift)
+    rho = (root - 1.0) / (root + 1.0)
+    # rho is 0 or nan only for a negligible or a non-finite ||P||_F: LU
+    steps = math.ceil(math.log(tol / (4.0 * root)) / math.log(rho)) if 0.0 < rho < 1.0 else n
+    on_diag, diag = np.diag_indices(n), P.diagonal().copy()
+    P[on_diag] += shift
+    x = _conjugate_gradients(P, b, steps, tol) if steps < n / 32 else None
+    if x is None:
+        x = np.linalg.solve(P, b)
+    P[on_diag] = diag
+    return x
+
+
+def _conjugate_gradients(M: np.ndarray, b: np.ndarray, steps: int,
+                         tol: float) -> np.ndarray | None:
+    """At most `steps` CG steps on M x = b from x = 0; the answer if its
+    true residual is within tol * ||b||, else None. b is scaled to unit
+    max-norm first, so no inner product can overflow or underflow."""
+    scale = np.abs(b).max()
+    b = b / scale
+    x = np.zeros_like(b)
+    r, p, q = b.copy(), b.copy(), np.empty_like(b)
+    rr = r @ r
+    stop = (tol / 2) ** 2 * rr
+    for _ in range(steps):
+        np.dot(M, p, out=q)
+        pq = p @ q
+        if not pq > 0.0:
+            return None
+        a = rr / pq
+        x += a * p
+        r -= a * q
+        rr, rr_old = r @ r, rr
+        if rr <= stop:
+            break
+        p *= rr / rr_old
+        p += r
+    np.dot(M, x, out=q)
+    q -= b
+    return scale * x if q @ q <= tol ** 2 * (b @ b) else None
+
+
 def train_kernel_ridge(data: TabularDataset, kernel: KernelSpec,
                        lam: float) -> KernelExpansionScorer:
     """Kernel ridge: alpha = (K + n*lambda*I)^-1 (y - mean(y)), b = mean(y).
 
-    n*lambda is added to the diagonal of the Gram matrix K in place and
-    taken off again after the solve, so K is bitwise kernel.gram(X, X); the
-    scorer keeps it for scores and gradients on the training rows. Peak
-    memory is two n x n matrices: K, plus first the product gram() builds
-    it from and then the copy np.linalg.solve makes.
+    The system is solved by _solve_shifted, which leaves the Gram matrix K
+    bitwise kernel.gram(X, X); the scorer keeps it for scores and gradients
+    on the training rows. Peak memory is K plus the product gram() builds it
+    from, and on the LU path the copy np.linalg.solve makes of K.
     """
     if not 0 < lam < np.inf:
         raise FirmError("lambda must be finite and > 0")
     y = data.labels()
     K = kernel.gram(data.X, data.X)
-    on_diag, diag = np.diag_indices(data.n), K.diagonal().copy()
-    K[on_diag] += data.n * lam
-    alpha = np.linalg.solve(K, y - y.mean())
-    K[on_diag] = diag
+    alpha = _solve_shifted(K, data.n * lam, y - y.mean())
     K.setflags(write=False)
     scorer = KernelExpansionScorer(points=data.X, alpha=alpha, b=float(y.mean()),
                                    kernel=kernel)
@@ -341,7 +409,8 @@ def train_positional_kmer(data: SequenceDataset, K: int, lam: float) -> Position
     so the n x F design never exists. G is centred as H G H, whose null space
     holds the ones vector, so the dual solution alpha sums to 0 and each
     weight is its substring's alpha-weighted count (bincount), exactly 0 for
-    a substring that never occurs.
+    a substring that never occurs. The dual system is solved by
+    _solve_shifted, as in train_kernel_ridge.
     """
     if not 0 < lam < np.inf:
         raise FirmError("lambda must be finite and > 0")
@@ -360,8 +429,7 @@ def train_positional_kmer(data: SequenceDataset, K: int, lam: float) -> Position
         col += L - k + 1
     r = gram.mean(axis=1)
     gram += r.mean() - r[:, None] - r[None, :]
-    gram[np.diag_indices(n)] += n * lam
-    alpha = np.linalg.solve(gram, data.y - data.y.mean())
+    alpha = _solve_shifted(gram, n * lam, data.y - data.y.mean())
     w = np.bincount(ids.ravel(), np.repeat(alpha, ids.shape[1]), minlength=off[-1])
     means = np.bincount(ids.ravel(), minlength=off[-1]) / n
     return PositionalKmerScorer(alphabet=data.alphabet, length=L, max_degree=K,
@@ -385,7 +453,9 @@ def standardize(scorer: Scorer, data: TabularDataset | SequenceDataset) -> Score
     if isinstance(scorer, LinearScorer):
         return LinearScorer(w=scorer.w / sd, b=scorer.b / sd)
     if isinstance(scorer, KernelExpansionScorer):
-        return replace(scorer, alpha=scorer.alpha / sd, b=scorer.b / sd)
+        scaled = replace(scorer, alpha=scorer.alpha / sd, b=scorer.b / sd)
+        object.__setattr__(scaled, "_gram", scorer._gram)   # same points, same kernel
+        return scaled
     if isinstance(scorer, LabelOracleScorer):
         return LabelOracleScorer(table={k: v / sd for k, v in scorer.table.items()})
     if isinstance(scorer, PositionalKmerScorer):

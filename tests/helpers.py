@@ -46,6 +46,25 @@ def brute_firm_binary(scores, fvals, probs=None):
     return (q_hi - q_lo) * np.sqrt(p_hi * p_lo)
 
 
+def empirical_matrix_diagonals(X):
+    """Per-column diagonals (d0, d1) of the paper's empirical importance matrix.
+
+    With n_plus, n_minus the per-column counts of +1 and -1 in the ±1 data X,
+
+        d1 = 1 / (2 sqrt(n_plus n_minus))
+        d0 = (n_minus - n_plus) / (2 n sqrt(n_plus n_minus))
+
+    so that rows of M = 1*d0 + X*d1 weight each example by the reciprocal
+    of its value count, reproducing the exact binary importance as M'(Xw + b).
+    """
+    X = np.asarray(X, dtype=float)
+    n_plus = (X == 1.0).sum(axis=0)
+    n_minus = (X == -1.0).sum(axis=0)
+    assert (n_plus > 0).all() and (n_minus > 0).all(), "oracle needs two-valued columns"
+    root = np.sqrt(n_plus * n_minus)
+    return (n_minus - n_plus) / (2.0 * X.shape[0] * root), 1.0 / (2.0 * root)
+
+
 def central_difference_gradient(scorer, x, step=1e-5):
     """Central finite differences of a scorer at the point x: the 2d
     stepped points are scored in one batch."""

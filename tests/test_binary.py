@@ -11,9 +11,8 @@ from firm import (DegenerateFeatureError, FirmError, LinearScorer, PointDistribu
                   Projection, SignedConjunction, Xor, firm_binary_empirical_matrix,
                   firm_binary_exact, firm_binary_values, firm_uniform_conjunction,
                   poim_firm_conversion, score_many)
-from firm.binary import empirical_matrix_diagonals
 
-from helpers import all_pm1_rows, brute_firm_binary
+from helpers import all_pm1_rows, brute_firm_binary, empirical_matrix_diagonals
 
 
 def uniform_table(d):

@@ -131,6 +131,18 @@ class TestAnalyzeGaussian:
         assert run(*argv, "--out", str(tmp_path / "raw")) == 0
         assert run(*argv, "--standardize", "--out", str(tmp_path / "std")) == 1
 
+    def test_constant_labels_through_kernel_ridge(self, tmp_path):
+        # 1200 rows at the default lambda are sized for the conjugate-gradient
+        # path; the right-hand side y - mean(y) is exactly zero
+        X = np.random.default_rng(5).normal(size=(1200, 6))
+        inp = tmp_path / "d.csv"
+        write_csv(inp, X, np.full(1200, 2.5))
+        out = tmp_path / "out"
+        assert run("analyze", "--input", str(inp), "--method", "sensitivity",
+                   "--scorer", "train:kernel_ridge", "--kernel", "gaussian:1.0",
+                   "--out", str(out)) == 0
+        assert set(firm_table(out / "firm.tsv").values()) == {0.0}
+
     def test_empirical_method_writes_curves(self, tmp_path):
         rng = np.random.default_rng(2)
         X = rng.normal(size=(60, 2))

@@ -11,9 +11,9 @@ from hypothesis.extra import numpy as hnp
 from firm import (BudgetExceededError, FirmError, KernelExpansionScorer, KernelSpec,
                   LabelOracleScorer, LinearScorer, PositionalKmerScorer, SequenceDataset,
                   TabularDataset, gradient_at, score_many, scorer_from_json, scorer_to_json, standardize,
-                  train_kernel_ridge, train_least_squares, train_positional_kmer,
-                  train_ridge)
-from firm.scoring import kmer_offsets
+                  sensitivity_index, train_kernel_ridge, train_least_squares,
+                  train_positional_kmer, train_ridge)
+from firm.scoring import _solve_shifted, kmer_offsets
 
 from helpers import (all_pm1_rows, central_difference_gradient, explicit_kmer_ridge,
                      kernel_gradient_at, kmer_scorer, kmer_weight, reference_gram)
@@ -303,6 +303,14 @@ class TestKeptGram:
             KernelExpansionScorer(points=ds.X, alpha=sc.alpha, b=sc.b,
                                   kernel=sc.kernel, _gram=sc._gram)
 
+    def test_kept_matrix_survives_the_cg_solve(self, monkeypatch):
+        X = np.random.default_rng(4).normal(size=(1200, 6))
+        ds = TabularDataset(X=X, y=np.sin(X[:, 0]), names=tuple("abcdef"))
+        kernel = KernelSpec.gaussian(1.0)
+        monkeypatch.setattr(np.linalg, "solve", None)     # CG path only
+        sc = train_kernel_ridge(ds, kernel, 0.1)
+        assert sc._gram.tobytes() == kernel.gram(ds.X, ds.X).tobytes()
+
     def test_training_leaves_data_unchanged(self):
         rng = np.random.default_rng(12)
         X = rng.normal(size=(30, 2))
@@ -311,6 +319,94 @@ class TestKeptGram:
         train_kernel_ridge(ds, KernelSpec.gaussian(1.0), 0.1)
         assert ds.X.tobytes() == before == X.tobytes()
         assert not ds.X.flags.writeable
+
+
+class TestShiftedSolve:
+    """_solve_shifted: conjugate gradients when the condition bound allows, LU otherwise."""
+
+    N = 1200                  # CG needs n / 32 > its step bound; smaller n goes to LU
+    TOL = np.sqrt(N) * np.finfo(np.float64).eps / 8
+
+    @classmethod
+    def system(cls, kernel, lam):
+        rng = np.random.default_rng(6)
+        X = rng.normal(size=(cls.N, 6))
+        if kernel.variant == "polynomial":
+            X *= 0.3
+        P = kernel.gram(X, X)
+        return P, cls.N * lam, np.sin(X[:, 0]) + X[:, 1] * X[:, 2]
+
+    @staticmethod
+    def lu(P, shift, b):
+        M = P.copy()
+        M[np.diag_indices(len(b))] += shift
+        return M, np.linalg.solve(M, b)
+
+    @staticmethod
+    def count_matvecs(monkeypatch, perturb=None):
+        calls = []
+        dot = np.dot
+
+        def counted(M, v, out):
+            calls.append(1)
+            dot(M, v, out=out)
+            if perturb is not None:
+                perturb(out)
+            return out
+
+        monkeypatch.setattr(np, "dot", counted)
+        return calls
+
+    @pytest.mark.parametrize("kernel", [KernelSpec.gaussian(1.0), KernelSpec.polynomial(2, 0.0)],
+                             ids=lambda k: k.variant)
+    def test_well_conditioned_takes_cg(self, kernel, monkeypatch):
+        P, shift, b = self.system(kernel, 0.1)
+        before = P.tobytes()
+        M, ref = self.lu(P, shift, b)
+        kappa = 1.0 + np.sqrt(np.vdot(P, P)) / shift
+        calls = self.count_matvecs(monkeypatch)
+        monkeypatch.setattr(np.linalg, "solve", None)
+        x = _solve_shifted(P, shift, b)
+        assert 2 <= len(calls) < self.N / 32 and P.tobytes() == before
+        r_cg, r_lu = (np.linalg.norm(b - M @ v) for v in (x, ref))
+        assert r_cg <= self.TOL * np.linalg.norm(b)
+        # x - ref = M^-1 (r_lu - r_cg) and ||b|| <= ||M|| ||ref||, so the
+        # relative gap is at most kappa (||r_cg|| + ||r_lu||) / ||b||
+        gap = np.linalg.norm(x - ref) / np.linalg.norm(ref)
+        assert gap <= kappa * (r_cg + r_lu) / np.linalg.norm(b)
+        assert gap < 1e-14
+
+    def test_ill_conditioned_goes_straight_to_lu(self, monkeypatch):
+        P, shift, b = self.system(KernelSpec.gaussian(1.0), 1e-12)
+        before = P.tobytes()
+        _, ref = self.lu(P, shift, b)
+        calls = self.count_matvecs(monkeypatch)
+        x = _solve_shifted(P, shift, b)
+        assert calls == [] and P.tobytes() == before
+        assert x.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("fault", ["noisy", "indefinite"])
+    def test_failed_cg_returns_lu_bits(self, fault, monkeypatch):
+        P, shift, b = self.system(KernelSpec.gaussian(1.0), 0.1)
+        _, ref = self.lu(P, shift, b)
+        rng = np.random.default_rng(0)
+
+        def perturb(out):
+            if fault == "noisy":      # an answer that cannot pass the residual check
+                out += 1e-6 * np.abs(out).max() * rng.normal(size=out.size)
+            else:                     # p'Mp < 0: breakdown at the first step
+                np.negative(out, out=out)
+
+        calls = self.count_matvecs(monkeypatch, perturb)
+        x = _solve_shifted(P, shift, b)
+        assert calls and x.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("lam", [0.1, 1e-12], ids=["cg-size", "lu"])
+    def test_zero_rhs_gives_exact_zeros(self, lam):
+        P, shift, b = self.system(KernelSpec.gaussian(1.0), lam)
+        with np.errstate(all="raise"):
+            x = _solve_shifted(P, shift, np.zeros_like(b))
+        assert x.tobytes() == np.zeros(self.N).tobytes()
 
 
 class TestPositionalKmerTrainer:
@@ -400,6 +496,15 @@ class TestStandardize:
         ds = TabularDataset(X=np.eye(3), y=None, names=("a", "b", "c"))
         with pytest.raises(FirmError, match="zero score variance"):
             standardize(LinearScorer(w=[0.0, 0.0, 0.0], b=4.0), ds)
+
+    def test_kernel_scorer_keeps_its_gram(self, monkeypatch):
+        ds, sc = TestKeptGram.trained(KernelSpec.gaussian(1.5))
+        out = standardize(sc, ds)
+        assert out._gram is sc._gram
+        expected = sensitivity_index(scorer_from_json(scorer_to_json(out)), ds)
+        calls = TestKeptGram.count_gram_calls(monkeypatch)
+        assert sensitivity_index(out, ds) == expected
+        assert calls == []
 
     def test_kmer_scorer_standardizes(self):
         seqs = ("ACGT", "TTAG", "CCGA", "GGTA")
