@@ -22,8 +22,8 @@ from .gaussian import (GaussianModel, conditional_mean,
                        firm_gaussian_general, firm_gaussian_linear,
                        firm_regression_closed_form, sensitivity_index)
 from .results import BinaryStats, FirmResult
-from .scoring import (KernelExpansionScorer, KernelSpec, LabelOracleScorer,
-                      LinearScorer, PositionalKmerScorer, gradient_at,
+from .scoring import (KernelExpansionScorer, KernelSpec, LinearScorer,
+                      PositionalKmerScorer, gradient_at,
                       score_many, scorer_from_json, scorer_to_json,
                       standardize, train_kernel_ridge, train_least_squares,
                       train_positional_kmer, train_ridge)

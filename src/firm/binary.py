@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import SequenceDataset, TabularDataset
 from .errors import DegenerateFeatureError, FirmError
 from .features import FeatureFunction, SignedConjunction, feature_columns
 from .results import BinaryStats, FirmResult
@@ -32,8 +31,8 @@ class PointDistribution:
 
     def __post_init__(self):
         probs = np.asarray(self.probs, dtype=np.float64).ravel()
-        if (probs < 0).any() or abs(probs.sum() - 1.0) > 1e-9:
-            raise FirmError("probabilities must be nonnegative and sum to 1")
+        if not np.isfinite(probs).all() or (probs < 0).any() or abs(probs.sum() - 1.0) > 1e-9:
+            raise FirmError("probabilities must be finite, nonnegative and sum to 1")
         npoints = len(self.points)
         if npoints != probs.size:
             raise FirmError("need one probability per point")
@@ -45,11 +44,6 @@ class PointDistribution:
     def uniform(cls, points) -> "PointDistribution":
         n = len(points)
         return cls(points=points, probs=np.full(n, 1.0 / n))
-
-    @classmethod
-    def from_dataset(cls, data: TabularDataset | SequenceDataset) -> "PointDistribution":
-        pts = data.X if isinstance(data, TabularDataset) else data.sequences
-        return cls.uniform(pts)
 
 
 def firm_binary_values(scores, F, probs=None, names=None,

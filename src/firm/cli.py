@@ -116,7 +116,7 @@ def analyze_tabular(args) -> dict:
     scorer = None if args.scorer == "labels" else build_tabular_scorer(args, data)
     scores = None
     if args.method in ("binary", "slope", "empirical") or args.standardize:
-        # the label scorer's scores are the raw labels, duplicates kept as-is
+        # with --scorer labels the scores are the raw labels, duplicates kept as-is
         scores = data.labels() if scorer is None else score_many(scorer, data.X)
     artifacts = {}
     if args.method == "gaussian":

@@ -12,14 +12,13 @@ import itertools
 import numpy as np
 
 from . import _emit
-from .binary import PointDistribution, firm_binary_exact
+from .binary import PointDistribution, firm_binary_exact, firm_binary_values
 from .dataset import DNA_ALPHABET, SequenceDataset, TabularDataset, encode_sequences
 from .errors import FirmError
 from .empirical import conditional_curve, default_bins, firm_slope, slope_stderr
 from .features import SignedConjunction
-from .scoring import (KernelSpec, LabelOracleScorer, score_many,
-                      train_kernel_ridge, train_least_squares,
-                      train_positional_kmer)
+from .scoring import (KernelSpec, score_many, train_kernel_ridge,
+                      train_least_squares, train_positional_kmer)
 from .sequence import MarkovBackground, hamming_ball, poim, ranked_oligomers
 
 BOOLEAN_LAMBDA = 0.1
@@ -52,16 +51,18 @@ def boolean_pair_features():
 
 def boolean_experiment(lam: float = BOOLEAN_LAMBDA):
     data = boolean_truth_table()
-    dist = PointDistribution.from_dataset(data)
-    scorers = {
-        "labels": LabelOracleScorer.from_dataset(data),
-        "trained": train_kernel_ridge(data, KernelSpec.polynomial(2, 1.0), lam),
-    }
     singles = boolean_single_features()
     pairs = boolean_pair_features()
-    results = {tag: {"single": [firm_binary_exact(sc, f, dist) for f in singles],
-                     "pairs": [firm_binary_exact(sc, f, dist) for f in pairs]}
-               for tag, sc in scorers.items()}
+    feats = singles + pairs
+    # the label scores are the raw labels on the 8 distinct rows
+    labels = firm_binary_values(data.labels(),
+                                np.column_stack([f.evaluate_rows(data.X) for f in feats]),
+                                names=[f.describe() for f in feats])
+    trained = train_kernel_ridge(data, KernelSpec.polynomial(2, 1.0), lam)
+    dist = PointDistribution.uniform(data.X)
+    results = {"labels": {"single": labels[:len(singles)], "pairs": labels[len(singles):]},
+               "trained": {"single": [firm_binary_exact(trained, f, dist) for f in singles],
+                           "pairs": [firm_binary_exact(trained, f, dist) for f in pairs]}}
 
     artifacts = {}
     tags, flat = zip(*[(tag, r) for tag in ("labels", "trained")

@@ -1,9 +1,9 @@
 """Scoring functions s: X -> R, their gradients, and small trainers.
 
-Four scorer families are provided: linear, kernel expansion (Gaussian or
-polynomial kernel), label oracle (scores are looked up, e.g. raw training
-labels), and positional k-mer scorers for sequences. Scorers are immutable;
-trainers are single-shot pure functions.
+Three scorer families are provided: linear, kernel expansion (Gaussian or
+polynomial kernel), and positional k-mer scorers for sequences. Scorers are
+immutable; trainers are single-shot pure functions. Raw labels need no
+scorer: they are passed as the score vector itself.
 
 Scorers evaluate in batches only: every scorer has score_many(X), one score
 per row or sequence of X, and the linear and kernel scorers gradient_many(X),
@@ -43,8 +43,8 @@ class KernelSpec:
 
     @classmethod
     def polynomial(cls, degree: int, offset: float = 1.0) -> "KernelSpec":
-        if degree < 1:
-            raise FirmError("degree must be >= 1")
+        if not degree >= 1 or degree % 1:
+            raise FirmError(f"degree must be an integer >= 1, got {degree!r}")
         if not 0 <= offset < np.inf:
             raise FirmError("offset must be finite and >= 0")
         return cls(variant="polynomial", degree=int(degree), offset=float(offset))
@@ -156,38 +156,6 @@ class KernelExpansionScorer:
         return ((X @ self.points.T + c) ** (p - 1) * (p * self.alpha)) @ self.points
 
 
-@dataclass(frozen=True)
-class LabelOracleScorer:
-    """Scores looked up from a table keyed by the exact input point.
-
-    Useful for running the importance pipeline directly on raw labels,
-    without a prior learning step.
-    """
-
-    table: dict
-
-    def __post_init__(self):
-        object.__setattr__(self, "table", dict(self.table))
-
-    @staticmethod
-    def key_for(x):
-        if isinstance(x, str):
-            return x
-        return tuple(float(v) for v in np.asarray(x).ravel())
-
-    @classmethod
-    def from_dataset(cls, data: TabularDataset | SequenceDataset) -> "LabelOracleScorer":
-        y = data.labels() if isinstance(data, TabularDataset) else data.y
-        rows = data.X if isinstance(data, TabularDataset) else data.sequences
-        return cls(table={cls.key_for(r): float(v) for r, v in zip(rows, y)})
-
-    def score_many(self, X) -> np.ndarray:
-        try:
-            return np.array([self.table[self.key_for(x)] for x in X])
-        except KeyError as miss:
-            raise FirmError(f"oracle miss: input {miss.args[0]!r} not in table") from None
-
-
 def kmer_offsets(A: int, L: int, K: int) -> np.ndarray:
     """Start of each degree's block in the flat weights of a positional
     k-mer model (A letters, length L, degrees 1..K), then the weight count.
@@ -259,7 +227,7 @@ class PositionalKmerScorer:
         return self.weights[ids].sum(axis=1) + self.b
 
 
-Scorer = LinearScorer | KernelExpansionScorer | LabelOracleScorer | PositionalKmerScorer
+Scorer = LinearScorer | KernelExpansionScorer | PositionalKmerScorer
 
 
 def score_many(scorer: Scorer, X) -> np.ndarray:
@@ -456,8 +424,6 @@ def standardize(scorer: Scorer, data: TabularDataset | SequenceDataset) -> Score
         scaled = replace(scorer, alpha=scorer.alpha / sd, b=scorer.b / sd)
         object.__setattr__(scaled, "_gram", scorer._gram)   # same points, same kernel
         return scaled
-    if isinstance(scorer, LabelOracleScorer):
-        return LabelOracleScorer(table={k: v / sd for k, v in scorer.table.items()})
     if isinstance(scorer, PositionalKmerScorer):
         return replace(scorer, weights=scorer.weights / sd, b=scorer.b / sd)
     raise FirmError(f"cannot standardize {type(scorer).__name__}")
@@ -480,10 +446,6 @@ def scorer_to_json(scorer: Scorer) -> str:
             kdoc.update(degree=k.degree, offset=k.offset)
         doc = {"type": "kernel_expansion", "points": scorer.points.tolist(),
                "alpha": scorer.alpha.tolist(), "b": scorer.b, "kernel": kdoc}
-    elif isinstance(scorer, LabelOracleScorer):
-        entries = sorted((list(k) if isinstance(k, tuple) else k, v)
-                         for k, v in scorer.table.items())
-        doc = {"type": "label_oracle", "entries": entries}
     elif isinstance(scorer, PositionalKmerScorer):
         doc = {"type": "positional_kmer", "alphabet": list(scorer.alphabet),
                "length": scorer.length, "max_degree": scorer.max_degree,
@@ -508,9 +470,6 @@ def scorer_from_json(text: str) -> Scorer:
         return KernelExpansionScorer(points=np.array(doc["points"]),
                                      alpha=np.array(doc["alpha"]),
                                      b=doc["b"], kernel=kernel)
-    if t == "label_oracle":
-        return LabelOracleScorer(table={
-            (k if isinstance(k, str) else tuple(k)): v for k, v in doc["entries"]})
     if t == "positional_kmer":
         return PositionalKmerScorer(
             alphabet=tuple(doc["alphabet"]), length=doc["length"],

@@ -46,8 +46,8 @@ class MarkovBackground:
         if set(probs) != set(self.alphabet):
             raise FirmError("letter probabilities must cover the alphabet exactly")
         vals = np.array([probs[a] for a in self.alphabet])
-        if (vals <= 0).any():
-            raise FirmError("letter probabilities must be positive")
+        if not (np.isfinite(vals) & (vals > 0)).all():
+            raise FirmError("letter probabilities must be finite and positive")
         if abs(vals.sum() - 1.0) > 1e-12:
             raise FirmError("letter probabilities must sum to 1")
         object.__setattr__(self, "alphabet", tuple(self.alphabet))

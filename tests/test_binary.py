@@ -59,6 +59,10 @@ class TestExactOnUniformCube:
         with pytest.raises(DegenerateFeatureError):
             firm_binary_exact(sc, f, PointDistribution.uniform(ones))
 
+    def test_non_finite_probability_rejected(self):
+        with pytest.raises(FirmError, match="probabilities must be finite"):
+            PointDistribution(points=np.ones((2, 1)), probs=[np.nan, 1.0])
+
 
 class TestBinaryKernel:
     def test_any_two_values_under_nonuniform_probs(self):

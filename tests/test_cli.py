@@ -62,6 +62,23 @@ class TestAnalyzeBinary:
         meta = json.loads((out / "run.json").read_text())
         assert meta["command"] == "analyze"
 
+    def test_repeated_row_keeps_each_label(self, tmp_path):
+        # row (1, 1) appears twice with opposite labels; a table keyed by
+        # the row would score both copies alike and flip the sign of a
+        X = np.array([[1.0, 1.0], [1.0, 1.0], [-1.0, 1.0], [1.0, -1.0], [-1.0, -1.0]])
+        y = np.array([1.0, -1.0, 1.0, 1.0, -1.0])
+        inp = tmp_path / "d.csv"
+        write_csv(inp, X, y, names=["a", "b"])
+        out = tmp_path / "out"
+        assert run("analyze", "--input", str(inp), "--method", "binary",
+                   "--scorer", "labels", "--out", str(out)) == 0
+        doc = json.loads((out / "firm.json").read_text())
+        assert [rec["feature"] for rec in doc["results"]] == ["a", "b"]
+        for j, rec in enumerate(doc["results"]):
+            assert rec["q_signed"] == pytest.approx(brute_firm_binary(y, X[:, j]),
+                                                    abs=1e-12)
+        assert doc["results"][0]["q_signed"] > 0
+
     def test_standardize_rescales_not_reranks(self, tmp_path):
         X = all_pm1_rows(3)
         y = np.array([1.0 if (r[0] > 0 or r[1] < 0) else -1.0 for r in X])

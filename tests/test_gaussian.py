@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from firm import (CovarianceEstimate, FirmError, GaussianModel, KernelExpansionScorer,
-                  KernelSpec, LabelOracleScorer, LinearScorer, TabularDataset,
+                  KernelSpec, LinearScorer, TabularDataset,
                   conditional_mean, firm_gaussian_general, firm_gaussian_linear,
                   firm_regression_closed_form, sensitivity_index, train_least_squares)
 
-from helpers import kernel_gradient_at, mc_firm
+from helpers import kernel_gradient_at, kmer_scorer, mc_firm
 
 
 def model_from(sigma):
@@ -240,9 +240,8 @@ class TestGradientScorerChecks:
                 call()
 
     def test_scorer_without_gradient_rejected(self):
-        oracle = LabelOracleScorer.from_dataset(
-            TabularDataset(X=self.DATA.X, y=np.zeros(4), names=self.DATA.names))
-        for call in self.consumers(oracle):
+        sc = kmer_scorer(("A", "C"), 3, 1, {(0, "A"): 1.0})
+        for call in self.consumers(sc):
             with pytest.raises(FirmError, match="has no gradient"):
                 call()
 

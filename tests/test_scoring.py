@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from firm import (BudgetExceededError, FirmError, KernelExpansionScorer, KernelSpec,
-                  LabelOracleScorer, LinearScorer, PositionalKmerScorer, SequenceDataset,
+                  LinearScorer, PositionalKmerScorer, SequenceDataset,
                   TabularDataset, gradient_at, score_many, scorer_from_json, scorer_to_json, standardize,
                   sensitivity_index, train_kernel_ridge, train_least_squares,
                   train_positional_kmer, train_ridge)
@@ -45,12 +45,6 @@ class TestScore:
     def test_dimension_mismatch(self):
         with pytest.raises(FirmError):
             LinearScorer(w=[1.0, 2.0]).score_many([[1.0]])
-
-    def test_oracle_miss(self):
-        sc = LabelOracleScorer(table={(1.0, 2.0): 5.0})
-        np.testing.assert_array_equal(sc.score_many([[1.0, 2.0]]), [5.0])
-        with pytest.raises(FirmError, match="oracle miss"):
-            sc.score_many([[1.0, 2.0], [1.0, 3.0]])
 
     def test_score_is_pure(self):
         sc = KernelExpansionScorer(points=np.array([[0.1, 0.2], [0.3, -0.4]]),
@@ -96,8 +90,9 @@ class TestGradient:
                                        rtol=1e-6, atol=1e-8)
 
     def test_oracle_has_no_gradient(self):
-        with pytest.raises(FirmError):
-            gradient_at(LabelOracleScorer(table={}), np.zeros(2))
+        sc = kmer_scorer(("A", "C"), 2, 1, {(0, "A"): 1.0})
+        with pytest.raises(FirmError, match="PositionalKmerScorer has no gradient"):
+            gradient_at(sc, np.zeros(2))
 
     def test_linear_gradient_is_one_row(self):
         g = LinearScorer(w=[3.0, -1.0]).gradient_many(np.ones((5, 2)))
@@ -220,6 +215,24 @@ def gram_cases(draw):
     A = draw(row_matrices(draw(st.integers(1, 6)), d))
     B = A if draw(st.booleans()) else draw(row_matrices(draw(st.integers(1, 6)), d))
     return draw(kernel_specs), A, B
+
+
+class TestKernelSpec:
+    @pytest.mark.parametrize("make,param", [
+        (lambda: KernelSpec.gaussian(0.0), "gamma"),
+        (lambda: KernelSpec.polynomial(0), "degree"),
+        (lambda: KernelSpec.polynomial(2.5), "degree"),
+        (lambda: KernelSpec.polynomial(np.nan), "degree"),
+        (lambda: KernelSpec.polynomial(2, -1.0), "offset"),
+        (lambda: KernelSpec.polynomial(2, np.inf), "offset"),
+    ], ids=["gamma-zero", "degree-zero", "degree-fractional", "degree-nan",
+            "offset-negative", "offset-inf"])
+    def test_invalid_parameters_rejected(self, make, param):
+        with pytest.raises(FirmError, match=param):
+            make()
+
+    def test_integral_float_degree_accepted(self):
+        assert KernelSpec.polynomial(2.0) == KernelSpec.polynomial(2)
 
 
 class TestGram:
@@ -523,8 +536,6 @@ class TestSerialization:
         lambda: KernelExpansionScorer(points=np.array([[1.0], [2.0]]),
                                       alpha=[1.0, 1.0], b=0.0,
                                       kernel=KernelSpec.polynomial(3, 0.5)),
-        lambda: LabelOracleScorer(table={(1.0, -1.0): 2.5, (0.0, 3.0): -1.0}),
-        lambda: LabelOracleScorer(table={"ACGT": 1.0, "TTTT": -1.0}),
         lambda: kmer_scorer(("A", "C", "G", "T"), 5, 2,
                             {(0, "GA"): 1.25, (3, "T"): -0.5}, b=0.75),
     ])
@@ -533,9 +544,7 @@ class TestSerialization:
         doc = scorer_to_json(sc)
         back = scorer_from_json(doc)
         assert scorer_to_json(back) == doc
-        if isinstance(sc, (LabelOracleScorer,)):
-            assert back.table == sc.table
-        elif isinstance(sc, PositionalKmerScorer):
+        if isinstance(sc, PositionalKmerScorer):
             np.testing.assert_array_equal(back.weights, sc.weights)
             assert back.b == sc.b
         elif isinstance(sc, LinearScorer):

@@ -324,6 +324,10 @@ class TestBackground:
         with pytest.raises(FirmError):
             MarkovBackground(alphabet=("A", "B"), letter_prob={"A": 0.7, "B": 0.2})
 
+    def test_non_finite_probability_rejected(self):
+        with pytest.raises(FirmError, match="letter probabilities must be finite"):
+            MarkovBackground(alphabet=("A", "C"), letter_prob={"A": np.nan, "C": 1.0})
+
 
 class TestHammingBall:
     def test_distance_one_count(self):
