@@ -536,6 +536,8 @@ class TestSerialization:
         lambda: KernelExpansionScorer(points=np.array([[1.0], [2.0]]),
                                       alpha=[1.0, 1.0], b=0.0,
                                       kernel=KernelSpec.polynomial(3, 0.5)),
+        lambda: LinearScorer(w=[0.1, -0.0, 3e-300], b=-1e300),
+        lambda: kmer_scorer(("A", "C"), 3, 1, {}, b=0.0),
         lambda: kmer_scorer(("A", "C", "G", "T"), 5, 2,
                             {(0, "GA"): 1.25, (3, "T"): -0.5}, b=0.75),
     ])
