@@ -8,24 +8,21 @@ a binned estimator covers arbitrary samples.
 
 from .binary import (PointDistribution, firm_binary_empirical_matrix,
                      firm_binary_exact, firm_binary_values,
-                     firm_uniform_conjunction, poim_firm_conversion)
+                     firm_uniform_conjunction)
 from .dataset import (CovarianceEstimate, SequenceDataset, TabularDataset,
                       empirical_covariance, load_sequences, load_tabular,
-                      save_tabular, shrinkage_covariance)
+                      shrinkage_covariance)
 from .empirical import (ConditionalScoreCurve, conditional_curve, default_bins,
                         firm_from_curve, firm_slope, slope_stderr)
 from .errors import (BudgetExceededError, DataFormatError,
                      DegenerateFeatureError, FirmError)
-from .features import (PositionalOligomer, Projection, SignedConjunction,
-                       Threshold, Xor, parse_feature)
-from .gaussian import (GaussianModel, conditional_mean,
-                       firm_gaussian_general, firm_gaussian_linear,
+from .features import Projection, SignedConjunction, Xor
+from .gaussian import (GaussianModel, firm_gaussian_general, firm_gaussian_linear,
                        firm_regression_closed_form, sensitivity_index)
 from .results import BinaryStats, FirmResult
 from .scoring import (KernelExpansionScorer, KernelSpec, LinearScorer,
-                      PositionalKmerScorer, gradient_at,
-                      score_many, scorer_from_json, scorer_to_json,
-                      standardize, train_kernel_ridge, train_least_squares,
+                      PositionalKmerScorer, gradient_at, score_many,
+                      train_kernel_ridge, train_least_squares,
                       train_positional_kmer, train_ridge)
 from .sequence import (MarkovBackground, PoimTable, conditional_expected_score,
                        expected_score, hamming_ball, poim, ranked_oligomers)

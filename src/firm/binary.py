@@ -22,20 +22,26 @@ from .results import BinaryStats, FirmResult
 from .scoring import Scorer, score_many
 
 
+def _checked_probs(probs, n: int) -> np.ndarray:
+    """probs as a float64 vector of n finite, nonnegative values that sum
+    to 1 within 1e-9; FirmError otherwise."""
+    probs = np.asarray(probs, dtype=np.float64).ravel()
+    if not np.isfinite(probs).all() or (probs < 0).any() or abs(probs.sum() - 1.0) > 1e-9:
+        raise FirmError("probabilities must be finite, nonnegative and sum to 1")
+    if probs.size != n:
+        raise FirmError("need one probability per point")
+    return probs
+
+
 @dataclass(frozen=True)
 class PointDistribution:
     """An explicit distribution: support points plus probabilities."""
 
-    points: object  # n-by-d array, or sequence of strings
+    points: object  # n-by-d array
     probs: np.ndarray
 
     def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=np.float64).ravel()
-        if not np.isfinite(probs).all() or (probs < 0).any() or abs(probs.sum() - 1.0) > 1e-9:
-            raise FirmError("probabilities must be finite, nonnegative and sum to 1")
-        npoints = len(self.points)
-        if npoints != probs.size:
-            raise FirmError("need one probability per point")
+        probs = _checked_probs(self.probs, len(self.points))
         probs = probs / probs.sum()
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
@@ -51,12 +57,13 @@ def firm_binary_values(scores, F, probs=None, names=None,
     """Exact signed importance of every two-valued column of F.
 
     F is n-by-d (1-D for one column) and row-aligned with the scores; row i
-    has probability probs[i], uniform by default. Columns are named by
+    has probability probs[i], uniform by default. probs must be finite,
+    nonnegative and sum to 1; it is not rescaled. Columns are named by
     `names`, or x1 .. xd.
     """
     scores, F, names = feature_columns(scores, F, names)
-    if probs is None:
-        probs = np.full(scores.size, 1.0 / scores.size)
+    probs = (np.full(scores.size, 1.0 / scores.size) if probs is None
+             else _checked_probs(probs, scores.size))
     lo, hi = F.min(axis=0), F.max(axis=0)
     is_hi = F == hi
     bad = np.nonzero(lo == hi)[0]
@@ -131,15 +138,3 @@ def firm_uniform_conjunction(w: np.ndarray, b: float,
     q_b = -signed_sum * p / (1.0 - p) + b
     return FirmResult(feature=f.describe(), q_signed=q, method="uniform_conjunction",
                       extras=BinaryStats(q_a=q_a, q_b=q_b, p_a=p, p_b=1.0 - p))
-
-
-def poim_firm_conversion(q_prime: float, p: float) -> float:
-    """Rescale a conditional-mean-shift importance to the binary importance.
-
-    q_prime is E[s | feature value] - E[s]; p is the probability of that
-    feature value. Under a uniform background the factor is constant, so
-    rankings within a table slice are unchanged.
-    """
-    if not 0.0 < p < 1.0:
-        raise FirmError("p must lie strictly between 0 and 1")
-    return q_prime * math.sqrt((1.0 - p) / p)

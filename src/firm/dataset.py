@@ -156,7 +156,7 @@ class CovarianceEstimate:
 
 
 # ---------------------------------------------------------------------------
-# loading / saving
+# loading
 # ---------------------------------------------------------------------------
 
 @contextmanager
@@ -257,22 +257,6 @@ def load_tabular(path, has_labels: bool = False) -> TabularDataset:
             raise DataFormatError(f"{path}: need at least one feature column plus labels")
         return TabularDataset(X=data[:, :-1], y=data[:, -1], names=tuple(header[:-1]))
     return TabularDataset(X=data, y=None, names=tuple(header))
-
-
-def save_tabular(data: TabularDataset, path) -> None:
-    """Write a dataset back in the load_tabular dialect.
-
-    Floats are written with repr, so a save/load round trip is
-    bit-identical.
-    """
-    cols = list(data.names) + (["label"] if data.y is not None else [])
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(cols) + "\n")
-        for i in range(data.n):
-            cells = [repr(float(v)) for v in data.X[i]]
-            if data.y is not None:
-                cells.append(repr(float(data.y[i])))
-            fh.write(",".join(cells) + "\n")
 
 
 def load_sequences(path, alphabet: tuple[str, ...] = DNA_ALPHABET) -> SequenceDataset:

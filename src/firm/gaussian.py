@@ -66,15 +66,6 @@ def _normal_model_results(sigma: np.ndarray, g: np.ndarray,
             for j in range(q.size)]
 
 
-def conditional_mean(model: GaussianModel, j: int, t: float) -> np.ndarray:
-    """Mean of the (centered) inputs given coordinate j equals t."""
-    sigma = model.sigma.sigma
-    var_j = sigma[j, j]
-    if var_j <= 0:
-        raise FirmError(f"zero variance at coordinate {j + 1}")
-    return (t / var_j) * sigma[:, j]
-
-
 def firm_gaussian_general(scorer: Scorer, model: GaussianModel,
                           names: Sequence[str] | None = None) -> list[FirmResult]:
     """First-order importance of every coordinate for a differentiable scorer.

@@ -12,9 +12,8 @@ one gradient per row, where a constant gradient (linear) is one row.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -111,9 +110,8 @@ class KernelExpansionScorer:
     gradient_many(X) use it in place of kernel.gram(X, points) when X has
     the shape and the bytes of points (so -0.0 and 0.0 differ), and
     recompute for any other X. The kept matrix is not a constructor
-    argument, is not serialised and takes no part in equality. standardize
-    carries it over; a scorer built any other way, replace() included, has
-    none.
+    argument and takes no part in equality; a scorer built any other way,
+    replace() included, has none.
     """
 
     points: np.ndarray
@@ -402,77 +400,3 @@ def train_positional_kmer(data: SequenceDataset, K: int, lam: float) -> Position
     means = np.bincount(ids.ravel(), minlength=off[-1]) / n
     return PositionalKmerScorer(alphabet=data.alphabet, length=L, max_degree=K,
                                 weights=w, b=float(data.y.mean() - means @ w))
-
-
-# ---------------------------------------------------------------------------
-# standardization
-# ---------------------------------------------------------------------------
-
-def standardize(scorer: Scorer, data: TabularDataset | SequenceDataset) -> Scorer:
-    """Rescale a scorer so its scores have unit variance over the data.
-
-    Importances computed from the result are comparable across different
-    scorers; the ranking for any single scorer is unchanged.
-    """
-    rows = data.X if isinstance(data, TabularDataset) else data.sequences
-    sd = float(np.std(score_many(scorer, rows)))
-    if sd == 0.0:
-        raise FirmError("zero score variance")
-    if isinstance(scorer, LinearScorer):
-        return LinearScorer(w=scorer.w / sd, b=scorer.b / sd)
-    if isinstance(scorer, KernelExpansionScorer):
-        scaled = replace(scorer, alpha=scorer.alpha / sd, b=scorer.b / sd)
-        object.__setattr__(scaled, "_gram", scorer._gram)   # same points, same kernel
-        return scaled
-    if isinstance(scorer, PositionalKmerScorer):
-        return replace(scorer, weights=scorer.weights / sd, b=scorer.b / sd)
-    raise FirmError(f"cannot standardize {type(scorer).__name__}")
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def scorer_to_json(scorer: Scorer) -> str:
-    """Serialize a scorer to a JSON document {type, parameters}."""
-    if isinstance(scorer, LinearScorer):
-        doc = {"type": "linear", "w": scorer.w.tolist(), "b": scorer.b}
-    elif isinstance(scorer, KernelExpansionScorer):
-        k = scorer.kernel
-        kdoc = {"variant": k.variant}
-        if k.variant == "gaussian":
-            kdoc["gamma"] = k.gamma
-        else:
-            kdoc.update(degree=k.degree, offset=k.offset)
-        doc = {"type": "kernel_expansion", "points": scorer.points.tolist(),
-               "alpha": scorer.alpha.tolist(), "b": scorer.b, "kernel": kdoc}
-    elif isinstance(scorer, PositionalKmerScorer):
-        doc = {"type": "positional_kmer", "alphabet": list(scorer.alphabet),
-               "length": scorer.length, "max_degree": scorer.max_degree,
-               "weights": scorer.weights.tolist(), "b": scorer.b}
-    else:
-        raise FirmError(f"cannot serialize {type(scorer).__name__}")
-    return json.dumps(doc, sort_keys=True)
-
-
-def scorer_from_json(text: str) -> Scorer:
-    """Inverse of scorer_to_json."""
-    doc = json.loads(text)
-    t = doc.get("type")
-    if t == "linear":
-        return LinearScorer(w=np.array(doc["w"]), b=doc["b"])
-    if t == "kernel_expansion":
-        kdoc = doc["kernel"]
-        if kdoc["variant"] == "gaussian":
-            kernel = KernelSpec.gaussian(kdoc["gamma"])
-        else:
-            kernel = KernelSpec.polynomial(kdoc["degree"], kdoc["offset"])
-        return KernelExpansionScorer(points=np.array(doc["points"]),
-                                     alpha=np.array(doc["alpha"]),
-                                     b=doc["b"], kernel=kernel)
-    if t == "positional_kmer":
-        return PositionalKmerScorer(
-            alphabet=tuple(doc["alphabet"]), length=doc["length"],
-            max_degree=doc["max_degree"],
-            weights=doc["weights"], b=doc["b"])
-    raise FirmError(f"unknown scorer type {t!r}")

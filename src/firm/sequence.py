@@ -29,7 +29,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .dataset import SequenceDataset, encode_sequences
+from .dataset import encode_sequences
 from .errors import DEFAULT_CELL_BUDGET, BudgetExceededError, FirmError
 from .scoring import PositionalKmerScorer
 
@@ -58,17 +58,6 @@ class MarkovBackground:
         p = 1.0 / len(alphabet)
         return cls(alphabet=tuple(alphabet), letter_prob={a: p for a in alphabet})
 
-    @classmethod
-    def fit(cls, data: SequenceDataset) -> "MarkovBackground":
-        """Letter frequencies of the data (every letter must occur)."""
-        codes = encode_sequences(data.sequences, data.alphabet)
-        counts = np.bincount(codes.ravel(), minlength=len(data.alphabet))
-        if not counts.all():
-            missing = data.alphabet[counts.argmin()]
-            raise FirmError(f"letter {missing!r} never occurs; cannot fit background")
-        return cls(alphabet=data.alphabet,
-                   letter_prob=dict(zip(data.alphabet, (counts / counts.sum()).tolist())))
-
     def prob_of(self, s: str) -> float:
         p = np.array([self.letter_prob[a] for a in self.alphabet])
         return float(np.prod(p[encode_sequences([s], self.alphabet)[0]]))
@@ -80,7 +69,9 @@ class PoimTable:
 
     values[zi, j] holds the conditional-mean shift Q' for the oligomer
     with index zi (base-|alphabet| encoding, leftmost symbol most
-    significant) at position j; firm_values holds the rescaled Q.
+    significant; oligomer_index(z) gives it) at position j. firm_values
+    holds the rescaled Q, values[zi, j] * sqrt((1 - p_z) / p_z) with p_z
+    the oligomer's background probability.
     """
 
     k: int
@@ -106,12 +97,6 @@ class PoimTable:
     def oligomer(self, index: int) -> str:
         shape = (len(self.alphabet),) * self.k
         return "".join(self.alphabet[i] for i in np.unravel_index(index, shape))
-
-    def value(self, z: str, j: int) -> float:
-        return float(self.values[self.oligomer_index(z), j])
-
-    def firm_value(self, z: str, j: int) -> float:
-        return float(self.firm_values[self.oligomer_index(z), j])
 
 
 def _letter_probs(scorer: PositionalKmerScorer, bg: MarkovBackground) -> np.ndarray:

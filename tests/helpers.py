@@ -5,7 +5,8 @@ force, enumeration, finite differences, per-point formulas, sampling)
 without touching the production code paths under test; scores come from
 score_many, the one evaluation method every scorer has. kmer_scorer and kmer_weight only place
 and read positional k-mer weights with the package's layout, so tests can
-state a scorer as a {(position, substring): weight} dict. The one
+state a scorer as a {(position, substring): weight} dict, and save_tabular
+writes the CSV files that the parser tests read. The one
 exception among the oracles is the Monte Carlo
 oracle, whose point estimate is the package's binned estimator on draws
 from the model; it is an oracle for the normal-model closed forms, which
@@ -63,6 +64,16 @@ def empirical_matrix_diagonals(X):
     assert (n_plus > 0).all() and (n_minus > 0).all(), "oracle needs two-valued columns"
     root = np.sqrt(n_plus * n_minus)
     return (n_minus - n_plus) / (2.0 * X.shape[0] * root), 1.0 / (2.0 * root)
+
+
+def poim_firm_conversion(q_prime, p):
+    """One cell's binary importance from its conditional-mean shift.
+
+    q_prime is E[s | feature value] - E[s] and p the probability of that
+    feature value; the binary importance is q_prime * sqrt((1 - p) / p).
+    """
+    assert 0.0 < p < 1.0, "oracle needs 0 < p < 1"
+    return q_prime * math.sqrt((1.0 - p) / p)
 
 
 def central_difference_gradient(scorer, x, step=1e-5):
@@ -167,6 +178,21 @@ def explicit_kmer_ridge(data, K, lam):
     alpha = np.linalg.solve(Phic @ Phic.T + data.n * lam * np.eye(data.n), yc)
     w = Phic.T @ alpha
     return dict(zip(feats, w.tolist())), float(data.y.mean() - means @ w)
+
+
+def save_tabular(data, path):
+    """Write a TabularDataset in the load_tabular dialect, labels last.
+
+    Floats are written with repr, so loading the file back is bit-identical.
+    """
+    cols = list(data.names) + (["label"] if data.y is not None else [])
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(cols) + "\n")
+        for i in range(data.n):
+            cells = [repr(float(v)) for v in data.X[i]]
+            if data.y is not None:
+                cells.append(repr(float(data.y[i])))
+            fh.write(",".join(cells) + "\n")
 
 
 def all_pm1_rows(d):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from firm import (DegenerateFeatureError, FirmError, LinearScorer, PointDistribution,
                   Projection, SignedConjunction, Xor, firm_binary_empirical_matrix,
                   firm_binary_exact, firm_binary_values, firm_uniform_conjunction,
-                  poim_firm_conversion, score_many)
+                  score_many)
 
 from helpers import all_pm1_rows, brute_firm_binary, empirical_matrix_diagonals
 
@@ -99,6 +99,15 @@ class TestBinaryKernel:
         got = [r.q_signed for r in firm_binary_values(X @ w + b, X)]
         np.testing.assert_allclose(got, M.T @ (X @ w + b), rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("probs", [
+        [0.1] * 4, [1.0] * 4, [np.nan, 0.5, 0.25, 0.25], [0.75, -0.25, 0.25, 0.25], [0.5, 0.5],
+    ], ids=["sum-below-1", "sum-above-1", "nan", "negative", "length"])
+    def test_invalid_probs_rejected(self, probs):
+        with pytest.raises(FirmError, match="probabilit"):
+            firm_binary_values([1.0, 2.0, 3.0, 5.0], [0.0, 1.0, 0.0, 1.0], probs=probs)
+        with pytest.raises(FirmError, match="probabilit"):
+            PointDistribution(points=np.ones((4, 1)), probs=probs)
+
     def test_non_finite_importance_rejected(self):
         with np.errstate(all="ignore"), pytest.raises(FirmError, match="not finite"):
             firm_binary_values([np.inf, 0.0, 1.0, -np.inf], [0.0, 1.0, 0.0, 1.0])
@@ -186,22 +195,6 @@ class TestUniformConjunctionClosedForm:
     def test_empty_literals_rejected(self):
         with pytest.raises(FirmError):
             firm_uniform_conjunction(np.ones(2), 0.0, ())
-
-
-class TestScalingConversion:
-    def test_half_probability_is_identity(self):
-        assert poim_firm_conversion(1.7, 0.5) == pytest.approx(1.7, abs=0)
-
-    def test_zero_stays_zero(self):
-        assert poim_firm_conversion(0.0, 0.123) == 0.0
-
-    def test_quarter_probability(self):
-        assert poim_firm_conversion(1.0, 0.25) == pytest.approx(math.sqrt(3.0), abs=1e-15)
-
-    @pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.5])
-    def test_degenerate_probability_rejected(self, p):
-        with pytest.raises(FirmError):
-            poim_firm_conversion(1.0, p)
 
 
 class TestInvariances:

@@ -6,10 +6,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from firm import (DataFormatError, FirmError, TabularDataset, empirical_covariance,
-                  load_sequences, load_tabular, save_tabular, shrinkage_covariance)
+                  load_sequences, load_tabular, shrinkage_covariance)
 from firm.dataset import _load_fast, _parse_rows
 
-from helpers import all_pm1_rows
+from helpers import all_pm1_rows, save_tabular
 
 
 def write(tmp_path, name, text):

@@ -1,12 +1,11 @@
-"""Feature evaluation and compact-string parsing."""
+"""Feature evaluation and naming."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from firm import (FirmError, PositionalOligomer, Projection, SignedConjunction,
-                  Threshold, Xor, parse_feature)
+from firm import FirmError, Projection, SignedConjunction, Xor
 
 from helpers import all_pm1_rows
 
@@ -23,22 +22,6 @@ class TestEvaluate:
     def test_xor(self):
         np.testing.assert_array_equal(Xor(0, 1).evaluate_rows([[1.0, 1.0], [1.0, -1.0]]),
                                       [0.0, 1.0])
-
-    def test_threshold(self):
-        f = Threshold(0, 0.5)
-        np.testing.assert_array_equal(f.evaluate_rows([[0.5], [0.50001]]), [0.0, 1.0])
-
-    def test_positional_oligomer(self):
-        f = PositionalOligomer(z="GAT", j=2)
-        np.testing.assert_array_equal(f.evaluate_rows(["AAGATC", "AAGTTC"]), [1.0, 0.0])
-
-    def test_oligomer_window_past_end(self):
-        with pytest.raises(FirmError, match=r"window \[2, 5\) exceeds sequence length 4"):
-            PositionalOligomer(z="GAT", j=2).evaluate_rows(["AAGATC", "AAGA"])
-
-    def test_oligomer_on_string_rows(self):
-        f = PositionalOligomer(z="GAT", j=0)
-        np.testing.assert_array_equal(f.evaluate_rows(["GATT", "AGAT"]), [1.0, 0.0])
 
     def test_conjunction_needs_distinct_indices(self):
         with pytest.raises(FirmError):
@@ -60,24 +43,8 @@ class TestIsBinary:
         assert f.evaluate_rows(X).mean() == 2.0 ** (-m)
 
 
-class TestParse:
-    @pytest.mark.parametrize("text,expected", [
-        ("x3", Projection(2)),
-        ("and(+1,-2)", SignedConjunction(literals=((0, 1), (1, -1)))),
-        ("xor(1,2)", Xor(0, 1)),
-        ("thr(2,0.5)", Threshold(1, 0.5)),
-        ("kmer(GAT@4)", PositionalOligomer(z="GAT", j=3)),
-    ])
-    def test_parse_roundtrip(self, text, expected):
-        f = parse_feature(text)
-        assert f == expected
-        assert parse_feature(f.describe()) == f
-
+class TestDescribe:
     def test_describe_is_one_based(self):
         assert Projection(0).describe() == "x1"
-        assert PositionalOligomer(z="GAT", j=0).describe() == "kmer(GAT@1)"
-
-    @pytest.mark.parametrize("bad", ["x0x", "and()", "xor(1)", "thr(1)", "kmer(G@)", "y2"])
-    def test_parse_rejects_garbage(self, bad):
-        with pytest.raises(FirmError):
-            parse_feature(bad)
+        assert SignedConjunction(literals=((0, 1), (2, -1))).describe() == "and(+1,-3)"
+        assert Xor(0, 1).describe() == "xor(1,2)"

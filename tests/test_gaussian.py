@@ -5,7 +5,7 @@ import pytest
 
 from firm import (CovarianceEstimate, FirmError, GaussianModel, KernelExpansionScorer,
                   KernelSpec, LinearScorer, TabularDataset,
-                  conditional_mean, firm_gaussian_general, firm_gaussian_linear,
+                  firm_gaussian_general, firm_gaussian_linear,
                   firm_regression_closed_form, sensitivity_index, train_least_squares)
 
 from helpers import kernel_gradient_at, kmer_scorer, mc_firm
@@ -22,25 +22,6 @@ def random_pd_cov(rng, d, max_cond=100.0):
     lo = 1.0
     eig = lo * np.exp(rng.random(d) * np.log(max_cond))
     return (Q * eig) @ Q.T
-
-
-class TestConditionalMean:
-    def test_identity_covariance(self):
-        m = model_from(np.eye(3))
-        np.testing.assert_allclose(conditional_mean(m, 0, 2.0), [2.0, 0.0, 0.0])
-
-    def test_zero_value(self):
-        m = model_from([[2.0, 0.5], [0.5, 1.0]])
-        np.testing.assert_allclose(conditional_mean(m, 1, 0.0), [0.0, 0.0])
-
-    def test_correlated_pair(self):
-        rho = 0.7
-        m = model_from([[1.0, rho], [rho, 1.0]])
-        np.testing.assert_allclose(conditional_mean(m, 0, 1.0), [1.0, rho])
-
-    def test_scales_with_variance(self):
-        m = model_from([[4.0, 1.0], [1.0, 1.0]])
-        np.testing.assert_allclose(conditional_mean(m, 0, 2.0), [2.0, 0.5])
 
 
 class TestGaussianLinear:

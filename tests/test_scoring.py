@@ -1,6 +1,7 @@
-"""Scorers, gradients, trainers, standardization, serialization."""
+"""Scorers, gradients, trainers."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,9 +10,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from firm import (BudgetExceededError, FirmError, KernelExpansionScorer, KernelSpec,
-                  LinearScorer, PositionalKmerScorer, SequenceDataset,
-                  TabularDataset, gradient_at, score_many, scorer_from_json, scorer_to_json, standardize,
-                  sensitivity_index, train_kernel_ridge, train_least_squares,
+                  LinearScorer, SequenceDataset,
+                  TabularDataset, gradient_at, score_many,
+                  train_kernel_ridge, train_least_squares,
                   train_positional_kmer, train_ridge)
 from firm.scoring import _solve_shifted, kmer_offsets
 
@@ -284,7 +285,7 @@ class TestKeptGram:
     @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.variant)
     def test_training_rows_reuse_it_bitwise(self, kernel, monkeypatch):
         ds, sc = self.trained(kernel)
-        rebuilt = scorer_from_json(scorer_to_json(sc))
+        rebuilt = replace(sc)
         assert rebuilt._gram is None
         expected = self.bits(rebuilt, ds.X)
         calls = self.count_gram_calls(monkeypatch)
@@ -295,7 +296,7 @@ class TestKeptGram:
     @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.variant)
     def test_other_inputs_recompute(self, kernel, monkeypatch):
         ds, sc = self.trained(kernel)
-        rebuilt = scorer_from_json(scorer_to_json(sc))
+        rebuilt = replace(sc)
         signed_zero = ds.X.copy()
         signed_zero[5, 1] = -0.0
         assert np.array_equal(signed_zero, ds.X)
@@ -307,10 +308,9 @@ class TestKeptGram:
             assert self.bits(sc, X) == expected
             assert calls == [X.shape] * (2 if kernel.variant == "gaussian" else 1)
 
-    def test_not_an_argument_not_serialised(self):
+    def test_not_an_argument_not_in_repr(self):
         ds, sc = self.trained(self.KERNELS[0])
-        rebuilt = scorer_from_json(scorer_to_json(sc))
-        assert scorer_to_json(rebuilt) == scorer_to_json(sc)
+        rebuilt = replace(sc)
         assert repr(rebuilt) == repr(sc) and "_gram" not in repr(sc)
         with pytest.raises(TypeError):
             KernelExpansionScorer(points=ds.X, alpha=sc.alpha, b=sc.b,
@@ -486,73 +486,3 @@ class TestPositionalKmerTrainer:
             manual = sc.b + sum(kmer_weight(sc, i, s[i:i + k])
                                 for k in (1, 2) for i in range(len(s) - k + 1))
             assert got == pytest.approx(manual, rel=1e-12)
-
-
-class TestStandardize:
-    def test_unit_variance_after(self):
-        rng = np.random.default_rng(10)
-        X = rng.normal(size=(50, 3))
-        ds = TabularDataset(X=X, y=None, names=("a", "b", "c"))
-        sc = standardize(LinearScorer(w=[1.0, -2.0, 0.5], b=3.0), ds)
-        assert np.var(score_many(sc, X)) == pytest.approx(1.0, abs=1e-10)
-
-    def test_idempotent(self):
-        rng = np.random.default_rng(11)
-        X = rng.normal(size=(50, 2))
-        ds = TabularDataset(X=X, y=None, names=("a", "b"))
-        once = standardize(LinearScorer(w=[2.0, 1.0], b=-1.0), ds)
-        twice = standardize(once, ds)
-        np.testing.assert_allclose(twice.w, once.w, rtol=1e-12)
-        assert twice.b == pytest.approx(once.b, rel=1e-12)
-
-    def test_constant_scorer_rejected(self):
-        ds = TabularDataset(X=np.eye(3), y=None, names=("a", "b", "c"))
-        with pytest.raises(FirmError, match="zero score variance"):
-            standardize(LinearScorer(w=[0.0, 0.0, 0.0], b=4.0), ds)
-
-    def test_kernel_scorer_keeps_its_gram(self, monkeypatch):
-        ds, sc = TestKeptGram.trained(KernelSpec.gaussian(1.5))
-        out = standardize(sc, ds)
-        assert out._gram is sc._gram
-        expected = sensitivity_index(scorer_from_json(scorer_to_json(out)), ds)
-        calls = TestKeptGram.count_gram_calls(monkeypatch)
-        assert sensitivity_index(out, ds) == expected
-        assert calls == []
-
-    def test_kmer_scorer_standardizes(self):
-        seqs = ("ACGT", "TTAG", "CCGA", "GGTA")
-        ds = SequenceDataset(sequences=seqs, y=np.array([1.0, -1.0, 1.0, -1.0]))
-        sc = kmer_scorer(("A", "C", "G", "T"), 4, 1, {(0, "A"): 2.0}, b=0.5)
-        out = standardize(sc, ds)
-        assert np.var(score_many(out, seqs)) == pytest.approx(1.0, abs=1e-12)
-
-
-class TestSerialization:
-    @pytest.mark.parametrize("make", [
-        lambda: LinearScorer(w=[1.5, -2.0], b=0.25),
-        lambda: KernelExpansionScorer(points=np.array([[1.0, 2.0], [0.0, -1.0]]),
-                                      alpha=[0.5, -0.5], b=1.0,
-                                      kernel=KernelSpec.gaussian(2.0)),
-        lambda: KernelExpansionScorer(points=np.array([[1.0], [2.0]]),
-                                      alpha=[1.0, 1.0], b=0.0,
-                                      kernel=KernelSpec.polynomial(3, 0.5)),
-        lambda: LinearScorer(w=[0.1, -0.0, 3e-300], b=-1e300),
-        lambda: kmer_scorer(("A", "C"), 3, 1, {}, b=0.0),
-        lambda: kmer_scorer(("A", "C", "G", "T"), 5, 2,
-                            {(0, "GA"): 1.25, (3, "T"): -0.5}, b=0.75),
-    ])
-    def test_roundtrip(self, make):
-        sc = make()
-        doc = scorer_to_json(sc)
-        back = scorer_from_json(doc)
-        assert scorer_to_json(back) == doc
-        if isinstance(sc, PositionalKmerScorer):
-            np.testing.assert_array_equal(back.weights, sc.weights)
-            assert back.b == sc.b
-        elif isinstance(sc, LinearScorer):
-            np.testing.assert_array_equal(back.w, sc.w)
-            assert back.b == sc.b
-        else:
-            np.testing.assert_array_equal(back.points, sc.points)
-            np.testing.assert_array_equal(back.alpha, sc.alpha)
-            assert back.kernel == sc.kernel

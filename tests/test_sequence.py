@@ -7,13 +7,12 @@ import numpy as np
 import pytest
 
 from firm import (BudgetExceededError, FirmError, MarkovBackground, PoimTable,
-                  SequenceDataset, conditional_expected_score,
-                  expected_score, hamming_ball, poim, poim_firm_conversion,
+                  conditional_expected_score, expected_score, hamming_ball, poim,
                   ranked_oligomers)
 from firm import experiments
 
 from helpers import (enum_conditional_score, enum_expected_score,
-                     kmer_scorer, kmer_weight)
+                     kmer_scorer, kmer_weight, poim_firm_conversion)
 
 
 DNA = ("A", "C", "G", "T")
@@ -126,10 +125,10 @@ class TestPoimTable:
             for zi in range(16):
                 z = table.oligomer(zi)
                 want = conditional_expected_score(sc, bg, z, j) - base
-                assert table.value(z, j) == pytest.approx(want, abs=1e-12)
+                assert table.values[zi, j] == pytest.approx(want, abs=1e-12)
                 enum = enum_conditional_score(sc, DNA, 6,
                                               bg.letter_prob, z, j) - enum_base
-                assert table.value(z, j) == pytest.approx(enum, abs=1e-12)
+                assert table.values[zi, j] == pytest.approx(enum, abs=1e-12)
 
     def test_degree_one_uniform_identity(self):
         """For a scorer with only single-letter weights, the k=1 entry is
@@ -142,8 +141,8 @@ class TestPoimTable:
         for j in range(L):
             mean_w = np.mean([weights[(j, a)] for a in DNA])
             for a in DNA:
-                assert table.value(a, j) == pytest.approx(weights[(j, a)] - mean_w,
-                                                          abs=1e-12)
+                assert table.values[table.oligomer_index(a), j] == pytest.approx(
+                    weights[(j, a)] - mean_w, abs=1e-12)
 
     def test_zero_scorer_gives_zero_table(self):
         sc = kmer_scorer(DNA, 4, 2, {}, b=1.0)
@@ -164,14 +163,18 @@ class TestPoimTable:
             np.testing.assert_allclose(resid, np.zeros(table.positions), atol=1e-9)
 
     def test_firm_scaling_matches_conversion(self):
+        """Per cell, also where the factor differs between oligomers."""
         rng = np.random.default_rng(4)
-        bg = MarkovBackground.uniform(DNA)
         sc = random_sparse_scorer(rng, DNA, 5, 2, 8)
-        table = poim(sc, bg, k=3)
-        for zi, j in [(0, 0), (17, 1), (63, 2)]:
-            z = table.oligomer(zi)
-            want = poim_firm_conversion(table.value(z, j), bg.prob_of(z))
-            assert table.firm_value(z, j) == pytest.approx(want, rel=1e-12)
+        skewed = {"A": 0.4, "C": 0.3, "G": 0.2, "T": 0.1}
+        for bg in (MarkovBackground.uniform(DNA),
+                   MarkovBackground(alphabet=DNA, letter_prob=skewed)):
+            table = poim(sc, bg, k=3)
+            for zi in range(len(DNA) ** 3):
+                z = table.oligomer(zi)
+                for j in range(table.positions):
+                    want = poim_firm_conversion(table.values[zi, j], bg.prob_of(z))
+                    assert table.firm_values[zi, j] == pytest.approx(want, rel=1e-12)
 
     def test_uniform_scaling_preserves_within_slice_ranking(self):
         rng = np.random.default_rng(5)
@@ -187,7 +190,8 @@ class TestPoimTable:
         sc = kmer_scorer(DNA, 6, 1, {(2, "G"): 1.0}, b=0.0)
         table = poim(sc, MarkovBackground.uniform(DNA), k=3)
         # conditioning on a trimer covering position 2 pins the weight
-        assert table.value("AGA", 1) == pytest.approx(1.0 - 0.25, abs=1e-12)
+        assert table.values[table.oligomer_index("AGA"), 1] == pytest.approx(1.0 - 0.25,
+                                                                           abs=1e-12)
 
     def test_table_follows_scorer_alphabet_order(self):
         rng = np.random.default_rng(6)
@@ -198,10 +202,10 @@ class TestPoimTable:
                                              letter_prob=probs), k=2)
         assert permuted.alphabet == sc.alphabet
         for zi in range(16):
-            z = table.oligomer(zi)
+            pz = permuted.oligomer_index(table.oligomer(zi))
             for j in range(table.positions):
-                assert permuted.value(z, j) == table.value(z, j)
-                assert permuted.firm_value(z, j) == table.firm_value(z, j)
+                assert permuted.values[pz, j] == table.values[zi, j]
+                assert permuted.firm_values[pz, j] == table.firm_values[zi, j]
 
     def test_budget_guard(self):
         sc = kmer_scorer(DNA, 20, 1, {(0, "A"): 1.0}, b=0.0)
@@ -308,17 +312,6 @@ class TestBackground:
     def test_uniform(self):
         bg = MarkovBackground.uniform(DNA)
         assert bg.prob_of("ACGT") == pytest.approx(4.0 ** -4, abs=1e-18)
-
-    def test_fit_counts_letters(self):
-        ds = SequenceDataset(sequences=("AACG", "TTGC"), y=np.array([1.0, -1.0]))
-        bg = MarkovBackground.fit(ds)
-        assert bg.letter_prob["A"] == pytest.approx(0.25)
-        assert sum(bg.letter_prob.values()) == pytest.approx(1.0, abs=1e-15)
-
-    def test_fit_requires_all_letters(self):
-        ds = SequenceDataset(sequences=("AAAA", "CCCC"), y=np.array([1.0, -1.0]))
-        with pytest.raises(FirmError, match="never occurs"):
-            MarkovBackground.fit(ds)
 
     def test_probabilities_validated(self):
         with pytest.raises(FirmError):
