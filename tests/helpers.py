@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from firm import PositionalKmerScorer, conditional_curve, firm_from_curve, score_many
+from firm import FirmError, PositionalKmerScorer, conditional_curve, firm_from_curve, score_many
 from firm.scoring import kmer_offsets
 
 
@@ -72,7 +72,8 @@ def poim_firm_conversion(q_prime, p):
     q_prime is E[s | feature value] - E[s] and p the probability of that
     feature value; the binary importance is q_prime * sqrt((1 - p) / p).
     """
-    assert 0.0 < p < 1.0, "oracle needs 0 < p < 1"
+    if not 0.0 < p < 1.0:
+        raise FirmError("p must lie strictly between 0 and 1")
     return q_prime * math.sqrt((1.0 - p) / p)
 
 

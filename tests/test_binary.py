@@ -12,7 +12,8 @@ from firm import (DegenerateFeatureError, FirmError, LinearScorer, PointDistribu
                   firm_binary_exact, firm_binary_values, firm_uniform_conjunction,
                   score_many)
 
-from helpers import all_pm1_rows, brute_firm_binary, empirical_matrix_diagonals
+from helpers import (all_pm1_rows, brute_firm_binary, empirical_matrix_diagonals,
+                     poim_firm_conversion)
 
 
 def uniform_table(d):
@@ -195,6 +196,24 @@ class TestUniformConjunctionClosedForm:
     def test_empty_literals_rejected(self):
         with pytest.raises(FirmError):
             firm_uniform_conjunction(np.ones(2), 0.0, ())
+
+
+class TestScalingConversion:
+    """The scalar rescaling that serves as the oracle for PoimTable.firm_values."""
+
+    def test_half_probability_is_identity(self):
+        assert poim_firm_conversion(1.7, 0.5) == pytest.approx(1.7, abs=0)
+
+    def test_zero_stays_zero(self):
+        assert poim_firm_conversion(0.0, 0.123) == 0.0
+
+    def test_quarter_probability(self):
+        assert poim_firm_conversion(1.0, 0.25) == pytest.approx(math.sqrt(3.0), abs=1e-15)
+
+    @pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.5])
+    def test_degenerate_probability_rejected(self, p):
+        with pytest.raises(FirmError):
+            poim_firm_conversion(1.0, p)
 
 
 class TestInvariances:
