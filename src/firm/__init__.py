@@ -6,8 +6,7 @@ binary features, normal models, and positional oligomers over sequences;
 a binned estimator covers arbitrary samples.
 """
 
-from .binary import (PointDistribution, firm_binary_empirical_matrix,
-                     firm_binary_exact, firm_binary_values,
+from .binary import (PointDistribution, firm_binary_exact, firm_binary_values,
                      firm_uniform_conjunction)
 from .dataset import (CovarianceEstimate, SequenceDataset, TabularDataset,
                       empirical_covariance, load_sequences, load_tabular,
@@ -17,8 +16,8 @@ from .empirical import (ConditionalScoreCurve, conditional_curve, default_bins,
 from .errors import (BudgetExceededError, DataFormatError,
                      DegenerateFeatureError, FirmError)
 from .features import Projection, SignedConjunction, Xor
-from .gaussian import (GaussianModel, firm_gaussian_general, firm_gaussian_linear,
-                       firm_regression_closed_form, sensitivity_index)
+from .gaussian import (firm_gaussian_general, firm_regression_closed_form,
+                       sensitivity_index)
 from .results import BinaryStats, FirmResult
 from .scoring import (KernelExpansionScorer, KernelSpec, LinearScorer,
                       PositionalKmerScorer, gradient_at, score_many,

@@ -33,7 +33,7 @@ def _checked_probs(probs, n: int) -> np.ndarray:
     return probs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointDistribution:
     """An explicit distribution: support points plus probabilities."""
 
@@ -52,14 +52,14 @@ class PointDistribution:
         return cls(points=points, probs=np.full(n, 1.0 / n))
 
 
-def firm_binary_values(scores, F, probs=None, names=None,
-                       method: str = "binary_exact") -> list[FirmResult]:
+def firm_binary_values(scores, F, probs=None, names=None) -> list[FirmResult]:
     """Exact signed importance of every two-valued column of F.
 
     F is n-by-d (1-D for one column) and row-aligned with the scores; row i
     has probability probs[i], uniform by default. probs must be finite,
     nonnegative and sum to 1; it is not rescaled. Columns are named by
-    `names`, or x1 .. xd.
+    `names`, or x1 .. xd. Scores X @ w + b with F = X give the paper's
+    matrix form Q = M'(Xw + b) of a linear scorer on ±1 data.
     """
     scores, F, names = feature_columns(scores, F, names)
     probs = (np.full(scores.size, 1.0 / scores.size) if probs is None
@@ -85,7 +85,7 @@ def firm_binary_values(scores, F, probs=None, names=None,
     q_hi = sum_hi / p_hi
     q_lo = (weighted @ ~is_hi) / p_lo
     q = (q_hi - q_lo) * np.sqrt(p_hi * p_lo)
-    return [FirmResult(feature=names[j], q_signed=float(q[j]), method=method,
+    return [FirmResult(feature=names[j], q_signed=float(q[j]), method="binary_exact",
                        extras=BinaryStats(q_a=float(q_hi[j]), q_b=float(q_lo[j]),
                                           p_a=float(p_hi[j]), p_b=float(p_lo[j])))
             for j in range(q.size)]
@@ -97,24 +97,6 @@ def firm_binary_exact(scorer: Scorer, f: FeatureFunction,
     return firm_binary_values(score_many(scorer, dist.points),
                               f.evaluate_rows(dist.points),
                               probs=dist.probs, names=[f.describe()])[0]
-
-
-def firm_binary_empirical_matrix(X: np.ndarray, w: np.ndarray,
-                                 b: float = 0.0) -> list[FirmResult]:
-    """Per-column importances of a linear scorer on ±1 data.
-
-    Equal to the paper's matrix form Q = M'(Xw + b), where M = 1*d0 + X*d1
-    weights each example by the reciprocal of its column value's count:
-    the exact binary importance of every column projection under the
-    empirical distribution.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    if not np.isin(X, (-1.0, 1.0)).all():
-        raise FirmError("matrix form requires ±1 entries")
-    w = np.asarray(w, dtype=np.float64).ravel()
-    if w.size != X.shape[1]:
-        raise FirmError(f"weight vector has size {w.size}, data has {X.shape[1]} columns")
-    return firm_binary_values(X @ w + b, X, method="binary_matrix")
 
 
 def firm_uniform_conjunction(w: np.ndarray, b: float,

@@ -1,10 +1,10 @@
 """Command-line surface: dataset analysis, the simulation studies, and
 covariance reports.
 
-Every command computes its complete output first and only then writes
-artifacts. Each file is replaced atomically, but a reused --out keeps the
-files an earlier run wrote. Identical configuration, including the seed,
-yields byte-identical artifacts.
+Every command returns its complete output and `main` makes the one write
+of it to --out. Each file is replaced atomically, but a reused --out keeps
+the files an earlier run wrote. Identical configuration, including the
+seed, yields byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .dataset import (CovarianceEstimate, TabularDataset, empirical_covariance,
                       load_sequences, load_tabular, open_utf8, shrinkage_covariance)
 from .empirical import conditional_curve, default_bins, firm_from_curve, firm_slope
 from .errors import DataFormatError, FirmError
-from .gaussian import GaussianModel, firm_gaussian_general, sensitivity_index
+from .gaussian import firm_gaussian_general, sensitivity_index
 from .results import FirmResult
 from .scoring import (KernelSpec, score_many, train_kernel_ridge,
                       train_least_squares, train_positional_kmer, train_ridge)
@@ -121,8 +121,8 @@ def analyze_tabular(args) -> dict:
     artifacts = {}
     if args.method == "gaussian":
         cov = choose_covariance(args.covariance, data)
-        model = GaussianModel(sigma=cov, mean=data.column_means)
-        results = firm_gaussian_general(scorer, model, names=data.names)
+        results = firm_gaussian_general(scorer, cov, mean=data.column_means,
+                                        names=data.names)
     elif args.method == "sensitivity":
         results = [FirmResult(feature=name, q_signed=v, method="sensitivity")
                    for name, v in zip(data.names, sensitivity_index(scorer, data))]
@@ -159,7 +159,7 @@ def analyze_sequence(args) -> dict:
     }
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args) -> dict:
     validate_analyze_config(args)
     if args.method in SEQUENCE_METHODS:
         artifacts = analyze_sequence(args)
@@ -171,46 +171,22 @@ def cmd_analyze(args) -> int:
         "bins": args.bins, "k": args.k, "top": args.top,
         "covariance": args.covariance, "standardize": args.standardize,
         "seed": args.seed})
-    _emit.write_artifacts(args.out, artifacts)
-    return 0
+    return artifacts
 
 
-def cmd_covariance(args) -> int:
+def cmd_covariance(args) -> dict:
     data = load_tabular(args.input, has_labels=args.has_labels)
     cov = choose_covariance(args.covariance, data)
     doc = {"method": cov.method, "d": cov.d, "names": list(data.names)}
     if cov.shrinkage_lambda is not None:
         doc["shrinkage_lambda"] = cov.shrinkage_lambda
-    artifacts = {
+    return {
         "covariance.tsv": _emit.matrix_tsv(data.names, cov.sigma),
         "covariance.json": _emit.json_doc(doc),
         "run.json": _emit.run_metadata("covariance", {
             "input": args.input, "covariance": args.covariance,
             "has_labels": args.has_labels}),
     }
-    _emit.write_artifacts(args.out, artifacts)
-    return 0
-
-
-def cmd_experiment_boolean(args) -> int:
-    artifacts, _ = experiments.boolean_experiment(lam=args.lam)
-    _emit.write_artifacts(args.out, artifacts)
-    return 0
-
-
-def cmd_experiment_gaussian(args) -> int:
-    artifacts, _ = experiments.gaussian_experiment(
-        seed=args.seed, n_per_class=args.n_per_class, bins=args.bins)
-    _emit.write_artifacts(args.out, artifacts)
-    return 0
-
-
-def cmd_experiment_sequence(args) -> int:
-    artifacts, _ = experiments.sequence_experiment(
-        seed=args.seed, n_per_class=args.n_per_class, seq_len=args.seq_len,
-        degree=args.degree, lam=args.lam, k=args.k, top=args.top)
-    _emit.write_artifacts(args.out, artifacts)
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -219,9 +195,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Feature importance ranking via conditional expected scores.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed_default=42):
+    def common(p, func):
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=seed_default,
+        p.set_defaults(func=func)
+
+    def seeded(p, func):
+        common(p, func)
+        p.add_argument("--seed", type=int, default=42,
                        help="seed for all randomness (default %(default)s)")
 
     p = sub.add_parser("analyze", help="importance of every column/oligomer")
@@ -253,8 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="divide the importances in firm.tsv by the score "
                         "standard deviation; firm.json keeps the raw values "
                         "and adds q_tilde_* and score_sd")
-    common(p)
-    p.set_defaults(func=cmd_analyze)
+    seeded(p, cmd_analyze)
 
     p = sub.add_parser("covariance", help="write the covariance estimate")
     p.add_argument("--input", required=True)
@@ -262,23 +241,21 @@ def build_parser() -> argparse.ArgumentParser:
                    help="empirical | shrunk | file:PATH (default %(default)s)")
     p.add_argument("--has-labels", action="store_true",
                    help="last input column is a label column")
-    common(p)
-    p.set_defaults(func=cmd_covariance)
+    common(p, cmd_covariance)
 
     p = sub.add_parser("experiment-boolean",
                        help="importance of conjunctions of three ±1 variables")
     p.add_argument("--lambda", dest="lam", type=float,
                    default=experiments.BOOLEAN_LAMBDA,
                    help="kernel ridge strength (default %(default)s)")
-    common(p)
-    p.set_defaults(func=cmd_experiment_boolean)
+    common(p, lambda args: experiments.boolean_experiment(lam=args.lam)[0])
 
     p = sub.add_parser("experiment-gaussian",
                        help="slope importances for two normal classes")
     p.add_argument("--n-per-class", type=int, default=1000)
     p.add_argument("--bins", type=int, default=None)
-    common(p)
-    p.set_defaults(func=cmd_experiment_gaussian)
+    seeded(p, lambda args: experiments.gaussian_experiment(
+        seed=args.seed, n_per_class=args.n_per_class, bins=args.bins)[0])
 
     p = sub.add_parser("experiment-sequence",
                        help="planted-motif study with oligomer importances")
@@ -290,8 +267,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=7,
                    help="oligomer length of the importance table")
     p.add_argument("--top", type=int, default=20)
-    common(p)
-    p.set_defaults(func=cmd_experiment_sequence)
+    seeded(p, lambda args: experiments.sequence_experiment(
+        seed=args.seed, n_per_class=args.n_per_class, seq_len=args.seq_len,
+        degree=args.degree, lam=args.lam, k=args.k, top=args.top)[0])
     return parser
 
 
@@ -300,7 +278,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            return args.func(args)
+            _emit.write_artifacts(args.out, args.func(args))
+        return 0
     except FirmError as exc:
         return _emit.fail(str(exc))
     except (FloatingPointError, np.linalg.LinAlgError) as exc:

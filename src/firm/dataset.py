@@ -1,7 +1,7 @@
 """Data ingestion and covariance estimation for tabular and sequence data.
 
-All container types are immutable after construction (arrays are frozen),
-so shared instances are safe under concurrent use.
+All container types are immutable (arrays are frozen) and compare by
+identity, so shared instances are safe under concurrent use.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TabularDataset:
     """An n-by-d data matrix with optional labels and column names."""
 
@@ -72,29 +72,35 @@ class TabularDataset:
         return self.y
 
 
+def _check_sequences(numbered, alphabet: tuple[str, ...], L: int, where: str = "") -> None:
+    """DataFormatError, prefixed by `where`, for the first (line, sequence)
+    pair of a length other than L or with a symbol outside the alphabet."""
+    drop = dict.fromkeys(map(ord, alphabet))
+    for line, s in numbered:
+        if len(s) != L:
+            raise DataFormatError(f"{where}length mismatch at line {line}: "
+                                  f"expected {L}, got {len(s)}")
+        bad = s.translate(drop)
+        if bad:
+            raise DataFormatError(f"{where}symbol {bad[0]} not in alphabet at line {line}")
+
+
 def encode_sequences(sequences, alphabet: tuple[str, ...],
                      length: int | None = None) -> np.ndarray:
     """Sequences as a read-only n x length uint8 array of alphabet indices.
 
     length defaults to that of the first sequence. The first sequence with
     another length or a symbol outside the alphabet raises DataFormatError
-    naming its 1-based line.
+    naming its 1-based place in the list.
     """
     seqs = list(sequences)
     L = len(seqs[0]) if length is None else length
-    drop = dict.fromkeys(map(ord, alphabet))
-    for line, s in enumerate(seqs, start=1):
-        if len(s) != L:
-            raise DataFormatError(f"length mismatch at line {line}: "
-                                  f"expected {L}, got {len(s)}")
-        bad = s.translate(drop)
-        if bad:
-            raise DataFormatError(f"symbol {bad[0]} not in alphabet at line {line}")
+    _check_sequences(enumerate(seqs, start=1), alphabet, L)
     text = "".join(seqs).translate({ord(a): i for i, a in enumerate(alphabet)})
     return np.frombuffer(text.encode("latin-1"), dtype=np.uint8).reshape(len(seqs), L)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SequenceDataset:
     """Fixed-length sequences over a finite alphabet, with ±1 labels."""
 
@@ -125,7 +131,7 @@ class SequenceDataset:
         return len(self.sequences[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CovarianceEstimate:
     """A d-by-d symmetric covariance matrix plus provenance."""
 
@@ -260,9 +266,13 @@ def load_tabular(path, has_labels: bool = False) -> TabularDataset:
 
 
 def load_sequences(path, alphabet: tuple[str, ...] = DNA_ALPHABET) -> SequenceDataset:
-    """Read tab-separated `<sequence>\\t<label>` lines, label in {+1,-1}."""
+    """Read tab-separated `<sequence>\\t<label>` lines, label in {+1,-1}.
+
+    Blank lines are skipped, but errors name a line by its place in the file.
+    """
     seqs: list[str] = []
     labels: list[float] = []
+    line_nos: list[int] = []
     with open_utf8(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -273,16 +283,16 @@ def load_sequences(path, alphabet: tuple[str, ...] = DNA_ALPHABET) -> SequenceDa
                 raise DataFormatError(
                     f"{path}: line {line_no}: expected `<sequence>\\t<label>`")
             seq, raw_label = parts
-            if raw_label == "+1" or raw_label == "1":
-                labels.append(1.0)
-            elif raw_label == "-1":
-                labels.append(-1.0)
-            else:
+            label = {"+1": 1.0, "1": 1.0, "-1": -1.0}.get(raw_label)
+            if label is None:
                 raise DataFormatError(
                     f"{path}: line {line_no}: malformed label {raw_label!r}")
+            labels.append(label)
             seqs.append(seq)
+            line_nos.append(line_no)
     if not seqs:
         raise DataFormatError(f"{path}: no sequences")
+    _check_sequences(zip(line_nos, seqs), tuple(alphabet), len(seqs[0]), f"{path}: ")
     return SequenceDataset(sequences=tuple(seqs), y=np.array(labels), alphabet=alphabet)
 
 

@@ -22,7 +22,7 @@ from .features import feature_columns
 from .results import FirmResult
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConditionalScoreCurve:
     """Binned estimate of the conditional expected score."""
 

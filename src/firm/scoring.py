@@ -78,7 +78,7 @@ def _rows(X, d: int) -> np.ndarray:
     return X
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearScorer:
     """s(x) = w'x + b."""
 
@@ -101,7 +101,7 @@ class LinearScorer:
         return self.w[None, :]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KernelExpansionScorer:
     """s(x) = sum_i alpha_i k(points_i, x) + b (label factors folded into alpha).
 
@@ -110,15 +110,14 @@ class KernelExpansionScorer:
     gradient_many(X) use it in place of kernel.gram(X, points) when X has
     the shape and the bytes of points (so -0.0 and 0.0 differ), and
     recompute for any other X. The kept matrix is not a constructor
-    argument and takes no part in equality; a scorer built any other way,
-    replace() included, has none.
+    argument; a scorer built any other way, replace() included, has none.
     """
 
     points: np.ndarray
     alpha: np.ndarray
     b: float
     kernel: KernelSpec
-    _gram: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _gram: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=np.float64))
@@ -183,7 +182,7 @@ def kmer_ids(codes: np.ndarray, A: int, K: int) -> np.ndarray:
     return np.concatenate(out, axis=1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PositionalKmerScorer:
     """Linear scorer over positional substring indicators.
 

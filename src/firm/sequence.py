@@ -63,7 +63,7 @@ class MarkovBackground:
         return float(np.prod(p[encode_sequences([s], self.alphabet)[0]]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PoimTable:
     """Importance of every length-k oligomer at every position.
 

@@ -20,11 +20,10 @@ import numpy as np
 import pytest
 
 from firm import (KernelExpansionScorer, KernelSpec, LinearScorer, MarkovBackground,
-                  CovarianceEstimate, GaussianModel,
+                  CovarianceEstimate,
                   PointDistribution, SignedConjunction, TabularDataset, Xor,
                   conditional_expected_score, expected_score,
-                  firm_binary_empirical_matrix, firm_binary_exact, firm_binary_values,
-                  firm_gaussian_linear, firm_gaussian_general,
+                  firm_binary_exact, firm_binary_values, firm_gaussian_general,
                   firm_regression_closed_form, firm_slope, firm_uniform_conjunction,
                   poim, score_many, sensitivity_index, train_least_squares)
 from firm import experiments
@@ -60,15 +59,14 @@ def random_pd_cov(rng, d, max_cond=100.0):
 
 
 def supplied(sigma):
-    return GaussianModel(sigma=CovarianceEstimate(sigma=np.asarray(sigma, float),
-                                                  method="supplied"))
+    return CovarianceEstimate(sigma=np.asarray(sigma, float), method="supplied")
 
 
 def test_criterion_01_matrix_form_equals_brute_force():
     t0 = time.monotonic()
     for X, w, b in random_pm1_datasets():
         scores = X @ w + b
-        got = [r.q_signed for r in firm_binary_empirical_matrix(X, w, b)]
+        got = [r.q_signed for r in firm_binary_values(scores, X)]
         want = [brute_firm_binary(scores, X[:, j]) for j in range(X.shape[1])]
         np.testing.assert_allclose(got, want, atol=1e-10)
     elapsed = time.monotonic() - t0
@@ -86,7 +84,7 @@ def test_criterion_02_uniform_binary_closed_forms():
         dist = PointDistribution.uniform(X)
         scores = X @ w + b
         # projections: importance equals the weight
-        got = [r.q_signed for r in firm_binary_empirical_matrix(X, w, b)]
+        got = [r.q_signed for r in firm_binary_values(scores, X)]
         np.testing.assert_allclose(got, w, atol=1e-12)
         # signed pair conjunctions: (±w_j ± w_k)/sqrt(3)
         pairs = list(itertools.combinations(range(d), 2))[:6]
@@ -139,8 +137,8 @@ def test_criterion_04_gaussian_linear_and_kernel_vs_monte_carlo():
         d = int(rng.integers(2, 6))
         sigma = random_pd_cov(rng, d)
         w = rng.normal(size=d)
-        analytic = np.array([r.q_abs
-                             for r in firm_gaussian_linear(w, 0.0, supplied(sigma))])
+        analytic = np.array([r.q_abs for r in
+                             firm_gaussian_general(LinearScorer(w=w), supplied(sigma))])
         mc = mc_firm(LinearScorer(w=w), sigma, np.random.default_rng(3000 + trial),
                      n=10**6)
         big = analytic >= 0.1
@@ -184,12 +182,13 @@ def test_criterion_05_invariance_suite():
     X = rng.choice([-1.0, 1.0], size=(64, 4))
     X[:2] = [[1.0] * 4, [-1.0] * 4]
     w = rng.normal(size=4)
-    base = [r.q_signed for r in firm_binary_empirical_matrix(X, w, 0.0)]
-    shifted = [r.q_signed for r in firm_binary_empirical_matrix(X, w, 57.0)]
+    base = [r.q_signed for r in firm_binary_values(X @ w, X)]
+    shifted = [r.q_signed for r in firm_binary_values(X @ w + 57.0, X)]
     np.testing.assert_allclose(shifted, base, atol=1e-12)
     sigma = random_pd_cov(rng, 4)
-    g0 = [r.q_signed for r in firm_gaussian_linear(w, 0.0, supplied(sigma))]
-    g1 = [r.q_signed for r in firm_gaussian_linear(w, -3.0, supplied(sigma))]
+    g0 = [r.q_signed for r in firm_gaussian_general(LinearScorer(w=w), supplied(sigma))]
+    g1 = [r.q_signed
+          for r in firm_gaussian_general(LinearScorer(w=w, b=-3.0), supplied(sigma))]
     np.testing.assert_allclose(g1, g0, atol=1e-12)
     # feature rescale with compensating weight: all importances fixed
     for c in (0.1, 10.0):
@@ -198,8 +197,8 @@ def test_criterion_05_invariance_suite():
             S[j, j] = c
             w2 = w.copy()
             w2[j] /= c
-            g2 = [r.q_signed
-                  for r in firm_gaussian_linear(w2, 0.0, supplied(S @ sigma @ S))]
+            g2 = [r.q_signed for r in
+                  firm_gaussian_general(LinearScorer(w=w2), supplied(S @ sigma @ S))]
             np.testing.assert_allclose(g2, g0, atol=1e-12)
     # standardization: one positive constant, rankings identical
     data = TabularDataset(X=rng.normal(size=(100, 3)), y=None, names=("a", "b", "c"))
@@ -219,15 +218,15 @@ def test_criterion_06_sensitivity_correspondence_and_divergence():
     data = TabularDataset(X=X, y=None, names=("a", "b", "c"))
     w = np.array([0.8, -0.4, 1.2])
     model = supplied(np.diag(np.var(X, axis=0)))
-    q_abs = np.array([r.q_abs for r in firm_gaussian_linear(w, 0.0, model)])
+    q_abs = np.array([r.q_abs for r in firm_gaussian_general(LinearScorer(w=w), model)])
     idx = np.array(sensitivity_index(LinearScorer(w=w), data))
     np.testing.assert_allclose(q_abs, idx, atol=1e-12)
     # nearly perfectly correlated pair: the importance follows the
     # correlation while the gradient-only index stays blind
     pair = supplied([[1.0, 0.99], [0.99, 1.0]])
-    q = [r.q_signed for r in firm_gaussian_linear(np.array([1.0, 0.0]), 0.0, pair)]
+    q = [r.q_signed for r in firm_gaussian_general(LinearScorer(w=[1.0, 0.0]), pair)]
     np.testing.assert_allclose(q, [1.0, 0.99], atol=1e-9)
-    i_true = np.abs(np.array([1.0, 0.0])) * np.sqrt(np.diag(pair.sigma.sigma))
+    i_true = np.abs(np.array([1.0, 0.0])) * np.sqrt(np.diag(pair.sigma))
     np.testing.assert_allclose(i_true, [1.0, 0.0], atol=0)
     assert abs(q[1] - i_true[1]) > 0.9   # the divergence the index misses
     ok(6, "gradient-index equality (diagonal) and divergence (correlated)")
@@ -246,8 +245,7 @@ def test_criterion_07_regression_closed_form():
         closed = [r.q_signed for r in firm_regression_closed_form(X, y, model)]
         trained = train_least_squares(
             TabularDataset(X=X, y=y, names=tuple(f"c{j}" for j in range(d))))
-        direct = [r.q_signed
-                  for r in firm_gaussian_linear(trained.w, trained.b, model)]
+        direct = [r.q_signed for r in firm_gaussian_general(trained, model)]
         np.testing.assert_allclose(closed, direct, atol=1e-10)
         # with the model covariance set to X'X/n the form collapses
         sig_hat = X.T @ X / n

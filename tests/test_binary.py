@@ -8,9 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from firm import (DegenerateFeatureError, FirmError, LinearScorer, PointDistribution,
-                  Projection, SignedConjunction, Xor, firm_binary_empirical_matrix,
-                  firm_binary_exact, firm_binary_values, firm_uniform_conjunction,
-                  score_many)
+                  Projection, SignedConjunction, Xor, firm_binary_exact,
+                  firm_binary_values, firm_uniform_conjunction, score_many)
 
 from helpers import (all_pm1_rows, brute_firm_binary, empirical_matrix_diagonals,
                      poim_firm_conversion)
@@ -115,10 +114,13 @@ class TestBinaryKernel:
 
 
 class TestEmpiricalMatrixForm:
+    """The paper's matrix form M'(Xw + b) is the binary kernel applied to the
+    linear scores X @ w + b and the columns of X."""
+
     def test_full_table_recovers_weights(self):
         X = all_pm1_rows(3)
         w = np.array([0.7, -1.3, 0.2])
-        res = firm_binary_empirical_matrix(X, w, b=2.0)
+        res = firm_binary_values(X @ w + 2.0, X)
         np.testing.assert_allclose([r.q_signed for r in res], w, atol=1e-12)
 
     def test_uniform_column_diagonals(self):
@@ -138,7 +140,7 @@ class TestEmpiricalMatrixForm:
             w = rng.normal(size=d)
             b = rng.normal()
             scores = X @ w + b
-            res = firm_binary_empirical_matrix(X, w, b)
+            res = firm_binary_values(scores, X)
             expect = [brute_firm_binary(scores, X[:, j]) for j in range(d)]
             np.testing.assert_allclose([r.q_signed for r in res], expect, atol=1e-10)
 
@@ -146,17 +148,13 @@ class TestEmpiricalMatrixForm:
         rng = np.random.default_rng(4)
         col = rng.choice([-1.0, 1.0], size=32)
         X = np.column_stack([col, col, rng.choice([-1.0, 1.0], size=32)])
-        res = firm_binary_empirical_matrix(X, np.array([1.0, 0.0, 0.0]), 0.0)
+        res = firm_binary_values(X @ np.array([1.0, 0.0, 0.0]), X)
         assert res[0].q_signed == pytest.approx(res[1].q_signed, abs=1e-12)
 
     def test_single_valued_column_named(self):
         X = np.column_stack([np.ones(4), [-1.0, 1.0, -1.0, 1.0]])
         with pytest.raises(DegenerateFeatureError, match="x1"):
-            firm_binary_empirical_matrix(X, np.array([1.0, 1.0]), 0.0)
-
-    def test_non_pm1_rejected(self):
-        with pytest.raises(FirmError):
-            firm_binary_empirical_matrix(np.array([[0.0, 1.0]]), np.ones(2), 0.0)
+            firm_binary_values(X @ np.array([1.0, 1.0]), X)
 
 
 class TestUniformConjunctionClosedForm:

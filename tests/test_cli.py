@@ -233,6 +233,16 @@ class TestAnalyzeSequence:
         assert err.startswith("error:") and err.count("\n") == 1 and "top" in err
         assert not out.exists()
 
+    def test_bad_row_names_file_and_file_line(self, tmp_path, capsys):
+        inp = tmp_path / "seqs.tsv"
+        inp.write_text("ACGT\t+1\n\nACG\t-1\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run("analyze", "--input", str(inp), "--method", "poim",
+                   "--scorer", "train:kmer", "--out", str(out)) == 1
+        assert capsys.readouterr().err == (
+            f"error: {inp}: length mismatch at line 3: expected 4, got 3\n")
+        assert not out.exists()
+
     def test_poim_requires_kmer_scorer(self, tmp_path, capsys):
         inp = tmp_path / "seqs.tsv"
         inp.write_text("ACGT\t+1\nTTTT\t-1\n", encoding="utf-8")
@@ -253,6 +263,16 @@ class TestConfigValidation:
                    "--scorer", "labels", "--out", str(out)) != 0
         assert "differentiable" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["covariance", "--input", "d.csv"], ["experiment-boolean"],
+    ], ids=["covariance", "experiment-boolean"])
+    def test_seed_flag_only_where_it_is_read(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            run(*argv, "--seed", "1", "--out", str(tmp_path / "out"))
+        assert info.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_tabular_method_rejects_kmer_scorer(self, tmp_path, capsys):
         inp = tmp_path / "d.csv"

@@ -208,6 +208,17 @@ class TestLoadSequences:
         with pytest.raises(DataFormatError, match="malformed label"):
             load_sequences(p)
 
+    @pytest.mark.parametrize("row,message", [
+        ("ACG\t-1", "length mismatch at line 3: expected 4, got 3"),
+        ("ACGX\t-1", "symbol X not in alphabet at line 3"),
+    ], ids=["short", "bad-symbol"])
+    def test_errors_name_file_and_file_line(self, tmp_path, row, message):
+        """The blank line 2 is skipped but still counted."""
+        p = write(tmp_path, "s.tsv", f"ACGT\t+1\n\n{row}\n")
+        with pytest.raises(DataFormatError) as info:
+            load_sequences(p)
+        assert str(info.value) == f"{p}: {message}"
+
 
 class TestEmpiricalCovariance:
     def test_full_truth_table_is_identity(self):

@@ -3,17 +3,15 @@
 import numpy as np
 import pytest
 
-from firm import (CovarianceEstimate, FirmError, GaussianModel, KernelExpansionScorer,
-                  KernelSpec, LinearScorer, TabularDataset,
-                  firm_gaussian_general, firm_gaussian_linear,
+from firm import (CovarianceEstimate, FirmError, KernelExpansionScorer,
+                  KernelSpec, LinearScorer, TabularDataset, firm_gaussian_general,
                   firm_regression_closed_form, sensitivity_index, train_least_squares)
 
 from helpers import kernel_gradient_at, kmer_scorer, mc_firm
 
 
 def model_from(sigma):
-    return GaussianModel(sigma=CovarianceEstimate(sigma=np.asarray(sigma, dtype=float),
-                                                  method="supplied"))
+    return CovarianceEstimate(sigma=np.asarray(sigma, dtype=float), method="supplied")
 
 
 def random_pd_cov(rng, d, max_cond=100.0):
@@ -27,23 +25,23 @@ def random_pd_cov(rng, d, max_cond=100.0):
 class TestGaussianLinear:
     def test_identity_covariance_returns_weights(self):
         w = np.array([0.3, -1.2, 2.0])
-        res = firm_gaussian_linear(w, 0.0, model_from(np.eye(3)))
+        res = firm_gaussian_general(LinearScorer(w=w), model_from(np.eye(3)))
         np.testing.assert_allclose([r.q_signed for r in res], w, atol=0)
 
     def test_diagonal_rescale_fixpoint(self):
         """Scaling a column by c and its weight by 1/c leaves importances put."""
         w = np.array([2.0, -1.0])
-        base = firm_gaussian_linear(w, 0.0, model_from(np.diag([1.0, 4.0])))
+        base = firm_gaussian_general(LinearScorer(w=w), model_from(np.diag([1.0, 4.0])))
         for c in (0.1, 10.0):
             scaled_sigma = np.diag([1.0, 4.0 * c * c])
             scaled_w = np.array([2.0, -1.0 / c])
-            res = firm_gaussian_linear(scaled_w, 0.0, model_from(scaled_sigma))
+            res = firm_gaussian_general(LinearScorer(w=scaled_w), model_from(scaled_sigma))
             np.testing.assert_allclose([r.q_signed for r in res],
                                        [r.q_signed for r in base], atol=1e-12)
 
     def test_near_perfect_correlation_spreads_importance(self):
         sigma = [[1.0, 0.99], [0.99, 1.0]]
-        res = firm_gaussian_linear(np.array([1.0, 0.0]), 0.0, model_from(sigma))
+        res = firm_gaussian_general(LinearScorer(w=[1.0, 0.0]), model_from(sigma))
         np.testing.assert_allclose([r.q_signed for r in res], [1.0, 0.99], atol=1e-12)
 
     def test_general_rescaling_invariance(self):
@@ -54,40 +52,47 @@ class TestGaussianLinear:
             d = int(rng.integers(2, 5))
             sigma = random_pd_cov(rng, d)
             w = rng.normal(size=d)
-            base = [r.q_signed for r in firm_gaussian_linear(w, 0.0, model_from(sigma))]
+            base = [r.q_signed
+                    for r in firm_gaussian_general(LinearScorer(w=w), model_from(sigma))]
             for c in (0.1, 10.0):
                 S = np.eye(d)
                 S[0, 0] = c
                 sigma2 = S @ sigma @ S
                 w2 = w.copy()
                 w2[0] /= c
-                res = [r.q_signed
-                       for r in firm_gaussian_linear(w2, 0.0, model_from(sigma2))]
+                res = [r.q_signed for r in
+                       firm_gaussian_general(LinearScorer(w=w2), model_from(sigma2))]
                 np.testing.assert_allclose(res, base, atol=1e-12)
 
     def test_zero_variance_rejected(self):
         with pytest.raises(FirmError, match="zero variance"):
-            firm_gaussian_linear(np.ones(2), 0.0, model_from(np.diag([1.0, 0.0])))
+            firm_gaussian_general(LinearScorer(w=np.ones(2)),
+                                  model_from(np.diag([1.0, 0.0])))
 
     def test_non_finite_importance_rejected(self):
+        """A finite weight whose importance overflows; an infinite weight is
+        already rejected by LinearScorer."""
         with np.errstate(all="ignore"), pytest.raises(FirmError, match="not finite"):
-            firm_gaussian_linear(np.array([np.inf, 1.0]), 0.0, model_from(np.eye(2)))
+            firm_gaussian_general(LinearScorer(w=[1e308, 1.0]),
+                                  model_from(np.diag([4.0, 1.0])))
+        with pytest.raises(FirmError, match="finite w"):
+            LinearScorer(w=[np.inf, 1.0])
 
 
 class TestGaussianGeneral:
     def test_linear_scorer_matches_linear_form_exactly(self):
+        """For a linear scorer the gradient is w, so Q = D^-1 S w bitwise."""
         rng = np.random.default_rng(1)
         for _ in range(10):
             d = int(rng.integers(1, 6))
             sigma = random_pd_cov(rng, d)
             w = rng.normal(size=d)
             b = rng.normal()
-            m = model_from(sigma)
-            general = firm_gaussian_general(LinearScorer(w=w, b=b), m)
-            linear = firm_gaussian_linear(w, b, m)
-            for g, l in zip(general, linear):
-                assert g.q_signed == l.q_signed
-                assert g.q_abs == l.q_abs
+            general = firm_gaussian_general(LinearScorer(w=w, b=b), model_from(sigma))
+            linear = (sigma @ w) / np.sqrt(np.diag(sigma))
+            for g, q in zip(general, linear):
+                assert g.q_signed == q
+                assert g.q_abs == abs(q)
 
     def test_diagonal_covariance_scales_weights(self):
         sigma = np.diag([4.0, 0.25])
@@ -131,12 +136,15 @@ class TestGaussianGeneral:
                                     kernel=KernelSpec.gaussian(2.0))
         shifted = KernelExpansionScorer(points=pts + mu, alpha=alpha, b=0.0,
                                         kernel=KernelSpec.gaussian(2.0))
-        m0 = GaussianModel(sigma=CovarianceEstimate(sigma=sigma, method="supplied"))
-        m1 = GaussianModel(sigma=CovarianceEstimate(sigma=sigma, method="supplied"),
-                           mean=mu)
-        r0 = [r.q_signed for r in firm_gaussian_general(sc0, m0)]
-        r1 = [r.q_signed for r in firm_gaussian_general(shifted, m1)]
+        cov = model_from(sigma)
+        r0 = [r.q_signed for r in firm_gaussian_general(sc0, cov)]
+        r1 = [r.q_signed for r in firm_gaussian_general(shifted, cov, mean=mu)]
         np.testing.assert_allclose(r1, r0, rtol=1e-12)
+
+    def test_mean_dimension_checked(self):
+        with pytest.raises(FirmError, match="mean dimension"):
+            firm_gaussian_general(LinearScorer(w=[1.0, 2.0]), model_from(np.eye(2)),
+                                  mean=np.zeros(3))
 
     def test_linear_monte_carlo_agreement(self):
         """The closed form is exact for linear scorers: every coordinate sits
@@ -149,8 +157,9 @@ class TestGaussianGeneral:
             d = int(rng.integers(2, 6))
             sigma = random_pd_cov(rng, d)
             w = rng.normal(size=d)
+            cov = model_from(sigma)
             analytic = np.array([r.q_abs for r in
-                                 firm_gaussian_linear(w, 0.0, model_from(sigma))])
+                                 firm_gaussian_general(LinearScorer(w=w), cov)])
             mc = mc_firm(LinearScorer(w=w), sigma, rng, n=200_000)
             big = analytic >= 0.1
             assert (np.abs(mc.q_lin[big] - analytic[big]) <= z * mc.se_lin[big]).all()
@@ -180,7 +189,7 @@ class TestSensitivityIndex:
         data = TabularDataset(X=X, y=None, names=("a", "b", "c"))
         w = np.array([0.7, -0.3, 1.1])
         model = model_from(np.diag(np.var(X, axis=0)))
-        q = [r.q_abs for r in firm_gaussian_linear(w, 0.0, model)]
+        q = [r.q_abs for r in firm_gaussian_general(LinearScorer(w=w), model)]
         np.testing.assert_allclose(sensitivity_index(LinearScorer(w=w), data), q,
                                    rtol=1e-12)
 
@@ -257,7 +266,7 @@ class TestRegressionClosedForm:
             closed = firm_regression_closed_form(X, y, model)
             trained = train_least_squares(
                 TabularDataset(X=X, y=y, names=tuple(f"c{j}" for j in range(d))))
-            direct = firm_gaussian_linear(trained.w, trained.b, model)
+            direct = firm_gaussian_general(trained, model)
             np.testing.assert_allclose([r.q_signed for r in closed],
                                        [r.q_signed for r in direct], atol=1e-10)
 

@@ -24,6 +24,16 @@ class TestScore:
     def test_linear(self):
         assert LinearScorer(w=[1.0, 2.0], b=0.0).score_many([[1.0, 1.0]])[0] == 3.0
 
+    def test_array_holding_values_compare_by_identity(self):
+        """`==` on two equal-valued instances returns instead of asking an
+        array for its truth value."""
+        for make in (lambda: LinearScorer(w=[1.0, 2.0]),
+                     lambda: TabularDataset(X=np.eye(2), y=None, names=("a", "b")),
+                     lambda: SequenceDataset(sequences=("AC", "GT"), y=[1.0, -1.0])):
+            obj = make()
+            assert (obj == make()) is False
+            assert obj == obj
+
     def test_gaussian_kernel_at_own_point(self):
         pt = np.array([[0.3, -0.7]])
         sc = KernelExpansionScorer(points=pt, alpha=[1.0], b=0.0,

@@ -80,9 +80,11 @@ class TestConditionalExpectedScore:
         with pytest.raises(FirmError):
             conditional_expected_score(sc, MarkovBackground.uniform(DNA), "GAT", 2)
 
-    @pytest.mark.parametrize("alphabet,L", [(("0", "1"), 6), (DNA, 4), (DNA, 5)])
-    def test_enumeration_oracle_random_scorers(self, alphabet, L):
-        rng = np.random.default_rng(hash((alphabet, L)) % 2**32)
+    @pytest.mark.parametrize("alphabet,L,seed",
+                             [(("0", "1"), 6, 61), (DNA, 4, 44), (DNA, 5, 45)],
+                             ids=["alphabet0-6", "alphabet1-4", "alphabet2-5"])
+    def test_enumeration_oracle_random_scorers(self, alphabet, L, seed):
+        rng = np.random.default_rng(seed)
         bg = MarkovBackground.uniform(alphabet)
         for trial in range(3):
             sc = random_sparse_scorer(rng, alphabet, L, min(3, L), 8)
