@@ -21,15 +21,17 @@ import platform
 
 import numpy as np
 
+from .errors import FirmError
+
 
 def tsv(header, columns) -> str:
     """A header line, then one line per row of the equal-length columns.
 
-    Columns are numpy arrays or lists. Each becomes Python scalars once,
-    written with str: ints in decimal, floats by repr.
+    Columns (at least one) are numpy arrays or lists. Each becomes Python
+    scalars once, which one format string per row writes as str does.
     """
-    cells = [map(str, np.asarray(col).tolist()) for col in columns]
-    lines = ["\t".join(header)] + ["\t".join(row) for row in zip(*cells)]
+    row = "\t".join(["{}"] * len(columns)).format
+    lines = ["\t".join(header), *map(row, *[np.asarray(col).tolist() for col in columns])]
     return "\n".join(lines) + "\n"
 
 
@@ -87,30 +89,39 @@ def firm_results_json(results, score_sd=None) -> str:
 
 
 def poim_tsv(table) -> str:
-    """Every cell of a POIM table, position-major, oligomers in index order."""
-    nz, npos = table.values.shape
+    """Every cell of a POIM table in its own position-major order, oligomers
+    in index order within a position."""
+    npos, nz = table.values.shape
     labels = [table.oligomer(zi) for zi in range(nz)]
     return tsv(["k", "position", "oligomer", "q_prime", "q"],
                [np.full(nz * npos, table.k), np.repeat(np.arange(npos), nz),
-                labels * npos, table.values.T.ravel(), table.firm_values.T.ravel()])
+                labels * npos, table.values.ravel(), table.firm_values.ravel()])
 
 
 def poim_summary_tsv(table) -> str:
-    # one contiguous row per position: its mean adds the cells in the order a
-    # column slice would, which a reduction over axis 0 does not
-    absq = np.abs(np.ascontiguousarray(table.firm_values.T))
+    """The largest and the mean |Q| at each position of a POIM table."""
+    absq = np.abs(table.firm_values)
     return tsv(["position", "max_abs_q", "mean_abs_q"],
                [np.arange(table.positions), absq.max(axis=1), absq.mean(axis=1)])
 
 
 def poim_top_tsv(ranked) -> str:
+    """The ranked_oligomers cells of a POIM table, ranks counted from 1."""
     oligomers, positions, q = zip(*ranked) if ranked else ((), (), ())
     return tsv(["rank", "oligomer", "position", "q"],
                [np.arange(1, len(ranked) + 1), oligomers, positions, q])
 
 
 def write_artifacts(outdir: str, artifacts: dict) -> None:
-    """Place every artifact (str content) under outdir, each file atomically."""
+    """Place every artifact (str content) under outdir, each file atomically,
+    after checking that no path is absolute, leaves outdir or repeats another."""
+    seen = set()
+    for relpath in artifacts:
+        norm = os.path.normpath(relpath)
+        if os.path.isabs(relpath) or norm.split(os.sep)[0] in ("..", ".") or norm in seen:
+            raise FirmError(f"artifact path {relpath!r} leaves the output directory "
+                            "or repeats another")
+        seen.add(norm)
     for relpath, content in artifacts.items():
         dest = os.path.join(outdir, relpath)
         os.makedirs(os.path.dirname(dest) or ".", exist_ok=True)

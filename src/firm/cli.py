@@ -64,14 +64,19 @@ def load_covariance_file(path: str) -> CovarianceEstimate:
                     f"{path}: line {line_no} is not numeric") from None
     if not rows or any(len(r) != len(rows) for r in rows):
         raise DataFormatError(f"{path}: expected a square numeric matrix")
-    return CovarianceEstimate(sigma=np.array(rows), method="supplied")
+    cov = CovarianceEstimate(sigma=np.array(rows), method="supplied")
+    eig = np.linalg.eigvalsh(cov.sigma)
+    if eig[0] < -1e-8 * np.abs(eig).max():
+        raise FirmError(f"{path}: covariance is not positive semidefinite "
+                        f"(smallest eigenvalue {float(eig[0])!r})")
+    return cov
 
 
 def choose_covariance(choice: str, data: TabularDataset) -> CovarianceEstimate:
     if choice == "auto":
         choice = "empirical" if data.n >= 2 * data.d else "shrunk"
     if choice == "empirical":
-        return empirical_covariance(data, centered=True)
+        return empirical_covariance(data)
     if choice == "shrunk":
         return shrinkage_covariance(data)
     if choice.startswith("file:"):
@@ -264,12 +269,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=int, default=3,
                    help="scorer substring degree (default %(default)s)")
     p.add_argument("--lambda", dest="lam", type=float, default=0.1)
-    p.add_argument("--k", type=int, default=7,
-                   help="oligomer length of the importance table")
     p.add_argument("--top", type=int, default=20)
     seeded(p, lambda args: experiments.sequence_experiment(
         seed=args.seed, n_per_class=args.n_per_class, seq_len=args.seq_len,
-        degree=args.degree, lam=args.lam, k=args.k, top=args.top)[0])
+        degree=args.degree, lam=args.lam, top=args.top)[0])
     return parser
 
 

@@ -41,6 +41,11 @@ class TabularDataset:
             raise FirmError("data matrix contains non-finite entries")
         if len(self.names) != X.shape[1]:
             raise FirmError(f"got {len(self.names)} names for {X.shape[1]} columns")
+        seen = set()
+        for name in self.names:
+            if name == "" or name in seen:
+                raise FirmError(f"column name {name!r} is empty or repeated")
+            seen.add(name)
         y = self.y
         if y is not None:
             y = _frozen(np.asarray(y).ravel())
@@ -136,7 +141,7 @@ class CovarianceEstimate:
     """A d-by-d symmetric covariance matrix plus provenance."""
 
     sigma: np.ndarray
-    method: str  # empirical_uncentered | empirical_centered | shrunk | supplied
+    method: str  # empirical_centered | shrunk | supplied
     shrinkage_lambda: float | None = None
 
     def __post_init__(self):
@@ -300,23 +305,14 @@ def load_sequences(path, alphabet: tuple[str, ...] = DNA_ALPHABET) -> SequenceDa
 # covariance estimation
 # ---------------------------------------------------------------------------
 
-def empirical_covariance(data: TabularDataset, centered: bool = False) -> CovarianceEstimate:
-    """Empirical covariance, divisor n.
-
-    Uncentered: X'X / n (the form the exact binary derivation uses).
-    Centered: column means subtracted first; requires n >= 2.
-    """
-    X = data.X
-    if centered:
-        if data.n < 2:
-            raise FirmError("centered covariance requires n >= 2")
-        X = X - data.column_means
-        method = "empirical_centered"
-    else:
-        method = "empirical_uncentered"
+def empirical_covariance(data: TabularDataset) -> CovarianceEstimate:
+    """Centered empirical covariance, divisor n; requires n >= 2."""
+    if data.n < 2:
+        raise FirmError("centered covariance requires n >= 2")
+    X = data.X - data.column_means
     sigma = (X.T @ X) / data.n
     sigma = (sigma + sigma.T) / 2.0  # kill rounding asymmetry
-    return CovarianceEstimate(sigma=sigma, method=method)
+    return CovarianceEstimate(sigma=sigma, method="empirical_centered")
 
 
 def shrinkage_covariance(data: TabularDataset) -> CovarianceEstimate:
@@ -334,7 +330,7 @@ def shrinkage_covariance(data: TabularDataset) -> CovarianceEstimate:
     n, d = data.n, data.d
     if n < 3:
         raise FirmError("shrinkage estimate requires n >= 3")
-    S = empirical_covariance(data, centered=True).sigma
+    S = empirical_covariance(data).sigma
     if (np.diag(S) <= 0).any():
         j = int(np.argmin(np.diag(S)))
         raise FirmError(f"zero-variance column '{data.names[j]}'")

@@ -23,7 +23,8 @@ from .sequence import MarkovBackground, hamming_ball, poim, ranked_oligomers
 
 BOOLEAN_LAMBDA = 0.1
 GAUSSIAN_CLASS_MEANS = (0.5, 1.5, 0.0)
-MOTIF = "GATTACA"
+MOTIF = "GATTACA"                     # its length is the sequence study's k
+PLANT_CENTER, PLANT_SD, N_IRRELEVANT = 25, 7.0, 300
 
 
 # ---------------------------------------------------------------------------
@@ -131,24 +132,23 @@ def gaussian_experiment(seed: int = 42, n_per_class: int = 1000,
 # planted-motif sequence classification
 # ---------------------------------------------------------------------------
 
-def generate_motif_dataset(rng, n_per_class: int = 500, seq_len: int = 50,
-                           center: int = 25, sd: float = 7.0,
-                           motif: str = MOTIF) -> SequenceDataset:
-    """Random DNA; positives carry the motif planted at a normal-rounded
-    position (clamped to fit) with exactly one position mutated to a
-    uniformly random letter (so about a quarter of plants stay intact)."""
+def generate_motif_dataset(rng, n_per_class: int = 500,
+                           seq_len: int = 50) -> SequenceDataset:
+    """Random DNA; positives carry MOTIF planted at an N(PLANT_CENTER, PLANT_SD^2)
+    position, rounded and clamped to fit, with exactly one position mutated
+    to a uniformly random letter (so about a quarter of plants stay intact)."""
     letters = np.array(DNA_ALPHABET)
-    motif_codes = encode_sequences([motif], DNA_ALPHABET)[0]
+    motif_codes = encode_sequences([MOTIF], DNA_ALPHABET)[0]
     seqs = []
     for klass in (1.0, -1.0):
         for _ in range(n_per_class):
             s = rng.integers(0, len(letters), size=seq_len)
             if klass > 0:
-                pos = int(np.clip(round(rng.normal(center, sd)), 0,
-                                  seq_len - len(motif)))
+                pos = int(np.clip(round(rng.normal(PLANT_CENTER, PLANT_SD)), 0,
+                                  seq_len - len(MOTIF)))
                 planted = motif_codes.copy()
-                planted[rng.integers(0, len(motif))] = rng.integers(0, len(letters))
-                s[pos:pos + len(motif)] = planted
+                planted[rng.integers(0, len(MOTIF))] = rng.integers(0, len(letters))
+                s[pos:pos + len(MOTIF)] = planted
             seqs.append("".join(letters[s]))
     return SequenceDataset(sequences=tuple(seqs), y=np.repeat([1.0, -1.0], n_per_class),
                            alphabet=DNA_ALPHABET)
@@ -171,54 +171,39 @@ def weight_importance(scorer, strings) -> np.ndarray:
 
 
 def sequence_experiment(seed: int = 42, n_per_class: int = 500, seq_len: int = 50,
-                        degree: int = 3, lam: float = 0.1, k: int = 7,
-                        top: int = 20, n_irrelevant: int = 300,
-                        center: int = 25, sd: float = 7.0):
-    if k != len(MOTIF):
-        raise FirmError(f"the motif-graded series need k = {len(MOTIF)}")
+                        degree: int = 3, lam: float = 0.1, top: int = 20):
+    """Importances of MOTIF, its Hamming-distance 1 and 2 neighbours and
+    N_IRRELEVANT strings unlike it everywhere: POIM (k = len(MOTIF)) against weights."""
     if n_per_class < 1 or seq_len < len(MOTIF):
         raise FirmError(f"need n_per_class >= 1 and seq_len >= {len(MOTIF)} (the motif), "
                         f"got {n_per_class} and {seq_len}")
     rng = np.random.default_rng(seed)
-    data = generate_motif_dataset(rng, n_per_class=n_per_class, seq_len=seq_len,
-                                  center=center, sd=sd)
+    data = generate_motif_dataset(rng, n_per_class=n_per_class, seq_len=seq_len)
     scorer = train_positional_kmer(data, K=degree, lam=lam)
     bg = MarkovBackground.uniform(data.alphabet)
-    table = poim(scorer, bg, k=k)
-    npos = table.positions
+    table = poim(scorer, bg, k=len(MOTIF))
 
-    motif = MOTIF
-    ed1 = hamming_ball(motif, 1, data.alphabet)
-    ed2 = hamming_ball(motif, 2, data.alphabet)
+    ed1 = hamming_ball(MOTIF, 1, data.alphabet)
+    ed2 = hamming_ball(MOTIF, 2, data.alphabet)
     # strings disagreeing with the motif at every position
-    others = [[a for a in data.alphabet if a != c] for c in motif]
+    others = [[a for a in data.alphabet if a != c] for c in MOTIF]
     irrelevant = ["".join(rng.choice(choices) for choices in others)
-                  for _ in range(n_irrelevant)]
+                  for _ in range(N_IRRELEVANT)]
+    by_oligomer = table.firm_values.T
 
-    def firm_series(strings):
-        idx = [table.oligomer_index(z) for z in strings]
-        return table.firm_values[idx, :]
-
-    series = {}
-    for tag, importance in (("poim", firm_series),
-                            ("weight", lambda strings: weight_importance(scorer, strings))):
-        exact = importance([motif])[0]
-        ed1_mean = importance(ed1).mean(axis=0)
-        ed2_mean = importance(ed2).mean(axis=0)
+    series, artifacts = {}, {}
+    for tag, importance in (
+            ("poim", lambda strings: by_oligomer[[table.oligomer_index(z) for z in strings]]),
+            ("weight", lambda strings: weight_importance(scorer, strings))):
         irr = importance(irrelevant)
         series[tag] = {
-            "exact": exact, "ed1_mean": ed1_mean, "ed2_mean": ed2_mean,
-            "irrelevant_mean": irr.mean(axis=0), "irrelevant_sd": irr.std(axis=0),
-        }
-
-    artifacts = {}
-    for tag in ("poim", "weight"):
-        s = series[tag]
+            "exact": importance([MOTIF])[0],
+            "ed1_mean": importance(ed1).mean(axis=0), "ed2_mean": importance(ed2).mean(axis=0),
+            "irrelevant_mean": irr.mean(axis=0), "irrelevant_sd": irr.std(axis=0)}
         artifacts[f"{tag}_series.tsv"] = _emit.tsv(
             ["position", "exact_motif", "ed1_mean", "ed2_mean",
              "irrelevant_mean", "irrelevant_sd"],
-            [np.arange(npos), s["exact"], s["ed1_mean"], s["ed2_mean"],
-             s["irrelevant_mean"], s["irrelevant_sd"]])
+            [np.arange(table.positions), *series[tag].values()])
 
     # block row maxima; no degree-d substring starts in the last d - 1 positions
     max_w = np.max([np.pad(np.abs(scorer.block(d)).reshape(seq_len - d + 1, -1).max(axis=1),
@@ -232,9 +217,9 @@ def sequence_experiment(seed: int = 42, n_per_class: int = 500, seq_len: int = 5
 
     artifacts["run.json"] = _emit.run_metadata("experiment-sequence", {
         "seed": seed, "n_per_class": n_per_class, "seq_len": seq_len,
-        "degree": degree, "lambda": lam, "k": k, "top": top,
-        "n_irrelevant": n_irrelevant, "motif": motif,
-        "plant_center": center, "plant_sd": sd,
+        "degree": degree, "lambda": lam, "k": len(MOTIF), "top": top,
+        "n_irrelevant": N_IRRELEVANT, "motif": MOTIF,
+        "plant_center": PLANT_CENTER, "plant_sd": PLANT_SD,
         "mutations_per_plant": 1, "background": "uniform"})
     return artifacts, {"series": series, "table": table, "scorer": scorer,
                        "ranked": ranked, "data": data}

@@ -9,10 +9,10 @@ computed exactly by splitting every scored substring into the part pinned
 by the conditioning window and the part still free. A weight on substring
 y at position i overlaps the window when j - |y| < i < j + k; any other
 weight cancels. The scorer's weights are read per degree as (position,
-letter, ...) blocks, and tables follow the scorer's alphabet order. The
-rescaled values
-Q(z, j) = Q'(z, j) * sqrt((1 - p_z) / p_z) make slices with different
-oligomer probabilities comparable; under a uniform background the factor
+letter, ...) blocks. Tables follow the scorer's alphabet order and store
+Q' once, one row per position; the rescaled Q(z, j) = Q'(z, j) *
+sqrt((1 - p_z) / p_z), derived from it, makes slices with different
+oligomer probabilities comparable. Under a uniform background the factor
 is constant per slice, so it never changes within-slice rankings.
 
 The conditioning length k may exceed the scorer's substring degree: the
@@ -67,22 +67,26 @@ class MarkovBackground:
 class PoimTable:
     """Importance of every length-k oligomer at every position.
 
-    values[zi, j] holds the conditional-mean shift Q' for the oligomer
-    with index zi (base-|alphabet| encoding, leftmost symbol most
-    significant; oligomer_index(z) gives it) at position j. firm_values
-    holds the rescaled Q, values[zi, j] * sqrt((1 - p_z) / p_z) with p_z
-    the oligomer's background probability.
+    values[j, zi] holds the conditional-mean shift Q' at position j for
+    the oligomer with index zi (base-|alphabet| encoding, leftmost symbol
+    most significant; oligomer_index(z) gives it). factor[zi] is
+    sqrt((1 - p_z) / p_z) with p_z the oligomer's background probability,
+    and firm_values derives the rescaled Q = values * factor.
     """
 
     k: int
     length: int
     alphabet: tuple[str, ...]
-    values: np.ndarray        # (|alphabet|^k, length - k + 1)
-    firm_values: np.ndarray   # same shape
+    values: np.ndarray        # (length - k + 1, |alphabet|^k)
+    factor: np.ndarray        # (|alphabet|^k,)
 
     def __post_init__(self):
-        for a in (self.values, self.firm_values):
+        for a in (self.values, self.factor):
             a.setflags(write=False)
+
+    @property
+    def firm_values(self) -> np.ndarray:
+        return self.values * self.factor
 
     @property
     def positions(self) -> int:
@@ -111,8 +115,8 @@ def _string_probs(p: np.ndarray, m: int) -> np.ndarray:
     return reduce(np.multiply.outer, [p] * m, np.ones(())).ravel()
 
 
-def _window_shifts(scorer: PositionalKmerScorer, p: np.ndarray, k: int, j0: int, j1: int,
-                   budget: int = DEFAULT_CELL_BUDGET) -> np.ndarray:
+def _window_shifts(scorer: PositionalKmerScorer, p: np.ndarray, k: int, j0: int,
+                   j1: int) -> np.ndarray:
     """Q'(z, j) = E[s | X[j..j+k) = z] - E[s] for windows j0 <= j < j1, as a
     (j1 - j0, A, ..., A) array with one letter axis per window position.
 
@@ -122,9 +126,9 @@ def _window_shifts(scorer: PositionalKmerScorer, p: np.ndarray, k: int, j0: int,
     """
     A = len(p)
     j = np.arange(j0, j1)
-    if j.size * A ** k > budget:
+    if j.size * A ** k > DEFAULT_CELL_BUDGET:
         raise BudgetExceededError(
-            f"table would need {j.size * A ** k} cells; budget is {budget}")
+            f"table would need {j.size * A ** k} cells; budget is {DEFAULT_CELL_BUDGET}")
     out = np.zeros((j.size,) + (A,) * k)
     const = np.zeros(j.size)
     for d in range(1, scorer.max_degree + 1):
@@ -169,23 +173,19 @@ def conditional_expected_score(scorer: PositionalKmerScorer, bg: MarkovBackgroun
     return expected_score(scorer, bg) + float(shifts[cell])
 
 
-def poim(scorer: PositionalKmerScorer, bg: MarkovBackground, k: int,
-         budget: int = DEFAULT_CELL_BUDGET) -> PoimTable:
-    """Exact table of conditional-mean shifts for all length-k oligomers,
-    indexed in the scorer's alphabet order; more than budget cells raise
-    BudgetExceededError."""
+def poim(scorer: PositionalKmerScorer, bg: MarkovBackground, k: int) -> PoimTable:
+    """Exact position-major table of conditional-mean shifts for all
+    length-k oligomers, indexed in the scorer's alphabet order; more than
+    DEFAULT_CELL_BUDGET cells raise BudgetExceededError."""
     p = _letter_probs(scorer, bg)
     L = scorer.length
     if not 1 <= k <= L:
         raise FirmError(f"k must lie in [1, {L}]")
     npos = L - k + 1
-    values = _window_shifts(scorer, p, k, 0, npos, budget).reshape(npos, -1)
-    values = np.ascontiguousarray(values.T)
+    values = _window_shifts(scorer, p, k, 0, npos).reshape(npos, -1)
     p_z = _string_probs(p, k)
-    factor = np.sqrt((1.0 - p_z) / p_z)
-    firm_values = values * factor[:, None]
-    return PoimTable(k=k, length=L, alphabet=scorer.alphabet,
-                     values=values, firm_values=firm_values)
+    return PoimTable(k=k, length=L, alphabet=scorer.alphabet, values=values,
+                     factor=np.sqrt((1.0 - p_z) / p_z))
 
 
 def ranked_oligomers(table: PoimTable, top: int) -> list[tuple[str, int, float]]:
@@ -198,17 +198,17 @@ def ranked_oligomers(table: PoimTable, top: int) -> list[tuple[str, int, float]]
         raise FirmError(f"top must be >= 0, got {top}")
     if top == 0:
         return []
-    nz = table.firm_values.shape[0]
+    q = table.firm_values
     # position-major flattening: a stable sort leaves ties in (position, oligomer) order
-    mag = np.abs(table.firm_values.T).ravel()
+    mag = np.abs(q).ravel()
     # only cells at or above the top-th largest magnitude can rank; sort just those
     kth = max(mag.size - top, 0)
     cand = np.flatnonzero(mag >= np.partition(mag, kth)[kth])
     order = cand[np.argsort(-mag[cand], kind="stable")]
     out = []
     for flat in order[:top]:
-        j, zi = divmod(int(flat), nz)
-        out.append((table.oligomer(zi), j, float(table.firm_values[zi, j])))
+        j, zi = divmod(int(flat), q.shape[1])
+        out.append((table.oligomer(zi), j, float(q[j, zi])))
     return out
 
 

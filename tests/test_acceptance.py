@@ -287,7 +287,7 @@ def test_criterion_08_sequence_enumeration_oracle():
                     table = poim(sc, bg, k=k)
                     p_z = np.array([bg.prob_of(table.oligomer(zi))
                                     for zi in range(len(alphabet) ** k)])
-                    np.testing.assert_allclose(p_z @ table.values,
+                    np.testing.assert_allclose(table.values @ p_z,
                                                np.zeros(table.positions), atol=1e-9)
     elapsed = time.monotonic() - t0
     assert elapsed < 10.0

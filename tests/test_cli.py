@@ -274,6 +274,13 @@ class TestConfigValidation:
         assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_oligomer_length_of_sequence_study_is_fixed(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as info:
+            run("experiment-sequence", "--k", "7", "--out", str(tmp_path / "out"))
+        assert info.value.code == 2
+        assert "unrecognized arguments: --k 7" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_tabular_method_rejects_kmer_scorer(self, tmp_path, capsys):
         inp = tmp_path / "d.csv"
         inp.write_text("a,label\n1,1\n-1,-1\n", encoding="utf-8")
@@ -429,6 +436,22 @@ class TestConfigValidation:
         assert capsys.readouterr().err == "error: mean of column 'b' overflows\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("header,message", [
+        ("../../escaped,b,y",
+         "artifact path 'curves/../../escaped.tsv' leaves the output directory"),
+        ("a,a,y", "column name 'a' is empty or repeated"),
+        (",b,y", "column name '' is empty or repeated"),
+    ], ids=["escaping", "repeated", "empty"])
+    def test_column_name_unfit_for_a_file_fails_with_one_line(self, tmp_path, capsys,
+                                                              header, message):
+        inp = tmp_path / "d.csv"
+        inp.write_text(f"{header}\n0,1,1\n1,0,-1\n2,2,1\n", encoding="utf-8")
+        assert run("analyze", "--input", str(inp), "--method", "empirical", "--bins", "2",
+                   "--out", str(tmp_path / "run" / "out")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert [p.name for p in tmp_path.rglob("*")] == ["d.csv"]
+
 
 class TestCovarianceCommand:
     def test_empirical_near_identity(self, tmp_path):
@@ -460,7 +483,9 @@ class TestCovarianceCommand:
         ("1\t0\nnot_a_number\t1\n", "line 2 is not numeric"),
         ("1,,0.5\n0.5,2\n", "line 1 has an empty cell"),
         ("1\t0\n0\t\udce91\n", "cov.tsv: not UTF-8 text ("),
-    ], ids=["non-numeric", "empty-cell", "not-utf8"])
+        ("1\t2\n2\t1\n", "cov.tsv: covariance is not positive semidefinite "
+                          "(smallest eigenvalue -1.0"),
+    ], ids=["non-numeric", "empty-cell", "not-utf8", "not-psd"])
     def test_malformed_covariance_file(self, tmp_path, capsys, text, message):
         inp = tmp_path / "d.csv"
         inp.write_text("a,b\n1,2\n3,4\n5,6\n", encoding="utf-8")

@@ -222,35 +222,23 @@ class TestLoadSequences:
 
 class TestEmpiricalCovariance:
     def test_full_truth_table_is_identity(self):
+        # the truth table's column means are zero, so centering changes nothing
         X = all_pm1_rows(3)
         ds = TabularDataset(X=X, y=None, names=("a", "b", "c"))
-        cov = empirical_covariance(ds, centered=False)
+        cov = empirical_covariance(ds)
         np.testing.assert_allclose(cov.sigma, np.eye(3), atol=0)
-        assert cov.method == "empirical_uncentered"
-
-    def test_single_row_outer_product(self):
-        ds = TabularDataset(X=np.array([[1.0, 2.0]]), y=None, names=("a", "b"))
-        cov = empirical_covariance(ds, centered=False)
-        np.testing.assert_allclose(cov.sigma, [[1, 2], [2, 4]], atol=0)
+        assert cov.method == "empirical_centered"
 
     def test_identical_rows_centered_zero(self):
         ds = TabularDataset(X=np.array([[3.0, -1.0], [3.0, -1.0]]), y=None,
                             names=("a", "b"))
-        cov = empirical_covariance(ds, centered=True)
+        cov = empirical_covariance(ds)
         np.testing.assert_allclose(cov.sigma, np.zeros((2, 2)), atol=0)
 
     def test_centered_needs_two_rows(self):
         ds = TabularDataset(X=np.array([[1.0]]), y=None, names=("a",))
         with pytest.raises(FirmError):
-            empirical_covariance(ds, centered=True)
-
-    def test_pm1_diagonal_exactly_one(self):
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            X = rng.choice([-1.0, 1.0], size=(rng.integers(2, 30), rng.integers(1, 6)))
-            ds = TabularDataset(X=X, y=None, names=tuple(f"c{j}" for j in range(X.shape[1])))
-            cov = empirical_covariance(ds, centered=False)
-            np.testing.assert_array_equal(np.diag(cov.sigma), np.ones(X.shape[1]))
+            empirical_covariance(ds)
 
 
 class TestShrinkageCovariance:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from firm import FirmResult, MarkovBackground, PoimTable, poim, ranked_oligomers
+from firm import FirmError, FirmResult, MarkovBackground, PoimTable, poim, ranked_oligomers
 from firm import _emit
 
 from helpers import kmer_scorer, rows_tsv
@@ -37,20 +37,20 @@ class TestTsv:
 class TestPoimTsv:
     def test_matches_cell_loop_on_random_table(self):
         rng = np.random.default_rng(11)
-        values = rng.normal(size=(16, 6)) * rng.exponential(size=(16, 1))
-        values[3, 2] = -0.0
+        values = rng.normal(size=(6, 16)) * rng.exponential(size=(1, 16))
+        values[2, 3] = -0.0
         table = PoimTable(k=2, length=7, alphabet=DNA, values=values,
-                          firm_values=values * np.sqrt(15.0))
+                          factor=np.full(16, np.sqrt(15.0)))
         rows = []
         for j in range(table.positions):
-            for zi in range(table.values.shape[0]):
+            for zi in range(table.values.shape[1]):
                 rows.append([table.k, j, table.oligomer(zi),
-                             table.values[zi, j], table.firm_values[zi, j]])
+                             table.values[j, zi], table.firm_values[j, zi]])
         assert _emit.poim_tsv(table) == rows_tsv(POIM_HEADER, rows)
         absq = np.abs(table.firm_values)
         assert _emit.poim_summary_tsv(table) == rows_tsv(
             ["position", "max_abs_q", "mean_abs_q"],
-            [[j, absq[:, j].max(), absq[:, j].mean()] for j in range(table.positions)])
+            [[j, absq[j].max(), absq[j].mean()] for j in range(table.positions)])
         ranked = ranked_oligomers(table, top=5)
         assert _emit.poim_top_tsv(ranked) == rows_tsv(
             ["rank", "oligomer", "position", "q"],
@@ -75,3 +75,18 @@ class TestPoimTsv:
             "1\t2\tC\t0.03125\t0.05412658773652741\n"
             "1\t2\tG\t0.15625\t0.27063293868263705\n"
             "1\t2\tT\t-0.21875\t-0.3788861141556919\n")
+
+
+class TestWriteArtifacts:
+    @pytest.mark.parametrize("bad", ["/abs.tsv", "../up.tsv", "sub/../../up.tsv",
+                                     "sub/../a.tsv", "."],
+                             ids=["absolute", "parent", "escaping", "repeated", "outdir"])
+    def test_bad_path_writes_nothing(self, tmp_path, bad):
+        out = tmp_path / "run" / "out"
+        with pytest.raises(FirmError, match="leaves the output directory or repeats"):
+            _emit.write_artifacts(str(out), {"a.tsv": "x\n", bad: "y\n"})
+        assert list(tmp_path.rglob("*")) == []
+
+    def test_nested_paths_inside_outdir(self, tmp_path):
+        _emit.write_artifacts(str(tmp_path), {"a.tsv": "x\n", "sub/./b.tsv": "y\n"})
+        assert (tmp_path / "sub" / "b.tsv").read_text() == "y\n"

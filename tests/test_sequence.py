@@ -127,10 +127,10 @@ class TestPoimTable:
             for zi in range(16):
                 z = table.oligomer(zi)
                 want = conditional_expected_score(sc, bg, z, j) - base
-                assert table.values[zi, j] == pytest.approx(want, abs=1e-12)
+                assert table.values[j, zi] == pytest.approx(want, abs=1e-12)
                 enum = enum_conditional_score(sc, DNA, 6,
                                               bg.letter_prob, z, j) - enum_base
-                assert table.values[zi, j] == pytest.approx(enum, abs=1e-12)
+                assert table.values[j, zi] == pytest.approx(enum, abs=1e-12)
 
     def test_degree_one_uniform_identity(self):
         """For a scorer with only single-letter weights, the k=1 entry is
@@ -143,7 +143,7 @@ class TestPoimTable:
         for j in range(L):
             mean_w = np.mean([weights[(j, a)] for a in DNA])
             for a in DNA:
-                assert table.values[table.oligomer_index(a), j] == pytest.approx(
+                assert table.values[j, table.oligomer_index(a)] == pytest.approx(
                     weights[(j, a)] - mean_w, abs=1e-12)
 
     def test_zero_scorer_gives_zero_table(self):
@@ -161,7 +161,7 @@ class TestPoimTable:
             table = poim(sc, bg, k=k)
             p_z = np.array([bg.prob_of(table.oligomer(zi))
                             for zi in range(len(DNA) ** k)])
-            resid = p_z @ table.values
+            resid = table.values @ p_z
             np.testing.assert_allclose(resid, np.zeros(table.positions), atol=1e-9)
 
     def test_firm_scaling_matches_conversion(self):
@@ -175,8 +175,8 @@ class TestPoimTable:
             for zi in range(len(DNA) ** 3):
                 z = table.oligomer(zi)
                 for j in range(table.positions):
-                    want = poim_firm_conversion(table.values[zi, j], bg.prob_of(z))
-                    assert table.firm_values[zi, j] == pytest.approx(want, rel=1e-12)
+                    want = poim_firm_conversion(table.values[j, zi], bg.prob_of(z))
+                    assert table.firm_values[j, zi] == pytest.approx(want, rel=1e-12)
 
     def test_uniform_scaling_preserves_within_slice_ranking(self):
         rng = np.random.default_rng(5)
@@ -184,15 +184,15 @@ class TestPoimTable:
         sc = random_sparse_scorer(rng, DNA, 6, 3, 20)
         table = poim(sc, bg, k=2)
         for j in range(table.positions):
-            raw = np.argsort(-np.abs(table.values[:, j]), kind="stable")
-            scaled = np.argsort(-np.abs(table.firm_values[:, j]), kind="stable")
+            raw = np.argsort(-np.abs(table.values[j]), kind="stable")
+            scaled = np.argsort(-np.abs(table.firm_values[j]), kind="stable")
             np.testing.assert_array_equal(raw, scaled)
 
     def test_k_may_exceed_scorer_degree(self):
         sc = kmer_scorer(DNA, 6, 1, {(2, "G"): 1.0}, b=0.0)
         table = poim(sc, MarkovBackground.uniform(DNA), k=3)
         # conditioning on a trimer covering position 2 pins the weight
-        assert table.values[table.oligomer_index("AGA"), 1] == pytest.approx(1.0 - 0.25,
+        assert table.values[1, table.oligomer_index("AGA")] == pytest.approx(1.0 - 0.25,
                                                                            abs=1e-12)
 
     def test_table_follows_scorer_alphabet_order(self):
@@ -206,13 +206,13 @@ class TestPoimTable:
         for zi in range(16):
             pz = permuted.oligomer_index(table.oligomer(zi))
             for j in range(table.positions):
-                assert permuted.values[pz, j] == table.values[zi, j]
-                assert permuted.firm_values[pz, j] == table.firm_values[zi, j]
+                assert permuted.values[j, pz] == table.values[j, zi]
+                assert permuted.firm_values[j, pz] == table.firm_values[j, zi]
 
     def test_budget_guard(self):
         sc = kmer_scorer(DNA, 20, 1, {(0, "A"): 1.0}, b=0.0)
         with pytest.raises(BudgetExceededError, match="cells"):
-            poim(sc, MarkovBackground.uniform(DNA), k=12, budget=10 ** 6)
+            poim(sc, MarkovBackground.uniform(DNA), k=12)
 
 
 class TestWeightImportance:
@@ -234,7 +234,7 @@ class TestWeightImportance:
 
     def test_weight_by_position_is_largest_weight_starting_there(self):
         artifacts, result = experiments.sequence_experiment(
-            n_per_class=15, seq_len=12, degree=2, n_irrelevant=5)
+            n_per_class=15, seq_len=12, degree=2)
         sc = result["scorer"]
         want = [max(abs(kmer_weight(sc, i, "".join(y)))
                     for d in (1, 2) if i + d <= 12 for y in product(DNA, repeat=d))
@@ -273,7 +273,8 @@ class TestRankedOligomers:
         q = rng.integers(-2, 3, size=(4 ** k, length - k + 1)).astype(float)
         q[rng.random(q.shape) < 0.4] = 0.0
         q[rng.random(q.shape) < 0.2] *= -1.0
-        table = PoimTable(k=k, length=length, alphabet=DNA, values=q / 2.0, firm_values=q)
+        table = PoimTable(k=k, length=length, alphabet=DNA, values=q.T / 2.0,
+                          factor=np.full(4 ** k, 2.0))
         nz, npos = q.shape
         z_idx = np.repeat(np.arange(nz), npos)
         j_idx = np.tile(np.arange(npos), nz)
@@ -292,7 +293,7 @@ class TestRankedOligomers:
                      (2, 4), (3, 4), (1, 1)]:
             q[z, j] = 2.0 if (z + j) % 2 else -2.0
         q[0, 1] = 1.0
-        table = PoimTable(k=1, length=5, alphabet=DNA, values=q / 2.0, firm_values=q)
+        table = PoimTable(k=1, length=5, alphabet=DNA, values=q.T / 2.0, factor=np.full(4, 2.0))
         nz, npos = q.shape
         z_idx = np.repeat(np.arange(nz), npos)
         j_idx = np.tile(np.arange(npos), nz)
