@@ -24,15 +24,25 @@ import numpy as np
 from .errors import FirmError
 
 
+_TSV_ROWS = 8192     # rows made Python scalars and formatted at a time
+
+
 def tsv(header, columns) -> str:
     """A header line, then one line per row of the equal-length columns.
 
-    Columns (at least one) are numpy arrays or lists. Each becomes Python
-    scalars once, which one format string per row writes as str does.
+    Columns (at least one) are numpy arrays or lists; each becomes one array,
+    so a list's values share one dtype. Every _TSV_ROWS rows become Python
+    scalars, which one format string per row writes as str does, into one
+    chunk of lines. At its peak the text is held twice, as the chunks and as
+    their join, beside one block's scalars and lines.
     """
-    row = "\t".join(["{}"] * len(columns)).format
-    lines = ["\t".join(header), *map(row, *[np.asarray(col).tolist() for col in columns])]
-    return "\n".join(lines) + "\n"
+    row = ("\t".join(["{}"] * len(columns)) + "\n").format
+    columns = [np.asarray(col) for col in columns]
+    chunks = ["\t".join(header) + "\n"]
+    for i in range(0, min(map(len, columns)), _TSV_ROWS):
+        block = [col[i:i + _TSV_ROWS].tolist() for col in columns]
+        chunks.append("".join(map(row, *block)))
+    return "".join(chunks)
 
 
 def matrix_tsv(names, matrix) -> str:

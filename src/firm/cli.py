@@ -64,7 +64,10 @@ def load_covariance_file(path: str) -> CovarianceEstimate:
                     f"{path}: line {line_no} is not numeric") from None
     if not rows or any(len(r) != len(rows) for r in rows):
         raise DataFormatError(f"{path}: expected a square numeric matrix")
-    cov = CovarianceEstimate(sigma=np.array(rows), method="supplied")
+    try:
+        cov = CovarianceEstimate(sigma=np.array(rows), method="supplied")
+    except FirmError as exc:
+        raise FirmError(f"{path}: {exc}") from None
     eig = np.linalg.eigvalsh(cov.sigma)
     if eig[0] < -1e-8 * np.abs(eig).max():
         raise FirmError(f"{path}: covariance is not positive semidefinite "

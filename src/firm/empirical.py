@@ -80,10 +80,15 @@ def conditional_curve(scores, fvals, bins: int) -> ConditionalScoreCurve:
         raise FirmError("need at least 2 bins")
     if n < bins:
         raise FirmError(f"need at least {bins} samples for {bins} bins")
-    order = np.argsort(fvals, kind="stable")
+    order = np.argsort(fvals)
     fs = fvals[order]
-    ss = scores[order]
     change = np.nonzero(np.diff(fs))[0] + 1     # indices where a new value starts
+    if change.size < n - 1:
+        # equal values (0.0 beside -0.0 too) are the only ones whose order a
+        # sort may choose; a stable sort fixes it, distinct values need none
+        order = np.argsort(fvals, kind="stable")
+        fs = fvals[order]
+    ss = scores[order]
     if change.size == 0:
         raise DegenerateFeatureError("constant feature")
     if change.size + 1 <= bins:

@@ -20,6 +20,11 @@ import numpy as np
 from .dataset import SequenceDataset, TabularDataset, encode_sequences
 from .errors import DEFAULT_CELL_BUDGET, BudgetExceededError, FirmError
 
+# Cells per block of the elementwise n x m passes. The allocator reuses
+# temporaries of 128 KiB; blocks of 6 MB (256 rows of 3000) stayed resident
+# after the pass and added 8 MB to the later peak of a kernel ridge run.
+_BLOCK_CELLS = 1 << 14
+
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -51,15 +56,19 @@ class KernelSpec:
     def gram(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         """Kernel matrix k(a_i, b_j) for the rows of the matrices A and B.
 
-        One n x m buffer is filled in place; the order of operations is that
-        of exp(-max(|a|^2 + |b|^2 - 2 a'b, 0) / gamma^2) and (a'b + offset)^degree.
+        One n x m buffer, the product A B', is filled in place; the order of
+        operations is that of exp(-max(|a|^2 + |b|^2 - 2 a'b, 0) / gamma^2)
+        and (a'b + offset)^degree. The Gaussian squared distances are formed
+        a block of _BLOCK_CELLS cells at a time, so at its peak the buffer
+        sits beside two temporaries of one block each.
         """
         if self.variant == "gaussian":
-            S = (A ** 2).sum(axis=1)[:, None] + (B ** 2).sum(axis=1)[None, :]
-            AB = A @ B.T
-            AB *= 2.0
-            S -= AB
-            del AB
+            S = A @ B.T
+            a2, b2 = (A ** 2).sum(axis=1), (B ** 2).sum(axis=1)
+            rows = max(1, _BLOCK_CELLS // S.shape[1])
+            for i in range(0, S.shape[0], rows):
+                blk = S[i:i + rows]
+                blk[...] = (a2[i:i + rows, None] + b2[None, :]) - 2.0 * blk
             np.maximum(S, 0.0, out=S)
             np.negative(S, out=S)
             S /= self.gamma ** 2
@@ -144,10 +153,19 @@ class KernelExpansionScorer:
         return self._gram_with(X) @ self.alpha + self.b
 
     def gradient_many(self, X) -> np.ndarray:
+        """One gradient per row of X.
+
+        The Gaussian gradient weights the n x m gram(X, points) by alpha: a
+        computed matrix in place, so it peaks at that one matrix, and the
+        kept one into a copy, so it peaks at two. The product with points
+        stays one call over all n rows, since a BLAS may pick another kernel
+        for fewer rows and change the last bits.
+        """
         X = _rows(X, self.points.shape[1])
         if self.kernel.variant == "gaussian":
             # (2/gamma^2) ((K o alpha) P - rowsum(K o alpha) X), K = gram(X, P)
-            K = self._gram_with(X) * self.alpha
+            G = self._gram_with(X)
+            K = G * self.alpha if G is self._gram else np.multiply(G, self.alpha, out=G)
             return (2.0 / self.kernel.gamma ** 2) * (K @ self.points - K.sum(axis=1)[:, None] * X)
         p, c = self.kernel.degree, self.kernel.offset   # ((X P' + c)^(p-1) o p alpha) P
         return ((X @ self.points.T + c) ** (p - 1) * (p * self.alpha)) @ self.points
@@ -351,8 +369,9 @@ def train_kernel_ridge(data: TabularDataset, kernel: KernelSpec,
 
     The system is solved by _solve_shifted, which leaves the Gram matrix K
     bitwise kernel.gram(X, X); the scorer keeps it for scores and gradients
-    on the training rows. Peak memory is K plus the product gram() builds it
-    from, and on the LU path the copy np.linalg.solve makes of K.
+    on the training rows. Peak memory is K plus gram()'s two block
+    temporaries while it is built, and on the LU path K plus the copy
+    np.linalg.solve makes of it.
     """
     if not 0 < lam < np.inf:
         raise FirmError("lambda must be finite and > 0")
@@ -371,29 +390,39 @@ def train_positional_kmer(data: SequenceDataset, K: int, lam: float) -> Position
 
     The n x n Gram matrix G of shared substrings is summed from the one-hot
     codes of a few positions at a time (counts below 2^24, exact in float32),
-    so the n x F design never exists. G is centred as H G H, whose null space
-    holds the ones vector, so the dual solution alpha sums to 0 and each
-    weight is its substring's alpha-weighted count (bincount), exactly 0 for
-    a substring that never occurs. The dual system is solved by
-    _solve_shifted, as in train_kernel_ridge.
+    so the n x F design never exists. G is centred as H G H, _BLOCK_CELLS
+    cells at a time, whose null space holds the ones vector, so the dual solution
+    alpha sums to 0 and each weight is its substring's alpha-weighted count
+    (bincount), exactly 0 for a substring that never occurs. The dual system
+    is solved by _solve_shifted, as in train_kernel_ridge. While G is summed
+    it sits beside one float32 one-hot buffer of the widest chunk, reused by
+    every chunk, and one float32 n x n product; the solve's peak is G plus,
+    on the LU path, np.linalg.solve's copy of it.
     """
     if not 0 < lam < np.inf:
         raise FirmError("lambda must be finite and > 0")
     A, L, n = len(data.alphabet), data.length, data.n
     off = kmer_offsets(A, L, K)
     ids = kmer_ids(encode_sequences(data.sequences, data.alphabet), A, K)
-    gram = np.zeros((n, n))
+    steps = [max(1, 2048 // A ** k) for k in range(1, K + 1)]  # ~2048 one-hot columns a chunk
+    buf = np.empty(n * max(min(s, L - k + 1) * A ** k for k, s in enumerate(steps, 1)),
+                   dtype=np.float32)
+    gram, prod = np.zeros((n, n)), np.empty((n, n), dtype=np.float32)
     col = 0
-    for k in range(1, K + 1):
-        step = max(1, 2048 // A ** k)           # about 2048 one-hot columns at a time
+    for k, step in enumerate(steps, 1):
         for i0 in range(0, L - k + 1, step):
             cols = ids[:, col + i0:col + min(i0 + step, L - k + 1)]
-            onehot = np.zeros((n, cols.shape[1] * A ** k), dtype=np.float32)
+            width = cols.shape[1] * A ** k
+            onehot = buf[:n * width].reshape(n, width)
+            onehot.fill(0.0)
             np.put_along_axis(onehot, cols - (off[k - 1] + i0 * A ** k), 1.0, axis=1)
-            gram += onehot @ onehot.T
+            gram += np.matmul(onehot, onehot.T, out=prod)
         col += L - k + 1
+    del buf, prod                               # not held through the solve
     r = gram.mean(axis=1)
-    gram += r.mean() - r[:, None] - r[None, :]
+    c, rows = r.mean(), max(1, _BLOCK_CELLS // n)
+    for i in range(0, n, rows):
+        gram[i:i + rows] += c - r[i:i + rows, None] - r[None, :]
     alpha = _solve_shifted(gram, n * lam, data.y - data.y.mean())
     w = np.bincount(ids.ravel(), np.repeat(alpha, ids.shape[1]), minlength=off[-1])
     means = np.bincount(ids.ravel(), minlength=off[-1]) / n

@@ -142,7 +142,8 @@ def _window_shifts(scorer: PositionalKmerScorer, p: np.ndarray, k: int, j0: int,
             const[sel] += inside @ _string_probs(p, hi - lo)
             out[sel] += inside.reshape((-1,) + (1,) * (o + lo) + (A,) * (hi - lo)
                                        + (1,) * (k - o - hi))
-    return out - const.reshape((-1,) + (1,) * k)
+    out -= const.reshape((-1,) + (1,) * k)
+    return out
 
 
 def expected_score(scorer: PositionalKmerScorer, bg: MarkovBackground) -> float:

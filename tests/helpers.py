@@ -219,6 +219,26 @@ def rows_tsv(header, rows):
     return "\n".join(lines) + "\n"
 
 
+def stable_conditional_curve(scores, fvals, bins):
+    """(bin_edges, bin_prob, q_hat, counts) of conditional_curve's equal-count
+    binning, always from a stable sort of the feature values: equal values
+    keep their input order, and each boundary moves to the start of the next
+    distinct value. Bin sums use np.add.reduceat, as the package does, so
+    the two agree bit for bit."""
+    order = np.argsort(fvals, kind="stable")
+    fs, ss, n = fvals[order], scores[order], fvals.size
+    change = np.flatnonzero(fs[1:] != fs[:-1]) + 1
+    if change.size + 1 <= bins:
+        bounds = change
+    else:
+        later = [change[change >= n * b // bins] for b in range(1, bins)]
+        bounds = np.unique(np.array([c[0] for c in later if c.size], dtype=np.intp))
+    starts = np.concatenate([[0], bounds]).astype(np.intp)
+    counts = np.diff(np.concatenate([starts, [n]]))
+    edges = np.concatenate([[fs[0]], (fs[bounds - 1] + fs[bounds]) / 2.0, [fs[-1]]])
+    return edges, counts / n, np.add.reduceat(ss, starts) / counts, counts
+
+
 def binned_normal_shrinkage(bin_prob):
     """The share rho of a linear conditional mean's sd that binning keeps.
 

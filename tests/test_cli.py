@@ -485,7 +485,10 @@ class TestCovarianceCommand:
         ("1\t0\n0\t\udce91\n", "cov.tsv: not UTF-8 text ("),
         ("1\t2\n2\t1\n", "cov.tsv: covariance is not positive semidefinite "
                           "(smallest eigenvalue -1.0"),
-    ], ids=["non-numeric", "empty-cell", "not-utf8", "not-psd"])
+        ("1\t2\n0\t1\n", "cov.tsv: covariance is not symmetric"),
+        ("-1\t0\n0\t1\n", "cov.tsv: covariance has a negative diagonal entry"),
+    ], ids=["non-numeric", "empty-cell", "not-utf8", "not-psd", "asymmetric",
+            "negative-diagonal"])
     def test_malformed_covariance_file(self, tmp_path, capsys, text, message):
         inp = tmp_path / "d.csv"
         inp.write_text("a,b\n1,2\n3,4\n5,6\n", encoding="utf-8")

@@ -23,6 +23,17 @@ class TestTsv:
         header = [f"c{j}" for j in range(len(columns))]
         assert _emit.tsv(header, columns) == rows_tsv(header, zip(*columns))
 
+    B = _emit._TSV_ROWS
+
+    @pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1, 2 * B + 1],
+                             ids=["0", "1", "B-1", "B", "B+1", "2B+1"])
+    def test_block_edges_match_per_cell_rule(self, n):
+        rng = np.random.default_rng(n)
+        columns = [np.arange(n) - 7, rng.normal(size=n), [f"z{i}" for i in range(n)]]
+        columns[1][::5] = -0.0
+        header = ["int", "float", "str"]
+        assert _emit.tsv(header, columns) == rows_tsv(header, zip(*columns))
+
     @pytest.mark.parametrize("score_sd", [None, 0.3])
     def test_firm_results_match_per_row_rule(self, score_sd):
         results = [FirmResult(feature=f"x{j}", q_signed=q, method="m")

@@ -11,7 +11,36 @@ from firm import (ConditionalScoreCurve, DegenerateFeatureError, FirmError, Line
                   PointDistribution, Projection, conditional_curve, default_bins,
                   firm_binary_exact, firm_from_curve, firm_slope, slope_stderr)
 
-from helpers import brute_firm_binary
+from helpers import brute_firm_binary, stable_conditional_curve
+
+
+@st.composite
+def tied_columns(draw):
+    """(scores, fvals, bins) whose feature values repeat: small integers,
+    two values, runs of one value across each equal-count boundary, or a
+    few values with 0.0 and -0.0 both present. Some cells of any column
+    become 0.0 or -0.0."""
+    n = draw(st.integers(4, 300))
+    bins = draw(st.integers(2, min(n, 12)))
+    kind = draw(st.sampled_from(["integers", "two-valued", "edge-runs", "zeros"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "integers":
+        f = rng.integers(-3, 4, size=n).astype(float)
+    elif kind == "two-valued":
+        f = rng.choice([-1.5, 2.0], size=n)
+    elif kind == "edge-runs":
+        f = np.sort(rng.normal(size=n))
+        for b in range(1, bins):
+            t, w = n * b // bins, draw(st.integers(1, 4))
+            f[max(t - w, 0):t + w] = f[t]
+        rng.shuffle(f)
+    else:
+        f = rng.choice([-0.0, 0.0, 1.0, -2.0], size=n)
+    if draw(st.booleans()):
+        f[rng.random(n) < 0.2] = rng.choice([-0.0, 0.0])
+        f[rng.random(n) < 0.2] = -0.0
+    scores = np.round(rng.normal(size=n), draw(st.integers(0, 17)))
+    return scores, f, bins
 
 
 class TestConditionalCurve:
@@ -60,6 +89,19 @@ class TestConditionalCurve:
     def test_constant_feature_rejected(self):
         with pytest.raises(DegenerateFeatureError):
             conditional_curve(np.arange(10.0), np.ones(10), bins=3)
+
+    @given(tied_columns())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_stable_sort_reference_bitwise(self, case):
+        scores, fvals, bins = case
+        if (fvals == fvals[0]).all():
+            with pytest.raises(DegenerateFeatureError):
+                conditional_curve(scores, fvals, bins)
+            return
+        curve = conditional_curve(scores, fvals, bins)
+        got = (curve.bin_edges, curve.bin_prob, curve.q_hat, curve.counts)
+        for a, want in zip(got, stable_conditional_curve(scores, fvals, bins)):
+            assert a.tobytes() == np.asarray(want, dtype=a.dtype).tobytes()
 
     def test_needs_enough_samples(self):
         with pytest.raises(Exception):

@@ -14,7 +14,8 @@ from firm import (BudgetExceededError, FirmError, KernelExpansionScorer, KernelS
                   TabularDataset, gradient_at, score_many,
                   train_kernel_ridge, train_least_squares,
                   train_positional_kmer, train_ridge)
-from firm.scoring import _solve_shifted, kmer_offsets
+from firm.dataset import encode_sequences
+from firm.scoring import _BLOCK_CELLS, _solve_shifted, kmer_ids, kmer_offsets
 
 from helpers import (all_pm1_rows, central_difference_gradient, explicit_kmer_ridge,
                      kernel_gradient_at, kmer_scorer, kmer_weight, reference_gram)
@@ -255,6 +256,17 @@ class TestGram:
         assert K.shape == (A.shape[0], B.shape[0])
         assert K.tobytes() == reference_gram(kernel, A, B).tobytes()
 
+    @pytest.mark.parametrize("kernel", [KernelSpec.gaussian(1.7), KernelSpec.polynomial(2, 0.5)],
+                             ids=lambda k: k.variant)
+    @pytest.mark.parametrize("m", [None, 7, 300], ids=["A", "m=7", "m=300"])
+    def test_row_blocks_match_one_expression_formula_bitwise(self, kernel, m):
+        """A spans two blocks and 3 rows more; for B = A (515 rows) that is
+        16 blocks of 31 rows and one of 19."""
+        rng = np.random.default_rng(5)
+        A = rng.normal(size=(515 if m is None else 2 * (_BLOCK_CELLS // m) + 3, 3))
+        B = A if m is None else rng.normal(size=(m, 3))
+        assert kernel.gram(A, B).tobytes() == reference_gram(kernel, A, B).tobytes()
+
 
 class TestKeptGram:
     """train_kernel_ridge's scorer reuses its training Gram matrix."""
@@ -317,6 +329,21 @@ class TestKeptGram:
             del calls[:]
             assert self.bits(sc, X) == expected
             assert calls == [X.shape] * (2 if kernel.variant == "gaussian" else 1)
+
+    @pytest.mark.parametrize("rows", [None, 300], ids=["training", "other"])
+    def test_gaussian_gradient_matches_one_expression_formula_bitwise(self, rows):
+        """The kept Gram matrix is weighted into a copy and stays intact; a
+        computed one is weighted in place."""
+        rng = np.random.default_rng(13)
+        X = rng.normal(size=(515, 3))
+        kernel = KernelSpec.gaussian(1.5)
+        sc = train_kernel_ridge(TabularDataset(X=X, y=np.sin(X[:, 0]), names=("a", "b", "c")),
+                                kernel, 0.01)
+        Z = X if rows is None else rng.normal(size=(rows, 3))
+        K = reference_gram(kernel, Z, X) * sc.alpha
+        want = (2.0 / kernel.gamma ** 2) * (K @ X - K.sum(axis=1)[:, None] * Z)
+        assert sc.gradient_many(Z).tobytes() == want.tobytes()
+        assert sc._gram.tobytes() == reference_gram(kernel, X, X).tobytes()
 
     def test_not_an_argument_not_in_repr(self):
         ds, sc = self.trained(self.KERNELS[0])
@@ -474,6 +501,28 @@ class TestPositionalKmerTrainer:
         seen = kmer_scorer(ds.alphabet, L, K, dict.fromkeys(want, 1.0)).weights
         assert (seen == 0).any()
         assert (sc.weights[seen == 0] == 0.0).all()
+
+    def test_blocked_centring_matches_one_expression_centring(self):
+        """A fit on more rows than a centring block (31 of 515 rows, the last
+        one 19) equals, bit for bit, the same dual fit with the Gram matrix
+        centred in one expression."""
+        rng = np.random.default_rng(21)
+        n, L, K, lam = 515, 8, 2, 0.05
+        seqs = tuple("".join(rng.choice(list("ACGT"), size=L)) for _ in range(n))
+        ds = SequenceDataset(sequences=seqs, y=rng.choice([-1.0, 1.0], size=n))
+        ids = kmer_ids(encode_sequences(ds.sequences, ds.alphabet), 4, K)
+        F = kmer_offsets(4, L, K)[-1]
+        design = np.zeros((n, F))
+        design[np.arange(n)[:, None], ids] = 1.0
+        gram = design @ design.T                  # shared-substring counts, exact
+        r = gram.mean(axis=1)
+        gram += r.mean() - r[:, None] - r[None, :]
+        alpha = _solve_shifted(gram, n * lam, ds.y - ds.y.mean())
+        w = np.bincount(ids.ravel(), np.repeat(alpha, ids.shape[1]), minlength=F)
+        b = float(ds.y.mean() - (np.bincount(ids.ravel(), minlength=F) / n) @ w)
+        sc = train_positional_kmer(ds, K=K, lam=lam)
+        assert sc.weights.tobytes() == w.tobytes()
+        assert sc.b == b
 
     def test_weight_budget(self):
         assert kmer_offsets(4, 100, 8)[-1] == 8_155_456
