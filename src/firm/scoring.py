@@ -155,17 +155,15 @@ class KernelExpansionScorer:
     def gradient_many(self, X) -> np.ndarray:
         """One gradient per row of X.
 
-        The Gaussian gradient weights the n x m gram(X, points) by alpha: a
-        computed matrix in place, so it peaks at that one matrix, and the
-        kept one into a copy, so it peaks at two. The product with points
-        stays one call over all n rows, since a BLAS may pick another kernel
-        for fewer rows and change the last bits.
+        The Gaussian gradient peaks at two n x m arrays, gram(X, points)
+        and its alpha-weighted copy. The product with points stays one call
+        over all n rows, since a BLAS may pick another kernel for fewer rows
+        and change the last bits.
         """
         X = _rows(X, self.points.shape[1])
         if self.kernel.variant == "gaussian":
             # (2/gamma^2) ((K o alpha) P - rowsum(K o alpha) X), K = gram(X, P)
-            G = self._gram_with(X)
-            K = G * self.alpha if G is self._gram else np.multiply(G, self.alpha, out=G)
+            K = self._gram_with(X) * self.alpha
             return (2.0 / self.kernel.gamma ** 2) * (K @ self.points - K.sum(axis=1)[:, None] * X)
         p, c = self.kernel.degree, self.kernel.offset   # ((X P' + c)^(p-1) o p alpha) P
         return ((X @ self.points.T + c) ** (p - 1) * (p * self.alpha)) @ self.points

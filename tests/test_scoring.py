@@ -332,8 +332,8 @@ class TestKeptGram:
 
     @pytest.mark.parametrize("rows", [None, 300], ids=["training", "other"])
     def test_gaussian_gradient_matches_one_expression_formula_bitwise(self, rows):
-        """The kept Gram matrix is weighted into a copy and stays intact; a
-        computed one is weighted in place."""
+        """On the training rows and on others; the kept Gram matrix stays
+        intact."""
         rng = np.random.default_rng(13)
         X = rng.normal(size=(515, 3))
         kernel = KernelSpec.gaussian(1.5)
