@@ -251,31 +251,26 @@ def build_parser() -> argparse.ArgumentParser:
                    help="last input column is a label column")
     common(p, cmd_covariance)
 
-    p = sub.add_parser("experiment-boolean",
-                       help="importance of conjunctions of three ±1 variables")
-    p.add_argument("--lambda", dest="lam", type=float,
-                   default=experiments.BOOLEAN_LAMBDA,
-                   help="kernel ridge strength (default %(default)s)")
-    common(p, lambda args: experiments.boolean_experiment(lam=args.lam)[0])
+    def study(name, text):
+        return sub.add_parser(name, help=text, description=text)
 
-    p = sub.add_parser("experiment-gaussian",
-                       help="slope importances for two normal classes")
+    p = study("experiment-boolean", "importance of conjunctions of three ±1 variables; "
+              f"polynomial kernel ridge, degree 2, λ = {experiments.BOOLEAN_LAMBDA}")
+    common(p, lambda args: experiments.boolean_experiment()[0])
+
+    p = study("experiment-gaussian", "slope importances for two normal classes; "
+              "least squares, curves binned by the sqrt rule")
     p.add_argument("--n-per-class", type=int, default=1000)
-    p.add_argument("--bins", type=int, default=None)
     seeded(p, lambda args: experiments.gaussian_experiment(
-        seed=args.seed, n_per_class=args.n_per_class, bins=args.bins)[0])
+        seed=args.seed, n_per_class=args.n_per_class)[0])
 
-    p = sub.add_parser("experiment-sequence",
-                       help="planted-motif study with oligomer importances")
+    p = study("experiment-sequence", "planted-motif study with oligomer importances; "
+              f"k-mer scorer, degree {experiments.SEQUENCE_DEGREE}, "
+              f"λ = {experiments.SEQUENCE_LAMBDA}, top {experiments.SEQUENCE_TOP}")
     p.add_argument("--n-per-class", type=int, default=500)
     p.add_argument("--seq-len", type=int, default=50)
-    p.add_argument("--degree", type=int, default=3,
-                   help="scorer substring degree (default %(default)s)")
-    p.add_argument("--lambda", dest="lam", type=float, default=0.1)
-    p.add_argument("--top", type=int, default=20)
     seeded(p, lambda args: experiments.sequence_experiment(
-        seed=args.seed, n_per_class=args.n_per_class, seq_len=args.seq_len,
-        degree=args.degree, lam=args.lam, top=args.top)[0])
+        seed=args.seed, n_per_class=args.n_per_class, seq_len=args.seq_len)[0])
     return parser
 
 

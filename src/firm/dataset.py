@@ -45,6 +45,8 @@ class TabularDataset:
         for name in self.names:
             if name == "" or name in seen:
                 raise FirmError(f"column name {name!r} is empty or repeated")
+            if any(c in name for c in "\t\n\r\0"):  # each would break a TSV row or a path
+                raise FirmError(f"column name {name!r} holds a tab, line break or NUL")
             seen.add(name)
         y = self.y
         if y is not None:
@@ -172,9 +174,9 @@ class CovarianceEstimate:
 
 @contextmanager
 def open_utf8(path):
-    """path opened as UTF-8 text; bytes that are not UTF-8 raise
-    DataFormatError naming the file, wherever the block reads them."""
-    with open(path, encoding="utf-8") as fh:
+    """path opened as UTF-8 text, less any byte-order mark; bytes that are not
+    UTF-8 raise DataFormatError naming the file, wherever the block reads them."""
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             yield fh
         except UnicodeDecodeError as exc:
@@ -270,8 +272,8 @@ def load_tabular(path, has_labels: bool = False) -> TabularDataset:
     return TabularDataset(X=data, y=None, names=tuple(header))
 
 
-def load_sequences(path, alphabet: tuple[str, ...] = DNA_ALPHABET) -> SequenceDataset:
-    """Read tab-separated `<sequence>\\t<label>` lines, label in {+1,-1}.
+def load_sequences(path) -> SequenceDataset:
+    """Read tab-separated `<sequence>\\t<label>` lines of DNA, label in {+1,-1}.
 
     Blank lines are skipped, but errors name a line by its place in the file.
     """
@@ -297,8 +299,8 @@ def load_sequences(path, alphabet: tuple[str, ...] = DNA_ALPHABET) -> SequenceDa
             line_nos.append(line_no)
     if not seqs:
         raise DataFormatError(f"{path}: no sequences")
-    _check_sequences(zip(line_nos, seqs), tuple(alphabet), len(seqs[0]), f"{path}: ")
-    return SequenceDataset(sequences=tuple(seqs), y=np.array(labels), alphabet=alphabet)
+    _check_sequences(zip(line_nos, seqs), DNA_ALPHABET, len(seqs[0]), f"{path}: ")
+    return SequenceDataset(sequences=tuple(seqs), y=np.array(labels))
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,10 @@
 
 Each function computes its complete result set and returns a dict mapping
 artifact file names to text content, plus a structured summary that tests
-can inspect directly. All randomness flows from the single seed argument.
+can inspect directly. Arguments set only sizes and the seed of a draw; the
+Boolean study draws nothing. The model settings are fixed: polynomial kernel
+ridge (degree 2, BOOLEAN_LAMBDA), least squares with sqrt-rule bins, and a
+k-mer scorer (SEQUENCE_DEGREE, SEQUENCE_LAMBDA) ranked to SEQUENCE_TOP cells.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ BOOLEAN_LAMBDA = 0.1
 GAUSSIAN_CLASS_MEANS = (0.5, 1.5, 0.0)
 MOTIF = "GATTACA"                     # its length is the sequence study's k
 PLANT_CENTER, PLANT_SD, N_IRRELEVANT = 25, 7.0, 300
+SEQUENCE_DEGREE, SEQUENCE_LAMBDA, SEQUENCE_TOP = 3, 0.1, 20
 
 
 # ---------------------------------------------------------------------------
@@ -50,7 +54,7 @@ def boolean_pair_features():
     return feats
 
 
-def boolean_experiment(lam: float = BOOLEAN_LAMBDA):
+def boolean_experiment():
     data = boolean_truth_table()
     singles = boolean_single_features()
     pairs = boolean_pair_features()
@@ -59,7 +63,7 @@ def boolean_experiment(lam: float = BOOLEAN_LAMBDA):
     labels = firm_binary_values(data.labels(),
                                 np.column_stack([f.evaluate_rows(data.X) for f in feats]),
                                 names=[f.describe() for f in feats])
-    trained = train_kernel_ridge(data, KernelSpec.polynomial(2, 1.0), lam)
+    trained = train_kernel_ridge(data, KernelSpec.polynomial(2, 1.0), BOOLEAN_LAMBDA)
     dist = PointDistribution.uniform(data.X)
     results = {"labels": {"single": labels[:len(singles)], "pairs": labels[len(singles):]},
                "trained": {"single": [firm_binary_exact(trained, f, dist) for f in singles],
@@ -86,7 +90,7 @@ def boolean_experiment(lam: float = BOOLEAN_LAMBDA):
             [["++", "+-", "-+", "--"]] + list(pair_q))
 
     artifacts["run.json"] = _emit.run_metadata(
-        "experiment-boolean", {"lambda": lam, "kernel": "polynomial:2:1"})
+        "experiment-boolean", {"lambda": BOOLEAN_LAMBDA, "kernel": "polynomial:2:1"})
     return artifacts, results
 
 
@@ -94,8 +98,7 @@ def boolean_experiment(lam: float = BOOLEAN_LAMBDA):
 # two 3-d normal classes
 # ---------------------------------------------------------------------------
 
-def gaussian_experiment(seed: int = 42, n_per_class: int = 1000,
-                        bins: int | None = None):
+def gaussian_experiment(seed: int = 42, n_per_class: int = 1000):
     """Linear classifier on two normal classes; dimension 2 is the most
     informative, dimension 3 pure noise."""
     if n_per_class < 1:
@@ -113,7 +116,7 @@ def gaussian_experiment(seed: int = 42, n_per_class: int = 1000,
     results = firm_slope(scores, X, names=data.names)
     stderrs = slope_stderr(scores, X)
     artifacts = {}
-    nbins = bins if bins is not None else default_bins(data.n)
+    nbins = default_bins(data.n)
     for j in range(3):
         curve = conditional_curve(scores, X[:, j], nbins)
         artifacts[f"curves/{data.names[j]}.tsv"] = _emit.curve_tsv(curve)
@@ -132,8 +135,7 @@ def gaussian_experiment(seed: int = 42, n_per_class: int = 1000,
 # planted-motif sequence classification
 # ---------------------------------------------------------------------------
 
-def generate_motif_dataset(rng, n_per_class: int = 500,
-                           seq_len: int = 50) -> SequenceDataset:
+def generate_motif_dataset(rng, n_per_class: int, seq_len: int) -> SequenceDataset:
     """Random DNA; positives carry MOTIF planted at an N(PLANT_CENTER, PLANT_SD^2)
     position, rounded and clamped to fit, with exactly one position mutated
     to a uniformly random letter (so about a quarter of plants stay intact)."""
@@ -170,8 +172,7 @@ def weight_importance(scorer, strings) -> np.ndarray:
     return best
 
 
-def sequence_experiment(seed: int = 42, n_per_class: int = 500, seq_len: int = 50,
-                        degree: int = 3, lam: float = 0.1, top: int = 20):
+def sequence_experiment(seed: int = 42, n_per_class: int = 500, seq_len: int = 50):
     """Importances of MOTIF, its Hamming-distance 1 and 2 neighbours and
     N_IRRELEVANT strings unlike it everywhere: POIM (k = len(MOTIF)) against weights."""
     if n_per_class < 1 or seq_len < len(MOTIF):
@@ -179,7 +180,7 @@ def sequence_experiment(seed: int = 42, n_per_class: int = 500, seq_len: int = 5
                         f"got {n_per_class} and {seq_len}")
     rng = np.random.default_rng(seed)
     data = generate_motif_dataset(rng, n_per_class=n_per_class, seq_len=seq_len)
-    scorer = train_positional_kmer(data, K=degree, lam=lam)
+    scorer = train_positional_kmer(data, K=SEQUENCE_DEGREE, lam=SEQUENCE_LAMBDA)
     bg = MarkovBackground.uniform(data.alphabet)
     table = poim(scorer, bg, k=len(MOTIF))
 
@@ -207,18 +208,18 @@ def sequence_experiment(seed: int = 42, n_per_class: int = 500, seq_len: int = 5
 
     # block row maxima; no degree-d substring starts in the last d - 1 positions
     max_w = np.max([np.pad(np.abs(scorer.block(d)).reshape(seq_len - d + 1, -1).max(axis=1),
-                           (0, d - 1)) for d in range(1, degree + 1)], axis=0)
+                           (0, d - 1)) for d in range(1, SEQUENCE_DEGREE + 1)], axis=0)
     artifacts["weight_by_position.tsv"] = _emit.tsv(
         ["position", "max_abs_w"], [np.arange(seq_len), max_w])
 
     artifacts["poim_summary.tsv"] = _emit.poim_summary_tsv(table)
-    ranked = ranked_oligomers(table, top=top)
+    ranked = ranked_oligomers(table, top=SEQUENCE_TOP)
     artifacts["poim_top.tsv"] = _emit.poim_top_tsv(ranked)
 
     artifacts["run.json"] = _emit.run_metadata("experiment-sequence", {
         "seed": seed, "n_per_class": n_per_class, "seq_len": seq_len,
-        "degree": degree, "lambda": lam, "k": len(MOTIF), "top": top,
-        "n_irrelevant": N_IRRELEVANT, "motif": MOTIF,
+        "degree": SEQUENCE_DEGREE, "lambda": SEQUENCE_LAMBDA, "k": len(MOTIF),
+        "top": SEQUENCE_TOP, "n_irrelevant": N_IRRELEVANT, "motif": MOTIF,
         "plant_center": PLANT_CENTER, "plant_sd": PLANT_SD,
         "mutations_per_plant": 1, "background": "uniform"})
     return artifacts, {"series": series, "table": table, "scorer": scorer,

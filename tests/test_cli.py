@@ -18,6 +18,13 @@ def run(*argv):
     return main(list(argv))
 
 
+def run_child(*argv):
+    """The CLI in a child process, so that a warning would reach the real stderr."""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(firm.__file__))}
+    return subprocess.run([sys.executable, "-m", "firm.cli", *argv],
+                          capture_output=True, text=True, env=env)
+
+
 def read_tsv(path):
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split("\t")
@@ -274,11 +281,21 @@ class TestConfigValidation:
         assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_oligomer_length_of_sequence_study_is_fixed(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command,flag,value", [
+        ("experiment-sequence", "--k", "7"),
+        ("experiment-sequence", "--degree", "3"),
+        ("experiment-sequence", "--lambda", "0.1"),
+        ("experiment-sequence", "--top", "20"),
+        ("experiment-boolean", "--lambda", "0.1"),
+        ("experiment-gaussian", "--bins", "5"),
+    ], ids=["sequence-k", "sequence-degree", "sequence-lambda", "sequence-top",
+            "boolean-lambda", "gaussian-bins"])
+    def test_model_settings_of_studies_are_fixed(self, tmp_path, capsys,
+                                                 command, flag, value):
         with pytest.raises(SystemExit) as info:
-            run("experiment-sequence", "--k", "7", "--out", str(tmp_path / "out"))
+            run(command, flag, value, "--out", str(tmp_path / "out"))
         assert info.value.code == 2
-        assert "unrecognized arguments: --k 7" in capsys.readouterr().err
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_tabular_method_rejects_kmer_scorer(self, tmp_path, capsys):
@@ -298,15 +315,11 @@ class TestConfigValidation:
 
 
     def test_header_only_csv_fails_with_one_line(self, tmp_path):
-        # a child process, so that a warning would reach the real stderr
         inp = tmp_path / "d.csv"
         inp.write_text("a,label\n\n", encoding="utf-8")
         out = tmp_path / "out"
-        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(firm.__file__))}
-        proc = subprocess.run(
-            [sys.executable, "-m", "firm.cli", "analyze", "--input", str(inp),
-             "--method", "binary", "--out", str(out)],
-            capture_output=True, text=True, env=env)
+        proc = run_child("analyze", "--input", str(inp), "--method", "binary",
+                         "--out", str(out))
         assert proc.returncode == 1
         assert proc.stderr == f"error: {inp}: no data rows\n"
         assert not out.exists()
@@ -340,18 +353,14 @@ class TestConfigValidation:
         assert not list(out.rglob("*.tmp.*"))
 
     def test_overflowing_scorer_fails_with_one_line(self, tmp_path):
-        # run in a child process so numpy warnings reach the real stderr
         rng = np.random.default_rng(9)
         X = rng.normal(scale=2.5, size=(40, 3))
         inp = tmp_path / "d.csv"
         write_csv(inp, X, X[:, 0] + rng.normal(size=40))
         out = tmp_path / "out"
-        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(firm.__file__))}
-        proc = subprocess.run(
-            [sys.executable, "-m", "firm.cli", "analyze", "--input", str(inp),
-             "--method", "slope", "--scorer", "train:kernel_ridge",
-             "--kernel", "polynomial", "--degree", "200", "--out", str(out)],
-            capture_output=True, text=True, env=env)
+        proc = run_child("analyze", "--input", str(inp), "--method", "slope",
+                         "--scorer", "train:kernel_ridge", "--kernel", "polynomial",
+                         "--degree", "200", "--out", str(out))
         assert proc.returncode == 1
         assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
         assert not (out / "firm.tsv").exists()
@@ -388,12 +397,9 @@ class TestConfigValidation:
         inp = tmp_path / "d.csv"
         write_csv(inp, np.vstack([X, X]), np.tile(X[:, 0], 2))
         out = tmp_path / "out"
-        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(firm.__file__))}
-        proc = subprocess.run(
-            [sys.executable, "-m", "firm.cli", "analyze", "--input", str(inp),
-             "--method", "slope", "--scorer", "train:kernel_ridge",
-             "--lambda", "1e-300", "--out", str(out)],
-            capture_output=True, text=True, env=env)
+        proc = run_child("analyze", "--input", str(inp), "--method", "slope",
+                         "--scorer", "train:kernel_ridge", "--lambda", "1e-300",
+                         "--out", str(out))
         assert proc.returncode == 1
         assert proc.stderr == "error: numerical failure: Singular matrix\n"
         assert not out.exists()
@@ -426,6 +432,28 @@ class TestConfigValidation:
         assert err.startswith(f"error: {inp}: not UTF-8 text (") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("name,text,argv", [
+        ("in.csv", "a,b,label\n0,1,1\n1,0,-1\n2,2,1\n1,2,-1\n",
+         ["analyze", "--input", "{}", "--method", "slope"]),
+        ("in.tsv", "ACGT\t+1\nTTGA\t-1\nGATT\t+1\nCCAT\t-1\n",
+         ["analyze", "--input", "{}", "--method", "poim", "--scorer", "train:kmer",
+          "--degree", "1", "--k", "1"]),
+        ("cov.tsv", "2\t1\n1\t2\n",
+         ["covariance", "--input", "{csv}", "--covariance", "file:{}"]),
+    ], ids=["csv", "tsv", "covariance"])
+    def test_byte_order_mark_gives_same_bytes(self, tmp_path, name, text, argv):
+        csv = tmp_path / "d.csv"
+        csv.write_text("a,b\n1,2\n3,5\n4,4\n", encoding="utf-8")
+        inp = tmp_path / name
+        argv = [a.format(inp, csv=csv) for a in argv]
+        trees = []
+        for tag, bom in (("plain", ""), ("bom", "\ufeff")):
+            inp.write_text(bom + text, encoding="utf-8")
+            out = tmp_path / tag
+            assert run(*argv, "--out", str(out)) == 0
+            trees.append({p.relative_to(out): p.read_bytes() for p in out.rglob("*")})
+        assert trees[0] and trees[0] == trees[1]
+
     def test_overflowing_column_mean_fails_with_one_line(self, tmp_path, capsys):
         inp = tmp_path / "d.csv"
         inp.write_text("a,b,label\n0,1.7976931348623157e308,1\n"
@@ -441,7 +469,9 @@ class TestConfigValidation:
          "artifact path 'curves/../../escaped.tsv' leaves the output directory"),
         ("a,a,y", "column name 'a' is empty or repeated"),
         (",b,y", "column name '' is empty or repeated"),
-    ], ids=["escaping", "repeated", "empty"])
+        ("a\tb,c,y", "column name 'a\\tb' holds a tab, line break or NUL"),
+        ("a\0b,c,y", "column name 'a\\x00b' holds a tab, line break or NUL"),
+    ], ids=["escaping", "repeated", "empty", "tab", "nul"])
     def test_column_name_unfit_for_a_file_fails_with_one_line(self, tmp_path, capsys,
                                                               header, message):
         inp = tmp_path / "d.csv"
@@ -478,6 +508,15 @@ class TestCovarianceCommand:
         np.linalg.cholesky(sigma)
         doc = json.loads((out / "covariance.json").read_text())
         assert 0.0 <= doc["shrinkage_lambda"] <= 1.0
+
+    def test_column_name_with_tab_fails_with_one_line(self, tmp_path, capsys):
+        inp = tmp_path / "d.csv"
+        inp.write_text("a\tb,c\n0,1\n1,0\n2,2\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run("covariance", "--input", str(inp), "--out", str(out)) == 1
+        assert capsys.readouterr().err == (
+            "error: column name 'a\\tb' holds a tab, line break or NUL\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("text,message", [
         ("1\t0\nnot_a_number\t1\n", "line 2 is not numeric"),
@@ -532,7 +571,7 @@ class TestExperiments:
     def test_sequence_small_scale_artifacts(self, tmp_path):
         out = tmp_path / "seq"
         assert run("experiment-sequence", "--n-per-class", "30",
-                   "--seq-len", "20", "--degree", "2", "--out", str(out)) == 0
+                   "--seq-len", "20", "--out", str(out)) == 0
         for rel in ("poim_series.tsv", "weight_series.tsv", "poim_summary.tsv",
                     "poim_top.tsv", "weight_by_position.tsv", "run.json"):
             assert (out / rel).exists()
@@ -543,9 +582,7 @@ class TestExperiments:
         ("experiment-gaussian", "--n-per-class", "-1"),
         ("experiment-sequence", "--n-per-class", "-1"),
         ("experiment-sequence", "--seq-len", "6"),
-        ("experiment-sequence", "--n-per-class", "10", "--seq-len", "10",
-         "--degree", "1", "--top", "-1"),
-    ], ids=["gaussian-n", "sequence-n", "sequence-len", "sequence-top"])
+    ], ids=["gaussian-n", "sequence-n", "sequence-len"])
     def test_bad_sizes_fail_cleanly(self, tmp_path, capsys, argv):
         out = tmp_path / "exp"
         assert run(*argv, "--out", str(out)) == 1
@@ -557,7 +594,6 @@ class TestExperiments:
     def test_sequence_budget_violation_fails_cleanly(self, tmp_path, capsys):
         out = tmp_path / "seq"
         assert run("experiment-sequence", "--n-per-class", "10",
-                   "--seq-len", "700", "--degree", "1",
-                   "--out", str(out)) != 0
+                   "--seq-len", "700", "--out", str(out)) != 0
         assert "cells" in capsys.readouterr().err
         assert not out.exists()

@@ -186,6 +186,23 @@ class TestNotUtf8:
             load_sequences(p)
 
 
+class TestByteOrderMark:
+    @pytest.mark.parametrize("read", [_parse_rows, _load_fast], ids=["per-cell", "fast"])
+    def test_tabular(self, tmp_path, read):
+        text = "a,b,label\n1,2.5,1\n3,4,-1\n"
+        plain = read(write(tmp_path, "plain.csv", text))
+        bom = read(write(tmp_path, "bom.csv", "\ufeff" + text))
+        assert plain[0] == bom[0] == ["a", "b", "label"]
+        assert plain[1].tobytes() == bom[1].tobytes()
+
+    def test_sequences(self, tmp_path):
+        text = "ACGT\t+1\nTTGA\t-1\n"
+        plain = load_sequences(write(tmp_path, "plain.tsv", text))
+        bom = load_sequences(write(tmp_path, "bom.tsv", "\ufeff" + text))
+        assert plain.sequences == bom.sequences == ("ACGT", "TTGA")
+        assert plain.y.tobytes() == bom.y.tobytes()
+
+
 class TestLoadSequences:
     def test_basic(self, tmp_path):
         p = write(tmp_path, "s.tsv", "ACGT\t+1\nTTTT\t-1\n")

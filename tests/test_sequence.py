@@ -233,11 +233,10 @@ class TestWeightImportance:
 
 
     def test_weight_by_position_is_largest_weight_starting_there(self):
-        artifacts, result = experiments.sequence_experiment(
-            n_per_class=15, seq_len=12, degree=2)
+        artifacts, result = experiments.sequence_experiment(n_per_class=15, seq_len=12)
         sc = result["scorer"]
         want = [max(abs(kmer_weight(sc, i, "".join(y)))
-                    for d in (1, 2) if i + d <= 12 for y in product(DNA, repeat=d))
+                    for d in (1, 2, 3) if i + d <= 12 for y in product(DNA, repeat=d))
                 for i in range(12)]
         rows = artifacts["weight_by_position.tsv"].splitlines()[1:]
         assert [float(r.split("\t")[1]) for r in rows] == want
