@@ -6,8 +6,7 @@ binary features, normal models, and positional oligomers over sequences;
 a binned estimator covers arbitrary samples.
 """
 
-from .binary import (PointDistribution, firm_binary_exact, firm_binary_values,
-                     firm_uniform_conjunction)
+from .binary import firm_binary_exact, firm_binary_values, firm_uniform_conjunction
 from .dataset import (CovarianceEstimate, SequenceDataset, TabularDataset,
                       empirical_covariance, load_sequences, load_tabular,
                       shrinkage_covariance)

@@ -7,12 +7,17 @@ conditional mean scores q_a, q_b, the importance is
 
 signed, so the direction of the feature's effect is retained. Anchoring
 `a` at the larger feature value makes the sign deterministic.
+
+Both entries take every feature in one call: `firm_binary_values` scores
+and feature columns, `firm_binary_exact` a scorer, features and support
+points. Point probabilities are uniform by default; supplied ones must be
+finite, nonnegative and sum to 1, and are never rescaled.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -22,48 +27,21 @@ from .results import BinaryStats, FirmResult
 from .scoring import Scorer, score_many
 
 
-def _checked_probs(probs, n: int) -> np.ndarray:
-    """probs as a float64 vector of n finite, nonnegative values that sum
-    to 1 within 1e-9; FirmError otherwise."""
-    probs = np.asarray(probs, dtype=np.float64).ravel()
-    if not np.isfinite(probs).all() or (probs < 0).any() or abs(probs.sum() - 1.0) > 1e-9:
-        raise FirmError("probabilities must be finite, nonnegative and sum to 1")
-    if probs.size != n:
-        raise FirmError("need one probability per point")
-    return probs
-
-
-@dataclass(frozen=True, eq=False)
-class PointDistribution:
-    """An explicit distribution: support points plus probabilities."""
-
-    points: object  # n-by-d array
-    probs: np.ndarray
-
-    def __post_init__(self):
-        probs = _checked_probs(self.probs, len(self.points))
-        probs = probs / probs.sum()
-        probs.setflags(write=False)
-        object.__setattr__(self, "probs", probs)
-
-    @classmethod
-    def uniform(cls, points) -> "PointDistribution":
-        n = len(points)
-        return cls(points=points, probs=np.full(n, 1.0 / n))
-
-
 def firm_binary_values(scores, F, probs=None, names=None) -> list[FirmResult]:
     """Exact signed importance of every two-valued column of F.
 
     F is n-by-d (1-D for one column) and row-aligned with the scores; row i
-    has probability probs[i], uniform by default. probs must be finite,
-    nonnegative and sum to 1; it is not rescaled. Columns are named by
+    has probability probs[i], uniform by default. Columns are named by
     `names`, or x1 .. xd. Scores X @ w + b with F = X give the paper's
     matrix form Q = M'(Xw + b) of a linear scorer on ±1 data.
     """
     scores, F, names = feature_columns(scores, F, names)
     probs = (np.full(scores.size, 1.0 / scores.size) if probs is None
-             else _checked_probs(probs, scores.size))
+             else np.asarray(probs, dtype=np.float64).ravel())
+    if not np.isfinite(probs).all() or (probs < 0).any() or abs(probs.sum() - 1.0) > 1e-9:
+        raise FirmError("probabilities must be finite, nonnegative and sum to 1")
+    if probs.size != scores.size:
+        raise FirmError("need one probability per point")
     lo, hi = F.min(axis=0), F.max(axis=0)
     is_hi = F == hi
     bad = np.nonzero(lo == hi)[0]
@@ -91,12 +69,16 @@ def firm_binary_values(scores, F, probs=None, names=None) -> list[FirmResult]:
             for j in range(q.size)]
 
 
-def firm_binary_exact(scorer: Scorer, f: FeatureFunction,
-                      dist: PointDistribution) -> FirmResult:
-    """Exact signed importance of a binary feature under an explicit distribution."""
-    return firm_binary_values(score_many(scorer, dist.points),
-                              f.evaluate_rows(dist.points),
-                              probs=dist.probs, names=[f.describe()])[0]
+def firm_binary_exact(scorer: Scorer, features: Sequence[FeatureFunction],
+                      points, probs=None) -> list[FirmResult]:
+    """Exact signed importance of every binary feature over explicit support
+    points, in feature order: the points are scored once and all features
+    go through one firm_binary_values call with the same `probs`."""
+    if not features:
+        raise FirmError("need at least one feature")
+    F = np.column_stack([f.evaluate_rows(points) for f in features])
+    return firm_binary_values(score_many(scorer, points), F, probs=probs,
+                              names=[f.describe() for f in features])
 
 
 def firm_uniform_conjunction(w: np.ndarray, b: float,

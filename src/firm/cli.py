@@ -21,7 +21,6 @@ from .dataset import (CovarianceEstimate, TabularDataset, empirical_covariance,
 from .empirical import conditional_curve, default_bins, firm_from_curve, firm_slope
 from .errors import DataFormatError, FirmError
 from .gaussian import firm_gaussian_general, sensitivity_index
-from .results import FirmResult
 from .scoring import (KernelSpec, score_many, train_kernel_ridge,
                       train_least_squares, train_positional_kmer, train_ridge)
 from .sequence import MarkovBackground, poim, ranked_oligomers
@@ -109,18 +108,19 @@ def validate_analyze_config(args) -> None:
             raise FirmError(f"method {args.method!r} requires --scorer train:kmer")
         if args.standardize:
             raise FirmError("--standardize applies to tabular methods only")
-    elif args.method in TABULAR_METHODS:
+    else:
         if args.scorer == "train:kmer":
             raise FirmError(f"method {args.method!r} cannot use a sequence scorer")
         if args.method in ("gaussian", "sensitivity") and args.scorer == "labels":
             raise FirmError(f"method {args.method!r} needs a differentiable scorer "
                             f"(one of {', '.join(GRADIENT_SCORERS)})")
-    else:
-        raise FirmError(f"unknown method {args.method!r}")
 
 
 def analyze_tabular(args) -> dict:
     data = load_tabular(args.input, has_labels=True)
+    slashed = [name for name in data.names if "/" in name]
+    if args.method == "empirical" and slashed:   # its curve would be curves/<name>.tsv
+        raise FirmError(f"column name {slashed[0]!r} holds '/' and cannot name a curve file")
     scorer = None if args.scorer == "labels" else build_tabular_scorer(args, data)
     scores = None
     if args.method in ("binary", "slope", "empirical") or args.standardize:
@@ -132,8 +132,7 @@ def analyze_tabular(args) -> dict:
         results = firm_gaussian_general(scorer, cov, mean=data.column_means,
                                         names=data.names)
     elif args.method == "sensitivity":
-        results = [FirmResult(feature=name, q_signed=v, method="sensitivity")
-                   for name, v in zip(data.names, sensitivity_index(scorer, data))]
+        results = sensitivity_index(scorer, data)
     elif args.method == "binary":
         results = firm_binary_values(scores, data.X, names=data.names)
     elif args.method == "slope":
@@ -207,16 +206,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help="output directory")
         p.set_defaults(func=func)
 
-    def seeded(p, func):
+    def seeded(p, func, text="seed for all randomness"):
         common(p, func)
-        p.add_argument("--seed", type=int, default=42,
-                       help="seed for all randomness (default %(default)s)")
+        p.add_argument("--seed", type=int, default=42, help=f"{text} (default %(default)s)")
 
     p = sub.add_parser("analyze", help="importance of every column/oligomer")
     p.add_argument("--input", required=True, help="CSV (tabular, labeled) or "
                    "TSV sequence file")
     p.add_argument("--method", required=True,
-                   choices=TABULAR_METHODS + SEQUENCE_METHODS)
+                   choices=TABULAR_METHODS + SEQUENCE_METHODS,
+                   help="gaussian linearises the scorer at the column means, "
+                        "which is exact for linear scorers only")
     p.add_argument("--scorer", default="labels",
                    help="labels | train:least_squares | train:ridge | "
                         "train:kernel_ridge | train:kmer (default %(default)s)")
@@ -241,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="divide the importances in firm.tsv by the score "
                         "standard deviation; firm.json keeps the raw values "
                         "and adds q_tilde_* and score_sd")
-    seeded(p, cmd_analyze)
+    seeded(p, cmd_analyze, "recorded in run.json; changes no other artifact")
 
     p = sub.add_parser("covariance", help="write the covariance estimate")
     p.add_argument("--input", required=True)

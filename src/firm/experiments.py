@@ -15,7 +15,7 @@ import itertools
 import numpy as np
 
 from . import _emit
-from .binary import PointDistribution, firm_binary_exact, firm_binary_values
+from .binary import firm_binary_exact, firm_binary_values
 from .dataset import DNA_ALPHABET, SequenceDataset, TabularDataset, encode_sequences
 from .errors import FirmError
 from .empirical import conditional_curve, default_bins, firm_slope, slope_stderr
@@ -63,11 +63,10 @@ def boolean_experiment():
     labels = firm_binary_values(data.labels(),
                                 np.column_stack([f.evaluate_rows(data.X) for f in feats]),
                                 names=[f.describe() for f in feats])
-    trained = train_kernel_ridge(data, KernelSpec.polynomial(2, 1.0), BOOLEAN_LAMBDA)
-    dist = PointDistribution.uniform(data.X)
-    results = {"labels": {"single": labels[:len(singles)], "pairs": labels[len(singles):]},
-               "trained": {"single": [firm_binary_exact(trained, f, dist) for f in singles],
-                           "pairs": [firm_binary_exact(trained, f, dist) for f in pairs]}}
+    model = train_kernel_ridge(data, KernelSpec.polynomial(2, 1.0), BOOLEAN_LAMBDA)
+    results = {tag: {"single": res[:len(singles)], "pairs": res[len(singles):]}
+               for tag, res in (("labels", labels),
+                                ("trained", firm_binary_exact(model, feats, data.X)))}
 
     artifacts = {}
     tags, flat = zip(*[(tag, r) for tag in ("labels", "trained")

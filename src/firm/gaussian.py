@@ -51,15 +51,16 @@ def firm_gaussian_general(scorer: Scorer, cov: CovarianceEstimate, mean=None,
     return _normal_model_results(cov.sigma, gradient_at(scorer, mean), names, "gaussian")
 
 
-def sensitivity_index(scorer: Scorer, data: TabularDataset) -> list[float]:
+def sensitivity_index(scorer: Scorer, data: TabularDataset) -> list[FirmResult]:
     """Gradient-based importance baseline, estimated over the data rows.
 
-    I_j = sqrt(mean_i (ds/dx_j at x_i)^2 * Var(X_j)). Blind to correlations
-    between coordinates: a zero weight gives a zero index no matter how the
-    coordinate co-varies with the rest.
+    I_j = sqrt(mean_i (ds/dx_j at x_i)^2 * Var(X_j)), named by data.names.
+    Blind to correlations between coordinates: a zero weight gives a zero
+    index no matter how the coordinate co-varies with the rest.
     """
     g_sq = (differentiable(scorer).gradient_many(data.X) ** 2).mean(axis=0)
-    return [float(v) for v in np.sqrt(g_sq * np.var(data.X, axis=0))]
+    return [FirmResult(feature=name, q_signed=float(v), method="sensitivity")
+            for name, v in zip(data.names, np.sqrt(g_sq * np.var(data.X, axis=0)))]
 
 
 def firm_regression_closed_form(X: np.ndarray, y: np.ndarray, cov: CovarianceEstimate,

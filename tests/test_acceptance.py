@@ -20,8 +20,7 @@ import numpy as np
 import pytest
 
 from firm import (KernelExpansionScorer, KernelSpec, LinearScorer, MarkovBackground,
-                  CovarianceEstimate,
-                  PointDistribution, SignedConjunction, TabularDataset, Xor,
+                  CovarianceEstimate, SignedConjunction, TabularDataset, Xor,
                   conditional_expected_score, expected_score,
                   firm_binary_exact, firm_binary_values, firm_gaussian_general,
                   firm_regression_closed_form, firm_slope, firm_uniform_conjunction,
@@ -81,7 +80,6 @@ def test_criterion_02_uniform_binary_closed_forms():
         w = rng.normal(size=d)
         b = rng.normal()
         sc = LinearScorer(w=w, b=b)
-        dist = PointDistribution.uniform(X)
         scores = X @ w + b
         # projections: importance equals the weight
         got = [r.q_signed for r in firm_binary_values(scores, X)]
@@ -91,13 +89,13 @@ def test_criterion_02_uniform_binary_closed_forms():
         for j, k in pairs:
             for sj, sk in itertools.product((1, -1), repeat=2):
                 f = SignedConjunction(literals=((j, sj), (k, sk)))
-                r = firm_binary_exact(sc, f, dist)
+                [r] = firm_binary_exact(sc, [f], X)
                 assert abs(r.q_signed - (sj * w[j] + sk * w[k]) / math.sqrt(3)) < 1e-12
                 rc = firm_uniform_conjunction(w, b, ((j, sj), (k, sk)))
                 assert abs(rc.q_signed - r.q_signed) < 1e-12
         # xor features carry no importance for a linear scorer
-        for j, k in pairs:
-            assert firm_binary_exact(sc, Xor(j, k), dist).q_abs < 1e-12
+        for r in firm_binary_exact(sc, [Xor(j, k) for j, k in pairs], X):
+            assert r.q_abs < 1e-12
         # order-3 conjunctions against the brute-force definition
         if d >= 3:
             for _ in range(5):
@@ -106,7 +104,7 @@ def test_criterion_02_uniform_binary_closed_forms():
                 lits = tuple((int(j), int(s)) for j, s in zip(idx, signs))
                 f = SignedConjunction(literals=lits)
                 want = brute_firm_binary(scores, f.evaluate_rows(X))
-                assert abs(firm_binary_exact(sc, f, dist).q_signed - want) < 1e-12
+                assert abs(firm_binary_exact(sc, [f], X)[0].q_signed - want) < 1e-12
                 assert abs(firm_uniform_conjunction(w, b, lits).q_signed - want) < 1e-12
     ok(2, "uniform ±1 closed forms (w_j, pairs/sqrt3, xor=0, order-3)")
 
@@ -219,7 +217,7 @@ def test_criterion_06_sensitivity_correspondence_and_divergence():
     w = np.array([0.8, -0.4, 1.2])
     model = supplied(np.diag(np.var(X, axis=0)))
     q_abs = np.array([r.q_abs for r in firm_gaussian_general(LinearScorer(w=w), model)])
-    idx = np.array(sensitivity_index(LinearScorer(w=w), data))
+    idx = np.array([r.q_signed for r in sensitivity_index(LinearScorer(w=w), data)])
     np.testing.assert_allclose(q_abs, idx, atol=1e-12)
     # nearly perfectly correlated pair: the importance follows the
     # correlation while the gradient-only index stays blind

@@ -7,16 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from firm import (DegenerateFeatureError, FirmError, LinearScorer, PointDistribution,
-                  Projection, SignedConjunction, Xor, firm_binary_exact,
-                  firm_binary_values, firm_uniform_conjunction, score_many)
+from firm import (DegenerateFeatureError, FirmError, KernelExpansionScorer, KernelSpec,
+                  LinearScorer, Projection, SignedConjunction, Xor, firm_binary_exact,
+                  firm_binary_values, firm_uniform_conjunction, score_many,
+                  train_kernel_ridge)
+from firm import experiments
 
 from helpers import (all_pm1_rows, brute_firm_binary, empirical_matrix_diagonals,
                      poim_firm_conversion)
-
-
-def uniform_table(d):
-    return PointDistribution.uniform(all_pm1_rows(d))
 
 
 class TestExactOnUniformCube:
@@ -25,29 +23,27 @@ class TestExactOnUniformCube:
         for d in (2, 3, 5):
             w = rng.normal(size=d)
             sc = LinearScorer(w=w, b=rng.normal())
-            dist = uniform_table(d)
-            for j in range(d):
-                r = firm_binary_exact(sc, Projection(j), dist)
+            res = firm_binary_exact(sc, [Projection(j) for j in range(d)], all_pm1_rows(d))
+            for j, r in enumerate(res):
                 assert r.q_signed == pytest.approx(w[j], abs=1e-12)
 
     def test_pair_conjunction_over_sqrt3(self):
         rng = np.random.default_rng(1)
         w = rng.normal(size=4)
         sc = LinearScorer(w=w, b=0.5)
-        dist = uniform_table(4)
         f = SignedConjunction(literals=((1, 1), (3, 1)))
-        r = firm_binary_exact(sc, f, dist)
+        [r] = firm_binary_exact(sc, [f], all_pm1_rows(4))
         assert r.q_signed == pytest.approx((w[1] + w[3]) / math.sqrt(3), abs=1e-12)
 
     def test_xor_importance_vanishes(self):
         rng = np.random.default_rng(2)
         sc = LinearScorer(w=rng.normal(size=3), b=rng.normal())
-        r = firm_binary_exact(sc, Xor(0, 2), uniform_table(3))
+        [r] = firm_binary_exact(sc, [Xor(0, 2)], all_pm1_rows(3))
         assert r.q_signed == pytest.approx(0.0, abs=1e-12)
 
     def test_extras_reproduce_the_value(self):
         sc = LinearScorer(w=[1.0, -2.0], b=0.3)
-        r = firm_binary_exact(sc, Projection(0), uniform_table(2))
+        [r] = firm_binary_exact(sc, [Projection(0)], all_pm1_rows(2))
         e = r.extras
         assert r.q_signed == pytest.approx(
             (e.q_a - e.q_b) * math.sqrt(e.p_a * e.p_b), abs=1e-12)
@@ -57,11 +53,49 @@ class TestExactOnUniformCube:
         f = SignedConjunction(literals=((0, 1),))
         ones = np.ones((4, 2))
         with pytest.raises(DegenerateFeatureError):
-            firm_binary_exact(sc, f, PointDistribution.uniform(ones))
+            firm_binary_exact(sc, [f], ones)
 
     def test_non_finite_probability_rejected(self):
         with pytest.raises(FirmError, match="probabilities must be finite"):
-            PointDistribution(points=np.ones((2, 1)), probs=[np.nan, 1.0])
+            firm_binary_exact(LinearScorer(w=[1.0]), [Projection(0)], np.ones((2, 1)),
+                              probs=[np.nan, 1.0])
+
+    def test_empty_feature_list_rejected(self):
+        with pytest.raises(FirmError, match="at least one feature"):
+            firm_binary_exact(LinearScorer(w=[1.0, 1.0]), [], all_pm1_rows(2))
+
+    def test_one_call_equals_per_feature_calls(self):
+        """All features in one call give, in feature order, the numbers of one
+        call per feature, under non-uniform probabilities and a nonlinear
+        scorer. Only to round-off: the column sums are one matrix product,
+        whose summation order can change with the number of columns."""
+        rng = np.random.default_rng(9)
+        X = all_pm1_rows(4)
+        sc = KernelExpansionScorer(points=rng.normal(size=(5, 4)), alpha=rng.normal(size=5),
+                                   b=0.2, kernel=KernelSpec.polynomial(3, 1.0))
+        probs = rng.random(X.shape[0])
+        probs /= probs.sum()
+        feats = [Projection(2), SignedConjunction(literals=((0, 1), (3, -1))), Xor(1, 3),
+                 SignedConjunction(literals=((1, -1),)), Projection(0)]
+        together = firm_binary_exact(sc, feats, X, probs=probs)
+        assert [r.feature for r in together] == [f.describe() for f in feats]
+        for f, r in zip(feats, together):
+            [alone] = firm_binary_exact(sc, [f], X, probs=probs)
+            assert r.q_signed == pytest.approx(alone.q_signed, abs=1e-12)
+            np.testing.assert_allclose(r.extras, alone.extras, rtol=0, atol=1e-12)
+
+    def test_boolean_study_one_call_is_bitwise(self):
+        """The Boolean study's trained results, now from one call over its 18
+        conjunctions, are bitwise those of 18 one-feature calls; its
+        artifacts rest on this."""
+        data = experiments.boolean_truth_table()
+        feats = experiments.boolean_single_features() + experiments.boolean_pair_features()
+        model = train_kernel_ridge(data, KernelSpec.polynomial(2, 1.0),
+                                   experiments.BOOLEAN_LAMBDA)
+        trained = experiments.boolean_experiment()[1]["trained"]
+        alone = [firm_binary_exact(model, [f], data.X)[0] for f in feats]
+        assert ([repr(r) for r in trained["single"] + trained["pairs"]]
+                == [repr(r) for r in alone])
 
 
 class TestBinaryKernel:
@@ -103,10 +137,12 @@ class TestBinaryKernel:
         [0.1] * 4, [1.0] * 4, [np.nan, 0.5, 0.25, 0.25], [0.75, -0.25, 0.25, 0.25], [0.5, 0.5],
     ], ids=["sum-below-1", "sum-above-1", "nan", "negative", "length"])
     def test_invalid_probs_rejected(self, probs):
-        with pytest.raises(FirmError, match="probabilit"):
+        with pytest.raises(FirmError, match="probabilit") as values_err:
             firm_binary_values([1.0, 2.0, 3.0, 5.0], [0.0, 1.0, 0.0, 1.0], probs=probs)
-        with pytest.raises(FirmError, match="probabilit"):
-            PointDistribution(points=np.ones((4, 1)), probs=probs)
+        with pytest.raises(FirmError) as exact_err:
+            firm_binary_exact(LinearScorer(w=[1.0]), [Projection(0)],
+                              np.array([[0.0], [1.0], [0.0], [1.0]]), probs=probs)
+        assert str(exact_err.value) == str(values_err.value)
 
     def test_non_finite_importance_rejected(self):
         with np.errstate(all="ignore"), pytest.raises(FirmError, match="not finite"):
@@ -187,8 +223,8 @@ class TestUniformConjunctionClosedForm:
         signs = rng.choice([-1, 1], size=m)
         lits = tuple((int(j), int(s)) for j, s in zip(idx, signs))
         closed = firm_uniform_conjunction(w, b, lits)
-        exact = firm_binary_exact(LinearScorer(w=w, b=b),
-                                  SignedConjunction(literals=lits), uniform_table(d))
+        [exact] = firm_binary_exact(LinearScorer(w=w, b=b),
+                                    [SignedConjunction(literals=lits)], all_pm1_rows(d))
         assert closed.q_signed == pytest.approx(exact.q_signed, abs=1e-12)
 
     def test_empty_literals_rejected(self):
@@ -232,12 +268,10 @@ class TestInvariances:
         rng = np.random.default_rng(6)
         X = rng.choice([-1.0, 1.0], size=(32, 4))
         w = rng.normal(size=4)
-        dist = PointDistribution.uniform(X)
-        for j in range(4):
-            if len(np.unique(X[:, j])) < 2:
-                continue
-            r0 = firm_binary_exact(LinearScorer(w=w, b=0.0), Projection(j), dist)
-            r1 = firm_binary_exact(LinearScorer(w=w, b=17.5), Projection(j), dist)
+        feats = [Projection(j) for j in range(4) if len(np.unique(X[:, j])) == 2]
+        res0 = firm_binary_exact(LinearScorer(w=w, b=0.0), feats, X)
+        res1 = firm_binary_exact(LinearScorer(w=w, b=17.5), feats, X)
+        for r0, r1 in zip(res0, res1):
             assert r0.q_signed == pytest.approx(r1.q_signed, abs=1e-12)
 
     def test_weighted_distribution(self):
@@ -248,7 +282,6 @@ class TestInvariances:
         probs /= probs.sum()
         w = rng.normal(size=2)
         sc = LinearScorer(w=w, b=0.1)
-        dist = PointDistribution(points=X, probs=probs)
-        r = firm_binary_exact(sc, Projection(0), dist)
+        [r] = firm_binary_exact(sc, [Projection(0)], X, probs=probs)
         assert r.q_signed == pytest.approx(
             brute_firm_binary(score_many(sc, X), X[:, 0], probs), abs=1e-12)

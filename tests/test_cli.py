@@ -465,13 +465,14 @@ class TestConfigValidation:
         assert not out.exists()
 
     @pytest.mark.parametrize("header,message", [
-        ("../../escaped,b,y",
-         "artifact path 'curves/../../escaped.tsv' leaves the output directory"),
+        ("../../escaped,b,y", "column name '../../escaped' holds '/'"),
+        ("a/b,c,y", "column name 'a/b' holds '/' and cannot name a curve file"),
+        ("../firm,c,y", "column name '../firm' holds '/'"),
         ("a,a,y", "column name 'a' is empty or repeated"),
         (",b,y", "column name '' is empty or repeated"),
         ("a\tb,c,y", "column name 'a\\tb' holds a tab, line break or NUL"),
         ("a\0b,c,y", "column name 'a\\x00b' holds a tab, line break or NUL"),
-    ], ids=["escaping", "repeated", "empty", "tab", "nul"])
+    ], ids=["escaping", "slash", "parent", "repeated", "empty", "tab", "nul"])
     def test_column_name_unfit_for_a_file_fails_with_one_line(self, tmp_path, capsys,
                                                               header, message):
         inp = tmp_path / "d.csv"
@@ -481,6 +482,15 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
         assert [p.name for p in tmp_path.rglob("*")] == ["d.csv"]
+
+    def test_column_name_with_slash_is_a_cell_for_slope(self, tmp_path):
+        inp = tmp_path / "d.csv"
+        inp.write_text("a/b,c,y\n0,1,1\n1,0,-1\n2,2,1\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run("analyze", "--input", str(inp), "--method", "slope",
+                   "--out", str(out)) == 0
+        assert list(firm_table(out / "firm.tsv")) == ["a/b", "c"]
+        assert sorted(p.name for p in out.iterdir()) == ["firm.json", "firm.tsv", "run.json"]
 
 
 class TestCovarianceCommand:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from firm import (ConditionalScoreCurve, DegenerateFeatureError, FirmError, LinearScorer,
-                  PointDistribution, Projection, conditional_curve, default_bins,
+                  Projection, conditional_curve, default_bins,
                   firm_binary_exact, firm_from_curve, firm_slope, slope_stderr)
 
 from helpers import brute_firm_binary, stable_conditional_curve
@@ -143,7 +143,7 @@ class TestFirmFromCurve:
         scores = sc.score_many(X)
         curve = conditional_curve(scores, X[:, 0], bins=6)
         got = firm_from_curve(curve)
-        want = firm_binary_exact(sc, Projection(0), PointDistribution.uniform(X))
+        [want] = firm_binary_exact(sc, [Projection(0)], X)
         assert got.q_signed == pytest.approx(want.q_signed, abs=1e-12)
         assert got.q_abs == pytest.approx(want.q_abs, abs=1e-12)
 

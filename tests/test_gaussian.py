@@ -172,7 +172,10 @@ class TestSensitivityIndex:
         X[:, 1] = X[:, 0] + 0.01 * X[:, 1]          # strongly correlated pair
         data = TabularDataset(X=X, y=None, names=("a", "b", "c"))
         w = np.array([1.5, 0.0, -0.5])
-        idx = sensitivity_index(LinearScorer(w=w), data)
+        res = sensitivity_index(LinearScorer(w=w), data)
+        assert [(r.feature, r.method) for r in res] == [
+            ("a", "sensitivity"), ("b", "sensitivity"), ("c", "sensitivity")]
+        idx = [r.q_signed for r in res]
         np.testing.assert_allclose(
             idx, np.abs(w) * X.std(axis=0), rtol=1e-12)
         assert idx[1] == 0.0                         # blind to the correlation
@@ -180,8 +183,8 @@ class TestSensitivityIndex:
     def test_constant_scorer_gives_zeros(self):
         rng = np.random.default_rng(6)
         data = TabularDataset(X=rng.normal(size=(50, 2)), y=None, names=("a", "b"))
-        np.testing.assert_array_equal(
-            sensitivity_index(LinearScorer(w=[0.0, 0.0], b=3.0), data), [0.0, 0.0])
+        res = sensitivity_index(LinearScorer(w=[0.0, 0.0], b=3.0), data)
+        np.testing.assert_array_equal([r.q_signed for r in res], [0.0, 0.0])
 
     def test_matches_gaussian_linear_for_diagonal_model(self):
         rng = np.random.default_rng(7)
@@ -190,8 +193,8 @@ class TestSensitivityIndex:
         w = np.array([0.7, -0.3, 1.1])
         model = model_from(np.diag(np.var(X, axis=0)))
         q = [r.q_abs for r in firm_gaussian_general(LinearScorer(w=w), model)]
-        np.testing.assert_allclose(sensitivity_index(LinearScorer(w=w), data), q,
-                                   rtol=1e-12)
+        idx = [r.q_signed for r in sensitivity_index(LinearScorer(w=w), data)]
+        np.testing.assert_allclose(idx, q, rtol=1e-12)
 
     def test_kernel_scorer_uses_per_row_gradients(self):
         rng = np.random.default_rng(8)
@@ -200,7 +203,7 @@ class TestSensitivityIndex:
         sc = KernelExpansionScorer(points=rng.normal(size=(4, 2)),
                                    alpha=rng.normal(size=4), b=0.0,
                                    kernel=KernelSpec.gaussian(2.0))
-        idx = sensitivity_index(sc, data)
+        idx = [r.q_signed for r in sensitivity_index(sc, data)]
         grads = np.array([kernel_gradient_at(sc, x) for x in X])
         expect = np.sqrt((grads ** 2).mean(axis=0) * np.var(X, axis=0))
         np.testing.assert_allclose(idx, expect, rtol=1e-12)
