@@ -22,7 +22,7 @@ from .scoring import (KernelExpansionScorer, KernelSpec, LinearScorer,
                       PositionalKmerScorer, gradient_at, score_many,
                       train_kernel_ridge, train_least_squares,
                       train_positional_kmer, train_ridge)
-from .sequence import (MarkovBackground, PoimTable, conditional_expected_score,
-                       expected_score, hamming_ball, poim, ranked_oligomers)
+from .sequence import (PoimTable, conditional_expected_score, expected_score,
+                       hamming_ball, poim, ranked_oligomers)
 
 __version__ = "0.1.0"

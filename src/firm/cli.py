@@ -10,6 +10,7 @@ seed, yields byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 
 import numpy as np
@@ -19,11 +20,11 @@ from .binary import firm_binary_values
 from .dataset import (CovarianceEstimate, TabularDataset, empirical_covariance,
                       load_sequences, load_tabular, open_utf8, shrinkage_covariance)
 from .empirical import conditional_curve, default_bins, firm_from_curve, firm_slope
-from .errors import DataFormatError, FirmError
+from .errors import DataFormatError, DegenerateFeatureError, FirmError
 from .gaussian import firm_gaussian_general, sensitivity_index
 from .scoring import (KernelSpec, score_many, train_kernel_ridge,
                       train_least_squares, train_positional_kmer, train_ridge)
-from .sequence import MarkovBackground, poim, ranked_oligomers
+from .sequence import poim, ranked_oligomers
 
 TABULAR_METHODS = ("binary", "gaussian", "empirical", "slope", "sensitivity")
 SEQUENCE_METHODS = ("poim",)
@@ -46,21 +47,35 @@ def parse_kernel(text: str, degree: int) -> KernelSpec:
     return KernelSpec.polynomial(degree, value)
 
 
-def load_covariance_file(path: str) -> CovarianceEstimate:
-    rows = []
+def load_covariance_file(path: str, names: tuple[str, ...]) -> CovarianceEstimate:
+    """The square matrix in path: rows of comma- or tab-separated numbers,
+    blank and '#' lines skipped. A first line `#<TAB>name...`, the header
+    `firm covariance` writes, means each row starts with its name; the
+    header's and the rows' names must then be `names`, in order."""
+    rows, row_names, header = [], [], None
     with open_utf8(path) as fh:
         for line_no, line in enumerate(fh, start=1):
+            if line_no == 1 and line.startswith("#\t"):
+                header = line.rstrip("\r\n").split("\t")[1:]
+                continue
             line = line.strip()
-            if not line or line.startswith("#"):
+            if not line or (header is None and line.startswith("#")):
                 continue
             cells = line.replace(",", "\t").split("\t")
             if "" in cells:
                 raise DataFormatError(f"{path}: line {line_no} has an empty cell")
+            if header is not None:
+                row_names.append(cells.pop(0))
             try:
                 rows.append([float(c) for c in cells])
             except ValueError:
                 raise DataFormatError(
                     f"{path}: line {line_no} is not numeric") from None
+    for listed in (header, row_names) if header is not None else ():
+        for j, (got, want) in enumerate(itertools.zip_longest(listed, names), start=1):
+            if got != want:
+                raise FirmError(f"{path}: covariance name {j} is {got!r}, "
+                                f"data column {j} is {want!r}")
     if not rows or any(len(r) != len(rows) for r in rows):
         raise DataFormatError(f"{path}: expected a square numeric matrix")
     try:
@@ -82,7 +97,7 @@ def choose_covariance(choice: str, data: TabularDataset) -> CovarianceEstimate:
     if choice == "shrunk":
         return shrinkage_covariance(data)
     if choice.startswith("file:"):
-        cov = load_covariance_file(choice[len("file:"):])
+        cov = load_covariance_file(choice[len("file:"):], data.names)
         if cov.d != data.d:
             raise FirmError(f"covariance is {cov.d}x{cov.d} but data has "
                             f"{data.d} columns")
@@ -140,10 +155,13 @@ def analyze_tabular(args) -> dict:
     else:
         bins = args.bins if args.bins is not None else default_bins(data.n)
         results = []
-        for j in range(data.d):
-            curve = conditional_curve(scores, data.X[:, j], bins)
-            artifacts[f"curves/{data.names[j]}.tsv"] = _emit.curve_tsv(curve)
-            results.append(firm_from_curve(curve, feature=data.names[j]))
+        for j, name in enumerate(data.names):
+            try:
+                curve = conditional_curve(scores, data.X[:, j], bins)
+            except DegenerateFeatureError:
+                raise DegenerateFeatureError(f"feature {name} is constant") from None
+            artifacts[f"curves/{name}.tsv"] = _emit.curve_tsv(curve)
+            results.append(firm_from_curve(curve, feature=name))
     score_sd = None
     if args.standardize:
         score_sd = float(np.std(scores))
@@ -157,8 +175,7 @@ def analyze_tabular(args) -> dict:
 def analyze_sequence(args) -> dict:
     data = load_sequences(args.input)
     scorer = train_positional_kmer(data, K=args.degree, lam=args.lam)
-    bg = MarkovBackground.uniform(data.alphabet)
-    table = poim(scorer, bg, k=args.k)
+    table = poim(scorer, k=args.k)
     return {
         "poim.tsv": _emit.poim_tsv(table),
         "poim_summary.tsv": _emit.poim_summary_tsv(table),

@@ -1,7 +1,7 @@
 """Data ingestion and covariance estimation for tabular and sequence data.
 
-All container types are immutable (arrays are frozen) and compare by
-identity, so shared instances are safe under concurrent use.
+All container types are immutable (their arrays are frozen copies) and
+compare by identity, so shared instances are safe under concurrent use.
 """
 
 from __future__ import annotations
@@ -18,8 +18,9 @@ from .errors import DataFormatError, FirmError
 DNA_ALPHABET = ("A", "C", "G", "T")
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    out = np.ascontiguousarray(a, dtype=np.float64)
+def _frozen(a) -> np.ndarray:
+    """A read-only float64 copy of a that owns its data."""
+    out = np.array(a, dtype=np.float64, order="C")
     out.setflags(write=False)
     return out
 
@@ -109,17 +110,18 @@ def encode_sequences(sequences, alphabet: tuple[str, ...],
 
 @dataclass(frozen=True, eq=False)
 class SequenceDataset:
-    """Fixed-length sequences over a finite alphabet, with ±1 labels."""
+    """Fixed-length DNA sequences with ±1 labels; codes is their read-only
+    n x length array of DNA_ALPHABET indices from encode_sequences."""
 
     sequences: tuple[str, ...]
     y: np.ndarray
-    alphabet: tuple[str, ...] = DNA_ALPHABET
+    codes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         seqs = tuple(self.sequences)
         if not seqs:
             raise FirmError("no sequences")
-        encode_sequences(seqs, tuple(self.alphabet))      # the length and symbol check
+        codes = encode_sequences(seqs, DNA_ALPHABET)      # checks lengths and symbols
         y = _frozen(np.asarray(self.y).ravel())
         if y.shape[0] != len(seqs):
             raise FirmError("label vector length does not match sequence count")
@@ -127,7 +129,7 @@ class SequenceDataset:
             raise FirmError("sequence labels must be +1 or -1")
         object.__setattr__(self, "sequences", seqs)
         object.__setattr__(self, "y", y)
-        object.__setattr__(self, "alphabet", tuple(self.alphabet))
+        object.__setattr__(self, "codes", codes)
 
     @property
     def n(self) -> int:

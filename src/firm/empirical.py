@@ -32,10 +32,10 @@ class ConditionalScoreCurve:
     counts: np.ndarray      # samples per bin
 
     def __post_init__(self):
-        edges = np.asarray(self.bin_edges, dtype=np.float64)
-        prob = np.asarray(self.bin_prob, dtype=np.float64)
-        q = np.asarray(self.q_hat, dtype=np.float64)
-        counts = np.asarray(self.counts, dtype=np.int64)
+        edges = np.array(self.bin_edges, dtype=np.float64)
+        prob = np.array(self.bin_prob, dtype=np.float64)
+        q = np.array(self.q_hat, dtype=np.float64)
+        counts = np.array(self.counts, dtype=np.int64)
         B = prob.size
         if not (edges.size == B + 1 and q.size == B and counts.size == B):
             raise FirmError("inconsistent curve arrays")

@@ -22,7 +22,7 @@ from .empirical import conditional_curve, default_bins, firm_slope, slope_stderr
 from .features import SignedConjunction
 from .scoring import (KernelSpec, score_many, train_kernel_ridge,
                       train_least_squares, train_positional_kmer)
-from .sequence import MarkovBackground, hamming_ball, poim, ranked_oligomers
+from .sequence import hamming_ball, poim, ranked_oligomers
 
 BOOLEAN_LAMBDA = 0.1
 GAUSSIAN_CLASS_MEANS = (0.5, 1.5, 0.0)
@@ -151,8 +151,7 @@ def generate_motif_dataset(rng, n_per_class: int, seq_len: int) -> SequenceDatas
                 planted[rng.integers(0, len(MOTIF))] = rng.integers(0, len(letters))
                 s[pos:pos + len(MOTIF)] = planted
             seqs.append("".join(letters[s]))
-    return SequenceDataset(sequences=tuple(seqs), y=np.repeat([1.0, -1.0], n_per_class),
-                           alphabet=DNA_ALPHABET)
+    return SequenceDataset(sequences=tuple(seqs), y=np.repeat([1.0, -1.0], n_per_class))
 
 
 def weight_importance(scorer, strings) -> np.ndarray:
@@ -180,13 +179,11 @@ def sequence_experiment(seed: int = 42, n_per_class: int = 500, seq_len: int = 5
     rng = np.random.default_rng(seed)
     data = generate_motif_dataset(rng, n_per_class=n_per_class, seq_len=seq_len)
     scorer = train_positional_kmer(data, K=SEQUENCE_DEGREE, lam=SEQUENCE_LAMBDA)
-    bg = MarkovBackground.uniform(data.alphabet)
-    table = poim(scorer, bg, k=len(MOTIF))
+    table = poim(scorer, k=len(MOTIF))
 
-    ed1 = hamming_ball(MOTIF, 1, data.alphabet)
-    ed2 = hamming_ball(MOTIF, 2, data.alphabet)
+    ed1, ed2 = (hamming_ball(MOTIF, d, DNA_ALPHABET) for d in (1, 2))
     # strings disagreeing with the motif at every position
-    others = [[a for a in data.alphabet if a != c] for c in MOTIF]
+    others = [[a for a in DNA_ALPHABET if a != c] for c in MOTIF]
     irrelevant = ["".join(rng.choice(choices) for choices in others)
                   for _ in range(N_IRRELEVANT)]
     by_oligomer = table.firm_values.T

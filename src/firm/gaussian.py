@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dataset import CovarianceEstimate, TabularDataset
-from .errors import FirmError
+from .errors import DegenerateFeatureError, FirmError
 from .features import column_names
 from .results import FirmResult
 from .scoring import Scorer, differentiable, gradient_at
@@ -28,11 +28,10 @@ def _normal_model_results(sigma: np.ndarray, g: np.ndarray,
                           names: Sequence[str] | None, method: str) -> list[FirmResult]:
     """Q = D^-1 S g for every coordinate, D the diagonal of standard deviations."""
     var = np.diag(sigma)
+    labels = column_names(names, var.size)
     if (var <= 0).any():
-        j = int(np.argmin(var))
-        raise FirmError(f"zero variance at coordinate {j + 1}")
+        raise DegenerateFeatureError(f"feature {labels[int(np.argmin(var))]} has zero variance")
     q = (sigma @ g) / np.sqrt(var)
-    labels = column_names(names, q.size)
     return [FirmResult(feature=labels[j], q_signed=float(q[j]), method=method)
             for j in range(q.size)]
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import SequenceDataset, TabularDataset, encode_sequences
+from .dataset import DNA_ALPHABET, SequenceDataset, TabularDataset, encode_sequences
 from .errors import DEFAULT_CELL_BUDGET, BudgetExceededError, FirmError
 
 # Cells per block of the elementwise n x m passes. The allocator reuses
@@ -95,7 +95,7 @@ class LinearScorer:
     b: float = 0.0
 
     def __post_init__(self):
-        w = np.asarray(self.w, dtype=np.float64).ravel()
+        w = np.array(self.w, dtype=np.float64).ravel()
         if w.size < 1 or not np.isfinite(w).all() or not np.isfinite(self.b):
             raise FirmError("linear scorer needs finite w (d >= 1) and finite b")
         w.setflags(write=False)
@@ -129,8 +129,8 @@ class KernelExpansionScorer:
     _gram: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=np.float64))
-        alpha = np.asarray(self.alpha, dtype=np.float64).ravel()
+        pts = np.atleast_2d(np.array(self.points, dtype=np.float64))
+        alpha = np.array(self.alpha, dtype=np.float64).ravel()
         if pts.shape[0] != alpha.size or pts.shape[0] < 1:
             raise FirmError("need one coefficient per expansion point (m >= 1)")
         if not (np.isfinite(pts).all() and np.isfinite(alpha).all() and np.isfinite(self.b)):
@@ -399,9 +399,9 @@ def train_positional_kmer(data: SequenceDataset, K: int, lam: float) -> Position
     """
     if not 0 < lam < np.inf:
         raise FirmError("lambda must be finite and > 0")
-    A, L, n = len(data.alphabet), data.length, data.n
+    A, L, n = len(DNA_ALPHABET), data.length, data.n
     off = kmer_offsets(A, L, K)
-    ids = kmer_ids(encode_sequences(data.sequences, data.alphabet), A, K)
+    ids = kmer_ids(data.codes, A, K)
     steps = [max(1, 2048 // A ** k) for k in range(1, K + 1)]  # ~2048 one-hot columns a chunk
     buf = np.empty(n * max(min(s, L - k + 1) * A ** k for k, s in enumerate(steps, 1)),
                    dtype=np.float32)
@@ -424,5 +424,5 @@ def train_positional_kmer(data: SequenceDataset, K: int, lam: float) -> Position
     alpha = _solve_shifted(gram, n * lam, data.y - data.y.mean())
     w = np.bincount(ids.ravel(), np.repeat(alpha, ids.shape[1]), minlength=off[-1])
     means = np.bincount(ids.ravel(), minlength=off[-1]) / n
-    return PositionalKmerScorer(alphabet=data.alphabet, length=L, max_degree=K,
+    return PositionalKmerScorer(alphabet=DNA_ALPHABET, length=L, max_degree=K,
                                 weights=w, b=float(data.y.mean() - means @ w))

@@ -1,7 +1,8 @@
 """Positional oligomer importance for sequence scorers.
 
-For a positional k-mer scoring function and an order-0 (per-letter
-independent) background, the table entry for substring z at position j is
+For a positional k-mer scoring function and an order-0 background, whose
+independent letters follow a {letter: probability} mapping (uniform when
+None), the table entry for substring z at position j is
 
     Q'(z, j) = E[s(X) | X[j..j+k) = z] - E[s(X)],
 
@@ -22,45 +23,15 @@ for.
 
 from __future__ import annotations
 
-
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations, product
 
 import numpy as np
 
-from .dataset import encode_sequences
+from .dataset import _frozen, encode_sequences
 from .errors import DEFAULT_CELL_BUDGET, BudgetExceededError, FirmError
 from .scoring import PositionalKmerScorer
-
-
-@dataclass(frozen=True)
-class MarkovBackground:
-    """Order-0 background: independent letters with fixed probabilities."""
-
-    alphabet: tuple[str, ...]
-    letter_prob: dict
-
-    def __post_init__(self):
-        probs = {str(a): float(p) for a, p in self.letter_prob.items()}
-        if set(probs) != set(self.alphabet):
-            raise FirmError("letter probabilities must cover the alphabet exactly")
-        vals = np.array([probs[a] for a in self.alphabet])
-        if not (np.isfinite(vals) & (vals > 0)).all():
-            raise FirmError("letter probabilities must be finite and positive")
-        if abs(vals.sum() - 1.0) > 1e-12:
-            raise FirmError("letter probabilities must sum to 1")
-        object.__setattr__(self, "alphabet", tuple(self.alphabet))
-        object.__setattr__(self, "letter_prob", probs)
-
-    @classmethod
-    def uniform(cls, alphabet: tuple[str, ...]) -> "MarkovBackground":
-        p = 1.0 / len(alphabet)
-        return cls(alphabet=tuple(alphabet), letter_prob={a: p for a in alphabet})
-
-    def prob_of(self, s: str) -> float:
-        p = np.array([self.letter_prob[a] for a in self.alphabet])
-        return float(np.prod(p[encode_sequences([s], self.alphabet)[0]]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,8 +52,8 @@ class PoimTable:
     factor: np.ndarray        # (|alphabet|^k,)
 
     def __post_init__(self):
-        for a in (self.values, self.factor):
-            a.setflags(write=False)
+        for name in ("values", "factor"):
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
 
     @property
     def firm_values(self) -> np.ndarray:
@@ -103,11 +74,20 @@ class PoimTable:
         return "".join(self.alphabet[i] for i in np.unravel_index(index, shape))
 
 
-def _letter_probs(scorer: PositionalKmerScorer, bg: MarkovBackground) -> np.ndarray:
-    """Background letter probabilities in the scorer's alphabet order."""
-    if set(scorer.alphabet) != set(bg.alphabet):
-        raise FirmError("scorer and background alphabets differ")
-    return np.array([bg.letter_prob[a] for a in scorer.alphabet])
+def _letter_probs(scorer: PositionalKmerScorer, letter_prob: dict | None) -> np.ndarray:
+    """letter_prob's values in the scorer's alphabet order, uniform for None.
+    Its keys must be exactly the scorer's letters, each probability finite
+    and > 0, and their sum 1 within 1e-12; else FirmError."""
+    if letter_prob is None:
+        return np.full(len(scorer.alphabet), 1.0 / len(scorer.alphabet))
+    if set(letter_prob) != set(scorer.alphabet):
+        raise FirmError("letter probabilities must cover the scorer's alphabet exactly")
+    p = np.array([float(letter_prob[a]) for a in scorer.alphabet])
+    if not (np.isfinite(p) & (p > 0)).all():
+        raise FirmError("letter probabilities must be finite and positive")
+    if abs(p.sum() - 1.0) > 1e-12:
+        raise FirmError("letter probabilities must sum to 1")
+    return p
 
 
 def _string_probs(p: np.ndarray, m: int) -> np.ndarray:
@@ -146,16 +126,16 @@ def _window_shifts(scorer: PositionalKmerScorer, p: np.ndarray, k: int, j0: int,
     return out
 
 
-def expected_score(scorer: PositionalKmerScorer, bg: MarkovBackground) -> float:
+def expected_score(scorer: PositionalKmerScorer, letter_prob: dict | None = None) -> float:
     """E[s(X)] under the background: bias plus prob-weighted weights."""
-    p = _letter_probs(scorer, bg)
+    p = _letter_probs(scorer, letter_prob)
     return scorer.b + sum(float(scorer.block(d).reshape(-1, len(p) ** d).sum(axis=0)
                                 @ _string_probs(p, d))
                           for d in range(1, scorer.max_degree + 1))
 
 
-def conditional_expected_score(scorer: PositionalKmerScorer, bg: MarkovBackground,
-                               z: str, j: int) -> float:
+def conditional_expected_score(scorer: PositionalKmerScorer, z: str, j: int,
+                               letter_prob: dict | None = None) -> float:
     """E[s(X) | X[j..j+|z|) = z], exact under letter independence.
 
     Positions of a scored substring inside the conditioning window must
@@ -163,22 +143,20 @@ def conditional_expected_score(scorer: PositionalKmerScorer, bg: MarkovBackgroun
     outside keep their background letter probabilities. The value is one
     cell of the window's table, so |alphabet|^|z| is held to the cell budget.
     """
-    p = _letter_probs(scorer, bg)
+    p = _letter_probs(scorer, letter_prob)
     if j < 0 or j + len(z) > scorer.length:
         raise FirmError(f"window [{j}, {j + len(z)}) out of range "
                         f"for length {scorer.length}")
-    if not set(z) <= set(bg.alphabet):
-        raise FirmError(f"oligomer {z!r} uses symbols outside the alphabet")
     cell = (0,) + tuple(encode_sequences([z], scorer.alphabet)[0])
     shifts = _window_shifts(scorer, p, len(z), j, j + 1)
-    return expected_score(scorer, bg) + float(shifts[cell])
+    return expected_score(scorer, letter_prob) + float(shifts[cell])
 
 
-def poim(scorer: PositionalKmerScorer, bg: MarkovBackground, k: int) -> PoimTable:
-    """Exact position-major table of conditional-mean shifts for all
-    length-k oligomers, indexed in the scorer's alphabet order; more than
-    DEFAULT_CELL_BUDGET cells raise BudgetExceededError."""
-    p = _letter_probs(scorer, bg)
+def poim(scorer: PositionalKmerScorer, k: int, letter_prob: dict | None = None) -> PoimTable:
+    """Exact position-major table of conditional-mean shifts for all length-k
+    oligomers, in the scorer's alphabet order, under the background
+    letter_prob (_letter_probs); past DEFAULT_CELL_BUDGET cells, BudgetExceededError."""
+    p = _letter_probs(scorer, letter_prob)
     L = scorer.length
     if not 1 <= k <= L:
         raise FirmError(f"k must lie in [1, {L}]")

@@ -77,6 +77,16 @@ def poim_firm_conversion(q_prime, p):
     return q_prime * math.sqrt((1.0 - p) / p)
 
 
+def uniform_probs(alphabet):
+    """The uniform {letter: probability} background over an alphabet."""
+    return {a: 1.0 / len(alphabet) for a in alphabet}
+
+
+def string_prob(letter_prob, s):
+    """Probability of string s under independent letters."""
+    return math.prod(letter_prob[ch] for ch in s)
+
+
 def central_difference_gradient(scorer, x, step=1e-5):
     """Central finite differences of a scorer at the point x: the 2d
     stepped points are scored in one batch."""

@@ -19,7 +19,7 @@ import time
 import numpy as np
 import pytest
 
-from firm import (KernelExpansionScorer, KernelSpec, LinearScorer, MarkovBackground,
+from firm import (KernelExpansionScorer, KernelSpec, LinearScorer,
                   CovarianceEstimate, SignedConjunction, TabularDataset, Xor,
                   conditional_expected_score, expected_score,
                   firm_binary_exact, firm_binary_values, firm_gaussian_general,
@@ -29,7 +29,8 @@ from firm import experiments
 from firm.cli import main
 
 from helpers import (all_pm1_rows, brute_firm_binary, enum_conditional_score,
-                     enum_expected_score, kmer_scorer, mc_firm)
+                     enum_expected_score, kmer_scorer, mc_firm, string_prob,
+                     uniform_probs)
 
 
 def ok(num, name, extra=""):
@@ -259,7 +260,7 @@ def test_criterion_08_sequence_enumeration_oracle():
     for alphabet in (("0", "1"), ("A", "C", "G", "T")):
         rng = np.random.default_rng(len(alphabet))
         for L in (4, 6):
-            bg = MarkovBackground.uniform(alphabet)
+            probs = uniform_probs(alphabet)
             for _ in range(3):
                 weights = {}
                 for _ in range(8):
@@ -268,22 +269,20 @@ def test_criterion_08_sequence_enumeration_oracle():
                     y = "".join(rng.choice(alphabet, size=klen))
                     weights[(i, y)] = float(rng.normal())
                 sc = kmer_scorer(alphabet, L, min(3, L), weights, b=float(rng.normal()))
-                got = expected_score(sc, bg)
-                want = enum_expected_score(sc, alphabet, L,
-                                           bg.letter_prob)
+                got = expected_score(sc)
+                want = enum_expected_score(sc, alphabet, L, probs)
                 assert abs(got - want) < 1e-12
                 for _ in range(4):
                     klen = int(rng.integers(1, L + 1))
                     j = int(rng.integers(0, L - klen + 1))
                     z = "".join(rng.choice(alphabet, size=klen))
-                    got = conditional_expected_score(sc, bg, z, j)
-                    want = enum_conditional_score(sc, alphabet,
-                                                  L, bg.letter_prob, z, j)
+                    got = conditional_expected_score(sc, z, j)
+                    want = enum_conditional_score(sc, alphabet, L, probs, z, j)
                     assert abs(got - want) < 1e-12
                 # per-position zero mean of the table
                 for k in (1, 2):
-                    table = poim(sc, bg, k=k)
-                    p_z = np.array([bg.prob_of(table.oligomer(zi))
+                    table = poim(sc, k=k)
+                    p_z = np.array([string_prob(probs, table.oligomer(zi))
                                     for zi in range(len(alphabet) ** k)])
                     np.testing.assert_allclose(table.values @ p_z,
                                                np.zeros(table.positions), atol=1e-9)

@@ -492,8 +492,40 @@ class TestConfigValidation:
         assert list(firm_table(out / "firm.tsv")) == ["a/b", "c"]
         assert sorted(p.name for p in out.iterdir()) == ["firm.json", "firm.tsv", "run.json"]
 
+    @pytest.mark.parametrize("method,message", [
+        ("empirical", "feature b is constant"),
+        ("gaussian", "feature b has zero variance"),
+        ("slope", "feature b is constant"),
+    ])
+    def test_constant_column_is_named(self, tmp_path, capsys, method, message):
+        rng = np.random.default_rng(9)
+        X = np.column_stack([rng.normal(size=40), np.full(40, 3.0), rng.normal(size=40)])
+        inp = tmp_path / "d.csv"
+        write_csv(inp, X, X[:, 0] + X[:, 2], names=["a", "b", "c"])
+        out = tmp_path / "out"
+        assert run("analyze", "--input", str(inp), "--method", method,
+                   "--scorer", "train:ridge", "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
 
 class TestCovarianceCommand:
+    def test_written_covariance_reads_back(self, tmp_path):
+        """`--covariance file:` on what `covariance` wrote gives the bytes of
+        `--covariance empirical`."""
+        rng = np.random.default_rng(10)
+        X = rng.normal(size=(80, 3))
+        inp = tmp_path / "t.csv"
+        write_csv(inp, X, X @ [1.0, -0.5, 0.2] + rng.normal(size=80), names=["p", "q", "r"])
+        cov = tmp_path / "cov"
+        assert run("covariance", "--input", str(inp), "--has-labels", "--out", str(cov)) == 0
+        argv = ["analyze", "--input", str(inp), "--method", "gaussian", "--scorer", "train:ridge"]
+        assert run(*argv, "--covariance", f"file:{cov / 'covariance.tsv'}",
+                   "--out", str(tmp_path / "file")) == 0
+        assert run(*argv, "--covariance", "empirical", "--out", str(tmp_path / "emp")) == 0
+        for name in ("firm.tsv", "firm.json"):
+            assert (tmp_path / "file" / name).read_bytes() == (tmp_path / "emp" / name).read_bytes()
+
     def test_empirical_near_identity(self, tmp_path):
         rng = np.random.default_rng(5)
         X = rng.normal(size=(4000, 3))
@@ -536,8 +568,13 @@ class TestCovarianceCommand:
                           "(smallest eigenvalue -1.0"),
         ("1\t2\n0\t1\n", "cov.tsv: covariance is not symmetric"),
         ("-1\t0\n0\t1\n", "cov.tsv: covariance has a negative diagonal entry"),
+        ("#\ta\tc\na\t1\t0\nc\t0\t1\n", "cov.tsv: covariance name 2 is 'c', "
+                                         "data column 2 is 'b'"),
+        ("#\ta\tb\na\t1\t0\nc\t0\t1\n", "cov.tsv: covariance name 2 is 'c', "
+                                         "data column 2 is 'b'"),
+        ("#\ta\na\t1\n", "cov.tsv: covariance name 2 is None, data column 2 is 'b'"),
     ], ids=["non-numeric", "empty-cell", "not-utf8", "not-psd", "asymmetric",
-            "negative-diagonal"])
+            "negative-diagonal", "header-name", "row-name", "missing-name"])
     def test_malformed_covariance_file(self, tmp_path, capsys, text, message):
         inp = tmp_path / "d.csv"
         inp.write_text("a,b\n1,2\n3,4\n5,6\n", encoding="utf-8")

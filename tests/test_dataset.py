@@ -5,9 +5,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from firm import (DataFormatError, FirmError, TabularDataset, empirical_covariance,
+from firm import (ConditionalScoreCurve, DataFormatError, FirmError, KernelExpansionScorer,
+                  KernelSpec, LinearScorer, PoimTable, TabularDataset, empirical_covariance,
                   load_sequences, load_tabular, shrinkage_covariance)
-from firm.dataset import _load_fast, _parse_rows
+from firm.dataset import DNA_ALPHABET, _load_fast, _parse_rows, encode_sequences
 
 from helpers import all_pm1_rows, save_tabular
 
@@ -210,6 +211,13 @@ class TestLoadSequences:
         assert ds.n == 2 and ds.length == 4
         np.testing.assert_array_equal(ds.y, [1, -1])
 
+    def test_codes_are_the_read_only_encoding(self, tmp_path):
+        ds = load_sequences(write(tmp_path, "s.tsv", "ACGT\t+1\nTTGA\t-1\n"))
+        want = encode_sequences(ds.sequences, DNA_ALPHABET)
+        assert ds.codes.shape == (2, 4) and ds.codes.dtype == np.uint8
+        assert ds.codes.tobytes() == want.tobytes()
+        assert not ds.codes.flags.writeable
+
     def test_length_mismatch(self, tmp_path):
         p = write(tmp_path, "s.tsv", "ACGT\t+1\nTTT\t-1\n")
         with pytest.raises(DataFormatError, match="length mismatch at line 2"):
@@ -331,3 +339,26 @@ class TestValidation:
         ds = TabularDataset(X=np.eye(2), y=None, names=("a", "b"))
         with pytest.raises(ValueError):
             ds.X[0, 0] = 5.0
+
+
+@pytest.mark.parametrize("make,attr,array", [
+    (lambda a: TabularDataset(X=a, y=None, names=("a", "b")), "X", [[1.0, 2.0], [3.0, 5.0]]),
+    (lambda a: LinearScorer(w=a), "w", [1.0, 0.0]),
+    (lambda a: KernelExpansionScorer(points=a, alpha=[1.0, -1.0], b=0.0,
+                                     kernel=KernelSpec.gaussian(1.0)), "points",
+     [[0.0, 1.0], [1.0, 0.0]]),
+    (lambda a: ConditionalScoreCurve(bin_edges=a, bin_prob=[0.5, 0.5], q_hat=[0.0, 1.0],
+                                     counts=[1, 1]), "bin_edges", [0.0, 1.0, 2.0]),
+    (lambda a: PoimTable(k=1, length=2, alphabet=("0", "1"), values=a, factor=np.ones(2)),
+     "values", [[0.5, -0.5], [0.25, -0.25]]),
+], ids=["TabularDataset", "LinearScorer", "KernelExpansionScorer", "ConditionalScoreCurve",
+        "PoimTable"])
+def test_container_owns_its_array(make, attr, array):
+    """A frozen container copies the caller's array: the caller's stays
+    writable, and writing to it changes nothing the container holds."""
+    a = np.array(array)
+    held = make(a)
+    want = getattr(held, attr).tobytes()
+    assert a.flags.writeable and not getattr(held, attr).flags.writeable
+    a += 5.0
+    assert getattr(held, attr).tobytes() == want

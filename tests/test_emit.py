@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from firm import FirmError, FirmResult, MarkovBackground, PoimTable, poim, ranked_oligomers
+from firm import FirmError, FirmResult, PoimTable, poim, ranked_oligomers
 from firm import _emit
 
 from helpers import kmer_scorer, rows_tsv
@@ -71,7 +71,7 @@ class TestPoimTsv:
     def test_literal_text_of_small_scorer(self):
         # dyadic weights: q_prime is exact, q is q_prime times sqrt(3)
         sc = kmer_scorer(DNA, 3, 2, {(0, "A"): 1.0, (1, "CG"): 0.5, (2, "T"): -0.25}, b=0.125)
-        table = poim(sc, MarkovBackground.uniform(DNA), k=1)
+        table = poim(sc, k=1)
         assert _emit.poim_tsv(table) == (
             "k\tposition\toligomer\tq_prime\tq\n"
             "1\t0\tA\t0.75\t1.299038105676658\n"

@@ -14,7 +14,7 @@ from firm import (BudgetExceededError, FirmError, KernelExpansionScorer, KernelS
                   TabularDataset, gradient_at, score_many,
                   train_kernel_ridge, train_least_squares,
                   train_positional_kmer, train_ridge)
-from firm.dataset import encode_sequences
+from firm.dataset import DNA_ALPHABET, encode_sequences
 from firm.scoring import _BLOCK_CELLS, _solve_shifted, kmer_ids, kmer_offsets
 
 from helpers import (all_pm1_rows, central_difference_gradient, explicit_kmer_ridge,
@@ -498,7 +498,7 @@ class TestPositionalKmerTrainer:
             assert abs(kmer_weight(sc, i, y) - v) <= 1e-10 * scale
         assert abs(sc.b - b) <= 1e-10 * scale
         # a (position, substring) that never occurs gets exactly 0
-        seen = kmer_scorer(ds.alphabet, L, K, dict.fromkeys(want, 1.0)).weights
+        seen = kmer_scorer(DNA_ALPHABET, L, K, dict.fromkeys(want, 1.0)).weights
         assert (seen == 0).any()
         assert (sc.weights[seen == 0] == 0.0).all()
 
@@ -510,7 +510,7 @@ class TestPositionalKmerTrainer:
         n, L, K, lam = 515, 8, 2, 0.05
         seqs = tuple("".join(rng.choice(list("ACGT"), size=L)) for _ in range(n))
         ds = SequenceDataset(sequences=seqs, y=rng.choice([-1.0, 1.0], size=n))
-        ids = kmer_ids(encode_sequences(ds.sequences, ds.alphabet), 4, K)
+        ids = kmer_ids(encode_sequences(ds.sequences, DNA_ALPHABET), 4, K)
         F = kmer_offsets(4, L, K)[-1]
         design = np.zeros((n, F))
         design[np.arange(n)[:, None], ids] = 1.0

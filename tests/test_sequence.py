@@ -6,13 +6,12 @@ from itertools import product
 import numpy as np
 import pytest
 
-from firm import (BudgetExceededError, FirmError, MarkovBackground, PoimTable,
-                  conditional_expected_score, expected_score, hamming_ball, poim,
-                  ranked_oligomers)
+from firm import (BudgetExceededError, FirmError, PoimTable, conditional_expected_score,
+                  expected_score, hamming_ball, poim, ranked_oligomers)
 from firm import experiments
 
-from helpers import (enum_conditional_score, enum_expected_score,
-                     kmer_scorer, kmer_weight, poim_firm_conversion)
+from helpers import (enum_conditional_score, enum_expected_score, kmer_scorer,
+                     kmer_weight, poim_firm_conversion, string_prob, uniform_probs)
 
 
 DNA = ("A", "C", "G", "T")
@@ -32,104 +31,91 @@ def random_sparse_scorer(rng, alphabet, L, K, n_weights, bias=None):
 class TestExpectedScore:
     def test_single_trimer_uniform(self):
         sc = kmer_scorer(DNA, 4, 3, {(0, "GAT"): 1.0}, b=0.0)
-        bg = MarkovBackground.uniform(DNA)
-        assert expected_score(sc, bg) == pytest.approx(1.0 / 64.0, abs=1e-15)
-        enum = enum_expected_score(sc, DNA, 4, bg.letter_prob)
-        assert expected_score(sc, bg) == pytest.approx(enum, abs=1e-12)
+        assert expected_score(sc) == pytest.approx(1.0 / 64.0, abs=1e-15)
+        enum = enum_expected_score(sc, DNA, 4, uniform_probs(DNA))
+        assert expected_score(sc) == pytest.approx(enum, abs=1e-12)
 
     def test_zero_weights_give_bias(self):
         sc = kmer_scorer(DNA, 3, 1, {}, b=2.5)
-        assert expected_score(sc, MarkovBackground.uniform(DNA)) == 2.5
+        assert expected_score(sc) == 2.5
 
     def test_disjoint_weights_add(self):
-        bg = MarkovBackground.uniform(DNA)
         w1 = kmer_scorer(DNA, 6, 2, {(0, "GA"): 1.0}, b=0.0)
         w2 = kmer_scorer(DNA, 6, 2, {(4, "TC"): -2.0}, b=0.0)
         both = kmer_scorer(DNA, 6, 2, {(0, "GA"): 1.0, (4, "TC"): -2.0}, b=0.7)
-        assert expected_score(both, bg) == pytest.approx(
-            expected_score(w1, bg) + expected_score(w2, bg) + 0.7, abs=1e-15)
+        assert expected_score(both) == pytest.approx(
+            expected_score(w1) + expected_score(w2) + 0.7, abs=1e-15)
 
 
 class TestConditionalExpectedScore:
     def test_full_overlap_exact_match(self):
         sc = kmer_scorer(DNA, 5, 3, {(0, "GAT"): 1.0}, b=0.25)
-        bg = MarkovBackground.uniform(DNA)
-        assert conditional_expected_score(sc, bg, "GAT", 0) == pytest.approx(1.25,
-                                                                             abs=1e-15)
+        assert conditional_expected_score(sc, "GAT", 0) == pytest.approx(1.25, abs=1e-15)
 
     def test_shifted_window_conflicts(self):
         # weight GAT at 0 vs conditioning GAT at 1: overlap needs "AT" == "GA"
         sc = kmer_scorer(DNA, 5, 3, {(0, "GAT"): 1.0}, b=0.25)
-        bg = MarkovBackground.uniform(DNA)
-        got = conditional_expected_score(sc, bg, "GAT", 1)
+        got = conditional_expected_score(sc, "GAT", 1)
         assert got == pytest.approx(0.25, abs=1e-15)
-        enum = enum_conditional_score(sc, DNA, 5,
-                                      bg.letter_prob, "GAT", 1)
+        enum = enum_conditional_score(sc, DNA, 5, uniform_probs(DNA), "GAT", 1)
         assert got == pytest.approx(enum, abs=1e-12)
 
     def test_whole_sequence_window_is_the_score(self):
         rng = np.random.default_rng(0)
         sc = random_sparse_scorer(rng, DNA, 5, 3, 10)
-        bg = MarkovBackground.uniform(DNA)
         z = "GATTC"
-        assert conditional_expected_score(sc, bg, z, 0) == pytest.approx(
+        assert conditional_expected_score(sc, z, 0) == pytest.approx(
             sc.score_many([z])[0], rel=1e-12)
 
     def test_out_of_range_window(self):
         sc = kmer_scorer(DNA, 4, 1, {}, b=0.0)
         with pytest.raises(FirmError):
-            conditional_expected_score(sc, MarkovBackground.uniform(DNA), "GAT", 2)
+            conditional_expected_score(sc, "GAT", 2)
 
     @pytest.mark.parametrize("alphabet,L,seed",
                              [(("0", "1"), 6, 61), (DNA, 4, 44), (DNA, 5, 45)],
                              ids=["alphabet0-6", "alphabet1-4", "alphabet2-5"])
     def test_enumeration_oracle_random_scorers(self, alphabet, L, seed):
         rng = np.random.default_rng(seed)
-        bg = MarkovBackground.uniform(alphabet)
+        probs = uniform_probs(alphabet)
         for trial in range(3):
             sc = random_sparse_scorer(rng, alphabet, L, min(3, L), 8)
-            escore = expected_score(sc, bg)
-            enum = enum_expected_score(sc, alphabet, L,
-                                       bg.letter_prob)
+            escore = expected_score(sc)
+            enum = enum_expected_score(sc, alphabet, L, probs)
             assert escore == pytest.approx(enum, abs=1e-12)
             for _ in range(4):
                 k = int(rng.integers(1, L + 1))
                 j = int(rng.integers(0, L - k + 1))
                 z = "".join(rng.choice(alphabet, size=k))
-                got = conditional_expected_score(sc, bg, z, j)
-                want = enum_conditional_score(sc, alphabet, L,
-                                              bg.letter_prob, z, j)
+                got = conditional_expected_score(sc, z, j)
+                want = enum_conditional_score(sc, alphabet, L, probs, z, j)
                 assert got == pytest.approx(want, abs=1e-12)
 
     def test_nonuniform_background_oracle(self):
         alphabet = ("A", "C", "G", "T")
-        bg = MarkovBackground(alphabet=alphabet,
-                              letter_prob={"A": 0.4, "C": 0.3, "G": 0.2, "T": 0.1})
+        probs = {"A": 0.4, "C": 0.3, "G": 0.2, "T": 0.1}
         rng = np.random.default_rng(5)
         sc = random_sparse_scorer(rng, alphabet, 4, 2, 6)
-        enum = enum_expected_score(sc, alphabet, 4, bg.letter_prob)
-        assert expected_score(sc, bg) == pytest.approx(enum, abs=1e-12)
-        got = conditional_expected_score(sc, bg, "CT", 1)
-        want = enum_conditional_score(sc, alphabet, 4,
-                                      bg.letter_prob, "CT", 1)
+        enum = enum_expected_score(sc, alphabet, 4, probs)
+        assert expected_score(sc, probs) == pytest.approx(enum, abs=1e-12)
+        got = conditional_expected_score(sc, "CT", 1, probs)
+        want = enum_conditional_score(sc, alphabet, 4, probs, "CT", 1)
         assert got == pytest.approx(want, abs=1e-12)
 
 
 class TestPoimTable:
     def test_cells_match_direct_computation(self):
         rng = np.random.default_rng(1)
-        bg = MarkovBackground.uniform(DNA)
         sc = random_sparse_scorer(rng, DNA, 6, 3, 12)
-        table = poim(sc, bg, k=2)
-        base = expected_score(sc, bg)
-        enum_base = enum_expected_score(sc, DNA, 6, bg.letter_prob)
+        table = poim(sc, k=2)
+        base = expected_score(sc)
+        enum_base = enum_expected_score(sc, DNA, 6, uniform_probs(DNA))
         for j in range(table.positions):
             for zi in range(16):
                 z = table.oligomer(zi)
-                want = conditional_expected_score(sc, bg, z, j) - base
+                want = conditional_expected_score(sc, z, j) - base
                 assert table.values[j, zi] == pytest.approx(want, abs=1e-12)
-                enum = enum_conditional_score(sc, DNA, 6,
-                                              bg.letter_prob, z, j) - enum_base
+                enum = enum_conditional_score(sc, DNA, 6, uniform_probs(DNA), z, j) - enum_base
                 assert table.values[j, zi] == pytest.approx(enum, abs=1e-12)
 
     def test_degree_one_uniform_identity(self):
@@ -139,7 +125,7 @@ class TestPoimTable:
         L = 5
         weights = {(i, a): float(rng.normal()) for i in range(L) for a in DNA}
         sc = kmer_scorer(DNA, L, 1, weights, b=0.3)
-        table = poim(sc, MarkovBackground.uniform(DNA), k=1)
+        table = poim(sc, k=1)
         for j in range(L):
             mean_w = np.mean([weights[(j, a)] for a in DNA])
             for a in DNA:
@@ -148,18 +134,17 @@ class TestPoimTable:
 
     def test_zero_scorer_gives_zero_table(self):
         sc = kmer_scorer(DNA, 4, 2, {}, b=1.0)
-        table = poim(sc, MarkovBackground.uniform(DNA), k=2)
+        table = poim(sc, k=2)
         np.testing.assert_array_equal(table.values, 0.0)
         np.testing.assert_array_equal(table.firm_values, 0.0)
 
     def test_zero_mean_property(self):
         rng = np.random.default_rng(3)
-        bg = MarkovBackground(alphabet=DNA,
-                              letter_prob={"A": 0.4, "C": 0.3, "G": 0.2, "T": 0.1})
+        probs = {"A": 0.4, "C": 0.3, "G": 0.2, "T": 0.1}
         sc = random_sparse_scorer(rng, DNA, 6, 3, 15)
         for k in (1, 2, 3):
-            table = poim(sc, bg, k=k)
-            p_z = np.array([bg.prob_of(table.oligomer(zi))
+            table = poim(sc, k=k, letter_prob=probs)
+            p_z = np.array([string_prob(probs, table.oligomer(zi))
                             for zi in range(len(DNA) ** k)])
             resid = table.values @ p_z
             np.testing.assert_allclose(resid, np.zeros(table.positions), atol=1e-9)
@@ -169,20 +154,18 @@ class TestPoimTable:
         rng = np.random.default_rng(4)
         sc = random_sparse_scorer(rng, DNA, 5, 2, 8)
         skewed = {"A": 0.4, "C": 0.3, "G": 0.2, "T": 0.1}
-        for bg in (MarkovBackground.uniform(DNA),
-                   MarkovBackground(alphabet=DNA, letter_prob=skewed)):
-            table = poim(sc, bg, k=3)
+        for probs in (uniform_probs(DNA), skewed):
+            table = poim(sc, k=3, letter_prob=probs)
             for zi in range(len(DNA) ** 3):
                 z = table.oligomer(zi)
                 for j in range(table.positions):
-                    want = poim_firm_conversion(table.values[j, zi], bg.prob_of(z))
+                    want = poim_firm_conversion(table.values[j, zi], string_prob(probs, z))
                     assert table.firm_values[j, zi] == pytest.approx(want, rel=1e-12)
 
     def test_uniform_scaling_preserves_within_slice_ranking(self):
         rng = np.random.default_rng(5)
-        bg = MarkovBackground.uniform(DNA)
         sc = random_sparse_scorer(rng, DNA, 6, 3, 20)
-        table = poim(sc, bg, k=2)
+        table = poim(sc, k=2)
         for j in range(table.positions):
             raw = np.argsort(-np.abs(table.values[j]), kind="stable")
             scaled = np.argsort(-np.abs(table.firm_values[j]), kind="stable")
@@ -190,29 +173,38 @@ class TestPoimTable:
 
     def test_k_may_exceed_scorer_degree(self):
         sc = kmer_scorer(DNA, 6, 1, {(2, "G"): 1.0}, b=0.0)
-        table = poim(sc, MarkovBackground.uniform(DNA), k=3)
+        table = poim(sc, k=3)
         # conditioning on a trimer covering position 2 pins the weight
         assert table.values[1, table.oligomer_index("AGA")] == pytest.approx(1.0 - 0.25,
                                                                            abs=1e-12)
 
-    def test_table_follows_scorer_alphabet_order(self):
+    def test_mapping_order_does_not_matter(self):
         rng = np.random.default_rng(6)
         sc = random_sparse_scorer(rng, DNA, 5, 3, 15)
         probs = {"A": 0.4, "C": 0.3, "G": 0.2, "T": 0.1}
-        table = poim(sc, MarkovBackground(alphabet=DNA, letter_prob=probs), k=2)
-        permuted = poim(sc, MarkovBackground(alphabet=("T", "G", "A", "C"),
-                                             letter_prob=probs), k=2)
-        assert permuted.alphabet == sc.alphabet
-        for zi in range(16):
-            pz = permuted.oligomer_index(table.oligomer(zi))
-            for j in range(table.positions):
-                assert permuted.values[j, pz] == table.values[j, zi]
-                assert permuted.firm_values[j, pz] == table.firm_values[j, zi]
+        table = poim(sc, k=2, letter_prob=probs)
+        reordered = poim(sc, k=2, letter_prob={a: probs[a] for a in ("T", "G", "A", "C")})
+        assert reordered.alphabet == table.alphabet == sc.alphabet
+        assert reordered.values.tobytes() == table.values.tobytes()
+        assert reordered.factor.tobytes() == table.factor.tobytes()
+
+    def test_default_is_uniform_bit_for_bit(self):
+        rng = np.random.default_rng(8)
+        for alphabet in (("0", "1"), DNA):
+            sc = random_sparse_scorer(rng, alphabet, 6, 3, 15)
+            probs = uniform_probs(alphabet)
+            default, explicit = poim(sc, k=3), poim(sc, k=3, letter_prob=probs)
+            assert default.values.tobytes() == explicit.values.tobytes()
+            assert default.factor.tobytes() == explicit.factor.tobytes()
+            assert expected_score(sc) == expected_score(sc, probs)
+            z = alphabet[1] * 3
+            assert (conditional_expected_score(sc, z, 2)
+                    == conditional_expected_score(sc, z, 2, probs))
 
     def test_budget_guard(self):
         sc = kmer_scorer(DNA, 20, 1, {(0, "A"): 1.0}, b=0.0)
         with pytest.raises(BudgetExceededError, match="cells"):
-            poim(sc, MarkovBackground.uniform(DNA), k=12)
+            poim(sc, k=12)
 
 
 class TestWeightImportance:
@@ -245,13 +237,13 @@ class TestWeightImportance:
 class TestRankedOligomers:
     def test_single_nonzero_cell_ranks_first(self):
         sc = kmer_scorer(DNA, 4, 2, {(1, "GA"): 2.0}, b=0.0)
-        table = poim(sc, MarkovBackground.uniform(DNA), k=2)
+        table = poim(sc, k=2)
         top = ranked_oligomers(table, top=3)
         assert top[0][0] == "GA" and top[0][1] == 1
 
     def test_zero_table_deterministic_order(self):
         sc = kmer_scorer(DNA, 4, 2, {}, b=0.0)
-        table = poim(sc, MarkovBackground.uniform(DNA), k=2)
+        table = poim(sc, k=2)
         top1 = ranked_oligomers(table, top=10)
         top2 = ranked_oligomers(table, top=10)
         assert top1 == top2
@@ -261,7 +253,7 @@ class TestRankedOligomers:
 
     def test_tie_break_by_position_then_oligomer(self):
         sc = kmer_scorer(DNA, 4, 1, {(0, "C"): 1.0, (2, "C"): 1.0}, b=0.0)
-        table = poim(sc, MarkovBackground.uniform(DNA), k=1)
+        table = poim(sc, k=1)
         top = ranked_oligomers(table, top=2)
         assert top[0][1] == 0 and top[1][1] == 2
 
@@ -304,24 +296,27 @@ class TestRankedOligomers:
             assert ranked_oligomers(table, top=top) == expected[:top]
 
     def test_negative_top_rejected(self):
-        table = poim(kmer_scorer(DNA, 4, 1, {(0, "C"): 1.0}, b=0.0),
-                     MarkovBackground.uniform(DNA), k=1)
+        table = poim(kmer_scorer(DNA, 4, 1, {(0, "C"): 1.0}, b=0.0), k=1)
         with pytest.raises(FirmError, match="top"):
             ranked_oligomers(table, top=-1)
 
 
-class TestBackground:
-    def test_uniform(self):
-        bg = MarkovBackground.uniform(DNA)
-        assert bg.prob_of("ACGT") == pytest.approx(4.0 ** -4, abs=1e-18)
-
-    def test_probabilities_validated(self):
-        with pytest.raises(FirmError):
-            MarkovBackground(alphabet=("A", "B"), letter_prob={"A": 0.7, "B": 0.2})
-
-    def test_non_finite_probability_rejected(self):
-        with pytest.raises(FirmError, match="letter probabilities must be finite"):
-            MarkovBackground(alphabet=("A", "C"), letter_prob={"A": np.nan, "C": 1.0})
+class TestLetterProbabilities:
+    @pytest.mark.parametrize("probs,message", [
+        ({"A": 0.5, "C": 0.25, "G": 0.25}, "cover the scorer's alphabet exactly"),
+        ({"A": 0.25, "C": 0.25, "G": 0.25, "T": 0.25, "N": 0.0},
+         "cover the scorer's alphabet exactly"),
+        ({"A": np.nan, "C": 0.25, "G": 0.25, "T": 0.5}, "finite and positive"),
+        ({"A": 0.0, "C": 0.25, "G": 0.25, "T": 0.5}, "finite and positive"),
+        ({"A": 0.7, "C": 0.1, "G": 0.1, "T": 0.2}, "sum to 1"),
+    ], ids=["missing-letter", "extra-letter", "nan", "zero", "sum-not-1"])
+    def test_invalid_mapping_rejected(self, probs, message):
+        sc = kmer_scorer(DNA, 4, 2, {(1, "GA"): 2.0})
+        for call in (lambda: poim(sc, k=2, letter_prob=probs),
+                     lambda: expected_score(sc, probs),
+                     lambda: conditional_expected_score(sc, "GA", 0, probs)):
+            with pytest.raises(FirmError, match=message):
+                call()
 
 
 class TestHammingBall:
