@@ -278,6 +278,8 @@ def load_sequences(path) -> SequenceDataset:
     """Read tab-separated `<sequence>\\t<label>` lines of DNA, label in {+1,-1}.
 
     Blank lines are skipped, but errors name a line by its place in the file.
+    The dataset checks lengths and symbols in one pass; only a file that
+    fails it is checked again, by file line, for the message.
     """
     seqs: list[str] = []
     labels: list[float] = []
@@ -301,8 +303,11 @@ def load_sequences(path) -> SequenceDataset:
             line_nos.append(line_no)
     if not seqs:
         raise DataFormatError(f"{path}: no sequences")
-    _check_sequences(zip(line_nos, seqs), DNA_ALPHABET, len(seqs[0]), f"{path}: ")
-    return SequenceDataset(sequences=tuple(seqs), y=np.array(labels))
+    try:
+        return SequenceDataset(sequences=tuple(seqs), y=np.array(labels))
+    except DataFormatError:    # check again, to name the file and its line
+        _check_sequences(zip(line_nos, seqs), DNA_ALPHABET, len(seqs[0]), f"{path}: ")
+        raise
 
 
 # ---------------------------------------------------------------------------

@@ -155,18 +155,25 @@ class KernelExpansionScorer:
     def gradient_many(self, X) -> np.ndarray:
         """One gradient per row of X.
 
-        The Gaussian gradient peaks at two n x m arrays, gram(X, points)
-        and its alpha-weighted copy. The product with points stays one call
-        over all n rows, since a BLAS may pick another kernel for fewer rows
-        and change the last bits.
+        The alpha weights go on the m x d points, not on the n x m kernel
+        matrix, since (K o alpha) P = K (alpha o P) and rowsum(K o alpha) =
+        K alpha. The peak is one n x m array, the kept Gram matrix or the
+        one computed for X, plus arrays of m x d and n x d. The products
+        stay one call over all n rows, since a BLAS may pick another kernel
+        for fewer rows and change the last bits.
         """
         X = _rows(X, self.points.shape[1])
+        P, alpha = self.points, self.alpha
         if self.kernel.variant == "gaussian":
-            # (2/gamma^2) ((K o alpha) P - rowsum(K o alpha) X), K = gram(X, P)
-            K = self._gram_with(X) * self.alpha
-            return (2.0 / self.kernel.gamma ** 2) * (K @ self.points - K.sum(axis=1)[:, None] * X)
-        p, c = self.kernel.degree, self.kernel.offset   # ((X P' + c)^(p-1) o p alpha) P
-        return ((X @ self.points.T + c) ** (p - 1) * (p * self.alpha)) @ self.points
+            # (2/gamma^2) (K (alpha o P) - (K alpha) o X), K = gram(X, P)
+            K = self._gram_with(X)
+            return (2.0 / self.kernel.gamma ** 2) * (K @ (alpha[:, None] * P)
+                                                     - (K @ alpha)[:, None] * X)
+        p, c = self.kernel.degree, self.kernel.offset   # (X P' + c)^(p-1) (p alpha o P)
+        G = X @ P.T
+        G += c
+        G **= p - 1
+        return G @ (p * alpha[:, None] * P)
 
 
 def kmer_offsets(A: int, L: int, K: int) -> np.ndarray:
@@ -291,6 +298,10 @@ def train_ridge(data: TabularDataset, lam: float) -> LinearScorer:
     return LinearScorer(w=w, b=b)
 
 
+# Matrix-vector products a CG solve may need at worst and still beat LU.
+_CG_BUDGET = 64
+
+
 def _solve_shifted(P: np.ndarray, shift: float, b: np.ndarray) -> np.ndarray:
     """Solve (P + shift*I) x = b for a symmetric PSD n x n matrix P, shift > 0.
 
@@ -303,10 +314,13 @@ def _solve_shifted(P: np.ndarray, shift: float, b: np.ndarray) -> np.ndarray:
     number by kappa = 1 + ||P||_F / shift. CG reaches a relative residual t
     within log(t / (2 sqrt(kappa))) / log(rho) steps, where
     rho = (sqrt(kappa) - 1) / (sqrt(kappa) + 1). It runs only when that
-    count, for t = tol / 2, is below n / 32. An LU solve costs 67 to 93
-    matrix-vector products at n = 1000-4000 with one OpenBLAS thread on a
-    2-core Xeon (91, or n / 33, at n = 3000), and CG usually stops well
-    short of the bound.
+    count, for t = tol / 2, is below _CG_BUDGET = 64 products. An LU solve
+    costs 67 to 93 matrix-vector products at n = 1000-4000 with one
+    OpenBLAS thread on a 2-core Xeon (72 at n = 1000, 91 at n = 3000), so
+    the worst case stays below LU's cost over that range, and CG usually
+    stops well short of the bound. Below n = 250 the interpreter's cost per
+    CG step dominates (four products' worth at n = 100), and a worst case of
+    64 steps can take up to six LU solves, under a millisecond.
 
     The CG answer is kept only if its true residual, one more product,
     meets ||b - M x|| <= tol * ||b|| with tol = sqrt(n) * eps / 8, which is
@@ -322,10 +336,11 @@ def _solve_shifted(P: np.ndarray, shift: float, b: np.ndarray) -> np.ndarray:
     root = math.sqrt(1.0 + math.sqrt(np.vdot(P, P)) / shift)
     rho = (root - 1.0) / (root + 1.0)
     # rho is 0 or nan only for a negligible or a non-finite ||P||_F: LU
-    steps = math.ceil(math.log(tol / (4.0 * root)) / math.log(rho)) if 0.0 < rho < 1.0 else n
+    steps = (math.ceil(math.log(tol / (4.0 * root)) / math.log(rho)) if 0.0 < rho < 1.0
+             else _CG_BUDGET)
     on_diag, diag = np.diag_indices(n), P.diagonal().copy()
     P[on_diag] += shift
-    x = _conjugate_gradients(P, b, steps, tol) if steps < n / 32 else None
+    x = _conjugate_gradients(P, b, steps, tol) if steps < _CG_BUDGET else None
     if x is None:
         x = np.linalg.solve(P, b)
     P[on_diag] = diag
@@ -369,7 +384,8 @@ def train_kernel_ridge(data: TabularDataset, kernel: KernelSpec,
     bitwise kernel.gram(X, X); the scorer keeps it for scores and gradients
     on the training rows. Peak memory is K plus gram()'s two block
     temporaries while it is built, and on the LU path K plus the copy
-    np.linalg.solve makes of it.
+    np.linalg.solve makes of it. Scores and gradients on the training rows
+    later hold K plus arrays of n x d (the points, d features) and n.
     """
     if not 0 < lam < np.inf:
         raise FirmError("lambda must be finite and > 0")

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from firm import (ConditionalScoreCurve, DataFormatError, FirmError, KernelExpansionScorer,
                   KernelSpec, LinearScorer, PoimTable, TabularDataset, empirical_covariance,
                   load_sequences, load_tabular, shrinkage_covariance)
+import firm.dataset
 from firm.dataset import DNA_ALPHABET, _load_fast, _parse_rows, encode_sequences
 
 from helpers import all_pm1_rows, save_tabular
@@ -243,6 +244,27 @@ class TestLoadSequences:
         with pytest.raises(DataFormatError) as info:
             load_sequences(p)
         assert str(info.value) == f"{p}: {message}"
+
+    @pytest.mark.parametrize("text,passes", [("ACGT\t+1\nTTGA\t-1\n", 1),
+                                             ("ACGT\t+1\nTTG\t-1\n", 2)],
+                             ids=["valid", "short"])
+    def test_check_runs_once_unless_it_fails(self, tmp_path, monkeypatch, text, passes):
+        """Only a file that fails the check is checked a second time."""
+        calls = []
+        check = firm.dataset._check_sequences
+
+        def counted(numbered, *args):
+            calls.append(1)
+            return check(numbered, *args)
+
+        monkeypatch.setattr(firm.dataset, "_check_sequences", counted)
+        p = write(tmp_path, "s.tsv", text)
+        if passes == 1:
+            load_sequences(p)
+        else:
+            with pytest.raises(DataFormatError, match=f"^{p}: length mismatch at line 2"):
+                load_sequences(p)
+        assert len(calls) == passes
 
 
 class TestEmpiricalCovariance:

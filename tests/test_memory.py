@@ -10,7 +10,7 @@ import tracemalloc
 
 import numpy as np
 
-from firm import KernelSpec
+from firm import KernelExpansionScorer, KernelSpec, TabularDataset, train_kernel_ridge
 from firm import _emit
 
 
@@ -38,3 +38,22 @@ def test_gaussian_gram_holds_one_full_matrix():
     X = np.random.default_rng(1).normal(size=(n, 5))
     peak, _ = traced_peak(lambda: KernelSpec.gaussian(3.0).gram(X, X))
     assert peak <= 1.6 * 8 * n * n
+
+
+def test_kept_gram_gaussian_gradient_adds_no_full_matrix():
+    n = 1000
+    X = np.random.default_rng(2).normal(size=(n, 5))
+    sc = train_kernel_ridge(TabularDataset(X=X, y=np.sin(X[:, 0]), names=tuple("abcde")),
+                            KernelSpec.gaussian(3.0), 0.01)
+    peak, _ = traced_peak(lambda: sc.gradient_many(X))
+    assert peak <= 0.25 * 8 * n * n
+
+
+def test_polynomial_gradient_holds_one_full_matrix():
+    n = 1000
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(n, 5))
+    sc = KernelExpansionScorer(points=X, alpha=rng.normal(size=n), b=0.0,
+                               kernel=KernelSpec.polynomial(3, 1.0))
+    peak, _ = traced_peak(lambda: sc.gradient_many(X))
+    assert peak <= 1.2 * 8 * n * n

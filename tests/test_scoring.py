@@ -332,18 +332,30 @@ class TestKeptGram:
 
     @pytest.mark.parametrize("rows", [None, 300], ids=["training", "other"])
     def test_gaussian_gradient_matches_one_expression_formula_bitwise(self, rows):
-        """On the training rows and on others; the kept Gram matrix stays
-        intact."""
+        """(2/gamma^2) (K (alpha o P) - (K alpha) o Z) on the training rows
+        and on others; the kept Gram matrix stays intact."""
         rng = np.random.default_rng(13)
         X = rng.normal(size=(515, 3))
         kernel = KernelSpec.gaussian(1.5)
         sc = train_kernel_ridge(TabularDataset(X=X, y=np.sin(X[:, 0]), names=("a", "b", "c")),
                                 kernel, 0.01)
         Z = X if rows is None else rng.normal(size=(rows, 3))
-        K = reference_gram(kernel, Z, X) * sc.alpha
-        want = (2.0 / kernel.gamma ** 2) * (K @ X - K.sum(axis=1)[:, None] * Z)
+        K, a = reference_gram(kernel, Z, X), sc.alpha
+        want = (2.0 / kernel.gamma ** 2) * (K @ (a[:, None] * X) - (K @ a)[:, None] * Z)
         assert sc.gradient_many(Z).tobytes() == want.tobytes()
         assert sc._gram.tobytes() == reference_gram(kernel, X, X).tobytes()
+
+    @pytest.mark.parametrize("rows", [None, 300], ids=["training", "other"])
+    def test_polynomial_gradient_matches_one_expression_formula_bitwise(self, rows):
+        """(Z P' + c)^(p-1) (p alpha o P) on the training rows and on others."""
+        rng = np.random.default_rng(14)
+        X = rng.normal(size=(515, 3))
+        kernel = KernelSpec.polynomial(3, 0.5)
+        sc = train_kernel_ridge(TabularDataset(X=X, y=np.sin(X[:, 0]), names=("a", "b", "c")),
+                                kernel, 0.01)
+        Z = X if rows is None else rng.normal(size=(rows, 3))
+        want = (Z @ X.T + 0.5) ** 2 @ (3 * sc.alpha[:, None] * X)
+        assert sc.gradient_many(Z).tobytes() == want.tobytes()
 
     def test_not_an_argument_not_in_repr(self):
         ds, sc = self.trained(self.KERNELS[0])
@@ -374,17 +386,24 @@ class TestKeptGram:
 class TestShiftedSolve:
     """_solve_shifted: conjugate gradients when the condition bound allows, LU otherwise."""
 
-    N = 1200                  # CG needs n / 32 > its step bound; smaller n goes to LU
+    N = 1200
     TOL = np.sqrt(N) * np.finfo(np.float64).eps / 8
 
     @classmethod
-    def system(cls, kernel, lam):
+    def system(cls, kernel, lam, n=N):
         rng = np.random.default_rng(6)
-        X = rng.normal(size=(cls.N, 6))
+        X = rng.normal(size=(n, 6))
         if kernel.variant == "polynomial":
             X *= 0.3
         P = kernel.gram(X, X)
-        return P, cls.N * lam, np.sin(X[:, 0]) + X[:, 1] * X[:, 2]
+        return P, n * lam, np.sin(X[:, 0]) + X[:, 1] * X[:, 2]
+
+    @staticmethod
+    def step_bound(P, shift):
+        """The worst-case CG step count that _solve_shifted gates on."""
+        tol = np.sqrt(len(P)) * np.finfo(np.float64).eps / 8
+        root = np.sqrt(1.0 + np.sqrt(np.vdot(P, P)) / shift)
+        return int(np.ceil(np.log(tol / (4.0 * root)) / np.log((root - 1.0) / (root + 1.0))))
 
     @staticmethod
     def lu(P, shift, b):
@@ -434,6 +453,36 @@ class TestShiftedSolve:
         x = _solve_shifted(P, shift, b)
         assert calls == [] and P.tobytes() == before
         assert x.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("lam,path", [(0.01, "cg"), (0.002, "lu")])
+    def test_gate_is_a_budget_of_64_products(self, lam, path, monkeypatch):
+        """At n = 1000 a step bound above n / 32 but below 64 takes CG; one
+        above 64 goes straight to LU and returns its bits."""
+        n = 1000
+        P, shift, b = self.system(KernelSpec.gaussian(1.0), lam, n)
+        bound = self.step_bound(P, shift)
+        _, ref = self.lu(P, shift, b)
+        calls = self.count_matvecs(monkeypatch)
+        if path == "cg":
+            assert n / 32 < bound < 64
+            monkeypatch.setattr(np.linalg, "solve", None)
+            x = _solve_shifted(P, shift, b)
+            assert 2 <= len(calls) <= bound + 1
+            assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+        else:
+            assert 64 < bound
+            x = _solve_shifted(P, shift, b)
+            assert calls == [] and x.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("scale", [0.0, 1e300], ids=["negligible", "overflowing"])
+    def test_no_step_bound_goes_to_lu_at_small_n(self, scale, monkeypatch):
+        """An ||P||_F that gives no step bound sends even n = 10 < 64 to LU."""
+        P, b = scale * np.eye(10), np.arange(1.0, 11.0)
+        _, ref = self.lu(P, 1.0, b)
+        calls = self.count_matvecs(monkeypatch)
+        with np.errstate(over="ignore"):
+            x = _solve_shifted(P, 1.0, b)
+        assert calls == [] and x.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("fault", ["noisy", "indefinite"])
     def test_failed_cg_returns_lu_bits(self, fault, monkeypatch):
