@@ -100,12 +100,13 @@ def firm_results_json(results, score_sd=None) -> str:
 
 def poim_tsv(table) -> str:
     """Every cell of a POIM table in its own position-major order, oligomers
-    in index order within a position."""
+    in index order within a position. The oligomer column is an object array
+    of the nz label strings, repeated by reference, not a fixed-width copy."""
     npos, nz = table.values.shape
-    labels = [table.oligomer(zi) for zi in range(nz)]
+    labels = np.array([table.oligomer(zi) for zi in range(nz)], dtype=object)
     return tsv(["k", "position", "oligomer", "q_prime", "q"],
                [np.full(nz * npos, table.k), np.repeat(np.arange(npos), nz),
-                labels * npos, table.values.ravel(), table.firm_values.ravel()])
+                np.tile(labels, npos), table.values.ravel(), table.firm_values.ravel()])
 
 
 def poim_summary_tsv(table) -> str:

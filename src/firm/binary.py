@@ -46,8 +46,7 @@ def firm_binary_values(scores, F, probs=None, names=None) -> list[FirmResult]:
     is_hi = F == hi
     bad = np.nonzero(lo == hi)[0]
     if bad.size:
-        raise DegenerateFeatureError(
-            f"feature {names[bad[0]]} takes a single value on this support")
+        raise DegenerateFeatureError(f"feature {names[bad[0]]} is constant")
     bad = np.nonzero(~(is_hi | (F == lo)).all(axis=0))[0]
     if bad.size:
         j = bad[0]

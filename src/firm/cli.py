@@ -18,9 +18,10 @@ import numpy as np
 from . import _emit, experiments
 from .binary import firm_binary_values
 from .dataset import (CovarianceEstimate, TabularDataset, empirical_covariance,
-                      load_sequences, load_tabular, open_utf8, shrinkage_covariance)
+                      load_sequences, load_tabular, open_utf8, refuse_constant_column,
+                      shrinkage_covariance)
 from .empirical import conditional_curve, default_bins, firm_from_curve, firm_slope
-from .errors import DataFormatError, DegenerateFeatureError, FirmError
+from .errors import DataFormatError, FirmError
 from .gaussian import firm_gaussian_general, sensitivity_index
 from .scoring import (KernelSpec, score_many, train_kernel_ridge,
                       train_least_squares, train_positional_kmer, train_ridge)
@@ -136,6 +137,7 @@ def analyze_tabular(args) -> dict:
     slashed = [name for name in data.names if "/" in name]
     if args.method == "empirical" and slashed:   # its curve would be curves/<name>.tsv
         raise FirmError(f"column name {slashed[0]!r} holds '/' and cannot name a curve file")
+    refuse_constant_column(data)     # every method refuses the same inputs alike
     scorer = None if args.scorer == "labels" else build_tabular_scorer(args, data)
     scores = None
     if args.method in ("binary", "slope", "empirical") or args.standardize:
@@ -156,10 +158,7 @@ def analyze_tabular(args) -> dict:
         bins = args.bins if args.bins is not None else default_bins(data.n)
         results = []
         for j, name in enumerate(data.names):
-            try:
-                curve = conditional_curve(scores, data.X[:, j], bins)
-            except DegenerateFeatureError:
-                raise DegenerateFeatureError(f"feature {name} is constant") from None
+            curve = conditional_curve(scores, data.X[:, j], bins)
             artifacts[f"curves/{name}.tsv"] = _emit.curve_tsv(curve)
             results.append(firm_from_curve(curve, feature=name))
     score_sd = None

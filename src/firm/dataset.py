@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataFormatError, FirmError
+from .errors import DataFormatError, DegenerateFeatureError, FirmError
 
 DNA_ALPHABET = ("A", "C", "G", "T")
 
@@ -310,6 +310,15 @@ def load_sequences(path) -> SequenceDataset:
         raise
 
 
+def refuse_constant_column(data: TabularDataset) -> None:
+    """Raise DegenerateFeatureError naming the first column whose cells are
+    all equal. Exact, unlike a variance test: a column of 0.1s can have a
+    computed variance of 1e-34."""
+    const = np.flatnonzero(data.X.min(axis=0) == data.X.max(axis=0))
+    if const.size:
+        raise DegenerateFeatureError(f"feature {data.names[const[0]]} is constant")
+
+
 # ---------------------------------------------------------------------------
 # covariance estimation
 # ---------------------------------------------------------------------------
@@ -342,7 +351,7 @@ def shrinkage_covariance(data: TabularDataset) -> CovarianceEstimate:
     S = empirical_covariance(data).sigma
     if (np.diag(S) <= 0).any():
         j = int(np.argmin(np.diag(S)))
-        raise FirmError(f"zero-variance column '{data.names[j]}'")
+        raise DegenerateFeatureError(f"feature {data.names[j]} is constant")
     if d == 1:
         return CovarianceEstimate(sigma=S, method="shrunk", shrinkage_lambda=0.0)
     # per-entry sampling variance of s_ij from the products w_kij = xc_ki * xc_kj

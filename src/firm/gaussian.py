@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dataset import CovarianceEstimate, TabularDataset
+from .dataset import CovarianceEstimate, TabularDataset, refuse_constant_column
 from .errors import DegenerateFeatureError, FirmError
 from .features import column_names
 from .results import FirmResult
@@ -30,7 +30,7 @@ def _normal_model_results(sigma: np.ndarray, g: np.ndarray,
     var = np.diag(sigma)
     labels = column_names(names, var.size)
     if (var <= 0).any():
-        raise DegenerateFeatureError(f"feature {labels[int(np.argmin(var))]} has zero variance")
+        raise DegenerateFeatureError(f"feature {labels[int(np.argmin(var))]} is constant")
     q = (sigma @ g) / np.sqrt(var)
     return [FirmResult(feature=labels[j], q_signed=float(q[j]), method=method)
             for j in range(q.size)]
@@ -55,8 +55,10 @@ def sensitivity_index(scorer: Scorer, data: TabularDataset) -> list[FirmResult]:
 
     I_j = sqrt(mean_i (ds/dx_j at x_i)^2 * Var(X_j)), named by data.names.
     Blind to correlations between coordinates: a zero weight gives a zero
-    index no matter how the coordinate co-varies with the rest.
+    index no matter how the coordinate co-varies with the rest. A constant
+    column is refused, as by every other estimator.
     """
+    refuse_constant_column(data)
     g_sq = (differentiable(scorer).gradient_many(data.X) ** 2).mean(axis=0)
     return [FirmResult(feature=name, q_signed=float(v), method="sensitivity")
             for name, v in zip(data.names, np.sqrt(g_sq * np.var(data.X, axis=0)))]

@@ -409,9 +409,11 @@ def train_positional_kmer(data: SequenceDataset, K: int, lam: float) -> Position
     alpha sums to 0 and each weight is its substring's alpha-weighted count
     (bincount), exactly 0 for a substring that never occurs. The dual system
     is solved by _solve_shifted, as in train_kernel_ridge. While G is summed
-    it sits beside one float32 one-hot buffer of the widest chunk, reused by
-    every chunk, and one float32 n x n product; the solve's peak is G plus,
-    on the LU path, np.linalg.solve's copy of it.
+    it sits beside the n x (positions summed over degrees) substring ids, one
+    float32 one-hot buffer of the widest chunk, reused by every chunk, and one
+    float32 n x n product. All three are released before the solve, so the
+    fit's peak is G plus, on the LU path, np.linalg.solve's copy of it; the
+    ids are recomputed for the bincounts after it.
     """
     if not 0 < lam < np.inf:
         raise FirmError("lambda must be finite and > 0")
@@ -432,12 +434,13 @@ def train_positional_kmer(data: SequenceDataset, K: int, lam: float) -> Position
             np.put_along_axis(onehot, cols - (off[k - 1] + i0 * A ** k), 1.0, axis=1)
             gram += np.matmul(onehot, onehot.T, out=prod)
         col += L - k + 1
-    del buf, prod                               # not held through the solve
+    del onehot, buf, prod, cols, ids            # views included: only G meets the solve
     r = gram.mean(axis=1)
     c, rows = r.mean(), max(1, _BLOCK_CELLS // n)
     for i in range(0, n, rows):
         gram[i:i + rows] += c - r[i:i + rows, None] - r[None, :]
     alpha = _solve_shifted(gram, n * lam, data.y - data.y.mean())
+    ids = kmer_ids(data.codes, A, K)
     w = np.bincount(ids.ravel(), np.repeat(alpha, ids.shape[1]), minlength=off[-1])
     means = np.bincount(ids.ravel(), minlength=off[-1]) / n
     return PositionalKmerScorer(alphabet=DNA_ALPHABET, length=L, max_degree=K,

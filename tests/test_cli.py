@@ -492,20 +492,21 @@ class TestConfigValidation:
         assert list(firm_table(out / "firm.tsv")) == ["a/b", "c"]
         assert sorted(p.name for p in out.iterdir()) == ["firm.json", "firm.tsv", "run.json"]
 
-    @pytest.mark.parametrize("method,message", [
-        ("empirical", "feature b is constant"),
-        ("gaussian", "feature b has zero variance"),
-        ("slope", "feature b is constant"),
-    ])
-    def test_constant_column_is_named(self, tmp_path, capsys, method, message):
+    @pytest.mark.parametrize("method", ["binary", "empirical", "gaussian", "sensitivity",
+                                        "slope"])
+    @pytest.mark.parametrize("rows,value", [(40, 3.0), (7, 0.1)])
+    def test_constant_column_is_named(self, tmp_path, capsys, method, rows, value):
+        """Every method refuses a constant column with the same line, also
+        where the column's computed variance is not 0 (seven 0.1s)."""
         rng = np.random.default_rng(9)
-        X = np.column_stack([rng.normal(size=40), np.full(40, 3.0), rng.normal(size=40)])
+        X = np.column_stack([rng.normal(size=rows), np.full(rows, value),
+                             rng.normal(size=rows)])
         inp = tmp_path / "d.csv"
         write_csv(inp, X, X[:, 0] + X[:, 2], names=["a", "b", "c"])
         out = tmp_path / "out"
         assert run("analyze", "--input", str(inp), "--method", method,
                    "--scorer", "train:ridge", "--out", str(out)) == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == "error: feature b is constant\n"
         assert not out.exists()
 
 

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from firm import (CovarianceEstimate, FirmError, KernelExpansionScorer,
-                  KernelSpec, LinearScorer, TabularDataset, firm_gaussian_general,
-                  firm_regression_closed_form, sensitivity_index, train_least_squares)
+from firm import (CovarianceEstimate, DegenerateFeatureError, FirmError,
+                  KernelExpansionScorer, KernelSpec, LinearScorer, TabularDataset,
+                  firm_gaussian_general, firm_regression_closed_form, sensitivity_index,
+                  train_least_squares)
 
 from helpers import kernel_gradient_at, kmer_scorer, mc_firm
 
@@ -65,7 +66,7 @@ class TestGaussianLinear:
                 np.testing.assert_allclose(res, base, atol=1e-12)
 
     def test_zero_variance_rejected(self):
-        with pytest.raises(FirmError, match="zero variance"):
+        with pytest.raises(FirmError, match="feature x2 is constant"):
             firm_gaussian_general(LinearScorer(w=np.ones(2)),
                                   model_from(np.diag([1.0, 0.0])))
 
@@ -185,6 +186,12 @@ class TestSensitivityIndex:
         data = TabularDataset(X=rng.normal(size=(50, 2)), y=None, names=("a", "b"))
         res = sensitivity_index(LinearScorer(w=[0.0, 0.0], b=3.0), data)
         np.testing.assert_array_equal([r.q_signed for r in res], [0.0, 0.0])
+
+    def test_constant_column_rejected(self):
+        X = np.column_stack([np.arange(5.0), np.full(5, 0.1)])
+        data = TabularDataset(X=X, y=None, names=("a", "b"))
+        with pytest.raises(DegenerateFeatureError, match="^feature b is constant$"):
+            sensitivity_index(LinearScorer(w=[1.0, 1.0]), data)
 
     def test_matches_gaussian_linear_for_diagonal_model(self):
         rng = np.random.default_rng(7)

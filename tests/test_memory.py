@@ -4,13 +4,21 @@ traced_peak counts what tracemalloc sees, numpy's array buffers included:
 the largest amount a call held above what was allocated when it started.
 Each ceiling sits below what holding one more full-size temporary would
 take, so a change that brings one back fails here.
+
+tracemalloc does not see the work copies numpy.linalg makes inside LAPACK,
+such as the LU factor np.linalg.solve writes over a copy of its matrix, so
+a fit's traced peak is the same whatever it holds beside that copy. The
+k-mer fit is therefore measured at the solve's entry: what it still holds
+when the untraced copy is made.
 """
 
 import tracemalloc
 
 import numpy as np
 
-from firm import KernelExpansionScorer, KernelSpec, TabularDataset, train_kernel_ridge
+import firm.scoring
+from firm import (KernelExpansionScorer, KernelSpec, SequenceDataset, TabularDataset, poim,
+                  train_kernel_ridge, train_positional_kmer)
 from firm import _emit
 
 
@@ -57,3 +65,38 @@ def test_polynomial_gradient_holds_one_full_matrix():
                                kernel=KernelSpec.polynomial(3, 1.0))
     peak, _ = traced_peak(lambda: sc.gradient_many(X))
     assert peak <= 1.2 * 8 * n * n
+
+
+def random_dna(n, length, seed):
+    rng = np.random.default_rng(seed)
+    seqs = ["".join(row) for row in rng.choice(list("ACGT"), size=(n, length))]
+    return SequenceDataset(sequences=tuple(seqs), y=rng.choice([-1.0, 1.0], size=n))
+
+
+def test_kmer_fit_holds_only_the_gram_matrix_at_the_solve(monkeypatch):
+    """The one-hot buffer (2048 float32 columns here, 1.02 x 8n^2) and the
+    substring ids are released before the dual solve is entered."""
+    n = 1000
+    data = random_dna(n, 100, seed=4)
+    solve, held = firm.scoring._solve_shifted, []
+
+    def probe(*args):
+        held.append(tracemalloc.get_traced_memory()[0] - start)
+        return solve(*args)
+
+    monkeypatch.setattr(firm.scoring, "_solve_shifted", probe)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        train_positional_kmer(data, K=3, lam=0.1)
+    finally:
+        tracemalloc.stop()
+    assert len(held) == 1 and held[0] <= 1.1 * 8 * n * n
+
+
+def test_poim_tsv_makes_no_fixed_width_label_column():
+    data = random_dna(500, 50, seed=5)
+    table = poim(train_positional_kmer(data, K=3, lam=0.1), k=5)
+    peak, text = traced_peak(lambda: _emit.poim_tsv(table))
+    assert text.count("\n") == 1 + 46 * 4 ** 5
+    assert peak <= 3.0 * len(text)
