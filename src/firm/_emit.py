@@ -30,15 +30,17 @@ _TSV_ROWS = 8192     # rows made Python scalars and formatted at a time
 def tsv(header, columns) -> str:
     """A header line, then one line per row of the equal-length columns.
 
-    Columns (at least one) are numpy arrays or lists; each becomes one array,
-    so a list's values share one dtype. Every _TSV_ROWS rows become Python
+    With header None there is no header line, so a table can be written
+    in row blocks whose texts concatenate to the one-call text. Columns (at
+    least one) are numpy arrays or lists; each becomes one array, so a
+    list's values share one dtype. Every _TSV_ROWS rows become Python
     scalars, which one format string per row writes as str does, into one
     chunk of lines. At its peak the text is held twice, as the chunks and as
     their join, beside one block's scalars and lines.
     """
     row = ("\t".join(["{}"] * len(columns)) + "\n").format
     columns = [np.asarray(col) for col in columns]
-    chunks = ["\t".join(header) + "\n"]
+    chunks = [] if header is None else ["\t".join(header) + "\n"]
     for i in range(0, min(map(len, columns)), _TSV_ROWS):
         block = [col[i:i + _TSV_ROWS].tolist() for col in columns]
         chunks.append("".join(map(row, *block)))
@@ -73,10 +75,14 @@ def curve_tsv(curve) -> str:
 
 
 def firm_results_tsv(results, score_sd=None) -> str:
-    """The importance table; with score_sd, importances are divided by it."""
-    scale = 1.0 if score_sd is None else score_sd
+    """The importance table; with score_sd, importances are divided by it
+    and headed q_tilde_signed and q_tilde_abs, as in firm_results_json."""
+    if score_sd is None:
+        scale, names = 1.0, ["q_signed", "q_abs"]
+    else:
+        scale, names = score_sd, ["q_tilde_signed", "q_tilde_abs"]
     q = np.array([r.q_signed for r in results]) / scale
-    return tsv(["feature", "q_signed", "q_abs", "method"],
+    return tsv(["feature", *names, "method"],
                [[r.feature for r in results], q, np.abs(q), [r.method for r in results]])
 
 
@@ -100,13 +106,20 @@ def firm_results_json(results, score_sd=None) -> str:
 
 def poim_tsv(table) -> str:
     """Every cell of a POIM table in its own position-major order, oligomers
-    in index order within a position. The oligomer column is an object array
-    of the nz label strings, repeated by reference, not a fixed-width copy."""
+    in index order within a position.
+
+    One tsv call per position formats that position's nz rows, the header
+    only with the first. k and the position are 0-stride views, and every
+    call reads the one array of nz label strings, so no column is as long
+    as the table. The text is held twice at the end, as the positions'
+    texts and as their join.
+    """
     npos, nz = table.values.shape
     labels = np.array([table.oligomer(zi) for zi in range(nz)], dtype=object)
-    return tsv(["k", "position", "oligomer", "q_prime", "q"],
-               [np.full(nz * npos, table.k), np.repeat(np.arange(npos), nz),
-                np.tile(labels, npos), table.values.ravel(), table.firm_values.ravel()])
+    k, q = np.broadcast_to(table.k, nz), table.firm_values
+    return "".join(tsv(None if j else ["k", "position", "oligomer", "q_prime", "q"],
+                       [k, np.broadcast_to(j, nz), labels, table.values[j], q[j]])
+                   for j in range(npos))
 
 
 def poim_summary_tsv(table) -> str:

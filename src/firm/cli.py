@@ -255,8 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "or shrunk when n < 2d)")
     p.add_argument("--standardize", action="store_true",
                    help="divide the importances in firm.tsv by the score "
-                        "standard deviation; firm.json keeps the raw values "
-                        "and adds q_tilde_* and score_sd")
+                        "standard deviation, headed q_tilde_*; firm.json keeps "
+                        "the raw values and adds q_tilde_* and score_sd")
     seeded(p, cmd_analyze, "recorded in run.json; changes no other artifact")
 
     p = sub.add_parser("covariance", help="write the covariance estimate")

@@ -324,9 +324,11 @@ def refuse_constant_column(data: TabularDataset) -> None:
 # ---------------------------------------------------------------------------
 
 def empirical_covariance(data: TabularDataset) -> CovarianceEstimate:
-    """Centered empirical covariance, divisor n; requires n >= 2."""
+    """Centered empirical covariance, divisor n; requires n >= 2 and refuses
+    a constant column (refuse_constant_column)."""
     if data.n < 2:
         raise FirmError("centered covariance requires n >= 2")
+    refuse_constant_column(data)
     X = data.X - data.column_means
     sigma = (X.T @ X) / data.n
     sigma = (sigma + sigma.T) / 2.0  # kill rounding asymmetry
@@ -349,9 +351,6 @@ def shrinkage_covariance(data: TabularDataset) -> CovarianceEstimate:
     if n < 3:
         raise FirmError("shrinkage estimate requires n >= 3")
     S = empirical_covariance(data).sigma
-    if (np.diag(S) <= 0).any():
-        j = int(np.argmin(np.diag(S)))
-        raise DegenerateFeatureError(f"feature {data.names[j]} is constant")
     if d == 1:
         return CovarianceEstimate(sigma=S, method="shrunk", shrinkage_lambda=0.0)
     # per-entry sampling variance of s_ij from the products w_kij = xc_ki * xc_kj

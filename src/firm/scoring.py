@@ -58,21 +58,24 @@ class KernelSpec:
 
         One n x m buffer, the product A B', is filled in place; the order of
         operations is that of exp(-max(|a|^2 + |b|^2 - 2 a'b, 0) / gamma^2)
-        and (a'b + offset)^degree. The Gaussian squared distances are formed
-        a block of _BLOCK_CELLS cells at a time, so at its peak the buffer
-        sits beside two temporaries of one block each.
+        and (a'b + offset)^degree. The product stays one call, since a BLAS
+        may pick another kernel for a row block and change the last bits.
+        Every Gaussian pass after it runs a block of _BLOCK_CELLS cells at a
+        time, each block finished while it is in cache, so at its peak the
+        buffer sits beside two temporaries of one block each.
         """
         if self.variant == "gaussian":
             S = A @ B.T
             a2, b2 = (A ** 2).sum(axis=1), (B ** 2).sum(axis=1)
-            rows = max(1, _BLOCK_CELLS // S.shape[1])
+            g2, rows = self.gamma ** 2, max(1, _BLOCK_CELLS // S.shape[1])
             for i in range(0, S.shape[0], rows):
                 blk = S[i:i + rows]
                 blk[...] = (a2[i:i + rows, None] + b2[None, :]) - 2.0 * blk
-            np.maximum(S, 0.0, out=S)
-            np.negative(S, out=S)
-            S /= self.gamma ** 2
-            return np.exp(S, out=S)
+                np.maximum(blk, 0.0, out=blk)
+                np.negative(blk, out=blk)
+                blk /= g2
+                np.exp(blk, out=blk)
+            return S
         G = A @ B.T
         G += self.offset
         G **= self.degree
@@ -298,7 +301,7 @@ def train_ridge(data: TabularDataset, lam: float) -> LinearScorer:
     return LinearScorer(w=w, b=b)
 
 
-# Matrix-vector products a CG solve may need at worst and still beat LU.
+# Conjugate-gradient steps tried before an LU solve.
 _CG_BUDGET = 64
 
 
@@ -308,39 +311,38 @@ def _solve_shifted(P: np.ndarray, shift: float, b: np.ndarray) -> np.ndarray:
     The shift goes on P's diagonal in place for the solve and comes off
     again, so P is returned bit for bit. A zero b gives exact zeros.
 
-    Conjugate gradients (Hestenes & Stiefel 1952) run when their worst case
-    is cheaper than LU. P is PSD, so the eigenvalues of M = P + shift*I lie
-    in [shift, ||P||_F + shift], and one np.vdot over P bounds the condition
-    number by kappa = 1 + ||P||_F / shift. CG reaches a relative residual t
-    within log(t / (2 sqrt(kappa))) / log(rho) steps, where
-    rho = (sqrt(kappa) - 1) / (sqrt(kappa) + 1). It runs only when that
-    count, for t = tol / 2, is below _CG_BUDGET = 64 products. An LU solve
-    costs 67 to 93 matrix-vector products at n = 1000-4000 with one
-    OpenBLAS thread on a 2-core Xeon (72 at n = 1000, 91 at n = 3000), so
-    the worst case stays below LU's cost over that range, and CG usually
-    stops well short of the bound. Below n = 250 the interpreter's cost per
-    CG step dominates (four products' worth at n = 100), and a worst case of
-    64 steps can take up to six LU solves, under a millisecond.
+    Conjugate gradients (Hestenes & Stiefel 1952) run first, for at most
+    _CG_BUDGET = 64 steps from x = 0, with no condition bound to gate them.
+    The answer is kept if its true residual, one more product, meets
+    ||b - M x|| <= tol * ||b||, M = P + shift*I. On breakdown (p'Mp <= 0)
+    or a failed check, x is np.linalg.solve(M, b). An LU solve costs 67 to
+    93 matrix-vector products at n = 1000-4000 with one OpenBLAS thread on
+    a 2-core Xeon, so the worst case, an ill-conditioned system, costs 65
+    products plus one LU, under twice LU's cost. CG makes no copy of P, so
+    only that worst case holds LU's n x n copy. At lambda = 0.1 the kernel
+    systems measured took 11 to 15 products, and the k-mer systems 46 to 53.
+    Below n = 250 the interpreter's cost per CG step dominates (four
+    products' worth at n = 100), and a failed attempt can take up to six
+    LU solves, under a millisecond.
 
-    The CG answer is kept only if its true residual, one more product,
-    meets ||b - M x|| <= tol * ||b|| with tol = sqrt(n) * eps / 8, which is
-    4.0 eps at n = 1000 and 6.8 eps at n = 3000. That is about LU's own
-    relative residual on the kernel systems measured, 3.6 to 6.7 eps at
-    n = 1000-3000. On breakdown (p'Mp <= 0), when the check fails, or when
-    the bound is too large, x is np.linalg.solve(M, b).
+    tol = sqrt(n) * eps / 4, just above LU's own relative residual. In units
+    of sqrt(n) * eps, the largest LU residual measured per n (one OpenBLAS
+    thread; lambda = 0.1; Gaussian gamma = 1 and 3 and polynomial degree 2
+    kernels; degree-3 k-mer systems on planted-motif DNA of length 50 and 100):
+
+        n        500    1000   2000   3000   4000
+        kernel   0.146  0.149  0.139  0.125  0.122
+        k-mer    0.193  0.183  0.167  0.145  0.138
+
+    The largest, 0.193 (4.3 eps at n = 500, k-mer), sets the constant 1/4.
     """
     n = b.size
     if not b.any():
         return np.zeros(n)
-    tol = math.sqrt(n) * np.finfo(np.float64).eps / 8
-    root = math.sqrt(1.0 + math.sqrt(np.vdot(P, P)) / shift)
-    rho = (root - 1.0) / (root + 1.0)
-    # rho is 0 or nan only for a negligible or a non-finite ||P||_F: LU
-    steps = (math.ceil(math.log(tol / (4.0 * root)) / math.log(rho)) if 0.0 < rho < 1.0
-             else _CG_BUDGET)
+    tol = math.sqrt(n) * np.finfo(np.float64).eps / 4
     on_diag, diag = np.diag_indices(n), P.diagonal().copy()
     P[on_diag] += shift
-    x = _conjugate_gradients(P, b, steps, tol) if steps < _CG_BUDGET else None
+    x = _conjugate_gradients(P, b, _CG_BUDGET, tol)
     if x is None:
         x = np.linalg.solve(P, b)
     P[on_diag] = diag
@@ -402,18 +404,24 @@ def train_kernel_ridge(data: TabularDataset, kernel: KernelSpec,
 def train_positional_kmer(data: SequenceDataset, K: int, lam: float) -> PositionalKmerScorer:
     """Ridge regression on the positional substring indicators, in the dual.
 
-    The n x n Gram matrix G of shared substrings is summed from the one-hot
-    codes of a few positions at a time (counts below 2^24, exact in float32),
-    so the n x F design never exists. G is centred as H G H, _BLOCK_CELLS
-    cells at a time, whose null space holds the ones vector, so the dual solution
+    The n x n Gram matrix G of shared substrings is summed in float32 from
+    the one-hot codes of a few positions at a time, so the n x F design
+    never exists. Every entry is a count of at most the number of positional
+    substrings, sum_k (L - k + 1): 297 at L = 100, K = 3, and below 2.5
+    million under the weight budget. Counts below 2^24 are exact in float32,
+    so G is bitwise the float64 sum; it is widened to float64 once. G is centred as H G H, _BLOCK_CELLS cells at a
+    time, whose null space holds the ones vector, so the dual solution
     alpha sums to 0 and each weight is its substring's alpha-weighted count
     (bincount), exactly 0 for a substring that never occurs. The dual system
-    is solved by _solve_shifted, as in train_kernel_ridge. While G is summed
-    it sits beside the n x (positions summed over degrees) substring ids, one
-    float32 one-hot buffer of the widest chunk, reused by every chunk, and one
-    float32 n x n product. All three are released before the solve, so the
-    fit's peak is G plus, on the LU path, np.linalg.solve's copy of it; the
-    ids are recomputed for the bincounts after it.
+    is solved by _solve_shifted, as in train_kernel_ridge.
+
+    The fit's peak is reached while G is summed: the float32 G and one
+    float32 n x n product, beside the n x (positions summed over degrees)
+    substring ids and one float32 one-hot buffer of the widest chunk,
+    reused by every chunk. The product, the buffer and the ids are released
+    before G is widened, so widening holds G in float32 and in float64 (1.5
+    float64 n x n), and the solve holds only the float64 G, plus LU's copy
+    of it if CG fails. The ids are recomputed for the bincounts after it.
     """
     if not 0 < lam < np.inf:
         raise FirmError("lambda must be finite and > 0")
@@ -423,7 +431,7 @@ def train_positional_kmer(data: SequenceDataset, K: int, lam: float) -> Position
     steps = [max(1, 2048 // A ** k) for k in range(1, K + 1)]  # ~2048 one-hot columns a chunk
     buf = np.empty(n * max(min(s, L - k + 1) * A ** k for k, s in enumerate(steps, 1)),
                    dtype=np.float32)
-    gram, prod = np.zeros((n, n)), np.empty((n, n), dtype=np.float32)
+    gram, prod = np.zeros((n, n), dtype=np.float32), np.empty((n, n), dtype=np.float32)
     col = 0
     for k, step in enumerate(steps, 1):
         for i0 in range(0, L - k + 1, step):
@@ -434,7 +442,8 @@ def train_positional_kmer(data: SequenceDataset, K: int, lam: float) -> Position
             np.put_along_axis(onehot, cols - (off[k - 1] + i0 * A ** k), 1.0, axis=1)
             gram += np.matmul(onehot, onehot.T, out=prod)
         col += L - k + 1
-    del onehot, buf, prod, cols, ids            # views included: only G meets the solve
+    del onehot, buf, prod, cols, ids            # views included: only G is widened
+    gram = gram.astype(np.float64)
     r = gram.mean(axis=1)
     c, rows = r.mean(), max(1, _BLOCK_CELLS // n)
     for i in range(0, n, rows):

@@ -98,6 +98,10 @@ class TestAnalyzeBinary:
                    "--scorer", "labels", "--standardize", "--out", str(std_out)) == 0
         raw = firm_table(raw_out / "firm.tsv")
         std = firm_table(std_out / "firm.tsv")
+        # the divided columns say so in firm.tsv, as in firm.json
+        assert read_tsv(raw_out / "firm.tsv")[0] == ["feature", "q_signed", "q_abs", "method"]
+        assert read_tsv(std_out / "firm.tsv")[0] == ["feature", "q_tilde_signed",
+                                                     "q_tilde_abs", "method"]
         sd = float(np.std(y))
         for name in raw:
             assert std[name] == pytest.approx(raw[name] / sd, rel=1e-12)
@@ -511,6 +515,22 @@ class TestConfigValidation:
 
 
 class TestCovarianceCommand:
+    @pytest.mark.parametrize("choice", ["empirical", "shrunk"])
+    @pytest.mark.parametrize("rows,value", [(40, 3.0), (7, 0.1)])
+    def test_constant_column_is_named(self, tmp_path, capsys, choice, rows, value):
+        """Both estimators refuse a constant column with the analyze line,
+        also where its computed variance is not 0 (seven 0.1s)."""
+        rng = np.random.default_rng(9)
+        X = np.column_stack([rng.normal(size=rows), np.full(rows, value),
+                             rng.normal(size=rows)])
+        inp = tmp_path / "d.csv"
+        write_csv(inp, X, names=["a", "b", "c"])
+        out = tmp_path / "out"
+        assert run("covariance", "--input", str(inp), "--covariance", choice,
+                   "--out", str(out)) == 1
+        assert capsys.readouterr().err == "error: feature b is constant\n"
+        assert not out.exists()
+
     def test_written_covariance_reads_back(self, tmp_path):
         """`--covariance file:` on what `covariance` wrote gives the bytes of
         `--covariance empirical`."""

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from firm import (ConditionalScoreCurve, DataFormatError, FirmError, KernelExpansionScorer,
-                  KernelSpec, LinearScorer, PoimTable, TabularDataset, empirical_covariance,
-                  load_sequences, load_tabular, shrinkage_covariance)
+from firm import (ConditionalScoreCurve, DataFormatError, DegenerateFeatureError, FirmError,
+                  KernelExpansionScorer, KernelSpec, LinearScorer, PoimTable, TabularDataset,
+                  empirical_covariance, load_sequences, load_tabular, shrinkage_covariance)
 import firm.dataset
 from firm.dataset import DNA_ALPHABET, _load_fast, _parse_rows, encode_sequences
 
@@ -276,11 +276,13 @@ class TestEmpiricalCovariance:
         np.testing.assert_allclose(cov.sigma, np.eye(3), atol=0)
         assert cov.method == "empirical_centered"
 
-    def test_identical_rows_centered_zero(self):
-        ds = TabularDataset(X=np.array([[3.0, -1.0], [3.0, -1.0]]), y=None,
-                            names=("a", "b"))
-        cov = empirical_covariance(ds)
-        np.testing.assert_allclose(cov.sigma, np.zeros((2, 2)), atol=0)
+    def test_constant_column_refused(self):
+        """Exactly, also where the computed variance of seven 0.1s is not 0."""
+        for X, name in [([[3.0, -1.0], [3.0, -1.0]], "a"),
+                        ([[1.0, 0.1]] + [[2.0, 0.1]] * 6, "b")]:
+            ds = TabularDataset(X=np.array(X), y=None, names=("a", "b"))
+            with pytest.raises(DegenerateFeatureError, match=f"^feature {name} is constant$"):
+                empirical_covariance(ds)
 
     def test_centered_needs_two_rows(self):
         ds = TabularDataset(X=np.array([[1.0]]), y=None, names=("a",))

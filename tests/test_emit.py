@@ -38,8 +38,8 @@ class TestTsv:
     def test_firm_results_match_per_row_rule(self, score_sd):
         results = [FirmResult(feature=f"x{j}", q_signed=q, method="m")
                    for j, q in enumerate([0.7, -1e-05, -0.0, 3.0])]
-        scale = 1.0 if score_sd is None else score_sd
-        expected = rows_tsv(["feature", "q_signed", "q_abs", "method"],
+        scale, q = (1.0, "q") if score_sd is None else (score_sd, "q_tilde")
+        expected = rows_tsv(["feature", f"{q}_signed", f"{q}_abs", "method"],
                             [[r.feature, r.q_signed / scale, r.q_abs / scale, r.method]
                              for r in results])
         assert _emit.firm_results_tsv(results, score_sd=score_sd) == expected

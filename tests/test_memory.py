@@ -8,8 +8,8 @@ take, so a change that brings one back fails here.
 tracemalloc does not see the work copies numpy.linalg makes inside LAPACK,
 such as the LU factor np.linalg.solve writes over a copy of its matrix, so
 a fit's traced peak is the same whatever it holds beside that copy. The
-k-mer fit is therefore measured at the solve's entry: what it still holds
-when the untraced copy is made.
+k-mer fit is therefore also measured at the solve's entry: what it still
+holds when the untraced copy is made.
 """
 
 import tracemalloc
@@ -94,9 +94,34 @@ def test_kmer_fit_holds_only_the_gram_matrix_at_the_solve(monkeypatch):
     assert len(held) == 1 and held[0] <= 1.1 * 8 * n * n
 
 
+def test_kmer_fit_sums_the_gram_matrix_in_float32():
+    """While G is summed the fit holds the float32 G and product (1.0 x 8n^2),
+    the one-hot buffer (1.02 x 8n^2) and the ids (0.3 x 8n^2); a float64 G
+    would add 0.5 x 8n^2."""
+    n = 1000
+    data = random_dna(n, 100, seed=4)
+    peak, _ = traced_peak(lambda: train_positional_kmer(data, K=3, lam=0.1))
+    assert peak <= 2.6 * 8 * n * n
+
+
 def test_poim_tsv_makes_no_fixed_width_label_column():
     data = random_dna(500, 50, seed=5)
     table = poim(train_positional_kmer(data, K=3, lam=0.1), k=5)
     peak, text = traced_peak(lambda: _emit.poim_tsv(table))
     assert text.count("\n") == 1 + 46 * 4 ** 5
     assert peak <= 3.0 * len(text)
+
+
+def test_poim_tsv_formats_a_position_at_a_time():
+    """No column as long as the table: the text twice, as the positions'
+    texts and their join, and little else. The bytes are those of one tsv
+    call over the five full columns."""
+    data = random_dna(500, 50, seed=5)
+    table = poim(train_positional_kmer(data, K=3, lam=0.1), k=5)
+    peak, text = traced_peak(lambda: _emit.poim_tsv(table))
+    assert peak <= 2.3 * len(text)
+    npos, nz = table.values.shape
+    labels = [table.oligomer(zi) for zi in range(nz)]
+    assert text == _emit.tsv(["k", "position", "oligomer", "q_prime", "q"],
+                             [np.full(nz * npos, table.k), np.repeat(np.arange(npos), nz),
+                              labels * npos, table.values.ravel(), table.firm_values.ravel()])
