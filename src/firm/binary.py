@@ -35,18 +35,17 @@ def firm_binary_values(scores, F, probs=None, names=None) -> list[FirmResult]:
     `names`, or x1 .. xd. Scores X @ w + b with F = X give the paper's
     matrix form Q = M'(Xw + b) of a linear scorer on ±1 data.
     """
+    if probs is not None:
+        probs = np.asarray(probs, dtype=np.float64).ravel()
+        if not np.isfinite(probs).all() or (probs < 0).any() or abs(probs.sum() - 1.0) > 1e-9:
+            raise FirmError("probabilities must be finite, nonnegative and sum to 1")
     scores, F, names = feature_columns(scores, F, names)
-    probs = (np.full(scores.size, 1.0 / scores.size) if probs is None
-             else np.asarray(probs, dtype=np.float64).ravel())
-    if not np.isfinite(probs).all() or (probs < 0).any() or abs(probs.sum() - 1.0) > 1e-9:
-        raise FirmError("probabilities must be finite, nonnegative and sum to 1")
-    if probs.size != scores.size:
+    if probs is None:
+        probs = np.full(scores.size, 1.0 / scores.size)
+    elif probs.size != scores.size:
         raise FirmError("need one probability per point")
     lo, hi = F.min(axis=0), F.max(axis=0)
     is_hi = F == hi
-    bad = np.nonzero(lo == hi)[0]
-    if bad.size:
-        raise DegenerateFeatureError(f"feature {names[bad[0]]} is constant")
     bad = np.nonzero(~(is_hi | (F == lo)).all(axis=0))[0]
     if bad.size:
         j = bad[0]

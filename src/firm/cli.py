@@ -137,7 +137,7 @@ def analyze_tabular(args) -> dict:
     slashed = [name for name in data.names if "/" in name]
     if args.method == "empirical" and slashed:   # its curve would be curves/<name>.tsv
         raise FirmError(f"column name {slashed[0]!r} holds '/' and cannot name a curve file")
-    refuse_constant_column(data)     # every method refuses the same inputs alike
+    refuse_constant_column(data.X, data.names)     # every method refuses the same inputs alike
     scorer = None if args.scorer == "labels" else build_tabular_scorer(args, data)
     scores = None
     if args.method in ("binary", "slope", "empirical") or args.standardize:

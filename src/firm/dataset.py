@@ -310,13 +310,13 @@ def load_sequences(path) -> SequenceDataset:
         raise
 
 
-def refuse_constant_column(data: TabularDataset) -> None:
-    """Raise DegenerateFeatureError naming the first column whose cells are
-    all equal. Exact, unlike a variance test: a column of 0.1s can have a
-    computed variance of 1e-34."""
-    const = np.flatnonzero(data.X.min(axis=0) == data.X.max(axis=0))
+def refuse_constant_column(X: np.ndarray, names) -> None:
+    """Raise DegenerateFeatureError naming the first column of the n x d
+    matrix X (n >= 1) whose cells are all equal. Exact, unlike a variance
+    test: a column of 0.1s can have a computed variance of 1e-34."""
+    const = np.flatnonzero(X.min(axis=0) == X.max(axis=0))
     if const.size:
-        raise DegenerateFeatureError(f"feature {data.names[const[0]]} is constant")
+        raise DegenerateFeatureError(f"feature {names[const[0]]} is constant")
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +328,7 @@ def empirical_covariance(data: TabularDataset) -> CovarianceEstimate:
     a constant column (refuse_constant_column)."""
     if data.n < 2:
         raise FirmError("centered covariance requires n >= 2")
-    refuse_constant_column(data)
+    refuse_constant_column(data.X, data.names)
     X = data.X - data.column_means
     sigma = (X.T @ X) / data.n
     sigma = (sigma + sigma.T) / 2.0  # kill rounding asymmetry

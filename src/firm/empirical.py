@@ -139,9 +139,6 @@ def _slope_moments(scores, F, names=None):
     scores, F, names = feature_columns(scores, F, names)
     Ft = np.ascontiguousarray(F.T)
     var_f = np.var(Ft, axis=1)
-    bad = np.nonzero(var_f == 0.0)[0]
-    if bad.size:
-        raise DegenerateFeatureError(f"feature {names[bad[0]]} is constant")
     fc = Ft - Ft.mean(axis=1, keepdims=True)
     sc = scores - scores.mean()
     return fc, sc, var_f, np.mean(fc * sc, axis=1), names

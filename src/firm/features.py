@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import refuse_constant_column
 from .errors import FirmError
 
 
@@ -99,7 +100,8 @@ def feature_columns(scores, F, names=None):
     """Inputs of the column-wise estimators, checked and in one shape.
 
     Returns the scores as a vector, F as an n-by-d matrix (a 1-D F is one
-    column) and the column names.
+    column) and the column names. A constant column is refused by
+    dataset.refuse_constant_column, the exact test min = max.
     """
     scores = np.asarray(scores, dtype=np.float64).ravel()
     F = np.asarray(F, dtype=np.float64)
@@ -107,4 +109,8 @@ def feature_columns(scores, F, names=None):
         F = F[:, None]
     if F.ndim != 2 or F.shape[0] != scores.size:
         raise FirmError("scores and feature values must have equal length")
-    return scores, F, column_names(names, F.shape[1])
+    if scores.size == 0:
+        raise FirmError("need at least one sample")
+    names = column_names(names, F.shape[1])
+    refuse_constant_column(F, names)
+    return scores, F, names

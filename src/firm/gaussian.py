@@ -58,7 +58,7 @@ def sensitivity_index(scorer: Scorer, data: TabularDataset) -> list[FirmResult]:
     index no matter how the coordinate co-varies with the rest. A constant
     column is refused, as by every other estimator.
     """
-    refuse_constant_column(data)
+    refuse_constant_column(data.X, data.names)
     g_sq = (differentiable(scorer).gradient_many(data.X) ** 2).mean(axis=0)
     return [FirmResult(feature=name, q_signed=float(v), method="sensitivity")
             for name, v in zip(data.names, np.sqrt(g_sq * np.var(data.X, axis=0)))]

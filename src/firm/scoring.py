@@ -24,6 +24,10 @@ from .errors import DEFAULT_CELL_BUDGET, BudgetExceededError, FirmError
 # temporaries of 128 KiB; blocks of 6 MB (256 rows of 3000) stayed resident
 # after the pass and added 8 MB to the later peak of a kernel ridge run.
 _BLOCK_CELLS = 1 << 14
+# Rows per block of a _LowerTriangle. A vector product by the blocks took
+# 3.5 ms against 5.2 ms by the full matrix at n = 3000, and the same time at
+# n <= 2000 (one OpenBLAS thread, 2-core Xeon).
+_TRI_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -56,17 +60,41 @@ class KernelSpec:
     def gram(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         """Kernel matrix k(a_i, b_j) for the rows of the matrices A and B.
 
-        One n x m buffer, the product A B', is filled in place; the order of
-        operations is that of exp(-max(|a|^2 + |b|^2 - 2 a'b, 0) / gamma^2)
-        and (a'b + offset)^degree. The product stays one call, since a BLAS
-        may pick another kernel for a row block and change the last bits.
-        Every Gaussian pass after it runs a block of _BLOCK_CELLS cells at a
-        time, each block finished while it is in cache, so at its peak the
-        buffer sits beside two temporaries of one block each.
+        One n x m buffer, the product A B', is filled in place by _finish;
+        the order of operations is that of exp(-max(|a|^2 + |b|^2 - 2 a'b,
+        0) / gamma^2) and (a'b + offset)^degree. The product stays one call,
+        since a BLAS may pick another kernel for a row block and change the
+        last bits. At its peak the buffer, n x m cells, sits beside two
+        temporaries of _BLOCK_CELLS cells each. The dual solves take the
+        symmetric gram(X, X) from self_gram instead, which holds
+        n(n + 256)/2 cells for n rows of X.
         """
+        S = A @ B.T
+        self._finish(S, (A ** 2).sum(axis=1), (B ** 2).sum(axis=1))
+        return S
+
+    def self_gram(self, X: np.ndarray) -> "_LowerTriangle":
+        """gram(X, X) as _TRI_ROWS-row blocks of its lower triangle.
+
+        Each block is its own product X[i0:i1] X[:i1]', finished by the
+        passes of gram, so it holds n(n + _TRI_ROWS)/2 cells at most where
+        gram(X, X) holds n^2, and full() gives gram(X, X)'s bits wherever the
+        BLAS sums a row block's products in the order of the whole product.
+        """
+        sq = (X ** 2).sum(axis=1)
+        blocks = _LowerTriangle.empty_blocks(X.shape[0])
+        for blk in blocks:
+            i0, i1 = blk.shape[1] - blk.shape[0], blk.shape[1]
+            np.matmul(X[i0:i1], X[:i1].T, out=blk)
+            self._finish(blk, sq[i0:i1], sq[:i1])
+        return _LowerTriangle(blocks)
+
+    def _finish(self, S: np.ndarray, a2: np.ndarray, b2: np.ndarray) -> None:
+        """Kernel values in place of the products S = A B', given the
+        squared row norms a2 of A and b2 of B (read by the Gaussian only).
+        Every Gaussian pass runs a block of _BLOCK_CELLS cells at a time,
+        each block finished while it is in cache."""
         if self.variant == "gaussian":
-            S = A @ B.T
-            a2, b2 = (A ** 2).sum(axis=1), (B ** 2).sum(axis=1)
             g2, rows = self.gamma ** 2, max(1, _BLOCK_CELLS // S.shape[1])
             for i in range(0, S.shape[0], rows):
                 blk = S[i:i + rows]
@@ -75,11 +103,65 @@ class KernelSpec:
                 np.negative(blk, out=blk)
                 blk /= g2
                 np.exp(blk, out=blk)
-            return S
-        G = A @ B.T
-        G += self.offset
-        G **= self.degree
-        return G
+            return
+        S += self.offset
+        S **= self.degree
+
+
+class _LowerTriangle:
+    """A symmetric n x n matrix kept as row blocks of its lower triangle.
+
+    Block r holds rows i0:i1 and columns 0:i1, i0 = r * _TRI_ROWS, so the
+    blocks hold n(n + _TRI_ROWS)/2 cells at most, about half of n^2. Each
+    diagonal square is made exactly symmetric from its lower triangle, and
+    the entries above the squares are read from their mirror images.
+    S @ V, for a vector or an n x k matrix V, reads every cell once and
+    holds beside its n-row result one temporary of at most n - _TRI_ROWS
+    rows. full() assembles the n x n matrix; only _solve_shifted's LU
+    fallback calls it, which so holds the blocks plus two full n x n arrays
+    (the assembled matrix and LU's copy of it).
+    """
+
+    @staticmethod
+    def empty_blocks(n: int) -> list[np.ndarray]:
+        """The blocks of an n x n matrix, unfilled: views of one buffer,
+        which is freed as a whole. Blocks allocated one at a time fell
+        below the allocator's raised mmap threshold in the k-mer fit at
+        n = 2000, stayed resident after it, and added 16 MB to the peak of
+        a later POIM run."""
+        bounds = [(i0, min(i0 + _TRI_ROWS, n)) for i0 in range(0, n, _TRI_ROWS)]
+        buf = np.empty(sum((i1 - i0) * i1 for i0, i1 in bounds))
+        blocks, at = [], 0
+        for i0, i1 in bounds:
+            blocks.append(buf[at:at + (i1 - i0) * i1].reshape(i1 - i0, i1))
+            at += (i1 - i0) * i1
+        return blocks
+
+    def __init__(self, blocks):
+        self.blocks = tuple(blocks)
+        self.n = self.blocks[-1].shape[1]
+        for blk in self.blocks:     # a BLAS may not sum x_i'x_j as x_j'x_i
+            square = blk[:, blk.shape[1] - blk.shape[0]:]
+            for j in range(square.shape[0] - 1):
+                square[j, j + 1:] = square[j + 1:, j]
+            blk.setflags(write=False)
+
+    def __matmul__(self, V: np.ndarray) -> np.ndarray:
+        out = np.empty((self.n,) + V.shape[1:])
+        for blk in self.blocks:
+            i0, i1 = blk.shape[1] - blk.shape[0], blk.shape[1]
+            np.matmul(blk, V[:i1], out=out[i0:i1])    # earlier blocks add above i0 only
+            out[:i0] += blk[:, :i0].T @ V[i0:i1]
+        return out
+
+    def full(self) -> np.ndarray:
+        """The n x n matrix, exactly symmetric."""
+        M = np.empty((self.n, self.n))
+        for blk in self.blocks:
+            i0, i1 = blk.shape[1] - blk.shape[0], blk.shape[1]
+            M[i0:i1, :i1] = blk
+            M[:i0, i0:i1] = blk[:, :i0].T
+        return M
 
 
 def _rows(X, d: int) -> np.ndarray:
@@ -117,19 +199,21 @@ class LinearScorer:
 class KernelExpansionScorer:
     """s(x) = sum_i alpha_i k(points_i, x) + b (label factors folded into alpha).
 
-    A scorer made by train_kernel_ridge keeps the read-only training Gram
-    matrix gram(points, points). score_many(X) and the Gaussian
-    gradient_many(X) use it in place of kernel.gram(X, points) when X has
-    the shape and the bytes of points (so -0.0 and 0.0 differ), and
-    recompute for any other X. The kept matrix is not a constructor
-    argument; a scorer built any other way, replace() included, has none.
+    A scorer made by train_kernel_ridge keeps the training Gram matrix
+    gram(points, points) as kernel.self_gram(points), read-only row blocks
+    of its lower triangle: n(n + 256)/2 cells for n points. score_many(X)
+    and the Gaussian gradient_many(X) use it in place of
+    kernel.gram(X, points) when X has the shape and the bytes of points (so
+    -0.0 and 0.0 differ), and recompute for any other X. The kept matrix
+    is not a constructor argument; a scorer built any other way, replace()
+    included, has none.
     """
 
     points: np.ndarray
     alpha: np.ndarray
     b: float
     kernel: KernelSpec
-    _gram: np.ndarray | None = field(default=None, init=False, repr=False)
+    _gram: _LowerTriangle | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         pts = np.atleast_2d(np.array(self.points, dtype=np.float64))
@@ -144,7 +228,7 @@ class KernelExpansionScorer:
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "b", float(self.b))
 
-    def _gram_with(self, X: np.ndarray) -> np.ndarray:
+    def _gram_with(self, X: np.ndarray) -> np.ndarray | _LowerTriangle:
         """gram(X, points): the kept training matrix when X is points byte for byte."""
         if (self._gram is not None and X.shape == self.points.shape
                 and X.tobytes() == self.points.tobytes()):
@@ -160,10 +244,10 @@ class KernelExpansionScorer:
 
         The alpha weights go on the m x d points, not on the n x m kernel
         matrix, since (K o alpha) P = K (alpha o P) and rowsum(K o alpha) =
-        K alpha. The peak is one n x m array, the kept Gram matrix or the
-        one computed for X, plus arrays of m x d and n x d. The products
-        stay one call over all n rows, since a BLAS may pick another kernel
-        for fewer rows and change the last bits.
+        K alpha. The peak is one n x m array, or the kept Gram matrix's
+        blocks, plus arrays of m x d and n x d. The products by a computed
+        n x m matrix stay one call over all n rows, since a BLAS may pick
+        another kernel for fewer rows and change the last bits.
         """
         X = _rows(X, self.points.shape[1])
         P, alpha = self.points, self.alpha
@@ -305,25 +389,26 @@ def train_ridge(data: TabularDataset, lam: float) -> LinearScorer:
 _CG_BUDGET = 64
 
 
-def _solve_shifted(P: np.ndarray, shift: float, b: np.ndarray) -> np.ndarray:
+def _solve_shifted(P: _LowerTriangle, shift: float, b: np.ndarray) -> np.ndarray:
     """Solve (P + shift*I) x = b for a symmetric PSD n x n matrix P, shift > 0.
 
-    The shift goes on P's diagonal in place for the solve and comes off
-    again, so P is returned bit for bit. A zero b gives exact zeros.
+    P is only read. A zero b gives exact zeros.
 
     Conjugate gradients (Hestenes & Stiefel 1952) run first, for at most
-    _CG_BUDGET = 64 steps from x = 0, with no condition bound to gate them.
-    The answer is kept if its true residual, one more product, meets
-    ||b - M x|| <= tol * ||b||, M = P + shift*I. On breakdown (p'Mp <= 0)
-    or a failed check, x is np.linalg.solve(M, b). An LU solve costs 67 to
-    93 matrix-vector products at n = 1000-4000 with one OpenBLAS thread on
-    a 2-core Xeon, so the worst case, an ill-conditioned system, costs 65
-    products plus one LU, under twice LU's cost. CG makes no copy of P, so
-    only that worst case holds LU's n x n copy. At lambda = 0.1 the kernel
-    systems measured took 11 to 15 products, and the k-mer systems 46 to 53.
-    Below n = 250 the interpreter's cost per CG step dominates (four
-    products' worth at n = 100), and a failed attempt can take up to six
-    LU solves, under a millisecond.
+    _CG_BUDGET = 64 steps from x = 0, with no condition bound to gate them;
+    each step multiplies by M = P + shift*I as P @ v + shift * v. The answer
+    is kept if its true residual, one more product, meets ||b - M x|| <=
+    tol * ||b||. On breakdown (p'Mp <= 0) or a failed check, x is
+    np.linalg.solve(M, b) on M assembled from P.full(); that fallback holds
+    P's blocks, M and LU's copy of M, and releases M on return. An LU solve
+    costs 86 to 101, 120 to 144 and 139 to 163 products by P's blocks at
+    n = 1000, 2000 and 3000 (three runs, one OpenBLAS thread, 2-core Xeon),
+    so the worst case, an ill-conditioned system, costs 65 products plus
+    one LU, under twice LU's cost. At lambda = 0.1 the kernel systems measured took 11 to 15
+    products, and the k-mer systems 46 to 53. Below n = 250 the
+    interpreter's cost per CG step dominates (four products' worth at
+    n = 100), and a failed attempt can take up to six LU solves, under a
+    millisecond.
 
     tol = sqrt(n) * eps / 4, just above LU's own relative residual. In units
     of sqrt(n) * eps, the largest LU residual measured per n (one OpenBLAS
@@ -340,28 +425,28 @@ def _solve_shifted(P: np.ndarray, shift: float, b: np.ndarray) -> np.ndarray:
     if not b.any():
         return np.zeros(n)
     tol = math.sqrt(n) * np.finfo(np.float64).eps / 4
-    on_diag, diag = np.diag_indices(n), P.diagonal().copy()
-    P[on_diag] += shift
-    x = _conjugate_gradients(P, b, _CG_BUDGET, tol)
+    x = _conjugate_gradients(P, shift, b, _CG_BUDGET, tol)
     if x is None:
-        x = np.linalg.solve(P, b)
-    P[on_diag] = diag
+        M = P.full()
+        M[np.diag_indices(n)] += shift
+        x = np.linalg.solve(M, b)
     return x
 
 
-def _conjugate_gradients(M: np.ndarray, b: np.ndarray, steps: int,
+def _conjugate_gradients(P: _LowerTriangle, shift: float, b: np.ndarray, steps: int,
                          tol: float) -> np.ndarray | None:
-    """At most `steps` CG steps on M x = b from x = 0; the answer if its
-    true residual is within tol * ||b||, else None. b is scaled to unit
-    max-norm first, so no inner product can overflow or underflow."""
+    """At most `steps` CG steps on (P + shift*I) x = b from x = 0; the answer
+    if its true residual is within tol * ||b||, else None. b is scaled to
+    unit max-norm first, so no inner product can overflow or underflow."""
     scale = np.abs(b).max()
     b = b / scale
     x = np.zeros_like(b)
-    r, p, q = b.copy(), b.copy(), np.empty_like(b)
+    r, p = b.copy(), b.copy()
     rr = r @ r
     stop = (tol / 2) ** 2 * rr
     for _ in range(steps):
-        np.dot(M, p, out=q)
+        q = P @ p
+        q += shift * p
         pq = p @ q
         if not pq > 0.0:
             return None
@@ -373,7 +458,8 @@ def _conjugate_gradients(M: np.ndarray, b: np.ndarray, steps: int,
             break
         p *= rr / rr_old
         p += r
-    np.dot(M, x, out=q)
+    q = P @ x
+    q += shift * x
     q -= b
     return scale * x if q @ q <= tol ** 2 * (b @ b) else None
 
@@ -382,19 +468,20 @@ def train_kernel_ridge(data: TabularDataset, kernel: KernelSpec,
                        lam: float) -> KernelExpansionScorer:
     """Kernel ridge: alpha = (K + n*lambda*I)^-1 (y - mean(y)), b = mean(y).
 
-    The system is solved by _solve_shifted, which leaves the Gram matrix K
-    bitwise kernel.gram(X, X); the scorer keeps it for scores and gradients
-    on the training rows. Peak memory is K plus gram()'s two block
-    temporaries while it is built, and on the LU path K plus the copy
-    np.linalg.solve makes of it. Scores and gradients on the training rows
-    later hold K plus arrays of n x d (the points, d features) and n.
+    K = kernel.gram(X, X) is built as kernel.self_gram(X), row blocks of its
+    lower triangle, and solved by _solve_shifted; the scorer keeps it for
+    scores and gradients on the training rows. A fit holds n(n + 256)/2
+    cells of K, plus gram's two block temporaries while it is built; on
+    the LU fallback it holds those plus two full n x n arrays, where the
+    full K held two n x n arrays in all. Scores and gradients on the
+    training rows later hold K's blocks plus arrays of n x d (the points,
+    d features) and n.
     """
     if not 0 < lam < np.inf:
         raise FirmError("lambda must be finite and > 0")
     y = data.labels()
-    K = kernel.gram(data.X, data.X)
+    K = kernel.self_gram(data.X)
     alpha = _solve_shifted(K, data.n * lam, y - y.mean())
-    K.setflags(write=False)
     scorer = KernelExpansionScorer(points=data.X, alpha=alpha, b=float(y.mean()),
                                    kernel=kernel)
     object.__setattr__(scorer, "_gram", K)
@@ -409,19 +496,22 @@ def train_positional_kmer(data: SequenceDataset, K: int, lam: float) -> Position
     never exists. Every entry is a count of at most the number of positional
     substrings, sum_k (L - k + 1): 297 at L = 100, K = 3, and below 2.5
     million under the weight budget. Counts below 2^24 are exact in float32,
-    so G is bitwise the float64 sum; it is widened to float64 once. G is centred as H G H, _BLOCK_CELLS cells at a
-    time, whose null space holds the ones vector, so the dual solution
-    alpha sums to 0 and each weight is its substring's alpha-weighted count
-    (bincount), exactly 0 for a substring that never occurs. The dual system
-    is solved by _solve_shifted, as in train_kernel_ridge.
+    so G is bitwise the float64 sum. G is widened to float64 and centred
+    as H G H, whose null space holds the ones vector, one _TRI_ROWS-row
+    block of its lower triangle at a time (the _LowerTriangle form of
+    train_kernel_ridge), so the dual solution alpha sums to 0 and each
+    weight is its substring's alpha-weighted count (bincount), exactly 0
+    for a substring that never occurs. The dual system is solved by
+    _solve_shifted, as in train_kernel_ridge.
 
     The fit's peak is reached while G is summed: the float32 G and one
     float32 n x n product, beside the n x (positions summed over degrees)
     substring ids and one float32 one-hot buffer of the widest chunk,
     reused by every chunk. The product, the buffer and the ids are released
-    before G is widened, so widening holds G in float32 and in float64 (1.5
-    float64 n x n), and the solve holds only the float64 G, plus LU's copy
-    of it if CG fails. The ids are recomputed for the bincounts after it.
+    before G is widened, so widening holds the float32 G beside the float64
+    blocks, and the solve holds only the blocks, n(n + 256)/2 cells; if CG
+    fails, LU adds two full n x n arrays, where the full G and LU's copy of
+    it were two in all. The ids are recomputed for the bincounts after it.
     """
     if not 0 < lam < np.inf:
         raise FirmError("lambda must be finite and > 0")
@@ -443,12 +533,16 @@ def train_positional_kmer(data: SequenceDataset, K: int, lam: float) -> Position
             gram += np.matmul(onehot, onehot.T, out=prod)
         col += L - k + 1
     del onehot, buf, prod, cols, ids            # views included: only G is widened
-    gram = gram.astype(np.float64)
-    r = gram.mean(axis=1)
-    c, rows = r.mean(), max(1, _BLOCK_CELLS // n)
-    for i in range(0, n, rows):
-        gram[i:i + rows] += c - r[i:i + rows, None] - r[None, :]
-    alpha = _solve_shifted(gram, n * lam, data.y - data.y.mean())
+    r = gram.mean(axis=1, dtype=np.float64)     # exact: sums of counts
+    c, blocks = r.mean(), _LowerTriangle.empty_blocks(n)
+    for blk in blocks:
+        i0, i1 = blk.shape[1] - blk.shape[0], blk.shape[1]
+        blk[...] = gram[i0:i1, :i1]
+        ri, rows = r[i0:i1], max(1, _BLOCK_CELLS // i1)
+        for i in range(0, i1 - i0, rows):
+            blk[i:i + rows] += c - ri[i:i + rows, None] - r[None, :i1]
+    del gram
+    alpha = _solve_shifted(_LowerTriangle(blocks), n * lam, data.y - data.y.mean())
     ids = kmer_ids(data.codes, A, K)
     w = np.bincount(ids.ravel(), np.repeat(alpha, ids.shape[1]), minlength=off[-1])
     means = np.bincount(ids.ravel(), minlength=off[-1]) / n

@@ -206,6 +206,15 @@ class TestSlope:
         with pytest.raises(DegenerateFeatureError):
             firm_slope(np.arange(4.0), np.ones(4))
 
+    @pytest.mark.parametrize("estimator", [firm_slope, slope_stderr])
+    def test_column_of_tenths_is_constant(self, estimator):
+        """Seven 0.1s have a computed variance of 1.9e-34, not 0; the exact
+        test min = max refuses them all the same."""
+        F = np.column_stack([np.full(7, 0.1), np.arange(7.0)])
+        assert np.var(F[:, 0]) > 0.0
+        with pytest.raises(DegenerateFeatureError, match="^feature x1 is constant$"):
+            estimator(F[:, 1] ** 2, F)
+
     def test_columns_match_single_column_calls(self):
         rng = np.random.default_rng(8)
         F = rng.normal(size=(30, 3))

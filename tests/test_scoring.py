@@ -9,13 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import firm.scoring
 from firm import (BudgetExceededError, FirmError, KernelExpansionScorer, KernelSpec,
                   LinearScorer, SequenceDataset,
                   TabularDataset, gradient_at, score_many,
                   train_kernel_ridge, train_least_squares,
                   train_positional_kmer, train_ridge)
 from firm.dataset import DNA_ALPHABET, encode_sequences
-from firm.scoring import _BLOCK_CELLS, _solve_shifted, kmer_ids, kmer_offsets
+from firm.scoring import (_BLOCK_CELLS, _TRI_ROWS, _LowerTriangle, _solve_shifted, kmer_ids,
+                          kmer_offsets)
 
 from helpers import (all_pm1_rows, central_difference_gradient, explicit_kmer_ridge,
                      kernel_gradient_at, kmer_scorer, kmer_weight, reference_gram)
@@ -268,6 +270,29 @@ class TestGram:
         assert kernel.gram(A, B).tobytes() == reference_gram(kernel, A, B).tobytes()
 
 
+class TestLowerTriangle:
+    """A symmetric matrix kept as row blocks of its lower triangle."""
+
+    @given(st.sampled_from([1, 255, 256, 257, 700]), st.sampled_from([(), (3,)]),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_product_matches_the_full_matrix(self, n, tail, seed):
+        """Random blocks, not symmetric as drawn: the diagonal squares are
+        mirrored, so full() is exactly symmetric and keeps every block's
+        cells on and below the diagonal; S @ V for a vector or a matrix V
+        is full() @ V to within 1e-13 of the terms' magnitudes."""
+        rng = np.random.default_rng(seed)
+        drawn = rng.normal(size=(n, n))
+        S = _LowerTriangle([drawn[i0:i0 + _TRI_ROWS, :i0 + _TRI_ROWS].copy()
+                            for i0 in range(0, n, _TRI_ROWS)])
+        M = S.full()
+        assert (M == M.T).all() and (np.tril(M) == np.tril(drawn)).all()
+        V = rng.normal(size=(n,) + tail)
+        got = S @ V
+        assert got.shape == V.shape
+        assert (np.abs(got - M @ V) <= 1e-13 * (np.abs(M) @ np.abs(V))).all()
+
+
 class TestKeptGram:
     """train_kernel_ridge's scorer reuses its training Gram matrix."""
 
@@ -301,8 +326,9 @@ class TestKeptGram:
     @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.variant)
     def test_kept_matrix_is_the_read_only_training_gram(self, kernel):
         ds, sc = self.trained(kernel)
-        assert not sc._gram.flags.writeable
-        assert sc._gram.tobytes() == kernel.gram(ds.X, ds.X).tobytes()
+        assert isinstance(sc._gram, _LowerTriangle)
+        assert not any(blk.flags.writeable for blk in sc._gram.blocks)
+        assert sc._gram.full().tobytes() == kernel.gram(ds.X, ds.X).tobytes()
 
     @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.variant)
     def test_training_rows_reuse_it_bitwise(self, kernel, monkeypatch):
@@ -331,19 +357,30 @@ class TestKeptGram:
             assert calls == [X.shape] * (2 if kernel.variant == "gaussian" else 1)
 
     @pytest.mark.parametrize("rows", [None, 300], ids=["training", "other"])
-    def test_gaussian_gradient_matches_one_expression_formula_bitwise(self, rows):
-        """(2/gamma^2) (K (alpha o P) - (K alpha) o Z) on the training rows
-        and on others; the kept Gram matrix stays intact."""
+    def test_gaussian_gradient_matches_one_expression_formula(self, rows):
+        """(2/gamma^2) (K (alpha o P) - (K alpha) o Z): bitwise on other
+        rows; on the training rows the kept blocks sum each product in
+        another order, so there within 1e-13 of the terms' magnitudes. The
+        kept Gram matrix stays intact, and equals the one-expression
+        matrix on these 515 rows (three blocks)."""
         rng = np.random.default_rng(13)
         X = rng.normal(size=(515, 3))
         kernel = KernelSpec.gaussian(1.5)
         sc = train_kernel_ridge(TabularDataset(X=X, y=np.sin(X[:, 0]), names=("a", "b", "c")),
                                 kernel, 0.01)
+        kept = [blk.tobytes() for blk in sc._gram.blocks]
         Z = X if rows is None else rng.normal(size=(rows, 3))
-        K, a = reference_gram(kernel, Z, X), sc.alpha
-        want = (2.0 / kernel.gamma ** 2) * (K @ (a[:, None] * X) - (K @ a)[:, None] * Z)
-        assert sc.gradient_many(Z).tobytes() == want.tobytes()
-        assert sc._gram.tobytes() == reference_gram(kernel, X, X).tobytes()
+        K, a, c = reference_gram(kernel, Z, X), sc.alpha, 2.0 / kernel.gamma ** 2
+        want = c * (K @ (a[:, None] * X) - (K @ a)[:, None] * Z)
+        got = sc.gradient_many(Z)
+        if rows is None:
+            size = c * (np.abs(K) @ np.abs(a[:, None] * X)
+                        + (np.abs(K) @ np.abs(a))[:, None] * np.abs(Z))
+            assert (np.abs(got - want) <= 1e-13 * size).all()
+        else:
+            assert got.tobytes() == want.tobytes()
+        assert [blk.tobytes() for blk in sc._gram.blocks] == kept
+        assert sc._gram.full().tobytes() == reference_gram(kernel, X, X).tobytes()
 
     @pytest.mark.parametrize("rows", [None, 300], ids=["training", "other"])
     def test_polynomial_gradient_matches_one_expression_formula_bitwise(self, rows):
@@ -371,7 +408,9 @@ class TestKeptGram:
         kernel = KernelSpec.gaussian(1.0)
         monkeypatch.setattr(np.linalg, "solve", None)     # CG path only
         sc = train_kernel_ridge(ds, kernel, 0.1)
-        assert sc._gram.tobytes() == kernel.gram(ds.X, ds.X).tobytes()
+        fresh = kernel.self_gram(ds.X)
+        assert [b.tobytes() for b in sc._gram.blocks] == [b.tobytes() for b in fresh.blocks]
+        assert sc._gram.full().tobytes() == kernel.gram(ds.X, ds.X).tobytes()
 
     def test_training_leaves_data_unchanged(self):
         rng = np.random.default_rng(12)
@@ -395,41 +434,45 @@ class TestShiftedSolve:
         X = rng.normal(size=(n, 6))
         if kernel.variant == "polynomial":
             X *= 0.3
-        P = kernel.gram(X, X)
+        P = kernel.self_gram(X)
         return P, n * lam, np.sin(X[:, 0]) + X[:, 1] * X[:, 2]
 
     @staticmethod
     def lu(P, shift, b):
-        M = P.copy()
+        M = P.full()
         M[np.diag_indices(len(b))] += shift
         return M, np.linalg.solve(M, b)
 
     @staticmethod
+    def bits(P):
+        return [blk.tobytes() for blk in P.blocks]
+
+    @staticmethod
     def count_matvecs(monkeypatch, perturb=None):
         calls = []
-        dot = np.dot
+        matmul = _LowerTriangle.__matmul__
 
-        def counted(M, v, out):
+        def counted(P, v):
             calls.append(1)
-            dot(M, v, out=out)
+            out = matmul(P, v)
             if perturb is not None:
-                perturb(out)
+                perturb(out, v)
             return out
 
-        monkeypatch.setattr(np, "dot", counted)
+        monkeypatch.setattr(_LowerTriangle, "__matmul__", counted)
         return calls
 
     @pytest.mark.parametrize("kernel", [KernelSpec.gaussian(1.0), KernelSpec.polynomial(2, 0.0)],
                              ids=lambda k: k.variant)
     def test_well_conditioned_takes_cg(self, kernel, monkeypatch):
         P, shift, b = self.system(kernel, 0.1)
-        before = P.tobytes()
+        before = self.bits(P)
         M, ref = self.lu(P, shift, b)
-        kappa = 1.0 + np.sqrt(np.vdot(P, P)) / shift
+        kappa = 1.0 + np.linalg.norm(P.full()) / shift
         calls = self.count_matvecs(monkeypatch)
         monkeypatch.setattr(np.linalg, "solve", None)
         x = _solve_shifted(P, shift, b)
-        assert 2 <= len(calls) < self.N / 32 and P.tobytes() == before
+        assert 2 <= len(calls) < self.N / 32 and self.bits(P) == before
         r_cg, r_lu = (np.linalg.norm(b - M @ v) for v in (x, ref))
         assert r_cg <= self.TOL * np.linalg.norm(b)
         # x - ref = M^-1 (r_lu - r_cg) and ||b|| <= ||M|| ||ref||, so the
@@ -442,11 +485,11 @@ class TestShiftedSolve:
         """CG runs its whole budget of 64 steps, one residual product fails
         the check, and LU's bits are returned."""
         P, shift, b = self.system(KernelSpec.gaussian(1.0), 1e-12)
-        before = P.tobytes()
+        before = self.bits(P)
         _, ref = self.lu(P, shift, b)
         calls = self.count_matvecs(monkeypatch)
         x = _solve_shifted(P, shift, b)
-        assert len(calls) == 64 + 1 and P.tobytes() == before
+        assert len(calls) == 64 + 1 and self.bits(P) == before
         assert x.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("lam", [0.01, 0.002])
@@ -467,7 +510,7 @@ class TestShiftedSolve:
         """P = scale * I at n = 10, at both ends of the float range: a CG
         step or two and one residual product, no overflow, and LU's answer
         to the last bit or two."""
-        P, b = scale * np.eye(10), np.arange(1.0, 11.0)
+        P, b = _LowerTriangle([scale * np.eye(10)]), np.arange(1.0, 11.0)
         _, ref = self.lu(P, 1.0, b)
         calls = self.count_matvecs(monkeypatch)
         monkeypatch.setattr(np.linalg, "solve", None)
@@ -482,11 +525,12 @@ class TestShiftedSolve:
         _, ref = self.lu(P, shift, b)
         rng = np.random.default_rng(0)
 
-        def perturb(out):
+        def perturb(out, v):
             if fault == "noisy":      # an answer that cannot pass the residual check
                 out += 1e-6 * np.abs(out).max() * rng.normal(size=out.size)
-            else:                     # p'Mp < 0: breakdown at the first step
+            else:                     # Mv becomes -Mv, so p'Mp < 0: breakdown at the first step
                 np.negative(out, out=out)
+                out -= 2.0 * shift * v
 
         calls = self.count_matvecs(monkeypatch, perturb)
         x = _solve_shifted(P, shift, b)
@@ -553,10 +597,11 @@ class TestPositionalKmerTrainer:
         assert (seen == 0).any()
         assert (sc.weights[seen == 0] == 0.0).all()
 
-    def test_blocked_centring_matches_one_expression_centring(self):
-        """A fit on more rows than a centring block (31 of 515 rows, the last
-        one 19) equals, bit for bit, the same dual fit with the Gram matrix
-        centred in one expression."""
+    def test_blocked_centring_matches_one_expression_centring(self, monkeypatch):
+        """A fit on more rows than a block (515: two blocks of 256 rows and
+        one of 3) hands the solve, bit for bit, the Gram matrix centred in
+        one expression, and its weights are the bincounts of that solve's
+        answer."""
         rng = np.random.default_rng(21)
         n, L, K, lam = 515, 8, 2, 0.05
         seqs = tuple("".join(rng.choice(list("ACGT"), size=L)) for _ in range(n))
@@ -568,10 +613,20 @@ class TestPositionalKmerTrainer:
         gram = design @ design.T                  # shared-substring counts, exact
         r = gram.mean(axis=1)
         gram += r.mean() - r[:, None] - r[None, :]
-        alpha = _solve_shifted(gram, n * lam, ds.y - ds.y.mean())
+        solved = []
+
+        def solve(P, shift, b):
+            solved.append(P)
+            return _solve_shifted(P, shift, b)
+
+        monkeypatch.setattr(firm.scoring, "_solve_shifted", solve)
+        sc = train_positional_kmer(ds, K=K, lam=lam)
+        (P,) = solved
+        assert [blk.shape[0] for blk in P.blocks] == [_TRI_ROWS, _TRI_ROWS, 3]
+        assert P.full().tobytes() == gram.tobytes()
+        alpha = _solve_shifted(P, n * lam, ds.y - ds.y.mean())
         w = np.bincount(ids.ravel(), np.repeat(alpha, ids.shape[1]), minlength=F)
         b = float(ds.y.mean() - (np.bincount(ids.ravel(), minlength=F) / n) @ w)
-        sc = train_positional_kmer(ds, K=K, lam=lam)
         assert sc.weights.tobytes() == w.tobytes()
         assert sc.b == b
 
