@@ -134,10 +134,16 @@ def _slope_moments(scores, F, names=None):
 
     Returns the centered columns (d-by-n, so each reduction runs along a
     contiguous row), the centered scores, each column's variance and its
-    covariance with the scores, and the column names.
+    covariance with the scores, and the column names. Each column is first
+    scaled by the power of two that brings its largest magnitude into
+    [0.5, 1): the slope importance and its standard error do not change
+    under a positive scaling, this one is exact, and the variance of a
+    column of tiny or huge values can then neither underflow nor overflow.
     """
     scores, F, names = feature_columns(scores, F, names)
-    Ft = np.ascontiguousarray(F.T)
+    Ft = np.array(F.T, order="C")               # a copy: scaled in place
+    _, exp = np.frexp(np.maximum(Ft.max(axis=1), -Ft.min(axis=1)))
+    np.ldexp(Ft, -exp[:, None], out=Ft)
     var_f = np.var(Ft, axis=1)
     fc = Ft - Ft.mean(axis=1, keepdims=True)
     sc = scores - scores.mean()

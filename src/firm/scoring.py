@@ -28,6 +28,9 @@ _BLOCK_CELLS = 1 << 14
 # 3.5 ms against 5.2 ms by the full matrix at n = 3000, and the same time at
 # n <= 2000 (one OpenBLAS thread, 2-core Xeon).
 _TRI_ROWS = 256
+# Word pairs per chunk of the k-mer Gram count: 1 MB for each of its uint64
+# temporaries, at most three at once.
+_KMER_CHUNK_WORDS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -488,61 +491,100 @@ def train_kernel_ridge(data: TabularDataset, kernel: KernelSpec,
     return scorer
 
 
+def _kmer_gram_blocks(codes: np.ndarray, K: int) -> list[np.ndarray]:
+    """The _LowerTriangle.empty_blocks of G, filled with G[a, b], the number
+    of (degree k <= K, position) substrings the coded DNA sequences a and b
+    share; each block's diagonal square is filled whole. See
+    train_positional_kmer for the method."""
+    n, L = codes.shape
+    W = -(-L // 64)
+
+    def words(bits: np.ndarray) -> np.ndarray:
+        """Rows of 0/1 positions as uint64 words, position p at bit p % 64
+        of word p // 64, laid out word-major (W x rows)."""
+        packed = np.zeros((bits.shape[0], 8 * W), dtype=np.uint8)
+        packed[:, :-(-L // 8)] = np.packbits(bits, axis=1, bitorder="little")
+        return np.ascontiguousarray(packed.view("<u8").T, dtype=np.uint64)
+
+    lo, hi = words(codes & 1), words(codes >> 1)
+    valid = words(np.ones((1, L), dtype=np.uint8))[:, :, None]
+    blocks = _LowerTriangle.empty_blocks(n)
+    for blk in blocks:
+        i0, i1 = blk.shape[1] - blk.shape[0], blk.shape[1]
+        cols = min(i1, max(1, _KMER_CHUNK_WORDS // W))
+        rows = max(1, _KMER_CHUNK_WORDS // (W * cols))
+        for r0 in range(i0, i1, rows):
+            a = slice(r0, min(r0 + rows, i1))
+            for c0 in range(0, i1, cols):
+                b = slice(c0, min(c0 + cols, i1))
+                run = np.bitwise_xor(lo[:, a, None], lo[:, None, b])
+                step = np.bitwise_xor(hi[:, a, None], hi[:, None, b])
+                run |= step
+                np.invert(run, out=run)
+                run &= valid                    # bit p: the letters at p match
+                count = np.zeros(run.shape[1:], dtype=np.int32)
+                for k in range(1, K + 1):
+                    if k > 1:                   # bit p: the k letters from p match
+                        np.right_shift(run, 1, out=step)
+                        step[:-1] |= run[1:] << 63
+                        run &= step
+                    count += np.bitwise_count(run).sum(axis=0, dtype=np.int32)
+                blk[a.start - i0:a.stop - i0, b] = count
+    return blocks
+
+
 def train_positional_kmer(data: SequenceDataset, K: int, lam: float) -> PositionalKmerScorer:
     """Ridge regression on the positional substring indicators, in the dual.
 
-    The n x n Gram matrix G of shared substrings is summed in float32 from
-    the one-hot codes of a few positions at a time, so the n x F design
-    never exists. Every entry is a count of at most the number of positional
-    substrings, sum_k (L - k + 1): 297 at L = 100, K = 3, and below 2.5
-    million under the weight budget. Counts below 2^24 are exact in float32,
-    so G is bitwise the float64 sum. G is widened to float64 and centred
-    as H G H, whose null space holds the ones vector, one _TRI_ROWS-row
-    block of its lower triangle at a time (the _LowerTriangle form of
-    train_kernel_ridge), so the dual solution alpha sums to 0 and each
-    weight is its substring's alpha-weighted count (bincount), exactly 0
-    for a substring that never occurs. The dual system is solved by
-    _solve_shifted, as in train_kernel_ridge.
+    The n x n Gram matrix G of shared substrings (the weighted-degree kernel
+    with unit weights) is counted 64 positions per machine word, in the
+    manner of Myers' bit-vector matching (JACM 1999), so no n x F design or
+    one-hot code ever exists. Bit 0 and bit 1 of the DNA codes (0-3) are
+    packed into two bit planes of W = ceil(L / 64) little-endian words per
+    sequence. For sequences a and b, run = ~((lo_a ^ lo_b) | (hi_a ^ hi_b))
+    with the bits at L and above cleared has bit p set where the letters at
+    p match; after k - 1 steps of run &= run >> 1, the shift carrying bit 0
+    of each word into bit 63 of the word before, bit p is set where the
+    length-k substrings at p match. The popcount of run, summed over the
+    words and the degrees 1..K, is G[a, b]. Each count is an integer of at
+    most sum_k (L - k + 1), below 2.5 million under the weight budget, so
+    int32 sums and float64 cells hold it exactly: G is bitwise the float64
+    sum of the one-hot products.
 
-    The fit's peak is reached while G is summed: the float32 G and one
-    float32 n x n product, beside the n x (positions summed over degrees)
-    substring ids and one float32 one-hot buffer of the widest chunk,
-    reused by every chunk. The product, the buffer and the ids are released
-    before G is widened, so widening holds the float32 G beside the float64
-    blocks, and the solve holds only the blocks, n(n + 256)/2 cells; if CG
-    fails, LU adds two full n x n arrays, where the full G and LU's copy of
-    it were two in all. The ids are recomputed for the bincounts after it.
+    G is counted straight into the _TRI_ROWS-row blocks of its lower
+    triangle (the _LowerTriangle form of train_kernel_ridge), each block in
+    chunks of _KMER_CHUNK_WORDS word pairs. Its row sums are read exactly
+    from the blocks, and G is centred as H G H, whose null space holds the
+    ones vector, one block at a time, so the dual solution alpha sums to 0
+    and each weight is its substring's alpha-weighted count (bincount),
+    exactly 0 for a substring that never occurs. The dual system is solved
+    by _solve_shifted, as in train_kernel_ridge.
+
+    The fit's peak is the blocks, n(n + _TRI_ROWS)/2 cells, plus one
+    chunk's temporaries: at most three uint64 arrays of _KMER_CHUNK_WORDS
+    words (1 MB each) and their popcounts. If CG fails, LU adds two full
+    n x n arrays. The blocks are released before the n x (positions summed
+    over degrees) substring ids are computed for the bincounts.
     """
     if not 0 < lam < np.inf:
         raise FirmError("lambda must be finite and > 0")
     A, L, n = len(DNA_ALPHABET), data.length, data.n
     off = kmer_offsets(A, L, K)
-    ids = kmer_ids(data.codes, A, K)
-    steps = [max(1, 2048 // A ** k) for k in range(1, K + 1)]  # ~2048 one-hot columns a chunk
-    buf = np.empty(n * max(min(s, L - k + 1) * A ** k for k, s in enumerate(steps, 1)),
-                   dtype=np.float32)
-    gram, prod = np.zeros((n, n), dtype=np.float32), np.empty((n, n), dtype=np.float32)
-    col = 0
-    for k, step in enumerate(steps, 1):
-        for i0 in range(0, L - k + 1, step):
-            cols = ids[:, col + i0:col + min(i0 + step, L - k + 1)]
-            width = cols.shape[1] * A ** k
-            onehot = buf[:n * width].reshape(n, width)
-            onehot.fill(0.0)
-            np.put_along_axis(onehot, cols - (off[k - 1] + i0 * A ** k), 1.0, axis=1)
-            gram += np.matmul(onehot, onehot.T, out=prod)
-        col += L - k + 1
-    del onehot, buf, prod, cols, ids            # views included: only G is widened
-    r = gram.mean(axis=1, dtype=np.float64)     # exact: sums of counts
-    c, blocks = r.mean(), _LowerTriangle.empty_blocks(n)
+    blocks = _kmer_gram_blocks(data.codes, K)
+    r = np.zeros(n)
+    for blk in blocks:                          # exact: sums of counts
+        i0, i1 = blk.shape[1] - blk.shape[0], blk.shape[1]
+        r[i0:i1] += blk.sum(axis=1)
+        r[:i0] += blk[:, :i0].sum(axis=0)       # G[j, i0:i1] of the rows j above
+    r /= n                                      # G's row means
+    c = r.mean()
     for blk in blocks:
         i0, i1 = blk.shape[1] - blk.shape[0], blk.shape[1]
-        blk[...] = gram[i0:i1, :i1]
         ri, rows = r[i0:i1], max(1, _BLOCK_CELLS // i1)
         for i in range(0, i1 - i0, rows):
             blk[i:i + rows] += c - ri[i:i + rows, None] - r[None, :i1]
-    del gram
     alpha = _solve_shifted(_LowerTriangle(blocks), n * lam, data.y - data.y.mean())
+    del blocks, blk                             # views included: the buffer goes
     ids = kmer_ids(data.codes, A, K)
     w = np.bincount(ids.ravel(), np.repeat(alpha, ids.shape[1]), minlength=off[-1])
     means = np.bincount(ids.ravel(), minlength=off[-1]) / n

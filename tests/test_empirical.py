@@ -215,6 +215,34 @@ class TestSlope:
         with pytest.raises(DegenerateFeatureError, match="^feature x1 is constant$"):
             estimator(F[:, 1] ** 2, F)
 
+    @pytest.mark.parametrize("scale", [1e-200, 1e300])
+    def test_tiny_and_huge_columns(self, scale):
+        """The variance of such a column underflows or overflows unless the
+        column is rescaled first; the values are those of the unit column."""
+        s = np.arange(1.0, 5.0)
+        assert firm_slope(s, [scale, 0.0, 0.0, scale])[0].q_signed == 0.0
+        assert slope_stderr(s, [scale, 0.0, 0.0, scale])[0] == pytest.approx(
+            slope_stderr(s, [1.0, 0.0, 0.0, 1.0])[0], rel=1e-15)
+        assert firm_slope(s, [0.0, 0.0, scale, scale])[0].q_signed == pytest.approx(
+            firm_slope(s, [0.0, 0.0, 1.0, 1.0])[0].q_signed, rel=1e-15)
+        assert slope_stderr(s, [0.0, 0.0, scale, scale])[0] == pytest.approx(
+            slope_stderr(s, [0.0, 0.0, 1.0, 1.0])[0], rel=1e-15)
+
+    @pytest.mark.parametrize("power", [700, -700])
+    def test_power_of_two_scaling_changes_no_bit(self, power):
+        rng = np.random.default_rng(10)
+        F = rng.normal(size=(40, 3)) * [1.0, 1e-3, 50.0]
+        s = F @ [1.0, -2.0, 0.5] + rng.normal(size=40)
+        G = np.ldexp(F, power)
+        assert ([r.q_signed for r in firm_slope(s, G)]
+                == [r.q_signed for r in firm_slope(s, F)])
+        assert slope_stderr(s, G).tobytes() == slope_stderr(s, F).tobytes()
+
+    def test_caller_columns_are_not_scaled(self):
+        fv = np.array([0.0, 3.0, 1.0, 2.0])
+        firm_slope(np.arange(4.0), fv)
+        assert fv.tolist() == [0.0, 3.0, 1.0, 2.0]
+
     def test_columns_match_single_column_calls(self):
         rng = np.random.default_rng(8)
         F = rng.normal(size=(30, 3))

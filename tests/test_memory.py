@@ -122,8 +122,8 @@ def random_dna(n, length, seed):
 
 
 def test_kmer_fit_holds_only_the_gram_matrix_at_the_solve(monkeypatch):
-    """The one-hot buffer (2048 float32 columns here, 1.02 x 8n^2) and the
-    substring ids are released before the dual solve is entered."""
+    """Only the Gram matrix's blocks (0.625 x 8n^2) and a few vectors are
+    held when the dual solve is entered; the substring ids come after it."""
     n = 1000
     data = random_dna(n, 100, seed=4)
     solve, held = firm.scoring._solve_shifted, []
@@ -142,14 +142,15 @@ def test_kmer_fit_holds_only_the_gram_matrix_at_the_solve(monkeypatch):
     assert len(held) == 1 and held[0] <= 1.1 * 8 * n * n
 
 
-def test_kmer_fit_sums_the_gram_matrix_in_float32():
-    """While G is summed the fit holds the float32 G and product (1.0 x 8n^2),
-    the one-hot buffer (1.02 x 8n^2) and the ids (0.3 x 8n^2); a float64 G
-    would add 0.5 x 8n^2."""
+def test_kmer_fit_builds_no_one_hot_design():
+    """The fit holds the Gram matrix's blocks (0.625 x 8n^2) plus one
+    chunk's bit-count temporaries, and after the solve the substring ids;
+    a one-hot design (1.02 x 8n^2 for 2048 float32 columns) or a second
+    n x n matrix would not fit under the bound."""
     n = 1000
     data = random_dna(n, 100, seed=4)
     peak, _ = traced_peak(lambda: train_positional_kmer(data, K=3, lam=0.1))
-    assert peak <= 2.6 * 8 * n * n
+    assert peak <= 1.2 * 8 * n * n
 
 
 def test_poim_tsv_makes_no_fixed_width_label_column():

@@ -16,11 +16,12 @@ from firm import (BudgetExceededError, FirmError, KernelExpansionScorer, KernelS
                   train_kernel_ridge, train_least_squares,
                   train_positional_kmer, train_ridge)
 from firm.dataset import DNA_ALPHABET, encode_sequences
-from firm.scoring import (_BLOCK_CELLS, _TRI_ROWS, _LowerTriangle, _solve_shifted, kmer_ids,
-                          kmer_offsets)
+from firm.scoring import (_BLOCK_CELLS, _TRI_ROWS, _kmer_gram_blocks, _LowerTriangle,
+                          _solve_shifted, kmer_ids, kmer_offsets)
 
 from helpers import (all_pm1_rows, central_difference_gradient, explicit_kmer_ridge,
-                     kernel_gradient_at, kmer_scorer, kmer_weight, reference_gram)
+                     kernel_gradient_at, kmer_scorer, kmer_weight, onehot_kmer_gram,
+                     reference_gram)
 
 
 class TestScore:
@@ -542,6 +543,49 @@ class TestShiftedSolve:
         with np.errstate(all="raise"):
             x = _solve_shifted(P, shift, np.zeros_like(b))
         assert x.tobytes() == np.zeros(self.N).tobytes()
+
+
+class TestKmerGram:
+    """The bit-parallel count of shared positional substrings against the
+    one-hot product; word boundaries (L = 63, 64, 65, 128, 129) are where a
+    lost carry would show."""
+
+    @staticmethod
+    def assert_blocks_equal(codes, K, want):
+        blocks = _kmer_gram_blocks(codes, K)
+        assert sum(blk.shape[0] for blk in blocks) == codes.shape[0]
+        for blk in blocks:
+            i0, i1 = blk.shape[1] - blk.shape[0], blk.shape[1]
+            assert blk.tobytes() == want[i0:i1, :i1].astype(np.float64).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.sampled_from([1, 2, 63, 64, 65, 257]),
+           L=st.sampled_from([1, 2, 63, 64, 65, 128, 129]),
+           K=st.integers(1, 4), mutate=st.sampled_from([0.01, 0.1, 0.75]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_one_hot_product_bitwise(self, n, L, K, mutate, seed):
+        """Sequences mutated from one base share long runs, so matches
+        cross the word boundaries at every degree."""
+        K = min(K, L)
+        rng = np.random.default_rng(seed)
+        base = rng.integers(0, 4, size=L)
+        codes = np.where(rng.random((n, L)) < mutate, rng.integers(0, 4, size=(n, L)),
+                         base).astype(np.uint8)
+        self.assert_blocks_equal(codes, K, onehot_kmer_gram(codes, K))
+
+    @pytest.mark.parametrize("L", [64, 65, 128, 129])
+    @pytest.mark.parametrize("other", [1, 2, 3], ids=["low-bit", "high-bit", "both-bits"])
+    def test_one_difference_at_a_word_end(self, L, other):
+        """Two sequences that differ only at position p (the last bit of a
+        word, or the last position) share every substring not covering p."""
+        K = 4
+        for p in sorted({63, L - 1} | ({127} if L > 127 else set())):
+            codes = np.zeros((2, L), dtype=np.uint8)
+            codes[1, p] = other
+            same = sum(L - k + 1 for k in range(1, K + 1))
+            covering = sum(min(p, L - k) - max(0, p - k + 1) + 1 for k in range(1, K + 1))
+            want = np.array([[same, same - covering], [same - covering, same]])
+            self.assert_blocks_equal(codes, K, want)
 
 
 class TestPositionalKmerTrainer:
