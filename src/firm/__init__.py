@@ -6,7 +6,7 @@ binary features, normal models, and positional oligomers over sequences;
 a binned estimator covers arbitrary samples.
 """
 
-from .binary import firm_binary_exact, firm_binary_values, firm_uniform_conjunction
+from .binary import firm_binary_exact, firm_binary_values
 from .dataset import (CovarianceEstimate, SequenceDataset, TabularDataset,
                       empirical_covariance, load_sequences, load_tabular,
                       shrinkage_covariance)
@@ -15,14 +15,12 @@ from .empirical import (ConditionalScoreCurve, conditional_curve, default_bins,
 from .errors import (BudgetExceededError, DataFormatError,
                      DegenerateFeatureError, FirmError)
 from .features import Projection, SignedConjunction, Xor
-from .gaussian import (firm_gaussian_general, firm_regression_closed_form,
-                       sensitivity_index)
+from .gaussian import firm_gaussian_general, sensitivity_index
 from .results import BinaryStats, FirmResult
 from .scoring import (KernelExpansionScorer, KernelSpec, LinearScorer,
                       PositionalKmerScorer, gradient_at, score_many,
                       train_kernel_ridge, train_least_squares,
                       train_positional_kmer, train_ridge)
-from .sequence import (PoimTable, conditional_expected_score, expected_score,
-                       hamming_ball, poim, ranked_oligomers)
+from .sequence import PoimTable, hamming_ball, poim, ranked_oligomers
 
 __version__ = "0.1.0"

@@ -16,13 +16,12 @@ finite, nonnegative and sum to 1, and are never rescaled.
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DegenerateFeatureError, FirmError
-from .features import FeatureFunction, SignedConjunction, feature_columns
+from .features import FeatureFunction, feature_columns
 from .results import BinaryStats, FirmResult
 from .scoring import Scorer, score_many
 
@@ -77,26 +76,3 @@ def firm_binary_exact(scorer: Scorer, features: Sequence[FeatureFunction],
     F = np.column_stack([f.evaluate_rows(points) for f in features])
     return firm_binary_values(score_many(scorer, points), F, probs=probs,
                               names=[f.describe() for f in features])
-
-
-def firm_uniform_conjunction(w: np.ndarray, b: float,
-                             literals: tuple[tuple[int, int], ...]) -> FirmResult:
-    """Closed-form importance of a signed conjunction under uniform ±1 inputs.
-
-    For m distinct literals the indicator fires with probability p = 2^-m
-    and the importance of the conjunction under a linear scorer w is
-    (sum of signed weights) * sqrt(p / (1 - p)).
-    """
-    f = SignedConjunction(literals=tuple(literals))  # validates
-    w = np.asarray(w, dtype=np.float64).ravel()
-    for j, _ in f.literals:
-        if not 0 <= j < w.size:
-            raise FirmError(f"literal index {j} out of range for d={w.size}")
-    m = len(f.literals)
-    p = 2.0 ** (-m)
-    signed_sum = float(sum(s * w[j] for j, s in f.literals))
-    q = signed_sum * math.sqrt(p / (1.0 - p))
-    q_a = signed_sum + b
-    q_b = -signed_sum * p / (1.0 - p) + b
-    return FirmResult(feature=f.describe(), q_signed=q, method="uniform_conjunction",
-                      extras=BinaryStats(q_a=q_a, q_b=q_b, p_a=p, p_b=1.0 - p))

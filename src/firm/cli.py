@@ -18,8 +18,8 @@ import numpy as np
 from . import _emit, experiments
 from .binary import firm_binary_values
 from .dataset import (CovarianceEstimate, TabularDataset, empirical_covariance,
-                      load_sequences, load_tabular, open_utf8, refuse_constant_column,
-                      shrinkage_covariance)
+                      load_sequences, load_tabular, loadtxt_rows, open_utf8,
+                      refuse_constant_column, shrinkage_covariance)
 from .empirical import conditional_curve, default_bins, firm_from_curve, firm_slope
 from .errors import DataFormatError, FirmError
 from .gaussian import firm_gaussian_general, sensitivity_index
@@ -49,10 +49,11 @@ def parse_kernel(text: str, degree: int) -> KernelSpec:
 
 
 def load_covariance_file(path: str, names: tuple[str, ...]) -> CovarianceEstimate:
-    """The square matrix in path: rows of comma- or tab-separated numbers,
-    blank and '#' lines skipped. A first line `#<TAB>name...`, the header
-    `firm covariance` writes, means each row starts with its name; the
-    header's and the rows' names must then be `names`, in order."""
+    """The square matrix in path: rows of comma- or tab-separated numbers in
+    load_tabular's grammar, blank and '#' lines skipped. A first line
+    `#<TAB>name...`, the header `firm covariance` writes, means each row
+    starts with its name; the header's and the rows' names must then be
+    `names`, in order."""
     rows, row_names, header = [], [], None
     with open_utf8(path) as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -67,11 +68,10 @@ def load_covariance_file(path: str, names: tuple[str, ...]) -> CovarianceEstimat
                 raise DataFormatError(f"{path}: line {line_no} has an empty cell")
             if header is not None:
                 row_names.append(cells.pop(0))
-            try:
-                rows.append([float(c) for c in cells])
-            except ValueError:
-                raise DataFormatError(
-                    f"{path}: line {line_no} is not numeric") from None
+            values = loadtxt_rows([",".join(cells)])   # the grammar of load_tabular
+            if values is None:
+                raise DataFormatError(f"{path}: line {line_no} is not numeric")
+            rows.append(values[0])
     for listed in (header, row_names) if header is not None else ():
         for j, (got, want) in enumerate(itertools.zip_longest(listed, names), start=1):
             if got != want:
@@ -227,8 +227,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=42, help=f"{text} (default %(default)s)")
 
     p = sub.add_parser("analyze", help="importance of every column/oligomer")
+    numbers = ("CSV cells are ASCII decimal or exponent numbers such as -2.5, .5 or "
+               "1E-7, padding allowed; 1_0 and non-ASCII digits are refused")
     p.add_argument("--input", required=True, help="CSV (tabular, labeled) or "
-                   "TSV sequence file")
+                   f"TSV sequence file; {numbers}")
     p.add_argument("--method", required=True,
                    choices=TABULAR_METHODS + SEQUENCE_METHODS,
                    help="gaussian linearises the scorer at the column means, "
@@ -260,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     seeded(p, cmd_analyze, "recorded in run.json; changes no other artifact")
 
     p = sub.add_parser("covariance", help="write the covariance estimate")
-    p.add_argument("--input", required=True)
+    p.add_argument("--input", required=True, help=f"CSV with a header row; {numbers}")
     p.add_argument("--covariance", default="empirical",
                    help="empirical | shrunk | file:PATH (default %(default)s)")
     p.add_argument("--has-labels", action="store_true",

@@ -7,7 +7,6 @@ compare by identity, so shared instances are safe under concurrent use.
 from __future__ import annotations
 
 import itertools
-import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -97,11 +96,14 @@ def encode_sequences(sequences, alphabet: tuple[str, ...],
                      length: int | None = None) -> np.ndarray:
     """Sequences as a read-only n x length uint8 array of alphabet indices.
 
-    length defaults to that of the first sequence. The first sequence with
-    another length or a symbol outside the alphabet raises DataFormatError
-    naming its 1-based place in the list.
+    length defaults to that of the first sequence, so without it an empty
+    list raises FirmError. The first sequence with another length or a
+    symbol outside the alphabet raises DataFormatError naming its 1-based
+    place in the list.
     """
     seqs = list(sequences)
+    if not seqs and length is None:
+        raise FirmError("no sequences")
     L = len(seqs[0]) if length is None else length
     _check_sequences(enumerate(seqs, start=1), alphabet, L)
     text = "".join(seqs).translate({ord(a): i for i, a in enumerate(alphabet)})
@@ -119,9 +121,7 @@ class SequenceDataset:
 
     def __post_init__(self):
         seqs = tuple(self.sequences)
-        if not seqs:
-            raise FirmError("no sequences")
-        codes = encode_sequences(seqs, DNA_ALPHABET)      # checks lengths and symbols
+        codes = encode_sequences(seqs, DNA_ALPHABET)      # checks count, lengths, symbols
         y = _frozen(np.asarray(self.y).ravel())
         if y.shape[0] != len(seqs):
             raise FirmError("label vector length does not match sequence count")
@@ -185,88 +185,75 @@ def open_utf8(path):
             raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
-def _parse_cell(raw: str, line_no: int, col_name: str) -> float:
-    try:
-        v = float(raw)
-    except ValueError:
-        raise DataFormatError(
-            f"cell at line {line_no}, column '{col_name}' does not parse "
-            f"as a number: {raw!r}") from None
-    if not math.isfinite(v):
-        raise DataFormatError(
-            f"non-finite value at line {line_no}, column '{col_name}': {raw!r}")
-    return v
-
-
 def _nonblank_lines(fh):
     """(1-based line in the file, line) for each line of fh that is not blank."""
     return ((line_no, ln) for line_no, ln in enumerate(fh, start=1) if ln.strip() != "")
 
 
-def _split_header(line: str) -> list[str]:
-    return [h.strip() for h in line.rstrip("\n").split(",")]
+def loadtxt_rows(lines, **kw) -> np.ndarray | None:
+    """The comma-separated lines as float64 rows by np.loadtxt, the package's
+    one number parser; None where it refuses a cell or rows of unequal width."""
+    try:
+        return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, **kw)
+    except ValueError:
+        return None
 
 
-def _parse_rows(path) -> tuple[list[str], np.ndarray]:
-    """Header and n x len(header) data of a tabular file, one Python float per cell.
+def _read_table(path) -> tuple[list[str], np.ndarray]:
+    """Header and n x len(header) finite data of a tabular file.
 
-    The reference parser, and the source of every format error: blank
-    lines are skipped, but errors name a line by its place in the file.
+    A well-formed file is one np.loadtxt call over the open handle. Any
+    other is read again and its non-blank lines go to loadtxt; if they do
+    not read as a table, bisection finds the first line at fault, whose
+    width or first bad cell raises a DataFormatError naming its file line.
     """
-    with open_utf8(path) as fh:
-        lines = _nonblank_lines(fh)
-        first = next(lines, None)
-        if first is None:
-            raise DataFormatError(f"{path}: empty file")
-        header = _split_header(first[1])
-        ncols = len(header)
-        rows = []
-        for line_no, line in lines:
-            cells = line.rstrip("\n").split(",")
-            if len(cells) != ncols:
-                raise DataFormatError(
-                    f"{path}: ragged row at line {line_no}: "
-                    f"expected {ncols} cells, got {len(cells)}")
-            rows.append([_parse_cell(c.strip(), line_no, header[i])
-                         for i, c in enumerate(cells)])
-    if not rows:
-        raise DataFormatError(f"{path}: no data rows")
-    return header, np.array(rows, dtype=np.float64)
+    def table(lines):
+        data = loadtxt_rows(lines)
+        ok = data is not None and data.shape[1] == len(header) and np.isfinite(data).all()
+        return data if ok else None
 
-
-def _load_fast(path) -> tuple[list[str], np.ndarray] | None:
-    """Header and data of a well-formed tabular file through np.loadtxt.
-
-    None for a file that it rejects or reads as other than at least one
-    row of len(header) finite values; _parse_rows then decides.
-    """
     with open_utf8(path) as fh:
         lines = _nonblank_lines(fh)
         first, second = next(lines, None), next(lines, None)
-        if second is None:  # no data row, where loadtxt would warn
-            return None
-        header = _split_header(first[1])
-        try:
-            data = np.loadtxt(itertools.chain([second[1]], fh), delimiter=",",
-                              comments=None, dtype=np.float64, ndmin=2)
-        except ValueError:
-            return None
-    if data.shape[0] < 1 or data.shape[1] != len(header) or not np.isfinite(data).all():
-        return None
-    return header, data
+        if second is None:      # before loadtxt, which would warn
+            raise DataFormatError(f"{path}: {'no data rows' if first else 'empty file'}")
+        header = [h.strip() for h in first[1].rstrip("\n").split(",")]
+        data = table(itertools.chain([second[1]], fh))
+    if data is not None:
+        return header, data
+    with open_utf8(path) as fh:
+        line_nos, rows = zip(*list(_nonblank_lines(fh))[1:])
+    data, lo, hi = table(rows), 0, len(rows)    # rows[:lo] read as a table, rows[lo:hi] not
+    while data is None and hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if table(rows[lo:mid]) is None else (mid, hi)
+    if data is not None:
+        return header, data
+    at, cells = f"line {line_nos[lo]}", rows[lo].rstrip("\n").split(",")
+    if len(cells) != len(header):
+        raise DataFormatError(f"{path}: ragged row at {at}: "
+                              f"expected {len(header)} cells, got {len(cells)}")
+    for j, (name, raw) in enumerate(zip(header, map(str.strip, cells))):
+        value = loadtxt_rows([rows[lo]], usecols=[j])
+        if value is None:
+            raise DataFormatError(f"cell at {at}, column '{name}' does not parse as a "
+                                  f"number: {raw!r}")
+        if not np.isfinite(value).all():
+            raise DataFormatError(f"non-finite value at {at}, column '{name}': {raw!r}")
+    raise AssertionError("unreachable: the line reads as a table row")
 
 
 def load_tabular(path, has_labels: bool = False) -> TabularDataset:
     """Read a comma-separated file (header row, '.' decimals, no quoting).
 
-    With has_labels the last column holds the labels. A well-formed file
-    is read in one vectorised pass by np.loadtxt. Any other file, and any
-    cell loadtxt rejects but Python float accepts (such as '1_0'), is
-    parsed again cell by cell with Python float, which names the line and
-    column of the first bad cell or ragged row. Both paths give the
-    bitwise-same array or the same DataFormatError.
+    With has_labels the last column holds the labels. Blank lines are
+    skipped, but errors name a line by its place in the file. np.loadtxt
+    reads every cell: a number such as '-2.5', '.5', '1e3' or '1E-7' in
+    ASCII digits, whitespace padding allowed. Unlike Python float it refuses
+    '_' between digits ('1_0') and non-ASCII digits ('١٢', '１'); 'nan',
+    'inf' and '1e400' parse but are refused as non-finite.
     """
-    header, data = _load_fast(path) or _parse_rows(path)
+    header, data = _read_table(path)
     if has_labels:
         if len(header) < 2:
             raise DataFormatError(f"{path}: need at least one feature column plus labels")

@@ -76,6 +76,8 @@ def conditional_curve(scores, fvals, bins: int) -> ConditionalScoreCurve:
     n = fvals.size
     if scores.size != n:
         raise FirmError("scores and feature values must have equal length")
+    if not isinstance(bins, (int, np.integer)):
+        raise FirmError(f"bin count must be an integer, got {bins!r}")
     if bins < 2:
         raise FirmError("need at least 2 bins")
     if n < bins:

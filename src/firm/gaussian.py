@@ -24,18 +24,6 @@ from .scoring import Scorer, differentiable, gradient_at
 from typing import Sequence
 
 
-def _normal_model_results(sigma: np.ndarray, g: np.ndarray,
-                          names: Sequence[str] | None, method: str) -> list[FirmResult]:
-    """Q = D^-1 S g for every coordinate, D the diagonal of standard deviations."""
-    var = np.diag(sigma)
-    labels = column_names(names, var.size)
-    if (var <= 0).any():
-        raise DegenerateFeatureError(f"feature {labels[int(np.argmin(var))]} is constant")
-    q = (sigma @ g) / np.sqrt(var)
-    return [FirmResult(feature=labels[j], q_signed=float(q[j]), method=method)
-            for j in range(q.size)]
-
-
 def firm_gaussian_general(scorer: Scorer, cov: CovarianceEstimate, mean=None,
                           names: Sequence[str] | None = None) -> list[FirmResult]:
     """First-order importance of every coordinate for a differentiable scorer.
@@ -47,7 +35,14 @@ def firm_gaussian_general(scorer: Scorer, cov: CovarianceEstimate, mean=None,
     mean = np.zeros(cov.d) if mean is None else np.asarray(mean, dtype=np.float64).ravel()
     if mean.size != cov.d:
         raise FirmError("mean dimension does not match covariance")
-    return _normal_model_results(cov.sigma, gradient_at(scorer, mean), names, "gaussian")
+    g = gradient_at(scorer, mean)
+    var = np.diag(cov.sigma)
+    labels = column_names(names, cov.d)
+    if (var <= 0).any():
+        raise DegenerateFeatureError(f"feature {labels[int(np.argmin(var))]} is constant")
+    q = (cov.sigma @ g) / np.sqrt(var)
+    return [FirmResult(feature=f, q_signed=float(v), method="gaussian")
+            for f, v in zip(labels, q)]
 
 
 def sensitivity_index(scorer: Scorer, data: TabularDataset) -> list[FirmResult]:
@@ -62,26 +57,3 @@ def sensitivity_index(scorer: Scorer, data: TabularDataset) -> list[FirmResult]:
     g_sq = (differentiable(scorer).gradient_many(data.X) ** 2).mean(axis=0)
     return [FirmResult(feature=name, q_signed=float(v), method="sensitivity")
             for name, v in zip(data.names, np.sqrt(g_sq * np.var(data.X, axis=0)))]
-
-
-def firm_regression_closed_form(X: np.ndarray, y: np.ndarray, cov: CovarianceEstimate,
-                                names: Sequence[str] | None = None) -> list[FirmResult]:
-    """Importance of the unregularized regression fit, without training it.
-
-    Q = D^-1 S (X'X)^-1 X'y, S the covariance `cov`. With S = X'X/n this
-    collapses to Q = D^-1 X'y / n, the infinite-data limit. The implied
-    regression has no intercept, so pass column-centered X when comparing
-    against an intercept-fitting trainer.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64).ravel()
-    n, d = X.shape
-    if y.size != n:
-        raise FirmError("label vector length does not match row count")
-    if d != cov.d:
-        raise FirmError("data dimension does not match covariance")
-    G = X.T @ X
-    if np.linalg.matrix_rank(G) < d:
-        raise FirmError("singular empirical covariance; cannot invert X'X")
-    return _normal_model_results(cov.sigma, np.linalg.solve(G, X.T @ y),
-                                 names, "regression_closed_form")

@@ -95,26 +95,29 @@ def _string_probs(p: np.ndarray, m: int) -> np.ndarray:
     return reduce(np.multiply.outer, [p] * m, np.ones(())).ravel()
 
 
-def _window_shifts(scorer: PositionalKmerScorer, p: np.ndarray, k: int, j0: int,
-                   j1: int) -> np.ndarray:
-    """Q'(z, j) = E[s | X[j..j+k) = z] - E[s] for windows j0 <= j < j1, as a
-    (j1 - j0, A, ..., A) array with one letter axis per window position.
+def poim(scorer: PositionalKmerScorer, k: int, letter_prob: dict | None = None) -> PoimTable:
+    """Exact position-major table of conditional-mean shifts for all length-k
+    oligomers, in the scorer's alphabet order, under the background
+    letter_prob (_letter_probs); past DEFAULT_CELL_BUDGET cells, BudgetExceededError.
 
-    Per degree and offset o = i - j of the overlapping weights, letters of y
-    inside the window index its axes and those outside are contracted with
-    p; the window's sum of w p(y) is taken off.
+    Per degree and offset o = i - j of the weights overlapping window j,
+    letters of y inside the window index the window's letter axes and those
+    outside are contracted with p; the window's sum of w p(y) is taken off.
     """
-    A = len(p)
-    j = np.arange(j0, j1)
+    p = _letter_probs(scorer, letter_prob)
+    A, L = len(p), scorer.length
+    if not 1 <= k <= L:
+        raise FirmError(f"k must lie in [1, {L}]")
+    j = np.arange(L - k + 1)
     if j.size * A ** k > DEFAULT_CELL_BUDGET:
         raise BudgetExceededError(
             f"table would need {j.size * A ** k} cells; budget is {DEFAULT_CELL_BUDGET}")
-    out = np.zeros((j.size,) + (A,) * k)
+    out = np.zeros((j.size,) + (A,) * k)      # one letter axis per window position
     const = np.zeros(j.size)
     for d in range(1, scorer.max_degree + 1):
         W = scorer.block(d)
         for o in range(1 - d, k):
-            sel = (j + o >= 0) & (j + o <= scorer.length - d)
+            sel = (j + o >= 0) & (j + o <= L - d)
             lo, hi = max(0, -o), min(d, k - o)      # the letters of y inside the window
             V = W[j[sel] + o].reshape(-1, A ** lo, A ** (hi - lo), A ** (d - hi))
             inside = np.einsum("nlmr,l,r->nm", V, _string_probs(p, lo),
@@ -123,48 +126,9 @@ def _window_shifts(scorer: PositionalKmerScorer, p: np.ndarray, k: int, j0: int,
             out[sel] += inside.reshape((-1,) + (1,) * (o + lo) + (A,) * (hi - lo)
                                        + (1,) * (k - o - hi))
     out -= const.reshape((-1,) + (1,) * k)
-    return out
-
-
-def expected_score(scorer: PositionalKmerScorer, letter_prob: dict | None = None) -> float:
-    """E[s(X)] under the background: bias plus prob-weighted weights."""
-    p = _letter_probs(scorer, letter_prob)
-    return scorer.b + sum(float(scorer.block(d).reshape(-1, len(p) ** d).sum(axis=0)
-                                @ _string_probs(p, d))
-                          for d in range(1, scorer.max_degree + 1))
-
-
-def conditional_expected_score(scorer: PositionalKmerScorer, z: str, j: int,
-                               letter_prob: dict | None = None) -> float:
-    """E[s(X) | X[j..j+|z|) = z], exact under letter independence.
-
-    Positions of a scored substring inside the conditioning window must
-    agree with z (contributing a factor of 1, or 0 on conflict); positions
-    outside keep their background letter probabilities. The value is one
-    cell of the window's table, so |alphabet|^|z| is held to the cell budget.
-    """
-    p = _letter_probs(scorer, letter_prob)
-    if j < 0 or j + len(z) > scorer.length:
-        raise FirmError(f"window [{j}, {j + len(z)}) out of range "
-                        f"for length {scorer.length}")
-    cell = (0,) + tuple(encode_sequences([z], scorer.alphabet)[0])
-    shifts = _window_shifts(scorer, p, len(z), j, j + 1)
-    return expected_score(scorer, letter_prob) + float(shifts[cell])
-
-
-def poim(scorer: PositionalKmerScorer, k: int, letter_prob: dict | None = None) -> PoimTable:
-    """Exact position-major table of conditional-mean shifts for all length-k
-    oligomers, in the scorer's alphabet order, under the background
-    letter_prob (_letter_probs); past DEFAULT_CELL_BUDGET cells, BudgetExceededError."""
-    p = _letter_probs(scorer, letter_prob)
-    L = scorer.length
-    if not 1 <= k <= L:
-        raise FirmError(f"k must lie in [1, {L}]")
-    npos = L - k + 1
-    values = _window_shifts(scorer, p, k, 0, npos).reshape(npos, -1)
     p_z = _string_probs(p, k)
-    return PoimTable(k=k, length=L, alphabet=scorer.alphabet, values=values,
-                     factor=np.sqrt((1.0 - p_z) / p_z))
+    return PoimTable(k=k, length=L, alphabet=scorer.alphabet,
+                     values=out.reshape(j.size, -1), factor=np.sqrt((1.0 - p_z) / p_z))
 
 
 def ranked_oligomers(table: PoimTable, top: int) -> list[tuple[str, int, float]]:
@@ -193,6 +157,8 @@ def ranked_oligomers(table: PoimTable, top: int) -> list[tuple[str, int, float]]
 
 def hamming_ball(z: str, distance: int, alphabet: tuple[str, ...]) -> list[str]:
     """All strings at exactly the given Hamming distance from z."""
+    if distance < 0:
+        raise FirmError(f"Hamming distance must be >= 0, got {distance}")
     out = []
     for spots in combinations(range(len(z)), distance):
         for letters in product(*[[a for a in alphabet if a != z[i]] for i in spots]):

@@ -12,6 +12,15 @@ exception among the oracles is the Monte Carlo
 oracle, whose point estimate is the package's binned estimator on draws
 from the model; it is an oracle for the normal-model closed forms, which
 share no code with it.
+
+Closed forms of special cases that a general package path computes live
+here as oracles of that path: firm_uniform_conjunction (signed
+conjunctions under uniform ±1 inputs, against firm_binary_exact),
+firm_regression_closed_form (the unregularized regression fit, against
+firm_gaussian_general of a trained scorer) and expected_score (E[s] of a
+positional k-mer scorer, beside enumeration for the poim cells).
+parse_tabular states load_tabular's grammar one cell at a time with
+Python float, less the forms np.loadtxt refuses.
 """
 
 import itertools
@@ -21,7 +30,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from firm import FirmError, PositionalKmerScorer, conditional_curve, firm_from_curve, score_many
+from firm import (DataFormatError, FirmError, PositionalKmerScorer, conditional_curve,
+                  firm_from_curve, score_many)
 from firm.scoring import kmer_ids, kmer_offsets
 
 
@@ -86,6 +96,39 @@ def uniform_probs(alphabet):
 def string_prob(letter_prob, s):
     """Probability of string s under independent letters."""
     return math.prod(letter_prob[ch] for ch in s)
+
+
+def firm_uniform_conjunction(w, literals):
+    """Signed importance of a conjunction of distinct (index, polarity)
+    literals under a linear scorer w on uniform ±1 inputs.
+
+    The m literals all hold with probability p = 2^-m; the scores' mean
+    moves by sum of s_j w_j when they do, and the importance is that sum
+    times sqrt(p / (1 - p)).
+    """
+    m = len(literals)
+    p = 2.0 ** -m
+    return sum(s * float(w[j]) for j, s in literals) * math.sqrt(p / (1.0 - p))
+
+
+def firm_regression_closed_form(X, y, sigma):
+    """Normal-model importances Q = D^-1 S (X'X)^-1 X'y of the no-intercept
+    least-squares fit of y on X, without a scorer; S = sigma and D its
+    diagonal of standard deviations."""
+    w = np.linalg.solve(X.T @ X, X.T @ y)
+    return (sigma @ w) / np.sqrt(np.diag(sigma))
+
+
+def expected_score(scorer, letter_prob=None):
+    """E[s(X)] of a positional k-mer scorer under independent letters
+    (uniform for None): the bias plus each weight times the probability of
+    its substring."""
+    probs = uniform_probs(scorer.alphabet) if letter_prob is None else letter_prob
+    total = scorer.b
+    for d in range(1, scorer.max_degree + 1):
+        p = [string_prob(probs, s) for s in enumerate_sequences(scorer.alphabet, d)]
+        total += float(scorer.block(d).reshape(-1, len(p)).sum(axis=0) @ p)
+    return total
 
 
 def central_difference_gradient(scorer, x, step=1e-5):
@@ -212,6 +255,44 @@ def onehot_kmer_gram(codes, K):
             gram += onehot @ onehot.T
         col += L - k + 1
     return gram
+
+
+def parse_tabular(path):
+    """Header and n x len(header) array of a CSV file, one cell at a time:
+    the grammar load_tabular states, with its messages.
+
+    Lines blank after strip() are skipped but counted. A cell is Python
+    float of its stripped text, except that '_' and non-ASCII characters
+    (the digits float reads beyond ASCII) are refused; it must be finite.
+    """
+    with open(path, encoding="utf-8-sig") as fh:
+        lines = [(n, ln) for n, ln in enumerate(fh, start=1) if ln.strip()]
+    if not lines:
+        raise DataFormatError(f"{path}: empty file")
+    header = [h.strip() for h in lines[0][1].rstrip("\n").split(",")]
+    rows = []
+    for line_no, line in lines[1:]:
+        cells = line.rstrip("\n").split(",")
+        if len(cells) != len(header):
+            raise DataFormatError(f"{path}: ragged row at line {line_no}: "
+                                  f"expected {len(header)} cells, got {len(cells)}")
+        row = []
+        for name, raw in zip(header, (c.strip() for c in cells)):
+            try:
+                if "_" in raw or not raw.isascii():
+                    raise ValueError(raw)
+                v = float(raw)
+            except ValueError:
+                raise DataFormatError(f"cell at line {line_no}, column '{name}' does not "
+                                      f"parse as a number: {raw!r}") from None
+            if not math.isfinite(v):
+                raise DataFormatError(
+                    f"non-finite value at line {line_no}, column '{name}': {raw!r}")
+            row.append(v)
+        rows.append(row)
+    if not rows:
+        raise DataFormatError(f"{path}: no data rows")
+    return header, np.array(rows, dtype=np.float64)
 
 
 def save_tabular(data, path):

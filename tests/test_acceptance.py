@@ -21,15 +21,14 @@ import pytest
 
 from firm import (KernelExpansionScorer, KernelSpec, LinearScorer,
                   CovarianceEstimate, SignedConjunction, TabularDataset, Xor,
-                  conditional_expected_score, expected_score,
                   firm_binary_exact, firm_binary_values, firm_gaussian_general,
-                  firm_regression_closed_form, firm_slope, firm_uniform_conjunction,
-                  poim, score_many, sensitivity_index, train_least_squares)
+                  firm_slope, poim, score_many, sensitivity_index, train_least_squares)
 from firm import experiments
 from firm.cli import main
 
 from helpers import (all_pm1_rows, brute_firm_binary, enum_conditional_score,
-                     enum_expected_score, kmer_scorer, mc_firm, string_prob,
+                     enum_expected_score, expected_score, firm_regression_closed_form,
+                     firm_uniform_conjunction, kmer_scorer, mc_firm, string_prob,
                      uniform_probs)
 
 
@@ -92,8 +91,8 @@ def test_criterion_02_uniform_binary_closed_forms():
                 f = SignedConjunction(literals=((j, sj), (k, sk)))
                 [r] = firm_binary_exact(sc, [f], X)
                 assert abs(r.q_signed - (sj * w[j] + sk * w[k]) / math.sqrt(3)) < 1e-12
-                rc = firm_uniform_conjunction(w, b, ((j, sj), (k, sk)))
-                assert abs(rc.q_signed - r.q_signed) < 1e-12
+                rc = firm_uniform_conjunction(w, ((j, sj), (k, sk)))
+                assert abs(rc - r.q_signed) < 1e-12
         # xor features carry no importance for a linear scorer
         for r in firm_binary_exact(sc, [Xor(j, k) for j, k in pairs], X):
             assert r.q_abs < 1e-12
@@ -106,7 +105,7 @@ def test_criterion_02_uniform_binary_closed_forms():
                 f = SignedConjunction(literals=lits)
                 want = brute_firm_binary(scores, f.evaluate_rows(X))
                 assert abs(firm_binary_exact(sc, [f], X)[0].q_signed - want) < 1e-12
-                assert abs(firm_uniform_conjunction(w, b, lits).q_signed - want) < 1e-12
+                assert abs(firm_uniform_conjunction(w, lits) - want) < 1e-12
     ok(2, "uniform ±1 closed forms (w_j, pairs/sqrt3, xor=0, order-3)")
 
 
@@ -241,16 +240,16 @@ def test_criterion_07_regression_closed_form():
         y = rng.normal(size=n)
         sigma = random_pd_cov(rng, d)
         model = supplied(sigma)
-        closed = [r.q_signed for r in firm_regression_closed_form(X, y, model)]
+        closed = firm_regression_closed_form(X, y, sigma)
         trained = train_least_squares(
             TabularDataset(X=X, y=y, names=tuple(f"c{j}" for j in range(d))))
         direct = [r.q_signed for r in firm_gaussian_general(trained, model)]
         np.testing.assert_allclose(closed, direct, atol=1e-10)
         # with the model covariance set to X'X/n the form collapses
         sig_hat = X.T @ X / n
-        collapsed = [r.q_signed
-                     for r in firm_regression_closed_form(X, y, supplied(sig_hat))]
         want = (X.T @ y / n) / np.sqrt(np.diag(sig_hat))
+        np.testing.assert_allclose(firm_regression_closed_form(X, y, sig_hat), want, atol=1e-12)
+        collapsed = [r.q_signed for r in firm_gaussian_general(trained, supplied(sig_hat))]
         np.testing.assert_allclose(collapsed, want, atol=1e-12)
     ok(7, "regression closed form (trained identity and collapsed limit)")
 
@@ -269,15 +268,15 @@ def test_criterion_08_sequence_enumeration_oracle():
                     y = "".join(rng.choice(alphabet, size=klen))
                     weights[(i, y)] = float(rng.normal())
                 sc = kmer_scorer(alphabet, L, min(3, L), weights, b=float(rng.normal()))
-                got = expected_score(sc)
-                want = enum_expected_score(sc, alphabet, L, probs)
-                assert abs(got - want) < 1e-12
+                base = enum_expected_score(sc, alphabet, L, probs)
+                assert abs(expected_score(sc) - base) < 1e-12
                 for _ in range(4):
                     klen = int(rng.integers(1, L + 1))
                     j = int(rng.integers(0, L - klen + 1))
                     z = "".join(rng.choice(alphabet, size=klen))
-                    got = conditional_expected_score(sc, z, j)
-                    want = enum_conditional_score(sc, alphabet, L, probs, z, j)
+                    table = poim(sc, k=klen)
+                    got = table.values[j, table.oligomer_index(z)]
+                    want = enum_conditional_score(sc, alphabet, L, probs, z, j) - base
                     assert abs(got - want) < 1e-12
                 # per-position zero mean of the table
                 for k in (1, 2):

@@ -9,12 +9,11 @@ from hypothesis import strategies as st
 
 from firm import (DegenerateFeatureError, FirmError, KernelExpansionScorer, KernelSpec,
                   LinearScorer, Projection, SignedConjunction, Xor, firm_binary_exact,
-                  firm_binary_values, firm_uniform_conjunction, score_many,
-                  train_kernel_ridge)
+                  firm_binary_values, score_many, train_kernel_ridge)
 from firm import experiments
 
 from helpers import (all_pm1_rows, brute_firm_binary, empirical_matrix_diagonals,
-                     poim_firm_conversion)
+                     firm_uniform_conjunction, poim_firm_conversion)
 
 
 class TestExactOnUniformCube:
@@ -194,23 +193,34 @@ class TestEmpiricalMatrixForm:
 
 
 class TestUniformConjunctionClosedForm:
+    """The closed form (an oracle in helpers) against the package's exact
+    binary importance of the conjunction over the full ±1 cube."""
+
+    @staticmethod
+    def exact(w, b, lits):
+        [r] = firm_binary_exact(LinearScorer(w=w, b=b), [SignedConjunction(literals=lits)],
+                                all_pm1_rows(len(w)))
+        return r.q_signed
+
     def test_pair_of_unit_weights(self):
-        r = firm_uniform_conjunction(np.array([1.0, 1.0]), 0.0, ((0, 1), (1, 1)))
-        assert r.q_signed == pytest.approx(2.0 / math.sqrt(3), abs=1e-12)
+        q = firm_uniform_conjunction(np.array([1.0, 1.0]), ((0, 1), (1, 1)))
+        assert q == pytest.approx(2.0 / math.sqrt(3), abs=1e-12)
+        assert self.exact([1.0, 1.0], 0.0, ((0, 1), (1, 1))) == pytest.approx(q, abs=1e-12)
 
     def test_single_literal_is_the_weight(self):
-        r = firm_uniform_conjunction(np.array([0.4, -0.9]), 1.0, ((0, 1),))
-        assert r.q_signed == pytest.approx(0.4, abs=1e-12)
+        q = firm_uniform_conjunction(np.array([0.4, -0.9]), ((0, 1),))
+        assert q == pytest.approx(0.4, abs=1e-12)
+        assert self.exact([0.4, -0.9], 1.0, ((0, 1),)) == pytest.approx(0.4, abs=1e-12)
 
     def test_triple_matches_enumeration(self):
         w = np.array([1.0, 1.0, 1.0])
-        r = firm_uniform_conjunction(w, 0.0, ((0, 1), (1, 1), (2, 1)))
-        assert r.q_signed == pytest.approx(3.0 * math.sqrt(1.0 / 7.0), abs=1e-12)
+        q = firm_uniform_conjunction(w, ((0, 1), (1, 1), (2, 1)))
+        assert q == pytest.approx(3.0 * math.sqrt(1.0 / 7.0), abs=1e-12)
         # brute force over the full cube
         X = all_pm1_rows(3)
         f = SignedConjunction(literals=((0, 1), (1, 1), (2, 1)))
         fv = f.evaluate_rows(X)
-        assert r.q_signed == pytest.approx(brute_firm_binary(X @ w, fv), abs=1e-12)
+        assert q == pytest.approx(brute_firm_binary(X @ w, fv), abs=1e-12)
 
     @given(st.integers(min_value=1, max_value=5))
     @settings(max_examples=10, deadline=None)
@@ -222,14 +232,14 @@ class TestUniformConjunctionClosedForm:
         idx = rng.choice(d, size=m, replace=False)
         signs = rng.choice([-1, 1], size=m)
         lits = tuple((int(j), int(s)) for j, s in zip(idx, signs))
-        closed = firm_uniform_conjunction(w, b, lits)
-        [exact] = firm_binary_exact(LinearScorer(w=w, b=b),
-                                    [SignedConjunction(literals=lits)], all_pm1_rows(d))
-        assert closed.q_signed == pytest.approx(exact.q_signed, abs=1e-12)
+        closed = firm_uniform_conjunction(w, lits)
+        assert closed == pytest.approx(self.exact(w, b, lits), abs=1e-12)
 
     def test_empty_literals_rejected(self):
-        with pytest.raises(FirmError):
-            firm_uniform_conjunction(np.ones(2), 0.0, ())
+        """The package has no conjunction of m = 0 literals, where p = 1."""
+        with pytest.raises(FirmError, match="at least one literal"):
+            firm_binary_exact(LinearScorer(w=np.ones(2)), [SignedConjunction(literals=())],
+                              all_pm1_rows(2))
 
 
 class TestScalingConversion:

@@ -328,22 +328,33 @@ class TestConfigValidation:
         assert proc.stderr == f"error: {inp}: no data rows\n"
         assert not out.exists()
 
-    def test_cell_only_python_float_reads_gives_same_bytes(self, tmp_path):
-        # '1_0' sends the file down the per-cell parse; '10' takes the fast one
+    def test_whitespace_only_line_gives_same_bytes(self, tmp_path):
+        """A whitespace-only line sends the file to the second reading, which
+        gives the bytes of the clean file."""
         rng = np.random.default_rng(12)
         X = rng.normal(size=(30, 2))
         y = X[:, 0] + rng.normal(size=30)
         write_csv(tmp_path / "d.csv", X, y)
         lines = (tmp_path / "d.csv").read_text(encoding="utf-8").splitlines(keepends=True)
-        rest = lines[5].split(",", 1)[1]
-        for name, cell in (("plain", "10"), ("underscore", "1_0")):
-            lines[5] = f"{cell},{rest}"
+        for name, extra in (("plain", []), ("spaced", [" \t\n"])):
             inp = tmp_path / f"{name}.csv"
-            inp.write_text("".join(lines), encoding="utf-8")
+            inp.write_text("".join(lines[:5] + extra + lines[5:]), encoding="utf-8")
             assert run("analyze", "--input", str(inp), "--method", "slope",
                        "--scorer", "train:ridge", "--out", str(tmp_path / name)) == 0
         assert ((tmp_path / "plain" / "firm.tsv").read_bytes()
-                == (tmp_path / "underscore" / "firm.tsv").read_bytes())
+                == (tmp_path / "spaced" / "firm.tsv").read_bytes())
+
+    def test_underscore_cell_fails_with_one_line(self, tmp_path):
+        """'1_0', which Python float reads as 10, is refused."""
+        inp = tmp_path / "d.csv"
+        inp.write_text("a,label\n1,1\n1_0,-1\n-1,1\n", encoding="utf-8")
+        out = tmp_path / "out"
+        proc = run_child("analyze", "--input", str(inp), "--method", "binary",
+                         "--out", str(out))
+        assert proc.returncode == 1
+        assert proc.stderr == ("error: cell at line 3, column 'a' does not parse "
+                               "as a number: '1_0'\n")
+        assert not out.exists()
 
     def test_failed_write_removes_its_temp_file(self, tmp_path, capsys):
         inp = tmp_path / "d.csv"
@@ -579,6 +590,21 @@ class TestCovarianceCommand:
         assert run("covariance", "--input", str(inp), "--out", str(out)) == 1
         assert capsys.readouterr().err == (
             "error: column name 'a\\tb' holds a tab, line break or NUL\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("csv,cov,message", [
+        ("a,b\n1,2\n3,1_0\n5,6\n", "1\t0\n0\t1\n",
+         "cell at line 3, column 'b' does not parse as a number: '1_0'"),
+        ("a,b\n1,2\n3,4\n5,6\n", "1\t0\n0\t1_0\n", "{cov}: line 2 is not numeric"),
+    ], ids=["in-csv", "in-covariance-file"])
+    def test_underscore_number_refused(self, tmp_path, capsys, csv, cov, message):
+        """The data and the covariance file share load_tabular's grammar."""
+        inp, covfile, out = tmp_path / "d.csv", tmp_path / "cov.tsv", tmp_path / "out"
+        inp.write_text(csv, encoding="utf-8")
+        covfile.write_text(cov, encoding="utf-8")
+        assert run("covariance", "--input", str(inp),
+                   "--covariance", f"file:{covfile}", "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"error: {message.format(cov=covfile)}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("text,message", [

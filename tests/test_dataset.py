@@ -9,9 +9,9 @@ from firm import (ConditionalScoreCurve, DataFormatError, DegenerateFeatureError
                   KernelExpansionScorer, KernelSpec, LinearScorer, PoimTable, TabularDataset,
                   empirical_covariance, load_sequences, load_tabular, shrinkage_covariance)
 import firm.dataset
-from firm.dataset import DNA_ALPHABET, _load_fast, _parse_rows, encode_sequences
+from firm.dataset import DNA_ALPHABET, encode_sequences
 
-from helpers import all_pm1_rows, save_tabular
+from helpers import all_pm1_rows, parse_tabular, save_tabular
 
 
 def write(tmp_path, name, text):
@@ -107,12 +107,18 @@ def csv_files(draw):
 
 
 def reference_parse(path, has_labels):
-    """The per-cell loop's arrays, through the TabularDataset checks."""
-    header, data = _parse_rows(path)
+    """The per-cell oracle's arrays, through the TabularDataset checks."""
+    header, data = parse_tabular(path)
     if has_labels:
         ds = TabularDataset(X=data[:, :-1], y=data[:, -1], names=tuple(header[:-1]))
     else:
         ds = TabularDataset(X=data, y=None, names=tuple(header))
+    return ds.X, ds.y, ds.names
+
+
+def loaded(path, has_labels):
+    """load_tabular's arrays and names."""
+    ds = load_tabular(path, has_labels=has_labels)
     return ds.X, ds.y, ds.names
 
 
@@ -133,38 +139,61 @@ class TestParserAgreement:
         text, has_labels = case
         p = tmp_path / "d.csv"
         p.write_bytes(text.encode("utf-8"))
+        assert (outcome(lambda: loaded(p, has_labels))
+                == outcome(lambda: reference_parse(p, has_labels)))
 
-        def loaded():
-            ds = load_tabular(p, has_labels=has_labels)
-            return ds.X, ds.y, ds.names
+    @staticmethod
+    def loadtxt_calls(monkeypatch):
+        """The first argument of every np.loadtxt call from now on."""
+        calls, loadtxt = [], np.loadtxt
 
-        assert outcome(loaded) == outcome(lambda: reference_parse(p, has_labels))
+        def spy(lines, *args, **kw):
+            calls.append(lines)
+            return loadtxt(lines, *args, **kw)
 
-    def test_well_formed_file_takes_fast_path(self, tmp_path):
+        monkeypatch.setattr(np, "loadtxt", spy)
+        return calls
+
+    def test_well_formed_file_takes_fast_path(self, tmp_path, monkeypatch):
+        """One loadtxt call over the open file, not over a list of its lines."""
         rng = np.random.default_rng(8)
         ds = TabularDataset(X=rng.normal(size=(30, 4)), y=rng.normal(size=30),
                             names=("a", "b", "c", "d"))
         p = tmp_path / "d.csv"
         save_tabular(ds, p)
-        fast = _load_fast(p)
-        assert fast is not None
-        header, data = _parse_rows(p)
-        assert fast[0] == header and fast[1].tobytes() == data.tobytes()
+        calls = self.loadtxt_calls(monkeypatch)
+        back = load_tabular(p, has_labels=True)
+        assert len(calls) == 1 and not isinstance(calls[0], (list, tuple))
+        header, data = parse_tabular(p)
+        assert list(back.names) + ["label"] == header
+        assert np.column_stack([back.X, back.y]).tobytes() == data.tobytes()
 
     @pytest.mark.parametrize("text", [
-        "a,b\n1,1_0\n",            # only Python float reads the cell
+        "a,b\n1,1_0\n",            # Python float reads the cell, loadtxt does not
         "a,b\n1,2\n \n3,4\n",      # whitespace-only line
         "a,b\n1,inf\n",             # non-finite
         "a,b\n1,2\n3\n",            # ragged
         "a,b\n\n\n",                # no data rows
     ], ids=["underscore", "whitespace-line", "inf", "ragged", "header-only"])
-    def test_fast_path_defers(self, tmp_path, text):
-        assert _load_fast(write(tmp_path, "d.csv", text)) is None
+    def test_fast_path_defers(self, tmp_path, monkeypatch, text):
+        """Not the one loadtxt call: the file is read again (or, with no
+        data row, not given to loadtxt), and the outcome is the oracle's."""
+        p = write(tmp_path, "d.csv", text)
+        calls = self.loadtxt_calls(monkeypatch)
+        got = outcome(lambda: loaded(p, False))
+        assert len(calls) != 1
+        assert got == outcome(lambda: reference_parse(p, False))
 
-    def test_underscore_cell_reads_as_plain_digits(self, tmp_path):
-        a = load_tabular(write(tmp_path, "a.csv", "a,b\n1,1_0\n2,3\n"))
-        b = load_tabular(write(tmp_path, "b.csv", "a,b\n1,10\n2,3\n"))
-        assert a.X.tobytes() == b.X.tobytes()
+    @pytest.mark.parametrize("cell", ["1_0", "1e1_0", "\u0661\u0662", "\uff11"],
+                             ids=["underscore", "underscore-exponent", "arabic-indic",
+                                  "fullwidth"])
+    def test_cell_only_python_float_reads_is_refused(self, tmp_path, cell):
+        """Underscores and non-ASCII digits, which Python float reads, are refused."""
+        p = write(tmp_path, "a.csv", f"a,b\n1,2\n2,{cell}\n")
+        with pytest.raises(DataFormatError) as info:
+            load_tabular(p)
+        assert str(info.value) == (f"cell at line 3, column 'b' does not parse "
+                                   f"as a number: {cell!r}")
 
 
 class TestNotUtf8:
@@ -178,8 +207,9 @@ class TestNotUtf8:
         p.write_bytes(data)
         with pytest.raises(DataFormatError, match=r"d\.csv: not UTF-8 text \("):
             load_tabular(p, has_labels=True)
+        p.write_bytes(data.replace(b"\n", b"\n \n", 1))      # read again, past a blank line
         with pytest.raises(DataFormatError, match=r"d\.csv: not UTF-8 text \("):
-            _parse_rows(p)
+            load_tabular(p, has_labels=True)
 
     def test_sequences(self, tmp_path):
         p = tmp_path / "s.tsv"
@@ -189,13 +219,16 @@ class TestNotUtf8:
 
 
 class TestByteOrderMark:
-    @pytest.mark.parametrize("read", [_parse_rows, _load_fast], ids=["per-cell", "fast"])
-    def test_tabular(self, tmp_path, read):
-        text = "a,b,label\n1,2.5,1\n3,4,-1\n"
-        plain = read(write(tmp_path, "plain.csv", text))
-        bom = read(write(tmp_path, "bom.csv", "\ufeff" + text))
-        assert plain[0] == bom[0] == ["a", "b", "label"]
-        assert plain[1].tobytes() == bom[1].tobytes()
+    @pytest.mark.parametrize("text", ["a,b,label\n1,2.5,1\n \n3,4,-1\n",
+                                      "a,b,label\n1,2.5,1\n3,4,-1\n"],
+                             ids=["per-cell", "fast"])
+    def test_tabular(self, tmp_path, text):
+        """Both the one loadtxt call and the second reading (past a
+        whitespace-only line) drop the mark."""
+        plain = load_tabular(write(tmp_path, "plain.csv", text), has_labels=True)
+        bom = load_tabular(write(tmp_path, "bom.csv", "\ufeff" + text), has_labels=True)
+        assert plain.names == bom.names == ("a", "b")
+        assert plain.X.tobytes() == bom.X.tobytes() and plain.y.tobytes() == bom.y.tobytes()
 
     def test_sequences(self, tmp_path):
         text = "ACGT\t+1\nTTGA\t-1\n"
@@ -211,6 +244,11 @@ class TestLoadSequences:
         ds = load_sequences(p)
         assert ds.n == 2 and ds.length == 4
         np.testing.assert_array_equal(ds.y, [1, -1])
+
+    def test_encoding_no_sequences_is_refused(self):
+        with pytest.raises(FirmError, match="^no sequences$"):
+            encode_sequences([], DNA_ALPHABET)
+        assert encode_sequences([], DNA_ALPHABET, length=4).shape == (0, 4)
 
     def test_codes_are_the_read_only_encoding(self, tmp_path):
         ds = load_sequences(write(tmp_path, "s.tsv", "ACGT\t+1\nTTGA\t-1\n"))

@@ -103,6 +103,12 @@ class TestConditionalCurve:
         for a, want in zip(got, stable_conditional_curve(scores, fvals, bins)):
             assert a.tobytes() == np.asarray(want, dtype=a.dtype).tobytes()
 
+    @pytest.mark.parametrize("bins", [2.5, 3.0, "3"], ids=["fraction", "float", "text"])
+    def test_bin_count_must_be_an_integer(self, bins):
+        with pytest.raises(FirmError, match="^bin count must be an integer, got "):
+            conditional_curve(np.arange(10.0), np.arange(10.0), bins)
+        assert conditional_curve(np.arange(10.0), np.arange(10.0), np.int64(3)).n_bins == 3
+
     def test_needs_enough_samples(self):
         with pytest.raises(Exception):
             conditional_curve(np.arange(3.0), np.arange(3.0), bins=5)

@@ -5,10 +5,9 @@ import pytest
 
 from firm import (CovarianceEstimate, DegenerateFeatureError, FirmError,
                   KernelExpansionScorer, KernelSpec, LinearScorer, TabularDataset,
-                  firm_gaussian_general, firm_regression_closed_form, sensitivity_index,
-                  train_least_squares)
+                  firm_gaussian_general, sensitivity_index, train_least_squares)
 
-from helpers import kernel_gradient_at, kmer_scorer, mc_firm
+from helpers import firm_regression_closed_form, kernel_gradient_at, kmer_scorer, mc_firm
 
 
 def model_from(sigma):
@@ -246,23 +245,36 @@ class TestGradientScorerChecks:
                 call()
 
 
+def trained_importances(X, y, model):
+    """firm_gaussian_general of the least-squares scorer fitted to (X, y)."""
+    data = TabularDataset(X=X, y=y, names=tuple(f"c{j}" for j in range(X.shape[1])))
+    return np.array([r.q_signed for r in firm_gaussian_general(train_least_squares(data),
+                                                               model)])
+
+
 class TestRegressionClosedForm:
+    """The closed form (an oracle in helpers) against the normal-model
+    importances of the trained least-squares scorer."""
+
     def test_reduces_to_scaled_projection_when_sigma_is_empirical(self):
         rng = np.random.default_rng(9)
         X = rng.normal(size=(40, 3))
         X -= X.mean(axis=0)
         y = rng.normal(size=40)
         sigma_hat = X.T @ X / 40
-        model = model_from(sigma_hat)
-        res = firm_regression_closed_form(X, y, model)
         expect = (X.T @ y / 40) / np.sqrt(np.diag(sigma_hat))
-        np.testing.assert_allclose([r.q_signed for r in res], expect, atol=1e-12)
+        np.testing.assert_allclose(firm_regression_closed_form(X, y, sigma_hat), expect,
+                                   atol=1e-12)
+        np.testing.assert_allclose(trained_importances(X, y, model_from(sigma_hat)), expect,
+                                   atol=1e-12)
 
     def test_zero_labels_give_zero(self):
         rng = np.random.default_rng(10)
         X = rng.normal(size=(20, 2))
-        res = firm_regression_closed_form(X, np.zeros(20), model_from(np.eye(2)))
-        np.testing.assert_array_equal([r.q_signed for r in res], [0.0, 0.0])
+        np.testing.assert_array_equal(firm_regression_closed_form(X, np.zeros(20), np.eye(2)),
+                                      [0.0, 0.0])
+        np.testing.assert_allclose(trained_importances(X, np.zeros(20), model_from(np.eye(2))),
+                                   [0.0, 0.0], atol=1e-15)
 
     def test_equals_linear_form_of_trained_scorer(self):
         rng = np.random.default_rng(11)
@@ -272,15 +284,12 @@ class TestRegressionClosedForm:
             X -= X.mean(axis=0)                     # intercept decouples
             y = rng.normal(size=n)
             sigma = random_pd_cov(rng, d)
-            model = model_from(sigma)
-            closed = firm_regression_closed_form(X, y, model)
-            trained = train_least_squares(
-                TabularDataset(X=X, y=y, names=tuple(f"c{j}" for j in range(d))))
-            direct = firm_gaussian_general(trained, model)
-            np.testing.assert_allclose([r.q_signed for r in closed],
-                                       [r.q_signed for r in direct], atol=1e-10)
+            np.testing.assert_allclose(firm_regression_closed_form(X, y, sigma),
+                                       trained_importances(X, y, model_from(sigma)),
+                                       atol=1e-10)
 
     def test_singular_design_rejected(self):
-        X = np.ones((5, 2))
+        """Where X'X is singular, the trainer the closed form stands for refuses."""
+        X = np.column_stack([np.arange(5.0), 2.0 * np.arange(5.0)])
         with pytest.raises(FirmError, match="singular"):
-            firm_regression_closed_form(X, np.ones(5), model_from(np.eye(2)))
+            trained_importances(X, np.ones(5), model_from(np.eye(2)))

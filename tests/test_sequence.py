@@ -6,12 +6,13 @@ from itertools import product
 import numpy as np
 import pytest
 
-from firm import (BudgetExceededError, FirmError, PoimTable, conditional_expected_score,
-                  expected_score, hamming_ball, poim, ranked_oligomers)
+from firm import (BudgetExceededError, FirmError, PoimTable, hamming_ball, poim,
+                  ranked_oligomers)
 from firm import experiments
 
-from helpers import (enum_conditional_score, enum_expected_score, kmer_scorer,
-                     kmer_weight, poim_firm_conversion, string_prob, uniform_probs)
+from helpers import (enum_conditional_score, enum_expected_score, expected_score,
+                     kmer_scorer, kmer_weight, poim_firm_conversion, string_prob,
+                     uniform_probs)
 
 
 DNA = ("A", "C", "G", "T")
@@ -26,6 +27,13 @@ def random_sparse_scorer(rng, alphabet, L, K, n_weights, bias=None):
         weights[(i, y)] = float(rng.normal())
     return kmer_scorer(tuple(alphabet), L, K, weights,
                        b=float(rng.normal()) if bias is None else bias)
+
+
+def conditional_expected_score(scorer, z, j, letter_prob=None):
+    """E[s | X[j..j+|z|) = z]: the closed-form E[s] (an oracle in helpers)
+    plus the package's poim cell for z at j."""
+    table = poim(scorer, k=len(z), letter_prob=letter_prob)
+    return expected_score(scorer, letter_prob) + float(table.values[j, table.oligomer_index(z)])
 
 
 class TestExpectedScore:
@@ -68,9 +76,12 @@ class TestConditionalExpectedScore:
             sc.score_many([z])[0], rel=1e-12)
 
     def test_out_of_range_window(self):
+        """A length-3 window fits at positions 0 and 1 of length 4 only, and
+        a window longer than the sequence is refused."""
         sc = kmer_scorer(DNA, 4, 1, {}, b=0.0)
-        with pytest.raises(FirmError):
-            conditional_expected_score(sc, "GAT", 2)
+        assert poim(sc, k=3).positions == 2
+        with pytest.raises(FirmError, match=r"k must lie in \[1, 4\]"):
+            poim(sc, k=5)
 
     @pytest.mark.parametrize("alphabet,L,seed",
                              [(("0", "1"), 6, 61), (DNA, 4, 44), (DNA, 5, 45)],
@@ -108,13 +119,10 @@ class TestPoimTable:
         rng = np.random.default_rng(1)
         sc = random_sparse_scorer(rng, DNA, 6, 3, 12)
         table = poim(sc, k=2)
-        base = expected_score(sc)
         enum_base = enum_expected_score(sc, DNA, 6, uniform_probs(DNA))
         for j in range(table.positions):
             for zi in range(16):
                 z = table.oligomer(zi)
-                want = conditional_expected_score(sc, z, j) - base
-                assert table.values[j, zi] == pytest.approx(want, abs=1e-12)
                 enum = enum_conditional_score(sc, DNA, 6, uniform_probs(DNA), z, j) - enum_base
                 assert table.values[j, zi] == pytest.approx(enum, abs=1e-12)
 
@@ -196,10 +204,6 @@ class TestPoimTable:
             default, explicit = poim(sc, k=3), poim(sc, k=3, letter_prob=probs)
             assert default.values.tobytes() == explicit.values.tobytes()
             assert default.factor.tobytes() == explicit.factor.tobytes()
-            assert expected_score(sc) == expected_score(sc, probs)
-            z = alphabet[1] * 3
-            assert (conditional_expected_score(sc, z, 2)
-                    == conditional_expected_score(sc, z, 2, probs))
 
     def test_budget_guard(self):
         sc = kmer_scorer(DNA, 20, 1, {(0, "A"): 1.0}, b=0.0)
@@ -312,11 +316,8 @@ class TestLetterProbabilities:
     ], ids=["missing-letter", "extra-letter", "nan", "zero", "sum-not-1"])
     def test_invalid_mapping_rejected(self, probs, message):
         sc = kmer_scorer(DNA, 4, 2, {(1, "GA"): 2.0})
-        for call in (lambda: poim(sc, k=2, letter_prob=probs),
-                     lambda: expected_score(sc, probs),
-                     lambda: conditional_expected_score(sc, "GA", 0, probs)):
-            with pytest.raises(FirmError, match=message):
-                call()
+        with pytest.raises(FirmError, match=message):
+            poim(sc, k=2, letter_prob=probs)
 
 
 class TestHammingBall:
@@ -332,3 +333,7 @@ class TestHammingBall:
 
     def test_distance_zero(self):
         assert hamming_ball("GAT", 0, DNA) == ["GAT"]
+
+    def test_negative_distance_refused(self):
+        with pytest.raises(FirmError, match=r"^Hamming distance must be >= 0, got -1$"):
+            hamming_ball("ACG", -1, DNA)
