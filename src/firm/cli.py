@@ -4,7 +4,8 @@ covariance reports.
 Every command returns its complete output and `main` makes the one write
 of it to --out. Each file is replaced atomically, but a reused --out keeps
 the files an earlier run wrote. Identical configuration, including the
-seed, yields byte-identical artifacts.
+seed, yields byte-identical artifacts on one numpy build whose BLAS runs
+one thread, as bench/run.py pins it; more threads change the last digits.
 """
 
 from __future__ import annotations
@@ -33,19 +34,20 @@ GRADIENT_SCORERS = ("train:least_squares", "train:ridge", "train:kernel_ridge")
 
 
 def parse_kernel(text: str, degree: int) -> KernelSpec:
-    """`gaussian[:gamma]` or `polynomial[:offset]` (degree from --degree)."""
+    """`gaussian[:gamma]` or `polynomial[:offset]` (degree from --degree); the
+    value is one cell in load_tabular's number grammar."""
     name, sep, raw = text.partition(":")
     param = {"gaussian": "gamma", "polynomial": "offset"}.get(name)
     if param is None:
         raise FirmError(f"unknown kernel {text!r} (use gaussian[:gamma] "
                         "or polynomial[:offset])")
-    try:
-        value = float(raw) if sep else 1.0
-    except ValueError:
-        raise FirmError(f"kernel {param} must be a number, got {raw!r}") from None
+    raw = raw if sep else "1.0"
+    value = loadtxt_rows([raw]) if raw.strip() else None    # loadtxt warns on no data
+    if value is None or value.shape != (1, 1):
+        raise FirmError(f"kernel {param} must be a number, got {raw!r}")
     if param == "gamma":
-        return KernelSpec.gaussian(value)
-    return KernelSpec.polynomial(degree, value)
+        return KernelSpec.gaussian(value[0, 0])
+    return KernelSpec.polynomial(degree, value[0, 0])
 
 
 def load_covariance_file(path: str, names: tuple[str, ...]) -> CovarianceEstimate:
@@ -161,11 +163,9 @@ def analyze_tabular(args) -> dict:
             curve = conditional_curve(scores, data.X[:, j], bins)
             artifacts[f"curves/{name}.tsv"] = _emit.curve_tsv(curve)
             results.append(firm_from_curve(curve, feature=name))
-    score_sd = None
-    if args.standardize:
-        score_sd = float(np.std(scores))
-        if score_sd == 0.0:
-            raise FirmError("zero score variance")
+    if args.standardize and scores.min() == scores.max():   # exact, unlike np.std
+        raise FirmError("zero score variance")
+    score_sd = float(np.std(scores)) if args.standardize else None
     artifacts["firm.tsv"] = _emit.firm_results_tsv(results, score_sd=score_sd)
     artifacts["firm.json"] = _emit.firm_results_json(results, score_sd=score_sd)
     return artifacts

@@ -203,9 +203,9 @@ def _read_table(path) -> tuple[list[str], np.ndarray]:
     """Header and n x len(header) finite data of a tabular file.
 
     A well-formed file is one np.loadtxt call over the open handle. Any
-    other is read again and its non-blank lines go to loadtxt; if they do
-    not read as a table, bisection finds the first line at fault, whose
-    width or first bad cell raises a DataFormatError naming its file line.
+    other is read again, its non-blank lines streamed to loadtxt; if they do
+    not read as a table, bisection over a list of them finds the first line
+    at fault, whose width or first bad cell raises a DataFormatError.
     """
     def table(lines):
         data = loadtxt_rows(lines)
@@ -219,16 +219,17 @@ def _read_table(path) -> tuple[list[str], np.ndarray]:
             raise DataFormatError(f"{path}: {'no data rows' if first else 'empty file'}")
         header = [h.strip() for h in first[1].rstrip("\n").split(",")]
         data = table(itertools.chain([second[1]], fh))
+    if data is None:
+        with open_utf8(path) as fh:
+            data = table(ln for _, ln in itertools.islice(_nonblank_lines(fh), 1, None))
     if data is not None:
         return header, data
     with open_utf8(path) as fh:
         line_nos, rows = zip(*list(_nonblank_lines(fh))[1:])
-    data, lo, hi = table(rows), 0, len(rows)    # rows[:lo] read as a table, rows[lo:hi] not
-    while data is None and hi - lo > 1:
+    lo, hi = 0, len(rows)                       # rows[:lo] read as a table, rows[lo:hi] not
+    while hi - lo > 1:
         mid = (lo + hi) // 2
         lo, hi = (lo, mid) if table(rows[lo:mid]) is None else (mid, hi)
-    if data is not None:
-        return header, data
     at, cells = f"line {line_nos[lo]}", rows[lo].rstrip("\n").split(",")
     if len(cells) != len(header):
         raise DataFormatError(f"{path}: ragged row at {at}: "

@@ -84,13 +84,11 @@ class KernelSpec:
         gram(X, X) holds n^2, and full() gives gram(X, X)'s bits wherever the
         BLAS sums a row block's products in the order of the whole product.
         """
-        sq = (X ** 2).sum(axis=1)
-        blocks = _LowerTriangle.empty_blocks(X.shape[0])
-        for blk in blocks:
-            i0, i1 = blk.shape[1] - blk.shape[0], blk.shape[1]
+        sq, S = (X ** 2).sum(axis=1), _LowerTriangle(X.shape[0])
+        for i0, i1, blk in S:
             np.matmul(X[i0:i1], X[:i1].T, out=blk)
             self._finish(blk, sq[i0:i1], sq[:i1])
-        return _LowerTriangle(blocks)
+        return S.seal()
 
     def _finish(self, S: np.ndarray, a2: np.ndarray, b2: np.ndarray) -> None:
         """Kernel values in place of the products S = A B', given the
@@ -115,53 +113,49 @@ class _LowerTriangle:
     """A symmetric n x n matrix kept as row blocks of its lower triangle.
 
     Block r holds rows i0:i1 and columns 0:i1, i0 = r * _TRI_ROWS, so the
-    blocks hold n(n + _TRI_ROWS)/2 cells at most, about half of n^2. Each
-    diagonal square is made exactly symmetric from its lower triangle, and
-    the entries above the squares are read from their mirror images.
-    S @ V, for a vector or an n x k matrix V, reads every cell once and
-    holds beside its n-row result one temporary of at most n - _TRI_ROWS
-    rows. full() assembles the n x n matrix; only _solve_shifted's LU
-    fallback calls it, which so holds the blocks plus two full n x n arrays
-    (the assembled matrix and LU's copy of it).
+    blocks hold n(n + _TRI_ROWS)/2 cells at most, about half of n^2; they
+    are iterated as (i0, i1, block). They are views of one buffer, freed as
+    a whole: blocks allocated one at a time stayed resident after the k-mer
+    fit at n = 2000, below the allocator's raised mmap threshold, and added
+    16 MB to a later POIM run's peak. The caller fills the blocks, diagonal
+    squares whole, then seals them; entries above the squares are read from
+    their mirror images. S @ V, for a vector or an n x k matrix V, reads
+    every cell once and holds beside its n-row result one temporary of at
+    most n - _TRI_ROWS rows. full() assembles the n x n matrix; only
+    _solve_shifted's LU fallback calls it, which so holds the blocks plus
+    two full n x n arrays (the assembled matrix and LU's copy of it).
     """
 
-    @staticmethod
-    def empty_blocks(n: int) -> list[np.ndarray]:
-        """The blocks of an n x n matrix, unfilled: views of one buffer,
-        which is freed as a whole. Blocks allocated one at a time fell
-        below the allocator's raised mmap threshold in the k-mer fit at
-        n = 2000, stayed resident after it, and added 16 MB to the peak of
-        a later POIM run."""
-        bounds = [(i0, min(i0 + _TRI_ROWS, n)) for i0 in range(0, n, _TRI_ROWS)]
-        buf = np.empty(sum((i1 - i0) * i1 for i0, i1 in bounds))
-        blocks, at = [], 0
-        for i0, i1 in bounds:
-            blocks.append(buf[at:at + (i1 - i0) * i1].reshape(i1 - i0, i1))
-            at += (i1 - i0) * i1
-        return blocks
+    def __init__(self, n: int):
+        ends = [min(i0 + _TRI_ROWS, n) for i0 in range(0, n, _TRI_ROWS)]
+        sizes = [(i1 - i0) * i1 for i0, i1 in zip([0] + ends, ends)]
+        parts = np.split(np.empty(sum(sizes)), np.cumsum(sizes)[:-1])
+        self.n, self.blocks = n, tuple(p.reshape(-1, i1) for p, i1 in zip(parts, ends))
 
-    def __init__(self, blocks):
-        self.blocks = tuple(blocks)
-        self.n = self.blocks[-1].shape[1]
-        for blk in self.blocks:     # a BLAS may not sum x_i'x_j as x_j'x_i
-            square = blk[:, blk.shape[1] - blk.shape[0]:]
-            for j in range(square.shape[0] - 1):
+    def __iter__(self):
+        return ((blk.shape[1] - blk.shape[0], blk.shape[1], blk) for blk in self.blocks)
+
+    def seal(self) -> "_LowerTriangle":
+        """Mirror each diagonal square's lower triangle onto its upper one, so
+        full() is exactly symmetric, and make the blocks read-only."""
+        for i0, i1, blk in self:        # a BLAS may not sum x_i'x_j as x_j'x_i
+            square = blk[:, i0:]
+            for j in range(i1 - i0 - 1):
                 square[j, j + 1:] = square[j + 1:, j]
             blk.setflags(write=False)
+        return self
 
     def __matmul__(self, V: np.ndarray) -> np.ndarray:
         out = np.empty((self.n,) + V.shape[1:])
-        for blk in self.blocks:
-            i0, i1 = blk.shape[1] - blk.shape[0], blk.shape[1]
+        for i0, i1, blk in self:
             np.matmul(blk, V[:i1], out=out[i0:i1])    # earlier blocks add above i0 only
             out[:i0] += blk[:, :i0].T @ V[i0:i1]
         return out
 
     def full(self) -> np.ndarray:
-        """The n x n matrix, exactly symmetric."""
+        """The n x n matrix, exactly symmetric once sealed."""
         M = np.empty((self.n, self.n))
-        for blk in self.blocks:
-            i0, i1 = blk.shape[1] - blk.shape[0], blk.shape[1]
+        for i0, i1, blk in self:
             M[i0:i1, :i1] = blk
             M[:i0, i0:i1] = blk[:, :i0].T
         return M
@@ -397,21 +391,26 @@ def _solve_shifted(P: _LowerTriangle, shift: float, b: np.ndarray) -> np.ndarray
 
     P is only read. A zero b gives exact zeros.
 
-    Conjugate gradients (Hestenes & Stiefel 1952) run first, for at most
-    _CG_BUDGET = 64 steps from x = 0, with no condition bound to gate them;
-    each step multiplies by M = P + shift*I as P @ v + shift * v. The answer
-    is kept if its true residual, one more product, meets ||b - M x|| <=
-    tol * ||b||. On breakdown (p'Mp <= 0) or a failed check, x is
-    np.linalg.solve(M, b) on M assembled from P.full(); that fallback holds
-    P's blocks, M and LU's copy of M, and releases M on return. An LU solve
-    costs 86 to 101, 120 to 144 and 139 to 163 products by P's blocks at
-    n = 1000, 2000 and 3000 (three runs, one OpenBLAS thread, 2-core Xeon),
-    so the worst case, an ill-conditioned system, costs 65 products plus
-    one LU, under twice LU's cost. At lambda = 0.1 the kernel systems measured took 11 to 15
-    products, and the k-mer systems 46 to 53. Below n = 250 the
-    interpreter's cost per CG step dominates (four products' worth at
-    n = 100), and a failed attempt can take up to six LU solves, under a
-    millisecond.
+    Conjugate gradients (Hestenes & Stiefel 1952) run first, ungated, for
+    at most _CG_BUDGET = 64 steps from x = 0 on b scaled to unit max-norm,
+    so no inner product over- or underflows; each step multiplies by M =
+    P + shift*I as P @ v + shift * v. The answer is kept if its true
+    residual, one more product, meets ||b - M x|| <= tol * ||b||. On
+    breakdown (p'Mp <= 0) or a failed check, x is np.linalg.solve(M, b) on
+    the caller's b and M assembled from P.full(); that fallback holds P's
+    blocks, M and LU's copy of M, and releases M on return.
+
+    An LU solve costs 86 to 101, 120 to 144 and 139 to 163 products by P's
+    blocks at n = 1000, 2000 and 3000 (three runs, one OpenBLAS thread,
+    2-core Xeon), so the worst case, 65 products plus one LU, is under twice
+    LU's cost. At lambda = 0.1 the kernel systems measured took 11 to 15
+    products, and the k-mer systems 46 to 53. A smaller lambda can reach
+    the worst case: the degree-3 k-mer system of 2000 planted-motif
+    sequences of length 100 takes 53 products at lambda = 0.1, but at 0.03
+    it spends all 65 (0.095 s) and then LU (0.147 s), 1.6 times LU alone.
+    Below n = 250 the interpreter's cost per CG step dominates (four
+    products' worth at n = 100), and a failed attempt can take up to six LU
+    solves, under a millisecond.
 
     tol = sqrt(n) * eps / 4, just above LU's own relative residual. In units
     of sqrt(n) * eps, the largest LU residual measured per n (one OpenBLAS
@@ -428,31 +427,18 @@ def _solve_shifted(P: _LowerTriangle, shift: float, b: np.ndarray) -> np.ndarray
     if not b.any():
         return np.zeros(n)
     tol = math.sqrt(n) * np.finfo(np.float64).eps / 4
-    x = _conjugate_gradients(P, shift, b, _CG_BUDGET, tol)
-    if x is None:
-        M = P.full()
-        M[np.diag_indices(n)] += shift
-        x = np.linalg.solve(M, b)
-    return x
-
-
-def _conjugate_gradients(P: _LowerTriangle, shift: float, b: np.ndarray, steps: int,
-                         tol: float) -> np.ndarray | None:
-    """At most `steps` CG steps on (P + shift*I) x = b from x = 0; the answer
-    if its true residual is within tol * ||b||, else None. b is scaled to
-    unit max-norm first, so no inner product can overflow or underflow."""
     scale = np.abs(b).max()
-    b = b / scale
-    x = np.zeros_like(b)
-    r, p = b.copy(), b.copy()
+    u = b / scale
+    x, r, p = np.zeros_like(u), u.copy(), u.copy()
     rr = r @ r
     stop = (tol / 2) ** 2 * rr
-    for _ in range(steps):
+    for _ in range(_CG_BUDGET):
         q = P @ p
         q += shift * p
         pq = p @ q
-        if not pq > 0.0:
-            return None
+        if not pq > 0.0:            # breakdown: straight to LU
+            x = None
+            break
         a = rr / pq
         x += a * p
         r -= a * q
@@ -461,10 +447,15 @@ def _conjugate_gradients(P: _LowerTriangle, shift: float, b: np.ndarray, steps: 
             break
         p *= rr / rr_old
         p += r
-    q = P @ x
-    q += shift * x
-    q -= b
-    return scale * x if q @ q <= tol ** 2 * (b @ b) else None
+    if x is not None:
+        q = P @ x
+        q += shift * x
+        q -= u
+        if q @ q <= tol ** 2 * (u @ u):
+            return scale * x
+    M = P.full()
+    M[np.diag_indices(n)] += shift
+    return np.linalg.solve(M, b)
 
 
 def train_kernel_ridge(data: TabularDataset, kernel: KernelSpec,
@@ -491,11 +482,10 @@ def train_kernel_ridge(data: TabularDataset, kernel: KernelSpec,
     return scorer
 
 
-def _kmer_gram_blocks(codes: np.ndarray, K: int) -> list[np.ndarray]:
-    """The _LowerTriangle.empty_blocks of G, filled with G[a, b], the number
-    of (degree k <= K, position) substrings the coded DNA sequences a and b
-    share; each block's diagonal square is filled whole. See
-    train_positional_kmer for the method."""
+def _kmer_gram_blocks(codes: np.ndarray, K: int) -> _LowerTriangle:
+    """The unsealed _LowerTriangle G, diagonal squares filled whole, G[a, b]
+    the number of (degree k <= K, position) substrings the coded DNA
+    sequences a and b share; train_positional_kmer gives the method."""
     n, L = codes.shape
     W = -(-L // 64)
 
@@ -508,9 +498,8 @@ def _kmer_gram_blocks(codes: np.ndarray, K: int) -> list[np.ndarray]:
 
     lo, hi = words(codes & 1), words(codes >> 1)
     valid = words(np.ones((1, L), dtype=np.uint8))[:, :, None]
-    blocks = _LowerTriangle.empty_blocks(n)
-    for blk in blocks:
-        i0, i1 = blk.shape[1] - blk.shape[0], blk.shape[1]
+    G = _LowerTriangle(n)
+    for i0, i1, blk in G:
         cols = min(i1, max(1, _KMER_CHUNK_WORDS // W))
         rows = max(1, _KMER_CHUNK_WORDS // (W * cols))
         for r0 in range(i0, i1, rows):
@@ -530,7 +519,7 @@ def _kmer_gram_blocks(codes: np.ndarray, K: int) -> list[np.ndarray]:
                         run &= step
                     count += np.bitwise_count(run).sum(axis=0, dtype=np.int32)
                 blk[a.start - i0:a.stop - i0, b] = count
-    return blocks
+    return G
 
 
 def train_positional_kmer(data: SequenceDataset, K: int, lam: float) -> PositionalKmerScorer:
@@ -553,12 +542,13 @@ def train_positional_kmer(data: SequenceDataset, K: int, lam: float) -> Position
 
     G is counted straight into the _TRI_ROWS-row blocks of its lower
     triangle (the _LowerTriangle form of train_kernel_ridge), each block in
-    chunks of _KMER_CHUNK_WORDS word pairs. Its row sums are read exactly
-    from the blocks, and G is centred as H G H, whose null space holds the
-    ones vector, one block at a time, so the dual solution alpha sums to 0
-    and each weight is its substring's alpha-weighted count (bincount),
-    exactly 0 for a substring that never occurs. The dual system is solved
-    by _solve_shifted, as in train_kernel_ridge.
+    chunks of _KMER_CHUNK_WORDS word pairs. Its row sums G 1 are exact, as
+    sums of counts. G is centred as H G H, whose null space holds the ones
+    vector, one block at a time, and sealed only then, so each diagonal
+    square is mirrored from its centred lower half. The dual solution alpha
+    so sums to 0 and each weight is its substring's alpha-weighted count
+    (bincount), exactly 0 for a substring that never occurs. The dual
+    system is solved by _solve_shifted, as in train_kernel_ridge.
 
     The fit's peak is the blocks, n(n + _TRI_ROWS)/2 cells, plus one
     chunk's temporaries: at most three uint64 arrays of _KMER_CHUNK_WORDS
@@ -570,21 +560,15 @@ def train_positional_kmer(data: SequenceDataset, K: int, lam: float) -> Position
         raise FirmError("lambda must be finite and > 0")
     A, L, n = len(DNA_ALPHABET), data.length, data.n
     off = kmer_offsets(A, L, K)
-    blocks = _kmer_gram_blocks(data.codes, K)
-    r = np.zeros(n)
-    for blk in blocks:                          # exact: sums of counts
-        i0, i1 = blk.shape[1] - blk.shape[0], blk.shape[1]
-        r[i0:i1] += blk.sum(axis=1)
-        r[:i0] += blk[:, :i0].sum(axis=0)       # G[j, i0:i1] of the rows j above
-    r /= n                                      # G's row means
+    G = _kmer_gram_blocks(data.codes, K)
+    r = G @ np.ones(n) / n                      # G's row means, of exact sums of counts
     c = r.mean()
-    for blk in blocks:
-        i0, i1 = blk.shape[1] - blk.shape[0], blk.shape[1]
+    for i0, i1, blk in G:
         ri, rows = r[i0:i1], max(1, _BLOCK_CELLS // i1)
         for i in range(0, i1 - i0, rows):
             blk[i:i + rows] += c - ri[i:i + rows, None] - r[None, :i1]
-    alpha = _solve_shifted(_LowerTriangle(blocks), n * lam, data.y - data.y.mean())
-    del blocks, blk                             # views included: the buffer goes
+    alpha = _solve_shifted(G.seal(), n * lam, data.y - data.y.mean())
+    del G, blk                                  # views included: the buffer goes
     ids = kmer_ids(data.codes, A, K)
     w = np.bincount(ids.ravel(), np.repeat(alpha, ids.shape[1]), minlength=off[-1])
     means = np.bincount(ids.ravel(), minlength=off[-1]) / n

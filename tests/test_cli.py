@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import firm
-from firm.cli import main
+from firm import KernelSpec
+from firm.cli import main, parse_kernel
 
 from helpers import all_pm1_rows, brute_firm_binary
 
@@ -119,6 +120,20 @@ class TestAnalyzeBinary:
             assert rec["extras"].keys() == raw_rec["extras"].keys()
             for key, value in raw_rec["extras"].items():
                 assert rec["extras"][key] == pytest.approx(value, rel=1e-12)
+
+    def test_standardize_refuses_constant_scores(self, tmp_path, capsys):
+        """Labels all 0.1 have a computed sd of 1.39e-17, not 0; the exact
+        min = max test refuses them before any file is written."""
+        X = all_pm1_rows(3)[:7]
+        y = np.full(7, 0.1)
+        assert np.std(y) > 0.0
+        inp = tmp_path / "d.csv"
+        write_csv(inp, X, y)
+        out = tmp_path / "out"
+        assert run("analyze", "--input", str(inp), "--method", "binary", "--scorer", "labels",
+                   "--standardize", "--out", str(out)) == 1
+        assert capsys.readouterr().err == "error: zero score variance\n"
+        assert not out.exists()
 
 
 class TestAnalyzeGaussian:
@@ -405,6 +420,32 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1 and param in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("kernel", [
+        "gaussian:1_0", "gaussian:\u0661", "polynomial:\u0661", "gaussian:\uff11",
+        "gaussian:", "polynomial: ", "gaussian:1,2", "polynomial:1,",
+    ], ids=["underscore", "arabic-indic", "arabic-indic-offset", "full-width",
+            "empty", "blank", "two-cells", "trailing-comma"])
+    def test_kernel_value_outside_the_number_grammar(self, tmp_path, capsys, kernel):
+        """--kernel's value is one cell of the data files' number grammar."""
+        name, _, raw = kernel.partition(":")
+        inp = tmp_path / "d.csv"
+        X = np.random.default_rng(3).normal(size=(20, 2))
+        write_csv(inp, X, X[:, 0])
+        out = tmp_path / "out"
+        assert run("analyze", "--input", str(inp), "--method", "slope",
+                   "--scorer", "train:kernel_ridge", "--kernel", kernel, "--out", str(out)) == 1
+        param = {"gaussian": "gamma", "polynomial": "offset"}[name]
+        assert capsys.readouterr().err == f"error: kernel {param} must be a number, got {raw!r}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kernel,want", [
+        ("gaussian", KernelSpec.gaussian(1.0)), ("gaussian: 2.5 ", KernelSpec.gaussian(2.5)),
+        ("gaussian:1E-1", KernelSpec.gaussian(0.1)), ("polynomial", KernelSpec.polynomial(3)),
+        ("polynomial:+0", KernelSpec.polynomial(3, 0.0)),
+    ])
+    def test_kernel_value_in_the_number_grammar(self, kernel, want):
+        assert parse_kernel(kernel, 3) == want
 
     def test_singular_solve_fails_with_one_line(self, tmp_path):
         # duplicated rows make the kernel matrix singular once lambda underflows

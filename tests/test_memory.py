@@ -18,8 +18,8 @@ import numpy as np
 import pytest
 
 import firm.scoring
-from firm import (KernelExpansionScorer, KernelSpec, SequenceDataset, TabularDataset, poim,
-                  train_kernel_ridge, train_positional_kmer)
+from firm import (KernelExpansionScorer, KernelSpec, SequenceDataset, TabularDataset,
+                  load_tabular, poim, train_kernel_ridge, train_positional_kmer)
 from firm import _emit
 
 
@@ -40,6 +40,23 @@ def test_tsv_holds_its_text_about_twice():
     columns = [rng.normal(size=100_000), rng.normal(size=100_000)]
     peak, text = traced_peak(lambda: _emit.tsv(["a", "b"], columns))
     assert peak <= 2.6 * len(text)
+
+
+def test_second_reading_holds_no_list_of_lines(tmp_path):
+    """A whitespace-only line fails the first loadtxt call, so the file is
+    read again; that reading streams its lines to loadtxt. The table and
+    the dataset's copies of it come to about 2.1 x its float64 bytes; a
+    list of the lines (21 cells of repr text each) would add about 2 x."""
+    n, d = 2000, 21
+    X = np.random.default_rng(10).normal(size=(n, d))
+    path = tmp_path / "d.csv"
+    rows = [",".join(map(repr, row.tolist())) for row in X]
+    rows.insert(4, " ")
+    path.write_text(",".join(f"c{j}" for j in range(d)) + "\n" + "\n".join(rows) + "\n",
+                    encoding="utf-8")
+    peak, data = traced_peak(lambda: load_tabular(path, has_labels=True))
+    assert data.X.tobytes() == X[:, :-1].tobytes()
+    assert peak <= 2.5 * X.nbytes
 
 
 def test_gaussian_gram_holds_one_full_matrix():

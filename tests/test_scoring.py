@@ -271,11 +271,21 @@ class TestGram:
         assert kernel.gram(A, B).tobytes() == reference_gram(kernel, A, B).tobytes()
 
 
+def lower_triangle(values):
+    """An unsealed _LowerTriangle holding the n x n array values' cells in
+    its blocks, diagonal squares whole."""
+    S = _LowerTriangle(values.shape[0])
+    for i0, i1, blk in S:
+        blk[...] = values[i0:i1, :i1]
+    return S
+
+
 class TestLowerTriangle:
     """A symmetric matrix kept as row blocks of its lower triangle."""
 
-    @given(st.sampled_from([1, 255, 256, 257, 700]), st.sampled_from([(), (3,)]),
-           st.integers(0, 2 ** 32 - 1))
+    SIZES = [1, 255, 256, 257, 513, 700]
+
+    @given(st.sampled_from(SIZES), st.sampled_from([(), (3,)]), st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=30, deadline=None)
     def test_product_matches_the_full_matrix(self, n, tail, seed):
         """Random blocks, not symmetric as drawn: the diagonal squares are
@@ -284,14 +294,51 @@ class TestLowerTriangle:
         is full() @ V to within 1e-13 of the terms' magnitudes."""
         rng = np.random.default_rng(seed)
         drawn = rng.normal(size=(n, n))
-        S = _LowerTriangle([drawn[i0:i0 + _TRI_ROWS, :i0 + _TRI_ROWS].copy()
-                            for i0 in range(0, n, _TRI_ROWS)])
+        S = lower_triangle(drawn).seal()
         M = S.full()
         assert (M == M.T).all() and (np.tril(M) == np.tril(drawn)).all()
         V = rng.normal(size=(n,) + tail)
         got = S @ V
         assert got.shape == V.shape
         assert (np.abs(got - M @ V) <= 1e-13 * (np.abs(M) @ np.abs(V))).all()
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_iteration_covers_the_lower_triangle_once(self, n):
+        """Consecutive blocks of at most _TRI_ROWS rows, each reaching to its
+        own diagonal: every cell on or below the diagonal once, and above
+        it only the diagonal squares' cells, once each."""
+        seen, last = np.zeros((n, n), dtype=int), 0
+        for i0, i1, blk in _LowerTriangle(n):
+            assert i0 == last and 0 < i1 - i0 <= _TRI_ROWS and blk.shape == (i1 - i0, i1)
+            seen[i0:i1, :i1] += 1
+            last = i1
+        assert last == n and seen.max() == 1 and (np.tril(seen) == np.tril(np.ones(n))).all()
+        block_of = np.arange(n) // _TRI_ROWS
+        assert (np.triu(seen, 1) == np.triu(block_of[:, None] == block_of, 1)).all()
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_seal_mirrors_the_squares_and_freezes(self, n):
+        drawn = np.random.default_rng(n).normal(size=(n, n))
+        S = lower_triangle(drawn)
+        assert S.seal() is S
+        for i0, i1, blk in S:
+            square = blk[:, i0:]
+            assert not blk.flags.writeable
+            assert square.tobytes() == square.T.tobytes()
+            assert (np.tril(square) == np.tril(drawn[i0:i1, i0:i1])).all()
+            assert blk[:, :i0].tobytes() == drawn[i0:i1, :i0].tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                blk[0, 0] = 0.0
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_row_sums_of_counts_are_exact(self, n):
+        """Integer cells, as the k-mer fit's counts: S @ 1 is full()'s row
+        sums bitwise, before the blocks are sealed as after."""
+        A = np.random.default_rng(n).integers(0, 2 ** 30, size=(n, n))
+        S = lower_triangle((A + A.T).astype(np.float64))
+        want = S.full().sum(axis=1)
+        assert (S @ np.ones(n)).tobytes() == want.tobytes()
+        assert (S.seal() @ np.ones(n)).tobytes() == want.tobytes()
 
 
 class TestKeptGram:
@@ -511,7 +558,7 @@ class TestShiftedSolve:
         """P = scale * I at n = 10, at both ends of the float range: a CG
         step or two and one residual product, no overflow, and LU's answer
         to the last bit or two."""
-        P, b = _LowerTriangle([scale * np.eye(10)]), np.arange(1.0, 11.0)
+        P, b = lower_triangle(scale * np.eye(10)).seal(), np.arange(1.0, 11.0)
         _, ref = self.lu(P, 1.0, b)
         calls = self.count_matvecs(monkeypatch)
         monkeypatch.setattr(np.linalg, "solve", None)
@@ -552,10 +599,9 @@ class TestKmerGram:
 
     @staticmethod
     def assert_blocks_equal(codes, K, want):
-        blocks = _kmer_gram_blocks(codes, K)
-        assert sum(blk.shape[0] for blk in blocks) == codes.shape[0]
-        for blk in blocks:
-            i0, i1 = blk.shape[1] - blk.shape[0], blk.shape[1]
+        G = _kmer_gram_blocks(codes, K)
+        assert sum(blk.shape[0] for _, _, blk in G) == codes.shape[0]
+        for i0, i1, blk in G:
             assert blk.tobytes() == want[i0:i1, :i1].astype(np.float64).tobytes()
 
     @settings(max_examples=40, deadline=None)
@@ -643,9 +689,9 @@ class TestPositionalKmerTrainer:
 
     def test_blocked_centring_matches_one_expression_centring(self, monkeypatch):
         """A fit on more rows than a block (515: two blocks of 256 rows and
-        one of 3) hands the solve, bit for bit, the Gram matrix centred in
-        one expression, and its weights are the bincounts of that solve's
-        answer."""
+        one of 3) hands the solve, bit for bit and sealed, the Gram matrix
+        centred in one expression, and its weights are the bincounts of that
+        solve's answer."""
         rng = np.random.default_rng(21)
         n, L, K, lam = 515, 8, 2, 0.05
         seqs = tuple("".join(rng.choice(list("ACGT"), size=L)) for _ in range(n))
@@ -667,6 +713,7 @@ class TestPositionalKmerTrainer:
         sc = train_positional_kmer(ds, K=K, lam=lam)
         (P,) = solved
         assert [blk.shape[0] for blk in P.blocks] == [_TRI_ROWS, _TRI_ROWS, 3]
+        assert not any(blk.flags.writeable for blk in P.blocks)
         assert P.full().tobytes() == gram.tobytes()
         alpha = _solve_shifted(P, n * lam, ds.y - ds.y.mean())
         w = np.bincount(ids.ravel(), np.repeat(alpha, ids.shape[1]), minlength=F)
