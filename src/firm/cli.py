@@ -21,7 +21,7 @@ from .binary import firm_binary_values
 from .dataset import (CovarianceEstimate, TabularDataset, empirical_covariance,
                       load_sequences, load_tabular, loadtxt_rows, open_utf8,
                       refuse_constant_column, shrinkage_covariance)
-from .empirical import conditional_curve, default_bins, firm_from_curve, firm_slope
+from .empirical import conditional_curve, default_bins, firm_from_curve, firm_slope, unit_rows
 from .errors import DataFormatError, FirmError
 from .gaussian import firm_gaussian_general, sensitivity_index
 from .scoring import (KernelSpec, score_many, train_kernel_ridge,
@@ -163,9 +163,12 @@ def analyze_tabular(args) -> dict:
             curve = conditional_curve(scores, data.X[:, j], bins)
             artifacts[f"curves/{name}.tsv"] = _emit.curve_tsv(curve)
             results.append(firm_from_curve(curve, feature=name))
-    if args.standardize and scores.min() == scores.max():   # exact, unlike np.std
-        raise FirmError("zero score variance")
-    score_sd = float(np.std(scores)) if args.standardize else None
+    score_sd = None
+    if args.standardize:
+        if scores.min() == scores.max():   # exact, unlike np.std
+            raise FirmError("zero score variance")
+        row, exp = unit_rows(scores[None, :])    # np.std's bits, but no underflow
+        score_sd = float(np.ldexp(np.std(row[0]), exp[0]))
     artifacts["firm.tsv"] = _emit.firm_results_tsv(results, score_sd=score_sd)
     artifacts["firm.json"] = _emit.firm_results_json(results, score_sd=score_sd)
     return artifacts

@@ -131,25 +131,31 @@ def firm_from_curve(curve: ConditionalScoreCurve, feature: str = "f") -> FirmRes
     return FirmResult(feature=feature, q_signed=q_abs, method="empirical_curve")
 
 
-def _slope_moments(scores, F, names=None):
-    """Per-column moments shared by the slope estimators.
+def unit_rows(a):
+    """A C-ordered copy of the 2-D array a with each row scaled, exactly, by
+    the power of two bringing its largest magnitude into [0.5, 1), so that
+    its variance neither underflows nor overflows; and the exponents."""
+    a = np.array(a, dtype=np.float64, order="C")
+    _, exp = np.frexp(np.maximum(a.max(axis=1), -a.min(axis=1)))
+    return np.ldexp(a, -exp[:, None], out=a), exp
 
-    Returns the centered columns (d-by-n, so each reduction runs along a
-    contiguous row), the centered scores, each column's variance and its
-    covariance with the scores, and the column names. Each column is first
-    scaled by the power of two that brings its largest magnitude into
-    [0.5, 1): the slope importance and its standard error do not change
-    under a positive scaling, this one is exact, and the variance of a
-    column of tiny or huge values can then neither underflow nor overflow.
-    """
-    scores, F, names = feature_columns(scores, F, names)
-    Ft = np.array(F.T, order="C")               # a copy: scaled in place
-    _, exp = np.frexp(np.maximum(Ft.max(axis=1), -Ft.min(axis=1)))
-    np.ldexp(Ft, -exp[:, None], out=Ft)
-    var_f = np.var(Ft, axis=1)
-    fc = Ft - Ft.mean(axis=1, keepdims=True)
+
+def _slope_blocks(scores, F):
+    """Per-column moments shared by the slope estimators, for blocks of
+    max(1, 2**16 // n) columns of F in turn (scores and F as feature_columns
+    returns them). Yields each block's columns, scaled by unit_rows (the
+    slope importance and its standard error do not change under a positive
+    scaling) and centered; the centered scores; each column's variance and
+    its covariance with the scores. A block is a transposed copy, so every
+    reduction runs along a contiguous row and no column's bits depend on its
+    block; it and a few temporaries of its size are all that is held."""
     sc = scores - scores.mean()
-    return fc, sc, var_f, np.mean(fc * sc, axis=1), names
+    width = max(1, 2 ** 16 // sc.size)
+    for j0 in range(0, F.shape[1], width):
+        fc, _ = unit_rows(F[:, j0:j0 + width].T)
+        var_f = np.var(fc, axis=1)
+        fc -= fc.mean(axis=1, keepdims=True)
+        yield fc, sc, var_f, np.mean(fc * sc, axis=1)
 
 
 def firm_slope(scores, F, names=None) -> list[FirmResult]:
@@ -160,8 +166,8 @@ def firm_slope(scores, F, names=None) -> list[FirmResult]:
     the binary importance on two-valued features. F is n-by-d (1-D for one
     column); columns are named by `names`, or x1 .. xd.
     """
-    _, _, var_f, cov, names = _slope_moments(scores, F, names)
-    q = cov / np.sqrt(var_f)
+    scores, F, names = feature_columns(scores, F, names)
+    q = np.concatenate([cov / np.sqrt(var_f) for _, _, var_f, cov in _slope_blocks(scores, F)])
     return [FirmResult(feature=names[j], q_signed=float(q[j]), method="slope")
             for j in range(q.size)]
 
@@ -172,6 +178,7 @@ def slope_stderr(scores, F) -> np.ndarray:
     The slope importance is slope * sd(f); its standard error is
     sd(residuals) / sqrt(n).
     """
-    fc, sc, var_f, cov, _ = _slope_moments(scores, F)
-    resid = sc - (cov / var_f)[:, None] * fc
-    return np.std(resid, axis=1) / math.sqrt(sc.size)
+    scores, F, _ = feature_columns(scores, F)
+    sd = np.concatenate([np.std(sc - (cov / var_f)[:, None] * fc, axis=1)
+                         for fc, sc, var_f, cov in _slope_blocks(scores, F)])
+    return sd / math.sqrt(scores.size)

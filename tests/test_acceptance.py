@@ -118,6 +118,7 @@ def test_criterion_03_slope_identity_on_binary_features():
     ok(3, "slope estimator = exact binary importance")
 
 
+@pytest.mark.slow
 def test_criterion_04_gaussian_linear_and_kernel_vs_monte_carlo():
     # Linear scorers: the closed form is exact, so each coordinate must sit
     # within Z standard errors of the Monte Carlo estimate (mc_firm's q_lin:

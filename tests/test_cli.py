@@ -135,6 +135,18 @@ class TestAnalyzeBinary:
         assert capsys.readouterr().err == "error: zero score variance\n"
         assert not out.exists()
 
+    def test_standardize_takes_the_sd_of_tiny_scores(self, tmp_path):
+        """Labels of 1e-310 and 2e-310 have sd 5e-311, which np.std gives as
+        0.0: their squared deviations underflow. The sd is taken on the
+        labels scaled by a power of two, then scaled back."""
+        inp = tmp_path / "d.csv"
+        inp.write_text("a,label\n1,1e-310\n-1,2e-310\n1,2e-310\n-1,1e-310\n")
+        assert np.std([1e-310, 2e-310, 2e-310, 1e-310]) == 0.0
+        out = tmp_path / "out"
+        assert run("analyze", "--input", str(inp), "--method", "binary", "--scorer", "labels",
+                   "--standardize", "--out", str(out)) == 0
+        assert json.loads((out / "firm.json").read_text())["score_sd"] == 5e-311
+
 
 class TestAnalyzeGaussian:
     def test_matches_sensitivity_for_diagonal_covariance(self, tmp_path):

@@ -43,6 +43,21 @@ def tied_columns(draw):
     return scores, f, bins
 
 
+@st.composite
+def blocked_columns(draw):
+    """(scores, F) for the slope estimators, whose blocks hold
+    max(1, 2**16 // n) columns: n sits just below or at a change of that
+    width, d runs across the block boundaries, and each column has its own
+    scale, 1e-300 to 1e300."""
+    width = draw(st.integers(1, 4))
+    n = 2 ** 16 // (width + 1) + draw(st.integers(0, 1))    # width + 1 columns, or width
+    d = draw(st.integers(1, 2 * (width + 1) + 1))
+    scale = 10.0 ** np.array(draw(st.lists(st.integers(-300, 300), min_size=d, max_size=d)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    unit = rng.normal(size=(n, d))
+    return unit @ rng.normal(size=d) + rng.normal(size=n), unit * scale
+
+
 class TestConditionalCurve:
     def test_binary_values_get_two_bins(self):
         fv = np.array([-1.0, 1.0, -1.0, 1.0, 1.0, -1.0])
@@ -257,6 +272,22 @@ class TestSlope:
         assert [r.feature for r in res] == ["a", "b", "c"]
         for j, r in enumerate(res):
             assert r.q_signed == firm_slope(s, F[:, j])[0].q_signed
+
+    @settings(max_examples=30, deadline=None)
+    @given(blocked_columns())
+    def test_each_column_is_its_one_column_call(self, case):
+        """Bitwise, whatever block a column falls in and whatever the
+        other columns' scales."""
+        s, F = case
+        q = [r.q_signed for r in firm_slope(s, F)]
+        se = slope_stderr(s, F)
+        for j in range(F.shape[1]):
+            one_q = firm_slope(s, F[:, j])[0].q_signed
+            one_se = slope_stderr(s, F[:, j])
+            assert repr(q[j]) == repr(one_q)
+            assert np.float64(q[j]).tobytes() == np.float64(one_q).tobytes()
+            assert repr(se[j]) == repr(one_se[0])
+            assert se[j:j + 1].tobytes() == one_se.tobytes()
 
     def test_stderr_matches_polyfit_residuals(self):
         rng = np.random.default_rng(9)

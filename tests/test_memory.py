@@ -3,13 +3,15 @@
 traced_peak counts what tracemalloc sees, numpy's array buffers included:
 the largest amount a call held above what was allocated when it started.
 Each ceiling sits below what holding one more full-size temporary would
-take, so a change that brings one back fails here.
+take, so a change that brings one back fails here. firm_slope and
+slope_stderr hold a block of a few columns at a time: their ceiling, 0.5 x
+8nd at n = 20 000 and d = 50, is half of one n x d copy of F.
 
 tracemalloc does not see the work copies numpy.linalg makes inside LAPACK,
 such as the LU factor np.linalg.solve writes over a copy of its matrix, so
 a fit's traced peak is the same whatever it holds beside that copy. The
-k-mer fit is therefore also measured at the solve's entry: what it still
-holds when the untraced copy is made.
+k-mer fit and the least-squares fit are therefore also measured at their
+solve's entry: what each still holds when the untraced copy is made.
 """
 
 import tracemalloc
@@ -19,7 +21,8 @@ import pytest
 
 import firm.scoring
 from firm import (KernelExpansionScorer, KernelSpec, SequenceDataset, TabularDataset,
-                  load_tabular, poim, train_kernel_ridge, train_positional_kmer)
+                  firm_slope, load_tabular, poim, slope_stderr, train_kernel_ridge,
+                  train_least_squares, train_positional_kmer)
 from firm import _emit
 
 
@@ -57,6 +60,44 @@ def test_second_reading_holds_no_list_of_lines(tmp_path):
     peak, data = traced_peak(lambda: load_tabular(path, has_labels=True))
     assert data.X.tobytes() == X[:, :-1].tobytes()
     assert peak <= 2.5 * X.nbytes
+
+
+@pytest.mark.parametrize("estimator", [firm_slope, slope_stderr])
+def test_slope_estimators_hold_a_few_columns(estimator):
+    """A block of 2**16 // n columns (3 at n = 20 000: 0.06 x 8nd) is copied,
+    scaled and centered, beside one temporary of its size; one transposed
+    copy of all of F would take 1.0 x 8nd."""
+    n, d = 20_000, 50
+    rng = np.random.default_rng(11)
+    F = rng.normal(size=(n, d))
+    s = F @ rng.normal(size=d) + rng.normal(size=n)
+    peak, _ = traced_peak(lambda: estimator(s, F))
+    assert peak <= 0.5 * 8 * n * d
+
+
+def test_least_squares_holds_one_design_at_lstsq(monkeypatch):
+    """At lstsq's entry the fit holds its design with the ones column,
+    n x (d + 1) (1.02 x 8nd at d = 50), beside data.X; LAPACK's untraced
+    copy of it comes on top, so a second copy held here would add to the
+    peak that sets the tabular pass."""
+    n, d = 20_000, 50
+    rng = np.random.default_rng(12)
+    X = rng.normal(size=(n, d))
+    data = TabularDataset(X=X, y=X @ rng.normal(size=d), names=tuple(f"c{j}" for j in range(d)))
+    lstsq, held = np.linalg.lstsq, []
+
+    def probe(*args, **kwargs):
+        held.append(tracemalloc.get_traced_memory()[0] - start)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", probe)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        train_least_squares(data)
+    finally:
+        tracemalloc.stop()
+    assert len(held) == 1 and held[0] <= 1.1 * 8 * n * d
 
 
 def test_gaussian_gram_holds_one_full_matrix():
