@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateFeatureError, FirmError
-from .features import FeatureFunction, feature_columns
+from .features import FeatureFunction, column_blocks, feature_columns
 from .results import BinaryStats, FirmResult
 from .scoring import Scorer, score_many
 
@@ -32,7 +32,8 @@ def firm_binary_values(scores, F, probs=None, names=None) -> list[FirmResult]:
     F is n-by-d (1-D for one column) and row-aligned with the scores; row i
     has probability probs[i], uniform by default. Columns are named by
     `names`, or x1 .. xd. Scores X @ w + b with F = X give the paper's
-    matrix form Q = M'(Xw + b) of a linear scorer on ±1 data.
+    matrix form Q = M'(Xw + b) of a linear scorer on ±1 data. Sums run along
+    rows of column_blocks, so each column's bits are its one-column call's.
     """
     if probs is not None:
         probs = np.asarray(probs, dtype=np.float64).ravel()
@@ -43,22 +44,26 @@ def firm_binary_values(scores, F, probs=None, names=None) -> list[FirmResult]:
         probs = np.full(scores.size, 1.0 / scores.size)
     elif probs.size != scores.size:
         raise FirmError("need one probability per point")
-    lo, hi = F.min(axis=0), F.max(axis=0)
-    is_hi = F == hi
-    bad = np.nonzero(~(is_hi | (F == lo)).all(axis=0))[0]
+    weighted = probs * scores
+    sums = []
+    for fb in column_blocks(F):
+        is_hi = fb == fb.max(axis=1, keepdims=True)
+        two_valued = (is_hi | (fb == fb.min(axis=1, keepdims=True))).all(axis=1)
+        sums.append([two_valued] + [np.where(h, v, 0.0).sum(axis=1) for h, v in
+                                    ((is_hi, probs), (is_hi, weighted), (~is_hi, weighted))])
+    two_valued, p_hi, sum_hi, sum_lo = map(np.concatenate, zip(*sums))
+    bad = np.nonzero(~two_valued)[0]
     if bad.size:
         j = bad[0]
         raise FirmError(f"feature {names[j]} takes {np.unique(F[:, j]).size} values; "
                         "binary importance needs exactly 2")
-    weighted = probs * scores
-    p_hi, sum_hi = np.stack([probs, weighted]) @ is_hi
     p_lo = 1.0 - p_hi
     bad = np.nonzero((p_hi <= 0.0) | (p_lo <= 0.0))[0]
     if bad.size:
         raise DegenerateFeatureError(
             f"feature {names[bad[0]]}: a value has zero probability")
     q_hi = sum_hi / p_hi
-    q_lo = (weighted @ ~is_hi) / p_lo
+    q_lo = sum_lo / p_lo
     q = (q_hi - q_lo) * np.sqrt(p_hi * p_lo)
     return [FirmResult(feature=names[j], q_signed=float(q[j]), method="binary_exact",
                        extras=BinaryStats(q_a=float(q_hi[j]), q_b=float(q_lo[j]),

@@ -167,7 +167,7 @@ def analyze_tabular(args) -> dict:
     if args.standardize:
         if scores.min() == scores.max():   # exact, unlike np.std
             raise FirmError("zero score variance")
-        row, exp = unit_rows(scores[None, :])    # np.std's bits, but no underflow
+        row, exp = unit_rows(scores[None, :].copy())    # np.std's bits, but no underflow
         score_sd = float(np.ldexp(np.std(row[0]), exp[0]))
     artifacts["firm.tsv"] = _emit.firm_results_tsv(results, score_sd=score_sd)
     artifacts["firm.json"] = _emit.firm_results_json(results, score_sd=score_sd)

@@ -343,7 +343,8 @@ def shrinkage_covariance(data: TabularDataset) -> CovarianceEstimate:
         return CovarianceEstimate(sigma=S, method="shrunk", shrinkage_lambda=0.0)
     # per-entry sampling variance of s_ij from the products w_kij = xc_ki * xc_kj
     # Var^(s_ij) = n/(n-1)^3 * sum_k (w_kij - mean_k w_kij)^2
-    Xc2 = (data.X - data.column_means) ** 2
+    Xc2 = data.X - data.column_means
+    np.square(Xc2, out=Xc2)
     W2 = Xc2.T @ Xc2                           # sum_k w_kij^2
     var_s = (n / (n - 1) ** 3) * (W2 - n * S ** 2)
     off = ~np.eye(d, dtype=bool)

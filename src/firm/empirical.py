@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateFeatureError, FirmError
-from .features import feature_columns
+from .features import column_blocks, feature_columns
 from .results import FirmResult
 
 
@@ -132,27 +132,21 @@ def firm_from_curve(curve: ConditionalScoreCurve, feature: str = "f") -> FirmRes
 
 
 def unit_rows(a):
-    """A C-ordered copy of the 2-D array a with each row scaled, exactly, by
-    the power of two bringing its largest magnitude into [0.5, 1), so that
-    its variance neither underflows nor overflows; and the exponents."""
-    a = np.array(a, dtype=np.float64, order="C")
+    """Scale each row of the C-ordered float64 2-D array a in place, exactly,
+    by the power of two bringing its largest magnitude into [0.5, 1), so its
+    variance neither underflows nor overflows; returns a and the exponents."""
     _, exp = np.frexp(np.maximum(a.max(axis=1), -a.min(axis=1)))
     return np.ldexp(a, -exp[:, None], out=a), exp
 
 
 def _slope_blocks(scores, F):
-    """Per-column moments shared by the slope estimators, for blocks of
-    max(1, 2**16 // n) columns of F in turn (scores and F as feature_columns
-    returns them). Yields each block's columns, scaled by unit_rows (the
-    slope importance and its standard error do not change under a positive
-    scaling) and centered; the centered scores; each column's variance and
-    its covariance with the scores. A block is a transposed copy, so every
-    reduction runs along a contiguous row and no column's bits depend on its
-    block; it and a few temporaries of its size are all that is held."""
+    """Per-column moments of the slope estimators over the column_blocks of
+    F (as feature_columns returns it): each block's columns, scaled by
+    unit_rows (which changes neither estimate) and centered; the centered
+    scores; each column's variance and its covariance with the scores."""
     sc = scores - scores.mean()
-    width = max(1, 2 ** 16 // sc.size)
-    for j0 in range(0, F.shape[1], width):
-        fc, _ = unit_rows(F[:, j0:j0 + width].T)
+    for fc in column_blocks(F):
+        unit_rows(fc)
         var_f = np.var(fc, axis=1)
         fc -= fc.mean(axis=1, keepdims=True)
         yield fc, sc, var_f, np.mean(fc * sc, axis=1)

@@ -114,3 +114,11 @@ def feature_columns(scores, F, names=None):
     names = column_names(names, F.shape[1])
     refuse_constant_column(F, names)
     return scores, F, names
+
+
+def column_blocks(F):
+    """F's columns, max(1, 2**16 // n) at a time, as transposed C-ordered
+    copies: a reduction along a row runs over one contiguous column, so no
+    column's bits depend on the other columns of its block."""
+    width = max(1, 2 ** 16 // F.shape[0])
+    return (np.array(F[:, j:j + width].T, order="C") for j in range(0, F.shape[1], width))

@@ -356,17 +356,24 @@ def gradient_at(scorer: Scorer, x0) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def train_least_squares(data: TabularDataset) -> LinearScorer:
-    """Unregularized least squares with a fitted bias.
-
-    Solves min ||Xw + b - y||^2 via a ones-column augmentation. Raises on
-    rank-deficient designs (use train_ridge there).
+    """Unregularized least squares with a fitted bias, by the sequential TSQR
+    of Demmel, Grigori, Hoemmen & Langou (2012): blocks of max(1, 2**16 //
+    (d + 1)) rows of the centered [X - mean(X) | y - mean(y)] fold into a
+    running (d + 1)-square R, with no copy of the design and with lstsq's
+    backward stability. w solves R[:d, :d] w = R[:d, d] by lstsq, rcond = eps
+    * max(n, d + 1); b = mean(y) - mean(X)'w. Raises when that rank is below
+    d or n <= d (use train_ridge there).
     """
-    y = data.labels()
-    A = np.column_stack([data.X, np.ones(data.n)])
-    sol, _, rank, _ = np.linalg.lstsq(A, y, rcond=None)
-    if rank < data.d + 1:
+    y, mu, n, d = data.labels(), data.column_means, data.n, data.d
+    y_bar, rows, R = y.mean(), max(1, 2 ** 16 // (d + 1)), np.empty((0, d + 1))
+    for i in range(0, n, rows):
+        block = np.column_stack([data.X[i:i + rows] - mu, y[i:i + rows] - y_bar])
+        R = np.linalg.qr(np.concatenate([R, block]), mode="r")
+    rcond = np.finfo(np.float64).eps * max(n, d + 1)
+    w, _, rank, _ = np.linalg.lstsq(R[:d, :d], R[:d, d], rcond=rcond)
+    if rank < d or n <= d:
         raise FirmError("singular normal equations; use train_ridge with lambda > 0")
-    return LinearScorer(w=sol[:-1], b=float(sol[-1]))
+    return LinearScorer(w=w, b=float(y_bar - mu @ w))
 
 
 def train_ridge(data: TabularDataset, lam: float) -> LinearScorer:

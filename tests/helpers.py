@@ -17,8 +17,11 @@ Closed forms of special cases that a general package path computes live
 here as oracles of that path: firm_uniform_conjunction (signed
 conjunctions under uniform ±1 inputs, against firm_binary_exact),
 firm_regression_closed_form (the unregularized regression fit, against
-firm_gaussian_general of a trained scorer) and expected_score (E[s] of a
-positional k-mer scorer, beside enumeration for the poim cells).
+firm_gaussian_general of a trained scorer), least_squares_with_ones (the
+fit and bias of train_least_squares, by lstsq on [X, 1]),
+shrinkage_with_squared_copy (the shrunk covariance's arithmetic, written
+out) and expected_score (E[s] of a positional k-mer scorer, beside
+enumeration for the poim cells).
 parse_tabular states load_tabular's grammar one cell at a time with
 Python float, less the forms np.loadtxt refuses.
 """
@@ -117,6 +120,28 @@ def firm_regression_closed_form(X, y, sigma):
     diagonal of standard deviations."""
     w = np.linalg.solve(X.T @ X, X.T @ y)
     return (sigma @ w) / np.sqrt(np.diag(sigma))
+
+
+def least_squares_with_ones(X, y):
+    """(w, b) of the least-squares fit of y on X with a bias, by lstsq on the
+    design with a ones column appended."""
+    sol = np.linalg.lstsq(np.column_stack([X, np.ones(len(y))]), y, rcond=None)[0]
+    return sol[:-1], sol[-1]
+
+
+def shrinkage_with_squared_copy(X):
+    """(sigma, lambda) of the shrunk covariance, step by step as
+    dataset.shrinkage_covariance computes them, but squaring the centered
+    data into a second copy, (X - mean) ** 2."""
+    n, d = X.shape
+    Xc = X - X.mean(axis=0)
+    S = (Xc.T @ Xc) / n
+    S = (S + S.T) / 2.0
+    Xc2 = Xc ** 2
+    var_s = (n / (n - 1) ** 3) * (Xc2.T @ Xc2 - n * S ** 2)
+    off = ~np.eye(d, dtype=bool)
+    lam = float(np.clip(var_s[off].sum() / (S[off] ** 2).sum(), 0.0, 1.0))
+    return (1.0 - lam) * S + lam * np.diag(np.diag(S)), lam
 
 
 def expected_score(scorer, letter_prob=None):

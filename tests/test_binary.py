@@ -8,12 +8,46 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from firm import (DegenerateFeatureError, FirmError, KernelExpansionScorer, KernelSpec,
-                  LinearScorer, Projection, SignedConjunction, Xor, firm_binary_exact,
-                  firm_binary_values, score_many, train_kernel_ridge)
+                  LinearScorer, Projection, SignedConjunction, Xor, conditional_curve,
+                  firm_binary_exact, firm_binary_values, firm_from_curve, firm_slope,
+                  score_many, train_kernel_ridge)
 from firm import experiments
 
 from helpers import (all_pm1_rows, brute_firm_binary, empirical_matrix_diagonals,
                      firm_uniform_conjunction, poim_firm_conversion)
+
+
+@st.composite
+def two_valued_columns(draw):
+    """(scores, F, probs): n in 8..2000 rows, k in 2..11 columns, each
+    taking two random values (both present), and random point
+    probabilities."""
+    n, k = draw(st.integers(8, 2000)), draw(st.integers(2, 11))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pick = rng.random(size=(n, k)) < rng.uniform(0.1, 0.9, size=k)
+    pick[0], pick[1] = True, False
+    F = np.where(pick, *rng.normal(size=(2, 1, k)))
+    probs = rng.random(n) + 0.01
+    return F @ rng.normal(size=k) + rng.normal(size=n), F, probs / probs.sum()
+
+
+class TestEachColumnIsItsOneColumnCall:
+    """Each column's FirmResult from a call over many columns is, by repr,
+    that of a call on the column alone."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(two_valued_columns())
+    def test_binary_slope_and_curve(self, case):
+        s, F, probs = case
+        binary = firm_binary_values(s, F, probs=probs)
+        slope = firm_slope(s, F)
+        for j in range(F.shape[1]):
+            col = F[:, j].copy()
+            assert repr(binary[j]) == repr(firm_binary_values(s, col, probs=probs,
+                                                              names=[f"x{j + 1}"])[0])
+            assert repr(slope[j]) == repr(firm_slope(s, col, names=[f"x{j + 1}"])[0])
+            assert (repr(firm_from_curve(conditional_curve(s, F[:, j], 2)))
+                    == repr(firm_from_curve(conditional_curve(s, col, 2))))
 
 
 class TestExactOnUniformCube:
@@ -66,8 +100,8 @@ class TestExactOnUniformCube:
     def test_one_call_equals_per_feature_calls(self):
         """All features in one call give, in feature order, the numbers of one
         call per feature, under non-uniform probabilities and a nonlinear
-        scorer. Only to round-off: the column sums are one matrix product,
-        whose summation order can change with the number of columns."""
+        scorer, bitwise: each column's sums run along its own row, whatever
+        other columns share the call."""
         rng = np.random.default_rng(9)
         X = all_pm1_rows(4)
         sc = KernelExpansionScorer(points=rng.normal(size=(5, 4)), alpha=rng.normal(size=5),
@@ -80,8 +114,7 @@ class TestExactOnUniformCube:
         assert [r.feature for r in together] == [f.describe() for f in feats]
         for f, r in zip(feats, together):
             [alone] = firm_binary_exact(sc, [f], X, probs=probs)
-            assert r.q_signed == pytest.approx(alone.q_signed, abs=1e-12)
-            np.testing.assert_allclose(r.extras, alone.extras, rtol=0, atol=1e-12)
+            assert repr(r) == repr(alone)
 
     def test_boolean_study_one_call_is_bitwise(self):
         """The Boolean study's trained results, now from one call over its 18

@@ -12,7 +12,7 @@ import firm
 from firm import KernelSpec
 from firm.cli import main, parse_kernel
 
-from helpers import all_pm1_rows, brute_firm_binary
+from helpers import all_pm1_rows, brute_firm_binary, shrinkage_with_squared_copy
 
 
 def run(*argv):
@@ -635,6 +635,22 @@ class TestCovarianceCommand:
         np.linalg.cholesky(sigma)
         doc = json.loads((out / "covariance.json").read_text())
         assert 0.0 <= doc["shrinkage_lambda"] <= 1.0
+
+    def test_shrunk_numbers_are_those_of_the_squared_copy(self, tmp_path):
+        """The centered data are squared in place; every written number is
+        bitwise that of squaring them into a second copy."""
+        rng = np.random.default_rng(11)
+        X = rng.normal(size=(40, 3)) * [1.0, 3.0, 0.5] + [0.0, 10.0, -2.0]
+        X[:, 2] += 0.4 * X[:, 0]
+        inp = tmp_path / "d.csv"
+        write_csv(inp, X)
+        out = tmp_path / "out"
+        assert run("covariance", "--input", str(inp), "--covariance", "shrunk",
+                   "--out", str(out)) == 0
+        sigma, lam = shrinkage_with_squared_copy(X)
+        _, rows = read_tsv(out / "covariance.tsv")
+        assert [r[1:] for r in rows] == [[repr(v) for v in row] for row in sigma.tolist()]
+        assert json.loads((out / "covariance.json").read_text())["shrinkage_lambda"] == lam
 
     def test_column_name_with_tab_fails_with_one_line(self, tmp_path, capsys):
         inp = tmp_path / "d.csv"

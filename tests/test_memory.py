@@ -3,15 +3,17 @@
 traced_peak counts what tracemalloc sees, numpy's array buffers included:
 the largest amount a call held above what was allocated when it started.
 Each ceiling sits below what holding one more full-size temporary would
-take, so a change that brings one back fails here. firm_slope and
-slope_stderr hold a block of a few columns at a time: their ceiling, 0.5 x
-8nd at n = 20 000 and d = 50, is half of one n x d copy of F.
+take, so a change that brings one back fails here. firm_slope,
+slope_stderr and firm_binary_values hold a block of a few columns at a
+time, and train_least_squares a block of rows: their ceilings, 0.5 x 8nd
+for the slope estimators and 0.3 x 8nd for the others at n = 20 000 and
+d = 50, are fractions of one n x d copy.
 
 tracemalloc does not see the work copies numpy.linalg makes inside LAPACK,
 such as the LU factor np.linalg.solve writes over a copy of its matrix, so
 a fit's traced peak is the same whatever it holds beside that copy. The
-k-mer fit and the least-squares fit are therefore also measured at their
-solve's entry: what each still holds when the untraced copy is made.
+k-mer fit is therefore also measured at its solve's entry, and the
+least-squares fit by the rows it hands to LAPACK.
 """
 
 import tracemalloc
@@ -21,8 +23,8 @@ import pytest
 
 import firm.scoring
 from firm import (KernelExpansionScorer, KernelSpec, SequenceDataset, TabularDataset,
-                  firm_slope, load_tabular, poim, slope_stderr, train_kernel_ridge,
-                  train_least_squares, train_positional_kmer)
+                  firm_binary_values, firm_slope, load_tabular, poim, slope_stderr,
+                  train_kernel_ridge, train_least_squares, train_positional_kmer)
 from firm import _emit
 
 
@@ -75,29 +77,51 @@ def test_slope_estimators_hold_a_few_columns(estimator):
     assert peak <= 0.5 * 8 * n * d
 
 
-def test_least_squares_holds_one_design_at_lstsq(monkeypatch):
-    """At lstsq's entry the fit holds its design with the ones column,
-    n x (d + 1) (1.02 x 8nd at d = 50), beside data.X; LAPACK's untraced
-    copy of it comes on top, so a second copy held here would add to the
-    peak that sets the tabular pass."""
+def least_squares_case():
     n, d = 20_000, 50
     rng = np.random.default_rng(12)
     X = rng.normal(size=(n, d))
-    data = TabularDataset(X=X, y=X @ rng.normal(size=d), names=tuple(f"c{j}" for j in range(d)))
-    lstsq, held = np.linalg.lstsq, []
+    return TabularDataset(X=X, y=X @ rng.normal(size=d) + rng.normal(size=n),
+                          names=tuple(f"c{j}" for j in range(d)))
 
-    def probe(*args, **kwargs):
-        held.append(tracemalloc.get_traced_memory()[0] - start)
-        return lstsq(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "lstsq", probe)
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        train_least_squares(data)
-    finally:
-        tracemalloc.stop()
-    assert len(held) == 1 and held[0] <= 1.1 * 8 * n * d
+def test_least_squares_holds_a_few_rows():
+    """The fit centers and QR-factors one block of 2**16 // (d + 1) rows at
+    a time (1285 at d = 50: 0.07 x 8nd); a copy of the design with its ones
+    column, as lstsq on [X, 1] takes, would be 1.02 x 8nd."""
+    data = least_squares_case()
+    peak, _ = traced_peak(lambda: train_least_squares(data))
+    assert peak <= 0.3 * 8 * data.n * data.d
+
+
+def test_least_squares_hands_lapack_one_block_of_rows(monkeypatch):
+    """LAPACK's work copies, which tracemalloc does not see, are of what qr
+    and lstsq are handed: here never more than the running R's d + 1 rows
+    and one block."""
+    data = least_squares_case()
+    n, d = data.n, data.d
+    rows = []
+    for name in ("qr", "lstsq"):
+        def probe(a, *args, _call=getattr(np.linalg, name), **kwargs):
+            rows.append(a.shape[0])
+            return _call(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, probe)
+    train_least_squares(data)
+    assert len(rows) == -(-n // (2 ** 16 // (d + 1))) + 1
+    assert max(rows) <= 2 ** 16 // (d + 1) + d + 1
+
+
+def test_binary_values_hold_a_few_columns():
+    """Like the slope estimators, the binary kernel holds one block of
+    2**16 // n columns and its masks; the n x d boolean mask as a float64
+    copy, as a matrix product of it takes, would be 1.0 x 8nd."""
+    n, d = 20_000, 50
+    rng = np.random.default_rng(13)
+    F = rng.choice([-1.0, 1.0], size=(n, d))
+    probs = rng.random(n)
+    peak, _ = traced_peak(lambda: firm_binary_values(F @ rng.normal(size=d), F,
+                                                     probs=probs / probs.sum()))
+    assert peak <= 0.3 * 8 * n * d
 
 
 def test_gaussian_gram_holds_one_full_matrix():

@@ -20,8 +20,8 @@ from firm.scoring import (_BLOCK_CELLS, _TRI_ROWS, _kmer_gram_blocks, _LowerTria
                           _solve_shifted, kmer_ids, kmer_offsets)
 
 from helpers import (all_pm1_rows, central_difference_gradient, explicit_kmer_ridge,
-                     kernel_gradient_at, kmer_scorer, kmer_weight, onehot_kmer_gram,
-                     reference_gram)
+                     kernel_gradient_at, kmer_scorer, kmer_weight, least_squares_with_ones,
+                     onehot_kmer_gram, reference_gram)
 
 
 class TestScore:
@@ -143,6 +143,55 @@ class TestLeastSquares:
         with pytest.raises(FirmError, match="ridge"):
             train_least_squares(TabularDataset(X=X, y=np.ones(3),
                                                names=("a", "b", "c", "d")))
+
+    @pytest.mark.parametrize("case", ["n = d", "duplicated column", "combination of columns"])
+    def test_dependent_columns_rejected(self, case):
+        rng = np.random.default_rng(1)
+        X = rng.normal(size=(4 if case == "n = d" else 30, 4))
+        if case == "duplicated column":
+            X[:, 3] = X[:, 1]
+        elif case == "combination of columns":
+            X[:, 3] = 2.0 * X[:, 0] - 0.5 * X[:, 2] + 1.0
+        with pytest.raises(FirmError, match="ridge"):
+            train_least_squares(TabularDataset(X=X, y=rng.normal(size=X.shape[0]),
+                                               names=("a", "b", "c", "d")))
+
+    def test_n_equal_to_d_rejected_where_rounding_passes_the_rank_test(self):
+        """Two centered rows have rank 1, but here rounding leaves R's second
+        diagonal entry above lstsq's threshold: only n <= d refuses them."""
+        rng = np.random.default_rng(75)
+        X = rng.normal(size=(2, 2)) * 10.0 ** rng.integers(-5, 5, size=2)
+        with pytest.raises(FirmError, match="ridge"):
+            train_least_squares(TabularDataset(X=X, y=rng.normal(size=2), names=("a", "b")))
+
+    @pytest.mark.parametrize("n", [7, 50, 2 ** 16 // 4, 2 ** 16 // 4 + 1, 2 * (2 ** 16 // 4) + 3])
+    def test_agrees_with_lstsq_on_the_ones_design(self, n):
+        """At d = 3 the QR folds blocks of 2**16 // 4 rows: n below, at and
+        past one block and past two give lstsq's fit on [X, 1]."""
+        rng = np.random.default_rng(n)
+        X = rng.normal(size=(n, 3)) * [1.0, 10.0, 0.1] + [5.0, -2.0, 0.0]
+        y = X @ [1.0, -0.3, 2.0] + rng.normal(size=n) + 4.0
+        sc = train_least_squares(TabularDataset(X=X, y=y, names=("a", "b", "c")))
+        w, b = least_squares_with_ones(X, y)
+        want, got = np.append(w, b), np.append(sc.w, sc.b)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_stable_at_condition_number_1e6(self, seed):
+        """On a design with singular values 1 .. 1e-6 and column means near
+        0, so that centering keeps its condition number near 1e6, the fit
+        stays within 1e-8 of lstsq on [X, 1] (at most 4.7e-9 over seeds
+        0-39); the d x d normal equations, whose condition number is the
+        square, were 2.8e-7 or more away on each of those seeds."""
+        rng = np.random.default_rng(seed)
+        n, d = 500, 6
+        U, V = np.linalg.qr(rng.normal(size=(n, d)))[0], np.linalg.qr(rng.normal(size=(d, d)))[0]
+        X = (U * np.logspace(0, -6, d)) @ V.T
+        y = X @ rng.normal(size=d) + 0.01 * rng.normal(size=n) + 3.0
+        sc = train_least_squares(TabularDataset(X=X, y=y, names=tuple("abcdef")))
+        w, b = least_squares_with_ones(X, y)
+        want, got = np.append(w, b), np.append(sc.w, sc.b)
+        assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
 
     def test_residual_orthogonality(self):
         rng = np.random.default_rng(2)
