@@ -9,6 +9,14 @@ renamed, and a reused output directory keeps files of an earlier run that
 this run does not write (such as `curves/*.tsv` for columns it lacks).
 All floats are written with repr, so identical runs produce
 byte-identical files.
+
+Each text is held once. `tsv` and `poim_tsv` grow their result with
+`text += chunk` on a local variable: when that local holds the only
+reference to a str, CPython (3.10 to 3.13; from 3.11 on, once its adaptive
+interpreter has specialised the `+=`) resizes it in place instead of
+building a new one, so the text is never held as its chunks and as their
+join at once. `write_artifacts` writes each text in slices of
+_WRITE_CHARS characters, so no encoded copy of a whole text is made.
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ from .errors import FirmError
 
 
 _TSV_ROWS = 8192     # rows made Python scalars and formatted at a time
+_WRITE_CHARS = 2 ** 20   # characters of a text encoded and written at a time
 
 
 def tsv(header, columns) -> str:
@@ -35,16 +44,17 @@ def tsv(header, columns) -> str:
     least one) are numpy arrays or lists; each becomes one array, so a
     list's values share one dtype. Every _TSV_ROWS rows become Python
     scalars, which one format string per row writes as str does, into one
-    chunk of lines. At its peak the text is held twice, as the chunks and as
-    their join, beside one block's scalars and lines.
+    chunk of lines that is appended to the text in place (see the module
+    docstring). At its peak the text is held once, beside one block's
+    scalars and lines.
     """
     row = ("\t".join(["{}"] * len(columns)) + "\n").format
     columns = [np.asarray(col) for col in columns]
-    chunks = [] if header is None else ["\t".join(header) + "\n"]
+    text = "" if header is None else "\t".join(header) + "\n"
     for i in range(0, min(map(len, columns)), _TSV_ROWS):
         block = [col[i:i + _TSV_ROWS].tolist() for col in columns]
-        chunks.append("".join(map(row, *block)))
-    return "".join(chunks)
+        text += "".join(map(row, *block))
+    return text
 
 
 def matrix_tsv(names, matrix) -> str:
@@ -109,22 +119,26 @@ def poim_tsv(table) -> str:
     in index order within a position.
 
     One tsv call per position formats that position's nz rows, the header
-    only with the first. k and the position are 0-stride views, and every
-    call reads the one array of nz label strings, so no column is as long
-    as the table. The text is held twice at the end, as the positions'
-    texts and as their join.
+    only with the first, and its text is appended to the table's in place
+    (see the module docstring). k and the position are 0-stride views,
+    every call reads the one array of nz label strings, and Q is taken one
+    position's row at a time, so no column is as long as the table and the
+    text is held once.
     """
-    npos, nz = table.values.shape
+    values, factor = table.values, table.factor
+    npos, nz = values.shape
     labels = np.array([table.oligomer(zi) for zi in range(nz)], dtype=object)
-    k, q = np.broadcast_to(table.k, nz), table.firm_values
-    return "".join(tsv(None if j else ["k", "position", "oligomer", "q_prime", "q"],
-                       [k, np.broadcast_to(j, nz), labels, table.values[j], q[j]])
-                   for j in range(npos))
+    k = np.broadcast_to(table.k, nz)
+    text = ""
+    for j in range(npos):
+        text += tsv(None if j else ["k", "position", "oligomer", "q_prime", "q"],
+                    [k, np.broadcast_to(j, nz), labels, values[j], values[j] * factor])
+    return text
 
 
 def poim_summary_tsv(table) -> str:
     """The largest and the mean |Q| at each position of a POIM table."""
-    absq = np.abs(table.firm_values)
+    absq = table.abs_firm_values()
     return tsv(["position", "max_abs_q", "mean_abs_q"],
                [np.arange(table.positions), absq.max(axis=1), absq.mean(axis=1)])
 
@@ -138,7 +152,10 @@ def poim_top_tsv(ranked) -> str:
 
 def write_artifacts(outdir: str, artifacts: dict) -> None:
     """Place every artifact (str content) under outdir, each file atomically,
-    after checking that no path is absolute, leaves outdir or repeats another."""
+    after checking that no path is absolute, leaves outdir or repeats another.
+
+    Each text is encoded and written _WRITE_CHARS characters at a time, so
+    no bytes copy of a whole text is held beside it."""
     seen = set()
     for relpath in artifacts:
         norm = os.path.normpath(relpath)
@@ -152,7 +169,8 @@ def write_artifacts(outdir: str, artifacts: dict) -> None:
         tmp = f"{dest}.tmp.{os.getpid()}"
         try:
             with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(content)
+                for i in range(0, len(content), _WRITE_CHARS):
+                    fh.write(content[i:i + _WRITE_CHARS])
             os.replace(tmp, dest)
         except BaseException:
             with contextlib.suppress(FileNotFoundError):

@@ -178,11 +178,11 @@ def analyze_sequence(args) -> dict:
     data = load_sequences(args.input)
     scorer = train_positional_kmer(data, K=args.degree, lam=args.lam)
     table = poim(scorer, k=args.k)
-    return {
-        "poim.tsv": _emit.poim_tsv(table),
-        "poim_summary.tsv": _emit.poim_summary_tsv(table),
-        "poim_top.tsv": _emit.poim_top_tsv(ranked_oligomers(table, top=args.top)),
-    }
+    # the small artifacts first, so their temporaries are gone before the large text exists
+    summary = _emit.poim_summary_tsv(table)
+    top = _emit.poim_top_tsv(ranked_oligomers(table, top=args.top))
+    return {"poim.tsv": _emit.poim_tsv(table), "poim_summary.tsv": summary,
+            "poim_top.tsv": top}
 
 
 def cmd_analyze(args) -> dict:

@@ -186,11 +186,16 @@ def sequence_experiment(seed: int = 42, n_per_class: int = 500, seq_len: int = 5
     others = [[a for a in DNA_ALPHABET if a != c] for c in MOTIF]
     irrelevant = ["".join(rng.choice(choices) for choices in others)
                   for _ in range(N_IRRELEVANT)]
-    by_oligomer = table.firm_values.T
+
+    def poim_rows(strings):
+        """Q of each string at each position: the rows of firm_values.T,
+        taking only the strings' columns of the table."""
+        idx = [table.oligomer_index(z) for z in strings]
+        return table.values.T[idx] * table.factor[idx, None]
 
     series, artifacts = {}, {}
     for tag, importance in (
-            ("poim", lambda strings: by_oligomer[[table.oligomer_index(z) for z in strings]]),
+            ("poim", poim_rows),
             ("weight", lambda strings: weight_importance(scorer, strings))):
         irr = importance(irrelevant)
         series[tag] = {

@@ -29,7 +29,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .dataset import _frozen, encode_sequences
+from .dataset import _frozen
 from .errors import DEFAULT_CELL_BUDGET, BudgetExceededError, FirmError
 from .scoring import PositionalKmerScorer
 
@@ -42,7 +42,10 @@ class PoimTable:
     the oligomer with index zi (base-|alphabet| encoding, leftmost symbol
     most significant; oligomer_index(z) gives it). factor[zi] is
     sqrt((1 - p_z) / p_z) with p_z the oligomer's background probability,
-    and firm_values derives the rescaled Q = values * factor.
+    and firm_values derives the rescaled Q = values * factor as a new
+    table-sized array, abs_firm_values |Q| as one; the package's other
+    readers of Q take it a row, a column or a cell at a time. An index or
+    a symbol outside the table raises FirmError.
     """
 
     k: int
@@ -59,6 +62,13 @@ class PoimTable:
     def firm_values(self) -> np.ndarray:
         return self.values * self.factor
 
+    def abs_firm_values(self) -> np.ndarray:
+        """|Q| as one new table: |Q'| scaled in place, which is |Q'·factor|
+        bit for bit because the factor is positive."""
+        out = np.abs(self.values)
+        out *= self.factor
+        return out
+
     @property
     def positions(self) -> int:
         return self.length - self.k + 1
@@ -66,12 +76,18 @@ class PoimTable:
     def oligomer_index(self, z: str) -> int:
         if len(z) != self.k:
             raise FirmError(f"oligomer {z!r} does not have length {self.k}")
-        codes = encode_sequences([z], self.alphabet)[0]
-        return int(np.ravel_multi_index(tuple(codes), (len(self.alphabet),) * self.k))
+        bad = [c for c in z if c not in self.alphabet]
+        if bad:
+            raise FirmError(f"oligomer {z!r} has symbol {bad[0]!r}, not in the "
+                            f"alphabet {''.join(self.alphabet)}")
+        codes = tuple(self.alphabet.index(c) for c in z)
+        return int(np.ravel_multi_index(codes, (len(self.alphabet),) * self.k))
 
     def oligomer(self, index: int) -> str:
-        shape = (len(self.alphabet),) * self.k
-        return "".join(self.alphabet[i] for i in np.unravel_index(index, shape))
+        A = len(self.alphabet)
+        if not 0 <= index < A ** self.k:
+            raise FirmError(f"oligomer index {index} is outside [0, {A ** self.k})")
+        return "".join(self.alphabet[i] for i in np.unravel_index(index, (A,) * self.k))
 
 
 def _letter_probs(scorer: PositionalKmerScorer, letter_prob: dict | None) -> np.ndarray:
@@ -108,18 +124,20 @@ def poim(scorer: PositionalKmerScorer, k: int, letter_prob: dict | None = None) 
     A, L = len(p), scorer.length
     if not 1 <= k <= L:
         raise FirmError(f"k must lie in [1, {L}]")
-    j = np.arange(L - k + 1)
-    if j.size * A ** k > DEFAULT_CELL_BUDGET:
+    npos = L - k + 1
+    if npos * A ** k > DEFAULT_CELL_BUDGET:
         raise BudgetExceededError(
-            f"table would need {j.size * A ** k} cells; budget is {DEFAULT_CELL_BUDGET}")
-    out = np.zeros((j.size,) + (A,) * k)      # one letter axis per window position
-    const = np.zeros(j.size)
+            f"table would need {npos * A ** k} cells; budget is {DEFAULT_CELL_BUDGET}")
+    out = np.zeros((npos,) + (A,) * k)      # one letter axis per window position
+    const = np.zeros(npos)
     for d in range(1, scorer.max_degree + 1):
         W = scorer.block(d)
         for o in range(1 - d, k):
-            sel = (j + o >= 0) & (j + o <= L - d)
             lo, hi = max(0, -o), min(d, k - o)      # the letters of y inside the window
-            V = W[j[sel] + o].reshape(-1, A ** lo, A ** (hi - lo), A ** (d - hi))
+            # the windows j with 0 <= j + o <= L - d, from j = lo on; a slice, so
+            # out[sel] is a view
+            sel = slice(lo, max(lo, min(npos, L - d - o + 1)))
+            V = W[lo + o:sel.stop + o].reshape(-1, A ** lo, A ** (hi - lo), A ** (d - hi))
             inside = np.einsum("nlmr,l,r->nm", V, _string_probs(p, lo),
                                _string_probs(p, d - hi))
             const[sel] += inside @ _string_probs(p, hi - lo)
@@ -128,7 +146,7 @@ def poim(scorer: PositionalKmerScorer, k: int, letter_prob: dict | None = None) 
     out -= const.reshape((-1,) + (1,) * k)
     p_z = _string_probs(p, k)
     return PoimTable(k=k, length=L, alphabet=scorer.alphabet,
-                     values=out.reshape(j.size, -1), factor=np.sqrt((1.0 - p_z) / p_z))
+                     values=out.reshape(npos, -1), factor=np.sqrt((1.0 - p_z) / p_z))
 
 
 def ranked_oligomers(table: PoimTable, top: int) -> list[tuple[str, int, float]]:
@@ -141,17 +159,16 @@ def ranked_oligomers(table: PoimTable, top: int) -> list[tuple[str, int, float]]
         raise FirmError(f"top must be >= 0, got {top}")
     if top == 0:
         return []
-    q = table.firm_values
     # position-major flattening: a stable sort leaves ties in (position, oligomer) order
-    mag = np.abs(q).ravel()
+    mag = table.abs_firm_values().ravel()
     # only cells at or above the top-th largest magnitude can rank; sort just those
     kth = max(mag.size - top, 0)
     cand = np.flatnonzero(mag >= np.partition(mag, kth)[kth])
     order = cand[np.argsort(-mag[cand], kind="stable")]
     out = []
     for flat in order[:top]:
-        j, zi = divmod(int(flat), q.shape[1])
-        out.append((table.oligomer(zi), j, float(q[j, zi])))
+        j, zi = divmod(int(flat), table.factor.size)
+        out.append((table.oligomer(zi), j, float(table.values[j, zi] * table.factor[zi])))
     return out
 
 

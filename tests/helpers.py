@@ -21,7 +21,9 @@ firm_gaussian_general of a trained scorer), least_squares_with_ones (the
 fit and bias of train_least_squares, by lstsq on [X, 1]),
 shrinkage_with_squared_copy (the shrunk covariance's arithmetic, written
 out) and expected_score (E[s] of a positional k-mer scorer, beside
-enumeration for the poim cells).
+enumeration for the poim cells). The *_from_q oracles write the POIM
+artifacts from the whole table of Q = firm_values, as the package did
+before it took Q a row or a cell at a time.
 parse_tabular states load_tabular's grammar one cell at a time with
 Python float, less the forms np.loadtxt refuses.
 """
@@ -89,6 +91,51 @@ def poim_firm_conversion(q_prime, p):
     if not 0.0 < p < 1.0:
         raise FirmError("p must lie strictly between 0 and 1")
     return q_prime * math.sqrt((1.0 - p) / p)
+
+
+def poim_tsv_from_q(table):
+    """poim.tsv from the whole table of Q = table.firm_values, row by row."""
+    q = table.firm_values
+    npos, nz = q.shape
+    return rows_tsv(["k", "position", "oligomer", "q_prime", "q"],
+                    ([table.k, j, table.oligomer(zi), table.values[j, zi], q[j, zi]]
+                     for j in range(npos) for zi in range(nz)))
+
+
+def poim_summary_tsv_from_q(table):
+    """poim_summary.tsv from np.abs of the whole firm_values table."""
+    absq = np.abs(table.firm_values)
+    return rows_tsv(["position", "max_abs_q", "mean_abs_q"],
+                    zip(range(table.positions), absq.max(axis=1), absq.mean(axis=1)))
+
+
+def ranked_from_q(table, top):
+    """The top cells of the whole firm_values table by |Q|, ties in
+    position-major order, each (oligomer, position, Q)."""
+    q = table.firm_values
+    order = np.argsort(-np.abs(q).ravel(), kind="stable")[:top]
+    return [(table.oligomer(int(f) % q.shape[1]), int(f) // q.shape[1], float(q.flat[f]))
+            for f in order]
+
+
+def poim_top_tsv_from_q(table, top):
+    return rows_tsv(["rank", "oligomer", "position", "q"],
+                    [[r + 1, z, j, q] for r, (z, j, q) in enumerate(ranked_from_q(table, top))])
+
+
+def poim_series_tsv_from_q(table, irrelevant, exact, ed1, ed2):
+    """The sequence study's poim_series.tsv from the rows of firm_values.T,
+    each group of strings indexed out of the whole transposed table."""
+    by_oligomer = table.firm_values.T
+
+    def rows(strings):
+        return by_oligomer[[table.oligomer_index(z) for z in strings]]
+
+    irr = rows(irrelevant)
+    return rows_tsv(["position", "exact_motif", "ed1_mean", "ed2_mean",
+                     "irrelevant_mean", "irrelevant_sd"],
+                    zip(range(table.positions), rows(exact)[0], rows(ed1).mean(axis=0),
+                        rows(ed2).mean(axis=0), irr.mean(axis=0), irr.std(axis=0)))
 
 
 def uniform_probs(alphabet):

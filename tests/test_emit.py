@@ -2,11 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from firm import FirmError, FirmResult, PoimTable, poim, ranked_oligomers
+from firm import (FirmError, FirmResult, PoimTable, PositionalKmerScorer, experiments,
+                  poim, ranked_oligomers)
 from firm import _emit
+from firm.scoring import kmer_offsets
 
-from helpers import kmer_scorer, rows_tsv
+from helpers import (kmer_scorer, poim_series_tsv_from_q, poim_summary_tsv_from_q,
+                     poim_top_tsv_from_q, poim_tsv_from_q, ranked_from_q, rows_tsv)
 
 DNA = ("A", "C", "G", "T")
 POIM_HEADER = ["k", "position", "oligomer", "q_prime", "q"]
@@ -88,6 +93,79 @@ class TestPoimTsv:
             "1\t2\tT\t-0.21875\t-0.3788861141556919\n")
 
 
+@st.composite
+def skewed_letter_probs(draw):
+    """A DNA background with at least two letter probabilities apart, so the
+    factor sqrt((1 - p_z) / p_z) differs between oligomers."""
+    raw = draw(st.lists(st.floats(0.05, 1.0), min_size=4, max_size=4))
+    assume(max(raw) > 1.5 * min(raw))
+    return dict(zip(DNA, (np.array(raw) / sum(raw)).tolist()))
+
+
+@st.composite
+def skewed_tables(draw):
+    """poim of a random k-mer scorer, about half its weights zero so cells
+    tie, under a skewed background."""
+    L = draw(st.integers(3, 8))
+    K, k = draw(st.integers(1, 3)), draw(st.integers(1, min(L, 4)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    size = kmer_offsets(len(DNA), L, K)[-1]
+    weights = rng.normal(size=size) * rng.integers(0, 2, size=size)
+    scorer = PositionalKmerScorer(alphabet=DNA, length=L, max_degree=K, weights=weights)
+    return poim(scorer, k=k, letter_prob=draw(skewed_letter_probs()))
+
+
+def lines(text):
+    """text's lines with their ends, so a failed comparison names the first
+    differing line instead of diffing two long strings."""
+    return text.splitlines(keepends=True)
+
+
+class TestPoimArtifactsFromRows:
+    """The POIM artifacts take Q a row, a column or a cell at a time; their
+    bytes are those of the formulas on the whole firm_values table."""
+
+    def test_no_reader_builds_the_whole_table(self, monkeypatch):
+        def whole(table):
+            raise AssertionError("firm_values built")
+
+        table = poim(kmer_scorer(DNA, 6, 2, {(1, "CG"): 0.5, (3, "T"): -0.25}), k=3)
+        monkeypatch.setattr(PoimTable, "firm_values", property(whole))
+        _emit.poim_tsv(table)
+        _emit.poim_summary_tsv(table)
+        ranked_oligomers(table, top=5)
+        experiments.sequence_experiment(seed=0, n_per_class=5, seq_len=8)
+
+    @settings(max_examples=40, deadline=None)
+    @given(skewed_tables(), st.integers(0, 40))
+    def test_match_the_whole_table_formulas(self, table, top):
+        assert np.ptp(table.factor) > 0
+        assert lines(_emit.poim_tsv(table)) == lines(poim_tsv_from_q(table))
+        assert lines(_emit.poim_summary_tsv(table)) == lines(poim_summary_tsv_from_q(table))
+        ranked = ranked_oligomers(table, top=top)
+        assert repr(ranked) == repr(ranked_from_q(table, top))
+        assert lines(_emit.poim_top_tsv(ranked)) == lines(poim_top_tsv_from_q(table, top))
+
+    @settings(max_examples=5, deadline=None)
+    @given(skewed_letter_probs(), st.integers(0, 2 ** 16))
+    def test_sequence_study_series_match_the_whole_table_formula(self, letter_prob, seed):
+        groups, weight_importance = [], experiments.weight_importance
+
+        def spy(scorer, strings):     # called with the irrelevant, exact, ed1, ed2 strings
+            groups.append(list(strings))
+            return weight_importance(scorer, strings)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(experiments, "poim",
+                       lambda scorer, k: poim(scorer, k=k, letter_prob=letter_prob))
+            mp.setattr(experiments, "weight_importance", spy)
+            artifacts, result = experiments.sequence_experiment(seed=seed, n_per_class=10,
+                                                                seq_len=9)
+        assert np.ptp(result["table"].factor) > 0 and len(groups) == 4
+        assert lines(artifacts["poim_series.tsv"]) == lines(
+            poim_series_tsv_from_q(result["table"], *groups))
+
+
 class TestWriteArtifacts:
     @pytest.mark.parametrize("bad", ["/abs.tsv", "../up.tsv", "sub/../../up.tsv",
                                      "sub/../a.tsv", "."],
@@ -101,3 +179,11 @@ class TestWriteArtifacts:
     def test_nested_paths_inside_outdir(self, tmp_path):
         _emit.write_artifacts(str(tmp_path), {"a.tsv": "x\n", "sub/./b.tsv": "y\n"})
         assert (tmp_path / "sub" / "b.tsv").read_text() == "y\n"
+
+    @pytest.mark.parametrize("chars", [1, 2, 3, 7])
+    def test_slices_cut_through_non_ascii_text(self, tmp_path, monkeypatch, chars):
+        monkeypatch.setattr(_emit, "_WRITE_CHARS", chars)
+        content = "a\t\u00e9\u4e2d\U0001f600\n" * 5 + "\u00e9"
+        _emit.write_artifacts(str(tmp_path), {"a.tsv": content, "empty.tsv": ""})
+        assert (tmp_path / "a.tsv").read_bytes() == content.encode("utf-8")
+        assert (tmp_path / "empty.tsv").read_bytes() == b""

@@ -9,6 +9,14 @@ time, and train_least_squares a block of rows: their ceilings, 0.5 x 8nd
 for the slope estimators and 0.3 x 8nd for the others at n = 20 000 and
 d = 50, are fractions of one n x d copy.
 
+The emit ceilings are near 1.3 x the text: `tsv` and `poim_tsv` grow one
+str in place, which holds only while CPython resizes a str that a single
+local refers to on `+=`, so these ceilings are the guard that it still
+does. `write_artifacts` encodes a slice at a time, well under the text.
+The POIM readers of Q (`ranked_oligomers`, `poim_summary_tsv`) and `poim`
+itself are bounded in multiples of the table's bytes, so that building
+`firm_values` whole, or a boolean mask's copy, fails here.
+
 tracemalloc does not see the work copies numpy.linalg makes inside LAPACK,
 such as the LU factor np.linalg.solve writes over a copy of its matrix, so
 a fit's traced peak is the same whatever it holds beside that copy. The
@@ -22,9 +30,11 @@ import numpy as np
 import pytest
 
 import firm.scoring
+import firm.sequence
 from firm import (KernelExpansionScorer, KernelSpec, SequenceDataset, TabularDataset,
-                  firm_binary_values, firm_slope, load_tabular, poim, slope_stderr,
-                  train_kernel_ridge, train_least_squares, train_positional_kmer)
+                  firm_binary_values, firm_slope, load_tabular, poim, ranked_oligomers,
+                  slope_stderr, train_kernel_ridge, train_least_squares,
+                  train_positional_kmer)
 from firm import _emit
 
 
@@ -40,11 +50,23 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
-def test_tsv_holds_its_text_about_twice():
+def test_tsv_holds_its_text_once():
+    """The text grows in place, beside one block's scalars and lines (0.3 x
+    this 4 MB text; 0.03 x at ten times the rows); chunks kept for a join
+    would hold it twice."""
     rng = np.random.default_rng(0)
     columns = [rng.normal(size=100_000), rng.normal(size=100_000)]
     peak, text = traced_peak(lambda: _emit.tsv(["a", "b"], columns))
-    assert peak <= 2.6 * len(text)
+    assert peak <= 1.4 * len(text)
+
+
+def test_write_holds_no_encoded_copy(tmp_path):
+    """One slice of _WRITE_CHARS characters and its bytes at a time (2 MB
+    here); encoding the whole 16 MB text would hold a copy of its size."""
+    content = "0.1234567\t-8.9e-05\n" * (2 ** 20 - 2 ** 16)
+    peak, _ = traced_peak(lambda: _emit.write_artifacts(str(tmp_path), {"a.tsv": content}))
+    assert (tmp_path / "a.tsv").stat().st_size == len(content)
+    assert peak <= 0.25 * len(content)
 
 
 def test_second_reading_holds_no_list_of_lines(tmp_path):
@@ -240,19 +262,66 @@ def test_poim_tsv_makes_no_fixed_width_label_column():
     table = poim(train_positional_kmer(data, K=3, lam=0.1), k=5)
     peak, text = traced_peak(lambda: _emit.poim_tsv(table))
     assert text.count("\n") == 1 + 46 * 4 ** 5
-    assert peak <= 3.0 * len(text)
+    assert peak <= 1.3 * len(text)
 
 
 def test_poim_tsv_formats_a_position_at_a_time():
-    """No column as long as the table: the text twice, as the positions'
-    texts and their join, and little else. The bytes are those of one tsv
-    call over the five full columns."""
+    """No column as long as the table and no full Q table: the text once,
+    grown in place by each position's text, and little else. The bytes are
+    those of one tsv call over the five full columns."""
     data = random_dna(500, 50, seed=5)
     table = poim(train_positional_kmer(data, K=3, lam=0.1), k=5)
     peak, text = traced_peak(lambda: _emit.poim_tsv(table))
-    assert peak <= 2.3 * len(text)
+    assert peak <= 1.3 * len(text)
     npos, nz = table.values.shape
     labels = [table.oligomer(zi) for zi in range(nz)]
     assert text == _emit.tsv(["k", "position", "oligomer", "q_prime", "q"],
                              [np.full(nz * npos, table.k), np.repeat(np.arange(npos), nz),
                               labels * npos, table.values.ravel(), table.firm_values.ravel()])
+
+
+@pytest.fixture(scope="module")
+def poim_case():
+    """A k = 6 table over 45 positions (1.5 MB), the benchmark's k."""
+    scorer = train_positional_kmer(random_dna(500, 50, seed=5), K=3, lam=0.1)
+    return scorer, poim(scorer, k=6)
+
+
+def test_ranked_oligomers_hold_two_tables(poim_case):
+    """|Q| is scaled in place and partitioned in a copy: two tables. Taking
+    firm_values first would hold a third."""
+    _, table = poim_case
+    peak, _ = traced_peak(lambda: ranked_oligomers(table, top=20))
+    assert peak <= 2.2 * table.values.nbytes
+
+
+def test_poim_summary_holds_one_table(poim_case):
+    """Only |Q|, scaled in place; np.abs of firm_values would hold two tables."""
+    _, table = poim_case
+    peak, _ = traced_peak(lambda: _emit.poim_summary_tsv(table))
+    assert peak <= 1.2 * table.values.nbytes
+
+
+def test_poim_holds_its_output_and_one_table(poim_case, monkeypatch):
+    """Each offset adds into a slice of the table in place, so until the
+    PoimTable is made only the table under construction is held (a boolean
+    mask's copy would be a second table); the PoimTable then copies it.
+    The peak is the output, one more table and a few oligomer vectors."""
+    scorer, table = poim_case
+    make, held = firm.sequence.PoimTable, []
+
+    def probe(**fields):
+        held.append(tracemalloc.get_traced_memory()[1] - start)
+        return make(**fields)
+
+    monkeypatch.setattr(firm.sequence, "PoimTable", probe)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fresh = poim(scorer, k=6)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert fresh.values.tobytes() == table.values.tobytes()
+    assert len(held) == 1 and held[0] <= 1.2 * table.values.nbytes
+    assert peak <= 2 * table.values.nbytes + 4 * table.factor.nbytes

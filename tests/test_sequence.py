@@ -205,6 +205,21 @@ class TestPoimTable:
             assert default.values.tobytes() == explicit.values.tobytes()
             assert default.factor.tobytes() == explicit.factor.tobytes()
 
+    @pytest.mark.parametrize("index", [-1, 16])
+    def test_oligomer_outside_the_table_refused(self, index):
+        table = PoimTable(k=2, length=3, alphabet=DNA, values=np.zeros((2, 16)),
+                          factor=np.ones(16))
+        assert table.oligomer(15) == "TT"
+        with pytest.raises(FirmError, match=rf"oligomer index {index} is outside \[0, 16\)"):
+            table.oligomer(index)
+
+    def test_unknown_symbol_names_the_oligomer(self):
+        table = PoimTable(k=2, length=3, alphabet=DNA, values=np.zeros((2, 16)),
+                          factor=np.ones(16))
+        with pytest.raises(FirmError) as exc:
+            table.oligomer_index("AX")
+        assert str(exc.value) == "oligomer 'AX' has symbol 'X', not in the alphabet ACGT"
+
     def test_budget_guard(self):
         sc = kmer_scorer(DNA, 20, 1, {(0, "A"): 1.0}, b=0.0)
         with pytest.raises(BudgetExceededError, match="cells"):
