@@ -17,15 +17,29 @@ interpreter has specialised the `+=`) resizes it in place instead of
 building a new one, so the text is never held as its chunks and as their
 join at once. `write_artifacts` writes each text in slices of
 _WRITE_CHARS characters, so no encoded copy of a whole text is made.
+
+`poim_tsv` formats a large table on every core. Its positions are cut into
+contiguous ranges, one per worker: this process formats the first, while a
+forked child formats each other range into one str and then writes it to
+a pipe. This process appends each child's text, in order, to its own, so
+it holds the table's text once and a child's text only as the piece it
+has just read. The worker count is derived, never set: one per core this
+process may run on, at most one per _FORK_CELLS cells and per position,
+and one only (no fork) where this process runs more than one thread, as
+it does when numpy's BLAS runs several; pin OPENBLAS_NUM_THREADS=1 to
+format on every core. The bytes do not depend on the worker count.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
+import itertools
 import json
 import os
-import sys
 import platform
+import signal
+import sys
 
 import numpy as np
 
@@ -34,6 +48,8 @@ from .errors import FirmError
 
 _TSV_ROWS = 8192     # rows made Python scalars and formatted at a time
 _WRITE_CHARS = 2 ** 20   # characters of a text encoded and written at a time
+_FORK_CELLS = 2 ** 16    # POIM table cells per formatting process, at least
+_PIPE_CHARS = 2 ** 17    # characters of a child's text read at a time (see _Worker.pieces)
 
 
 def tsv(header, columns) -> str:
@@ -42,17 +58,24 @@ def tsv(header, columns) -> str:
     With header None there is no header line, so a table can be written
     in row blocks whose texts concatenate to the one-call text. Columns (at
     least one) are numpy arrays or lists; each becomes one array, so a
-    list's values share one dtype. Every _TSV_ROWS rows become Python
-    scalars, which one format string per row writes as str does, into one
-    chunk of lines that is appended to the text in place (see the module
-    docstring). At its peak the text is held once, beside one block's
-    scalars and lines.
+    list's values share one dtype. Leading 0-stride columns (np.broadcast_to
+    views), all but the last column, hold one value each: it is formatted
+    once, into a line prefix that the row format string carries. Every
+    _TSV_ROWS rows of the other columns become Python scalars, which one
+    format string per row writes as str does, into one chunk of lines that
+    is appended to the text in place (see the module docstring). At its
+    peak the text is held once, beside one block's scalars and lines.
     """
-    row = ("\t".join(["{}"] * len(columns)) + "\n").format
     columns = [np.asarray(col) for col in columns]
+    lead = 0
+    while lead < len(columns) - 1 and columns[lead].strides == (0,):
+        lead += 1
+    prefix = "".join(f"{value}\t" for col in columns[:lead] for value in col[:1].tolist())
+    row = (prefix.replace("{", "{{").replace("}", "}}")
+           + "\t".join(["{}"] * (len(columns) - lead)) + "\n").format
     text = "" if header is None else "\t".join(header) + "\n"
     for i in range(0, min(map(len, columns)), _TSV_ROWS):
-        block = [col[i:i + _TSV_ROWS].tolist() for col in columns]
+        block = [col[i:i + _TSV_ROWS].tolist() for col in columns[lead:]]
         text += "".join(map(row, *block))
     return text
 
@@ -119,21 +142,129 @@ def poim_tsv(table) -> str:
     in index order within a position.
 
     One tsv call per position formats that position's nz rows, the header
-    only with the first, and its text is appended to the table's in place
-    (see the module docstring). k and the position are 0-stride views,
-    every call reads the one array of nz label strings, and Q is taken one
-    position's row at a time, so no column is as long as the table and the
-    text is held once.
+    only with the first. k and the position are 0-stride views, so tsv
+    writes them once per call as a line prefix; every call reads the one
+    array of nz label strings, and Q is taken one position's row at a time,
+    so no column is as long as the table.
+
+    The positions are cut into _workers contiguous ranges. This process
+    formats the first while a forked child formats each other range (see
+    _Worker), then appends each child's text, in order, to its own through
+    the one `+=` of _joined, so the text is held once (see the module
+    docstring). A child that fails raises FirmError here; on any exception
+    every child still running is killed, and none outlives the call.
     """
     values, factor = table.values, table.factor
     npos, nz = values.shape
     labels = np.array([table.oligomer(zi) for zi in range(nz)], dtype=object)
     k = np.broadcast_to(table.k, nz)
+
+    def positions(lo, hi):
+        for j in range(lo, hi):
+            yield tsv(None if j else ["k", "position", "oligomer", "q_prime", "q"],
+                      [k, np.broadcast_to(j, nz), labels, values[j], values[j] * factor])
+
+    workers = _workers(values.size, npos)
+    bounds = [npos * w // workers for w in range(workers + 1)]
+    children = []
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            children.append(_Worker(positions(lo, hi), f"positions {lo} to {hi - 1}"))
+        return _joined(itertools.chain(positions(0, bounds[1]),
+                                       *(child.pieces() for child in children)))
+    finally:
+        for child in children:
+            child.stop()
+
+
+def _workers(cells: int, npos: int) -> int:
+    """Processes that format a POIM table of cells in npos positions: one
+    per core this process may run on, at most one per _FORK_CELLS cells
+    and per position. Only one where the cores or the threads cannot be
+    counted, or where this process runs more than one thread: a fork copies
+    only the calling thread, so a lock another thread holds (OpenBLAS's,
+    when it runs more than one thread) would never be released in the
+    child, and Python 3.12+ warns of that fork."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+        threads = len(os.listdir("/proc/self/task"))
+    except (AttributeError, OSError):
+        return 1
+    if threads > 1:
+        return 1
+    return max(1, min(cores, cells // _FORK_CELLS, npos))
+
+
+def _joined(pieces) -> str:
+    """The pieces' concatenation, grown in place (see the module docstring).
+    Parent and children share this one `+=`, which CPython 3.11+ has
+    specialised long before a child's text arrives."""
     text = ""
-    for j in range(npos):
-        text += tsv(None if j else ["k", "position", "oligomer", "q_prime", "q"],
-                    [k, np.broadcast_to(j, nz), labels, values[j], values[j] * factor])
+    for piece in pieces:
+        text += piece
     return text
+
+
+class _Worker:
+    """A forked child that joins an iterator of text pieces and sends it,
+    UTF-8, over a pipe to this process.
+
+    The child formats its whole text before its first write, so it never
+    waits on the pipe while the parent formats its own range. It writes in
+    slices of _WRITE_CHARS characters and leaves by os._exit, with status 0
+    only after the last write; it runs nothing of the parent's stack, its
+    exit handlers or its buffered output.
+    """
+
+    def __init__(self, pieces, what: str):
+        self.what = what
+        rfd, wfd = os.pipe()
+        try:
+            pid = os.fork()
+        except BaseException:
+            os.close(rfd)
+            os.close(wfd)
+            raise
+        if pid == 0:
+            status = 1
+            try:
+                os.close(rfd)
+                text = _joined(pieces)
+                with open(wfd, "w", encoding="utf-8", newline="\n") as fh:
+                    for i in range(0, len(text), _WRITE_CHARS):
+                        fh.write(text[i:i + _WRITE_CHARS])
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(wfd)
+        self.pid = pid
+        self.pipe = open(rfd, encoding="utf-8", newline="")
+
+    def pieces(self):
+        """The child's text, _PIPE_CHARS characters at a time; then the child
+        is reaped, and FirmError raised unless it exited with status 0.
+
+        The piece size matters to glibc's malloc, which grows the text in
+        place only while its heap can extend past it; else it moves the text
+        and keeps the freed copy resident. On the benchmark's poim table
+        (20 MB of text), over input seeds and heap layouts, pieces of 2^17
+        characters kept the text in place each time, while pieces of 2^16
+        or 2^20 had it moved once and raised VmHWM by 11 to 19 MB."""
+        yield from iter(functools.partial(self.pipe.read, _PIPE_CHARS), "")
+        self.pipe.close()
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        if status:
+            raise FirmError(f"the process formatting poim.tsv {self.what} failed "
+                            f"(exit status {os.waitstatus_to_exitcode(status)})")
+
+    def stop(self) -> None:
+        """Close the pipe, and kill and reap the child unless it was reaped."""
+        self.pipe.close()
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
 
 
 def poim_summary_tsv(table) -> str:

@@ -6,6 +6,8 @@ of it to --out. Each file is replaced atomically, but a reused --out keeps
 the files an earlier run wrote. Identical configuration, including the
 seed, yields byte-identical artifacts on one numpy build whose BLAS runs
 one thread, as bench/run.py pins it; more threads change the last digits.
+One BLAS thread also leaves the process single-threaded, which lets
+`poim.tsv` be formatted on every core (see firm._emit).
 """
 
 from __future__ import annotations

@@ -44,8 +44,9 @@ class PoimTable:
     sqrt((1 - p_z) / p_z) with p_z the oligomer's background probability,
     and firm_values derives the rescaled Q = values * factor as a new
     table-sized array, abs_firm_values |Q| as one; the package's other
-    readers of Q take it a row, a column or a cell at a time. An index or
-    a symbol outside the table raises FirmError.
+    readers of Q take it a row, a column or a cell at a time. values and
+    factor are read-only copies the table owns, so no caller's array
+    aliases them. An index or a symbol outside the table raises FirmError.
     """
 
     k: int
@@ -128,7 +129,13 @@ def poim(scorer: PositionalKmerScorer, k: int, letter_prob: dict | None = None) 
     if npos * A ** k > DEFAULT_CELL_BUDGET:
         raise BudgetExceededError(
             f"table would need {npos * A ** k} cells; budget is {DEFAULT_CELL_BUDGET}")
-    out = np.zeros((npos,) + (A,) * k)      # one letter axis per window position
+    p_z = _string_probs(p, k)
+    # The table's own frozen zeros, filled in place: the only table-sized array.
+    table = PoimTable(k=k, length=L, alphabet=scorer.alphabet,
+                      values=np.broadcast_to(0.0, (npos, A ** k)),
+                      factor=np.sqrt((1.0 - p_z) / p_z))
+    table.values.setflags(write=True)
+    out = table.values.reshape((npos,) + (A,) * k)     # one letter axis per window position
     const = np.zeros(npos)
     for d in range(1, scorer.max_degree + 1):
         W = scorer.block(d)
@@ -144,9 +151,8 @@ def poim(scorer: PositionalKmerScorer, k: int, letter_prob: dict | None = None) 
             out[sel] += inside.reshape((-1,) + (1,) * (o + lo) + (A,) * (hi - lo)
                                        + (1,) * (k - o - hi))
     out -= const.reshape((-1,) + (1,) * k)
-    p_z = _string_probs(p, k)
-    return PoimTable(k=k, length=L, alphabet=scorer.alphabet,
-                     values=out.reshape(npos, -1), factor=np.sqrt((1.0 - p_z) / p_z))
+    table.values.setflags(write=False)
+    return table
 
 
 def ranked_oligomers(table: PoimTable, top: int) -> list[tuple[str, int, float]]:

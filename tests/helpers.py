@@ -30,6 +30,7 @@ Python float, less the forms np.loadtxt refuses.
 
 import itertools
 import math
+import os
 from statistics import NormalDist
 from typing import NamedTuple
 
@@ -37,6 +38,7 @@ import numpy as np
 
 from firm import (DataFormatError, FirmError, PositionalKmerScorer, conditional_curve,
                   firm_from_curve, score_many)
+from firm import _emit
 from firm.scoring import kmer_ids, kmer_offsets
 
 
@@ -403,6 +405,26 @@ def rows_tsv(header, rows):
     for row in rows:
         lines.append("\t".join(fmt(v) for v in row))
     return "\n".join(lines) + "\n"
+
+
+def spread_poim_tsv(mp, cores=3):
+    """Through the MonkeyPatch mp: `cores` cores, one table cell per worker
+    (so _emit.poim_tsv takes min(cores, positions) workers) and a spy on
+    os.fork. Returns (pids, may_fork): the list the spy appends each child's
+    pid to, in this process, and whether this process runs one thread, the
+    only case in which poim_tsv may fork."""
+    pids, fork = [], os.fork
+
+    def spy():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    mp.setattr(os, "sched_getaffinity", lambda _pid: set(range(cores)))
+    mp.setattr(_emit, "_FORK_CELLS", 1)
+    mp.setattr(os, "fork", spy)
+    return pids, len(os.listdir("/proc/self/task")) == 1
 
 
 def stable_conditional_curve(scores, fvals, bins):

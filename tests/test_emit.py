@@ -1,5 +1,8 @@
 """Artifact formatting: the column-wise writer against the per-cell rule."""
 
+import os
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -11,7 +14,8 @@ from firm import _emit
 from firm.scoring import kmer_offsets
 
 from helpers import (kmer_scorer, poim_series_tsv_from_q, poim_summary_tsv_from_q,
-                     poim_top_tsv_from_q, poim_tsv_from_q, ranked_from_q, rows_tsv)
+                     poim_top_tsv_from_q, poim_tsv_from_q, ranked_from_q, rows_tsv,
+                     spread_poim_tsv)
 
 DNA = ("A", "C", "G", "T")
 POIM_HEADER = ["k", "position", "oligomer", "q_prime", "q"]
@@ -49,6 +53,35 @@ class TestTsv:
                              for r in results])
         assert _emit.firm_results_tsv(results, score_sd=score_sd) == expected
 
+    cell = st.one_of(st.integers(-2 ** 63, 2 ** 63 - 1),
+                     st.sampled_from([-0.0, 0.0, 1e-300, -1e-300, 5e-324, 1e+22, 0.1]),
+                     st.floats(allow_nan=False), st.text("ab{}0 .\u00e9", max_size=4))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(cell, max_size=3), st.integers(0, 9), st.integers(0, 2), st.data())
+    def test_constant_leading_columns_match_materialised_ones(self, leading, n, others, data):
+        """0-stride leading columns, written once per call as a line prefix,
+        give the bytes of the same columns as ordinary arrays, across block
+        edges (three rows a block), with or without other columns."""
+        if not leading and not others:
+            leading = [data.draw(self.cell)]
+        columns = [np.broadcast_to(value, n) for value in leading]
+        for _ in range(others):
+            kind = data.draw(st.sampled_from([st.integers(-9, 9), st.floats(allow_nan=False),
+                                              st.text("ab{}", max_size=3)]))
+            columns.append(np.array(data.draw(st.lists(kind, min_size=n, max_size=n))))
+        header = [f"c{j}" for j in range(len(columns))]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_emit, "_TSV_ROWS", 3)
+            text = _emit.tsv(header, columns)
+            assert text == _emit.tsv(header, [np.array(col) for col in columns])
+        assert text == rows_tsv(header, zip(*columns))
+
+    def test_all_constant_columns(self, monkeypatch):
+        monkeypatch.setattr(_emit, "_TSV_ROWS", 3)
+        columns = [np.broadcast_to(7, 5), np.broadcast_to("{x}", 5), np.broadcast_to(-0.0, 5)]
+        assert _emit.tsv(["a", "b", "c"], columns) == "a\tb\tc\n" + "7\t{x}\t-0.0\n" * 5
+
 
 class TestPoimTsv:
     def test_matches_cell_loop_on_random_table(self):
@@ -74,23 +107,29 @@ class TestPoimTsv:
         assert _emit.poim_top_tsv([]) == "rank\toligomer\tposition\tq\n"
 
     def test_literal_text_of_small_scorer(self):
-        # dyadic weights: q_prime is exact, q is q_prime times sqrt(3)
-        sc = kmer_scorer(DNA, 3, 2, {(0, "A"): 1.0, (1, "CG"): 0.5, (2, "T"): -0.25}, b=0.125)
-        table = poim(sc, k=1)
-        assert _emit.poim_tsv(table) == (
-            "k\tposition\toligomer\tq_prime\tq\n"
-            "1\t0\tA\t0.75\t1.299038105676658\n"
-            "1\t0\tC\t-0.25\t-0.4330127018922193\n"
-            "1\t0\tG\t-0.25\t-0.4330127018922193\n"
-            "1\t0\tT\t-0.25\t-0.4330127018922193\n"
-            "1\t1\tA\t-0.03125\t-0.05412658773652741\n"
-            "1\t1\tC\t0.09375\t0.16237976320958225\n"
-            "1\t1\tG\t-0.03125\t-0.05412658773652741\n"
-            "1\t1\tT\t-0.03125\t-0.05412658773652741\n"
-            "1\t2\tA\t0.03125\t0.05412658773652741\n"
-            "1\t2\tC\t0.03125\t0.05412658773652741\n"
-            "1\t2\tG\t0.15625\t0.27063293868263705\n"
-            "1\t2\tT\t-0.21875\t-0.3788861141556919\n")
+        assert _emit.poim_tsv(small_k1_table()) == SMALL_K1_TEXT
+
+
+SMALL_K1_TEXT = (
+    "k\tposition\toligomer\tq_prime\tq\n"
+    "1\t0\tA\t0.75\t1.299038105676658\n"
+    "1\t0\tC\t-0.25\t-0.4330127018922193\n"
+    "1\t0\tG\t-0.25\t-0.4330127018922193\n"
+    "1\t0\tT\t-0.25\t-0.4330127018922193\n"
+    "1\t1\tA\t-0.03125\t-0.05412658773652741\n"
+    "1\t1\tC\t0.09375\t0.16237976320958225\n"
+    "1\t1\tG\t-0.03125\t-0.05412658773652741\n"
+    "1\t1\tT\t-0.03125\t-0.05412658773652741\n"
+    "1\t2\tA\t0.03125\t0.05412658773652741\n"
+    "1\t2\tC\t0.03125\t0.05412658773652741\n"
+    "1\t2\tG\t0.15625\t0.27063293868263705\n"
+    "1\t2\tT\t-0.21875\t-0.3788861141556919\n")
+
+
+def small_k1_table():
+    # dyadic weights: q_prime is exact, q is q_prime times sqrt(3)
+    return poim(kmer_scorer(DNA, 3, 2, {(0, "A"): 1.0, (1, "CG"): 0.5, (2, "T"): -0.25},
+                            b=0.125), k=1)
 
 
 @st.composite
@@ -164,6 +203,96 @@ class TestPoimArtifactsFromRows:
         assert np.ptp(result["table"].factor) > 0 and len(groups) == 4
         assert lines(artifacts["poim_series.tsv"]) == lines(
             poim_series_tsv_from_q(result["table"], *groups))
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestPoimTsvWorkers:
+    """poim_tsv spread over forked workers writes the one-worker bytes, and
+    no child outlives the call, whether it succeeds or fails. Forks happen
+    only in a single-threaded process (one BLAS thread); elsewhere these
+    tests check that none happens."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(skewed_tables())
+    def test_forked_text_equals_one_worker_text(self, table):
+        with pytest.MonkeyPatch.context() as mp:
+            pids, may_fork = spread_poim_tsv(mp, cores=1)
+            one = _emit.poim_tsv(table)
+            assert pids == []
+        with pytest.MonkeyPatch.context() as mp:
+            pids, may_fork = spread_poim_tsv(mp, cores=3)
+            assert lines(_emit.poim_tsv(table)) == lines(one)
+        assert len(pids) == (min(3, table.positions) - 1 if may_fork else 0)
+        assert_no_children()
+
+    def test_forked_literal_text(self, monkeypatch):
+        pids, may_fork = spread_poim_tsv(monkeypatch)
+        assert _emit.poim_tsv(small_k1_table()) == SMALL_K1_TEXT
+        assert len(pids) == (2 if may_fork else 0)
+        assert_no_children()
+
+    @pytest.fixture
+    def forking(self, monkeypatch):
+        """A table of four positions, three workers, and this process's pid."""
+        pids, may_fork = spread_poim_tsv(monkeypatch)
+        if not may_fork:
+            pytest.skip("this process runs more than one thread, so poim_tsv does not fork")
+        table = poim(kmer_scorer(DNA, 6, 2, {(1, "CG"): 0.5, (3, "T"): -0.25}), k=3)
+        return table, pids, os.getpid()
+
+    def test_failing_child_raises_and_is_reaped(self, forking, monkeypatch):
+        table, pids, parent = forking
+        tsv = _emit.tsv
+
+        def tsv_here_only(*args):
+            if os.getpid() != parent:
+                raise ValueError("in a child")
+            return tsv(*args)
+
+        monkeypatch.setattr(_emit, "tsv", tsv_here_only)
+        with pytest.raises(FirmError, match=r"^the process formatting poim\.tsv positions "
+                                            r"1 to 1 failed \(exit status 1\)$"):
+            _emit.poim_tsv(table)
+        assert len(pids) == 2
+        assert_no_children()
+
+    @pytest.mark.parametrize("error", [FirmError, KeyboardInterrupt])
+    def test_failing_parent_kills_its_children(self, forking, monkeypatch, error):
+        table, pids, parent = forking
+        tsv = _emit.tsv
+
+        def tsv_in_children_only(*args):
+            if os.getpid() == parent:
+                raise error("in the parent")
+            return tsv(*args)
+
+        monkeypatch.setattr(_emit, "tsv", tsv_in_children_only)
+        with pytest.raises(error, match="in the parent"):
+            _emit.poim_tsv(table)
+        assert len(pids) == 2
+        assert_no_children()
+
+    def test_no_fork_beside_another_thread(self, monkeypatch):
+        spread_poim_tsv(monkeypatch)
+
+        def no_fork():
+            raise AssertionError("forked while another thread runs")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            text = _emit.poim_tsv(small_k1_table())
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert text == SMALL_K1_TEXT
 
 
 class TestWriteArtifacts:

@@ -220,6 +220,18 @@ class TestPoimTable:
             table.oligomer_index("AX")
         assert str(exc.value) == "oligomer 'AX' has symbol 'X', not in the alphabet ACGT"
 
+    def test_table_never_aliases_the_callers_arrays(self):
+        values, factor = np.arange(32.0).reshape(2, 16), np.ones(16)
+        table = PoimTable(k=2, length=3, alphabet=DNA, values=values, factor=factor)
+        values[1, 3], factor[0] = -7.0, 9.0
+        assert table.values[1, 3] == 19.0 and table.factor[0] == 1.0
+        assert not table.values.flags.writeable and not table.factor.flags.writeable
+
+    def test_poim_returns_a_frozen_table_it_owns(self):
+        table = poim(kmer_scorer(DNA, 4, 2, {(1, "CG"): 0.5}), k=2)
+        for a in (table.values, table.factor):
+            assert a.flags.owndata and not a.flags.writeable
+
     def test_budget_guard(self):
         sc = kmer_scorer(DNA, 20, 1, {(0, "A"): 1.0}, b=0.0)
         with pytest.raises(BudgetExceededError, match="cells"):
