@@ -20,36 +20,37 @@ _WRITE_CHARS characters, so no encoded copy of a whole text is made.
 
 `poim_tsv` formats a large table on every core. Its positions are cut into
 contiguous ranges, one per worker: this process formats the first, while a
-forked child formats each other range into one str and then writes it to
-a pipe. This process appends each child's text, in order, to its own, so
-it holds the table's text once and a child's text only as the piece it
-has just read. The worker count is derived, never set: one per core this
-process may run on, at most one per _FORK_CELLS cells and per position,
-and one only (no fork) where this process runs more than one thread, as
-it does when numpy's BLAS runs several; pin OPENBLAS_NUM_THREADS=1 to
-format on every core. The bytes do not depend on the worker count.
+child forked by firm._fork formats each other range into one str and then
+sends it, UTF-8, over a pipe. This process appends each child's text, in
+order, to its own, so it holds the table's text once and a child's text
+only as the piece it has just read. The worker count is derived, never
+set (_fork.processes): one per core, at most one per _FORK_CELLS cells and
+per position, and one only where this process runs more than one thread,
+as it does when numpy's BLAS runs several. The bytes do not depend on the
+worker count.
 """
 
 from __future__ import annotations
 
 import contextlib
 import functools
+import io
 import itertools
 import json
 import os
 import platform
-import signal
 import sys
 
 import numpy as np
 
+from . import _fork
 from .errors import FirmError
 
 
 _TSV_ROWS = 8192     # rows made Python scalars and formatted at a time
 _WRITE_CHARS = 2 ** 20   # characters of a text encoded and written at a time
 _FORK_CELLS = 2 ** 16    # POIM table cells per formatting process, at least
-_PIPE_CHARS = 2 ** 17    # characters of a child's text read at a time (see _Worker.pieces)
+_PIPE_CHARS = 2 ** 17    # characters of a child's text read at a time (see _child_text)
 
 
 def tsv(header, columns) -> str:
@@ -147,12 +148,13 @@ def poim_tsv(table) -> str:
     array of nz label strings, and Q is taken one position's row at a time,
     so no column is as long as the table.
 
-    The positions are cut into _workers contiguous ranges. This process
-    formats the first while a forked child formats each other range (see
-    _Worker), then appends each child's text, in order, to its own through
-    the one `+=` of _joined, so the text is held once (see the module
-    docstring). A child that fails raises FirmError here; on any exception
-    every child still running is killed, and none outlives the call.
+    The positions are cut into _fork.processes contiguous ranges. This
+    process formats the first while a forked child formats each other range
+    (see _send_text), then appends each child's text, in order, to its own
+    through the one `+=` of _joined, so the text is held once (see the
+    module docstring). A child that fails raises FirmError here; on any
+    exception every child still running is killed, and none outlives the
+    call.
     """
     values, factor = table.values, table.factor
     npos, nz = values.shape
@@ -164,35 +166,15 @@ def poim_tsv(table) -> str:
             yield tsv(None if j else ["k", "position", "oligomer", "q_prime", "q"],
                       [k, np.broadcast_to(j, nz), labels, values[j], values[j] * factor])
 
-    workers = _workers(values.size, npos)
+    workers = _fork.processes(min(values.size // _FORK_CELLS, npos))
     bounds = [npos * w // workers for w in range(workers + 1)]
-    children = []
-    try:
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            children.append(_Worker(positions(lo, hi), f"positions {lo} to {hi - 1}"))
-        return _joined(itertools.chain(positions(0, bounds[1]),
-                                       *(child.pieces() for child in children)))
-    finally:
-        for child in children:
-            child.stop()
-
-
-def _workers(cells: int, npos: int) -> int:
-    """Processes that format a POIM table of cells in npos positions: one
-    per core this process may run on, at most one per _FORK_CELLS cells
-    and per position. Only one where the cores or the threads cannot be
-    counted, or where this process runs more than one thread: a fork copies
-    only the calling thread, so a lock another thread holds (OpenBLAS's,
-    when it runs more than one thread) would never be released in the
-    child, and Python 3.12+ warns of that fork."""
-    try:
-        cores = len(os.sched_getaffinity(0))
-        threads = len(os.listdir("/proc/self/task"))
-    except (AttributeError, OSError):
-        return 1
-    if threads > 1:
-        return 1
-    return max(1, min(cores, cells // _FORK_CELLS, npos))
+    ranges = list(zip(bounds[1:-1], bounds[2:]))
+    senders = (functools.partial(_send_text, positions(lo, hi)) for lo, hi in ranges)
+    with _fork.forked(senders) as children:
+        return _joined(itertools.chain(
+            positions(0, bounds[1]),
+            *(_child_text(child, f"positions {lo} to {hi - 1}")
+              for child, (lo, hi) in zip(children, ranges))))
 
 
 def _joined(pieces) -> str:
@@ -205,66 +187,32 @@ def _joined(pieces) -> str:
     return text
 
 
-class _Worker:
-    """A forked child that joins an iterator of text pieces and sends it,
-    UTF-8, over a pipe to this process.
+def _send_text(pieces, fh) -> None:
+    """In a child: join the pieces, then write the text UTF-8 to fh in slices
+    of _WRITE_CHARS characters. The whole text is formatted before the first
+    write, so the child never waits on the pipe while the parent formats its
+    own range."""
+    text = _joined(pieces)
+    for i in range(0, len(text), _WRITE_CHARS):
+        fh.write(text[i:i + _WRITE_CHARS].encode("utf-8"))
 
-    The child formats its whole text before its first write, so it never
-    waits on the pipe while the parent formats its own range. It writes in
-    slices of _WRITE_CHARS characters and leaves by os._exit, with status 0
-    only after the last write; it runs nothing of the parent's stack, its
-    exit handlers or its buffered output.
-    """
 
-    def __init__(self, pieces, what: str):
-        self.what = what
-        rfd, wfd = os.pipe()
-        try:
-            pid = os.fork()
-        except BaseException:
-            os.close(rfd)
-            os.close(wfd)
-            raise
-        if pid == 0:
-            status = 1
-            try:
-                os.close(rfd)
-                text = _joined(pieces)
-                with open(wfd, "w", encoding="utf-8", newline="\n") as fh:
-                    for i in range(0, len(text), _WRITE_CHARS):
-                        fh.write(text[i:i + _WRITE_CHARS])
-                status = 0
-            finally:
-                os._exit(status)
-        os.close(wfd)
-        self.pid = pid
-        self.pipe = open(rfd, encoding="utf-8", newline="")
+def _child_text(child, what: str):
+    """A child's text, _PIPE_CHARS characters at a time; then the child is
+    reaped, and FirmError raised unless it exited with status 0.
 
-    def pieces(self):
-        """The child's text, _PIPE_CHARS characters at a time; then the child
-        is reaped, and FirmError raised unless it exited with status 0.
-
-        The piece size matters to glibc's malloc, which grows the text in
-        place only while its heap can extend past it; else it moves the text
-        and keeps the freed copy resident. On the benchmark's poim table
-        (20 MB of text), over input seeds and heap layouts, pieces of 2^17
-        characters kept the text in place each time, while pieces of 2^16
-        or 2^20 had it moved once and raised VmHWM by 11 to 19 MB."""
-        yield from iter(functools.partial(self.pipe.read, _PIPE_CHARS), "")
-        self.pipe.close()
-        _, status = os.waitpid(self.pid, 0)
-        self.pid = None
-        if status:
-            raise FirmError(f"the process formatting poim.tsv {self.what} failed "
-                            f"(exit status {os.waitstatus_to_exitcode(status)})")
-
-    def stop(self) -> None:
-        """Close the pipe, and kill and reap the child unless it was reaped."""
-        self.pipe.close()
-        if self.pid is not None:
-            os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
-            self.pid = None
+    The piece size matters to glibc's malloc, which grows the text in place
+    only while its heap can extend past it; else it moves the text and keeps
+    the freed copy resident. On the benchmark's poim table (20 MB of text),
+    over input seeds and heap layouts, pieces of 2^17 characters kept the
+    text in place each time, while pieces of 2^16 or 2^20 had it moved once
+    and raised VmHWM by 11 to 19 MB."""
+    pipe = io.TextIOWrapper(child.pipe, encoding="utf-8", newline="")
+    yield from iter(functools.partial(pipe.read, _PIPE_CHARS), "")
+    code = child.wait()
+    if code:
+        raise FirmError(f"the process formatting poim.tsv {what} failed "
+                        f"(exit status {code})")
 
 
 def poim_summary_tsv(table) -> str:

@@ -5,12 +5,22 @@ Every command returns its complete output and `main` makes the one write
 of it to --out. Each file is replaced atomically, but a reused --out keeps
 the files an earlier run wrote. Identical configuration, including the
 seed, yields byte-identical artifacts on one numpy build whose BLAS runs
-one thread, as bench/run.py pins it; more threads change the last digits.
-One BLAS thread also leaves the process single-threaded, which lets
-`poim.tsv` be formatted on every core (see firm._emit).
+one thread; more threads change the last digits. This module therefore
+sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS to 1 before
+numpy loads, unless the environment already sets them: a value the user
+set wins. The package loads numpy only on first use of an export (see
+firm/__init__.py), so this holds for the `firm` command; a program that
+has loaded numpy first keeps its own thread count. One BLAS thread also
+leaves the process single-threaded, which lets tabular files be parsed
+and `poim.tsv` be formatted on every core (see firm._fork).
 """
 
 from __future__ import annotations
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 import argparse
 import itertools
@@ -220,7 +230,10 @@ def cmd_covariance(args) -> dict:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="firm",
-        description="Feature importance ranking via conditional expected scores.")
+        description="Feature importance ranking via conditional expected scores.",
+        epilog="numpy's BLAS runs one thread, so that the artifacts' bytes do not "
+               "depend on the core count: OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and "
+               "MKL_NUM_THREADS default to 1, and a value set in the environment wins.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, func):

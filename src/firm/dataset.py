@@ -6,15 +6,21 @@ compare by identity, so shared instances are safe under concurrent use.
 
 from __future__ import annotations
 
+import functools
+import io
 import itertools
+import os
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _fork
 from .errors import DataFormatError, DegenerateFeatureError, FirmError
 
 DNA_ALPHABET = ("A", "C", "G", "T")
+_FORK_BYTES = 2 ** 20    # data bytes of a tabular file per parsing process, at least
 
 
 def _frozen(a) -> np.ndarray:
@@ -199,29 +205,40 @@ def loadtxt_rows(lines, **kw) -> np.ndarray | None:
         return None
 
 
+def _table(lines, width: int) -> np.ndarray | None:
+    """The comma-separated lines as n x width finite float64 rows; None where
+    loadtxt_rows refuses them or reads another width or a non-finite value."""
+    data = loadtxt_rows(lines)
+    ok = data is not None and data.shape[1] == width and np.isfinite(data).all()
+    return data if ok else None
+
+
 def _read_table(path) -> tuple[list[str], np.ndarray]:
     """Header and n x len(header) finite data of a tabular file.
 
-    A well-formed file is one np.loadtxt call over the open handle. Any
-    other is read again, its non-blank lines streamed to loadtxt; if they do
-    not read as a table, bisection over a list of them finds the first line
-    at fault, whose width or first bad cell raises a DataFormatError.
+    A file with at least two _FORK_BYTES after its header line is first
+    parsed on every core (_read_forked), in a process that runs one thread.
+    Every other file, and any file that does not read there as planned, is
+    read here in one process, with the same result or the same message. A
+    well-formed file is one np.loadtxt call over the open handle. Any other
+    is read again, its non-blank lines streamed to loadtxt; if they do not
+    read as a table, bisection over a list of them finds the first line at
+    fault, whose width or first bad cell raises a DataFormatError.
     """
-    def table(lines):
-        data = loadtxt_rows(lines)
-        ok = data is not None and data.shape[1] == len(header) and np.isfinite(data).all()
-        return data if ok else None
-
+    forked = _read_forked(path)
+    if forked is not None:
+        return forked
     with open_utf8(path) as fh:
         lines = _nonblank_lines(fh)
         first, second = next(lines, None), next(lines, None)
         if second is None:      # before loadtxt, which would warn
             raise DataFormatError(f"{path}: {'no data rows' if first else 'empty file'}")
         header = [h.strip() for h in first[1].rstrip("\n").split(",")]
-        data = table(itertools.chain([second[1]], fh))
+        data = _table(itertools.chain([second[1]], fh), len(header))
     if data is None:
         with open_utf8(path) as fh:
-            data = table(ln for _, ln in itertools.islice(_nonblank_lines(fh), 1, None))
+            data = _table((ln for _, ln in itertools.islice(_nonblank_lines(fh), 1, None)),
+                          len(header))
     if data is not None:
         return header, data
     with open_utf8(path) as fh:
@@ -229,7 +246,7 @@ def _read_table(path) -> tuple[list[str], np.ndarray]:
     lo, hi = 0, len(rows)                       # rows[:lo] read as a table, rows[lo:hi] not
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if table(rows[lo:mid]) is None else (mid, hi)
+        lo, hi = (lo, mid) if _table(rows[lo:mid], len(header)) is None else (mid, hi)
     at, cells = f"line {line_nos[lo]}", rows[lo].rstrip("\n").split(",")
     if len(cells) != len(header):
         raise DataFormatError(f"{path}: ragged row at {at}: "
@@ -244,6 +261,111 @@ def _read_table(path) -> tuple[list[str], np.ndarray]:
     raise AssertionError("unreachable: the line reads as a table row")
 
 
+def _read_forked(path) -> tuple[list[str], np.ndarray] | None:
+    """Header and data of a tabular file parsed by forked children, or None.
+
+    The data lines, from the line after the header to the end, are cut into
+    one contiguous byte range per worker (_fork.processes, at most one per
+    _FORK_BYTES); each cut moves forward to just after the next b"\\n", so
+    every range holds whole lines as the text handle splits them, and whole
+    UTF-8 characters. Each child sends its range's rows (_send_rows). This
+    process parses no range: it allocates the n x len(header) result once
+    and reads each child's rows into their place, in order, so it never
+    holds a range's text or a second copy of the rows.
+
+    None, and no result, where the work is not spread over two workers or
+    more, and wherever anything does not go as planned: a child that
+    refuses its range (a malformed file) or fails, a short read, an OSError
+    or a byte that is not UTF-8 up to the header's end. _read_table then
+    reads the file in one process, which names any fault as it always has.
+    """
+    try:
+        with open(path, "rb") as fh:
+            found = _header(fh)
+            if found is None:
+                return None
+            header, start = found
+            end = os.fstat(fh.fileno()).st_size
+            workers = _fork.processes((end - start) // _FORK_BYTES)
+            if workers < 2:
+                return None
+            cuts = [start]
+            for w in range(1, workers):
+                fh.seek(start + (end - start) * w // workers)
+                fh.readline()                   # to just after the next b"\n"
+                cuts.append(max(cuts[-1], fh.tell()))
+            cuts.append(end)
+            width = len(header)
+            senders = (functools.partial(_send_rows, fh.fileno(), lo, hi, width)
+                       for lo, hi in zip(cuts, cuts[1:]))
+            with _fork.forked(senders) as children:
+                # BufferedReader.read and readinto stop short only at the end of the pipe
+                sent = [child.pipe.read(8) for child in children]
+                if any(len(n) != 8 for n in sent):
+                    return None
+                counts = [int.from_bytes(n, sys.byteorder) for n in sent]
+                if sum(counts) == 0:
+                    return None
+                data = np.empty((sum(counts), width))
+                # the bytes of a flat view, so the buffer numpy exports is the view's
+                flat, at = memoryview(data.reshape(-1).view(np.uint8)), 0
+                for child, count in zip(children, counts):
+                    rows = flat[at:at + count * 8 * width]
+                    if child.pipe.readinto(rows) != len(rows) or child.wait():
+                        return None
+                    at += len(rows)
+        return header, data
+    except OSError:
+        return None
+
+
+def _header(fh) -> tuple[list[str], int] | None:
+    """The header cells of the binary file fh, read from its start as
+    _read_table reads them, and the byte offset of the line after the
+    header; None for a file with no non-blank line or with a byte that is
+    not UTF-8 up to the header's end.
+
+    The file is read up to the header's b"\\n" only, and each piece it
+    reads is split where the universal-newline handle splits it, endings
+    kept (newline=""), so each line's UTF-8 length is its length in bytes;
+    a leading byte-order mark counts its three bytes and is dropped, as
+    utf-8-sig drops it."""
+    at = 0
+    for piece in fh:
+        try:
+            text = piece.decode("utf-8")
+        except UnicodeDecodeError:
+            return None
+        if at == 0 and text.startswith("\ufeff"):
+            text, at = text[1:], 3
+        for line in io.StringIO(text, newline=""):
+            at += len(line.encode("utf-8"))
+            if line.strip() != "":
+                return [h.strip() for h in line.rstrip("\r\n").split(",")], at
+    return None
+
+
+def _send_rows(fd: int, lo: int, hi: int, width: int, fh) -> None:
+    """In a forked child: the non-blank lines of bytes lo to hi of the file
+    fd, split and decoded as the UTF-8 universal-newline handle does, as
+    n x width finite float64 rows. Writes n as 8 bytes, then the rows'
+    bytes, to fh; raises DataFormatError, and writes nothing, where they do
+    not read as such a table. A range with no data rows sends n = 0 without
+    calling loadtxt, which warns on empty input."""
+    raw = os.pread(fd, hi - lo, lo)
+    if len(raw) != hi - lo:
+        raise DataFormatError("the file changed while it was read")
+    lines = (ln for ln in io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")
+             if ln.strip() != "")
+    first = next(lines, None)
+    data = (np.empty((0, width)) if first is None
+            else _table(itertools.chain([first], lines), width))
+    if data is None:
+        raise DataFormatError("the range does not read as a table")
+    fh.write(len(data).to_bytes(8, sys.byteorder))
+    fh.write(np.ascontiguousarray(data))
+
+
 def load_tabular(path, has_labels: bool = False) -> TabularDataset:
     """Read a comma-separated file (header row, '.' decimals, no quoting).
 
@@ -253,6 +375,10 @@ def load_tabular(path, has_labels: bool = False) -> TabularDataset:
     ASCII digits, whitespace padding allowed. Unlike Python float it refuses
     '_' between digits ('1_0') and non-ASCII digits ('١٢', '１'); 'nan',
     'inf' and '1e400' parse but are refused as non-finite.
+
+    A large file is parsed by forked processes, one per core, each reading
+    a range of whole lines (see _read_forked); the arrays and every error
+    message do not depend on their number.
     """
     header, data = _read_table(path)
     if has_labels:

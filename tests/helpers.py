@@ -35,10 +35,11 @@ from statistics import NormalDist
 from typing import NamedTuple
 
 import numpy as np
+import pytest
 
 from firm import (DataFormatError, FirmError, PositionalKmerScorer, conditional_curve,
                   firm_from_curve, score_many)
-from firm import _emit
+from firm import _emit, dataset
 from firm.scoring import kmer_ids, kmer_offsets
 
 
@@ -407,12 +408,13 @@ def rows_tsv(header, rows):
     return "\n".join(lines) + "\n"
 
 
-def spread_poim_tsv(mp, cores=3):
-    """Through the MonkeyPatch mp: `cores` cores, one table cell per worker
-    (so _emit.poim_tsv takes min(cores, positions) workers) and a spy on
-    os.fork. Returns (pids, may_fork): the list the spy appends each child's
-    pid to, in this process, and whether this process runs one thread, the
-    only case in which poim_tsv may fork."""
+def spread_forks(mp, cores=3):
+    """Through the MonkeyPatch mp: `cores` cores, one POIM table cell and
+    one data byte per worker (so _emit.poim_tsv takes min(cores, positions)
+    workers, and load_tabular min(cores, the bytes after the header)) and a
+    spy on os.fork. Returns (pids, may_fork): the list the spy appends each
+    child's pid to, in this process, and whether this process runs one
+    thread, the only case in which either may fork."""
     pids, fork = [], os.fork
 
     def spy():
@@ -423,8 +425,15 @@ def spread_poim_tsv(mp, cores=3):
 
     mp.setattr(os, "sched_getaffinity", lambda _pid: set(range(cores)))
     mp.setattr(_emit, "_FORK_CELLS", 1)
+    mp.setattr(dataset, "_FORK_BYTES", 1)
     mp.setattr(os, "fork", spy)
     return pids, len(os.listdir("/proc/self/task")) == 1
+
+
+def assert_no_children():
+    """No child process of this one is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def stable_conditional_curve(scores, fvals, bins):

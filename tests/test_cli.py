@@ -760,3 +760,44 @@ class TestExperiments:
                    "--seq-len", "700", "--out", str(out)) != 0
         assert "cells" in capsys.readouterr().err
         assert not out.exists()
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# What the `firm` console script runs, then this process's BLAS setting and
+# thread count on one line.
+CONSOLE_SCRIPT = """
+import os, sys
+import firm
+assert "numpy" not in sys.modules, "importing the package loaded numpy"
+from firm.cli import main
+code = main(sys.argv[1:])
+print(os.environ["OPENBLAS_NUM_THREADS"], len(os.listdir("/proc/self/task")))
+sys.exit(code)
+"""
+
+
+def test_command_runs_one_blas_thread_unless_told_otherwise(tmp_path):
+    """With the thread variables unset, the command pins one BLAS thread
+    before numpy loads: one thread in all, and the bytes of a run that set
+    them to 1. A count set in the environment is kept."""
+    rng = np.random.default_rng(21)
+    X = rng.normal(size=(400, 6))
+    write_csv(tmp_path / "d.csv", X, X @ rng.normal(size=6) + rng.normal(size=400))
+    runs = {}
+    for setting in ("unset", "1", "2"):
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(firm.__file__))
+        if setting != "unset":
+            env.update(dict.fromkeys(BLAS_VARS, setting))
+        out = tmp_path / setting
+        proc = subprocess.run([sys.executable, "-c", CONSOLE_SCRIPT, "analyze",
+                               "--input", str(tmp_path / "d.csv"), "--method", "gaussian",
+                               "--scorer", "train:ridge", "--out", str(out)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        runs[setting] = (proc.stdout.split(),
+                         {p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert runs["unset"][0] == ["1", "1"]
+    assert runs["unset"][1] == runs["1"][1]
+    assert runs["2"][0][0] == "2"

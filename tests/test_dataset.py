@@ -1,5 +1,12 @@
 """Loading, validation, and covariance estimation."""
 
+import io
+import os
+import signal
+import sys
+import threading
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -8,10 +15,12 @@ from hypothesis import strategies as st
 from firm import (ConditionalScoreCurve, DataFormatError, DegenerateFeatureError, FirmError,
                   KernelExpansionScorer, KernelSpec, LinearScorer, PoimTable, TabularDataset,
                   empirical_covariance, load_sequences, load_tabular, shrinkage_covariance)
+import firm._fork
 import firm.dataset
 from firm.dataset import DNA_ALPHABET, encode_sequences
 
-from helpers import all_pm1_rows, parse_tabular, save_tabular
+from helpers import (all_pm1_rows, assert_no_children, parse_tabular, save_tabular,
+                     spread_forks)
 
 
 def write(tmp_path, name, text):
@@ -131,6 +140,19 @@ def outcome(parse):
     return ("ok", X.shape, X.tobytes(), None if y is None else y.tobytes(), names)
 
 
+def loadtxt_calls(monkeypatch):
+    """The first argument of every np.loadtxt call from now on, in this
+    process; a forked child's calls land in its own copy of the list."""
+    calls, loadtxt = [], np.loadtxt
+
+    def spy(lines, *args, **kw):
+        calls.append(lines)
+        return loadtxt(lines, *args, **kw)
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    return calls
+
+
 class TestParserAgreement:
     @given(csv_files())
     @settings(max_examples=300, deadline=None,
@@ -142,18 +164,6 @@ class TestParserAgreement:
         assert (outcome(lambda: loaded(p, has_labels))
                 == outcome(lambda: reference_parse(p, has_labels)))
 
-    @staticmethod
-    def loadtxt_calls(monkeypatch):
-        """The first argument of every np.loadtxt call from now on."""
-        calls, loadtxt = [], np.loadtxt
-
-        def spy(lines, *args, **kw):
-            calls.append(lines)
-            return loadtxt(lines, *args, **kw)
-
-        monkeypatch.setattr(np, "loadtxt", spy)
-        return calls
-
     def test_well_formed_file_takes_fast_path(self, tmp_path, monkeypatch):
         """One loadtxt call over the open file, not over a list of its lines."""
         rng = np.random.default_rng(8)
@@ -161,7 +171,7 @@ class TestParserAgreement:
                             names=("a", "b", "c", "d"))
         p = tmp_path / "d.csv"
         save_tabular(ds, p)
-        calls = self.loadtxt_calls(monkeypatch)
+        calls = loadtxt_calls(monkeypatch)
         back = load_tabular(p, has_labels=True)
         assert len(calls) == 1 and not isinstance(calls[0], (list, tuple))
         header, data = parse_tabular(p)
@@ -179,7 +189,7 @@ class TestParserAgreement:
         """Not the one loadtxt call: the file is read again (or, with no
         data row, not given to loadtxt), and the outcome is the oracle's."""
         p = write(tmp_path, "d.csv", text)
-        calls = self.loadtxt_calls(monkeypatch)
+        calls = loadtxt_calls(monkeypatch)
         got = outcome(lambda: loaded(p, False))
         assert len(calls) != 1
         assert got == outcome(lambda: reference_parse(p, False))
@@ -194,6 +204,241 @@ class TestParserAgreement:
             load_tabular(p)
         assert str(info.value) == (f"cell at line 3, column 'b' does not parse "
                                    f"as a number: {cell!r}")
+
+
+# the lines of the files the forked parse is held to, by kind
+FORK_NUMBERS = ["0", "-2.5", "+3", ".5", "5.", "1e3", "1E-7", "-4.25e+02", "7e-310",
+                "1.7976931348623157e308", "0.1", "123456789012345678901"]
+FORK_DEFECTS = ["1_0", "nan", "1e400", "x", "", "\u0661"]
+FORK_BLANKS = ["", " ", "\t \t", "\u00a0", "\u3000"]
+FORK_PADDING = ["", " ", "\t"]
+
+
+@st.composite
+def forked_csv_files(draw):
+    """(file bytes, has_labels): a header, maybe after blank lines and a
+    byte-order mark, then rows and blank lines that the cuts can land on;
+    each line ends in LF, CR LF or CR, the last maybe in nothing. Some rows
+    are ragged or hold a defect, and a byte that is not UTF-8 may sit in
+    any line."""
+    ncols = draw(st.integers(1, 3))
+    has_labels = ncols >= 2 and draw(st.booleans())
+    pad = st.sampled_from(FORK_PADDING)
+    lines = [draw(st.sampled_from(FORK_BLANKS)) for _ in range(draw(st.integers(0, 2)))]
+    lines.append(",".join(f"c{j}" for j in range(ncols)))
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(["numbers"] * 6 + ["blank"] * 3 + ["defect", "ragged"]))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(FORK_BLANKS)))
+            continue
+        width = ncols if kind != "ragged" else draw(
+            st.integers(1, ncols + 2).filter(lambda w: w != ncols))
+        cells = [draw(pad) + draw(st.sampled_from(FORK_NUMBERS)) + draw(pad)
+                 for _ in range(width)]
+        if kind == "defect":
+            cells[draw(st.integers(0, width - 1))] = draw(st.sampled_from(FORK_DEFECTS))
+        lines.append(",".join(cells))
+    ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
+    ends[-1] = draw(st.sampled_from([ends[-1], ""]))
+    data = ("\ufeff" if draw(st.booleans()) else "").encode("utf-8") + b"".join(
+        (line + end).encode("utf-8") for line, end in zip(lines, ends))
+    if draw(st.integers(0, 9)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data, has_labels
+
+
+class TestForkedParse:
+    """load_tabular spread over forked workers reads the one-worker bytes
+    and raises the one-worker messages, and no child outlives the call.
+    Forks happen only in a single-threaded process (one BLAS thread);
+    elsewhere these tests check that the outcome is the same without."""
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(forked_csv_files())
+    def test_every_worker_count_gives_the_one_worker_outcome(self, tmp_path, case):
+        data, has_labels = case
+        p = tmp_path / "d.csv"
+        p.write_bytes(data)
+        with pytest.MonkeyPatch.context() as mp:
+            pids, _ = spread_forks(mp, cores=1)
+            one = outcome(lambda: loaded(p, has_labels))
+            assert pids == []
+        for cores in (2, 3, 4):
+            with pytest.MonkeyPatch.context() as mp:
+                pids, may_fork = spread_forks(mp, cores)
+                calls = loadtxt_calls(mp)
+                assert outcome(lambda: loaded(p, has_labels)) == one
+            assert_no_children()
+            if one[0] == "ok":      # read by the children alone, or not forked
+                assert (pids != []) == (calls == []) and len(pids) != 1
+
+    @pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                                      "\u2028", "\u2029"])
+    def test_lines_break_only_where_the_text_handle_breaks(self, tmp_path, monkeypatch,
+                                                           char):
+        """str.splitlines breaks at each of these characters and the file
+        handle does not: the row below holds three cells, not two rows."""
+        p = write(tmp_path, "d.csv", f"a,b\n1,2\n5,6\n1,2{char}3,4\n7,8\n9,10\n")
+        with pytest.MonkeyPatch.context() as mp:
+            spread_forks(mp, cores=1)
+            one = outcome(lambda: loaded(p, False))
+        pids, may_fork = spread_forks(monkeypatch, cores=3)
+        assert one == ("DataFormatError", f"{p}: ragged row at line 4: expected 2 cells, "
+                                          "got 3")
+        assert outcome(lambda: loaded(p, False)) == one
+        assert len(pids) == (3 if may_fork else 0)
+        assert_no_children()
+
+    def test_range_without_rows_adds_none(self, tmp_path, monkeypatch):
+        """A child whose range holds only blank lines sends no rows, and does
+        not call loadtxt, which warns on no data (pytest makes the warning
+        an error, in the children too, whose failure the parent would
+        answer by reading the file itself)."""
+        p = write(tmp_path, "d.csv", "a,b\n1,2\n" + "\n \n" * 20 + "3,4\n")
+        pids, may_fork = spread_forks(monkeypatch, cores=3)
+        calls = loadtxt_calls(monkeypatch)
+        ds = load_tabular(p)
+        assert ds.X.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert len(pids) == (3 if may_fork else 0)
+        assert calls == [] or not may_fork
+        assert_no_children()
+        sent = io.BytesIO()
+        fd = os.open(p, os.O_RDONLY)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                firm.dataset._send_rows(fd, 8, 8 + 60, 2, sent)
+        finally:
+            os.close(fd)
+        assert sent.getvalue() == (0).to_bytes(8, sys.byteorder)
+
+    @pytest.mark.parametrize("cell,message", [
+        ("1_0", "cell at line {line}, column 'b' does not parse as a number: '1_0'"),
+        ("nan", "non-finite value at line {line}, column 'b': 'nan'"),
+        ("1e400", "non-finite value at line {line}, column 'b': '1e400'"),
+        ("7,8", "{path}: ragged row at line {line}: expected 2 cells, got 3"),
+    ], ids=["underscore", "nan", "overflow", "ragged"])
+    @pytest.mark.parametrize("line", [3, 12, 22], ids=["first", "middle", "last"])
+    def test_defect_in_any_range_keeps_its_message(self, tmp_path, monkeypatch, cell,
+                                                   message, line):
+        rows = [f"{i},{i + 1}" for i in range(21)]
+        rows[line - 2] = f"{line},{cell}"
+        p = write(tmp_path, "d.csv", "a,b\n" + "\n".join(rows) + "\n")
+        pids, may_fork = spread_forks(monkeypatch, cores=3)
+        with pytest.raises(DataFormatError) as info:
+            load_tabular(p)
+        assert str(info.value) == message.format(path=p, line=line)
+        assert len(pids) == (3 if may_fork else 0)
+        assert_no_children()
+
+    @pytest.mark.parametrize("at", [20, 90, 150], ids=["first", "middle", "last"])
+    def test_byte_not_utf8_in_any_range(self, tmp_path, monkeypatch, at):
+        data = ("a,b\n" + "".join(f"{i},{i + 1}\n" for i in range(30))).encode("ascii")
+        p = tmp_path / "d.csv"
+        p.write_bytes(data[:at] + b"\xe9" + data[at:])
+        pids, may_fork = spread_forks(monkeypatch, cores=3)
+        with pytest.raises(DataFormatError, match=r"d\.csv: not UTF-8 text \("):
+            load_tabular(p)
+        assert len(pids) == (3 if may_fork else 0)
+        assert_no_children()
+
+    @pytest.fixture
+    def forking(self, tmp_path, monkeypatch):
+        """A well-formed file over three workers, its one-worker dataset, the
+        parent's loadtxt calls and this process's pid."""
+        if len(os.listdir("/proc/self/task")) > 1:
+            pytest.skip("this process runs more than one thread, so load_tabular "
+                        "does not fork")
+        rng = np.random.default_rng(14)
+        ds = TabularDataset(X=rng.normal(size=(60, 3)), y=rng.normal(size=60),
+                            names=("a", "b", "c"))
+        p = tmp_path / "d.csv"
+        save_tabular(ds, p)
+        pids, _ = spread_forks(monkeypatch, cores=3)
+        return p, ds, pids, loadtxt_calls(monkeypatch), os.getpid()
+
+    @staticmethod
+    def raise_error(fh, send, *args):
+        raise ValueError("in a child")
+
+    @staticmethod
+    def exit_with_status(fh, send, *args):
+        send(*args, fh)
+        fh.flush()
+        os._exit(3)
+
+    @staticmethod
+    def send_half(fh, send, *args):
+        whole = io.BytesIO()
+        send(*args, whole)
+        fh.write(whole.getvalue()[:len(whole.getvalue()) // 2])
+
+    @staticmethod
+    def send_nothing(fh, send, *args):
+        pass
+
+    @staticmethod
+    def die_halfway(fh, send, *args):
+        TestForkedParse.send_half(fh, send, *args)
+        fh.flush()
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    @pytest.mark.parametrize("failure", ["raise_error", "exit_with_status", "send_half",
+                                         "send_nothing", "die_halfway"])
+    def test_failing_child_gives_the_one_process_result(self, forking, monkeypatch,
+                                                        failure):
+        """A child that raises, that sends its rows and exits non-zero, that
+        exits 0 having sent half its rows or nothing, or that is killed
+        halfway through its rows: the parent reads the file itself, with
+        today's result, and reaps every child."""
+        p, ds, pids, calls, parent = forking
+        send, fail = firm.dataset._send_rows, getattr(self, failure)
+
+        def send_but_fail_in_the_middle_range(fd, lo, hi, width, fh):
+            if len(pids) == 1 and os.getpid() != parent:    # the second child
+                return fail(fh, send, fd, lo, hi, width)
+            return send(fd, lo, hi, width, fh)
+
+        monkeypatch.setattr(firm.dataset, "_send_rows", send_but_fail_in_the_middle_range)
+        back = load_tabular(p, has_labels=True)
+        assert back.X.tobytes() == ds.X.tobytes() and back.y.tobytes() == ds.y.tobytes()
+        assert len(pids) == 3 and len(calls) == 1
+        assert_no_children()
+
+    def test_parent_failure_kills_its_children(self, forking, monkeypatch):
+        """Interrupted while it reaps the first child, the parent kills and
+        reaps the others."""
+        p, _, pids, _, _ = forking
+
+        def interrupted(child):
+            raise KeyboardInterrupt("in the parent")
+
+        monkeypatch.setattr(firm._fork.Worker, "wait", interrupted)
+        with pytest.raises(KeyboardInterrupt, match="in the parent"):
+            load_tabular(p, has_labels=True)
+        assert len(pids) == 3
+        assert_no_children()
+
+    def test_no_fork_beside_another_thread(self, tmp_path, monkeypatch):
+        p = write(tmp_path, "d.csv", "a,b\n1,2\n3,4\n5,6\n")
+        spread_forks(monkeypatch, cores=3)
+
+        def no_fork():
+            raise AssertionError("forked while another thread runs")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            ds = load_tabular(p)
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert ds.X.tolist() == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
 
 
 class TestNotUtf8:

@@ -13,9 +13,9 @@ from firm import (FirmError, FirmResult, PoimTable, PositionalKmerScorer, experi
 from firm import _emit
 from firm.scoring import kmer_offsets
 
-from helpers import (kmer_scorer, poim_series_tsv_from_q, poim_summary_tsv_from_q,
-                     poim_top_tsv_from_q, poim_tsv_from_q, ranked_from_q, rows_tsv,
-                     spread_poim_tsv)
+from helpers import (assert_no_children, kmer_scorer, poim_series_tsv_from_q,
+                     poim_summary_tsv_from_q, poim_top_tsv_from_q, poim_tsv_from_q,
+                     ranked_from_q, rows_tsv, spread_forks)
 
 DNA = ("A", "C", "G", "T")
 POIM_HEADER = ["k", "position", "oligomer", "q_prime", "q"]
@@ -205,11 +205,6 @@ class TestPoimArtifactsFromRows:
             poim_series_tsv_from_q(result["table"], *groups))
 
 
-def assert_no_children():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 class TestPoimTsvWorkers:
     """poim_tsv spread over forked workers writes the one-worker bytes, and
     no child outlives the call, whether it succeeds or fails. Forks happen
@@ -220,17 +215,17 @@ class TestPoimTsvWorkers:
     @given(skewed_tables())
     def test_forked_text_equals_one_worker_text(self, table):
         with pytest.MonkeyPatch.context() as mp:
-            pids, may_fork = spread_poim_tsv(mp, cores=1)
+            pids, may_fork = spread_forks(mp, cores=1)
             one = _emit.poim_tsv(table)
             assert pids == []
         with pytest.MonkeyPatch.context() as mp:
-            pids, may_fork = spread_poim_tsv(mp, cores=3)
+            pids, may_fork = spread_forks(mp, cores=3)
             assert lines(_emit.poim_tsv(table)) == lines(one)
         assert len(pids) == (min(3, table.positions) - 1 if may_fork else 0)
         assert_no_children()
 
     def test_forked_literal_text(self, monkeypatch):
-        pids, may_fork = spread_poim_tsv(monkeypatch)
+        pids, may_fork = spread_forks(monkeypatch)
         assert _emit.poim_tsv(small_k1_table()) == SMALL_K1_TEXT
         assert len(pids) == (2 if may_fork else 0)
         assert_no_children()
@@ -238,7 +233,7 @@ class TestPoimTsvWorkers:
     @pytest.fixture
     def forking(self, monkeypatch):
         """A table of four positions, three workers, and this process's pid."""
-        pids, may_fork = spread_poim_tsv(monkeypatch)
+        pids, may_fork = spread_forks(monkeypatch)
         if not may_fork:
             pytest.skip("this process runs more than one thread, so poim_tsv does not fork")
         table = poim(kmer_scorer(DNA, 6, 2, {(1, "CG"): 0.5, (3, "T"): -0.25}), k=3)
@@ -277,7 +272,7 @@ class TestPoimTsvWorkers:
         assert_no_children()
 
     def test_no_fork_beside_another_thread(self, monkeypatch):
-        spread_poim_tsv(monkeypatch)
+        spread_forks(monkeypatch)
 
         def no_fork():
             raise AssertionError("forked while another thread runs")

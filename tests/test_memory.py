@@ -17,7 +17,9 @@ The POIM readers of Q (`ranked_oligomers`, `poim_summary_tsv`) and `poim`
 itself are bounded in multiples of the table's bytes, so that building
 `firm_values` whole, a boolean mask's copy, or a second table in `poim`,
 fails here. Forked `poim_tsv` is held to the same 1.3 x its text: the
-children's texts are appended a pipe read at a time.
+children's texts are appended a pipe read at a time. A forked
+`load_tabular` reads the children's rows into the one result, so it holds
+no more than the one-process parse.
 
 tracemalloc does not see the work copies numpy.linalg makes inside LAPACK,
 such as the LU factor np.linalg.solve writes over a copy of its matrix, so
@@ -39,7 +41,7 @@ from firm import (KernelExpansionScorer, KernelSpec, SequenceDataset, TabularDat
                   train_positional_kmer)
 from firm import _emit
 
-from helpers import spread_poim_tsv
+from helpers import spread_forks
 
 
 def traced_peak(fn):
@@ -88,6 +90,30 @@ def test_second_reading_holds_no_list_of_lines(tmp_path):
     peak, data = traced_peak(lambda: load_tabular(path, has_labels=True))
     assert data.X.tobytes() == X[:, :-1].tobytes()
     assert peak <= 2.5 * X.nbytes
+
+
+def test_forked_parse_holds_what_one_process_holds(tmp_path, monkeypatch):
+    """Over three processes, this one allocates the n x d result once and
+    reads each child's rows into it, and holds no range's text. Its peak,
+    the result and the dataset's copies of X and y (about 2.1 x the table's
+    float64 bytes), is at most that of the one-process parse of the same
+    file, to within 1 KiB of interpreter bookkeeping that moves between
+    calls. Each way is run once before it is measured."""
+    n, d = 2000, 21
+    X = np.random.default_rng(15).normal(size=(n, d))
+    path = tmp_path / "d.csv"
+    path.write_text(",".join(f"c{j}" for j in range(d)) + "\n"
+                    + "".join(",".join(map(repr, row)) + "\n" for row in X.tolist()),
+                    encoding="utf-8")
+    peaks = {}
+    for cores in (1, 3, 1, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            pids, may_fork = spread_forks(mp, cores)
+            peaks[cores], data = traced_peak(lambda: load_tabular(path, has_labels=True))
+        assert len(pids) == (cores if may_fork and cores > 1 else 0)
+        assert data.X.tobytes() == X[:, :-1].tobytes()
+    assert peaks[3] <= peaks[1] + 1024
+    assert peaks[3] <= 2.2 * X.nbytes
 
 
 @pytest.mark.parametrize("estimator", [firm_slope, slope_stderr])
@@ -290,7 +316,7 @@ def test_forked_poim_tsv_holds_its_text_once(monkeypatch):
     few pieces of _PIPE_CHARS characters at a time."""
     data = random_dna(500, 50, seed=5)
     table = poim(train_positional_kmer(data, K=3, lam=0.1), k=5)
-    pids, may_fork = spread_poim_tsv(monkeypatch)
+    pids, may_fork = spread_forks(monkeypatch)
     peak, text = traced_peak(lambda: _emit.poim_tsv(table))
     assert len(pids) == (2 if may_fork else 0)
     assert text.count("\n") == 1 + 46 * 4 ** 5

@@ -18,12 +18,8 @@ PACKAGE = os.path.dirname(firm.__file__)
 
 
 def exported_functions():
-    """The names firm/__init__.py imports from its modules that are functions."""
-    with open(os.path.join(PACKAGE, "__init__.py"), encoding="utf-8") as fh:
-        tree = ast.parse(fh.read())
-    names = [alias.asname or alias.name for node in tree.body
-             if isinstance(node, ast.ImportFrom) for alias in node.names]
-    return sorted(n for n in names if inspect.isfunction(getattr(firm, n)))
+    """The names firm/__init__.py exports (its __all__) that are functions."""
+    return sorted(n for n in firm.__all__ if inspect.isfunction(getattr(firm, n)))
 
 
 @functools.lru_cache(maxsize=None)
