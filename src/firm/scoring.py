@@ -28,9 +28,6 @@ _BLOCK_CELLS = 1 << 14
 # 3.5 ms against 5.2 ms by the full matrix at n = 3000, and the same time at
 # n <= 2000 (one OpenBLAS thread, 2-core Xeon).
 _TRI_ROWS = 256
-# Word pairs per chunk of the k-mer Gram count: 1 MB for each of its uint64
-# temporaries, at most three at once.
-_KMER_CHUNK_WORDS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -68,7 +65,7 @@ class KernelSpec:
         0) / gamma^2) and (a'b + offset)^degree. The product stays one call,
         since a BLAS may pick another kernel for a row block and change the
         last bits. At its peak the buffer, n x m cells, sits beside two
-        temporaries of _BLOCK_CELLS cells each. The dual solves take the
+        temporaries of _BLOCK_CELLS cells each. The kernel fit takes the
         symmetric gram(X, X) from self_gram instead, which holds
         n(n + 256)/2 cells for n rows of X.
         """
@@ -115,15 +112,14 @@ class _LowerTriangle:
     Block r holds rows i0:i1 and columns 0:i1, i0 = r * _TRI_ROWS, so the
     blocks hold n(n + _TRI_ROWS)/2 cells at most, about half of n^2; they
     are iterated as (i0, i1, block). They are views of one buffer, freed as
-    a whole: blocks allocated one at a time stayed resident after the k-mer
-    fit at n = 2000, below the allocator's raised mmap threshold, and added
-    16 MB to a later POIM run's peak. The caller fills the blocks, diagonal
-    squares whole, then seals them; entries above the squares are read from
-    their mirror images. S @ V, for a vector or an n x k matrix V, reads
-    every cell once and holds beside its n-row result one temporary of at
-    most n - _TRI_ROWS rows. full() assembles the n x n matrix; only
-    _solve_shifted's LU fallback calls it, which so holds the blocks plus
-    two full n x n arrays (the assembled matrix and LU's copy of it).
+    a whole: blocks allocated one at a time stayed resident after a fit of
+    2000 rows, below the allocator's raised mmap threshold, and added 16 MB
+    to a later run's peak. The caller fills the blocks, diagonal squares
+    whole, then seals them; entries above the squares are read from their
+    mirror images. S @ V, for a vector or an n x k matrix V, reads every
+    cell once and holds beside its n-row result one temporary of at most
+    n - _TRI_ROWS rows. full() assembles the n x n matrix for
+    _solve_shifted's LU fallback.
     """
 
     def __init__(self, n: int):
@@ -389,79 +385,81 @@ def train_ridge(data: TabularDataset, lam: float) -> LinearScorer:
     return LinearScorer(w=w, b=b)
 
 
-# Conjugate-gradient steps tried before an LU solve.
+# The kernel fit's conjugate-gradient steps, tried before an LU solve.
 _CG_BUDGET = 64
+# The k-mer fit's conjugate-gradient gate, in units of sqrt(n + 64) eps, and
+# its step budget; train_positional_kmer gives the measurements.
+_KMER_TOL, _KMER_STEPS = 1.0, 2048
+
+
+def _cg(product, b: np.ndarray, tol: float, steps: int) -> np.ndarray | None:
+    """x with ||b - M x|| <= tol * ||b||, by conjugate gradients, or None.
+
+    product(v) returns M v, as a new array, for a symmetric positive
+    definite M. A zero b gives exact zeros. CG (Hestenes & Stiefel 1952)
+    runs from x = 0 on b scaled to unit max-norm, so no inner product over-
+    or underflows, until its recursive residual is below tol / 2 or `steps`
+    products are spent. The gate is the true residual, one more product;
+    on breakdown (p'Mp <= 0) or a failed gate the result is None. Inner
+    products are np.add.reduce(p * q), summed in one order whatever the
+    BLAS thread count.
+    """
+    if not b.any():
+        return np.zeros(b.size)
+    scale = np.abs(b).max()
+    u = b / scale
+    x, r, p = np.zeros_like(u), u.copy(), u.copy()
+    rr = np.add.reduce(r * r)
+    stop = (tol / 2) ** 2 * rr
+    for _ in range(steps):
+        q = product(p)
+        pq = np.add.reduce(p * q)
+        if not pq > 0.0:
+            return None
+        a = rr / pq
+        x += a * p
+        r -= a * q
+        rr, rr_old = np.add.reduce(r * r), rr
+        if rr <= stop:
+            break
+        p *= rr / rr_old
+        p += r
+    q = product(x)
+    q -= u
+    return scale * x if np.add.reduce(q * q) <= tol ** 2 * np.add.reduce(u * u) else None
 
 
 def _solve_shifted(P: _LowerTriangle, shift: float, b: np.ndarray) -> np.ndarray:
     """Solve (P + shift*I) x = b for a symmetric PSD n x n matrix P, shift > 0.
 
-    P is only read. A zero b gives exact zeros.
-
-    Conjugate gradients (Hestenes & Stiefel 1952) run first, ungated, for
-    at most _CG_BUDGET = 64 steps from x = 0 on b scaled to unit max-norm,
-    so no inner product over- or underflows; each step multiplies by M =
-    P + shift*I as P @ v + shift * v. The answer is kept if its true
-    residual, one more product, meets ||b - M x|| <= tol * ||b||. On
-    breakdown (p'Mp <= 0) or a failed check, x is np.linalg.solve(M, b) on
-    the caller's b and M assembled from P.full(); that fallback holds P's
-    blocks, M and LU's copy of M, and releases M on return.
+    P is only read. _cg runs first, for at most _CG_BUDGET = 64 steps,
+    multiplying by M = P + shift*I as P @ v + shift * v. If it returns no
+    answer, x is np.linalg.solve(M, b) on M assembled from P.full(); that
+    fallback holds P's blocks, M and LU's copy of M, and releases M on
+    return.
 
     An LU solve costs 86 to 101, 120 to 144 and 139 to 163 products by P's
     blocks at n = 1000, 2000 and 3000 (three runs, one OpenBLAS thread,
     2-core Xeon), so the worst case, 65 products plus one LU, is under twice
     LU's cost. At lambda = 0.1 the kernel systems measured took 11 to 15
-    products, and the k-mer systems 46 to 53. A smaller lambda can reach
-    the worst case: the degree-3 k-mer system of 2000 planted-motif
-    sequences of length 100 takes 53 products at lambda = 0.1, but at 0.03
-    it spends all 65 (0.095 s) and then LU (0.147 s), 1.6 times LU alone.
-    Below n = 250 the interpreter's cost per CG step dominates (four
-    products' worth at n = 100), and a failed attempt can take up to six LU
-    solves, under a millisecond.
+    products. Below n = 250 the interpreter's cost per CG step dominates
+    (four products' worth at n = 100), and a failed attempt can take up to
+    six LU solves, under a millisecond.
 
-    tol = sqrt(n) * eps / 4, just above LU's own relative residual. In units
-    of sqrt(n) * eps, the largest LU residual measured per n (one OpenBLAS
-    thread; lambda = 0.1; Gaussian gamma = 1 and 3 and polynomial degree 2
-    kernels; degree-3 k-mer systems on planted-motif DNA of length 50 and 100):
+    The gate is tol = sqrt(n) * eps / 4, just above LU's own relative
+    residual. In units of sqrt(n) * eps, the largest LU residual measured
+    per n (one OpenBLAS thread; lambda = 0.1; Gaussian gamma = 1 and 3 and
+    polynomial degree 2 kernels):
 
         n        500    1000   2000   3000   4000
         kernel   0.146  0.149  0.139  0.125  0.122
-        k-mer    0.193  0.183  0.167  0.145  0.138
-
-    The largest, 0.193 (4.3 eps at n = 500, k-mer), sets the constant 1/4.
     """
-    n = b.size
-    if not b.any():
-        return np.zeros(n)
-    tol = math.sqrt(n) * np.finfo(np.float64).eps / 4
-    scale = np.abs(b).max()
-    u = b / scale
-    x, r, p = np.zeros_like(u), u.copy(), u.copy()
-    rr = r @ r
-    stop = (tol / 2) ** 2 * rr
-    for _ in range(_CG_BUDGET):
-        q = P @ p
-        q += shift * p
-        pq = p @ q
-        if not pq > 0.0:            # breakdown: straight to LU
-            x = None
-            break
-        a = rr / pq
-        x += a * p
-        r -= a * q
-        rr, rr_old = r @ r, rr
-        if rr <= stop:
-            break
-        p *= rr / rr_old
-        p += r
+    tol = math.sqrt(b.size) * np.finfo(np.float64).eps / 4
+    x = _cg(lambda v: P @ v + shift * v, b, tol, _CG_BUDGET)
     if x is not None:
-        q = P @ x
-        q += shift * x
-        q -= u
-        if q @ q <= tol ** 2 * (u @ u):
-            return scale * x
+        return x
     M = P.full()
-    M[np.diag_indices(n)] += shift
+    M[np.diag_indices(b.size)] += shift
     return np.linalg.solve(M, b)
 
 
@@ -472,9 +470,8 @@ def train_kernel_ridge(data: TabularDataset, kernel: KernelSpec,
     K = kernel.gram(X, X) is built as kernel.self_gram(X), row blocks of its
     lower triangle, and solved by _solve_shifted; the scorer keeps it for
     scores and gradients on the training rows. A fit holds n(n + 256)/2
-    cells of K, plus gram's two block temporaries while it is built; on
-    the LU fallback it holds those plus two full n x n arrays, where the
-    full K held two n x n arrays in all. Scores and gradients on the
+    cells of K, plus gram's two block temporaries while it is built, or two
+    full n x n arrays more on the LU fallback. Scores and gradients on the
     training rows later hold K's blocks plus arrays of n x d (the points,
     d features) and n.
     """
@@ -489,95 +486,58 @@ def train_kernel_ridge(data: TabularDataset, kernel: KernelSpec,
     return scorer
 
 
-def _kmer_gram_blocks(codes: np.ndarray, K: int) -> _LowerTriangle:
-    """The unsealed _LowerTriangle G, diagonal squares filled whole, G[a, b]
-    the number of (degree k <= K, position) substrings the coded DNA
-    sequences a and b share; train_positional_kmer gives the method."""
-    n, L = codes.shape
-    W = -(-L // 64)
-
-    def words(bits: np.ndarray) -> np.ndarray:
-        """Rows of 0/1 positions as uint64 words, position p at bit p % 64
-        of word p // 64, laid out word-major (W x rows)."""
-        packed = np.zeros((bits.shape[0], 8 * W), dtype=np.uint8)
-        packed[:, :-(-L // 8)] = np.packbits(bits, axis=1, bitorder="little")
-        return np.ascontiguousarray(packed.view("<u8").T, dtype=np.uint64)
-
-    lo, hi = words(codes & 1), words(codes >> 1)
-    valid = words(np.ones((1, L), dtype=np.uint8))[:, :, None]
-    G = _LowerTriangle(n)
-    for i0, i1, blk in G:
-        cols = min(i1, max(1, _KMER_CHUNK_WORDS // W))
-        rows = max(1, _KMER_CHUNK_WORDS // (W * cols))
-        for r0 in range(i0, i1, rows):
-            a = slice(r0, min(r0 + rows, i1))
-            for c0 in range(0, i1, cols):
-                b = slice(c0, min(c0 + cols, i1))
-                run = np.bitwise_xor(lo[:, a, None], lo[:, None, b])
-                step = np.bitwise_xor(hi[:, a, None], hi[:, None, b])
-                run |= step
-                np.invert(run, out=run)
-                run &= valid                    # bit p: the letters at p match
-                count = np.zeros(run.shape[1:], dtype=np.int32)
-                for k in range(1, K + 1):
-                    if k > 1:                   # bit p: the k letters from p match
-                        np.right_shift(run, 1, out=step)
-                        step[:-1] |= run[1:] << 63
-                        run &= step
-                    count += np.bitwise_count(run).sum(axis=0, dtype=np.int32)
-                blk[a.start - i0:a.stop - i0, b] = count
-    return G
-
-
 def train_positional_kmer(data: SequenceDataset, K: int, lam: float) -> PositionalKmerScorer:
-    """Ridge regression on the positional substring indicators, in the dual.
+    """Ridge regression on the positional substring indicators, in the primal.
 
-    The n x n Gram matrix G of shared substrings (the weighted-degree kernel
-    with unit weights) is counted 64 positions per machine word, in the
-    manner of Myers' bit-vector matching (JACM 1999), so no n x F design or
-    one-hot code ever exists. Bit 0 and bit 1 of the DNA codes (0-3) are
-    packed into two bit planes of W = ceil(L / 64) little-endian words per
-    sequence. For sequences a and b, run = ~((lo_a ^ lo_b) | (hi_a ^ hi_b))
-    with the bits at L and above cleared has bit p set where the letters at
-    p match; after k - 1 steps of run &= run >> 1, the shift carrying bit 0
-    of each word into bit 63 of the word before, bit p is set where the
-    length-k substrings at p match. The popcount of run, summed over the
-    words and the degrees 1..K, is G[a, b]. Each count is an integer of at
-    most sum_k (L - k + 1), below 2.5 million under the weight budget, so
-    int32 sums and float64 cells hold it exactly: G is bitwise the float64
-    sum of the one-hot products.
+    w solves (Xc'Xc + n*lambda*I) w = Xc'(y - mean(y)), Xc the n x F
+    indicator design centred by its column means mu, and b = mean(y) - mu'w.
+    With ids = kmer_ids(...), the flat indices of each sequence's P
+    substrings, Xc w is w[ids].sum(axis=1) - mu'w and Xc'v is the bincount
+    of ids weighted by v, less mu * sum(v), so no design exists (Sonnenburg,
+    Raetsch & Schoelkopf, ICML 2005; Sonnenburg & Franc, COFFIN, ICML 2010).
+    No step calls a BLAS, so the weights do not depend on its thread count.
+    A substring that never occurs has a zero column and keeps weight
+    exactly 0. The fit holds the ids and one n x P temporary at a time:
+    2.33 x 8nP bytes at its peak (n = 1000 and 2000).
 
-    G is counted straight into the _TRI_ROWS-row blocks of its lower
-    triangle (the _LowerTriangle form of train_kernel_ridge), each block in
-    chunks of _KMER_CHUNK_WORDS word pairs. Its row sums G 1 are exact, as
-    sums of counts. G is centred as H G H, whose null space holds the ones
-    vector, one block at a time, and sealed only then, so each diagonal
-    square is mirrored from its centred lower half. The dual solution alpha
-    so sums to 0 and each weight is its substring's alpha-weighted count
-    (bincount), exactly 0 for a substring that never occurs. The dual
-    system is solved by _solve_shifted, as in train_kernel_ridge.
+    _cg gets the gate tol = _KMER_TOL * sqrt(n + 64) * eps and so stops at
+    tol / 2. Run to a tiny tol, the true relative residual fell to about
+    0.15 sqrt(n) eps past n = 200 (18.5 eps at n = 16000) and to at most
+    2.3 eps at n <= 20 (random DNA with a motif planted in half the rows,
+    K = 2 to 6, lambda = 0.1 to 1e-4), under half of tol / 2; the answers
+    measured at most 0.52 tol. CG steps on the `poim` benchmark input
+    (seed 0; 2000 planted-motif sequences of length 100, K = 3):
 
-    The fit's peak is the blocks, n(n + _TRI_ROWS)/2 cells, plus one
-    chunk's temporaries: at most three uint64 arrays of _KMER_CHUNK_WORDS
-    words (1 MB each) and their popcounts. If CG fails, LU adds two full
-    n x n arrays. The blocks are released before the n x (positions summed
-    over degrees) substring ids are computed for the bincounts.
+        lambda   0.1  0.03  0.01  1e-3  1e-4  1e-6  1e-9
+        steps     49    82   120   173   185   187   187
+
+    The most measured, 1479, was at n = 4000 with the motif at one fixed
+    position and lambda = 1e-9; _KMER_STEPS = 2048 caps a failed fit near
+    5 s at n = 2000. A fit with no answer through the gate raises
+    FirmError naming lambda.
     """
     if not 0 < lam < np.inf:
         raise FirmError("lambda must be finite and > 0")
     A, L, n = len(DNA_ALPHABET), data.length, data.n
-    off = kmer_offsets(A, L, K)
-    G = _kmer_gram_blocks(data.codes, K)
-    r = G @ np.ones(n) / n                      # G's row means, of exact sums of counts
-    c = r.mean()
-    for i0, i1, blk in G:
-        ri, rows = r[i0:i1], max(1, _BLOCK_CELLS // i1)
-        for i in range(0, i1 - i0, rows):
-            blk[i:i + rows] += c - ri[i:i + rows, None] - r[None, :i1]
-    alpha = _solve_shifted(G.seal(), n * lam, data.y - data.y.mean())
-    del G, blk                                  # views included: the buffer goes
+    F = kmer_offsets(A, L, K)[-1]
     ids = kmer_ids(data.codes, A, K)
-    w = np.bincount(ids.ravel(), np.repeat(alpha, ids.shape[1]), minlength=off[-1])
-    means = np.bincount(ids.ravel(), minlength=off[-1]) / n
+    flat, P = ids.ravel(), ids.shape[1]
+    mu = np.bincount(flat, minlength=F) / n
+
+    def xt(v):                                  # Xc'v
+        out = np.bincount(flat, np.repeat(v, P), minlength=F)
+        out -= mu * np.add.reduce(v)
+        return out
+
+    def product(w):                             # (Xc'Xc + n*lambda*I) w
+        out = xt(w[ids].sum(axis=1) - np.add.reduce(mu * w))
+        out += n * lam * w
+        return out
+
+    tol = _KMER_TOL * math.sqrt(n + 64) * np.finfo(np.float64).eps
+    w = _cg(product, xt(data.y - data.y.mean()), tol, _KMER_STEPS)
+    if w is None:
+        raise FirmError(f"the k-mer ridge solve did not converge within {_KMER_STEPS} "
+                        f"steps at lambda = {lam:g}; a larger lambda converges faster")
     return PositionalKmerScorer(alphabet=DNA_ALPHABET, length=L, max_degree=K,
-                                weights=w, b=float(data.y.mean() - means @ w))
+                                weights=w, b=float(data.y.mean() - np.add.reduce(mu * w)))

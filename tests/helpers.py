@@ -5,8 +5,7 @@ force, enumeration, finite differences, per-point formulas, sampling)
 without touching the production code paths under test; scores come from
 score_many, the one evaluation method every scorer has. kmer_scorer and kmer_weight only place
 and read positional k-mer weights with the package's layout, so tests can
-state a scorer as a {(position, substring): weight} dict; onehot_kmer_gram
-takes its substring ids from the same layout (kmer_ids), and save_tabular
+state a scorer as a {(position, substring): weight} dict, and save_tabular
 writes the CSV files that the parser tests read. The one
 exception among the oracles is the Monte Carlo
 oracle, whose point estimate is the package's binned estimator on draws
@@ -40,7 +39,7 @@ import pytest
 from firm import (DataFormatError, FirmError, PositionalKmerScorer, conditional_curve,
                   firm_from_curve, score_many)
 from firm import _emit, dataset
-from firm.scoring import kmer_ids, kmer_offsets
+from firm.scoring import kmer_offsets
 
 
 def brute_firm_binary(scores, fvals, probs=None):
@@ -308,28 +307,6 @@ def explicit_kmer_ridge(data, K, lam):
     alpha = np.linalg.solve(Phic @ Phic.T + data.n * lam * np.eye(data.n), yc)
     w = Phic.T @ alpha
     return dict(zip(feats, w.tolist())), float(data.y.mean() - means @ w)
-
-
-def onehot_kmer_gram(codes, K):
-    """The n x n count of shared positional substrings of the n x L DNA
-    codes, degrees 1..K, as a float32 product of one-hot codes summed a few
-    positions at a time (about 2048 one-hot columns a chunk). Counts below
-    2^24 are exact in float32."""
-    n, L = codes.shape
-    A = 4
-    off = kmer_offsets(A, L, K)
-    ids = kmer_ids(codes, A, K)
-    gram = np.zeros((n, n), dtype=np.float32)
-    col = 0
-    for k in range(1, K + 1):
-        step = max(1, 2048 // A ** k)
-        for i0 in range(0, L - k + 1, step):
-            cols = ids[:, col + i0:col + min(i0 + step, L - k + 1)]
-            onehot = np.zeros((n, cols.shape[1] * A ** k), dtype=np.float32)
-            np.put_along_axis(onehot, cols - (off[k - 1] + i0 * A ** k), 1.0, axis=1)
-            gram += onehot @ onehot.T
-        col += L - k + 1
-    return gram
 
 
 def parse_tabular(path):

@@ -260,6 +260,20 @@ class TestAnalyzeSequence:
         assert err.startswith("error:") and err.count("\n") == 1 and "weights" in err
         assert not out.exists()
 
+    def test_unconverged_fit_fails_with_one_line(self, tmp_path, capsys, monkeypatch):
+        """A k-mer fit whose CG runs out of steps names lambda and writes nothing."""
+        inp = tmp_path / "seqs.tsv"
+        self.write_seqs(inp, np.random.default_rng(7))
+        out = tmp_path / "out"
+        monkeypatch.setattr(firm.scoring, "_KMER_STEPS", 1)
+        assert run("analyze", "--input", str(inp), "--method", "poim",
+                   "--scorer", "train:kmer", "--degree", "2", "--lambda", "0.01",
+                   "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "lambda = 0.01" in err
+        assert not out.exists()
+
     def test_negative_top_fails_with_one_line(self, tmp_path, capsys):
         inp = tmp_path / "seqs.tsv"
         self.write_seqs(inp, np.random.default_rng(6), n=4, L=6)
@@ -780,24 +794,38 @@ sys.exit(code)
 def test_command_runs_one_blas_thread_unless_told_otherwise(tmp_path):
     """With the thread variables unset, the command pins one BLAS thread
     before numpy loads: one thread in all, and the bytes of a run that set
-    them to 1. A count set in the environment is kept."""
+    them to 1. A count set in the environment is kept. The k-mer fit and
+    its POIM use no BLAS, so poim.tsv has the same bytes under 2 threads
+    as under 1 (the dual fit's CG products by its Gram matrix did not)."""
     rng = np.random.default_rng(21)
     X = rng.normal(size=(400, 6))
     write_csv(tmp_path / "d.csv", X, X @ rng.normal(size=6) + rng.normal(size=400))
+    seqs = rng.choice(list("ACGT"), size=(300, 20))
+    labels = rng.choice(["+1", "-1"], size=300)
+    seqs[labels == "+1", 6:14] = list("TGACGTCA")
+    (tmp_path / "s.tsv").write_text("".join(f"{''.join(s)}\t{y}\n" for s, y in zip(seqs, labels)),
+                                    encoding="utf-8")
+    commands = {"gaussian": ["--input", str(tmp_path / "d.csv"), "--method", "gaussian",
+                             "--scorer", "train:ridge"],
+                "poim": ["--input", str(tmp_path / "s.tsv"), "--method", "poim",
+                         "--scorer", "train:kmer", "--degree", "3", "--k", "6",
+                         "--lambda", "0.01"]}
     runs = {}
     for setting in ("unset", "1", "2"):
         env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
         env["PYTHONPATH"] = os.path.dirname(os.path.dirname(firm.__file__))
         if setting != "unset":
             env.update(dict.fromkeys(BLAS_VARS, setting))
-        out = tmp_path / setting
-        proc = subprocess.run([sys.executable, "-c", CONSOLE_SCRIPT, "analyze",
-                               "--input", str(tmp_path / "d.csv"), "--method", "gaussian",
-                               "--scorer", "train:ridge", "--out", str(out)],
-                              capture_output=True, text=True, env=env)
-        assert proc.returncode == 0, proc.stderr
-        runs[setting] = (proc.stdout.split(),
-                         {p.name: p.read_bytes() for p in sorted(out.iterdir())})
-    assert runs["unset"][0] == ["1", "1"]
-    assert runs["unset"][1] == runs["1"][1]
-    assert runs["2"][0][0] == "2"
+        for name, argv in commands.items():
+            out = tmp_path / setting / name
+            proc = subprocess.run([sys.executable, "-c", CONSOLE_SCRIPT, "analyze", *argv,
+                                   "--out", str(out)],
+                                  capture_output=True, text=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+            runs[setting, name] = (proc.stdout.split(),
+                                   {p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    for name in commands:
+        assert runs["unset", name][0] == ["1", "1"]
+        assert runs["unset", name][1] == runs["1", name][1]
+        assert runs["2", name][0][0] == "2"
+    assert runs["2", "poim"][1]["poim.tsv"] == runs["1", "poim"][1]["poim.tsv"]

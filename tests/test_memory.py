@@ -24,8 +24,8 @@ no more than the one-process parse.
 tracemalloc does not see the work copies numpy.linalg makes inside LAPACK,
 such as the LU factor np.linalg.solve writes over a copy of its matrix, so
 a fit's traced peak is the same whatever it holds beside that copy. The
-k-mer fit is therefore also measured at its solve's entry, and the
-least-squares fit by the rows it hands to LAPACK.
+least-squares fit is therefore also measured by the rows it hands to
+LAPACK.
 """
 
 import tracemalloc
@@ -222,9 +222,9 @@ def test_lu_fallback_releases_its_assembled_matrix():
 
 
 def test_dual_gram_blocks_are_one_allocation(monkeypatch):
-    """Both dual fits hand the solve blocks that are views of one buffer,
+    """The kernel fit hands the solve blocks that are views of one buffer,
     freed as a whole: allocated one at a time they stayed resident after
-    the k-mer fit at n = 2000 and added 16 MB to a later POIM run's peak."""
+    the fit and added to a later run's peak."""
     solve, held = firm.scoring._solve_shifted, []
 
     def probe(P, *args):
@@ -235,8 +235,7 @@ def test_dual_gram_blocks_are_one_allocation(monkeypatch):
     X = np.random.default_rng(9).normal(size=(600, 3))
     train_kernel_ridge(TabularDataset(X=X, y=X[:, 0], names=tuple("abc")),
                        KernelSpec.gaussian(1.0), 0.1)
-    train_positional_kmer(random_dna(600, 20, seed=9), K=2, lam=0.1)
-    assert [len(bases) for bases in held] == [1, 1]
+    assert [len(bases) for bases in held] == [1]
 
 
 def test_polynomial_gradient_holds_one_full_matrix():
@@ -255,36 +254,26 @@ def random_dna(n, length, seed):
     return SequenceDataset(sequences=tuple(seqs), y=rng.choice([-1.0, 1.0], size=n))
 
 
-def test_kmer_fit_holds_only_the_gram_matrix_at_the_solve(monkeypatch):
-    """Only the Gram matrix's blocks (0.625 x 8n^2) and a few vectors are
-    held when the dual solve is entered; the substring ids come after it."""
-    n = 1000
+@pytest.mark.parametrize("n", [1000, 2000])
+def test_kmer_fit_holds_two_substring_id_arrays(n):
+    """The primal fit holds the n x P substring ids (P = 297 substrings per
+    sequence here) and one n x P temporary at a time: 2.33 x 8nP traced,
+    while kmer_ids concatenates its per-degree columns. A third n x P array
+    would not fit under the bound."""
     data = random_dna(n, 100, seed=4)
-    solve, held = firm.scoring._solve_shifted, []
-
-    def probe(*args):
-        held.append(tracemalloc.get_traced_memory()[0] - start)
-        return solve(*args)
-
-    monkeypatch.setattr(firm.scoring, "_solve_shifted", probe)
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        train_positional_kmer(data, K=3, lam=0.1)
-    finally:
-        tracemalloc.stop()
-    assert len(held) == 1 and held[0] <= 1.1 * 8 * n * n
+    P = 100 + 99 + 98
+    peak, _ = traced_peak(lambda: train_positional_kmer(data, K=3, lam=0.1))
+    assert peak <= 2.5 * 8 * n * P
 
 
 def test_kmer_fit_builds_no_one_hot_design():
-    """The fit holds the Gram matrix's blocks (0.625 x 8n^2) plus one
-    chunk's bit-count temporaries, and after the solve the substring ids;
-    a one-hot design (1.02 x 8n^2 for 2048 float32 columns) or a second
-    n x n matrix would not fit under the bound."""
+    """The fit's peak, 2.33 x 8nP for P = 297 substrings per sequence, is
+    0.69 x 8n^2 at n = 1000; a one-hot design (1.02 x 8n^2 for 2048
+    float32 columns) or an n x n matrix would not fit under the bound."""
     n = 1000
     data = random_dna(n, 100, seed=4)
     peak, _ = traced_peak(lambda: train_positional_kmer(data, K=3, lam=0.1))
-    assert peak <= 1.2 * 8 * n * n
+    assert peak <= 0.8 * 8 * n * n
 
 
 def test_poim_tsv_makes_no_fixed_width_label_column():

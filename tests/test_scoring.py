@@ -9,19 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-import firm.scoring
 from firm import (BudgetExceededError, FirmError, KernelExpansionScorer, KernelSpec,
                   LinearScorer, SequenceDataset,
                   TabularDataset, gradient_at, score_many,
                   train_kernel_ridge, train_least_squares,
                   train_positional_kmer, train_ridge)
-from firm.dataset import DNA_ALPHABET, encode_sequences
-from firm.scoring import (_BLOCK_CELLS, _TRI_ROWS, _kmer_gram_blocks, _LowerTriangle,
-                          _solve_shifted, kmer_ids, kmer_offsets)
+from firm.dataset import DNA_ALPHABET
+from firm.scoring import _BLOCK_CELLS, _TRI_ROWS, _LowerTriangle, _solve_shifted, kmer_offsets
 
 from helpers import (all_pm1_rows, central_difference_gradient, explicit_kmer_ridge,
                      kernel_gradient_at, kmer_scorer, kmer_weight, least_squares_with_ones,
-                     onehot_kmer_gram, reference_gram)
+                     reference_gram)
 
 
 class TestScore:
@@ -381,8 +379,8 @@ class TestLowerTriangle:
 
     @pytest.mark.parametrize("n", SIZES)
     def test_row_sums_of_counts_are_exact(self, n):
-        """Integer cells, as the k-mer fit's counts: S @ 1 is full()'s row
-        sums bitwise, before the blocks are sealed as after."""
+        """Integer cells: S @ 1 is full()'s row sums bitwise, before the
+        blocks are sealed as after."""
         A = np.random.default_rng(n).integers(0, 2 ** 30, size=(n, n))
         S = lower_triangle((A + A.T).astype(np.float64))
         want = S.full().sum(axis=1)
@@ -641,48 +639,6 @@ class TestShiftedSolve:
         assert x.tobytes() == np.zeros(self.N).tobytes()
 
 
-class TestKmerGram:
-    """The bit-parallel count of shared positional substrings against the
-    one-hot product; word boundaries (L = 63, 64, 65, 128, 129) are where a
-    lost carry would show."""
-
-    @staticmethod
-    def assert_blocks_equal(codes, K, want):
-        G = _kmer_gram_blocks(codes, K)
-        assert sum(blk.shape[0] for _, _, blk in G) == codes.shape[0]
-        for i0, i1, blk in G:
-            assert blk.tobytes() == want[i0:i1, :i1].astype(np.float64).tobytes()
-
-    @settings(max_examples=40, deadline=None)
-    @given(n=st.sampled_from([1, 2, 63, 64, 65, 257]),
-           L=st.sampled_from([1, 2, 63, 64, 65, 128, 129]),
-           K=st.integers(1, 4), mutate=st.sampled_from([0.01, 0.1, 0.75]),
-           seed=st.integers(0, 2 ** 32 - 1))
-    def test_matches_one_hot_product_bitwise(self, n, L, K, mutate, seed):
-        """Sequences mutated from one base share long runs, so matches
-        cross the word boundaries at every degree."""
-        K = min(K, L)
-        rng = np.random.default_rng(seed)
-        base = rng.integers(0, 4, size=L)
-        codes = np.where(rng.random((n, L)) < mutate, rng.integers(0, 4, size=(n, L)),
-                         base).astype(np.uint8)
-        self.assert_blocks_equal(codes, K, onehot_kmer_gram(codes, K))
-
-    @pytest.mark.parametrize("L", [64, 65, 128, 129])
-    @pytest.mark.parametrize("other", [1, 2, 3], ids=["low-bit", "high-bit", "both-bits"])
-    def test_one_difference_at_a_word_end(self, L, other):
-        """Two sequences that differ only at position p (the last bit of a
-        word, or the last position) share every substring not covering p."""
-        K = 4
-        for p in sorted({63, L - 1} | ({127} if L > 127 else set())):
-            codes = np.zeros((2, L), dtype=np.uint8)
-            codes[1, p] = other
-            same = sum(L - k + 1 for k in range(1, K + 1))
-            covering = sum(min(p, L - k) - max(0, p - k + 1) + 1 for k in range(1, K + 1))
-            want = np.array([[same, same - covering], [same - covering, same]])
-            self.assert_blocks_equal(codes, K, want)
-
-
 class TestPositionalKmerTrainer:
     @staticmethod
     def _exhaustive_dataset(L=3):
@@ -702,14 +658,16 @@ class TestPositionalKmerTrainer:
         with pytest.raises(FirmError, match="K must be >= 1"):
             train_positional_kmer(ds, K=0, lam=1e-3)
 
-    def test_random_dna_fit_takes_no_lu(self, monkeypatch):
+    @pytest.mark.parametrize("lam", [0.1, 0.03, 0.01])
+    def test_random_dna_fit_takes_no_lu(self, lam, monkeypatch):
         """A degree-3 fit on 1000 random sequences of length 100 is solved by
-        CG within its budget; np.linalg.solve is never called."""
+        CG within its budget; np.linalg.solve is never called. The dual fit
+        took LU at lambda = 0.03."""
         rng = np.random.default_rng(11)
         seqs = ["".join(row) for row in rng.choice(list("ACGT"), size=(1000, 100))]
         ds = SequenceDataset(sequences=tuple(seqs), y=rng.choice([-1.0, 1.0], size=1000))
         monkeypatch.setattr(np.linalg, "solve", None)
-        sc = train_positional_kmer(ds, K=3, lam=0.1)
+        sc = train_positional_kmer(ds, K=3, lam=lam)
         assert np.isfinite(sc.weights).all() and np.abs(sc.weights).max() > 0
 
     def test_constant_labels_give_zero_weights(self):
@@ -720,8 +678,10 @@ class TestPositionalKmerTrainer:
         assert sc.b == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("K,n,L,seed", [(1, 12, 5, 0), (2, 25, 6, 1), (3, 40, 7, 2),
-                                            (3, 6, 9, 3)])
+                                            (3, 6, 9, 3), (3, 300, 65, 4)])
     def test_matches_explicit_design(self, K, n, L, seed):
+        """Against the dual solve of the explicit design, also beyond 256
+        rows and past 64 positions."""
         rng = np.random.default_rng(seed)
         seqs = tuple("".join(rng.choice(list("ACGT"), size=L)) for _ in range(n))
         ds = SequenceDataset(sequences=seqs, y=rng.choice([-1.0, 1.0], size=n))
@@ -735,40 +695,6 @@ class TestPositionalKmerTrainer:
         seen = kmer_scorer(DNA_ALPHABET, L, K, dict.fromkeys(want, 1.0)).weights
         assert (seen == 0).any()
         assert (sc.weights[seen == 0] == 0.0).all()
-
-    def test_blocked_centring_matches_one_expression_centring(self, monkeypatch):
-        """A fit on more rows than a block (515: two blocks of 256 rows and
-        one of 3) hands the solve, bit for bit and sealed, the Gram matrix
-        centred in one expression, and its weights are the bincounts of that
-        solve's answer."""
-        rng = np.random.default_rng(21)
-        n, L, K, lam = 515, 8, 2, 0.05
-        seqs = tuple("".join(rng.choice(list("ACGT"), size=L)) for _ in range(n))
-        ds = SequenceDataset(sequences=seqs, y=rng.choice([-1.0, 1.0], size=n))
-        ids = kmer_ids(encode_sequences(ds.sequences, DNA_ALPHABET), 4, K)
-        F = kmer_offsets(4, L, K)[-1]
-        design = np.zeros((n, F))
-        design[np.arange(n)[:, None], ids] = 1.0
-        gram = design @ design.T                  # shared-substring counts, exact
-        r = gram.mean(axis=1)
-        gram += r.mean() - r[:, None] - r[None, :]
-        solved = []
-
-        def solve(P, shift, b):
-            solved.append(P)
-            return _solve_shifted(P, shift, b)
-
-        monkeypatch.setattr(firm.scoring, "_solve_shifted", solve)
-        sc = train_positional_kmer(ds, K=K, lam=lam)
-        (P,) = solved
-        assert [blk.shape[0] for blk in P.blocks] == [_TRI_ROWS, _TRI_ROWS, 3]
-        assert not any(blk.flags.writeable for blk in P.blocks)
-        assert P.full().tobytes() == gram.tobytes()
-        alpha = _solve_shifted(P, n * lam, ds.y - ds.y.mean())
-        w = np.bincount(ids.ravel(), np.repeat(alpha, ids.shape[1]), minlength=F)
-        b = float(ds.y.mean() - (np.bincount(ids.ravel(), minlength=F) / n) @ w)
-        assert sc.weights.tobytes() == w.tobytes()
-        assert sc.b == b
 
     def test_weight_budget(self):
         assert kmer_offsets(4, 100, 8)[-1] == 8_155_456
