@@ -1,7 +1,8 @@
 """Data ingestion and covariance estimation for tabular and sequence data.
 
-All container types are immutable (their arrays are frozen copies) and
-compare by identity, so shared instances are safe under concurrent use.
+All container types are immutable and compare by identity, so shared
+instances are safe under concurrent use. Their arrays are read-only copies,
+but for the X and y load_tabular's parse allocated, which it adopts.
 """
 
 from __future__ import annotations
@@ -17,33 +18,38 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _fork
-from .errors import DataFormatError, DegenerateFeatureError, FirmError
+from .errors import DataFormatError, FirmError
+from .features import refuse_constant_column, row_blocks
 
 DNA_ALPHABET = ("A", "C", "G", "T")
 _FORK_BYTES = 2 ** 20    # data bytes of a tabular file per parsing process, at least
 
 
-def _frozen(a) -> np.ndarray:
-    """A read-only float64 copy of a that owns its data."""
-    out = np.array(a, dtype=np.float64, order="C")
+def _frozen(a, copy: bool = True) -> np.ndarray:
+    """A read-only float64 copy of a that owns its data; without copy, a itself."""
+    out = np.array(a, dtype=np.float64, order="C") if copy else a
     out.setflags(write=False)
     return out
 
 
 @dataclass(frozen=True, eq=False)
 class TabularDataset:
-    """An n-by-d data matrix with optional labels and column names."""
+    """An n-by-d data matrix with optional labels and column names; X and y
+    are read-only copies of the caller's arrays (load_tabular adopts its own)."""
 
     X: np.ndarray
     y: np.ndarray | None
     names: tuple[str, ...]
     column_means: np.ndarray = field(init=False)
 
-    def __post_init__(self):
-        X = _frozen(np.atleast_2d(self.X))
+    def __post_init__(self, copy: bool = True):
+        X = _frozen(np.atleast_2d(self.X), copy)
         if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 1:
             raise FirmError("data matrix must have at least one row and one column")
-        if not np.isfinite(X).all():
+        with np.errstate(over="ignore", invalid="ignore"):
+            means = X.mean(axis=0)
+        # a non-finite cell makes its mean non-finite; no n x d mask otherwise
+        if not np.isfinite(means).all() and not np.isfinite(X).all():
             raise FirmError("data matrix contains non-finite entries")
         if len(self.names) != X.shape[1]:
             raise FirmError(f"got {len(self.names)} names for {X.shape[1]} columns")
@@ -56,15 +62,13 @@ class TabularDataset:
             seen.add(name)
         y = self.y
         if y is not None:
-            y = _frozen(np.asarray(y).ravel())
+            y = _frozen(np.asarray(y).ravel(), copy)
             if y.shape[0] != X.shape[0]:
                 raise FirmError("label vector length does not match row count")
             if not np.isfinite(y).all():
                 raise FirmError("labels contain non-finite entries")
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
-        with np.errstate(over="ignore", invalid="ignore"):
-            means = X.mean(axis=0)
         bad = np.flatnonzero(~np.isfinite(means))
         if bad.size:
             raise FirmError(f"mean of column '{self.names[bad[0]]}' overflows")
@@ -213,8 +217,9 @@ def _table(lines, width: int) -> np.ndarray | None:
     return data if ok else None
 
 
-def _read_table(path) -> tuple[list[str], np.ndarray]:
-    """Header and n x len(header) finite data of a tabular file.
+def _read_table(path, labelled: bool) -> tuple[list[str], np.ndarray, np.ndarray | None]:
+    """Header, n x d features X and, if labelled, the n labels y (the last
+    column) of a tabular file of finite numbers, as new C-ordered arrays.
 
     A file with at least two _FORK_BYTES after its header line is first
     parsed on every core (_read_forked), in a process that runs one thread.
@@ -225,7 +230,7 @@ def _read_table(path) -> tuple[list[str], np.ndarray]:
     read as a table, bisection over a list of them finds the first line at
     fault, whose width or first bad cell raises a DataFormatError.
     """
-    forked = _read_forked(path)
+    forked = _read_forked(path, labelled)
     if forked is not None:
         return forked
     with open_utf8(path) as fh:
@@ -240,7 +245,8 @@ def _read_table(path) -> tuple[list[str], np.ndarray]:
             data = _table((ln for _, ln in itertools.islice(_nonblank_lines(fh), 1, None)),
                           len(header))
     if data is not None:
-        return header, data
+        X, y = (data[:, :-1].copy(), data[:, -1].copy()) if labelled else (data, None)
+        return header, X, y
     with open_utf8(path) as fh:
         line_nos, rows = zip(*list(_nonblank_lines(fh))[1:])
     lo, hi = 0, len(rows)                       # rows[:lo] read as a table, rows[lo:hi] not
@@ -261,23 +267,23 @@ def _read_table(path) -> tuple[list[str], np.ndarray]:
     raise AssertionError("unreachable: the line reads as a table row")
 
 
-def _read_forked(path) -> tuple[list[str], np.ndarray] | None:
-    """Header and data of a tabular file parsed by forked children, or None.
+def _read_forked(path, labelled: bool):
+    """_read_table's header, X and y, parsed by forked children, or None.
 
     The data lines, from the line after the header to the end, are cut into
     one contiguous byte range per worker (_fork.processes, at most one per
     _FORK_BYTES); each cut moves forward to just after the next b"\\n", so
     every range holds whole lines as the text handle splits them, and whole
     UTF-8 characters. Each child sends its range's rows (_send_rows). This
-    process parses no range: it allocates the n x len(header) result once
-    and reads each child's rows into their place, in order, so it never
-    holds a range's text or a second copy of the rows.
+    process parses no range: it allocates X and y once and reads each
+    child's feature cells and labels into their place, in order, so it
+    never holds a range's text or a second copy of the table.
 
-    None, and no result, where the work is not spread over two workers or
-    more, and wherever anything does not go as planned: a child that
-    refuses its range (a malformed file) or fails, a short read, an OSError
-    or a byte that is not UTF-8 up to the header's end. _read_table then
-    reads the file in one process, which names any fault as it always has.
+    None, and no result, for fewer than two workers or no feature column, and
+    wherever anything does not go as planned: a child that refuses its range
+    (a malformed file) or fails, a short read, an OSError or a byte that is
+    not UTF-8 up to the header's end. _read_table then reads the file in one
+    process, which names any fault as it always has.
     """
     try:
         with open(path, "rb") as fh:
@@ -287,7 +293,8 @@ def _read_forked(path) -> tuple[list[str], np.ndarray] | None:
             header, start = found
             end = os.fstat(fh.fileno()).st_size
             workers = _fork.processes((end - start) // _FORK_BYTES)
-            if workers < 2:
+            d = len(header) - labelled
+            if workers < 2 or d < 1:
                 return None
             cuts = [start]
             for w in range(1, workers):
@@ -295,26 +302,24 @@ def _read_forked(path) -> tuple[list[str], np.ndarray] | None:
                 fh.readline()                   # to just after the next b"\n"
                 cuts.append(max(cuts[-1], fh.tell()))
             cuts.append(end)
-            width = len(header)
-            senders = (functools.partial(_send_rows, fh.fileno(), lo, hi, width)
+            senders = (functools.partial(_send_rows, fh.fileno(), lo, hi, d, labelled)
                        for lo, hi in zip(cuts, cuts[1:]))
             with _fork.forked(senders) as children:
                 # BufferedReader.read and readinto stop short only at the end of the pipe
                 sent = [child.pipe.read(8) for child in children]
                 if any(len(n) != 8 for n in sent):
                     return None
-                counts = [int.from_bytes(n, sys.byteorder) for n in sent]
-                if sum(counts) == 0:
+                at = [0, *itertools.accumulate(int.from_bytes(n, sys.byteorder) for n in sent)]
+                if at[-1] == 0:
                     return None
-                data = np.empty((sum(counts), width))
-                # the bytes of a flat view, so the buffer numpy exports is the view's
-                flat, at = memoryview(data.reshape(-1).view(np.uint8)), 0
-                for child, count in zip(children, counts):
-                    rows = flat[at:at + count * 8 * width]
-                    if child.pipe.readinto(rows) != len(rows) or child.wait():
+                X, y = np.empty((at[-1], d)), np.empty(at[-1] if labelled else 0)
+                # the bytes of flat views, so the buffer numpy exports is the view's
+                xb, yb = (memoryview(a.reshape(-1).view(np.uint8)) for a in (X, y))
+                for child, lo, hi in zip(children, at, at[1:]):
+                    parts = xb[lo * 8 * d:hi * 8 * d], yb[lo * 8:hi * 8]
+                    if any(child.pipe.readinto(p) != len(p) for p in parts) or child.wait():
                         return None
-                    at += len(rows)
-        return header, data
+        return header, X, (y if labelled else None)
     except OSError:
         return None
 
@@ -345,25 +350,29 @@ def _header(fh) -> tuple[list[str], int] | None:
     return None
 
 
-def _send_rows(fd: int, lo: int, hi: int, width: int, fh) -> None:
+def _send_rows(fd: int, lo: int, hi: int, d: int, labelled: bool, fh) -> None:
     """In a forked child: the non-blank lines of bytes lo to hi of the file
     fd, split and decoded as the UTF-8 universal-newline handle does, as
-    n x width finite float64 rows. Writes n as 8 bytes, then the rows'
-    bytes, to fh; raises DataFormatError, and writes nothing, where they do
-    not read as such a table. A range with no data rows sends n = 0 without
-    calling loadtxt, which warns on empty input."""
+    n x (d + labelled) finite float64 rows, labels last if labelled. Writes
+    to fh n as 8 bytes, the rows' feature cells in copies of at most 2**16
+    cells, then any labels; raises DataFormatError, and writes nothing, where
+    the lines do not read as such a table. A range with no data rows sends
+    n = 0 without calling loadtxt, which warns on empty input."""
     raw = os.pread(fd, hi - lo, lo)
     if len(raw) != hi - lo:
         raise DataFormatError("the file changed while it was read")
     lines = (ln for ln in io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")
              if ln.strip() != "")
     first = next(lines, None)
-    data = (np.empty((0, width)) if first is None
-            else _table(itertools.chain([first], lines), width))
+    data = (np.empty((0, d + labelled)) if first is None
+            else _table(itertools.chain([first], lines), d + labelled))
     if data is None:
         raise DataFormatError("the range does not read as a table")
     fh.write(len(data).to_bytes(8, sys.byteorder))
-    fh.write(np.ascontiguousarray(data))
+    rows = max(1, 2 ** 16 // d)
+    for i in range(0, len(data), rows):
+        fh.write(np.ascontiguousarray(data[i:i + rows, :d]))
+    fh.write(np.ascontiguousarray(data[:, d:]))             # the labels, if any
 
 
 def load_tabular(path, has_labels: bool = False) -> TabularDataset:
@@ -378,14 +387,16 @@ def load_tabular(path, has_labels: bool = False) -> TabularDataset:
 
     A large file is parsed by forked processes, one per core, each reading
     a range of whole lines (see _read_forked); the arrays and every error
-    message do not depend on their number.
+    message do not depend on their number. The dataset adopts the X and y
+    the parse allocated, made read-only and not copied: nothing else holds them.
     """
-    header, data = _read_table(path)
-    if has_labels:
-        if len(header) < 2:
-            raise DataFormatError(f"{path}: need at least one feature column plus labels")
-        return TabularDataset(X=data[:, :-1], y=data[:, -1], names=tuple(header[:-1]))
-    return TabularDataset(X=data, y=None, names=tuple(header))
+    header, X, y = _read_table(path, has_labels)
+    if has_labels and len(header) < 2:
+        raise DataFormatError(f"{path}: need at least one feature column plus labels")
+    data = object.__new__(TabularDataset)
+    data.__dict__.update(X=X, y=y, names=tuple(header[:-1] if has_labels else header))
+    data.__post_init__(copy=False)
+    return data
 
 
 def load_sequences(path) -> SequenceDataset:
@@ -424,54 +435,53 @@ def load_sequences(path) -> SequenceDataset:
         raise
 
 
-def refuse_constant_column(X: np.ndarray, names) -> None:
-    """Raise DegenerateFeatureError naming the first column of the n x d
-    matrix X (n >= 1) whose cells are all equal. Exact, unlike a variance
-    test: a column of 0.1s can have a computed variance of 1e-34."""
-    const = np.flatnonzero(X.min(axis=0) == X.max(axis=0))
-    if const.size:
-        raise DegenerateFeatureError(f"feature {names[const[0]]} is constant")
-
-
 # ---------------------------------------------------------------------------
 # covariance estimation
 # ---------------------------------------------------------------------------
+
+def _scatter(data: TabularDataset, squares: bool = False):
+    """(S, W): S the centered covariance, divisor n, and with squares W =
+    sum_k (xc_k o xc_k)(xc_k o xc_k)', else None, from one pass over the
+    row_blocks of data.X. Refuses a constant column (refuse_constant_column)."""
+    refuse_constant_column(data.X, data.names)
+    G, W = np.zeros((data.d, data.d)), (np.zeros((data.d, data.d)) if squares else None)
+    for B in row_blocks(data.X, data.column_means):
+        G += B.T @ B
+        if squares:
+            W += np.square(B, out=B).T @ B
+    S = G / data.n
+    return (S + S.T) / 2.0, W       # (S + S') / 2 kills rounding asymmetry
+
 
 def empirical_covariance(data: TabularDataset) -> CovarianceEstimate:
     """Centered empirical covariance, divisor n; requires n >= 2 and refuses
     a constant column (refuse_constant_column)."""
     if data.n < 2:
         raise FirmError("centered covariance requires n >= 2")
-    refuse_constant_column(data.X, data.names)
-    X = data.X - data.column_means
-    sigma = (X.T @ X) / data.n
-    sigma = (sigma + sigma.T) / 2.0  # kill rounding asymmetry
-    return CovarianceEstimate(sigma=sigma, method="empirical_centered")
+    return CovarianceEstimate(sigma=_scatter(data)[0], method="empirical_centered")
 
 
 def shrinkage_covariance(data: TabularDataset) -> CovarianceEstimate:
     """Shrink the centered covariance toward its diagonal.
 
     The mixing intensity is the closed-form minimizer of expected squared
-    error for the diagonal target,
+    error for the diagonal target (Schaefer & Strimmer 2005),
 
         lambda* = sum_{i != j} Var^(s_ij) / sum_{i != j} s_ij^2,
 
     clipped to [0, 1], where Var^(s_ij) estimates the sampling variance of
     the covariance entries. The result is positive definite whenever all
-    sample variances are positive and lambda* > 0.
+    sample variances are positive and lambda* > 0. S and the sums behind
+    Var^(s_ij) come from one pass over blocks of rows (_scatter).
     """
     n, d = data.n, data.d
     if n < 3:
         raise FirmError("shrinkage estimate requires n >= 3")
-    S = empirical_covariance(data).sigma
+    S, W2 = _scatter(data, squares=d > 1)
     if d == 1:
         return CovarianceEstimate(sigma=S, method="shrunk", shrinkage_lambda=0.0)
     # per-entry sampling variance of s_ij from the products w_kij = xc_ki * xc_kj
-    # Var^(s_ij) = n/(n-1)^3 * sum_k (w_kij - mean_k w_kij)^2
-    Xc2 = data.X - data.column_means
-    np.square(Xc2, out=Xc2)
-    W2 = Xc2.T @ Xc2                           # sum_k w_kij^2
+    # Var^(s_ij) = n/(n-1)^3 * sum_k (w_kij - mean_k w_kij)^2, W2 = sum_k w_kij^2
     var_s = (n / (n - 1) ** 3) * (W2 - n * S ** 2)
     off = ~np.eye(d, dtype=bool)
     denom = float((S[off] ** 2).sum())

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import refuse_constant_column
-from .errors import FirmError
+from .errors import DegenerateFeatureError, FirmError
 
 
 @dataclass(frozen=True)
@@ -87,6 +86,15 @@ class Xor:
 FeatureFunction = Projection | SignedConjunction | Xor
 
 
+def refuse_constant_column(X: np.ndarray, names) -> None:
+    """Raise DegenerateFeatureError naming the first column of the n x d
+    matrix X (n >= 1) whose cells are all equal. Exact, unlike a variance
+    test: a column of 0.1s can have a computed variance of 1e-34."""
+    const = np.flatnonzero(X.min(axis=0) == X.max(axis=0))
+    if const.size:
+        raise DegenerateFeatureError(f"feature {names[const[0]]} is constant")
+
+
 def column_names(names, d: int) -> list[str]:
     """The given names of d feature columns, or x1 .. xd."""
     if names is None:
@@ -101,7 +109,7 @@ def feature_columns(scores, F, names=None):
 
     Returns the scores as a vector, F as an n-by-d matrix (a 1-D F is one
     column) and the column names. A constant column is refused by
-    dataset.refuse_constant_column, the exact test min = max.
+    refuse_constant_column, the exact test min = max.
     """
     scores = np.asarray(scores, dtype=np.float64).ravel()
     F = np.asarray(F, dtype=np.float64)
@@ -122,3 +130,12 @@ def column_blocks(F):
     column's bits depend on the other columns of its block."""
     width = max(1, 2 ** 16 // F.shape[0])
     return (np.array(F[:, j:j + width].T, order="C") for j in range(0, F.shape[1], width))
+
+
+def row_blocks(X, mu, y=None):
+    """X - mu in new C-ordered blocks of max(1, 2**16 // w) rows, w = d, or d + 1
+    with y's rows as the last column: a sum over them holds no n x d temporary."""
+    rows = max(1, 2 ** 16 // (X.shape[1] + (y is not None)))
+    for i in range(0, len(X), rows):
+        B = X[i:i + rows] - mu
+        yield B if y is None else np.column_stack([B, y[i:i + rows]])

@@ -19,6 +19,7 @@ import numpy as np
 
 from .dataset import DNA_ALPHABET, SequenceDataset, TabularDataset, encode_sequences
 from .errors import DEFAULT_CELL_BUDGET, BudgetExceededError, FirmError
+from .features import row_blocks
 
 # Cells per block of the elementwise n x m passes. The allocator reuses
 # temporaries of 128 KiB; blocks of 6 MB (256 rows of 3000) stayed resident
@@ -353,17 +354,16 @@ def gradient_at(scorer: Scorer, x0) -> np.ndarray:
 
 def train_least_squares(data: TabularDataset) -> LinearScorer:
     """Unregularized least squares with a fitted bias, by the sequential TSQR
-    of Demmel, Grigori, Hoemmen & Langou (2012): blocks of max(1, 2**16 //
-    (d + 1)) rows of the centered [X - mean(X) | y - mean(y)] fold into a
-    running (d + 1)-square R, with no copy of the design and with lstsq's
-    backward stability. w solves R[:d, :d] w = R[:d, d] by lstsq, rcond = eps
-    * max(n, d + 1); b = mean(y) - mean(X)'w. Raises when that rank is below
-    d or n <= d (use train_ridge there).
+    of Demmel, Grigori, Hoemmen & Langou (2012): the row_blocks of the
+    centered [X - mean(X) | y - mean(y)] fold into a running (d + 1)-square
+    R, with no copy of the design and with lstsq's backward stability. w
+    solves R[:d, :d] w = R[:d, d] by lstsq, rcond = eps * max(n, d + 1);
+    b = mean(y) - mean(X)'w. Raises when that rank is below d or n <= d
+    (use train_ridge there).
     """
     y, mu, n, d = data.labels(), data.column_means, data.n, data.d
-    y_bar, rows, R = y.mean(), max(1, 2 ** 16 // (d + 1)), np.empty((0, d + 1))
-    for i in range(0, n, rows):
-        block = np.column_stack([data.X[i:i + rows] - mu, y[i:i + rows] - y_bar])
+    y_bar, R = y.mean(), np.empty((0, d + 1))
+    for block in row_blocks(data.X, mu, y - y_bar):
         R = np.linalg.qr(np.concatenate([R, block]), mode="r")
     rcond = np.finfo(np.float64).eps * max(n, d + 1)
     w, _, rank, _ = np.linalg.lstsq(R[:d, :d], R[:d, d], rcond=rcond)
@@ -373,16 +373,16 @@ def train_least_squares(data: TabularDataset) -> LinearScorer:
 
 
 def train_ridge(data: TabularDataset, lam: float) -> LinearScorer:
-    """Ridge regression w = (X'X + n*lambda*I)^-1 X'y with unpenalized bias."""
+    """Ridge regression w = (Xc'Xc + n*lambda*I)^-1 Xc'yc, centered, with
+    unpenalized bias; both products sum B'B over the row_blocks of [Xc | yc]."""
     if not 0 < lam < np.inf:
         raise FirmError("lambda must be finite and > 0")
-    y = data.labels()
-    Xc = data.X - data.column_means
-    yc = y - y.mean()
-    G = Xc.T @ Xc + data.n * lam * np.eye(data.d)
-    w = np.linalg.solve(G, Xc.T @ yc)
-    b = float(y.mean() - data.column_means @ w)
-    return LinearScorer(w=w, b=b)
+    y, mu, d = data.labels(), data.column_means, data.d
+    y_bar, G = y.mean(), np.zeros((d + 1, d + 1))
+    for B in row_blocks(data.X, mu, y - y_bar):
+        G += B.T @ B
+    w = np.linalg.solve(G[:d, :d] + data.n * lam * np.eye(d), G[:d, d])
+    return LinearScorer(w=w, b=float(y_bar - mu @ w))
 
 
 # The kernel fit's conjugate-gradient steps, tried before an LU solve.

@@ -1,5 +1,6 @@
 """Loading, validation, and covariance estimation."""
 
+import inspect
 import io
 import os
 import signal
@@ -20,7 +21,7 @@ import firm.dataset
 from firm.dataset import DNA_ALPHABET, encode_sequences
 
 from helpers import (all_pm1_rows, assert_no_children, parse_tabular, save_tabular,
-                     spread_forks)
+                     shrinkage_with_squared_copy, spread_forks)
 
 
 def write(tmp_path, name, text):
@@ -309,7 +310,7 @@ class TestForkedParse:
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                firm.dataset._send_rows(fd, 8, 8 + 60, 2, sent)
+                firm.dataset._send_rows(fd, 8, 8 + 60, 2, False, sent)
         finally:
             os.close(fd)
         assert sent.getvalue() == (0).to_bytes(8, sys.byteorder)
@@ -396,10 +397,10 @@ class TestForkedParse:
         p, ds, pids, calls, parent = forking
         send, fail = firm.dataset._send_rows, getattr(self, failure)
 
-        def send_but_fail_in_the_middle_range(fd, lo, hi, width, fh):
+        def send_but_fail_in_the_middle_range(fd, lo, hi, d, labelled, fh):
             if len(pids) == 1 and os.getpid() != parent:    # the second child
-                return fail(fh, send, fd, lo, hi, width)
-            return send(fd, lo, hi, width, fh)
+                return fail(fh, send, fd, lo, hi, d, labelled)
+            return send(fd, lo, hi, d, labelled, fh)
 
         monkeypatch.setattr(firm.dataset, "_send_rows", send_but_fail_in_the_middle_range)
         back = load_tabular(p, has_labels=True)
@@ -567,6 +568,15 @@ class TestEmpiricalCovariance:
             with pytest.raises(DegenerateFeatureError, match=f"^feature {name} is constant$"):
                 empirical_covariance(ds)
 
+    def test_row_blocks_sum_to_the_whole_product(self):
+        """Over 3 blocks of 2**16 // 50 rows, the centered product agrees
+        with the product of all centered rows at once to rounding."""
+        X = np.random.default_rng(19).normal(size=(3000, 50)) + 3.0
+        ds = TabularDataset(X=X, y=None, names=tuple(f"c{j}" for j in range(50)))
+        Xc = X - X.mean(axis=0)
+        np.testing.assert_allclose(empirical_covariance(ds).sigma, Xc.T @ Xc / 3000,
+                                   rtol=1e-12, atol=1e-15)
+
     def test_centered_needs_two_rows(self):
         ds = TabularDataset(X=np.array([[1.0]]), y=None, names=("a",))
         with pytest.raises(FirmError):
@@ -610,6 +620,17 @@ class TestShrinkageCovariance:
             np.linalg.cholesky(cov.sigma)  # raises if not PD
             np.testing.assert_allclose(cov.sigma, cov.sigma.T, atol=0)
 
+    def test_one_pass_over_row_blocks_agrees_with_squared_copy(self):
+        """S and the fourth-moment sums come from one pass over 3 row blocks;
+        the shrunk matrix and lambda agree with the step-by-step oracle that
+        squares a whole centered copy."""
+        X = np.random.default_rng(20).normal(size=(3000, 50)) * np.arange(1.0, 51.0)
+        ds = TabularDataset(X=X, y=None, names=tuple(f"c{j}" for j in range(50)))
+        sigma, lam = shrinkage_with_squared_copy(X)
+        cov = shrinkage_covariance(ds)
+        np.testing.assert_allclose(cov.sigma, sigma, rtol=1e-12, atol=1e-13)
+        assert cov.shrinkage_lambda == pytest.approx(lam, rel=1e-12)
+
     def test_zero_variance_column_rejected(self):
         X = np.column_stack([np.ones(5), np.arange(5.0)])
         ds = TabularDataset(X=X, y=None, names=("const", "ramp"))
@@ -626,6 +647,18 @@ class TestValidation:
     def test_nonfinite_rejected(self):
         with pytest.raises(FirmError):
             TabularDataset(X=np.array([[np.inf]]), y=None, names=("a",))
+
+    @pytest.mark.parametrize("cells", [[np.nan], [np.inf, -np.inf], [-np.inf, 1e308]],
+                             ids=["nan", "both-infinities", "minus-infinity"])
+    def test_nonfinite_named_before_an_overflowing_mean(self, cells):
+        """Each non-finite cell is found, also where it leaves its column's
+        mean NaN, and is named before another column's overflowing mean."""
+        big = 1.7976931348623157e308
+        X = np.full((4, 3), big)
+        X[:, 0] = 1.0
+        X[:len(cells), 0] = cells
+        with pytest.raises(FirmError, match="^data matrix contains non-finite entries$"):
+            TabularDataset(X=X, y=None, names=("a", "b", "c"))
 
     def test_overflowing_column_mean_named(self):
         big = 1.7976931348623157e308
@@ -646,6 +679,43 @@ class TestValidation:
         ds = TabularDataset(X=np.eye(2), y=None, names=("a", "b"))
         with pytest.raises(ValueError):
             ds.X[0, 0] = 5.0
+
+    def test_dataset_shares_no_memory_with_the_callers_arrays(self):
+        rng = np.random.default_rng(17)
+        X, y = rng.normal(size=(6, 2)), rng.normal(size=6)
+        ds = TabularDataset(X=X, y=y, names=("a", "b"))
+        assert not np.shares_memory(ds.X, X) and not np.shares_memory(ds.y, y)
+        want = ds.X.tobytes(), ds.y.tobytes()
+        X += 1.0
+        y += 1.0
+        assert (ds.X.tobytes(), ds.y.tobytes()) == want
+
+    @pytest.mark.parametrize("cores", [1, 3])
+    @pytest.mark.parametrize("has_labels", [False, True])
+    def test_loaded_arrays_are_read_only_and_unshared(self, tmp_path, monkeypatch, cores,
+                                                      has_labels):
+        """load_tabular's dataset keeps the arrays its parse allocated, in one
+        process or over forked ones: read-only, and shared with nothing,
+        not even a second load of the same file."""
+        rng = np.random.default_rng(18)
+        p = tmp_path / "d.csv"
+        save_tabular(TabularDataset(X=rng.normal(size=(40, 3)), y=rng.normal(size=40),
+                                    names=("a", "b", "c")), p)
+        pids, may_fork = spread_forks(monkeypatch, cores)
+        ds, again = load_tabular(p, has_labels), load_tabular(p, has_labels)
+        assert len(pids) == (2 * cores if may_fork and cores > 1 else 0)
+        held = [ds.X, ds.y] if has_labels else [ds.X]
+        for a in held:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 5.0
+            assert not any(np.shares_memory(a, b) for b in [again.X, again.y, ds.column_means]
+                           if b is not None)
+        assert not has_labels or not np.shares_memory(ds.X, ds.y)
+
+    def test_no_parameter_keeps_the_callers_arrays(self):
+        assert list(inspect.signature(TabularDataset).parameters) == ["X", "y", "names"]
+        assert list(inspect.signature(load_tabular).parameters) == ["path", "has_labels"]
 
 
 @pytest.mark.parametrize("make,attr,array", [

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from firm import FirmError, Projection, SignedConjunction, Xor
+from firm.features import row_blocks
 
 from helpers import all_pm1_rows
 
@@ -48,3 +49,16 @@ class TestDescribe:
         assert Projection(0).describe() == "x1"
         assert SignedConjunction(literals=((0, 1), (2, -1))).describe() == "and(+1,-3)"
         assert Xor(0, 1).describe() == "xor(1,2)"
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("n,d", [(1, 1), (5, 3), (3000, 50), (2 ** 16 + 3, 1)])
+    def test_blocks_are_the_centered_rows(self, n, d):
+        rng = np.random.default_rng(n + d)
+        X, mu, y = rng.normal(size=(n, d)), rng.normal(size=d), rng.normal(size=n)
+        plain, labelled = list(row_blocks(X, mu)), list(row_blocks(X, mu, y))
+        assert [len(B) for B in plain[:-1]] == [2 ** 16 // d] * (len(plain) - 1)
+        assert [len(B) for B in labelled[:-1]] == [2 ** 16 // (d + 1)] * (len(labelled) - 1)
+        assert np.concatenate(plain).tobytes() == (X - mu).tobytes()
+        assert np.concatenate(labelled).tobytes() == np.column_stack([X - mu, y]).tobytes()
+        assert all(B.flags.c_contiguous and B.flags.writeable for B in plain + labelled)

@@ -180,6 +180,17 @@ class TestSensitivityIndex:
             idx, np.abs(w) * X.std(axis=0), rtol=1e-12)
         assert idx[1] == 0.0                         # blind to the correlation
 
+    @pytest.mark.parametrize("n,d", [(40_000, 7), (70_000, 3), (20_000, 50), (5, 1),
+                                     (100_000, 2)])
+    def test_column_slices_keep_the_bits_of_one_variance_call(self, n, d):
+        """np.var over slices of at least two columns, the last one wider
+        where one column would be left over (at 7 and 3 columns here), gives
+        the bits of np.var over all of X; a one-column slice sums pairwise."""
+        X = np.random.default_rng(21).normal(size=(n, d)) * 3.0 + 1.0
+        data = TabularDataset(X=X, y=None, names=tuple(f"c{j}" for j in range(d)))
+        idx = [r.q_signed for r in sensitivity_index(LinearScorer(w=np.ones(d)), data)]
+        assert np.array(idx).tobytes() == np.sqrt(np.var(X, axis=0)).tobytes()
+
     def test_constant_scorer_gives_zeros(self):
         rng = np.random.default_rng(6)
         data = TabularDataset(X=rng.normal(size=(50, 2)), y=None, names=("a", "b"))

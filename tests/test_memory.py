@@ -4,10 +4,11 @@ traced_peak counts what tracemalloc sees, numpy's array buffers included:
 the largest amount a call held above what was allocated when it started.
 Each ceiling sits below what holding one more full-size temporary would
 take, so a change that brings one back fails here. firm_slope,
-slope_stderr and firm_binary_values hold a block of a few columns at a
-time, and train_least_squares a block of rows: their ceilings, 0.5 x 8nd
-for the slope estimators and 0.3 x 8nd for the others at n = 20 000 and
-d = 50, are fractions of one n x d copy.
+slope_stderr, firm_binary_values and sensitivity_index hold a block of a
+few columns at a time, and train_least_squares, train_ridge and the
+covariance estimates a block of rows: their ceilings, 0.5 x 8nd for the
+slope estimators and 0.3 x 8nd for the others at n = 20 000 and d = 50,
+are fractions of one n x d copy.
 
 The emit ceilings are near 1.3 x the text: `tsv` and `poim_tsv` grow one
 str in place, which holds only while CPython resizes a str that a single
@@ -18,8 +19,12 @@ itself are bounded in multiples of the table's bytes, so that building
 `firm_values` whole, a boolean mask's copy, or a second table in `poim`,
 fails here. Forked `poim_tsv` is held to the same 1.3 x its text: the
 children's texts are appended a pipe read at a time. A forked
-`load_tabular` reads the children's rows into the one result, so it holds
-no more than the one-process parse.
+`load_tabular` reads the children's feature cells and labels straight into
+the dataset's X and y, which the dataset keeps uncopied, so it holds the
+table once: no more than the one-process parse, which holds the parsed
+table beside the copies of X and y, and at most 1.2 x the table's bytes.
+A parse child holds its byte range, its rows and a block of at most 2**16
+cells that it sends, no more than when it sent its rows whole.
 
 tracemalloc does not see the work copies numpy.linalg makes inside LAPACK,
 such as the LU factor np.linalg.solve writes over a copy of its matrix, so
@@ -28,17 +33,21 @@ least-squares fit is therefore also measured by the rows it hands to
 LAPACK.
 """
 
+import functools
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import firm.dataset
 import firm.scoring
 import firm.sequence
 from firm import (KernelExpansionScorer, KernelSpec, SequenceDataset, TabularDataset,
-                  firm_binary_values, firm_slope, load_tabular, poim, ranked_oligomers,
-                  slope_stderr, train_kernel_ridge, train_least_squares,
-                  train_positional_kmer)
+                  empirical_covariance, firm_binary_values, firm_slope, load_tabular, poim,
+                  ranked_oligomers, sensitivity_index, shrinkage_covariance, slope_stderr,
+                  train_kernel_ridge, train_least_squares, train_positional_kmer,
+                  train_ridge)
 from firm import _emit
 
 from helpers import spread_forks
@@ -93,12 +102,14 @@ def test_second_reading_holds_no_list_of_lines(tmp_path):
 
 
 def test_forked_parse_holds_what_one_process_holds(tmp_path, monkeypatch):
-    """Over three processes, this one allocates the n x d result once and
-    reads each child's rows into it, and holds no range's text. Its peak,
-    the result and the dataset's copies of X and y (about 2.1 x the table's
-    float64 bytes), is at most that of the one-process parse of the same
-    file, to within 1 KiB of interpreter bookkeeping that moves between
-    calls. Each way is run once before it is measured."""
+    """Over three processes, this one allocates X and y once and reads each
+    child's feature cells and labels into them, and holds no range's text:
+    its peak is 1.07 x the table's float64 bytes, where holding the parsed
+    table and a copy of it would take 2.0 x. That is at most the
+    peak of the one-process parse of the same file (the table and the
+    copies of X and y, about 2.1 x), to within 1 KiB of interpreter
+    bookkeeping that moves between calls. Each way is run once before it
+    is measured."""
     n, d = 2000, 21
     X = np.random.default_rng(15).normal(size=(n, d))
     path = tmp_path / "d.csv"
@@ -112,8 +123,41 @@ def test_forked_parse_holds_what_one_process_holds(tmp_path, monkeypatch):
             peaks[cores], data = traced_peak(lambda: load_tabular(path, has_labels=True))
         assert len(pids) == (cores if may_fork and cores > 1 else 0)
         assert data.X.tobytes() == X[:, :-1].tobytes()
+        assert data.y.tobytes() == X[:, -1].tobytes()
     assert peaks[3] <= peaks[1] + 1024
     assert peaks[3] <= 2.2 * X.nbytes
+    if may_fork:
+        assert peaks[3] <= 1.2 * X.nbytes
+
+
+def test_parse_child_holds_no_more_than_its_rows(tmp_path):
+    """A child sends its rows' feature cells in copies of at most 2**16
+    cells, then its labels. Its peak, over its 9.5 MiB range of 10 000 rows
+    of 51 cells (the first half of the benchmark's 20 000-row normal.csv),
+    is that of the parse: the range's bytes, loadtxt's work and the rows,
+    1.471 x the range when the rows were sent whole. Copies of 4096 rows
+    took 1.57 x."""
+    n, d = 10_000, 50
+    cells = np.random.default_rng(16).normal(size=(n, d + 1))
+    header = ",".join(f"c{j}" for j in range(d)) + ",label\n"
+    path = tmp_path / "d.csv"
+    path.write_text(header + "".join(",".join(map(repr, row)) + "\n"
+                                     for row in cells.tolist()), encoding="utf-8")
+
+    class Counter:
+        bytes = 0
+
+        def write(self, b):
+            self.bytes += memoryview(b).nbytes
+
+    lo, hi, sink = len(header), path.stat().st_size, Counter()
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        peak, _ = traced_peak(lambda: firm.dataset._send_rows(fd, lo, hi, d, True, sink))
+    finally:
+        os.close(fd)
+    assert sink.bytes == 8 + cells.nbytes
+    assert peak <= 1.48 * (hi - lo)
 
 
 @pytest.mark.parametrize("estimator", [firm_slope, slope_stderr])
@@ -161,6 +205,23 @@ def test_least_squares_hands_lapack_one_block_of_rows(monkeypatch):
     train_least_squares(data)
     assert len(rows) == -(-n // (2 ** 16 // (d + 1))) + 1
     assert max(rows) <= 2 ** 16 // (d + 1) + d + 1
+
+
+@pytest.mark.parametrize("estimate", [
+    lambda data: functools.partial(train_ridge, data, 0.1),
+    lambda data: functools.partial(empirical_covariance, data),
+    lambda data: functools.partial(shrinkage_covariance, data),
+    lambda data: functools.partial(sensitivity_index, train_least_squares(data), data),
+], ids=["train_ridge", "empirical_covariance", "shrinkage_covariance", "sensitivity_index"])
+def test_tabular_estimates_hold_a_few_rows_or_columns(estimate):
+    """train_ridge and the covariance estimates sum B'B (and the shrinkage
+    variance's (B o B)'(B o B)) over row_blocks of 2**16 // d rows or so;
+    sensitivity_index takes np.var over slices of 2**16 // n columns or so.
+    Each holds one block and little else, 0.08 to 0.17 x 8nd; centering
+    all of X at once, as each did before, took 1.0 x 8nd."""
+    data = least_squares_case()
+    peak, _ = traced_peak(estimate(data))
+    assert peak <= 0.3 * 8 * data.n * data.d
 
 
 def test_binary_values_hold_a_few_columns():
