@@ -228,7 +228,9 @@ def _read_table(path, labelled: bool) -> tuple[list[str], np.ndarray, np.ndarray
     well-formed file is one np.loadtxt call over the open handle. Any other
     is read again, its non-blank lines streamed to loadtxt; if they do not
     read as a table, bisection over a list of them finds the first line at
-    fault, whose width or first bad cell raises a DataFormatError.
+    fault, whose width or first bad cell raises a DataFormatError. Of a
+    labelled table, y is copied out and X's rows move forward in loadtxt's
+    array, 2**12 cells at a time, which then shrinks to X.
     """
     forked = _read_forked(path, labelled)
     if forked is not None:
@@ -244,9 +246,16 @@ def _read_table(path, labelled: bool) -> tuple[list[str], np.ndarray, np.ndarray
         with open_utf8(path) as fh:
             data = _table((ln for _, ln in itertools.islice(_nonblank_lines(fh), 1, None)),
                           len(header))
+    if data is not None and labelled:
+        (n, w), y = data.shape, data[:, -1].copy()
+        d, rows = w - 1, max(1, 2 ** 12 // w)
+        for i in range(0, n, rows):
+            j = min(i + rows, n)
+            np.copyto(data.reshape(-1)[i * d:j * d].reshape(j - i, d), data[i:j, :d])
+        data.resize(n * d, refcheck=False)
+        return header, data.reshape(n, d), y
     if data is not None:
-        X, y = (data[:, :-1].copy(), data[:, -1].copy()) if labelled else (data, None)
-        return header, X, y
+        return header, data, None
     with open_utf8(path) as fh:
         line_nos, rows = zip(*list(_nonblank_lines(fh))[1:])
     lo, hi = 0, len(rows)                       # rows[:lo] read as a table, rows[lo:hi] not

@@ -25,10 +25,10 @@ from .features import row_blocks
 # temporaries of 128 KiB; blocks of 6 MB (256 rows of 3000) stayed resident
 # after the pass and added 8 MB to the later peak of a kernel ridge run.
 _BLOCK_CELLS = 1 << 14
-# Rows per block of a _LowerTriangle. A vector product by the blocks took
-# 3.5 ms against 5.2 ms by the full matrix at n = 3000, and the same time at
-# n <= 2000 (one OpenBLAS thread, 2-core Xeon).
-_TRI_ROWS = 256
+# Rows per block of a _LowerTriangle, so a block of 3000 columns (1.5 MB) stays in
+# a 2 MiB L2 through a product: 0.36-0.40, 2.8-3.3, 15.9-21.9 ms at n = 1000, 3000,
+# 6000, against 0.31-0.39, 3.7-3.8, 22.7-30.3 ms by 256 rows (one BLAS thread, Xeon).
+_TRI_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -65,11 +65,12 @@ class KernelSpec:
         the order of operations is that of exp(-max(|a|^2 + |b|^2 - 2 a'b,
         0) / gamma^2) and (a'b + offset)^degree. The product stays one call,
         since a BLAS may pick another kernel for a row block and change the
-        last bits. At its peak the buffer, n x m cells, sits beside two
-        temporaries of _BLOCK_CELLS cells each. The kernel fit takes the
-        symmetric gram(X, X) from self_gram instead, which holds
-        n(n + 256)/2 cells for n rows of X.
+        last bits. At its peak the buffer, n x m cells (checked against the
+        budget first), sits beside a scratch block of _BLOCK_CELLS cells.
+        The kernel fit takes the symmetric gram(X, X) from self_gram
+        instead, which holds n(n + 64)/2 cells for n rows of X.
         """
+        _budget(A.shape[0] * B.shape[0], f"a {A.shape[0]} x {B.shape[0]} kernel matrix")
         S = A @ B.T
         self._finish(S, (A ** 2).sum(axis=1), (B ** 2).sum(axis=1))
         return S
@@ -78,11 +79,11 @@ class KernelSpec:
         """gram(X, X) as _TRI_ROWS-row blocks of its lower triangle.
 
         Each block is its own product X[i0:i1] X[:i1]', finished by the
-        passes of gram, so it holds n(n + _TRI_ROWS)/2 cells at most where
+        passes of gram, so it holds n(n + 64)/2 cells at most where
         gram(X, X) holds n^2, and full() gives gram(X, X)'s bits wherever the
         BLAS sums a row block's products in the order of the whole product.
         """
-        sq, S = (X ** 2).sum(axis=1), _LowerTriangle(X.shape[0])
+        S, sq = _LowerTriangle(X.shape[0]), (X ** 2).sum(axis=1)
         for i0, i1, blk in S:
             np.matmul(X[i0:i1], X[:i1].T, out=blk)
             self._finish(blk, sq[i0:i1], sq[:i1])
@@ -91,15 +92,18 @@ class KernelSpec:
     def _finish(self, S: np.ndarray, a2: np.ndarray, b2: np.ndarray) -> None:
         """Kernel values in place of the products S = A B', given the
         squared row norms a2 of A and b2 of B (read by the Gaussian only).
-        Every Gaussian pass runs a block of _BLOCK_CELLS cells at a time,
-        each block finished while it is in cache."""
+        The Gaussian runs a block of _BLOCK_CELLS cells at a time, in cache,
+        beside a scratch t = a2 + b2: min(2s - t, 0) is -max(t - 2s, 0)."""
         if self.variant == "gaussian":
             g2, rows = self.gamma ** 2, max(1, _BLOCK_CELLS // S.shape[1])
+            t = np.empty((min(rows, S.shape[0]), S.shape[1]))
             for i in range(0, S.shape[0], rows):
                 blk = S[i:i + rows]
-                blk[...] = (a2[i:i + rows, None] + b2[None, :]) - 2.0 * blk
-                np.maximum(blk, 0.0, out=blk)
-                np.negative(blk, out=blk)
+                for r, a in enumerate(a2[i:i + rows]):  # a row at a time: numpy buffers
+                    np.add(b2, a, out=t[r])             # a broadcast sum, 128 KiB
+                blk *= 2.0
+                blk -= t[:len(blk)]
+                np.minimum(blk, 0.0, out=blk)
                 blk /= g2
                 np.exp(blk, out=blk)
             return
@@ -111,21 +115,22 @@ class _LowerTriangle:
     """A symmetric n x n matrix kept as row blocks of its lower triangle.
 
     Block r holds rows i0:i1 and columns 0:i1, i0 = r * _TRI_ROWS, so the
-    blocks hold n(n + _TRI_ROWS)/2 cells at most, about half of n^2; they
-    are iterated as (i0, i1, block). They are views of one buffer, freed as
-    a whole: blocks allocated one at a time stayed resident after a fit of
-    2000 rows, below the allocator's raised mmap threshold, and added 16 MB
-    to a later run's peak. The caller fills the blocks, diagonal squares
-    whole, then seals them; entries above the squares are read from their
-    mirror images. S @ V, for a vector or an n x k matrix V, reads every
-    cell once and holds beside its n-row result one temporary of at most
-    n - _TRI_ROWS rows. full() assembles the n x n matrix for
-    _solve_shifted's LU fallback.
+    blocks hold n(n + 64)/2 cells at most, about half of n^2, checked
+    against the budget; they are iterated as (i0, i1, block). They are views
+    of one buffer, freed as a whole: blocks allocated one at a time stayed
+    resident after a fit of 2000 rows, below the allocator's raised mmap
+    threshold, and added 16 MB to a later run's peak. The caller fills the
+    blocks, diagonal squares whole, then seals them; entries above the
+    squares are read from their mirror images. S @ V, for a vector or an
+    n x k matrix V, reads every cell once and holds beside its n-row result one
+    temporary of at most n - _TRI_ROWS rows. full() assembles the n x n
+    matrix for _solve_shifted's LU fallback.
     """
 
     def __init__(self, n: int):
         ends = [min(i0 + _TRI_ROWS, n) for i0 in range(0, n, _TRI_ROWS)]
         sizes = [(i1 - i0) * i1 for i0, i1 in zip([0] + ends, ends)]
+        _budget(sum(sizes), f"the kept kernel matrix of {n} rows")
         parts = np.split(np.empty(sum(sizes)), np.cumsum(sizes)[:-1])
         self.n, self.blocks = n, tuple(p.reshape(-1, i1) for p, i1 in zip(parts, ends))
 
@@ -136,9 +141,8 @@ class _LowerTriangle:
         """Mirror each diagonal square's lower triangle onto its upper one, so
         full() is exactly symmetric, and make the blocks read-only."""
         for i0, i1, blk in self:        # a BLAS may not sum x_i'x_j as x_j'x_i
-            square = blk[:, i0:]
-            for j in range(i1 - i0 - 1):
-                square[j, j + 1:] = square[j + 1:, j]
+            square, (r, c) = blk[:, i0:], np.triu_indices(i1 - i0, 1)
+            square[r, c] = square[c, r]
             blk.setflags(write=False)
         return self
 
@@ -156,6 +160,12 @@ class _LowerTriangle:
             M[i0:i1, :i1] = blk
             M[:i0, i0:i1] = blk[:, :i0].T
         return M
+
+
+def _budget(cells: int, what: str) -> None:
+    """BudgetExceededError, before `what` is allocated, past DEFAULT_CELL_BUDGET cells."""
+    if cells > DEFAULT_CELL_BUDGET:
+        raise BudgetExceededError(f"{what} needs {cells} cells; budget {DEFAULT_CELL_BUDGET}")
 
 
 def _rows(X, d: int) -> np.ndarray:
@@ -195,7 +205,7 @@ class KernelExpansionScorer:
 
     A scorer made by train_kernel_ridge keeps the training Gram matrix
     gram(points, points) as kernel.self_gram(points), read-only row blocks
-    of its lower triangle: n(n + 256)/2 cells for n points. score_many(X)
+    of its lower triangle: n(n + 64)/2 cells for n points. score_many(X)
     and the Gaussian gradient_many(X) use it in place of
     kernel.gram(X, points) when X has the shape and the bytes of points (so
     -0.0 and 0.0 differ), and recompute for any other X. The kept matrix
@@ -435,11 +445,11 @@ def _solve_shifted(P: _LowerTriangle, shift: float, b: np.ndarray) -> np.ndarray
     P is only read. _cg runs first, for at most _CG_BUDGET = 64 steps,
     multiplying by M = P + shift*I as P @ v + shift * v. If it returns no
     answer, x is np.linalg.solve(M, b) on M assembled from P.full(); that
-    fallback holds P's blocks, M and LU's copy of M, and releases M on
-    return.
+    fallback, n^2 cells checked against the budget, holds P's blocks, M and
+    LU's copy of M, and releases M on return.
 
-    An LU solve costs 86 to 101, 120 to 144 and 139 to 163 products by P's
-    blocks at n = 1000, 2000 and 3000 (three runs, one OpenBLAS thread,
+    The LU fallback costs 77 to 87, 125 to 145 and 156 to 211 products by
+    P's blocks at n = 1000, 2000 and 3000 (five runs, one OpenBLAS thread,
     2-core Xeon), so the worst case, 65 products plus one LU, is under twice
     LU's cost. At lambda = 0.1 the kernel systems measured took 11 to 15
     products. Below n = 250 the interpreter's cost per CG step dominates
@@ -458,6 +468,7 @@ def _solve_shifted(P: _LowerTriangle, shift: float, b: np.ndarray) -> np.ndarray
     x = _cg(lambda v: P @ v + shift * v, b, tol, _CG_BUDGET)
     if x is not None:
         return x
+    _budget(b.size ** 2, f"each of the LU solve's two {b.size} x {b.size} arrays")
     M = P.full()
     M[np.diag_indices(b.size)] += shift
     return np.linalg.solve(M, b)
@@ -469,9 +480,9 @@ def train_kernel_ridge(data: TabularDataset, kernel: KernelSpec,
 
     K = kernel.gram(X, X) is built as kernel.self_gram(X), row blocks of its
     lower triangle, and solved by _solve_shifted; the scorer keeps it for
-    scores and gradients on the training rows. A fit holds n(n + 256)/2
-    cells of K, plus gram's two block temporaries while it is built, or two
-    full n x n arrays more on the LU fallback. Scores and gradients on the
+    scores and gradients on the training rows. A fit holds n(n + 64)/2
+    cells of K, plus gram's scratch block while it is built, or two full
+    n x n arrays more on the LU fallback. Scores and gradients on the
     training rows later hold K's blocks plus arrays of n x d (the points,
     d features) and n.
     """

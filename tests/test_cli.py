@@ -198,6 +198,23 @@ class TestAnalyzeGaussian:
                    "--out", str(out)) == 0
         assert set(firm_table(out / "firm.tsv").values()) == {0.0}
 
+    def test_kernel_budget_fails_with_one_line(self, tmp_path, capsys, monkeypatch):
+        """Past the cell budget the kernel fit fails before it allocates: exit
+        1, one stderr line naming the rows, and an earlier run's --out as it was."""
+        X = np.random.default_rng(8).normal(size=(200, 3))
+        inp, out = tmp_path / "d.csv", tmp_path / "out"
+        write_csv(inp, X, np.sin(X[:, 0]))
+        argv = ("analyze", "--input", str(inp), "--method", "sensitivity", "--scorer",
+                "train:kernel_ridge", "--kernel", "gaussian:1.0", "--out", str(out))
+        assert run(*argv) == 0
+        before = {p: p.read_bytes() for p in out.rglob("*")}
+        capsys.readouterr()
+        monkeypatch.setattr(firm.scoring, "DEFAULT_CELL_BUDGET", 10_000)
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and "200 rows" in err
+        assert {p: p.read_bytes() for p in out.rglob("*")} == before
+
     def test_empirical_method_writes_curves(self, tmp_path):
         rng = np.random.default_rng(2)
         X = rng.normal(size=(60, 2))

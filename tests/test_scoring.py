@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import firm.scoring
 from firm import (BudgetExceededError, FirmError, KernelExpansionScorer, KernelSpec,
                   LinearScorer, SequenceDataset,
                   TabularDataset, gradient_at, score_many,
@@ -253,6 +254,28 @@ class TestKernelRidge:
         sc = train_kernel_ridge(ds, KernelSpec.gaussian(1.5), 1e9)
         np.testing.assert_allclose(score_many(sc, X), np.full(15, y.mean()), atol=1e-6)
 
+    def test_each_kernel_array_is_checked_against_the_budget(self, monkeypatch):
+        """The kept triangle (64 x 64 and 36 x 100 blocks, 7696 cells at
+        n = 100), a computed n x m matrix and each of the LU fallback's two
+        n x n arrays raise BudgetExceededError past the budget, and fit
+        within it."""
+        X = np.random.default_rng(3).normal(size=(100, 2))
+        kernel, b = KernelSpec.gaussian(1.0), np.sin(X[:, 0])
+        monkeypatch.setattr(firm.scoring, "DEFAULT_CELL_BUDGET", 7695)
+        with pytest.raises(BudgetExceededError, match="100 rows needs 7696 cells; budget 7695"):
+            kernel.self_gram(X)
+        monkeypatch.setattr(firm.scoring, "DEFAULT_CELL_BUDGET", 9999)
+        assert kernel.gram(X, X[:99]).shape == (100, 99)
+        with pytest.raises(BudgetExceededError, match="100 x 100 kernel matrix needs 10000"):
+            kernel.gram(X, X)
+        P = kernel.self_gram(X)
+        monkeypatch.setattr(firm.scoring, "_CG_BUDGET", 0)     # no CG step: LU
+        with pytest.raises(BudgetExceededError, match="two 100 x 100 arrays needs 10000"):
+            _solve_shifted(P, 0.1, b)
+        monkeypatch.setattr(firm.scoring, "DEFAULT_CELL_BUDGET", 10000)
+        x = _solve_shifted(P, 0.1, b)
+        assert np.abs(P @ x + 0.1 * x - b).max() <= 1e-12
+
     def test_boolean_truth_table_separable_by_degree_two(self):
         X = all_pm1_rows(3)
         y = np.array([1.0 if (r[0] > 0 or r[1] < 0) else -1.0 for r in X])
@@ -330,7 +353,7 @@ def lower_triangle(values):
 class TestLowerTriangle:
     """A symmetric matrix kept as row blocks of its lower triangle."""
 
-    SIZES = [1, 255, 256, 257, 513, 700]
+    SIZES = [1, 63, 64, 65, 129, 255, 256, 257, 513, 700]
 
     @given(st.sampled_from(SIZES), st.sampled_from([(), (3,)]), st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=30, deadline=None)
@@ -457,7 +480,7 @@ class TestKeptGram:
         rows; on the training rows the kept blocks sum each product in
         another order, so there within 1e-13 of the terms' magnitudes. The
         kept Gram matrix stays intact, and equals the one-expression
-        matrix on these 515 rows (three blocks)."""
+        matrix on these 515 rows (nine blocks)."""
         rng = np.random.default_rng(13)
         X = rng.normal(size=(515, 3))
         kernel = KernelSpec.gaussian(1.5)
