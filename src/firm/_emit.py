@@ -2,39 +2,42 @@
 
 Commands compute everything first, then hand a complete set of artifacts
 to `write_artifacts`, which stages each file next to its destination and
-renames it into place. A failure during computation, before the first
-write, therefore writes nothing. Each file is replaced atomically, but the
-set is not: a failure partway through the writes leaves the files already
-renamed, and a reused output directory keeps files of an earlier run that
-this run does not write (such as `curves/*.tsv` for columns it lacks).
-All floats are written with repr, so identical runs produce
-byte-identical files.
+renames it into place. The one exception is `poim.tsv`, whose text is
+formatted as it is written: `poim_tsv` is a generator of chunks, which
+`write_artifacts` takes as a streamed entry and writes before every other
+file, so a failure while it is formatted places no file. A failure during
+computation, before the first write, therefore writes nothing. Each file
+is replaced atomically, but the set is not: a failure partway through the
+writes leaves the files already renamed, and a reused output directory
+keeps files of an earlier run that this run does not write (such as
+`curves/*.tsv` for columns it lacks). All floats are written with repr, so
+identical runs produce byte-identical files.
 
-Each text is held once. `tsv` and `poim_tsv` grow their result with
-`text += chunk` on a local variable: when that local holds the only
-reference to a str, CPython (3.10 to 3.13; from 3.11 on, once its adaptive
-interpreter has specialised the `+=`) resizes it in place instead of
-building a new one, so the text is never held as its chunks and as their
-join at once. `write_artifacts` writes each text in slices of
-_WRITE_CHARS characters, so no encoded copy of a whole text is made.
+No text is held twice, and `poim.tsv` is never held whole. `tsv` grows its
+result with `text += chunk` on a local variable: when that local holds the
+only reference to a str, CPython (3.10 to 3.13; from 3.11 on, once its
+adaptive interpreter has specialised the `+=`) resizes it in place instead
+of building a new one, so the text is never held as its chunks and as
+their join at once. `write_artifacts` encodes and writes each text in
+slices of _WRITE_CHARS characters, so no encoded copy of a whole text is
+made.
 
 `poim_tsv` formats a large table on every core. Its positions are cut into
-contiguous ranges, one per worker: this process formats the first, while a
-child forked by firm._fork formats each other range into one str and then
-sends it, UTF-8, over a pipe. This process appends each child's text, in
-order, to its own, so it holds the table's text once and a child's text
-only as the piece it has just read. The worker count is derived, never
-set (_fork.processes): one per core, at most one per _FORK_CELLS cells and
-per position, and one only where this process runs more than one thread,
-as it does when numpy's BLAS runs several. The bytes do not depend on the
-worker count.
+contiguous ranges, one per worker: this process formats the first, one
+position's text at a time, while a child forked by firm._fork formats each
+other range into one str and then sends it, UTF-8, over a pipe. After its
+own positions, this process yields each child's bytes, in order, as read
+from the pipe, _PIPE_BYTES at a time, so it holds one position's text or
+one read. The worker count is derived, never set (_fork.processes): one
+per core, at most one per _FORK_CELLS cells and per position, and one only
+where this process runs more than one thread, as it does when numpy's BLAS
+runs several. The bytes do not depend on the worker count.
 """
 
 from __future__ import annotations
 
 import contextlib
 import functools
-import io
 import itertools
 import json
 import os
@@ -50,7 +53,7 @@ from .errors import FirmError
 _TSV_ROWS = 8192     # rows made Python scalars and formatted at a time
 _WRITE_CHARS = 2 ** 20   # characters of a text encoded and written at a time
 _FORK_CELLS = 2 ** 16    # POIM table cells per formatting process, at least
-_PIPE_CHARS = 2 ** 17    # characters of a child's text read at a time (see _child_text)
+_PIPE_BYTES = 2 ** 17    # bytes of a child's text read and written at a time
 
 
 def tsv(header, columns) -> str:
@@ -138,9 +141,10 @@ def firm_results_json(results, score_sd=None) -> str:
     return json_doc(doc)
 
 
-def poim_tsv(table) -> str:
+def poim_tsv(table):
     """Every cell of a POIM table in its own position-major order, oligomers
-    in index order within a position.
+    in index order within a position: a generator of the text's chunks,
+    str or UTF-8 bytes, for write_artifacts to stream.
 
     One tsv call per position formats that position's nz rows, the header
     only with the first. k and the position are 0-stride views, so tsv
@@ -149,12 +153,11 @@ def poim_tsv(table) -> str:
     so no column is as long as the table.
 
     The positions are cut into _fork.processes contiguous ranges. This
-    process formats the first while a forked child formats each other range
-    (see _send_text), then appends each child's text, in order, to its own
-    through the one `+=` of _joined, so the text is held once (see the
-    module docstring). A child that fails raises FirmError here; on any
-    exception every child still running is killed, and none outlives the
-    call.
+    process yields the first range a position at a time while a forked
+    child formats each other range (see _send_text), then each child's
+    bytes in order (see _child_bytes). A child that fails raises FirmError
+    here. On any exception, and when the generator is closed, every child
+    still running is killed and reaped, so none outlives it.
     """
     values, factor = table.values, table.factor
     npos, nz = values.shape
@@ -171,44 +174,27 @@ def poim_tsv(table) -> str:
     ranges = list(zip(bounds[1:-1], bounds[2:]))
     senders = (functools.partial(_send_text, positions(lo, hi)) for lo, hi in ranges)
     with _fork.forked(senders) as children:
-        return _joined(itertools.chain(
-            positions(0, bounds[1]),
-            *(_child_text(child, f"positions {lo} to {hi - 1}")
-              for child, (lo, hi) in zip(children, ranges))))
-
-
-def _joined(pieces) -> str:
-    """The pieces' concatenation, grown in place (see the module docstring).
-    Parent and children share this one `+=`, which CPython 3.11+ has
-    specialised long before a child's text arrives."""
-    text = ""
-    for piece in pieces:
-        text += piece
-    return text
+        yield from positions(0, bounds[1])
+        for child, (lo, hi) in zip(children, ranges):
+            yield from _child_bytes(child, f"positions {lo} to {hi - 1}")
 
 
 def _send_text(pieces, fh) -> None:
-    """In a child: join the pieces, then write the text UTF-8 to fh in slices
-    of _WRITE_CHARS characters. The whole text is formatted before the first
-    write, so the child never waits on the pipe while the parent formats its
-    own range."""
-    text = _joined(pieces)
+    """In a child: join the pieces, growing one str in place (see the module
+    docstring), then write the text UTF-8 to fh in slices of _WRITE_CHARS
+    characters. The whole text is formatted before the first write, so the
+    child never waits on the pipe while the parent formats its own range."""
+    text = ""
+    for piece in pieces:
+        text += piece
     for i in range(0, len(text), _WRITE_CHARS):
         fh.write(text[i:i + _WRITE_CHARS].encode("utf-8"))
 
 
-def _child_text(child, what: str):
-    """A child's text, _PIPE_CHARS characters at a time; then the child is
-    reaped, and FirmError raised unless it exited with status 0.
-
-    The piece size matters to glibc's malloc, which grows the text in place
-    only while its heap can extend past it; else it moves the text and keeps
-    the freed copy resident. On the benchmark's poim table (20 MB of text),
-    over input seeds and heap layouts, pieces of 2^17 characters kept the
-    text in place each time, while pieces of 2^16 or 2^20 had it moved once
-    and raised VmHWM by 11 to 19 MB."""
-    pipe = io.TextIOWrapper(child.pipe, encoding="utf-8", newline="")
-    yield from iter(functools.partial(pipe.read, _PIPE_CHARS), "")
+def _child_bytes(child, what: str):
+    """A child's bytes, _PIPE_BYTES at a time; then the child is reaped, and
+    FirmError raised unless it exited with status 0."""
+    yield from iter(functools.partial(child.pipe.read, _PIPE_BYTES), b"")
     code = child.wait()
     if code:
         raise FirmError(f"the process formatting poim.tsv {what} failed "
@@ -216,10 +202,15 @@ def _child_text(child, what: str):
 
 
 def poim_summary_tsv(table) -> str:
-    """The largest and the mean |Q| at each position of a POIM table."""
-    absq = table.abs_firm_values()
-    return tsv(["position", "max_abs_q", "mean_abs_q"],
-               [np.arange(table.positions), absq.max(axis=1), absq.mean(axis=1)])
+    """The largest and the mean |Q| at each position of a POIM table, read a
+    row at a time: |Q'| scaled in place, which is |Q'·factor| bit for bit
+    because the factor is positive."""
+    peak, mean = np.empty(table.positions), np.empty(table.positions)
+    for j, row in enumerate(table.values):
+        absq = np.abs(row)
+        absq *= table.factor
+        peak[j], mean[j] = absq.max(), absq.mean()
+    return tsv(["position", "max_abs_q", "mean_abs_q"], [np.arange(table.positions), peak, mean])
 
 
 def poim_top_tsv(ranked) -> str:
@@ -229,32 +220,52 @@ def poim_top_tsv(ranked) -> str:
                [np.arange(1, len(ranked) + 1), oligomers, positions, q])
 
 
-def write_artifacts(outdir: str, artifacts: dict) -> None:
-    """Place every artifact (str content) under outdir, each file atomically,
-    after checking that no path is absolute, leaves outdir or repeats another.
+def write_artifacts(outdir: str, artifacts: dict, streams: dict | None = None) -> None:
+    """Place every artifact under outdir, each file atomically, after checking
+    that no path is absolute, leaves outdir or repeats another.
 
-    Each text is encoded and written _WRITE_CHARS characters at a time, so
-    no bytes copy of a whole text is held beside it."""
-    seen = set()
-    for relpath in artifacts:
-        norm = os.path.normpath(relpath)
-        if os.path.isabs(relpath) or norm.split(os.sep)[0] in ("..", ".") or norm in seen:
-            raise FirmError(f"artifact path {relpath!r} leaves the output directory "
-                            "or repeats another")
-        seen.add(norm)
-    for relpath, content in artifacts.items():
-        dest = os.path.join(outdir, relpath)
-        os.makedirs(os.path.dirname(dest) or ".", exist_ok=True)
-        tmp = f"{dest}.tmp.{os.getpid()}"
-        try:
-            with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-                for i in range(0, len(content), _WRITE_CHARS):
-                    fh.write(content[i:i + _WRITE_CHARS])
-            os.replace(tmp, dest)
-        except BaseException:
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(tmp)
-            raise
+    artifacts maps paths to str content, and streams to generators of str
+    or UTF-8 bytes chunks, such as poim_tsv's. The streams are written
+    first, so a failure while one is produced places no file, though the
+    directories made for it stay. On leaving, by return or by any
+    exception, every stream is closed. Every str is encoded and written
+    _WRITE_CHARS characters at a time, so no bytes copy of a whole text is
+    held beside it."""
+    streams = streams or {}
+    try:
+        seen = set()
+        for relpath in itertools.chain(streams, artifacts):
+            norm = os.path.normpath(relpath)
+            if os.path.isabs(relpath) or norm.split(os.sep)[0] in ("..", ".") or norm in seen:
+                raise FirmError(f"artifact path {relpath!r} leaves the output directory "
+                                "or repeats another")
+            seen.add(norm)
+        for relpath, content in itertools.chain(
+                streams.items(), ((path, [text]) for path, text in artifacts.items())):
+            _write_file(os.path.join(outdir, relpath), content)
+    finally:
+        for stream in streams.values():
+            stream.close()
+
+
+def _write_file(dest: str, chunks) -> None:
+    """The chunks, str or bytes, written to a file staged beside dest and
+    renamed onto it; the staged file is removed on any failure."""
+    os.makedirs(os.path.dirname(dest) or ".", exist_ok=True)
+    tmp = f"{dest}.tmp.{os.getpid()}"
+    try:
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                if isinstance(chunk, str):
+                    for i in range(0, len(chunk), _WRITE_CHARS):
+                        fh.write(chunk[i:i + _WRITE_CHARS].encode("utf-8"))
+                else:
+                    fh.write(chunk)
+        os.replace(tmp, dest)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def fail(message: str) -> int:

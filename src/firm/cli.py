@@ -2,13 +2,15 @@
 covariance reports.
 
 Every command returns its complete output and `main` makes the one write
-of it to --out. Each file is replaced atomically, but a reused --out keeps
-the files an earlier run wrote. Identical configuration, including the
-seed, yields byte-identical artifacts on one numpy build whose BLAS runs
-one thread; more threads change the last digits. This module therefore
-sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS to 1 before
-numpy loads, unless the environment already sets them: a value the user
-set wins. The package loads numpy only on first use of an export (see
+of it to --out. The output is a dict of texts, but for `poim.tsv`, which
+`analyze --method poim` returns as a generator of its text that the write
+streams to its file before any other (see firm._emit). Each file is
+replaced atomically, but a reused --out keeps the files an earlier run
+wrote. Identical configuration, including the seed, yields byte-identical
+artifacts on one numpy build whose BLAS runs one thread; more threads
+change the last digits. This module therefore sets OPENBLAS_NUM_THREADS,
+OMP_NUM_THREADS and MKL_NUM_THREADS to 1 before numpy loads, unless the
+environment already sets them: a value the user set wins. The package loads numpy only on first use of an export (see
 firm/__init__.py), so this holds for the `firm` command; a program that
 has loaded numpy first keeps its own thread count. One BLAS thread also
 leaves the process single-threaded, which lets tabular files be parsed
@@ -190,11 +192,9 @@ def analyze_sequence(args) -> dict:
     data = load_sequences(args.input)
     scorer = train_positional_kmer(data, K=args.degree, lam=args.lam)
     table = poim(scorer, k=args.k)
-    # the small artifacts first, so their temporaries are gone before the large text exists
-    summary = _emit.poim_summary_tsv(table)
-    top = _emit.poim_top_tsv(ranked_oligomers(table, top=args.top))
-    return {"poim.tsv": _emit.poim_tsv(table), "poim_summary.tsv": summary,
-            "poim_top.tsv": top}
+    return {"poim.tsv": _emit.poim_tsv(table),     # formatted as it is written
+            "poim_summary.tsv": _emit.poim_summary_tsv(table),
+            "poim_top.tsv": _emit.poim_top_tsv(ranked_oligomers(table, top=args.top))}
 
 
 def cmd_analyze(args) -> dict:
@@ -315,7 +315,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            _emit.write_artifacts(args.out, args.func(args))
+            artifacts = args.func(args)
+            texts = {path: v for path, v in artifacts.items() if isinstance(v, str)}
+            _emit.write_artifacts(args.out, texts, {path: v for path, v in artifacts.items()
+                                                    if path not in texts})
         return 0
     except FirmError as exc:
         return _emit.fail(str(exc))

@@ -248,8 +248,9 @@ class KernelExpansionScorer:
 
         The alpha weights go on the m x d points, not on the n x m kernel
         matrix, since (K o alpha) P = K (alpha o P) and rowsum(K o alpha) =
-        K alpha. The peak is one n x m array, or the kept Gram matrix's
-        blocks, plus arrays of m x d and n x d. The products by a computed
+        K alpha. The peak is one n x m array (checked against the budget
+        first), or the kept Gram matrix's blocks, plus arrays of m x d and
+        n x d. The products by a computed
         n x m matrix stay one call over all n rows, since a BLAS may pick
         another kernel for fewer rows and change the last bits.
         """
@@ -261,6 +262,7 @@ class KernelExpansionScorer:
             return (2.0 / self.kernel.gamma ** 2) * (K @ (alpha[:, None] * P)
                                                      - (K @ alpha)[:, None] * X)
         p, c = self.kernel.degree, self.kernel.offset   # (X P' + c)^(p-1) (p alpha o P)
+        _budget(X.shape[0] * P.shape[0], f"a {X.shape[0]} x {P.shape[0]} kernel matrix")
         G = X @ P.T
         G += c
         G **= p - 1

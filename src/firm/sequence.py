@@ -43,10 +43,10 @@ class PoimTable:
     most significant; oligomer_index(z) gives it). factor[zi] is
     sqrt((1 - p_z) / p_z) with p_z the oligomer's background probability,
     and firm_values derives the rescaled Q = values * factor as a new
-    table-sized array, abs_firm_values |Q| as one; the package's other
-    readers of Q take it a row, a column or a cell at a time. values and
-    factor are read-only copies the table owns, so no caller's array
-    aliases them. An index or a symbol outside the table raises FirmError.
+    table-sized array; the package's readers of Q take it a row, a column
+    or a cell at a time instead. values and factor are read-only copies the
+    table owns, so no caller's array aliases them. An index or a symbol
+    outside the table raises FirmError.
     """
 
     k: int
@@ -62,13 +62,6 @@ class PoimTable:
     @property
     def firm_values(self) -> np.ndarray:
         return self.values * self.factor
-
-    def abs_firm_values(self) -> np.ndarray:
-        """|Q| as one new table: |Q'| scaled in place, which is |Q'·factor|
-        bit for bit because the factor is positive."""
-        out = np.abs(self.values)
-        out *= self.factor
-        return out
 
     @property
     def positions(self) -> int:
@@ -160,19 +153,27 @@ def ranked_oligomers(table: PoimTable, top: int) -> list[tuple[str, int, float]]
 
     Ties break lexicographically by (position, oligomer), so the order is
     deterministic even for all-zero tables. A negative top is an error.
+    |Q| is read a position's row at a time: each row gives its first top
+    cells in that order, and one stable sort of those candidates, rows in
+    position order, selects the top cells of the whole table.
     """
     if top < 0:
         raise FirmError(f"top must be >= 0, got {top}")
     if top == 0:
         return []
-    # position-major flattening: a stable sort leaves ties in (position, oligomer) order
-    mag = table.abs_firm_values().ravel()
-    # only cells at or above the top-th largest magnitude can rank; sort just those
-    kth = max(mag.size - top, 0)
-    cand = np.flatnonzero(mag >= np.partition(mag, kth)[kth])
-    order = cand[np.argsort(-mag[cand], kind="stable")]
+    cells, mags = [], []
+    for j, row in enumerate(table.values):
+        mag = np.abs(row)
+        mag *= table.factor     # |Q'·factor| bit for bit: the factor is positive
+        # only cells at or above the row's top-th largest magnitude can rank
+        kth = max(mag.size - top, 0)
+        cand = np.flatnonzero(mag >= np.partition(mag, kth)[kth])
+        cand = cand[np.argsort(-mag[cand], kind="stable")[:top]]
+        cells.append(j * mag.size + cand)
+        mags.append(mag[cand])
+    cells, mags = np.concatenate(cells), np.concatenate(mags)
     out = []
-    for flat in order[:top]:
+    for flat in cells[np.argsort(-mags, kind="stable")[:top]]:
         j, zi = divmod(int(flat), table.factor.size)
         out.append((table.oligomer(zi), j, float(table.values[j, zi] * table.factor[zi])))
     return out

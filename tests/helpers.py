@@ -22,7 +22,8 @@ shrinkage_with_squared_copy (the shrunk covariance's arithmetic, written
 out) and expected_score (E[s] of a positional k-mer scorer, beside
 enumeration for the poim cells). The *_from_q oracles write the POIM
 artifacts from the whole table of Q = firm_values, as the package did
-before it took Q a row or a cell at a time.
+before it took Q a row or a cell at a time; written_poim_tsv gives the
+bytes that the package streams to poim.tsv, for comparison with them.
 parse_tabular states load_tabular's grammar one cell at a time with
 Python float, less the forms np.loadtxt refuses.
 """
@@ -30,6 +31,7 @@ Python float, less the forms np.loadtxt refuses.
 import itertools
 import math
 import os
+import tempfile
 from statistics import NormalDist
 from typing import NamedTuple
 
@@ -383,6 +385,15 @@ def rows_tsv(header, rows):
     for row in rows:
         lines.append("\t".join(fmt(v) for v in row))
     return "\n".join(lines) + "\n"
+
+
+def written_poim_tsv(table):
+    """The bytes of poim.tsv as write_artifacts streams _emit.poim_tsv(table)
+    to its file."""
+    with tempfile.TemporaryDirectory() as out:
+        _emit.write_artifacts(out, {}, {"poim.tsv": _emit.poim_tsv(table)})
+        with open(os.path.join(out, "poim.tsv"), "rb") as fh:
+            return fh.read()
 
 
 def spread_forks(mp, cores=3):

@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 import firm
-from firm import KernelSpec
+from firm import KernelSpec, _emit
 from firm.cli import main, parse_kernel
 
-from helpers import all_pm1_rows, brute_firm_binary, shrinkage_with_squared_copy
+from helpers import (all_pm1_rows, assert_no_children, brute_firm_binary,
+                     shrinkage_with_squared_copy, spread_forks)
 
 
 def run(*argv):
@@ -290,6 +291,34 @@ class TestAnalyzeSequence:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "lambda = 0.01" in err
         assert not out.exists()
+
+    def test_failing_poim_child_leaves_out_unchanged(self, tmp_path, capsys, monkeypatch):
+        """A child formatting a range of poim.tsv fails while the file streams:
+        exit 1, one error line, --out as it was (no file of the set, no staged
+        file), and no child left running or unreaped."""
+        pids, may_fork = spread_forks(monkeypatch)
+        if not may_fork:
+            pytest.skip("this process runs more than one thread, so poim_tsv does not fork")
+        inp, out = tmp_path / "seqs.tsv", tmp_path / "out"
+        self.write_seqs(inp, np.random.default_rng(8))
+        out.mkdir()
+        (out / "keep.txt").write_bytes(b"an earlier run\n")
+        parent, tsv = os.getpid(), _emit.tsv
+
+        def tsv_here_only(*args):
+            if os.getpid() != parent:
+                raise ValueError("in a child")
+            return tsv(*args)
+
+        monkeypatch.setattr(_emit, "tsv", tsv_here_only)
+        assert run("analyze", "--input", str(inp), "--method", "poim", "--scorer",
+                   "train:kmer", "--degree", "2", "--k", "2", "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: the process formatting poim.tsv positions ")
+        assert err.count("\n") == 1
+        assert {p.name: p.read_bytes() for p in out.rglob("*")} == {"keep.txt": b"an earlier run\n"}
+        assert len(pids) == 2
+        assert_no_children()
 
     def test_negative_top_fails_with_one_line(self, tmp_path, capsys):
         inp = tmp_path / "seqs.tsv"

@@ -1,5 +1,6 @@
 """Artifact formatting: the column-wise writer against the per-cell rule."""
 
+import io
 import os
 import threading
 
@@ -15,7 +16,7 @@ from firm.scoring import kmer_offsets
 
 from helpers import (assert_no_children, kmer_scorer, poim_series_tsv_from_q,
                      poim_summary_tsv_from_q, poim_top_tsv_from_q, poim_tsv_from_q,
-                     ranked_from_q, rows_tsv, spread_forks)
+                     ranked_from_q, rows_tsv, spread_forks, written_poim_tsv)
 
 DNA = ("A", "C", "G", "T")
 POIM_HEADER = ["k", "position", "oligomer", "q_prime", "q"]
@@ -95,7 +96,7 @@ class TestPoimTsv:
             for zi in range(table.values.shape[1]):
                 rows.append([table.k, j, table.oligomer(zi),
                              table.values[j, zi], table.firm_values[j, zi]])
-        assert _emit.poim_tsv(table) == rows_tsv(POIM_HEADER, rows)
+        assert written_poim_tsv(table) == rows_tsv(POIM_HEADER, rows).encode()
         absq = np.abs(table.firm_values)
         assert _emit.poim_summary_tsv(table) == rows_tsv(
             ["position", "max_abs_q", "mean_abs_q"],
@@ -107,7 +108,7 @@ class TestPoimTsv:
         assert _emit.poim_top_tsv([]) == "rank\toligomer\tposition\tq\n"
 
     def test_literal_text_of_small_scorer(self):
-        assert _emit.poim_tsv(small_k1_table()) == SMALL_K1_TEXT
+        assert written_poim_tsv(small_k1_table()) == SMALL_K1_TEXT.encode()
 
 
 SMALL_K1_TEXT = (
@@ -155,8 +156,8 @@ def skewed_tables(draw):
 
 
 def lines(text):
-    """text's lines with their ends, so a failed comparison names the first
-    differing line instead of diffing two long strings."""
+    """text's lines with their ends, str or bytes, so a failed comparison
+    names the first differing line instead of diffing two long strings."""
     return text.splitlines(keepends=True)
 
 
@@ -170,7 +171,7 @@ class TestPoimArtifactsFromRows:
 
         table = poim(kmer_scorer(DNA, 6, 2, {(1, "CG"): 0.5, (3, "T"): -0.25}), k=3)
         monkeypatch.setattr(PoimTable, "firm_values", property(whole))
-        _emit.poim_tsv(table)
+        written_poim_tsv(table)
         _emit.poim_summary_tsv(table)
         ranked_oligomers(table, top=5)
         experiments.sequence_experiment(seed=0, n_per_class=5, seq_len=8)
@@ -179,7 +180,7 @@ class TestPoimArtifactsFromRows:
     @given(skewed_tables(), st.integers(0, 40))
     def test_match_the_whole_table_formulas(self, table, top):
         assert np.ptp(table.factor) > 0
-        assert lines(_emit.poim_tsv(table)) == lines(poim_tsv_from_q(table))
+        assert lines(written_poim_tsv(table)) == lines(poim_tsv_from_q(table).encode())
         assert lines(_emit.poim_summary_tsv(table)) == lines(poim_summary_tsv_from_q(table))
         ranked = ranked_oligomers(table, top=top)
         assert repr(ranked) == repr(ranked_from_q(table, top))
@@ -206,27 +207,25 @@ class TestPoimArtifactsFromRows:
 
 
 class TestPoimTsvWorkers:
-    """poim_tsv spread over forked workers writes the one-worker bytes, and
-    no child outlives the call, whether it succeeds or fails. Forks happen
-    only in a single-threaded process (one BLAS thread); elsewhere these
-    tests check that none happens."""
+    """poim_tsv spread over forked workers streams the one-worker bytes, and
+    no child outlives the generator, whether it is run out, fails or is
+    closed early. Forks happen only in a single-threaded process (one BLAS
+    thread); elsewhere these tests check that none happens."""
 
     @settings(max_examples=10, deadline=None)
     @given(skewed_tables())
     def test_forked_text_equals_one_worker_text(self, table):
-        with pytest.MonkeyPatch.context() as mp:
-            pids, may_fork = spread_forks(mp, cores=1)
-            one = _emit.poim_tsv(table)
-            assert pids == []
-        with pytest.MonkeyPatch.context() as mp:
-            pids, may_fork = spread_forks(mp, cores=3)
-            assert lines(_emit.poim_tsv(table)) == lines(one)
-        assert len(pids) == (min(3, table.positions) - 1 if may_fork else 0)
-        assert_no_children()
+        want = poim_tsv_from_q(table).encode()
+        for cores in (1, 2, 3):
+            with pytest.MonkeyPatch.context() as mp:
+                pids, may_fork = spread_forks(mp, cores=cores)
+                assert lines(written_poim_tsv(table)) == lines(want)
+            assert len(pids) == (min(cores, table.positions) - 1 if may_fork else 0)
+            assert_no_children()
 
     def test_forked_literal_text(self, monkeypatch):
         pids, may_fork = spread_forks(monkeypatch)
-        assert _emit.poim_tsv(small_k1_table()) == SMALL_K1_TEXT
+        assert written_poim_tsv(small_k1_table()) == SMALL_K1_TEXT.encode()
         assert len(pids) == (2 if may_fork else 0)
         assert_no_children()
 
@@ -251,7 +250,7 @@ class TestPoimTsvWorkers:
         monkeypatch.setattr(_emit, "tsv", tsv_here_only)
         with pytest.raises(FirmError, match=r"^the process formatting poim\.tsv positions "
                                             r"1 to 1 failed \(exit status 1\)$"):
-            _emit.poim_tsv(table)
+            list(_emit.poim_tsv(table))
         assert len(pids) == 2
         assert_no_children()
 
@@ -267,9 +266,39 @@ class TestPoimTsvWorkers:
 
         monkeypatch.setattr(_emit, "tsv", tsv_in_children_only)
         with pytest.raises(error, match="in the parent"):
-            _emit.poim_tsv(table)
+            list(_emit.poim_tsv(table))
         assert len(pids) == 2
         assert_no_children()
+
+    def test_closed_generator_kills_its_children(self, forking):
+        """Closed after its first chunk, while the children may still be
+        formatting or sending, the generator kills and reaps them all."""
+        table, pids, _ = forking
+        stream = _emit.poim_tsv(table)
+        assert next(stream).startswith("k\tposition\t")
+        assert len(pids) == 2
+        stream.close()
+        assert_no_children()
+
+    def test_failed_write_closes_the_stream(self, forking, monkeypatch, tmp_path):
+        """A write that fails partway through poim.tsv closes the stream, which
+        kills and reaps the children, though the caller still holds it; the
+        staged file is removed and no file is placed."""
+        table, pids, _ = forking
+
+        class FullDisk(io.BytesIO):
+            def write(self, chunk):
+                if self.tell():
+                    raise OSError("no space left")
+                return super().write(chunk)
+
+        monkeypatch.setattr(_emit, "open", lambda path, mode: FullDisk(), raising=False)
+        stream = _emit.poim_tsv(table)
+        with pytest.raises(OSError, match="no space left"):
+            _emit.write_artifacts(str(tmp_path), {"a.tsv": "x\n"}, {"poim.tsv": stream})
+        assert len(pids) == 2
+        assert_no_children()
+        assert list(tmp_path.iterdir()) == []
 
     def test_no_fork_beside_another_thread(self, monkeypatch):
         spread_forks(monkeypatch)
@@ -282,12 +311,12 @@ class TestPoimTsvWorkers:
         thread = threading.Thread(target=stop.wait)
         thread.start()
         try:
-            text = _emit.poim_tsv(small_k1_table())
+            text = written_poim_tsv(small_k1_table())
         finally:
             stop.set()
             thread.join(timeout=10)
         assert not thread.is_alive()
-        assert text == SMALL_K1_TEXT
+        assert text == SMALL_K1_TEXT.encode()
 
 
 class TestWriteArtifacts:
@@ -303,6 +332,41 @@ class TestWriteArtifacts:
     def test_nested_paths_inside_outdir(self, tmp_path):
         _emit.write_artifacts(str(tmp_path), {"a.tsv": "x\n", "sub/./b.tsv": "y\n"})
         assert (tmp_path / "sub" / "b.tsv").read_text() == "y\n"
+
+    def test_stream_of_str_and_bytes_chunks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(_emit, "_WRITE_CHARS", 2)
+        chunks = ["a\t\u00e9", "\u4e2d\n".encode(), "", b"", "b\U0001f600\n"]
+        _emit.write_artifacts(str(tmp_path), {"t.tsv": "x\n"}, {"s.tsv": (c for c in chunks)})
+        assert (tmp_path / "s.tsv").read_bytes() == "a\t\u00e9\u4e2d\nb\U0001f600\n".encode()
+        assert (tmp_path / "t.tsv").read_bytes() == b"x\n"
+
+    def test_failing_stream_places_no_file(self, tmp_path):
+        """Streams are written before the texts, and closed on the way out."""
+        closed = []
+
+        def stream():
+            try:
+                yield "a\n"
+                raise FirmError("stream failed")
+            finally:
+                closed.append(True)
+
+        with pytest.raises(FirmError, match="stream failed"):
+            _emit.write_artifacts(str(tmp_path), {"t.tsv": "x\n"}, {"s.tsv": stream()})
+        assert list(tmp_path.iterdir()) == [] and closed == [True]
+
+    def test_stream_path_is_checked_with_the_texts(self, tmp_path):
+        """A stream's path may not repeat a text's; the refused stream is
+        closed without being started."""
+        started = []
+
+        def stream():
+            started.append(True)
+            yield "y\n"
+
+        with pytest.raises(FirmError, match="leaves the output directory or repeats"):
+            _emit.write_artifacts(str(tmp_path), {"a.tsv": "x\n"}, {"./a.tsv": stream()})
+        assert list(tmp_path.iterdir()) == [] and started == []
 
     @pytest.mark.parametrize("chars", [1, 2, 3, 7])
     def test_slices_cut_through_non_ascii_text(self, tmp_path, monkeypatch, chars):

@@ -10,15 +10,18 @@ covariance estimates a block of rows: their ceilings, 0.5 x 8nd for the
 slope estimators and 0.3 x 8nd for the others at n = 20 000 and d = 50,
 are fractions of one n x d copy.
 
-The emit ceilings are near 1.3 x the text: `tsv` and `poim_tsv` grow one
-str in place, which holds only while CPython resizes a str that a single
-local refers to on `+=`, so these ceilings are the guard that it still
-does. `write_artifacts` encodes a slice at a time, well under the text.
-The POIM readers of Q (`ranked_oligomers`, `poim_summary_tsv`) and `poim`
-itself are bounded in multiples of the table's bytes, so that building
-`firm_values` whole, a boolean mask's copy, or a second table in `poim`,
-fails here. Forked `poim_tsv` is held to the same 1.3 x its text: the
-children's texts are appended a pipe read at a time. A forked
+The `tsv` ceiling is near 1.3 x the text: `tsv` grows one str in place,
+which holds only while CPython resizes a str that a single local refers
+to on `+=`, so that ceiling is the guard that it still does.
+`write_artifacts` encodes a slice at a time, well under the text. It
+streams `poim_tsv`'s chunks to the file, so the peak while it writes
+`poim.tsv`, one worker or three, is held to eight positions' texts and one
+pipe read, about 0.23 x the k = 5 text, whatever the table's size; holding
+the text, a range of it, or a column as long as the table fails here.
+The POIM readers of Q (`ranked_oligomers`, `poim_summary_tsv`) read it a
+row at a time, and are held to 0.1 x the table's bytes; `poim` itself is
+bounded in multiples of the table, so that building `firm_values` whole,
+a boolean mask's copy, or a second table in `poim`, fails here. A forked
 `load_tabular` reads the children's feature cells and labels straight into
 the dataset's X and y, which the dataset keeps uncopied, so it holds the
 table once, at most 1.2 x the table's bytes; the one-process parse moves X
@@ -353,22 +356,38 @@ def test_kmer_fit_builds_no_one_hot_design():
     assert peak <= 0.8 * 8 * n * n
 
 
-def test_poim_tsv_makes_no_fixed_width_label_column():
-    data = random_dna(500, 50, seed=5)
-    table = poim(train_positional_kmer(data, K=3, lam=0.1), k=5)
-    peak, text = traced_peak(lambda: _emit.poim_tsv(table))
+def streamed_peak(table, out):
+    """(the traced peak while write_artifacts streams poim.tsv of table to
+    out, the file's text), and the ceiling on that peak: eight positions'
+    texts, on average, and one pipe read."""
+    peak, _ = traced_peak(lambda: _emit.write_artifacts(
+        str(out), {}, {"poim.tsv": _emit.poim_tsv(table)}))
+    text = (out / "poim.tsv").read_bytes().decode("utf-8")
+    return peak, text, 8 * len(text) / table.positions + _emit._PIPE_BYTES
+
+
+@pytest.fixture(scope="module")
+def k5_table():
+    """A k = 5 table over 46 positions: a 2.37 MB text, 51.5 kB a position."""
+    return poim(train_positional_kmer(random_dna(500, 50, seed=5), K=3, lam=0.1), k=5)
+
+
+def test_poim_tsv_makes_no_fixed_width_label_column(k5_table, tmp_path):
+    """One worker's peak is 0.16 x the text, 7.2 positions' texts: a
+    position's text, its lines and its scalars, and the nz labels. A
+    fixed-width label column as long as the table would take 0.40 x."""
+    peak, text, ceiling = streamed_peak(k5_table, tmp_path)
     assert text.count("\n") == 1 + 46 * 4 ** 5
-    assert peak <= 1.3 * len(text)
+    assert peak <= ceiling
 
 
-def test_poim_tsv_formats_a_position_at_a_time():
-    """No column as long as the table and no full Q table: the text once,
-    grown in place by each position's text, and little else. The bytes are
-    those of one tsv call over the five full columns."""
-    data = random_dna(500, 50, seed=5)
-    table = poim(train_positional_kmer(data, K=3, lam=0.1), k=5)
-    peak, text = traced_peak(lambda: _emit.poim_tsv(table))
-    assert peak <= 1.3 * len(text)
+def test_poim_tsv_formats_a_position_at_a_time(k5_table, tmp_path):
+    """No column as long as the table, no full Q table and no text of more
+    than a position is held. The bytes are those of one tsv call over the
+    five full columns."""
+    table = k5_table
+    peak, text, ceiling = streamed_peak(table, tmp_path)
+    assert peak <= ceiling
     npos, nz = table.values.shape
     labels = [table.oligomer(zi) for zi in range(nz)]
     assert text == _emit.tsv(["k", "position", "oligomer", "q_prime", "q"],
@@ -376,17 +395,16 @@ def test_poim_tsv_formats_a_position_at_a_time():
                               labels * npos, table.values.ravel(), table.firm_values.ravel()])
 
 
-def test_forked_poim_tsv_holds_its_text_once(monkeypatch):
-    """Over three processes, this one holds the text, grown in place by its
-    own positions and then by each child's text as read from its pipe, a
-    few pieces of _PIPE_CHARS characters at a time."""
-    data = random_dna(500, 50, seed=5)
-    table = poim(train_positional_kmer(data, K=3, lam=0.1), k=5)
+def test_forked_poim_tsv_streams_a_pipe_read_at_a_time(k5_table, tmp_path, monkeypatch):
+    """Over three processes, this one holds a position's text while it
+    streams its own range, then one pipe read of a child's bytes at a time:
+    0.16 x the text, 7.4 positions' texts, where holding its range's text
+    would take 0.33 x and a child's range 0.33 x more."""
     pids, may_fork = spread_forks(monkeypatch)
-    peak, text = traced_peak(lambda: _emit.poim_tsv(table))
+    peak, text, ceiling = streamed_peak(k5_table, tmp_path)
     assert len(pids) == (2 if may_fork else 0)
     assert text.count("\n") == 1 + 46 * 4 ** 5
-    assert peak <= 1.3 * len(text)
+    assert peak <= ceiling
 
 
 @pytest.fixture(scope="module")
@@ -396,19 +414,21 @@ def poim_case():
     return scorer, poim(scorer, k=6)
 
 
-def test_ranked_oligomers_hold_two_tables(poim_case):
-    """|Q| is scaled in place and partitioned in a copy: two tables. Taking
-    firm_values first would hold a third."""
+def test_ranked_oligomers_hold_a_row_at_a_time(poim_case):
+    """|Q| is read a row (1/45 of the table) at a time, each row's candidates
+    kept: 0.064 x the table. Taking |Q| whole would hold one table, and
+    partitioning it a second."""
     _, table = poim_case
     peak, _ = traced_peak(lambda: ranked_oligomers(table, top=20))
-    assert peak <= 2.2 * table.values.nbytes
+    assert peak <= 0.1 * table.values.nbytes
 
 
-def test_poim_summary_holds_one_table(poim_case):
-    """Only |Q|, scaled in place; np.abs of firm_values would hold two tables."""
+def test_poim_summary_holds_a_row_at_a_time(poim_case):
+    """|Q| a row at a time, scaled in place: 0.045 x the table. np.abs of
+    the whole table would hold one."""
     _, table = poim_case
     peak, _ = traced_peak(lambda: _emit.poim_summary_tsv(table))
-    assert peak <= 1.2 * table.values.nbytes
+    assert peak <= 0.1 * table.values.nbytes
 
 
 def test_poim_holds_its_output_and_one_table(poim_case, monkeypatch):

@@ -276,6 +276,21 @@ class TestKernelRidge:
         x = _solve_shifted(P, 0.1, b)
         assert np.abs(P @ x + 0.1 * x - b).max() <= 1e-12
 
+    def test_polynomial_gradient_is_checked_against_the_budget(self, monkeypatch):
+        """The polynomial gradient's n x m matrix raises BudgetExceededError
+        past the budget, before it is allocated, and is computed within it."""
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(100, 2))
+        sc = KernelExpansionScorer(points=X, alpha=rng.normal(size=100), b=0.0,
+                                   kernel=KernelSpec.polynomial(3, 1.0))
+        want = sc.gradient_many(X)
+        monkeypatch.setattr(firm.scoring, "DEFAULT_CELL_BUDGET", 9999)
+        with pytest.raises(BudgetExceededError, match="100 x 100 kernel matrix needs 10000"):
+            sc.gradient_many(X)
+        np.testing.assert_allclose(sc.gradient_many(X[:99]), want[:99], rtol=1e-12)
+        monkeypatch.setattr(firm.scoring, "DEFAULT_CELL_BUDGET", 10000)
+        assert sc.gradient_many(X).tobytes() == want.tobytes()
+
     def test_boolean_truth_table_separable_by_degree_two(self):
         X = all_pm1_rows(3)
         y = np.array([1.0 if (r[0] > 0 or r[1] < 0) else -1.0 for r in X])
