@@ -149,8 +149,9 @@ def poim_tsv(table):
     One tsv call per position formats that position's nz rows, the header
     only with the first. k and the position are 0-stride views, so tsv
     writes them once per call as a line prefix; every call reads the one
-    array of nz label strings, and Q is taken one position's row at a time,
-    so no column is as long as the table.
+    array of nz label strings, which itertools.product over the alphabet
+    gives in index order, and Q is taken one position's row at a time, so
+    no column is as long as the table.
 
     The positions are cut into _fork.processes contiguous ranges. This
     process yields the first range a position at a time while a forked
@@ -161,7 +162,8 @@ def poim_tsv(table):
     """
     values, factor = table.values, table.factor
     npos, nz = values.shape
-    labels = np.array([table.oligomer(zi) for zi in range(nz)], dtype=object)
+    labels = np.array(["".join(z) for z in itertools.product(table.alphabet, repeat=table.k)],
+                      dtype=object)
     k = np.broadcast_to(table.k, nz)
 
     def positions(lo, hi):

@@ -284,18 +284,49 @@ def kmer_offsets(A: int, L: int, K: int) -> np.ndarray:
     return np.cumsum([0] + sizes)
 
 
-def kmer_ids(codes: np.ndarray, A: int, K: int) -> np.ndarray:
-    """Flat weight index of every positional substring of n x L coded
-    sequences (encode_sequences): one column per (degree k <= K, position i),
-    degree-major, holding offset(k) + i * A^k + the substring's code."""
-    L = codes.shape[1]
-    off = kmer_offsets(A, L, K)
-    out = []
-    code = np.zeros(codes.shape, dtype=np.intp)
+def _kmer_windows(codes: np.ndarray, A: int, K: int) -> np.ndarray:
+    """The n x M top-degree windows of n x L coded sequences (encode_sequences),
+    M = L - K + 1: window j of a sequence is the cell j * A^K + z of an
+    (M, A^K) table, z the base-A code of its letters j..j + K - 1."""
+    M = codes.shape[1] - K + 1
+    win = codes[:, :M].astype(np.intp)
+    for t in range(1, K):
+        win *= A
+        win += codes[:, t:t + M]
+    win += np.arange(M) * A ** K
+    return win
+
+
+def _fold(w: np.ndarray, A: int, L: int, K: int) -> np.ndarray:
+    """The flat weights of a positional k-mer model folded into its (M, A^K)
+    window table: cell (j, z) sums the weight of every substring that window
+    j holds when its letters are z, so a score is the sum of a sequence's M
+    window cells. Substring (k, i) lies in window j = min(i, M - 1) at
+    offset i - j: the top degree fills the table, and each lower degree is
+    added to the cells of its letters, past offset 0 in the last window only.
+    """
+    M, off = L - K + 1, kmer_offsets(A, L, K)
+    T = w[off[K - 1]:].reshape(M, A ** K).copy()
+    for k in range(K - 1, 0, -1):
+        Wk = w[off[k - 1]:off[k]].reshape(L - k + 1, A ** k)
+        T.reshape(M, A ** k, -1)[...] += Wk[:M, :, None]
+        for o in range(1, K - k + 1):
+            T[M - 1].reshape(A ** o, A ** k, -1)[...] += Wk[M - 1 + o][:, None]
+    return T
+
+
+def _unfold(c: np.ndarray, A: int, L: int, K: int) -> np.ndarray:
+    """The adjoint of _fold: the flat vector whose entry for substring (k, i)
+    sums c, an (M, A^K) table or its M * A^K cells, over the cells of its
+    window that hold it. An integer c gives exact integer sums."""
+    M, off = L - K + 1, kmer_offsets(A, L, K)
+    c, out = c.reshape(M, A ** K), np.empty(off[-1], c.dtype)
     for k in range(1, K + 1):
-        code = code[:, :L - k + 1] * A + codes[:, k - 1:]
-        out.append(code + (off[k - 1] + np.arange(L - k + 1) * A ** k))
-    return np.concatenate(out, axis=1)
+        Ok = out[off[k - 1]:off[k]].reshape(L - k + 1, A ** k)
+        Ok[:M] = c.reshape(M, A ** k, -1).sum(axis=2)
+        for o in range(1, K - k + 1):
+            Ok[M - 1 + o] = c[M - 1].reshape(A ** o, A ** k, -1).sum(axis=(0, 2))
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -307,8 +338,9 @@ class PositionalKmerScorer:
     degree-major, then position, then y's base-|alphabet| code with the
     leftmost letter most significant (PoimTable's oligomer order). A score
     sums the weight of every substring incident in x, plus the bias. Only
-    this module knows the layout: kmer_ids maps sequences to flat indices
-    and block(k) views one degree as (length - k + 1, A, ..., A).
+    this module knows the layout: _kmer_windows maps sequences to their
+    top-degree windows, _fold and _unfold map weights to window cells and
+    back, and block(k) views one degree as (length - k + 1, A, ..., A).
     """
 
     alphabet: tuple[str, ...]
@@ -335,9 +367,9 @@ class PositionalKmerScorer:
         return self.weights[off[k - 1]:off[k]].reshape((-1,) + (len(self.alphabet),) * k)
 
     def score_many(self, X) -> np.ndarray:
-        codes = encode_sequences(X, self.alphabet, self.length)
-        ids = kmer_ids(codes, len(self.alphabet), self.max_degree)
-        return self.weights[ids].sum(axis=1) + self.b
+        A, L, K = len(self.alphabet), self.length, self.max_degree
+        windows = _kmer_windows(encode_sequences(X, self.alphabet, L), A, K)
+        return np.take(_fold(self.weights, A, L, K), windows).sum(axis=1) + self.b
 
 
 Scorer = LinearScorer | KernelExpansionScorer | PositionalKmerScorer
@@ -504,14 +536,17 @@ def train_positional_kmer(data: SequenceDataset, K: int, lam: float) -> Position
 
     w solves (Xc'Xc + n*lambda*I) w = Xc'(y - mean(y)), Xc the n x F
     indicator design centred by its column means mu, and b = mean(y) - mu'w.
-    With ids = kmer_ids(...), the flat indices of each sequence's P
-    substrings, Xc w is w[ids].sum(axis=1) - mu'w and Xc'v is the bincount
-    of ids weighted by v, less mu * sum(v), so no design exists (Sonnenburg,
-    Raetsch & Schoelkopf, ICML 2005; Sonnenburg & Franc, COFFIN, ICML 2010).
-    No step calls a BLAS, so the weights do not depend on its thread count.
-    A substring that never occurs has a zero column and keeps weight
-    exactly 0. The fit holds the ids and one n x P temporary at a time:
-    2.33 x 8nP bytes at its peak (n = 1000 and 2000).
+    The M = L - K + 1 top-degree windows of a sequence (_kmer_windows) hold
+    all of its P substrings, so with T = _fold(w), Xc w is the sum of T over
+    each sequence's windows less mu'w, and Xc'v is _unfold of the bincount
+    of the windows weighted by v, less mu * sum(v): no design exists
+    (Sonnenburg, Raetsch & Schoelkopf, ICML 2005; Sonnenburg & Franc,
+    COFFIN, ICML 2010), and a product reads n x M cells, not n x P. mu is
+    the integer window counts unfolded, then divided by n. No step calls a
+    BLAS, so the weights do not depend on its thread count. A substring
+    that never occurs has a zero column and keeps weight exactly 0. The
+    fit holds the windows and one n x M temporary at a time: 0.88 and 0.77
+    x 8nP bytes at its peak at n = 1000 and 2000 (K = 3, L = 100).
 
     _cg gets the gate tol = _KMER_TOL * sqrt(n + 64) * eps and so stops at
     tol / 2. Run to a tiny tol, the true relative residual fell to about
@@ -522,28 +557,29 @@ def train_positional_kmer(data: SequenceDataset, K: int, lam: float) -> Position
     (seed 0; 2000 planted-motif sequences of length 100, K = 3):
 
         lambda   0.1  0.03  0.01  1e-3  1e-4  1e-6  1e-9
-        steps     49    82   120   173   185   187   187
+        steps     49    82   120   173   185   186   187
 
     The most measured, 1479, was at n = 4000 with the motif at one fixed
     position and lambda = 1e-9; _KMER_STEPS = 2048 caps a failed fit near
-    5 s at n = 2000. A fit with no answer through the gate raises
-    FirmError naming lambda.
+    1.7 s at n = 2000 (2049 products; one core of a 2-core Xeon). A fit with
+    no answer through the gate raises FirmError naming lambda.
     """
     if not 0 < lam < np.inf:
         raise FirmError("lambda must be finite and > 0")
     A, L, n = len(DNA_ALPHABET), data.length, data.n
-    F = kmer_offsets(A, L, K)[-1]
-    ids = kmer_ids(data.codes, A, K)
-    flat, P = ids.ravel(), ids.shape[1]
-    mu = np.bincount(flat, minlength=F) / n
+    kmer_offsets(A, L, K)                       # checks K and the weight budget
+    windows = _kmer_windows(data.codes, A, K)
+    flat, M = windows.ravel(), windows.shape[1]
+    cells = M * A ** K
+    mu = _unfold(np.bincount(flat, minlength=cells), A, L, K) / n
 
     def xt(v):                                  # Xc'v
-        out = np.bincount(flat, np.repeat(v, P), minlength=F)
+        out = _unfold(np.bincount(flat, np.repeat(v, M), minlength=cells), A, L, K)
         out -= mu * np.add.reduce(v)
         return out
 
     def product(w):                             # (Xc'Xc + n*lambda*I) w
-        out = xt(w[ids].sum(axis=1) - np.add.reduce(mu * w))
+        out = xt(np.take(_fold(w, A, L, K), windows).sum(axis=1) - np.add.reduce(mu * w))
         out += n * lam * w
         return out
 

@@ -335,25 +335,26 @@ def random_dna(n, length, seed):
 
 
 @pytest.mark.parametrize("n", [1000, 2000])
-def test_kmer_fit_holds_two_substring_id_arrays(n):
-    """The primal fit holds the n x P substring ids (P = 297 substrings per
-    sequence here) and one n x P temporary at a time: 2.33 x 8nP traced,
-    while kmer_ids concatenates its per-degree columns. A third n x P array
-    would not fit under the bound."""
+def test_kmer_fit_holds_two_window_arrays(n):
+    """The primal fit holds the n x M top-degree windows (M = 98 windows per
+    sequence here, of P = 297 substrings) and one n x M temporary at a time:
+    0.88 x 8nP traced at n = 1000 and 0.77 x at 2000, the rest being
+    vectors of the weights' length. A third n x M array, or the n x P
+    substring ids the fit held before, would not fit under the bound."""
     data = random_dna(n, 100, seed=4)
     P = 100 + 99 + 98
     peak, _ = traced_peak(lambda: train_positional_kmer(data, K=3, lam=0.1))
-    assert peak <= 2.5 * 8 * n * P
+    assert peak <= 0.95 * 8 * n * P
 
 
 def test_kmer_fit_builds_no_one_hot_design():
-    """The fit's peak, 2.33 x 8nP for P = 297 substrings per sequence, is
-    0.69 x 8n^2 at n = 1000; a one-hot design (1.02 x 8n^2 for 2048
+    """The fit's peak, 0.88 x 8nP for P = 297 substrings per sequence, is
+    0.26 x 8n^2 at n = 1000; a one-hot design (1.02 x 8n^2 for 2048
     float32 columns) or an n x n matrix would not fit under the bound."""
     n = 1000
     data = random_dna(n, 100, seed=4)
     peak, _ = traced_peak(lambda: train_positional_kmer(data, K=3, lam=0.1))
-    assert peak <= 0.8 * 8 * n * n
+    assert peak <= 0.3 * 8 * n * n
 
 
 def streamed_peak(table, out):

@@ -1,5 +1,6 @@
 """Scorers, gradients, trainers."""
 
+import collections
 import itertools
 from dataclasses import replace
 
@@ -15,8 +16,9 @@ from firm import (BudgetExceededError, FirmError, KernelExpansionScorer, KernelS
                   TabularDataset, gradient_at, score_many,
                   train_kernel_ridge, train_least_squares,
                   train_positional_kmer, train_ridge)
-from firm.dataset import DNA_ALPHABET
-from firm.scoring import _BLOCK_CELLS, _TRI_ROWS, _LowerTriangle, _solve_shifted, kmer_offsets
+from firm.dataset import DNA_ALPHABET, encode_sequences
+from firm.scoring import (_BLOCK_CELLS, _TRI_ROWS, _LowerTriangle, _fold, _kmer_windows,
+                          _solve_shifted, _unfold, kmer_offsets)
 
 from helpers import (all_pm1_rows, central_difference_gradient, explicit_kmer_ridge,
                      kernel_gradient_at, kmer_scorer, kmer_weight, least_squares_with_ones,
@@ -716,10 +718,11 @@ class TestPositionalKmerTrainer:
         assert sc.b == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("K,n,L,seed", [(1, 12, 5, 0), (2, 25, 6, 1), (3, 40, 7, 2),
-                                            (3, 6, 9, 3), (3, 300, 65, 4)])
+                                            (3, 6, 9, 3), (3, 300, 65, 4), (3, 30, 3, 5),
+                                            (4, 80, 8, 6)])
     def test_matches_explicit_design(self, K, n, L, seed):
         """Against the dual solve of the explicit design, also beyond 256
-        rows and past 64 positions."""
+        rows, past 64 positions, at K = 4 and at K = L (a single window)."""
         rng = np.random.default_rng(seed)
         seqs = tuple("".join(rng.choice(list("ACGT"), size=L)) for _ in range(n))
         ds = SequenceDataset(sequences=seqs, y=rng.choice([-1.0, 1.0], size=n))
@@ -733,6 +736,19 @@ class TestPositionalKmerTrainer:
         seen = kmer_scorer(DNA_ALPHABET, L, K, dict.fromkeys(want, 1.0)).weights
         assert (seen == 0).any()
         assert (sc.weights[seen == 0] == 0.0).all()
+
+    def test_unseen_tail_substrings_get_exact_zeros(self):
+        """Substrings past the last window's start (positions i > M - 1) that
+        never occur keep weight exactly 0: no sequence ends in T here."""
+        rng = np.random.default_rng(7)
+        seqs = tuple("".join(rng.choice(list("ACGT"), size=5))
+                     + "".join(rng.choice(list("ACG"), size=2)) for _ in range(50))
+        ds = SequenceDataset(sequences=seqs, y=rng.choice([-1.0, 1.0], size=50))
+        sc = train_positional_kmer(ds, K=3, lam=0.1)
+        unseen = ([(6, "T"), (5, "T")] + [(5, a + "T") for a in "ACGT"]
+                  + [(5, "T" + a) for a in "ACGT"])
+        assert all(kmer_weight(sc, i, y) == 0.0 for i, y in unseen)
+        assert all(kmer_weight(sc, i, y) != 0.0 for i, y in [(6, "A"), (5, "G"), (5, "CA")])
 
     def test_weight_budget(self):
         assert kmer_offsets(4, 100, 8)[-1] == 8_155_456
@@ -748,10 +764,43 @@ class TestPositionalKmerTrainer:
         seqs = tuple("".join(rng.choice(list("ACGT"), size=6)) for _ in range(30))
         y = rng.choice([-1.0, 1.0], size=30)
         ds = SequenceDataset(sequences=seqs, y=y)
-        sc = train_positional_kmer(ds, K=2, lam=0.5)
-        # a ridge fit must reproduce its own normal equations: compare score
-        # against the explicit sparse sum
-        for s, got in zip(seqs[:5], sc.score_many(seqs[:5])):
-            manual = sc.b + sum(kmer_weight(sc, i, s[i:i + k])
-                                for k in (1, 2) for i in range(len(s) - k + 1))
-            assert got == pytest.approx(manual, rel=1e-12)
+        for K in (2, 3):
+            sc = train_positional_kmer(ds, K=K, lam=0.5)
+            # a ridge fit must reproduce its own normal equations: compare
+            # score against the explicit sparse sum
+            for s, got in zip(seqs[:5], sc.score_many(seqs[:5])):
+                manual = sc.b + sum(kmer_weight(sc, i, s[i:i + k])
+                                    for k in range(1, K + 1) for i in range(len(s) - k + 1))
+                assert got == pytest.approx(manual, rel=1e-12)
+
+
+class TestKmerWindows:
+    """The fit's and the scorer's products run over the top-degree windows."""
+
+    @given(st.integers(1, 4).flatmap(lambda K: st.tuples(st.just(K), st.integers(K, 9))),
+           st.integers(2, 4), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_fold_and_unfold_are_adjoint(self, KL, A, seed):
+        """<fold(w), c> = <w, unfold(c)> to rounding, for K = 1 to 4 and
+        L = K to 9 (a single window at L = K)."""
+        K, L = KL
+        rng = np.random.default_rng(seed)
+        w = rng.normal(size=kmer_offsets(A, L, K)[-1])
+        c = rng.normal(size=(L - K + 1, A ** K))
+        lhs = np.add.reduce((_fold(w, A, L, K) * c).ravel())
+        rhs = np.add.reduce(w * _unfold(c, A, L, K))
+        assert abs(lhs - rhs) <= 1e-13 * np.add.reduce(np.abs(w) * _unfold(np.abs(c), A, L, K))
+
+    @pytest.mark.parametrize("K,L", [(1, 1), (1, 6), (2, 2), (3, 3), (3, 9), (4, 4), (4, 9)])
+    def test_window_counts_unfold_to_substring_counts(self, K, L):
+        """unfold of the integer window counts is, exactly, each (position,
+        substring)'s count, in the scorer's flat layout."""
+        rng = np.random.default_rng(K * 10 + L)
+        seqs = ["".join(rng.choice(list("ACGT"), size=L)) for _ in range(40)]
+        counts = collections.Counter((i, s[i:i + k]) for s in seqs
+                                     for k in range(1, K + 1) for i in range(L - k + 1))
+        windows = _kmer_windows(encode_sequences(seqs, DNA_ALPHABET), 4, K)
+        got = _unfold(np.bincount(windows.ravel(), minlength=(L - K + 1) * 4 ** K), 4, L, K)
+        assert got.dtype.kind == "i"
+        want = kmer_scorer(DNA_ALPHABET, L, K, counts).weights
+        assert got.astype(float).tobytes() == want.tobytes()
