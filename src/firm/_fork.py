@@ -4,7 +4,7 @@
 child per sender and guarantees that none outlives the block: on leaving
 it, by return or by any exception (KeyboardInterrupt too), every child not
 yet reaped is killed and reaped. `_emit.poim_tsv` sends text through them,
-and `dataset._read_forked` float64 rows.
+and `dataset._read_forked` the rows each parses from its range of a CSV.
 
 A fork copies only the calling thread, so a lock another thread holds
 (OpenBLAS's, when it runs more than one thread) would never be released in

@@ -2,7 +2,8 @@
 
 All container types are immutable and compare by identity, so shared
 instances are safe under concurrent use. Their arrays are read-only copies,
-but for the X and y load_tabular's parse allocated, which it adopts.
+but for the X and y load_tabular adopts, into which it parses the file's
+rows a chunk of whole lines at a time, in one process or in forked ones.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .features import refuse_constant_column, row_blocks
 
 DNA_ALPHABET = ("A", "C", "G", "T")
 _FORK_BYTES = 2 ** 20    # data bytes of a tabular file per parsing process, at least
+_CHUNK_BYTES = 2 ** 12   # text bytes per loadtxt call, at least, of a range that has them
 
 
 def _frozen(a, copy: bool = True) -> np.ndarray:
@@ -195,11 +197,6 @@ def open_utf8(path):
             raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
-def _nonblank_lines(fh):
-    """(1-based line in the file, line) for each line of fh that is not blank."""
-    return ((line_no, ln) for line_no, ln in enumerate(fh, start=1) if ln.strip() != "")
-
-
 def loadtxt_rows(lines, **kw) -> np.ndarray | None:
     """The comma-separated lines as float64 rows by np.loadtxt, the package's
     one number parser; None where it refuses a cell or rows of unequal width."""
@@ -217,171 +214,160 @@ def _table(lines, width: int) -> np.ndarray | None:
     return data if ok else None
 
 
-def _read_table(path, labelled: bool) -> tuple[list[str], np.ndarray, np.ndarray | None]:
-    """Header, n x d features X and, if labelled, the n labels y (the last
-    column) of a tabular file of finite numbers, as new C-ordered arrays.
+class _Refused(Exception):
+    """The numbered non-blank lines of a chunk that loadtxt refuses as rows."""
 
-    A file with at least two _FORK_BYTES after its header line is first
-    parsed on every core (_read_forked), in a process that runs one thread.
-    Every other file, and any file that does not read there as planned, is
-    read here in one process, with the same result or the same message. A
-    well-formed file is one np.loadtxt call over the open handle. Any other
-    is read again, its non-blank lines streamed to loadtxt; if they do not
-    read as a table, bisection over a list of them finds the first line at
-    fault, whose width or first bad cell raises a DataFormatError. Of a
-    labelled table, y is copied out and X's rows move forward in loadtxt's
-    array, 2**12 cells at a time, which then shrinks to X.
+
+def _header(fh, path) -> tuple[list[str], int, int]:
+    """The header cells of the binary file fh at path, the byte offset after
+    the header's line and its line number; DataFormatError for a file with
+    no non-blank line. The file is read to the header's b"\\n" only, each
+    piece decoded as UTF-8 and split as the universal-newline handle splits
+    it, endings kept, so a line's UTF-8 length is its length in bytes; a
+    leading byte-order mark counts its three bytes and is dropped, as
+    utf-8-sig drops it."""
+    at = line = 0
+    for piece in fh:
+        text = piece.decode("utf-8")
+        if at == 0 and text.startswith("\ufeff"):
+            text, at = text[1:], 3
+        for ln in io.StringIO(text, newline=""):
+            at, line = at + len(ln.encode("utf-8")), line + 1
+            if ln.strip() != "":
+                return [h.strip() for h in ln.rstrip("\r\n").split(",")], at, line
+    raise DataFormatError(f"{path}: empty file")
+
+
+def _pread(fd: int, lo: int, hi: int) -> bytes:
+    """Bytes lo to hi of the file fd, leaving the offset forked children share."""
+    raw = os.pread(fd, hi - lo, lo)
+    if len(raw) != hi - lo:
+        raise DataFormatError("the file changed while it was read")
+    return raw
+
+
+def _cuts(fd: int, lo: int, hi: int, parts: int) -> list[int]:
+    """lo, parts - 1 cuts and hi, bounding ranges of whole lines of the file
+    fd: cut k moves from lo + (hi - lo) * k // parts to just after the next
+    b"\\n" (or to hi), never back before cut k - 1. No UTF-8 character
+    holds a b"\\n", and the text handle ends a line at each."""
+    cuts = [lo]
+    for k in range(1, parts):
+        at, ends = lo + (hi - lo) * k // parts, 0
+        while at < hi and not ends:
+            ends = _pread(fd, at, min(at + 2 ** 12, hi)).find(b"\n") + 1
+            at += ends or 2 ** 12
+        cuts.append(max(cuts[-1], min(at, hi)))
+    return cuts + [hi]
+
+
+def _line_ends(raw: bytes) -> int:
+    """The line endings of raw, where the universal-newline handle splits it;
+    UnicodeDecodeError for a byte that is not UTF-8."""
+    if not raw.isascii():
+        raw.decode("utf-8")
+    crs = raw.count(b"\r") - raw.count(b"\r\n") if b"\r" in raw else 0
+    return int(np.count_nonzero(np.frombuffer(raw, np.uint8) == ord("\n"))) + crs
+
+
+def _parse(fd: int, lo: int, hi: int, d: int, labelled: bool,
+           line: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """X, n x d, and y, n labels or none, of the non-blank lines of bytes lo
+    to hi of the file fd, whole lines from the file's line `line` on.
+
+    A first pass over at most 64 chunks (_cuts) of at least _CHUNK_BYTES
+    counts their lines, for which X and y are allocated once, and raises
+    UnicodeDecodeError for a byte that is not UTF-8, before any other fault.
+    Then each chunk's non-blank lines, split as the text handle splits
+    them, go to one loadtxt_rows call, or to _Refused, numbered in the file,
+    where they are not rows of d + labelled finite numbers.
     """
-    forked = _read_forked(path, labelled)
-    if forked is not None:
-        return forked
-    with open_utf8(path) as fh:
-        lines = _nonblank_lines(fh)
-        first, second = next(lines, None), next(lines, None)
-        if second is None:      # before loadtxt, which would warn
-            raise DataFormatError(f"{path}: {'no data rows' if first else 'empty file'}")
-        header = [h.strip() for h in first[1].rstrip("\n").split(",")]
-        data = _table(itertools.chain([second[1]], fh), len(header))
-    if data is None:
-        with open_utf8(path) as fh:
-            data = _table((ln for _, ln in itertools.islice(_nonblank_lines(fh), 1, None)),
-                          len(header))
-    if data is not None and labelled:
-        (n, w), y = data.shape, data[:, -1].copy()
-        d, rows = w - 1, max(1, 2 ** 12 // w)
-        for i in range(0, n, rows):
-            j = min(i + rows, n)
-            np.copyto(data.reshape(-1)[i * d:j * d].reshape(j - i, d), data[i:j, :d])
-        data.resize(n * d, refcheck=False)
-        return header, data.reshape(n, d), y
-    if data is not None:
-        return header, data, None
-    with open_utf8(path) as fh:
-        line_nos, rows = zip(*list(_nonblank_lines(fh))[1:])
+    cuts = _cuts(fd, lo, hi, min(64, max(1, (hi - lo) // _CHUNK_BYTES)))
+    ends = [_line_ends(_pread(fd, a, b)) for a, b in zip(cuts, cuts[1:])]
+    X, y, n = np.empty((sum(ends) + 1, d)), np.empty(sum(ends) + 1 if labelled else 0), 0
+    for a, b, chunk_ends in zip(cuts, cuts[1:], ends):
+        raw = _pread(fd, a, b)
+        lines = filter(str.strip, io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
+        first = next(lines, None)
+        if first is not None:                   # loadtxt warns on no lines
+            data = _table(itertools.chain([first], lines), d + labelled)
+            if data is None:
+                text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")
+                raise _Refused([(no, ln) for no, ln in enumerate(text, line) if ln.strip()])
+            X[n:n + len(data)] = data[:, :d]
+            if labelled:
+                y[n:n + len(data)] = data[:, d]
+            n += len(data)
+        line += chunk_ends
+    X.resize((n, d), refcheck=False)
+    y.resize(n if labelled else 0, refcheck=False)
+    return X, y
+
+
+def _refusal(path, header: list[str], rows: list[tuple[int, str]]) -> DataFormatError:
+    """The error for numbered lines that do not read as rows of the header's
+    columns, naming the first at fault (by bisection): its width, or else
+    its first cell that loadtxt_rows refuses or reads as non-finite."""
     lo, hi = 0, len(rows)                       # rows[:lo] read as a table, rows[lo:hi] not
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if _table(rows[lo:mid], len(header)) is None else (mid, hi)
-    at, cells = f"line {line_nos[lo]}", rows[lo].rstrip("\n").split(",")
+        ok = _table([ln for _, ln in rows[lo:mid]], len(header)) is not None
+        lo, hi = (mid, hi) if ok else (lo, mid)
+    at, text = f"line {rows[lo][0]}", rows[lo][1]
+    cells = text.rstrip("\n").split(",")
     if len(cells) != len(header):
-        raise DataFormatError(f"{path}: ragged row at {at}: "
-                              f"expected {len(header)} cells, got {len(cells)}")
+        return DataFormatError(f"{path}: ragged row at {at}: "
+                               f"expected {len(header)} cells, got {len(cells)}")
     for j, (name, raw) in enumerate(zip(header, map(str.strip, cells))):
-        value = loadtxt_rows([rows[lo]], usecols=[j])
+        value = loadtxt_rows([text], usecols=[j])
         if value is None:
-            raise DataFormatError(f"cell at {at}, column '{name}' does not parse as a "
-                                  f"number: {raw!r}")
+            return DataFormatError(f"cell at {at}, column '{name}' does not parse as a "
+                                   f"number: {raw!r}")
         if not np.isfinite(value).all():
-            raise DataFormatError(f"non-finite value at {at}, column '{name}': {raw!r}")
+            return DataFormatError(f"non-finite value at {at}, column '{name}': {raw!r}")
     raise AssertionError("unreachable: the line reads as a table row")
 
 
-def _read_forked(path, labelled: bool):
-    """_read_table's header, X and y, parsed by forked children, or None.
-
-    The data lines, from the line after the header to the end, are cut into
-    one contiguous byte range per worker (_fork.processes, at most one per
-    _FORK_BYTES); each cut moves forward to just after the next b"\\n", so
-    every range holds whole lines as the text handle splits them, and whole
-    UTF-8 characters. Each child sends its range's rows (_send_rows). This
-    process parses no range: it allocates X and y once and reads each
-    child's feature cells and labels into their place, in order, so it
-    never holds a range's text or a second copy of the table.
-
-    None, and no result, for fewer than two workers or no feature column, and
-    wherever anything does not go as planned: a child that refuses its range
-    (a malformed file) or fails, a short read, an OSError or a byte that is
-    not UTF-8 up to the header's end. _read_table then reads the file in one
-    process, which names any fault as it always has.
-    """
+def _read_forked(fd: int, lo: int, hi: int, d: int, labelled: bool):
+    """_parse's X and y of bytes lo to hi of the file fd, parsed by one forked
+    child per range of whole lines (_cuts; _fork.processes workers, at most
+    one per _FORK_BYTES) and sent (_send_rows) into X and y in place; None
+    for fewer than two workers or no feature column, and wherever anything
+    does not go as planned: a child that refuses its range or fails, a
+    short read or an OSError."""
+    workers = _fork.processes((hi - lo) // _FORK_BYTES)
+    if workers < 2 or d < 1:
+        return None
+    cuts = _cuts(fd, lo, hi, workers)
+    senders = (functools.partial(_send_rows, fd, a, b, d, labelled)
+               for a, b in zip(cuts, cuts[1:]))
     try:
-        with open(path, "rb") as fh:
-            found = _header(fh)
-            if found is None:
+        with _fork.forked(senders) as children:
+            # BufferedReader.read and readinto stop short only at the end of the pipe
+            sent = [child.pipe.read(8) for child in children]
+            if any(len(n) != 8 for n in sent):
                 return None
-            header, start = found
-            end = os.fstat(fh.fileno()).st_size
-            workers = _fork.processes((end - start) // _FORK_BYTES)
-            d = len(header) - labelled
-            if workers < 2 or d < 1:
-                return None
-            cuts = [start]
-            for w in range(1, workers):
-                fh.seek(start + (end - start) * w // workers)
-                fh.readline()                   # to just after the next b"\n"
-                cuts.append(max(cuts[-1], fh.tell()))
-            cuts.append(end)
-            senders = (functools.partial(_send_rows, fh.fileno(), lo, hi, d, labelled)
-                       for lo, hi in zip(cuts, cuts[1:]))
-            with _fork.forked(senders) as children:
-                # BufferedReader.read and readinto stop short only at the end of the pipe
-                sent = [child.pipe.read(8) for child in children]
-                if any(len(n) != 8 for n in sent):
+            at = [0, *itertools.accumulate(int.from_bytes(n, sys.byteorder) for n in sent)]
+            X, y = np.empty((at[-1], d)), np.empty(at[-1] if labelled else 0)
+            # the bytes of flat views, so the buffer numpy exports is the view's
+            xb, yb = (memoryview(a.reshape(-1).view(np.uint8)) for a in (X, y))
+            for child, a, b in zip(children, at, at[1:]):
+                parts = xb[a * 8 * d:b * 8 * d], yb[a * 8:b * 8]
+                if any(child.pipe.readinto(p) != len(p) for p in parts) or child.wait():
                     return None
-                at = [0, *itertools.accumulate(int.from_bytes(n, sys.byteorder) for n in sent)]
-                if at[-1] == 0:
-                    return None
-                X, y = np.empty((at[-1], d)), np.empty(at[-1] if labelled else 0)
-                # the bytes of flat views, so the buffer numpy exports is the view's
-                xb, yb = (memoryview(a.reshape(-1).view(np.uint8)) for a in (X, y))
-                for child, lo, hi in zip(children, at, at[1:]):
-                    parts = xb[lo * 8 * d:hi * 8 * d], yb[lo * 8:hi * 8]
-                    if any(child.pipe.readinto(p) != len(p) for p in parts) or child.wait():
-                        return None
-        return header, X, (y if labelled else None)
+        return X, y
     except OSError:
         return None
 
 
-def _header(fh) -> tuple[list[str], int] | None:
-    """The header cells of the binary file fh, read from its start as
-    _read_table reads them, and the byte offset of the line after the
-    header; None for a file with no non-blank line or with a byte that is
-    not UTF-8 up to the header's end.
-
-    The file is read up to the header's b"\\n" only, and each piece it
-    reads is split where the universal-newline handle splits it, endings
-    kept (newline=""), so each line's UTF-8 length is its length in bytes;
-    a leading byte-order mark counts its three bytes and is dropped, as
-    utf-8-sig drops it."""
-    at = 0
-    for piece in fh:
-        try:
-            text = piece.decode("utf-8")
-        except UnicodeDecodeError:
-            return None
-        if at == 0 and text.startswith("\ufeff"):
-            text, at = text[1:], 3
-        for line in io.StringIO(text, newline=""):
-            at += len(line.encode("utf-8"))
-            if line.strip() != "":
-                return [h.strip() for h in line.rstrip("\r\n").split(",")], at
-    return None
-
-
 def _send_rows(fd: int, lo: int, hi: int, d: int, labelled: bool, fh) -> None:
-    """In a forked child: the non-blank lines of bytes lo to hi of the file
-    fd, split and decoded as the UTF-8 universal-newline handle does, as
-    n x (d + labelled) finite float64 rows, labels last if labelled. Writes
-    to fh n as 8 bytes, the rows' feature cells in copies of at most 2**16
-    cells, then any labels; raises DataFormatError, and writes nothing, where
-    the lines do not read as such a table. A range with no data rows sends
-    n = 0 without calling loadtxt, which warns on empty input."""
-    raw = os.pread(fd, hi - lo, lo)
-    if len(raw) != hi - lo:
-        raise DataFormatError("the file changed while it was read")
-    lines = (ln for ln in io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")
-             if ln.strip() != "")
-    first = next(lines, None)
-    data = (np.empty((0, d + labelled)) if first is None
-            else _table(itertools.chain([first], lines), d + labelled))
-    if data is None:
-        raise DataFormatError("the range does not read as a table")
-    fh.write(len(data).to_bytes(8, sys.byteorder))
-    rows = max(1, 2 ** 16 // d)
-    for i in range(0, len(data), rows):
-        fh.write(np.ascontiguousarray(data[i:i + rows, :d]))
-    fh.write(np.ascontiguousarray(data[:, d:]))             # the labels, if any
+    """In a forked child: _parse's X and y of bytes lo to hi of the file fd,
+    written to fh as n in 8 bytes, X's n x d cells, then any labels. A range
+    that does not read as such rows raises, and nothing is written."""
+    X, y = _parse(fd, lo, hi, d, labelled)
+    fh.write(len(X).to_bytes(8, sys.byteorder))
+    fh.write(X)
+    fh.write(y)
 
 
 def load_tabular(path, has_labels: bool = False) -> TabularDataset:
@@ -394,16 +380,29 @@ def load_tabular(path, has_labels: bool = False) -> TabularDataset:
     '_' between digits ('1_0') and non-ASCII digits ('١٢', '１'); 'nan',
     'inf' and '1e400' parse but are refused as non-finite.
 
-    A large file is parsed by forked processes, one per core, each reading
-    a range of whole lines (see _read_forked); the arrays and every error
-    message do not depend on their number. The dataset adopts the X and y
-    the parse allocated, made read-only and not copied: nothing else holds them.
+    The file is opened once and its rows parsed in chunks of whole lines
+    straight into X and y (_parse), by forked processes, one per core, for
+    a large file (_read_forked). The arrays and every error message depend
+    on neither. The dataset adopts X and y, read-only and not copied.
     """
-    header, X, y = _read_table(path, has_labels)
+    with open(path, "rb") as fh:
+        try:
+            header, start, line = _header(fh, path)
+            fd, d = fh.fileno(), len(header) - has_labels
+            end = os.fstat(fd).st_size
+            X, y = (_read_forked(fd, start, end, d, has_labels)
+                    or _parse(fd, start, end, d, has_labels, line + 1))
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        except _Refused as exc:
+            raise _refusal(path, header, *exc.args) from None
+    if len(X) == 0:
+        raise DataFormatError(f"{path}: no data rows")
     if has_labels and len(header) < 2:
         raise DataFormatError(f"{path}: need at least one feature column plus labels")
     data = object.__new__(TabularDataset)
-    data.__dict__.update(X=X, y=y, names=tuple(header[:-1] if has_labels else header))
+    data.__dict__.update(X=X, y=y if has_labels else None,
+                         names=tuple(header[:-1] if has_labels else header))
     data.__post_init__(copy=False)
     return data
 

@@ -25,7 +25,8 @@ artifacts from the whole table of Q = firm_values, as the package did
 before it took Q a row or a cell at a time; written_poim_tsv gives the
 bytes that the package streams to poim.tsv, for comparison with them.
 parse_tabular states load_tabular's grammar one cell at a time with
-Python float, less the forms np.loadtxt refuses.
+Python float, less the forms np.loadtxt refuses. random_pd_cov draws the
+covariances of the normal-model tests.
 """
 
 import itertools
@@ -193,6 +194,15 @@ def shrinkage_with_squared_copy(X):
     off = ~np.eye(d, dtype=bool)
     lam = float(np.clip(var_s[off].sum() / (S[off] ** 2).sum(), 0.0, 1.0))
     return (1.0 - lam) * S + lam * np.diag(np.diag(S)), lam
+
+
+def random_pd_cov(rng, d, max_cond=100.0):
+    """A random d x d covariance: a random rotation of eigenvalues drawn
+    log-uniformly from [1, max_cond], so its condition number is at most
+    max_cond."""
+    Q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    eig = np.exp(rng.random(d) * np.log(max_cond))
+    return (Q * eig) @ Q.T
 
 
 def expected_score(scorer, letter_prob=None):

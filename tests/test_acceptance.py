@@ -28,8 +28,8 @@ from firm.cli import main
 
 from helpers import (all_pm1_rows, brute_firm_binary, enum_conditional_score,
                      enum_expected_score, expected_score, firm_regression_closed_form,
-                     firm_uniform_conjunction, kmer_scorer, mc_firm, string_prob,
-                     uniform_probs)
+                     firm_uniform_conjunction, kmer_scorer, mc_firm, random_pd_cov,
+                     string_prob, uniform_probs)
 
 
 def ok(num, name, extra=""):
@@ -49,12 +49,6 @@ def random_pm1_datasets(count=100, seed=1234):
             continue
         out.append((X, rng.normal(size=d), float(rng.normal())))
     return out
-
-
-def random_pd_cov(rng, d, max_cond=100.0):
-    Q, _ = np.linalg.qr(rng.normal(size=(d, d)))
-    eig = np.exp(rng.random(d) * np.log(max_cond))
-    return (Q * eig) @ Q.T
 
 
 def supplied(sigma):

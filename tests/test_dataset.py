@@ -1,7 +1,9 @@
 """Loading, validation, and covariance estimation."""
 
+import builtins
 import inspect
 import io
+import math
 import os
 import signal
 import sys
@@ -166,7 +168,8 @@ class TestParserAgreement:
                 == outcome(lambda: reference_parse(p, has_labels)))
 
     def test_well_formed_file_takes_fast_path(self, tmp_path, monkeypatch):
-        """One loadtxt call over the open file, not over a list of its lines."""
+        """One loadtxt call over the file's lines as they stream, not over a
+        list of them."""
         rng = np.random.default_rng(8)
         ds = TabularDataset(X=rng.normal(size=(30, 4)), y=rng.normal(size=30),
                             names=("a", "b", "c", "d"))
@@ -179,21 +182,56 @@ class TestParserAgreement:
         assert list(back.names) + ["label"] == header
         assert np.column_stack([back.X, back.y]).tobytes() == data.tobytes()
 
+    def test_whitespace_line_keeps_the_one_call(self, tmp_path, monkeypatch):
+        """A whitespace-only line is skipped like an empty one: the lines
+        around it are still one loadtxt call."""
+        p = write(tmp_path, "d.csv", "a,b\n1,2\n \n3,4\n")
+        calls = loadtxt_calls(monkeypatch)
+        got = outcome(lambda: loaded(p, False))
+        assert len(calls) == 1
+        assert got == outcome(lambda: reference_parse(p, False))
+
     @pytest.mark.parametrize("text", [
         "a,b\n1,1_0\n",            # Python float reads the cell, loadtxt does not
-        "a,b\n1,2\n \n3,4\n",      # whitespace-only line
         "a,b\n1,inf\n",             # non-finite
         "a,b\n1,2\n3\n",            # ragged
         "a,b\n\n\n",                # no data rows
-    ], ids=["underscore", "whitespace-line", "inf", "ragged", "header-only"])
+    ], ids=["underscore", "inf", "ragged", "header-only"])
     def test_fast_path_defers(self, tmp_path, monkeypatch, text):
-        """Not the one loadtxt call: the file is read again (or, with no
-        data row, not given to loadtxt), and the outcome is the oracle's."""
+        """Not the one loadtxt call: the chunk's lines are bisected and the
+        faulty line's cells read one at a time (or, with no data row,
+        nothing is given to loadtxt), and the outcome is the oracle's."""
         p = write(tmp_path, "d.csv", text)
         calls = loadtxt_calls(monkeypatch)
         got = outcome(lambda: loaded(p, False))
         assert len(calls) != 1
         assert got == outcome(lambda: reference_parse(p, False))
+
+    def test_malformed_file_is_read_once(self, tmp_path, monkeypatch):
+        """A bad cell near the end of 3000 lines: the file is opened once,
+        each chunk up to the faulty one is one loadtxt call, bisection runs
+        over that chunk's lines alone and one more call finds the cell."""
+        rows = [f"{i:05d},{i + 1:05d}" for i in range(3000)]
+        rows[2900] = "xxxxx,02901"
+        p = write(tmp_path, "d.csv", "a,b\n" + "\n".join(rows) + "\n")
+        spread_forks(monkeypatch, cores=1)
+        calls, opened, real_open = loadtxt_calls(monkeypatch), [], open
+
+        def spy(file, *args, **kw):
+            opened.append(file)
+            return real_open(file, *args, **kw)
+
+        monkeypatch.setattr(builtins, "open", spy)
+        with pytest.raises(DataFormatError) as info:
+            load_tabular(p)
+        monkeypatch.undo()
+        assert str(info.value) == ("cell at line 2902, column 'a' does not parse as a "
+                                   "number: 'xxxxx'")
+        assert opened.count(p) == 1
+        data_bytes = 12 * 3000
+        chunks = min(64, data_bytes // firm.dataset._CHUNK_BYTES)
+        lines_per_chunk = -(-data_bytes // chunks) // 12 + 1
+        assert len(calls) <= chunks + math.ceil(math.log2(lines_per_chunk)) + 1
 
     @pytest.mark.parametrize("cell", ["1_0", "1e1_0", "\u0661\u0662", "\uff11"],
                              ids=["underscore", "underscore-exponent", "arabic-indic",
@@ -266,6 +304,10 @@ class TestForkedParse:
             pids, _ = spread_forks(mp, cores=1)
             one = outcome(lambda: loaded(p, has_labels))
             assert pids == []
+        with pytest.MonkeyPatch.context() as mp:        # chunks of a line or a few
+            spread_forks(mp, cores=1)
+            mp.setattr(firm.dataset, "_CHUNK_BYTES", 1)
+            assert outcome(lambda: loaded(p, has_labels)) == one
         for cores in (2, 3, 4):
             with pytest.MonkeyPatch.context() as mp:
                 pids, may_fork = spread_forks(mp, cores)

@@ -7,19 +7,12 @@ from firm import (CovarianceEstimate, DegenerateFeatureError, FirmError,
                   KernelExpansionScorer, KernelSpec, LinearScorer, TabularDataset,
                   firm_gaussian_general, sensitivity_index, train_least_squares)
 
-from helpers import firm_regression_closed_form, kernel_gradient_at, kmer_scorer, mc_firm
+from helpers import (firm_regression_closed_form, kernel_gradient_at, kmer_scorer, mc_firm,
+                     random_pd_cov)
 
 
 def model_from(sigma):
     return CovarianceEstimate(sigma=np.asarray(sigma, dtype=float), method="supplied")
-
-
-def random_pd_cov(rng, d, max_cond=100.0):
-    """Random PD covariance with bounded condition number."""
-    Q, _ = np.linalg.qr(rng.normal(size=(d, d)))
-    lo = 1.0
-    eig = lo * np.exp(rng.random(d) * np.log(max_cond))
-    return (Q * eig) @ Q.T
 
 
 class TestGaussianLinear:
