@@ -22,10 +22,11 @@ their join at once. `write_artifacts` encodes and writes each text in
 slices of _WRITE_CHARS characters, so no encoded copy of a whole text is
 made.
 
-`poim_tsv` formats a large table on every core. Its positions are cut into
-contiguous ranges, one per worker: this process formats the first, one
-position's text at a time, while a child forked by firm._fork formats each
-other range into one str and then sends it, UTF-8, over a pipe. After its
+`poim_tsv` computes and formats a large table on every core. Its positions
+are cut into contiguous ranges, one per worker: this process computes and
+formats the first, one position's row and text at a time, while a child
+forked by firm._fork computes the rows of each other range, formats them
+into one str and then sends it, UTF-8, over a pipe. After its
 own positions, this process yields each child's bytes, in order, as read
 from the pipe, _PIPE_BYTES at a time, so it holds one position's text or
 one read. The worker count is derived, never set (_fork.processes): one
@@ -150,28 +151,29 @@ def poim_tsv(table):
     only with the first. k and the position are 0-stride views, so tsv
     writes them once per call as a line prefix; every call reads the one
     array of nz label strings, which itertools.product over the alphabet
-    gives in index order, and Q is taken one position's row at a time, so
-    no column is as long as the table.
+    gives in index order, and Q' is computed one position's row at a time
+    (PoimTable.row), so no column is as long as the table.
 
     The positions are cut into _fork.processes contiguous ranges. This
     process yields the first range a position at a time while a forked
-    child formats each other range (see _send_text), then each child's
+    child computes and formats each other range (see _send_text), so each
+    process computes its own positions' rows; then this yields each child's
     bytes in order (see _child_bytes). A child that fails raises FirmError
     here. On any exception, and when the generator is closed, every child
     still running is killed and reaped, so none outlives it.
     """
-    values, factor = table.values, table.factor
-    npos, nz = values.shape
+    npos, nz = table.positions, table.factor.size
     labels = np.array(["".join(z) for z in itertools.product(table.alphabet, repeat=table.k)],
                       dtype=object)
     k = np.broadcast_to(table.k, nz)
 
     def positions(lo, hi):
         for j in range(lo, hi):
+            q_prime = table.row(j)
             yield tsv(None if j else ["k", "position", "oligomer", "q_prime", "q"],
-                      [k, np.broadcast_to(j, nz), labels, values[j], values[j] * factor])
+                      [k, np.broadcast_to(j, nz), labels, q_prime, q_prime * table.factor])
 
-    workers = _fork.processes(min(values.size // _FORK_CELLS, npos))
+    workers = _fork.processes(min(npos * nz // _FORK_CELLS, npos))
     bounds = [npos * w // workers for w in range(workers + 1)]
     ranges = list(zip(bounds[1:-1], bounds[2:]))
     senders = (functools.partial(_send_text, positions(lo, hi)) for lo, hi in ranges)
@@ -204,12 +206,13 @@ def _child_bytes(child, what: str):
 
 
 def poim_summary_tsv(table) -> str:
-    """The largest and the mean |Q| at each position of a POIM table, read a
-    row at a time: |Q'| scaled in place, which is |Q'·factor| bit for bit
+    """The largest and the mean |Q| at each position of a POIM table, computed
+    a row at a time: |Q'| scaled in place, which is |Q'·factor| bit for bit
     because the factor is positive."""
     peak, mean = np.empty(table.positions), np.empty(table.positions)
-    for j, row in enumerate(table.values):
-        absq = np.abs(row)
+    for j in range(table.positions):
+        absq = table.row(j)
+        np.abs(absq, out=absq)
         absq *= table.factor
         peak[j], mean[j] = absq.max(), absq.mean()
     return tsv(["position", "max_abs_q", "mean_abs_q"], [np.arange(table.positions), peak, mean])

@@ -99,8 +99,10 @@ def conditional_curve(scores, fvals, bins: int) -> ConditionalScoreCurve:
         targets = (n * np.arange(1, bins)) // bins
         # move each boundary to the start of the next distinct value
         pos = np.searchsorted(change, targets, side="left")
-        keep = pos < change.size
-        bounds = np.unique(change[pos[keep]])
+        # already sorted, so dropping repeats needs no np.unique (which
+        # loads numpy.ma)
+        bounds = change[pos[pos < change.size]]
+        bounds = bounds[np.diff(bounds, prepend=-1) != 0]
     starts = np.concatenate([[0], bounds])
     stops = np.concatenate([bounds, [n]])
     counts = stops - starts

@@ -170,6 +170,16 @@ def weight_importance(scorer, strings) -> np.ndarray:
     return best
 
 
+def poim_columns(table, groups) -> list[np.ndarray]:
+    """Q of each string at each position, one strings x positions array per
+    group of strings (all of length table.k), from one pass over the rows."""
+    idx = np.array([table.oligomer_index(z) for strings in groups for z in strings], dtype=int)
+    q, factor = np.empty((len(idx), table.positions)), table.factor[idx]
+    for j in range(table.positions):
+        q[:, j] = table.row(j)[idx] * factor
+    return np.split(q, np.cumsum([len(strings) for strings in groups])[:-1])
+
+
 def sequence_experiment(seed: int = 42, n_per_class: int = 500, seq_len: int = 50):
     """Importances of MOTIF, its Hamming-distance 1 and 2 neighbours and
     N_IRRELEVANT strings unlike it everywhere: POIM (k = len(MOTIF)) against weights."""
@@ -187,25 +197,16 @@ def sequence_experiment(seed: int = 42, n_per_class: int = 500, seq_len: int = 5
     irrelevant = ["".join(rng.choice(choices) for choices in others)
                   for _ in range(N_IRRELEVANT)]
 
-    def poim_rows(strings):
-        """Q of each string at each position: the rows of firm_values.T,
-        taking only the strings' columns of the table."""
-        idx = [table.oligomer_index(z) for z in strings]
-        return table.values.T[idx] * table.factor[idx, None]
+    def summary(irr, exact, ed1, ed2):
+        return {"exact": exact[0], "ed1_mean": ed1.mean(axis=0), "ed2_mean": ed2.mean(axis=0),
+                "irrelevant_mean": irr.mean(axis=0), "irrelevant_sd": irr.std(axis=0)}
 
-    series, artifacts = {}, {}
-    for tag, importance in (
-            ("poim", poim_rows),
-            ("weight", lambda strings: weight_importance(scorer, strings))):
-        irr = importance(irrelevant)
-        series[tag] = {
-            "exact": importance([MOTIF])[0],
-            "ed1_mean": importance(ed1).mean(axis=0), "ed2_mean": importance(ed2).mean(axis=0),
-            "irrelevant_mean": irr.mean(axis=0), "irrelevant_sd": irr.std(axis=0)}
-        artifacts[f"{tag}_series.tsv"] = _emit.tsv(
-            ["position", "exact_motif", "ed1_mean", "ed2_mean",
-             "irrelevant_mean", "irrelevant_sd"],
-            [np.arange(table.positions), *series[tag].values()])
+    groups = (irrelevant, [MOTIF], ed1, ed2)
+    series = {"poim": summary(*poim_columns(table, groups)),
+              "weight": summary(*(weight_importance(scorer, g) for g in groups))}
+    artifacts = {f"{tag}_series.tsv": _emit.tsv(
+        ["position", "exact_motif", "ed1_mean", "ed2_mean", "irrelevant_mean", "irrelevant_sd"],
+        [np.arange(table.positions), *series[tag].values()]) for tag in series}
 
     # block row maxima; no degree-d substring starts in the last d - 1 positions
     max_w = np.max([np.pad(np.abs(scorer.block(d)).reshape(seq_len - d + 1, -1).max(axis=1),

@@ -340,7 +340,8 @@ class PositionalKmerScorer:
     sums the weight of every substring incident in x, plus the bias. Only
     this module knows the layout: _kmer_windows maps sequences to their
     top-degree windows, _fold and _unfold map weights to window cells and
-    back, and block(k) views one degree as (length - k + 1, A, ..., A).
+    back (sequence.poim reads the model as its _fold window table), and
+    block(k) views one degree as (length - k + 1, A, ..., A).
     """
 
     alphabet: tuple[str, ...]

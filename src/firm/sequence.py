@@ -7,14 +7,19 @@ None), the table entry for substring z at position j is
     Q'(z, j) = E[s(X) | X[j..j+k) = z] - E[s(X)],
 
 computed exactly by splitting every scored substring into the part pinned
-by the conditioning window and the part still free. A weight on substring
-y at position i overlaps the window when j - |y| < i < j + k; any other
-weight cancels. The scorer's weights are read per degree as (position,
-letter, ...) blocks. Tables follow the scorer's alphabet order and store
-Q' once, one row per position; the rescaled Q(z, j) = Q'(z, j) *
-sqrt((1 - p_z) / p_z), derived from it, makes slices with different
-oligomer probabilities comparable. Under a uniform background the factor
-is constant per slice, so it never changes within-slice rankings.
+by the conditioning window and the part still free. The scorer is read as
+its window table _fold(w): M = L - K + 1 windows of its top degree K, whose
+cells sum to the score, so it is one degree-K model. Window m overlaps the
+window of position j when j - K < m < j + k, at offset o = m - j; any other
+window cancels. Per offset, each window's letters outside position j's
+window are contracted with p once, and its mean under p taken off.
+
+A table stores those contractions, not its cells: row(j) sums the k + K - 1
+that reach position j, so Q' is held a row at a time, and only `values`
+builds the whole table. Tables follow the scorer's alphabet order; the
+rescaled Q(z, j) = Q'(z, j) * sqrt((1 - p_z) / p_z) makes slices with
+different oligomer probabilities comparable. Under a uniform background the
+factor is constant per slice, so it never changes within-slice rankings.
 
 The conditioning length k may exceed the scorer's substring degree: the
 importance of longer, never-scored features is exactly what the table is
@@ -31,41 +36,78 @@ import numpy as np
 
 from .dataset import _frozen
 from .errors import DEFAULT_CELL_BUDGET, BudgetExceededError, FirmError
-from .scoring import PositionalKmerScorer
+from .scoring import PositionalKmerScorer, _fold
 
 
 @dataclass(frozen=True, eq=False)
 class PoimTable:
     """Importance of every length-k oligomer at every position.
 
-    values[j, zi] holds the conditional-mean shift Q' at position j for
-    the oligomer with index zi (base-|alphabet| encoding, leftmost symbol
+    row(j) is a new array of the conditional-mean shift Q' at position j
+    for every oligomer, by index (base-|alphabet| encoding, leftmost symbol
     most significant; oligomer_index(z) gives it). factor[zi] is
-    sqrt((1 - p_z) / p_z) with p_z the oligomer's background probability,
-    and firm_values derives the rescaled Q = values * factor as a new
-    table-sized array; the package's readers of Q take it a row, a column
-    or a cell at a time instead. values and factor are read-only copies the
-    table owns, so no caller's array aliases them. An index or a symbol
+    sqrt((1 - p_z) / p_z) with p_z the oligomer's background probability.
+
+    The table holds terms, not cells. A term (o, start, cells) holds a
+    (rows, A, ..., A) array; it gives row j its cells[j + o], when j + o is
+    one of its rows, over the window letters start, start + 1, ... that its
+    letter axes cover, broadcast over the others. row(j) adds those terms
+    to -0.0, the additive identity, so a one-term table's rows are its
+    values bit for bit. poim's terms are its window contractions, and
+    from_values(...) makes the table of one term, the given values. factor
+    and the terms' cells are read-only copies the table owns, so no
+    caller's array aliases them. values builds the whole table of Q' as a
+    new read-only array, and firm_values the rescaled Q = values * factor;
+    the package reads rows instead. An index, a symbol or a position
     outside the table raises FirmError.
     """
 
     k: int
     length: int
     alphabet: tuple[str, ...]
-    values: np.ndarray        # (length - k + 1, |alphabet|^k)
     factor: np.ndarray        # (|alphabet|^k,)
+    terms: tuple[tuple[int, int, np.ndarray], ...]
 
     def __post_init__(self):
-        for name in ("values", "factor"):
-            object.__setattr__(self, name, _frozen(getattr(self, name)))
+        object.__setattr__(self, "factor", _frozen(self.factor))
+        object.__setattr__(self, "terms", tuple((o, start, _frozen(cells))
+                                                for o, start, cells in self.terms))
 
-    @property
-    def firm_values(self) -> np.ndarray:
-        return self.values * self.factor
+    @classmethod
+    def from_values(cls, k: int, length: int, alphabet, values, factor) -> PoimTable:
+        """The table whose rows are the given (length - k + 1, |alphabet|^k) values."""
+        alphabet, values = tuple(alphabet), np.asarray(values, dtype=np.float64)
+        if values.shape != (length - k + 1, len(alphabet) ** k):
+            raise FirmError(f"values must have shape ({length - k + 1}, "
+                            f"{len(alphabet) ** k}), got {values.shape}")
+        return cls(k=k, length=length, alphabet=alphabet, factor=factor,
+                   terms=((0, 0, values.reshape((len(values),) + (len(alphabet),) * k)),))
 
     @property
     def positions(self) -> int:
         return self.length - self.k + 1
+
+    def row(self, j: int) -> np.ndarray:
+        """Q'(., j), a new (|alphabet|^k,) array."""
+        if not 0 <= j < self.positions:
+            raise FirmError(f"position {j} is outside [0, {self.positions})")
+        out = np.full((len(self.alphabet),) * self.k, -0.0)
+        for o, start, cells in self.terms:
+            if 0 <= j + o < len(cells):
+                out += cells[j + o].reshape(cells.shape[1:]
+                                            + (1,) * (self.k - start - cells.ndim + 1))
+        return out.ravel()
+
+    @property
+    def values(self) -> np.ndarray:
+        out = np.empty((self.positions, self.factor.size))
+        for j in range(self.positions):
+            out[j] = self.row(j)
+        return _frozen(out, copy=False)
+
+    @property
+    def firm_values(self) -> np.ndarray:
+        return self.values * self.factor
 
     def oligomer_index(self, z: str) -> int:
         if len(z) != self.k:
@@ -105,47 +147,46 @@ def _string_probs(p: np.ndarray, m: int) -> np.ndarray:
     return reduce(np.multiply.outer, [p] * m, np.ones(())).ravel()
 
 
-def poim(scorer: PositionalKmerScorer, k: int, letter_prob: dict | None = None) -> PoimTable:
-    """Exact position-major table of conditional-mean shifts for all length-k
-    oligomers, in the scorer's alphabet order, under the background
-    letter_prob (_letter_probs); past DEFAULT_CELL_BUDGET cells, BudgetExceededError.
+def _factor(p: np.ndarray, k: int) -> np.ndarray:
+    """sqrt((1 - p_z) / p_z) for every length-k oligomer z, made beside one p_z."""
+    p_z = _string_probs(p, k)
+    factor = 1.0 - p_z
+    factor /= p_z
+    return np.sqrt(factor, out=factor)
 
-    Per degree and offset o = i - j of the weights overlapping window j,
-    letters of y inside the window index the window's letter axes and those
-    outside are contracted with p; the window's sum of w p(y) is taken off.
+
+def poim(scorer: PositionalKmerScorer, k: int, letter_prob: dict | None = None) -> PoimTable:
+    """Exact table of conditional-mean shifts for all length-k oligomers, in
+    the scorer's alphabet order, under the background letter_prob
+    (_letter_probs), held as its window contractions (see the module
+    docstring); past DEFAULT_CELL_BUDGET cells, BudgetExceededError.
+
+    Per offset o = m - j, the letters of window m inside position j's
+    window index a term's letter axes and those outside are contracted with
+    p; the window's mean under p is taken off. Each offset's term holds all
+    M windows, so the table holds at most M * (k + K - 1) * |alphabet|^K
+    cells, whatever the table's size.
     """
     p = _letter_probs(scorer, letter_prob)
-    A, L = len(p), scorer.length
+    A, L, K = len(p), scorer.length, scorer.max_degree
     if not 1 <= k <= L:
         raise FirmError(f"k must lie in [1, {L}]")
     npos = L - k + 1
     if npos * A ** k > DEFAULT_CELL_BUDGET:
         raise BudgetExceededError(
             f"table would need {npos * A ** k} cells; budget is {DEFAULT_CELL_BUDGET}")
-    p_z = _string_probs(p, k)
-    # The table's own frozen zeros, filled in place: the only table-sized array.
-    table = PoimTable(k=k, length=L, alphabet=scorer.alphabet,
-                      values=np.broadcast_to(0.0, (npos, A ** k)),
-                      factor=np.sqrt((1.0 - p_z) / p_z))
-    table.values.setflags(write=True)
-    out = table.values.reshape((npos,) + (A,) * k)     # one letter axis per window position
-    const = np.zeros(npos)
-    for d in range(1, scorer.max_degree + 1):
-        W = scorer.block(d)
-        for o in range(1 - d, k):
-            lo, hi = max(0, -o), min(d, k - o)      # the letters of y inside the window
-            # the windows j with 0 <= j + o <= L - d, from j = lo on; a slice, so
-            # out[sel] is a view
-            sel = slice(lo, max(lo, min(npos, L - d - o + 1)))
-            V = W[lo + o:sel.stop + o].reshape(-1, A ** lo, A ** (hi - lo), A ** (d - hi))
-            inside = np.einsum("nlmr,l,r->nm", V, _string_probs(p, lo),
-                               _string_probs(p, d - hi))
-            const[sel] += inside @ _string_probs(p, hi - lo)
-            out[sel] += inside.reshape((-1,) + (1,) * (o + lo) + (A,) * (hi - lo)
-                                       + (1,) * (k - o - hi))
-    out -= const.reshape((-1,) + (1,) * k)
-    table.values.setflags(write=False)
-    return table
+    T = _fold(scorer.weights, A, L, K)
+    M = len(T)
+    mean = T @ _string_probs(p, K)
+    terms = []
+    for o in range(1 - K, k):
+        lo, hi = max(0, -o), min(K, k - o)      # the letters of window j + o inside j's
+        inside = np.einsum("mlir,l,r->mi", T.reshape(M, A ** lo, A ** (hi - lo), -1),
+                           _string_probs(p, lo), _string_probs(p, K - hi))
+        inside -= mean[:, None]
+        terms.append((o, o + lo, inside.reshape((M,) + (A,) * (hi - lo))))
+    return PoimTable(k=k, length=L, alphabet=scorer.alphabet, factor=_factor(p, k),
+                     terms=tuple(terms))
 
 
 def ranked_oligomers(table: PoimTable, top: int) -> list[tuple[str, int, float]]:
@@ -153,30 +194,32 @@ def ranked_oligomers(table: PoimTable, top: int) -> list[tuple[str, int, float]]
 
     Ties break lexicographically by (position, oligomer), so the order is
     deterministic even for all-zero tables. A negative top is an error.
-    |Q| is read a position's row at a time: each row gives its first top
-    cells in that order, and one stable sort of those candidates, rows in
-    position order, selects the top cells of the whole table.
+    Q is taken a row at a time: each row gives its first top cells in that
+    order, with their signed Q, and one stable sort of those candidates,
+    rows in position order, selects the top cells of the whole table.
     """
     if top < 0:
         raise FirmError(f"top must be >= 0, got {top}")
     if top == 0:
         return []
-    cells, mags = [], []
-    for j, row in enumerate(table.values):
-        mag = np.abs(row)
-        mag *= table.factor     # |Q'·factor| bit for bit: the factor is positive
-        # only cells at or above the row's top-th largest magnitude can rank
-        kth = max(mag.size - top, 0)
-        cand = np.flatnonzero(mag >= np.partition(mag, kth)[kth])
-        cand = cand[np.argsort(-mag[cand], kind="stable")[:top]]
-        cells.append(j * mag.size + cand)
-        mags.append(mag[cand])
-    cells, mags = np.concatenate(cells), np.concatenate(mags)
-    out = []
-    for flat in cells[np.argsort(-mags, kind="stable")[:top]]:
-        j, zi = divmod(int(flat), table.factor.size)
-        out.append((table.oligomer(zi), j, float(table.values[j, zi] * table.factor[zi])))
-    return out
+    cells, qs = map(np.concatenate, zip(*[_row_top(table, j, top)
+                                          for j in range(table.positions)]))
+    order = np.argsort(-np.abs(qs), kind="stable")[:top]
+    return [(table.oligomer(int(flat) % table.factor.size), int(flat) // table.factor.size,
+             float(value)) for flat, value in zip(cells[order], qs[order])]
+
+
+def _row_top(table: PoimTable, j: int, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """The flat cells of row j's first top cells by |Q|, ties in oligomer
+    order, and their signed Q; the row is freed on return."""
+    q = table.row(j)
+    q *= table.factor
+    mag = np.abs(q)
+    # only cells at or above the row's top-th largest magnitude can rank
+    kth = max(mag.size - top, 0)
+    cand = np.flatnonzero(mag >= np.partition(mag, kth)[kth])
+    cand = cand[np.argsort(-mag[cand], kind="stable")[:top]]
+    return j * mag.size + cand, q[cand]
 
 
 def hamming_ball(z: str, distance: int, alphabet: tuple[str, ...]) -> list[str]:

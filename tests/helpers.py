@@ -3,7 +3,9 @@
 Everything here recomputes expected values from first principles (brute
 force, enumeration, finite differences, per-point formulas, sampling)
 without touching the production code paths under test; scores come from
-score_many, the one evaluation method every scorer has. kmer_scorer and kmer_weight only place
+score_many, the one evaluation method every scorer has, except in
+enum_poim_table, which sums k-mer weights itself because poim reads the
+window table that score_many reads. kmer_scorer and kmer_weight only place
 and read positional k-mer weights with the package's layout, so tests can
 state a scorer as a {(position, substring): weight} dict, and save_tabular
 writes the CSV files that the parser tests read. The one
@@ -279,6 +281,29 @@ def enum_conditional_score(scorer, alphabet, length, letter_prob, z, j):
         num += p * score
         den += p
     return num / den
+
+
+def enum_poim_table(scorer, k, letter_prob):
+    """Q'(z, j) = E[s | X[j..j+k) = z] - E[s] for every position j and
+    oligomer z (index order), by exhaustive enumeration of all sequences
+    under independent letters. Each score is summed from the weights read
+    per degree through block, not from the window table that score_many
+    and poim read."""
+    A, L = len(scorer.alphabet), scorer.length
+    codes = np.array(list(itertools.product(range(A), repeat=L)), dtype=np.intp).reshape(-1, L)
+    prob = np.prod(np.array([letter_prob[a] for a in scorer.alphabet])[codes], axis=1)
+    scores = np.full(len(codes), scorer.b)
+    for d in range(1, scorer.max_degree + 1):
+        block = scorer.block(d)
+        for i in range(L - d + 1):
+            scores += block[(i, *codes[:, i:i + d].T)]
+    mean = prob @ scores
+    table = np.empty((L - k + 1, A ** k))
+    for j in range(L - k + 1):
+        z = np.ravel_multi_index(tuple(codes[:, j:j + k].T), (A,) * k)
+        table[j] = (np.bincount(z, prob * scores, A ** k) / np.bincount(z, prob, A ** k)
+                    - mean)
+    return table
 
 
 def kmer_scorer(alphabet, length, max_degree, weights, b=0.0):

@@ -875,3 +875,26 @@ def test_command_runs_one_blas_thread_unless_told_otherwise(tmp_path):
         assert runs["unset", name][1] == runs["1", name][1]
         assert runs["2", name][0][0] == "2"
     assert runs["2", "poim"][1]["poim.tsv"] == runs["1", "poim"][1]["poim.tsv"]
+
+
+def test_empirical_run_leaves_numpy_ma_unloaded(tmp_path):
+    """`analyze --method empirical` loads no numpy.ma: the binning drops
+    repeated bounds itself, where np.unique would import numpy.ma, about
+    1.2-1.5 MB of a run's resident memory. Half of column c2 is one value,
+    so boundaries collide inside its tie run and repeats are dropped."""
+    rng = np.random.default_rng(22)
+    X = rng.normal(size=(400, 2))
+    X[rng.random(400) < 0.5, 1] = 0.0
+    write_csv(tmp_path / "d.csv", X, X @ [1.0, -1.0] + rng.normal(size=400))
+    script = ("import sys\nfrom firm.cli import main\ncode = main(sys.argv[1:])\n"
+              "print('numpy.ma' in sys.modules)\nsys.exit(code)\n")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(firm.__file__))}
+    proc = subprocess.run([sys.executable, "-c", script, "analyze", "--input",
+                           str(tmp_path / "d.csv"), "--method", "empirical", "--scorer",
+                           "train:least_squares", "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
+    curves = {name: read_tsv(tmp_path / "out" / "curves" / f"{name}.tsv")[1]
+              for name in ("c1", "c2")}
+    assert len(curves["c1"]) == 20 > len(curves["c2"])     # default_bins(400) = 20

@@ -768,7 +768,8 @@ class TestValidation:
      [[0.0, 1.0], [1.0, 0.0]]),
     (lambda a: ConditionalScoreCurve(bin_edges=a, bin_prob=[0.5, 0.5], q_hat=[0.0, 1.0],
                                      counts=[1, 1]), "bin_edges", [0.0, 1.0, 2.0]),
-    (lambda a: PoimTable(k=1, length=2, alphabet=("0", "1"), values=a, factor=np.ones(2)),
+    (lambda a: PoimTable.from_values(k=1, length=2, alphabet=("0", "1"), values=a,
+                                     factor=np.ones(2)),
      "values", [[0.5, -0.5], [0.25, -0.25]]),
 ], ids=["TabularDataset", "LinearScorer", "KernelExpansionScorer", "ConditionalScoreCurve",
         "PoimTable"])

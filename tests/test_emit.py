@@ -89,8 +89,8 @@ class TestPoimTsv:
         rng = np.random.default_rng(11)
         values = rng.normal(size=(6, 16)) * rng.exponential(size=(1, 16))
         values[2, 3] = -0.0
-        table = PoimTable(k=2, length=7, alphabet=DNA, values=values,
-                          factor=np.full(16, np.sqrt(15.0)))
+        table = PoimTable.from_values(k=2, length=7, alphabet=DNA, values=values,
+                                      factor=np.full(16, np.sqrt(15.0)))
         rows = []
         for j in range(table.positions):
             for zi in range(table.values.shape[1]):
@@ -166,11 +166,14 @@ class TestPoimArtifactsFromRows:
     bytes are those of the formulas on the whole firm_values table."""
 
     def test_no_reader_builds_the_whole_table(self, monkeypatch):
+        """Neither Q' (values) nor Q (firm_values) is built whole by a reader,
+        nor by the sequence study."""
         def whole(table):
-            raise AssertionError("firm_values built")
+            raise AssertionError("the whole table built")
 
         table = poim(kmer_scorer(DNA, 6, 2, {(1, "CG"): 0.5, (3, "T"): -0.25}), k=3)
         monkeypatch.setattr(PoimTable, "firm_values", property(whole))
+        monkeypatch.setattr(PoimTable, "values", property(whole))
         written_poim_tsv(table)
         _emit.poim_summary_tsv(table)
         ranked_oligomers(table, top=5)

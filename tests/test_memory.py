@@ -18,10 +18,12 @@ streams `poim_tsv`'s chunks to the file, so the peak while it writes
 `poim.tsv`, one worker or three, is held to eight positions' texts and one
 pipe read, about 0.23 x the k = 5 text, whatever the table's size; holding
 the text, a range of it, or a column as long as the table fails here.
-The POIM readers of Q (`ranked_oligomers`, `poim_summary_tsv`) read it a
-row at a time, and are held to 0.1 x the table's bytes; `poim` itself is
-bounded in multiples of the table, so that building `firm_values` whole,
-a boolean mask's copy, or a second table in `poim`, fails here. `load_tabular`
+`poim` holds no table: it holds its window contractions, at most
+M (k + K - 1) |alphabet|^K cells, and each reader computes Q a row at a
+time. `ranked_oligomers` and `poim_summary_tsv` are held to 0.1 x the
+table's bytes, and the POIM part of `analyze` (`analyze_sequence`) and the
+sequence study to 0.25 x, so that building `values` or `firm_values`
+whole, or any table-sized array, fails here. `load_tabular`
 parses a chunk of whole lines at a time straight into the dataset's X and
 y, which the dataset keeps uncopied, so it holds the table once and one
 chunk, at most 1.2 x the table's bytes; forked, it reads the children's
@@ -35,6 +37,7 @@ least-squares fit is therefore also measured by the rows it hands to
 LAPACK.
 """
 
+import argparse
 import functools
 import os
 import tracemalloc
@@ -42,9 +45,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import firm.cli
 import firm.dataset
+import firm.experiments
 import firm.scoring
-import firm.sequence
 from firm import (BudgetExceededError, KernelExpansionScorer, KernelSpec, SequenceDataset,
                   TabularDataset, empirical_covariance, firm_binary_values, firm_slope,
                   load_tabular, poim, ranked_oligomers, sensitivity_index,
@@ -415,43 +419,55 @@ def poim_case():
 
 
 def test_ranked_oligomers_hold_a_row_at_a_time(poim_case):
-    """|Q| is read a row (1/45 of the table) at a time, each row's candidates
-    kept: 0.064 x the table. Taking |Q| whole would hold one table, and
-    partitioning it a second."""
+    """Q is computed a row (1/45 of the table) at a time, and each row freed
+    once its candidates are kept: 0.086 x the table, a row, its |Q| and its
+    partition. Taking |Q| whole would hold one table, and partitioning it a
+    second."""
     _, table = poim_case
     peak, _ = traced_peak(lambda: ranked_oligomers(table, top=20))
     assert peak <= 0.1 * table.values.nbytes
 
 
 def test_poim_summary_holds_a_row_at_a_time(poim_case):
-    """|Q| a row at a time, scaled in place: 0.045 x the table. np.abs of
-    the whole table would hold one."""
+    """|Q| a row at a time, computed and scaled in place: 0.069 x the table.
+    np.abs of the whole table would hold one."""
     _, table = poim_case
     peak, _ = traced_peak(lambda: _emit.poim_summary_tsv(table))
     assert peak <= 0.1 * table.values.nbytes
 
 
-def test_poim_holds_its_output_and_one_table(poim_case, monkeypatch):
-    """The PoimTable is made first, from 0-stride zeros it copies into the
-    one table, and each offset adds into a slice of that table in place (a
-    boolean mask's copy, or a table built beside the PoimTable's copy,
-    would be a second table). The peak is the output and a few oligomer
-    vectors."""
-    scorer, table = poim_case
-    make, held = firm.sequence.PoimTable, []
+def test_poim_holds_its_window_contractions(poim_case):
+    """poim holds one term per offset, M x |alphabet|^overlap cells, so at
+    most M (k + K - 1) |alphabet|^K cells whatever k: 17 280 cells at k = 7,
+    where the table has 720 896. Its peak, 2.6 x that bound at k = 7, is the
+    terms twice (the table copies what poim built) and the factor twice; a
+    table-sized array would be 26 times the bound."""
+    scorer, _ = poim_case
+    A, K = len(scorer.alphabet), scorer.max_degree
+    M = scorer.length - K + 1
+    for k in (3, 7):
+        bound = M * (k + K - 1) * A ** K
+        peak, table = traced_peak(lambda: poim(scorer, k=k))
+        assert sum(cells.size for _, _, cells in table.terms) <= bound
+        assert peak <= 8 * 2 * bound + 3 * table.factor.nbytes
 
-    def probe(**fields):
-        held.append(tracemalloc.get_traced_memory()[1] - start)
-        return make(**fields)
 
-    monkeypatch.setattr(firm.sequence, "PoimTable", probe)
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        fresh = poim(scorer, k=6)
-        peak = tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
-    assert fresh.values.tobytes() == table.values.tobytes()
-    assert len(held) == 1 and held[0] <= 4 * table.factor.nbytes
-    assert peak <= table.values.nbytes + 6 * table.factor.nbytes
+def test_poim_passes_hold_under_a_quarter_table(tmp_path):
+    """`analyze --method poim`'s computation (analyze_sequence, before
+    poim.tsv streams) and the sequence study hold rows of Q, never the
+    table: with k = 7 on 100 sequences of length 50, a 5.8 MB table, their
+    traced peaks are 0.13 and 0.18 x its bytes, the fit's arrays, a few rows
+    and the study's strings x positions columns."""
+    data = random_dna(100, 50, seed=5)
+    path = tmp_path / "s.tsv"
+    path.write_text("".join(f"{s}\t{y:+.0f}\n" for s, y in zip(data.sequences, data.y)),
+                    encoding="utf-8")
+    args = argparse.Namespace(input=str(path), degree=3, lam=0.1, k=7, top=20)
+    peak, artifacts = traced_peak(lambda: firm.cli.analyze_sequence(args))
+    artifacts["poim.tsv"].close()
+    assert peak <= 0.25 * 8 * 44 * 4 ** 7
+    peak, (_, result) = traced_peak(lambda: firm.experiments.sequence_experiment(
+        seed=0, n_per_class=50, seq_len=50))
+    table = result["table"]
+    assert table.positions * table.factor.size == 44 * 4 ** 7
+    assert peak <= 0.25 * 8 * 44 * 4 ** 7

@@ -5,13 +5,16 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from firm import (BudgetExceededError, FirmError, PoimTable, hamming_ball, poim,
-                  ranked_oligomers)
+from firm import (BudgetExceededError, FirmError, PoimTable, PositionalKmerScorer,
+                  hamming_ball, poim, ranked_oligomers)
 from firm import experiments
+from firm.scoring import kmer_offsets
 
-from helpers import (enum_conditional_score, enum_expected_score, expected_score,
-                     kmer_scorer, kmer_weight, poim_firm_conversion, string_prob,
+from helpers import (enum_conditional_score, enum_expected_score, enum_poim_table,
+                     expected_score, kmer_scorer, kmer_weight, poim_firm_conversion, string_prob,
                      uniform_probs)
 
 
@@ -207,35 +210,89 @@ class TestPoimTable:
 
     @pytest.mark.parametrize("index", [-1, 16])
     def test_oligomer_outside_the_table_refused(self, index):
-        table = PoimTable(k=2, length=3, alphabet=DNA, values=np.zeros((2, 16)),
-                          factor=np.ones(16))
+        table = PoimTable.from_values(k=2, length=3, alphabet=DNA, values=np.zeros((2, 16)),
+                                      factor=np.ones(16))
         assert table.oligomer(15) == "TT"
         with pytest.raises(FirmError, match=rf"oligomer index {index} is outside \[0, 16\)"):
             table.oligomer(index)
 
     def test_unknown_symbol_names_the_oligomer(self):
-        table = PoimTable(k=2, length=3, alphabet=DNA, values=np.zeros((2, 16)),
-                          factor=np.ones(16))
+        table = PoimTable.from_values(k=2, length=3, alphabet=DNA, values=np.zeros((2, 16)),
+                                      factor=np.ones(16))
         with pytest.raises(FirmError) as exc:
             table.oligomer_index("AX")
         assert str(exc.value) == "oligomer 'AX' has symbol 'X', not in the alphabet ACGT"
 
     def test_table_never_aliases_the_callers_arrays(self):
+        """from_values copies the caller's values and factor into the table's
+        one term; writing to them changes no row, and what the table holds
+        is read-only. Each row is a new array of the caller's own."""
         values, factor = np.arange(32.0).reshape(2, 16), np.ones(16)
-        table = PoimTable(k=2, length=3, alphabet=DNA, values=values, factor=factor)
+        table = PoimTable.from_values(k=2, length=3, alphabet=DNA, values=values,
+                                      factor=factor)
         values[1, 3], factor[0] = -7.0, 9.0
-        assert table.values[1, 3] == 19.0 and table.factor[0] == 1.0
-        assert not table.values.flags.writeable and not table.factor.flags.writeable
+        assert table.row(1)[3] == 19.0 and table.factor[0] == 1.0
+        [(_, _, cells)] = table.terms
+        assert not cells.flags.writeable and not table.factor.flags.writeable
+        row = table.row(1)
+        row[3] = -1.0
+        assert table.row(1)[3] == 19.0
 
     def test_poim_returns_a_frozen_table_it_owns(self):
-        table = poim(kmer_scorer(DNA, 4, 2, {(1, "CG"): 0.5}), k=2)
-        for a in (table.values, table.factor):
-            assert a.flags.owndata and not a.flags.writeable
+        """poim's table holds read-only window contractions and a read-only
+        factor that share no memory with the scorer's weights."""
+        sc = kmer_scorer(DNA, 4, 2, {(1, "CG"): 0.5})
+        table = poim(sc, k=2)
+        for a in (table.factor, *(cells for _, _, cells in table.terms)):
+            assert not a.flags.writeable and not np.shares_memory(a, sc.weights)
+
+    @pytest.mark.parametrize("j", [-1, 2])
+    def test_position_outside_the_table_refused(self, j):
+        table = poim(kmer_scorer(DNA, 4, 2, {(1, "CG"): 0.5}), k=3)
+        with pytest.raises(FirmError, match=rf"^position {j} is outside \[0, 2\)$"):
+            table.row(j)
+
+    def test_values_of_the_wrong_shape_refused(self):
+        with pytest.raises(FirmError, match=r"values must have shape \(2, 16\), got \(4, 8\)"):
+            PoimTable.from_values(k=2, length=3, alphabet=DNA, values=np.zeros((4, 8)),
+                                  factor=np.ones(16))
 
     def test_budget_guard(self):
         sc = kmer_scorer(DNA, 20, 1, {(0, "A"): 1.0}, b=0.0)
         with pytest.raises(BudgetExceededError, match="cells"):
             poim(sc, k=12)
+
+
+@st.composite
+def poim_cases(draw):
+    """(scorer, k, letter_prob): a random k-mer scorer, about half its weights
+    zero, over 2 or 4 letters, length 1-8, any degree K and any k up to the
+    length, under the uniform background (None) or a random one."""
+    alphabet = draw(st.sampled_from([("0", "1"), DNA]))
+    L = draw(st.integers(1, 8))
+    K, k = draw(st.integers(1, L)), draw(st.integers(1, L))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    size = kmer_offsets(len(alphabet), L, K)[-1]
+    scorer = PositionalKmerScorer(alphabet=alphabet, length=L, max_degree=K,
+                                  weights=rng.normal(size=size) * rng.integers(0, 2, size=size),
+                                  b=float(rng.normal()))
+    raw = draw(st.none() | st.lists(st.floats(0.05, 1.0), min_size=len(alphabet),
+                                    max_size=len(alphabet)))
+    return scorer, k, None if raw is None else dict(zip(alphabet, np.array(raw) / sum(raw)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(poim_cases())
+def test_poim_rows_match_enumeration(case):
+    """Every row of poim's table is Q' by its definition, enumerated over
+    all sequences, to 1e-12."""
+    scorer, k, letter_prob = case
+    table = poim(scorer, k=k, letter_prob=letter_prob)
+    probs = uniform_probs(scorer.alphabet) if letter_prob is None else letter_prob
+    want = enum_poim_table(scorer, k, probs)
+    assert table.positions == len(want)
+    for j in range(table.positions):
+        np.testing.assert_allclose(table.row(j), want[j], rtol=0, atol=1e-12)
 
 
 class TestWeightImportance:
@@ -295,8 +352,8 @@ class TestRankedOligomers:
         q = rng.integers(-2, 3, size=(4 ** k, length - k + 1)).astype(float)
         q[rng.random(q.shape) < 0.4] = 0.0
         q[rng.random(q.shape) < 0.2] *= -1.0
-        table = PoimTable(k=k, length=length, alphabet=DNA, values=q.T / 2.0,
-                          factor=np.full(4 ** k, 2.0))
+        table = PoimTable.from_values(k=k, length=length, alphabet=DNA, values=q.T / 2.0,
+                                      factor=np.full(4 ** k, 2.0))
         nz, npos = q.shape
         z_idx = np.repeat(np.arange(nz), npos)
         j_idx = np.tile(np.arange(npos), nz)
@@ -315,7 +372,8 @@ class TestRankedOligomers:
                      (2, 4), (3, 4), (1, 1)]:
             q[z, j] = 2.0 if (z + j) % 2 else -2.0
         q[0, 1] = 1.0
-        table = PoimTable(k=1, length=5, alphabet=DNA, values=q.T / 2.0, factor=np.full(4, 2.0))
+        table = PoimTable.from_values(k=1, length=5, alphabet=DNA, values=q.T / 2.0,
+                                      factor=np.full(4, 2.0))
         nz, npos = q.shape
         z_idx = np.repeat(np.arange(nz), npos)
         j_idx = np.tile(np.arange(npos), nz)
