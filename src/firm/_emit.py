@@ -18,21 +18,23 @@ result with `text += chunk` on a local variable: when that local holds the
 only reference to a str, CPython (3.10 to 3.13; from 3.11 on, once its
 adaptive interpreter has specialised the `+=`) resizes it in place instead
 of building a new one, so the text is never held as its chunks and as
-their join at once. `write_artifacts` encodes and writes each text in
-slices of _WRITE_CHARS characters, so no encoded copy of a whole text is
-made.
+their join at once. `write_artifacts` and each forked `poim_tsv` child
+write str chunks through one loop (_write_chunks), which encodes and
+writes them in slices of _WRITE_CHARS characters, so no encoded copy of a
+whole text is made.
 
 `poim_tsv` computes and formats a large table on every core. Its positions
 are cut into contiguous ranges, one per worker: this process computes and
 formats the first, one position's row and text at a time, while a child
 forked by firm._fork computes the rows of each other range, formats them
-into one str and then sends it, UTF-8, over a pipe. After its
-own positions, this process yields each child's bytes, in order, as read
-from the pipe, _PIPE_BYTES at a time, so it holds one position's text or
-one read. The worker count is derived, never set (_fork.processes): one
-per core, at most one per _FORK_CELLS cells and per position, and one only
-where this process runs more than one thread, as it does when numpy's BLAS
-runs several. The bytes do not depend on the worker count.
+into a list of texts, one per position, and then sends them, UTF-8, over
+a pipe. After its own positions, this process yields each child's bytes,
+in order, as read from the pipe, _PIPE_BYTES at a time, so it holds one
+position's text or one read. The worker count is derived, never set
+(_fork.processes): one per core, at most one per _FORK_CELLS cells and per
+position, and one only where this process runs more than one thread, as it
+does when numpy's BLAS runs several. The bytes do not depend on the worker
+count.
 """
 
 from __future__ import annotations
@@ -184,15 +186,10 @@ def poim_tsv(table):
 
 
 def _send_text(pieces, fh) -> None:
-    """In a child: join the pieces, growing one str in place (see the module
-    docstring), then write the text UTF-8 to fh in slices of _WRITE_CHARS
-    characters. The whole text is formatted before the first write, so the
-    child never waits on the pipe while the parent formats its own range."""
-    text = ""
-    for piece in pieces:
-        text += piece
-    for i in range(0, len(text), _WRITE_CHARS):
-        fh.write(text[i:i + _WRITE_CHARS].encode("utf-8"))
+    """In a child: format every piece into a list, then write them to fh
+    (_write_chunks). The whole text is formatted before the first write, so
+    the child never waits on the pipe while the parent formats its own range."""
+    _write_chunks(list(pieces), fh)
 
 
 def _child_bytes(child, what: str):
@@ -260,17 +257,23 @@ def _write_file(dest: str, chunks) -> None:
     tmp = f"{dest}.tmp.{os.getpid()}"
     try:
         with open(tmp, "wb") as fh:
-            for chunk in chunks:
-                if isinstance(chunk, str):
-                    for i in range(0, len(chunk), _WRITE_CHARS):
-                        fh.write(chunk[i:i + _WRITE_CHARS].encode("utf-8"))
-                else:
-                    fh.write(chunk)
+            _write_chunks(chunks, fh)
         os.replace(tmp, dest)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         raise
+
+
+def _write_chunks(chunks, fh) -> None:
+    """The chunks, str or bytes, written to the binary file fh, each str
+    encoded UTF-8 and written _WRITE_CHARS characters at a time."""
+    for chunk in chunks:
+        if isinstance(chunk, str):
+            for i in range(0, len(chunk), _WRITE_CHARS):
+                fh.write(chunk[i:i + _WRITE_CHARS].encode("utf-8"))
+        else:
+            fh.write(chunk)
 
 
 def fail(message: str) -> int:

@@ -12,7 +12,10 @@ import functools
 import io
 import itertools
 import os
+import shutil
+import stat
 import sys
+import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -218,6 +221,10 @@ class _Refused(Exception):
     """The numbered non-blank lines of a chunk that loadtxt refuses as rows."""
 
 
+class _Changed(Exception):
+    """A read that found fewer bytes than the file's size promised."""
+
+
 def _header(fh, path) -> tuple[list[str], int, int]:
     """The header cells of the binary file fh at path, the byte offset after
     the header's line and its line number; DataFormatError for a file with
@@ -242,7 +249,7 @@ def _pread(fd: int, lo: int, hi: int) -> bytes:
     """Bytes lo to hi of the file fd, leaving the offset forked children share."""
     raw = os.pread(fd, hi - lo, lo)
     if len(raw) != hi - lo:
-        raise DataFormatError("the file changed while it was read")
+        raise _Changed
     return raw
 
 
@@ -276,15 +283,19 @@ def _parse(fd: int, lo: int, hi: int, d: int, labelled: bool,
     to hi of the file fd, whole lines from the file's line `line` on.
 
     A first pass over at most 64 chunks (_cuts) of at least _CHUNK_BYTES
-    counts their lines, for which X and y are allocated once, and raises
-    UnicodeDecodeError for a byte that is not UTF-8, before any other fault.
-    Then each chunk's non-blank lines, split as the text handle splits
-    them, go to one loadtxt_rows call, or to _Refused, numbered in the file,
-    where they are not rows of d + labelled finite numbers.
+    counts their lines and raises UnicodeDecodeError for a byte that is not
+    UTF-8, before any other fault. X and y are allocated once, for no more
+    rows than lines and than the bytes can hold: loadtxt refuses an empty
+    cell, so each of a row's cells takes a byte and a separator, a comma
+    or the line's ending, which only the range's last line may lack. Then
+    each chunk's non-blank lines, split as the text handle splits them, go
+    to one loadtxt_rows call, or to _Refused, numbered in the file, where
+    they are not rows of d + labelled finite numbers.
     """
     cuts = _cuts(fd, lo, hi, min(64, max(1, (hi - lo) // _CHUNK_BYTES)))
     ends = [_line_ends(_pread(fd, a, b)) for a, b in zip(cuts, cuts[1:])]
-    X, y, n = np.empty((sum(ends) + 1, d)), np.empty(sum(ends) + 1 if labelled else 0), 0
+    rows = min(sum(ends), (hi - lo + 1) // (2 * (d + labelled))) + 1
+    X, y, n = np.empty((rows, d)), np.empty(rows if labelled else 0), 0
     for a, b, chunk_ends in zip(cuts, cuts[1:], ends):
         raw = _pread(fd, a, b)
         lines = filter(str.strip, io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
@@ -370,6 +381,20 @@ def _send_rows(fd: int, lo: int, hi: int, d: int, labelled: bool, fh) -> None:
     fh.write(y)
 
 
+@contextmanager
+def _seekable(fh):
+    """The binary file fh when it is a regular file; else an unlinked
+    temporary file holding everything fh reads to its end, so that a pipe
+    parses as the file of its bytes would."""
+    if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+        yield fh
+        return
+    with tempfile.TemporaryFile() as copy:
+        shutil.copyfileobj(fh, copy)
+        copy.seek(0)
+        yield copy
+
+
 def load_tabular(path, has_labels: bool = False) -> TabularDataset:
     """Read a comma-separated file (header row, '.' decimals, no quoting).
 
@@ -380,12 +405,14 @@ def load_tabular(path, has_labels: bool = False) -> TabularDataset:
     '_' between digits ('1_0') and non-ASCII digits ('١٢', '１'); 'nan',
     'inf' and '1e400' parse but are refused as non-finite.
 
-    The file is opened once and its rows parsed in chunks of whole lines
-    straight into X and y (_parse), by forked processes, one per core, for
-    a large file (_read_forked). The arrays and every error message depend
-    on neither. The dataset adopts X and y, read-only and not copied.
+    path names a regular file, or a stream such as a pipe, which is first
+    spooled to an unlinked temporary file (_seekable). The file is opened
+    once and its rows parsed in chunks of whole lines straight into X and y
+    (_parse), by forked processes, one per core, for a large file
+    (_read_forked). The arrays and every error message depend on neither.
+    The dataset adopts X and y, read-only and not copied.
     """
-    with open(path, "rb") as fh:
+    with open(path, "rb") as stream, _seekable(stream) as fh:
         try:
             header, start, line = _header(fh, path)
             fd, d = fh.fileno(), len(header) - has_labels
@@ -396,6 +423,8 @@ def load_tabular(path, has_labels: bool = False) -> TabularDataset:
             raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
         except _Refused as exc:
             raise _refusal(path, header, *exc.args) from None
+        except _Changed:
+            raise DataFormatError(f"{path}: the file changed while it was read") from None
     if len(X) == 0:
         raise DataFormatError(f"{path}: no data rows")
     if has_labels and len(header) < 2:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import DNA_ALPHABET, SequenceDataset, TabularDataset, encode_sequences
+from .dataset import DNA_ALPHABET, SequenceDataset, TabularDataset, _frozen, encode_sequences
 from .errors import DEFAULT_CELL_BUDGET, BudgetExceededError, FirmError
 from .features import row_blocks
 
@@ -184,10 +184,9 @@ class LinearScorer:
     b: float = 0.0
 
     def __post_init__(self):
-        w = np.array(self.w, dtype=np.float64).ravel()
+        w = _frozen(np.ravel(self.w))
         if w.size < 1 or not np.isfinite(w).all() or not np.isfinite(self.b):
             raise FirmError("linear scorer needs finite w (d >= 1) and finite b")
-        w.setflags(write=False)
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "b", float(self.b))
 
@@ -220,14 +219,11 @@ class KernelExpansionScorer:
     _gram: _LowerTriangle | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        pts = np.atleast_2d(np.array(self.points, dtype=np.float64))
-        alpha = np.array(self.alpha, dtype=np.float64).ravel()
+        pts, alpha = _frozen(np.atleast_2d(self.points)), _frozen(np.ravel(self.alpha))
         if pts.shape[0] != alpha.size or pts.shape[0] < 1:
             raise FirmError("need one coefficient per expansion point (m >= 1)")
         if not (np.isfinite(pts).all() and np.isfinite(alpha).all() and np.isfinite(self.b)):
             raise FirmError("kernel expansion parameters must be finite")
-        pts.setflags(write=False)
-        alpha.setflags(write=False)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "b", float(self.b))
@@ -352,12 +348,11 @@ class PositionalKmerScorer:
 
     def __post_init__(self):
         size = kmer_offsets(len(self.alphabet), self.length, self.max_degree)[-1]
-        w = np.array(self.weights, dtype=np.float64)
+        w = _frozen(self.weights)
         if w.shape != (size,):
             raise FirmError(f"need {size} weights, got shape {w.shape}")
         if not np.isfinite(w).all():
             raise FirmError("weights must be finite")
-        w.setflags(write=False)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "alphabet", tuple(self.alphabet))
         object.__setattr__(self, "b", float(self.b))

@@ -48,30 +48,29 @@ class PoimTable:
     most significant; oligomer_index(z) gives it). factor[zi] is
     sqrt((1 - p_z) / p_z) with p_z the oligomer's background probability.
 
-    The table holds terms, not cells. A term (o, start, cells) holds a
-    (rows, A, ..., A) array; it gives row j its cells[j + o], when j + o is
-    one of its rows, over the window letters start, start + 1, ... that its
-    letter axes cover, broadcast over the others. row(j) adds those terms
-    to -0.0, the additive identity, so a one-term table's rows are its
-    values bit for bit. poim's terms are its window contractions, and
-    from_values(...) makes the table of one term, the given values. factor
-    and the terms' cells are read-only copies the table owns, so no
-    caller's array aliases them. values builds the whole table of Q' as a
-    new read-only array, and firm_values the rescaled Q = values * factor;
-    the package reads rows instead. An index, a symbol or a position
-    outside the table raises FirmError.
+    The table holds terms, not cells. A term (o, cells) gives row j the
+    array cells[j + o], when j + o is one of its rows. Each such array is
+    stored ready to broadcast against the row's (A,) * k letter axes: the
+    axes of the letters it covers, then an axis of length 1 per later
+    letter. row(j) adds those arrays to -0.0, the additive identity, so a
+    one-term table's rows are its values bit for bit. poim's terms are its
+    window contractions, and from_values(...) makes the table of one term,
+    the given values. factor and the terms' cells are read-only copies the
+    table owns, so no caller's array aliases them. values builds the whole
+    table of Q' as a new read-only array, and firm_values the rescaled Q =
+    values * factor; the package reads rows instead. An index, a symbol or
+    a position outside the table raises FirmError.
     """
 
     k: int
     length: int
     alphabet: tuple[str, ...]
     factor: np.ndarray        # (|alphabet|^k,)
-    terms: tuple[tuple[int, int, np.ndarray], ...]
+    terms: tuple[tuple[int, np.ndarray], ...]
 
     def __post_init__(self):
         object.__setattr__(self, "factor", _frozen(self.factor))
-        object.__setattr__(self, "terms", tuple((o, start, _frozen(cells))
-                                                for o, start, cells in self.terms))
+        object.__setattr__(self, "terms", tuple((o, _frozen(cells)) for o, cells in self.terms))
 
     @classmethod
     def from_values(cls, k: int, length: int, alphabet, values, factor) -> PoimTable:
@@ -81,7 +80,7 @@ class PoimTable:
             raise FirmError(f"values must have shape ({length - k + 1}, "
                             f"{len(alphabet) ** k}), got {values.shape}")
         return cls(k=k, length=length, alphabet=alphabet, factor=factor,
-                   terms=((0, 0, values.reshape((len(values),) + (len(alphabet),) * k)),))
+                   terms=((0, values.reshape((len(values),) + (len(alphabet),) * k)),))
 
     @property
     def positions(self) -> int:
@@ -92,10 +91,9 @@ class PoimTable:
         if not 0 <= j < self.positions:
             raise FirmError(f"position {j} is outside [0, {self.positions})")
         out = np.full((len(self.alphabet),) * self.k, -0.0)
-        for o, start, cells in self.terms:
+        for o, cells in self.terms:
             if 0 <= j + o < len(cells):
-                out += cells[j + o].reshape(cells.shape[1:]
-                                            + (1,) * (self.k - start - cells.ndim + 1))
+                out += cells[j + o]
         return out.ravel()
 
     @property
@@ -184,7 +182,7 @@ def poim(scorer: PositionalKmerScorer, k: int, letter_prob: dict | None = None) 
         inside = np.einsum("mlir,l,r->mi", T.reshape(M, A ** lo, A ** (hi - lo), -1),
                            _string_probs(p, lo), _string_probs(p, K - hi))
         inside -= mean[:, None]
-        terms.append((o, o + lo, inside.reshape((M,) + (A,) * (hi - lo))))
+        terms.append((o, inside.reshape((M,) + (A,) * (hi - lo) + (1,) * (k - o - hi))))
     return PoimTable(k=k, length=L, alphabet=scorer.alphabet, factor=_factor(p, k),
                      terms=tuple(terms))
 

@@ -27,10 +27,12 @@ artifacts from the whole table of Q = firm_values, as the package did
 before it took Q a row or a cell at a time; written_poim_tsv gives the
 bytes that the package streams to poim.tsv, for comparison with them.
 parse_tabular states load_tabular's grammar one cell at a time with
-Python float, less the forms np.loadtxt refuses. random_pd_cov draws the
+Python float, less the forms np.loadtxt refuses, and piped serves bytes
+through a pipe, as a shell's `<(...)` does. random_pd_cov draws the
 covariances of the normal-model tests.
 """
 
+import contextlib
 import itertools
 import math
 import os
@@ -397,6 +399,20 @@ def save_tabular(data, path):
             if data.y is not None:
                 cells.append(repr(float(data.y[i])))
             fh.write(",".join(cells) + "\n")
+
+
+@contextlib.contextmanager
+def piped(data: bytes):
+    """The /dev/fd path of the read end of a pipe that holds data, whose
+    write end is closed; data must fit the pipe's 64 KB buffer."""
+    assert len(data) < 2 ** 16
+    r, w = os.pipe()
+    try:
+        with open(w, "wb") as fh:
+            fh.write(data)
+        yield f"/dev/fd/{r}"
+    finally:
+        os.close(r)
 
 
 def all_pm1_rows(d):

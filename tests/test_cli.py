@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ import firm
 from firm import KernelSpec, _emit
 from firm.cli import main, parse_kernel
 
-from helpers import (all_pm1_rows, assert_no_children, brute_firm_binary,
+from helpers import (all_pm1_rows, assert_no_children, brute_firm_binary, piped,
                      shrinkage_with_squared_copy, spread_forks)
 
 
@@ -430,6 +431,25 @@ class TestConfigValidation:
                        "--scorer", "train:ridge", "--out", str(tmp_path / name)) == 0
         assert ((tmp_path / "plain" / "firm.tsv").read_bytes()
                 == (tmp_path / "spaced" / "firm.tsv").read_bytes())
+
+    def test_piped_input_gives_the_files_bytes(self, tmp_path):
+        """`--input <(cat d.csv)` writes the artifacts of `--input d.csv`;
+        only run.json's input path differs."""
+        rng = np.random.default_rng(13)
+        X = rng.normal(size=(30, 2))
+        write_csv(tmp_path / "d.csv", X, X[:, 0] + rng.normal(size=30))
+        argv = ["--method", "slope", "--scorer", "train:ridge"]
+        assert run("analyze", "--input", str(tmp_path / "d.csv"), *argv,
+                   "--out", str(tmp_path / "file")) == 0
+        with piped((tmp_path / "d.csv").read_bytes()) as path:
+            assert run("analyze", "--input", path, *argv, "--out", str(tmp_path / "pipe")) == 0
+        trees = [{q.relative_to(out): q.read_bytes() for q in out.rglob("*")}
+                 for out in (tmp_path / "file", tmp_path / "pipe")]
+        file_run, pipe_run = (json.loads(tree.pop(Path("run.json"))) for tree in trees)
+        assert file_run["config"].pop("input") == str(tmp_path / "d.csv")
+        assert pipe_run["config"].pop("input") == path
+        assert file_run == pipe_run
+        assert trees[0] and trees[0] == trees[1]
 
     def test_underscore_cell_fails_with_one_line(self, tmp_path):
         """'1_0', which Python float reads as 10, is refused."""

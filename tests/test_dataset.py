@@ -22,7 +22,7 @@ import firm._fork
 import firm.dataset
 from firm.dataset import DNA_ALPHABET, encode_sequences
 
-from helpers import (all_pm1_rows, assert_no_children, parse_tabular, save_tabular,
+from helpers import (all_pm1_rows, assert_no_children, parse_tabular, piped, save_tabular,
                      shrinkage_with_squared_copy, spread_forks)
 
 
@@ -67,6 +67,35 @@ class TestLoadTabular:
     def test_unparseable_cell(self, tmp_path):
         p = write(tmp_path, "d.csv", "a,b\n1,x\n")
         with pytest.raises(DataFormatError, match="column 'b'"):
+            load_tabular(p)
+
+    @pytest.mark.parametrize("cores", [1, 3])
+    def test_pipe_reads_as_its_file(self, tmp_path, monkeypatch, cores):
+        """A pipe, such as a shell's `<(cat d.csv)`, is spooled to a temporary
+        file and parsed as d.csv is, in one process or in forked ones."""
+        p = write(tmp_path, "d.csv", "a,b,label\n1,2,1\n\n3,4.5,-1\n-0.0,1e-7,1\n")
+        want = load_tabular(p, has_labels=True)
+        pids, may_fork = spread_forks(monkeypatch, cores)
+        with piped(p.read_bytes()) as path:
+            got = load_tabular(path, has_labels=True)
+        assert len(pids) == (cores if may_fork and cores > 1 else 0)
+        assert got.names == want.names
+        assert got.X.tobytes() == want.X.tobytes() and got.y.tobytes() == want.y.tobytes()
+        assert_no_children()
+
+    def test_file_that_shrank_is_named(self, tmp_path, monkeypatch):
+        """A file that holds fewer bytes than its size said when it was opened
+        fails with a message that names it."""
+        p = write(tmp_path, "d.csv", "a,b\n1,2\n3,4\n")
+        fstat = os.fstat
+
+        def grown(fd):
+            st = fstat(fd)
+            return os.stat_result((*st[:6], st.st_size + 10, *st[7:]))
+
+        monkeypatch.setattr(os, "fstat", grown)
+        with pytest.raises(DataFormatError,
+                           match=f"^{p}: the file changed while it was read$"):
             load_tabular(p)
 
     def test_roundtrip_bit_identical(self, tmp_path):

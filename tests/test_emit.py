@@ -1,6 +1,7 @@
 """Artifact formatting: the column-wise writer against the per-cell rule."""
 
 import io
+import itertools
 import os
 import threading
 
@@ -218,9 +219,13 @@ class TestPoimTsvWorkers:
     @settings(max_examples=10, deadline=None)
     @given(skewed_tables())
     def test_forked_text_equals_one_worker_text(self, table):
+        """At every worker count, and with every text written in slices of
+        _WRITE_CHARS characters or of 7, so that each child's positions go
+        through the shared chunk loop in several slices."""
         want = poim_tsv_from_q(table).encode()
-        for cores in (1, 2, 3):
+        for cores, chars in itertools.product((1, 2, 3), (_emit._WRITE_CHARS, 7)):
             with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(_emit, "_WRITE_CHARS", chars)
                 pids, may_fork = spread_forks(mp, cores=cores)
                 assert lines(written_poim_tsv(table)) == lines(want)
             assert len(pids) == (min(cores, table.positions) - 1 if may_fork else 0)

@@ -28,7 +28,9 @@ parses a chunk of whole lines at a time straight into the dataset's X and
 y, which the dataset keeps uncopied, so it holds the table once and one
 chunk, at most 1.2 x the table's bytes; forked, it reads the children's
 feature cells and labels into X and y, at most 1.1 x. A parse child holds
-its own rows and one chunk, at most 0.5 x its byte range.
+its own rows and one chunk, at most 0.5 x its byte range. Rows are
+reserved for no more lines than the bytes can hold, so a wide header over
+blank lines stays under 1 MB.
 
 tracemalloc does not see the work copies numpy.linalg makes inside LAPACK,
 such as the LU factor np.linalg.solve writes over a copy of its matrix, so
@@ -49,9 +51,9 @@ import firm.cli
 import firm.dataset
 import firm.experiments
 import firm.scoring
-from firm import (BudgetExceededError, KernelExpansionScorer, KernelSpec, SequenceDataset,
-                  TabularDataset, empirical_covariance, firm_binary_values, firm_slope,
-                  load_tabular, poim, ranked_oligomers, sensitivity_index,
+from firm import (BudgetExceededError, DataFormatError, KernelExpansionScorer, KernelSpec,
+                  SequenceDataset, TabularDataset, empirical_covariance, firm_binary_values,
+                  firm_slope, load_tabular, poim, ranked_oligomers, sensitivity_index,
                   shrinkage_covariance, slope_stderr, train_kernel_ridge, train_least_squares,
                   train_positional_kmer, train_ridge)
 from firm import _emit
@@ -105,6 +107,22 @@ def test_whitespace_line_holds_no_list_of_lines(tmp_path):
     peak, data = traced_peak(lambda: load_tabular(path, has_labels=True))
     assert data.X.tobytes() == X[:, :-1].tobytes()
     assert peak <= 1.2 * X.nbytes
+
+
+def test_blank_lines_reserve_no_rows(tmp_path):
+    """A file's rows are reserved for no more lines than its bytes can hold
+    as rows of the header's cells: 26 rows of 1000 cells for 50 000 blank
+    lines (55 KB with the header), a 0.29 MB peak before the file is
+    refused for having no rows. A row per line was 400 MB."""
+    path = tmp_path / "d.csv"
+    path.write_text(",".join(f"c{j}" for j in range(1000)) + "\n" * 50_001, encoding="utf-8")
+
+    def refused():
+        with pytest.raises(DataFormatError, match=f"^{path}: no data rows$"):
+            load_tabular(path)
+
+    peak, _ = traced_peak(refused)
+    assert peak <= 2 ** 20
 
 
 def test_forked_parse_holds_what_one_process_holds(tmp_path, monkeypatch):
@@ -448,7 +466,7 @@ def test_poim_holds_its_window_contractions(poim_case):
     for k in (3, 7):
         bound = M * (k + K - 1) * A ** K
         peak, table = traced_peak(lambda: poim(scorer, k=k))
-        assert sum(cells.size for _, _, cells in table.terms) <= bound
+        assert sum(cells.size for _, cells in table.terms) <= bound
         assert peak <= 8 * 2 * bound + 3 * table.factor.nbytes
 
 

@@ -232,7 +232,7 @@ class TestPoimTable:
                                       factor=factor)
         values[1, 3], factor[0] = -7.0, 9.0
         assert table.row(1)[3] == 19.0 and table.factor[0] == 1.0
-        [(_, _, cells)] = table.terms
+        [(_, cells)] = table.terms
         assert not cells.flags.writeable and not table.factor.flags.writeable
         row = table.row(1)
         row[3] = -1.0
@@ -243,7 +243,7 @@ class TestPoimTable:
         factor that share no memory with the scorer's weights."""
         sc = kmer_scorer(DNA, 4, 2, {(1, "CG"): 0.5})
         table = poim(sc, k=2)
-        for a in (table.factor, *(cells for _, _, cells in table.terms)):
+        for a in (table.factor, *(cells for _, cells in table.terms)):
             assert not a.flags.writeable and not np.shares_memory(a, sc.weights)
 
     @pytest.mark.parametrize("j", [-1, 2])
