@@ -274,7 +274,7 @@ def _line_ends(raw: bytes) -> int:
     if not raw.isascii():
         raw.decode("utf-8")
     crs = raw.count(b"\r") - raw.count(b"\r\n") if b"\r" in raw else 0
-    return int(np.count_nonzero(np.frombuffer(raw, np.uint8) == ord("\n"))) + crs
+    return raw.count(b"\n") + crs
 
 
 def _parse(fd: int, lo: int, hi: int, d: int, labelled: bool,

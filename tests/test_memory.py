@@ -18,9 +18,10 @@ streams `poim_tsv`'s chunks to the file, so the peak while it writes
 `poim.tsv`, one worker or three, is held to eight positions' texts and one
 pipe read, about 0.23 x the k = 5 text, whatever the table's size; holding
 the text, a range of it, or a column as long as the table fails here.
-`poim` holds no table: it holds its window contractions, at most
-M (k + K - 1) |alphabet|^K cells, and each reader computes Q a row at a
-time. `ranked_oligomers` and `poim_summary_tsv` are held to 0.1 x the
+The k-mer fit and `score_many` hold the n x M windows and one block of
+_BLOCK_CELLS cells beside them, no n x M float array. `poim` holds no
+table: it holds its window contractions, at most M (k + K - 1)
+|alphabet|^K cells, and each reader computes Q a row at a time. `ranked_oligomers` and `poim_summary_tsv` are held to 0.1 x the
 table's bytes, and the POIM part of `analyze` (`analyze_sequence`) and the
 sequence study to 0.25 x, so that building `values` or `firm_values`
 whole, or any table-sized array, fails here. `load_tabular`
@@ -52,10 +53,10 @@ import firm.dataset
 import firm.experiments
 import firm.scoring
 from firm import (BudgetExceededError, DataFormatError, KernelExpansionScorer, KernelSpec,
-                  SequenceDataset, TabularDataset, empirical_covariance, firm_binary_values,
-                  firm_slope, load_tabular, poim, ranked_oligomers, sensitivity_index,
-                  shrinkage_covariance, slope_stderr, train_kernel_ridge, train_least_squares,
-                  train_positional_kmer, train_ridge)
+                  PositionalKmerScorer, SequenceDataset, TabularDataset, empirical_covariance,
+                  firm_binary_values, firm_slope, load_tabular, poim, ranked_oligomers,
+                  sensitivity_index, shrinkage_covariance, slope_stderr, train_kernel_ridge,
+                  train_least_squares, train_positional_kmer, train_ridge)
 from firm import _emit
 
 from helpers import spread_forks
@@ -356,26 +357,40 @@ def random_dna(n, length, seed):
 
 
 @pytest.mark.parametrize("n", [1000, 2000])
-def test_kmer_fit_holds_two_window_arrays(n):
+def test_kmer_fit_holds_the_windows_and_one_block(n):
     """The primal fit holds the n x M top-degree windows (M = 98 windows per
-    sequence here, of P = 297 substrings) and one n x M temporary at a time:
-    0.88 x 8nP traced at n = 1000 and 0.77 x at 2000, the rest being
-    vectors of the weights' length. A third n x M array, or the n x P
-    substring ids the fit held before, would not fit under the bound."""
+    sequence here, of P = 297 substrings) and one block of _BLOCK_CELLS
+    cells of each product: 0.61 x 8nP traced at n = 1000 and 0.47 x at
+    2000, the rest being vectors of the weights' length. An n x M float
+    temporary beside the windows (0.88 and 0.77 x), or the n x P substring
+    ids the fit held before, would not fit under the bound."""
     data = random_dna(n, 100, seed=4)
     P = 100 + 99 + 98
     peak, _ = traced_peak(lambda: train_positional_kmer(data, K=3, lam=0.1))
-    assert peak <= 0.95 * 8 * n * P
+    assert peak <= 0.7 * 8 * n * P
 
 
 def test_kmer_fit_builds_no_one_hot_design():
-    """The fit's peak, 0.88 x 8nP for P = 297 substrings per sequence, is
-    0.26 x 8n^2 at n = 1000; a one-hot design (1.02 x 8n^2 for 2048
+    """The fit's peak, 0.61 x 8nP for P = 297 substrings per sequence, is
+    0.18 x 8n^2 at n = 1000; a one-hot design (1.02 x 8n^2 for 2048
     float32 columns) or an n x n matrix would not fit under the bound."""
     n = 1000
     data = random_dna(n, 100, seed=4)
     peak, _ = traced_peak(lambda: train_positional_kmer(data, K=3, lam=0.1))
     assert peak <= 0.3 * 8 * n * n
+
+
+def test_kmer_scores_hold_the_windows_and_one_block():
+    """score_many holds the n x M windows (M = 98) and one block of
+    _BLOCK_CELLS cells of the gathered table: 1.17 x 8nM traced at
+    n = 2000. Gathering all n x M cells at once (2.03 x) fails here."""
+    n, M = 2000, 98
+    data = random_dna(n, 100, seed=4)
+    rng = np.random.default_rng(6)
+    scorer = PositionalKmerScorer(alphabet=firm.dataset.DNA_ALPHABET, length=100, max_degree=3,
+                                  weights=rng.normal(size=firm.scoring.kmer_offsets(4, 100, 3)[-1]))
+    peak, _ = traced_peak(lambda: scorer.score_many(data.sequences))
+    assert peak <= 1.5 * 8 * n * M
 
 
 def streamed_peak(table, out):

@@ -18,7 +18,7 @@ from firm import (BudgetExceededError, FirmError, KernelExpansionScorer, KernelS
                   train_positional_kmer, train_ridge)
 from firm.dataset import DNA_ALPHABET, encode_sequences
 from firm.scoring import (_BLOCK_CELLS, _TRI_ROWS, _LowerTriangle, _fold, _kmer_windows,
-                          _solve_shifted, _unfold, kmer_offsets)
+                          _solve_shifted, _unfold, _window_scatter, _window_sums, kmer_offsets)
 
 from helpers import (all_pm1_rows, central_difference_gradient, explicit_kmer_ridge,
                      kernel_gradient_at, kmer_scorer, kmer_weight, least_squares_with_ones,
@@ -804,3 +804,24 @@ class TestKmerWindows:
         assert got.dtype.kind == "i"
         want = kmer_scorer(DNA_ALPHABET, L, K, counts).weights
         assert got.astype(float).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("blocks", [(0, 1), (1, -1), (1, 0), (1, 1), (3, 5)],
+                             ids=["1", "R-1", "R", "R+1", "3R+5"])
+    def test_blocked_sums_and_scatter_equal_whole_array_bits(self, blocks):
+        """The gather and scatter, a block of R rows at a time, give the bytes
+        of the whole-array np.take sum and np.bincount at n = 1, R - 1, R,
+        R + 1 and 3R + 5 rows, with terms of mixed signs and magnitudes, so
+        that a change in the order of the additions shows in the bits (a
+        per-block bincount, summed, fails at 3R + 5)."""
+        L, K = 100, 3
+        M, cells = L - K + 1, (L - K + 1) * 4 ** K
+        R = _BLOCK_CELLS // M
+        n = blocks[0] * R + blocks[1]
+        rng = np.random.default_rng(n)
+        windows = _kmer_windows(rng.integers(0, 4, size=(n, L), dtype=np.uint8), 4, K)
+        T = rng.normal(size=(M, 4 ** K)) * 10.0 ** rng.integers(-8, 9, size=(M, 4 ** K))
+        v = rng.normal(size=n) * 10.0 ** rng.integers(-8, 9, size=n)
+        assert (_window_sums(T, windows).tobytes()
+                == np.take(T, windows).sum(axis=1).tobytes())
+        assert (_window_scatter(v, windows, cells).tobytes()
+                == np.bincount(windows.ravel(), np.repeat(v, M), minlength=cells).tobytes())
